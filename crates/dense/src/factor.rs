@@ -7,7 +7,7 @@
 //! baselines and as single-matrix references for the batched results.
 
 use crate::error::{Error, Result};
-use crate::level3::{axpy, dot, gemm, syrk, trsm};
+use crate::level3::{axpy, dot, gemm, syrk, trmm, trsm};
 use crate::matrix::{Diag, MatMut, MatRef, Side, Trans, Uplo};
 use crate::scalar::Scalar;
 
@@ -486,27 +486,23 @@ pub fn getrf<T: Scalar>(mut a: MatMut<'_, T>, ipiv: &mut [usize], nb: usize) -> 
 }
 
 /// Applies the elementary reflector `H = I − τ·v·vᵀ` from the left to
-/// `c`, where `v = [1; v_tail]` (LAPACK `xLARF`, left, forward storage).
+/// `c`, where `v = [1; v_tail]` (LAPACK `xLARF`, left, forward storage):
+/// one column [`dot`] and one [`axpy`] per column of `c`.
 pub fn larf_left<T: Scalar>(v_tail: MatRef<'_, T>, tau: T, mut c: MatMut<'_, T>) {
     let m = c.nrows();
-    let n = c.ncols();
     debug_assert_eq!(v_tail.nrows() + 1, m, "larf: v length mismatch");
     if tau == T::ZERO || m == 0 {
         return;
     }
-    for j in 0..n {
-        // w = vᵀ·C(:,j) with v(0) = 1.
-        let mut w = c.get(0, j);
-        for i in 1..m {
-            w += v_tail.get(i - 1, 0) * c.get(i, j);
-        }
-        let t = tau * w;
-        let v0 = c.get(0, j) - t;
-        c.set(0, j, v0);
-        for i in 1..m {
-            let cur = c.get(i, j);
-            c.set(i, j, cur - v_tail.get(i - 1, 0) * t);
-        }
+    let v = v_tail.col_as_slice(0);
+    for j in 0..c.ncols() {
+        let (c0, c_tail) = c
+            .col_as_mut_slice(j)
+            .split_first_mut()
+            .expect("m > 0 checked above");
+        let t = tau * (*c0 + dot(v, c_tail));
+        *c0 -= t;
+        axpy(c_tail, v, -t);
     }
 }
 
@@ -520,24 +516,21 @@ pub fn geqr2<T: Scalar>(mut a: MatMut<'_, T>, tau: &mut [T]) {
     assert!(tau.len() >= k, "geqr2: tau too short");
     for (j, tau_j) in tau.iter_mut().enumerate().take(k) {
         // Generate the reflector for column j (LAPACK xLARFG).
-        let alpha = a.get(j, j);
-        let mut xnorm2 = T::ZERO;
-        for i in j + 1..m {
-            let v = a.get(i, j);
-            xnorm2 += v * v;
-        }
+        let (alpha, x) = a.col_as_mut_slice(j)[j..]
+            .split_first_mut()
+            .expect("j < m inside the first min(m,n) columns");
+        let xnorm2 = dot(x, x);
         if xnorm2 == T::ZERO {
             *tau_j = T::ZERO;
         } else {
-            let norm = (alpha * alpha + xnorm2).sqrt();
-            let beta = if alpha >= T::ZERO { -norm } else { norm };
-            *tau_j = (beta - alpha) / beta;
-            let scale = T::ONE / (alpha - beta);
-            for i in j + 1..m {
-                let v = a.get(i, j) * scale;
-                a.set(i, j, v);
+            let norm = (*alpha * *alpha + xnorm2).sqrt();
+            let beta = if *alpha >= T::ZERO { -norm } else { norm };
+            *tau_j = (beta - *alpha) / beta;
+            let scale = T::ONE / (*alpha - beta);
+            for v in x {
+                *v *= scale;
             }
-            a.set(j, j, beta);
+            *alpha = beta;
         }
         // Apply H_j to the trailing columns A[j:m, j+1:n].
         if j + 1 < n && *tau_j != T::ZERO {
@@ -550,91 +543,115 @@ pub fn geqr2<T: Scalar>(mut a: MatMut<'_, T>, tau: &mut [T]) {
 
 /// Forms the upper-triangular block-reflector factor `T` (LAPACK
 /// `xLARFT`, forward columnwise) for the `jb` reflectors stored
-/// unit-lower in `v` (`rows × jb`), writing it into the packed `jb × jb`
-/// buffer `t_out`.
-pub fn larft<T: Scalar>(v: MatRef<'_, T>, tau: &[T], t_out: &mut [T]) {
-    let rows = v.nrows();
+/// unit-lower in `v` (`rows × jb`), writing all of the `jb × jb` view
+/// `t` (zeros below the diagonal).
+pub fn larft<T: Scalar>(v: MatRef<'_, T>, tau: &[T], mut t: MatMut<'_, T>) {
     let jb = v.ncols();
     assert!(tau.len() >= jb, "larft: tau too short");
-    assert!(t_out.len() >= jb * jb, "larft: T buffer too short");
-    for x in t_out.iter_mut().take(jb * jb) {
-        *x = T::ZERO;
-    }
+    assert_eq!((t.nrows(), t.ncols()), (jb, jb), "larft: T must be jb x jb");
     for c in 0..jb {
         let tc = tau[c];
-        t_out[c + c * jb] = tc;
+        let (above, rest) = t.col_as_mut_slice(c).split_at_mut(c);
+        rest.fill(T::ZERO);
+        rest[0] = tc;
         if tc == T::ZERO {
+            above.fill(T::ZERO);
             continue;
         }
-        // t(0..c, c) = −τ_c · T(0..c,0..c) · (Vᵀ·v_c)(0..c)
-        let mut w = vec![T::ZERO; c];
-        for (p, wp) in w.iter_mut().enumerate() {
-            // w_p = v_pᵀ·v_c over rows p..rows (unit diagonal at row p,
-            // v_c zero above row c, implicit 1 at row c).
-            let mut acc = v.get(c, p);
-            for r in c + 1..rows {
-                acc += v.get(r, p) * v.get(r, c);
-            }
-            *wp = acc;
+        // t(0..c, c) = −τ_c · T(0..c,0..c) · (Vᵀ·v_c)(0..c), where
+        // (Vᵀ·v_c)_p = V(c,p) + V(c+1.., p)ᵀ·V(c+1.., c): v_c is zero
+        // above row c and carries an implicit 1 at row c.
+        let vc = &v.col_as_slice(c)[c + 1..];
+        for (p, w) in above.iter_mut().enumerate() {
+            let vp = v.col_as_slice(p);
+            *w = vp[c] + dot(&vp[c + 1..], vc);
         }
-        for p in 0..c {
-            let mut acc = T::ZERO;
-            for q in p..c {
-                acc += t_out[p + q * jb] * w[q];
-            }
-            t_out[p + c * jb] = -tc * acc;
-        }
+        let t_lead = t.alias_ref().sub(0, 0, c, c);
+        trmm(
+            Side::Left,
+            Uplo::Upper,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            -tc,
+            t_lead,
+            t.rb().sub(0, c, c, 1),
+        );
     }
 }
 
 /// Applies the transpose of the block reflector `(I − V·T·Vᵀ)` from the
 /// left to `c` (LAPACK `xLARFB`, left, transpose, forward columnwise):
 /// `C ← (I − V·Tᵀ·Vᵀ)·C`. `v` is the `rows × jb` unit-lower reflector
-/// panel, `t` the packed `jb × jb` factor from [`larft`].
-pub fn larfb_left_t<T: Scalar>(v: MatRef<'_, T>, t: &[T], mut c: MatMut<'_, T>) {
-    let rows = v.nrows();
+/// panel, `t` the `jb × jb` factor from [`larft`].
+///
+/// With `V = [V1; V2]` (`V1` the `jb × jb` unit-lower head) and
+/// `C = [C1; C2]`, the `jb × cols` product `W = Tᵀ·Vᵀ·C` is staged in
+/// [`Scalar::with_scratch`]; the two `V2` products are [`gemm`] calls
+/// and carry nearly all the flops.
+pub fn larfb_left_t<T: Scalar>(v: MatRef<'_, T>, t: MatRef<'_, T>, c: MatMut<'_, T>) {
     let jb = v.ncols();
     let cols = c.ncols();
-    assert_eq!(c.nrows(), rows, "larfb: C row mismatch");
+    assert_eq!(c.nrows(), v.nrows(), "larfb: C row mismatch");
+    assert!(v.nrows() >= jb, "larfb: V must have at least jb rows");
     if cols == 0 || jb == 0 {
         return;
     }
-    // W = Vᵀ·C (jb × cols).
-    let mut w = vec![T::ZERO; jb * cols];
-    for cc in 0..cols {
-        for p in 0..jb {
-            let mut acc = c.get(p, cc);
-            for r in p + 1..rows {
-                acc += v.get(r, p) * c.get(r, cc);
-            }
-            w[p + cc * jb] = acc;
+    let (v1, v2) = v.split_at_row(jb);
+    let (mut c1, mut c2) = c.split_at_row(jb);
+    T::with_scratch(jb * cols, |work| {
+        let mut w = MatMut::from_slice(work, jb, cols, jb);
+        w.copy_from(c1.as_ref());
+        // W ← Tᵀ·(V1ᵀ·C1 + V2ᵀ·C2).
+        trmm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::Trans,
+            Diag::Unit,
+            T::ONE,
+            v1,
+            w.rb(),
+        );
+        gemm(
+            Trans::Trans,
+            Trans::NoTrans,
+            T::ONE,
+            v2,
+            c2.as_ref(),
+            T::ONE,
+            w.rb(),
+        );
+        trmm(
+            Side::Left,
+            Uplo::Upper,
+            Trans::Trans,
+            Diag::NonUnit,
+            T::ONE,
+            t,
+            w.rb(),
+        );
+        // C2 ← C2 − V2·W, C1 ← C1 − V1·W.
+        gemm(
+            Trans::NoTrans,
+            Trans::NoTrans,
+            -T::ONE,
+            v2,
+            w.as_ref(),
+            T::ONE,
+            c2.rb(),
+        );
+        trmm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::Unit,
+            T::ONE,
+            v1,
+            w.rb(),
+        );
+        for j in 0..cols {
+            axpy(c1.col_as_mut_slice(j), w.col_as_slice(j), -T::ONE);
         }
-    }
-    // W ← Tᵀ·W (T upper ⇒ Tᵀ lower); descend so old entries survive.
-    for cc in 0..cols {
-        for p in (0..jb).rev() {
-            let mut acc = T::ZERO;
-            for q in 0..=p {
-                acc += t[q + p * jb] * w[q + cc * jb];
-            }
-            w[p + cc * jb] = acc;
-        }
-    }
-    // C ← C − V·W.
-    for cc in 0..cols {
-        for p in 0..jb {
-            let wpc = w[p + cc * jb];
-            if wpc == T::ZERO {
-                continue;
-            }
-            let cur = c.get(p, cc);
-            c.set(p, cc, cur - wpc);
-            for r in p + 1..rows {
-                let cur = c.get(r, cc);
-                c.set(r, cc, cur - v.get(r, p) * wpc);
-            }
-        }
-    }
+    });
 }
 
 /// Blocked Householder QR factorization (LAPACK `xGEQRF`): `geqr2` on
@@ -647,21 +664,24 @@ pub fn geqrf<T: Scalar>(mut a: MatMut<'_, T>, tau: &mut [T], nb: usize) {
     let k = m.min(n);
     assert!(tau.len() >= k, "geqrf: tau too short");
     assert!(nb > 0, "geqrf: nb must be positive");
-    let mut j = 0;
-    while j < k {
-        let jb = nb.min(k - j);
-        let rows = m - j;
-        geqr2(a.rb().sub(j, j, rows, jb), &mut tau[j..j + jb]);
-        let cols_right = n - j - jb;
-        if cols_right > 0 {
-            let v = a.alias_ref().sub(j, j, rows, jb); // unit-lower V in place
-            let mut t = vec![T::ZERO; jb * jb];
-            larft(v, &tau[j..j + jb], &mut t);
-            let c_view = a.rb().sub(j, j + jb, rows, cols_right);
-            larfb_left_t(v, &t, c_view);
+    let nb = nb.min(k);
+    T::with_scratch(nb * nb, |t_work| {
+        let mut j = 0;
+        while j < k {
+            let jb = nb.min(k - j);
+            let rows = m - j;
+            geqr2(a.rb().sub(j, j, rows, jb), &mut tau[j..j + jb]);
+            let cols_right = n - j - jb;
+            if cols_right > 0 {
+                let v = a.alias_ref().sub(j, j, rows, jb); // unit-lower V in place
+                let mut t = MatMut::from_slice(t_work, jb, jb, jb);
+                larft(v, &tau[j..j + jb], t.rb());
+                let c_view = a.rb().sub(j, j + jb, rows, cols_right);
+                larfb_left_t(v, t.as_ref(), c_view);
+            }
+            j += jb;
         }
-        j += jb;
-    }
+    });
 }
 
 /// Solves `A·X = B` after [`potf2`]/[`potrf_blocked`] (LAPACK `xPOTRS`):

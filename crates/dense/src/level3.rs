@@ -268,10 +268,10 @@ fn gemm_blocked_acc<T: Scalar>(
         Trans::NoTrans => a.ncols(),
         Trans::Trans => a.nrows(),
     };
-    // A kc larger than the operand's inner extent clamps — the scheme
+    // A kc or mc larger than the operand's extent clamps — the scheme
     // is a ceiling, not a demand.
     let kc_max = kc_blk.min(k);
-    let pa_len = mc_blk * kc_max;
+    let pa_len = mc_blk.min(m.next_multiple_of(tmr)) * kc_max;
     let pb_len = n.div_ceil(tnr) * tnr * kc_max;
     T::with_scratch(pa_len + pb_len, |scratch| {
         let (pa_buf, pb_buf) = scratch.split_at_mut(pa_len);

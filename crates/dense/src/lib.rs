@@ -16,9 +16,13 @@
 //!   residual-based verification ([`verify`]).
 //!
 //! All kernels operate on matrices of *small* order (the paper's regime is
-//! roughly 1–1024) and are written as straightforward, cache-friendly
-//! loops; they are deliberately simple so that the simulated thread blocks
-//! executing them remain easy to cost-model.
+//! roughly 1–1024). Cholesky, LU and Householder QR alike are built on
+//! the [`level3`] engine: unblocked panels run `dot`/`axpy` over
+//! contiguous column slices, blocked updates are [`trsm`]/[`trmm`]/
+//! [`syrk`]/[`gemm`] calls (for QR, the compact-WY `larfb` sequence), so
+//! one engine decides how fast every simulated thread block and every
+//! CPU baseline runs. What a block costs on the simulated device is
+//! charged separately, by the kernel that calls these routines.
 //!
 //! `unsafe` code is confined to the raw-view constructors in [`matrix`]
 //! (which carry the CUDA-like contract that concurrently executing

@@ -68,46 +68,53 @@ pub trait Scalar:
     /// `true` when the value is finite (not NaN/inf).
     fn is_finite(self) -> bool;
 
-    /// Runs `f` over a thread-local scratch buffer of `len` elements
-    /// whose contents are unspecified (typically stale data from the
-    /// previous call) — callers must write every region they read.
+    /// Runs `f` over a thread-local, 64-byte-aligned scratch buffer of
+    /// `len` elements whose contents are unspecified (typically stale
+    /// data from the previous call) — callers must write every region
+    /// they read.
     ///
     /// The blocked level-3 kernels pack `op(A)`/`op(B)` panels on every
-    /// call; routing that through a per-thread buffer that only ever
-    /// grows means steady-state packing performs **no allocation at all**
-    /// (the paper's batched regime calls these kernels thousands of times
-    /// per factorization sweep). Re-entrant calls on the same thread fall
-    /// back to a fresh allocation instead of aliasing the buffer.
+    /// call; routing that through per-thread buffers that only ever grow
+    /// means steady-state packing performs **no allocation at all** (the
+    /// paper's batched regime calls these kernels thousands of times per
+    /// factorization sweep). Re-entrant calls on the same thread (a
+    /// `gemm` inside `larfb`'s `W` closure) get a second buffer of their
+    /// own, reused the same way, so nesting neither aliases nor
+    /// allocates once warm.
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
 }
 
 /// Implements [`Scalar::with_scratch`] against a per-precision
-/// thread-local `Vec`. The buffer is handed out as-is (not re-zeroed):
-/// the packing routines overwrite every element they expose, and a
-/// defensive fill would cost more than the packing itself on small
-/// operands.
+/// thread-local stack of free buffers: a call pops one (or starts an
+/// empty one), runs `f`, and pushes it back. Pops and pushes nest, so
+/// each nesting depth keeps getting the buffer it used last time.
+/// A buffer holds one cache line more than asked, and the slice handed
+/// out starts at its first 64-byte boundary — where the packed panels
+/// land decides whether the microkernel's loads split cache lines. It is
+/// handed out as-is (not re-zeroed): the packing routines overwrite
+/// every element they expose, and a defensive fill would cost more than
+/// the packing itself on small operands.
 macro_rules! impl_with_scratch {
     ($t:ty, $tls:ident) => {
         thread_local! {
-            static $tls: core::cell::RefCell<Vec<$t>> =
+            static $tls: core::cell::RefCell<Vec<Vec<$t>>> =
                 const { core::cell::RefCell::new(Vec::new()) };
         }
 
         impl ScratchProvider for $t {
             fn with_scratch_impl<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
-                $tls.with(|cell| match cell.try_borrow_mut() {
-                    Ok(mut buf) => {
-                        if buf.len() < len {
-                            buf.resize(len, 0.0);
-                        }
-                        f(&mut buf[..len])
-                    }
-                    // Re-entrant use (a kernel nested inside another
-                    // kernel's scratch closure): don't alias, allocate.
-                    Err(_) => f(&mut vec![0.0; len]),
-                    // (fresh fallback happens to be zeroed, but the
-                    // contract leaves contents unspecified)
-                })
+                const LINE: usize = 64 / core::mem::size_of::<$t>();
+                let mut buf = $tls.with(|free| free.borrow_mut().pop().unwrap_or_default());
+                if buf.len() < len + LINE {
+                    buf.resize(len + LINE, 0.0);
+                }
+                // `align_offset` may decline (usize::MAX under Miri's
+                // symbolic alignment); alignment is only a speed matter.
+                let start = buf.as_ptr().align_offset(64);
+                let start = if start < LINE { start } else { 0 };
+                let out = f(&mut buf[start..start + len]);
+                $tls.with(|free| free.borrow_mut().push(buf));
+                out
             }
         }
     };
@@ -245,6 +252,7 @@ mod tests {
             s.fill(3.0);
             s.as_ptr() as usize
         });
+        assert_eq!(ptr1 % 64, 0);
         // Same thread, same (or smaller) size: the buffer is reused.
         let ptr2 = f64::with_scratch(32, |s| {
             assert_eq!(s.len(), 32);
@@ -255,12 +263,21 @@ mod tests {
 
     #[test]
     fn scratch_reentrant_does_not_alias() {
-        f32::with_scratch(16, |outer| {
-            outer.fill(1.0);
-            f32::with_scratch(16, |inner| {
-                inner.fill(2.0);
-            });
-            assert!(outer.iter().all(|&v| v == 1.0));
-        });
+        let nested = || {
+            f32::with_scratch(16, |outer| {
+                outer.fill(1.0);
+                let inner_ptr = f32::with_scratch(16, |inner| {
+                    inner.fill(2.0);
+                    inner.as_ptr() as usize
+                });
+                assert!(outer.iter().all(|&v| v == 1.0));
+                (outer.as_ptr() as usize, inner_ptr)
+            })
+        };
+        let (outer1, inner1) = nested();
+        assert_eq!((outer1 % 64, inner1 % 64), (0, 0));
+        // Each nesting depth gets its own buffer back: no allocation
+        // once both are warm.
+        assert_eq!(nested(), (outer1, inner1));
     }
 }

@@ -7,10 +7,12 @@
 use proptest::prelude::*;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::naive;
-use vbatch_dense::verify::{chol_residual, lu_residual, max_abs_diff_slices, residual_tol};
+use vbatch_dense::verify::{
+    chol_residual, lu_residual, max_abs_diff_slices, qr_residual, residual_tol,
+};
 use vbatch_dense::{
-    gemm, getrf, potf2, potrf_blocked, syrk, trmm, trsm, trtri, Diag, MatMut, MatRef, Side, Trans,
-    Uplo,
+    gemm, geqrf, getrf, potf2, potrf_blocked, syrk, trmm, trsm, trtri, Diag, MatMut, MatRef,
+    Scalar, Side, Trans, Uplo,
 };
 
 fn trans_strategy() -> impl Strategy<Value = Trans> {
@@ -185,7 +187,7 @@ proptest! {
     fn geqr2_and_geqrf_agree(
         m in 1usize..24, n in 1usize..24, nb in 1usize..8, seed in 0u64..1_000_000,
     ) {
-        use vbatch_dense::{geqr2, geqrf};
+        use vbatch_dense::geqr2;
         let mut rng = seeded_rng(seed);
         let orig = rand_mat::<f64>(&mut rng, m * n);
         let k = m.min(n);
@@ -203,35 +205,49 @@ proptest! {
 
     #[test]
     fn larfb_equals_sequential_larf(
-        m in 2usize..20, jb in 1usize..6, cols in 1usize..8, seed in 0u64..1_000_000,
+        jb in prop_oneof![Just(1usize), 2usize..10, Just(32usize)],
+        // No extra rows: V has no V2 block, so both gemm steps are empty.
+        extra_rows in prop_oneof![Just(0usize), 1usize..40],
+        // Either side of BLOCKED_MIN_N: slice-tier and packed gemm steps.
+        cols in boundary_dim(33),
+        pad in 0usize..3,
+        drop_one in 0usize..2,
+        seed in 0u64..1_000_000,
     ) {
         use vbatch_dense::{geqr2, larf_left, larfb_left_t, larft};
-        prop_assume!(jb <= m);
+        let (m, ld) = (jb + extra_rows, jb + extra_rows + pad);
         let mut rng = seeded_rng(seed);
-        // Build a reflector panel via geqr2.
-        let mut panel = rand_mat::<f64>(&mut rng, m * jb);
+        // Build a reflector panel via geqr2, then switch one reflector
+        // off: tau = 0 means H = I whatever its stored tail says.
+        let mut panel = padded_mat(&mut rng, m, jb, ld);
         let mut tau = vec![0.0f64; jb];
-        geqr2(MatMut::from_slice(&mut panel, m, jb, m), &mut tau);
-        let c0 = rand_mat::<f64>(&mut rng, m * cols);
+        geqr2(MatMut::from_slice(&mut panel, m, jb, ld), &mut tau);
+        if drop_one == 1 {
+            tau[seed as usize % jb] = 0.0;
+        }
+        let c0 = padded_mat(&mut rng, m, cols, ld);
 
         // Blocked application.
-        let v = MatRef::from_slice(&panel, m, jb, m);
+        let v = MatRef::from_slice(&panel, m, jb, ld);
         let mut t = vec![0.0f64; jb * jb];
-        larft(v, &tau, &mut t);
+        larft(v, &tau, MatMut::from_slice(&mut t, jb, jb, jb));
         let mut c_blocked = c0.clone();
-        larfb_left_t(v, &t, MatMut::from_slice(&mut c_blocked, m, cols, m));
+        larfb_left_t(
+            v,
+            MatRef::from_slice(&t, jb, jb, jb),
+            MatMut::from_slice(&mut c_blocked, m, cols, ld),
+        );
 
         // One reflector at a time (forward order = Qᵀ).
         let mut c_seq = c0.clone();
         for (r, &tau_r) in tau.iter().enumerate() {
-            if tau_r == 0.0 {
-                continue;
-            }
             let v_tail = v.sub(r + 1, r, m - r - 1, 1);
-            let c_view = MatMut::from_slice(&mut c_seq, m, cols, m).sub(r, 0, m - r, cols);
+            let c_view = MatMut::from_slice(&mut c_seq, m, cols, ld).sub(r, 0, m - r, cols);
             larf_left(v_tail, tau_r, c_view);
         }
-        prop_assert!(max_abs_diff_slices(&c_blocked, &c_seq) < 1e-9);
+        // Whole buffers: the sentinel rows between m and ld must come
+        // through untouched on both sides.
+        prop_assert!(max_abs_diff_slices(&c_blocked, &c_seq) < 1e-10);
     }
 
     #[test]
@@ -523,6 +539,49 @@ fn gemm_tiers_handle_zero_extents() {
             }
             if m == 0 || n == 0 {
                 assert_eq!(c, c0, "degenerate view must not write m={m} n={n} k={k}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Blocked Householder QR: normalised backward error and orthogonality
+// over the shapes where the level-3 `larfb` degenerates (one panel, no
+// trailing columns, no V2 block) and over both precisions.
+// ---------------------------------------------------------------------
+
+/// `(‖A − QR‖_F / (‖A‖_F·max(m,n)·ε), ‖QᵀQ − I‖_F / (m·ε))` of `geqrf`
+/// with block size `nb` on a random `m × n` matrix.
+fn geqrf_errors_in_eps<T: Scalar>(m: usize, n: usize, nb: usize) -> (f64, f64) {
+    let mut rng = seeded_rng((m * 1000 + n) as u64);
+    let a = rand_mat::<T>(&mut rng, m * n);
+    let mut f = a.clone();
+    let mut tau = vec![T::ZERO; m.min(n)];
+    geqrf(MatMut::from_slice(&mut f, m, n, m), &mut tau, nb);
+    let (res, orth) = qr_residual(
+        MatRef::from_slice(&f, m, n, m),
+        &tau,
+        MatRef::from_slice(&a, m, n, m),
+    );
+    let eps = T::EPSILON.to_f64();
+    (res / eps, orth / eps)
+}
+
+// Worst seen on an AVX-512 host: 0.03 eps backward (96x96), 0.51 eps
+// orthogonality (8x512); the bounds leave room for other summation
+// orders, not for a lost digit.
+#[test]
+fn geqrf_backward_error_and_orthogonality_bounds() {
+    for (m, n) in [(512, 8), (8, 512), (96, 96), (150, 70), (1, 1)] {
+        for nb in [1, 8, 32, 1000] {
+            for (prec, (res, orth)) in [
+                ("f64", geqrf_errors_in_eps::<f64>(m, n, nb)),
+                ("f32", geqrf_errors_in_eps::<f32>(m, n, nb)),
+            ] {
+                assert!(
+                    res < 0.5 && orth < 2.0,
+                    "{prec} geqrf {m}x{n} nb {nb}: backward error {res:.3} eps, orthogonality {orth:.3} eps"
+                );
             }
         }
     }

@@ -256,29 +256,17 @@ fn geqr2_larft_panel<T: Scalar>(
         let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
         let panel = mat_mut(base.get(i).offset(j * ld + j), rows, jb, ld);
-        // Per-block tau scratch sized by the runtime panel width nb — host
-        // analog of this launch's declared shared memory; a fixed-size
-        // array would cap the user-set nb_panel.
-        // analyze:allow(kernel-purity): panel scratch = declared shared memory analog
-        let mut local_tau = vec![T::ZERO; jb];
-        vbatch_dense::geqr2(panel, &mut local_tau);
-        let tp = tau_ptrs.get(i);
-        for (t, &v) in local_tau.iter().enumerate() {
-            tp.set(j + t, v);
-        }
+        // tau and T land straight in their device arrays (this block is
+        // the only one touching matrix i's slots), so the kernel needs
+        // no staging copies.
+        let mut tau_view = mat_mut(tau_ptrs.get(i).offset(j), jb, 1, jb);
+        let tau_j = tau_view.col_as_mut_slice(0);
+        vbatch_dense::geqr2(panel, tau_j);
         // Form T for the trailing update (only needed when trailing
         // columns exist, but forming it unconditionally matches the
         // fixed-shape kernel a GPU would compile).
         let v = mat_ref(base.get(i).offset(j * ld + j), rows, jb, ld);
-        // nb*nb block-reflector T factor, the same declared-shared-memory
-        // analog as the tau scratch above.
-        // analyze:allow(kernel-purity): panel scratch = declared shared memory analog
-        let mut t_local = vec![T::ZERO; jb * jb];
-        vbatch_dense::larft(v, &local_tau, &mut t_local);
-        let t_out = t_ptrs.get(i);
-        for (idx, &val) in t_local.iter().enumerate() {
-            t_out.set(idx, val);
-        }
+        vbatch_dense::larft(v, tau_j, mat_mut(t_ptrs.get(i), jb, jb, jb));
         charge_read::<T>(ctx, rows * jb);
         charge_write::<T>(ctx, rows * jb + jb + jb * jb);
         charge_flops::<T>(
@@ -332,10 +320,9 @@ fn larfb_cols<T: Scalar>(
         let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
         let v = mat_ref(base.get(i).offset(j * ld + j), rows, jb, ld);
-        let t_dev = t_ptrs.get(i);
-        let t_host: Vec<T> = (0..jb * jb).map(|idx| t_dev.get(idx)).collect();
+        let t = mat_ref(t_ptrs.get(i), jb, jb, jb);
         let c_view = mat_mut(base.get(i).offset((j + jb + c0) * ld + j), rows, tcw, ld);
-        vbatch_dense::larfb_left_t(v, &t_host, c_view);
+        vbatch_dense::larfb_left_t(v, t, c_view);
         let active = 128.min(tcw * 4).max(32);
         charge_read::<T>(ctx, rows * jb + jb * jb + rows * tcw);
         charge_write::<T>(ctx, rows * tcw);
@@ -475,7 +462,9 @@ mod tests {
 
     #[test]
     fn variable_size_qr_residuals() {
-        let dev = Device::new(DeviceConfig::k40c());
+        // Empty, 1x1, square, wide and tall shapes in one batch; the tall
+        // ones are deep enough for the packed gemm steps of `larfb` and
+        // span several column tiles.
         let dims = [
             (30usize, 30usize),
             (50, 20),
@@ -483,41 +472,45 @@ mod tests {
             (7, 7),
             (1, 3),
             (0, 4),
+            (4, 0),
+            (1, 1),
+            (200, 70),
+            (40, 90),
         ];
         let mut rng = seeded_rng(91);
-        let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
         let origs: Vec<Vec<f64>> = dims
             .iter()
-            .enumerate()
-            .map(|(i, &(m, n))| {
-                let a = rand_mat::<f64>(&mut rng, m * n);
-                if m * n > 0 {
-                    batch.upload_matrix(i, &a).unwrap();
-                }
-                a
-            })
+            .map(|&(m, n)| rand_mat::<f64>(&mut rng, m * n))
             .collect();
-        let (report, tau) = geqrf_vbatched(
-            &dev,
-            &mut batch,
-            &GeqrfOptions {
+        let factor_once = || {
+            let dev = Device::new(DeviceConfig::k40c());
+            let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
+            for (i, a) in origs.iter().enumerate() {
+                if !a.is_empty() {
+                    batch.upload_matrix(i, a).unwrap();
+                }
+            }
+            let opts = GeqrfOptions {
                 nb_panel: 8,
                 tile_cols: 16,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(report.all_ok());
+            };
+            let (report, tau) = geqrf_vbatched(&dev, &mut batch, &opts).unwrap();
+            assert!(report.all_ok());
+            dims.iter()
+                .enumerate()
+                .map(|(i, &(m, n))| (batch.download_matrix(i), tau.download(i, m.min(n))))
+                .collect::<Vec<(Vec<f64>, Vec<f64>)>>()
+        };
+        let first = factor_once();
         for (i, &(m, n)) in dims.iter().enumerate() {
-            let k = m.min(n);
-            if k == 0 {
+            if m.min(n) == 0 {
                 continue;
             }
-            let f = batch.download_matrix(i);
-            let t = tau.download(i, k);
+            let (f, t) = &first[i];
             let (r, o) = qr_residual(
-                MatRef::from_slice(&f, m, n, m),
-                &t,
+                MatRef::from_slice(f, m, n, m),
+                t,
                 MatRef::from_slice(&origs[i], m, n, m),
             );
             assert!(r < residual_tol::<f64>(m.max(n)), "matrix {i} residual {r}");
@@ -526,6 +519,15 @@ mod tests {
                 "matrix {i} orthogonality {o}"
             );
         }
+        // Blocks run on however many host threads there are, in any
+        // order: factors and tau must not depend on it.
+        let bits = |outs: &[(Vec<f64>, Vec<f64>)]| -> Vec<u64> {
+            outs.iter()
+                .flat_map(|(f, t)| f.iter().chain(t))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&first), bits(&factor_once()));
     }
 
     #[test]

@@ -64,6 +64,10 @@ pub struct ServeConfig {
     pub drr_quantum_s: f64,
     /// Whole-window redispatch budget after a driver error (the rung
     /// *above* the driver's own [`vbatch_core::RecoveryPolicy`] ladder).
+    /// The default of 4 is the most faults a
+    /// [`vbatch_gpu_sim::FaultPlan::random_recoverable`] plan holds: one
+    /// window can meet them all, one per attempt, and a recoverable plan
+    /// must never surface as `Failed`.
     pub window_retries: u32,
     /// Simulated backoff charged to the device clock before window
     /// redispatch `k` (linear, like the driver's launch backoff).
@@ -85,7 +89,7 @@ impl Default for ServeConfig {
             tenant_queue_limit: 256,
             shed_cost_s: 2e-2,
             drr_quantum_s: 2e-5,
-            window_retries: 2,
+            window_retries: 4,
             retry_backoff_s: 1e-4,
             potrf: PotrfOptions::default(),
             getrf_nb: 64,
