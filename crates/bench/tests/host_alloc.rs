@@ -1,5 +1,6 @@
 //! Host-allocation regression for the launch fast path: with a warm
-//! [`DriverWorkspace`], the fused driver's steady-state loop performs a
+//! [`DriverWorkspace`], the fused and the separated driver's
+//! steady-state loops perform a
 //! small, batch-size-independent number of host heap allocations per
 //! kernel launch (launch-name interning, pooled block-cost scratch and
 //! pooled index staging removed the per-launch `format!` and `Vec`
@@ -35,7 +36,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use vbatch_bench::fresh_device;
-use vbatch_core::{potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, PotrfOptions, Strategy};
+use vbatch_core::{
+    potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, PotrfOptions, SepOpts, Strategy,
+};
 use vbatch_dense::gen::seeded_rng;
 use vbatch_workload::{fill_spd_batch, SizeDist};
 
@@ -74,5 +77,57 @@ fn fused_warm_path_allocates_o1_per_launch() {
         per_launch <= MAX_ALLOCS_PER_LAUNCH,
         "warm fused driver call made {per_launch} host allocations per launch \
          (cap {MAX_ALLOCS_PER_LAUNCH}); per-block or per-call allocation crept back in"
+    );
+}
+
+/// Warm `Strategy::Separated` call on `count` matrices of order 160
+/// with 32-wide panels (five steps, every separated kernel launched,
+/// `count`·10 diagonal `syrk` tiles): host allocations and launches.
+fn warm_separated(count: usize) -> (u64, u64) {
+    let sizes = vec![160usize; count];
+    let dev = fresh_device();
+    let mut batch = vbatch_core::VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+    let opts = PotrfOptions {
+        strategy: Strategy::Separated,
+        sep: SepOpts {
+            nb_panel: 32,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut ws = DriverWorkspace::<f64>::new();
+    fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(42));
+    potrf_vbatched_max_ws(&dev, &mut batch, 160, &opts, &mut ws).unwrap();
+
+    fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(42));
+    let launches0 = dev.launch_count();
+    let a0 = ALLOCS.load(Ordering::Relaxed);
+    potrf_vbatched_max_ws(&dev, &mut batch, 160, &opts, &mut ws).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
+    (allocs, dev.launch_count() - launches0)
+}
+
+#[test]
+fn separated_warm_path_allocates_o1_per_launch() {
+    let (allocs, launches) = warm_separated(96);
+    let (allocs2, launches2) = warm_separated(192);
+    eprintln!(
+        "warm separated call: {allocs} host allocs / {launches} launches at 96 matrices, \
+         {allocs2} / {launches2} at 192"
+    );
+    assert!(launches > 0);
+    assert_eq!(launches, launches2);
+    assert!(
+        allocs / launches <= MAX_ALLOCS_PER_LAUNCH,
+        "warm separated driver call made {} host allocations per launch (cap {MAX_ALLOCS_PER_LAUNCH})",
+        allocs / launches
+    );
+    // The cap has to admit a 64-thread fork-join, so a kernel body that
+    // allocates per tile (960 more tiles in the second batch) can hide
+    // under it on a small box; growth with the batch cannot.
+    assert!(
+        allocs2 <= allocs + 2 * launches,
+        "host allocations grew with the batch ({allocs} -> {allocs2}): \
+         a kernel body allocates per block or per matrix"
     );
 }

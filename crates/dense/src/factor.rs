@@ -7,7 +7,7 @@
 //! baselines and as single-matrix references for the batched results.
 
 use crate::error::{Error, Result};
-use crate::level3::{axpy, dot, gemm, syrk, trmm, trsm};
+use crate::level3::{axpy, dot, gemm, syrk, tri_split, trmm, trsm};
 use crate::matrix::{Diag, MatMut, MatRef, Side, Trans, Uplo};
 use crate::scalar::Scalar;
 
@@ -203,78 +203,114 @@ pub fn potrf_blocked<T: Scalar>(uplo: Uplo, mut a: MatMut<'_, T>, nb: usize) -> 
     Ok(())
 }
 
-/// In-place inversion of a triangular matrix (LAPACK `xTRTI2`).
+/// Order at or below which [`trtri`] inverts column by column instead of
+/// splitting: the two [`trmm`] products of a split only repay their
+/// set-up once the off-diagonal block is at least this tall.
+const TRTRI_NB: usize = 16;
+
+/// In-place inversion of a triangular matrix (LAPACK `xTRTRI`).
 ///
-/// This is the primitive the paper's vbatched `trsm` uses on 32×32
+/// This is the primitive the paper's vbatched `trsm` uses on the
 /// diagonal blocks before replacing substitution with `gemm`.
+/// Recursive: the triangle splits 2×2 (at [`tri_split`], a function of
+/// the order only), both diagonal blocks are inverted, and the
+/// off-diagonal block becomes `A21 ← −A22⁻¹·A21·A11⁻¹` by two [`trmm`]
+/// calls, so nearly all the work runs in the level-3 engine. Blocks of
+/// order at most [`TRTRI_NB`] are inverted one column at a time
+/// (`xTRTI2`) with contiguous-column [`axpy`]s.
+///
+/// Only the `uplo` triangle is read or written — never the opposite
+/// triangle and, under [`Diag::Unit`], never the diagonal.
 ///
 /// # Errors
-/// [`Error::Singular`] on a zero diagonal entry (`NonUnit` only).
-pub fn trtri<T: Scalar>(uplo: Uplo, diag: Diag, mut a: MatMut<'_, T>) -> Result<()> {
+/// [`Error::Singular`] with the first zero diagonal entry (`NonUnit`
+/// only), reported before anything is written.
+pub fn trtri<T: Scalar>(uplo: Uplo, diag: Diag, a: MatMut<'_, T>) -> Result<()> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "trtri: matrix must be square");
     if diag == Diag::NonUnit {
-        for j in 0..n {
-            if a.get(j, j) == T::ZERO {
-                return Err(Error::Singular { column: j });
-            }
+        if let Some(j) = (0..n).find(|&j| a.get(j, j) == T::ZERO) {
+            return Err(Error::Singular { column: j });
         }
     }
+    trtri_rec(uplo, diag, a);
+    Ok(())
+}
+
+/// Recursive inversion of a triangle whose diagonal is known nonzero.
+fn trtri_rec<T: Scalar>(uplo: Uplo, diag: Diag, mut a: MatMut<'_, T>) {
+    let n = a.nrows();
+    if n <= TRTRI_NB {
+        trti2(uplo, diag, a);
+        return;
+    }
+    let n1 = tri_split(n);
+    let n2 = n - n1;
+    trtri_rec(uplo, diag, a.rb().sub(0, 0, n1, n1));
+    trtri_rec(uplo, diag, a.rb().sub(n1, n1, n2, n2));
+    let inv11 = a.alias_ref().sub(0, 0, n1, n1);
+    let inv22 = a.alias_ref().sub(n1, n1, n2, n2);
+    let neg = -T::ONE;
     match uplo {
         Uplo::Lower => {
-            // Column-wise forward substitution: X(:,j) solves L·X(:,j)=e_j.
-            for j in 0..n {
-                let xjj = if diag == Diag::NonUnit {
-                    let v = T::ONE / a.get(j, j);
-                    a.set(j, j, v);
-                    v
-                } else {
-                    T::ONE
-                };
-                for i in j + 1..n {
-                    // acc = Σ_{l=j}^{i-1} L(i,l)·X(l,j); the l = j term uses
-                    // the not-yet-overwritten a(i,j) as L(i,j).
-                    let mut acc = a.get(i, j) * xjj;
-                    for l in j + 1..i {
-                        acc += a.get(i, l) * a.get(l, j);
-                    }
-                    let d = if diag == Diag::NonUnit {
-                        // a(i,i) still holds 1/L(i,i)? No: columns are
-                        // processed left→right, so for i > j the diagonal
-                        // entry a(i,i) is still L(i,i).
-                        a.get(i, i)
-                    } else {
-                        T::ONE
-                    };
-                    a.set(i, j, -acc / d);
-                }
-            }
+            let mut a21 = a.sub(n1, 0, n2, n1);
+            trmm(
+                Side::Right,
+                uplo,
+                Trans::NoTrans,
+                diag,
+                neg,
+                inv11,
+                a21.rb(),
+            );
+            trmm(Side::Left, uplo, Trans::NoTrans, diag, T::ONE, inv22, a21);
         }
         Uplo::Upper => {
-            for j in (0..n).rev() {
-                let xjj = if diag == Diag::NonUnit {
-                    let v = T::ONE / a.get(j, j);
-                    a.set(j, j, v);
-                    v
-                } else {
-                    T::ONE
-                };
-                for i in (0..j).rev() {
-                    let mut acc = a.get(i, j) * xjj;
-                    for l in i + 1..j {
-                        acc += a.get(i, l) * a.get(l, j);
-                    }
-                    let d = if diag == Diag::NonUnit {
-                        a.get(i, i)
-                    } else {
-                        T::ONE
-                    };
-                    a.set(i, j, -acc / d);
-                }
-            }
+            let mut a12 = a.sub(0, n1, n1, n2);
+            trmm(Side::Left, uplo, Trans::NoTrans, diag, neg, inv11, a12.rb());
+            trmm(Side::Right, uplo, Trans::NoTrans, diag, T::ONE, inv22, a12);
         }
     }
-    Ok(())
+}
+
+/// Unblocked inversion (LAPACK `xTRTI2`): with the neighbouring
+/// triangle `T` already inverted, column `j` of the inverse is
+/// `−T⁻¹·A(:,j)/A(j,j)` — an in-place triangular matrix-vector product
+/// run as [`axpy`]s of `T⁻¹`'s contiguous columns into column `j`.
+fn trti2<T: Scalar>(uplo: Uplo, diag: Diag, mut a: MatMut<'_, T>) {
+    let n = a.nrows();
+    for jj in 0..n {
+        // Lower walks up from the last column and Upper down from the
+        // first, so the inverted triangle (rows and columns `done`)
+        // always borders column j.
+        let (j, done) = match uplo {
+            Uplo::Lower => (n - 1 - jj, n - jj..n),
+            Uplo::Upper => (jj, 0..jj),
+        };
+        let scale = match diag {
+            Diag::NonUnit => {
+                let inv = T::ONE / a.get(j, j);
+                a.set(j, j, inv);
+                -inv
+            }
+            Diag::Unit => -T::ONE,
+        };
+        // x ← scale·T⁻¹·x: each x(l) is consumed, then replaced by its
+        // own diagonal term, before any axpy could have written it.
+        for ll in 0..done.len() {
+            let (l, rest) = match uplo {
+                Uplo::Lower => (n - 1 - ll, n - ll..n),
+                Uplo::Upper => (ll, 0..ll),
+            };
+            let (x, t) = a.col_pair_mut(j, l);
+            let xl = x[l];
+            x[l] = match diag {
+                Diag::NonUnit => scale * t[l] * xl,
+                Diag::Unit => scale * xl,
+            };
+            axpy(&mut x[rest.clone()], &t[rest], scale * xl);
+        }
+    }
 }
 
 /// Triangular-factor product (LAPACK `xLAUU2`): overwrites the `uplo`

@@ -20,9 +20,10 @@
 //! of `op(B)` are packed into reusable thread-local scratch
 //! ([`Scalar::with_scratch`], no steady-state allocation) and consumed by
 //! an `MR × NR` register-tiled microkernel. `syrk` routes its
-//! off-diagonal rank-k updates and `trsm` its block updates through the
-//! same engine, so every consumer — blocked Cholesky/LU, the vbatched
-//! kernels, the CPU baselines — inherits the fast path.
+//! off-diagonal rank-k updates, and the recursive `trsm` and `trmm`
+//! their off-diagonal blocks, through the same engine, so every
+//! consumer — blocked Cholesky/LU, the vbatched kernels, the CPU
+//! baselines — inherits the fast path.
 //!
 //! [`uses_blocked`] exposes the dispatch predicate and the [`tier`]
 //! module exposes both tiers directly so tests and benches can pin a
@@ -1234,16 +1235,43 @@ fn trsm_small<T: Scalar>(
 // trmm
 // ---------------------------------------------------------------------
 
+/// Triangle order at or below which [`trmm`] stops splitting and
+/// multiplies directly ([`trmm_small`]). Below it the off-diagonal
+/// `gemm` would pack panels for an inner extent too short to repay them.
+const TRMM_NB: usize = 64;
+
+/// Rows of `B` one register-accumulator sweep of [`trmm_small`] covers.
+const TRMM_ROWS: usize = 64;
+
+/// Row count of the narrow sweep that takes what is left below
+/// [`TRMM_ROWS`] (and single right-hand sides, as in `larft`).
+const TRMM_ROWS_MIN: usize = 8;
+
+/// Where the recursive triangular kernels ([`trmm`], `trtri`) cut a
+/// triangle of order `n > 8`: half, rounded up to a multiple of 8 so
+/// the sub-blocks keep the alignment of their parent.
+#[inline]
+pub(crate) fn tri_split(n: usize) -> usize {
+    (n / 2).next_multiple_of(8)
+}
+
 /// Triangular matrix multiply: `B ← α·op(A)·B` (`Side::Left`) or
 /// `B ← α·B·op(A)` (`Side::Right`), with triangular `A`.
 ///
 /// Used by the vbatched `trsm` design, which multiplies by inverted
 /// diagonal blocks instead of substituting (the paper's `trtri + gemm`
-/// scheme). Runs in place on the slice tier: `NoTrans` variants as
-/// column axpys over `A`'s columns, `Trans` variants as contiguous
-/// column dots, right-side variants as column axpys between columns of
-/// `B` — ordered so every source element is read before the sweep
-/// overwrites it.
+/// scheme). Recursive and in place: the triangle splits 2×2, the
+/// off-diagonal block is one [`gemm`] update (`B2 += α·op(A21)·B1`,
+/// ordered so each half of `B` is read before it is overwritten) and
+/// the two diagonal blocks recurse until their order is at most
+/// [`TRMM_NB`], where a register-accumulator sweep multiplies them
+/// directly. The split depends on the dimensions only, so the result is
+/// a pure function of the operands.
+///
+/// Only the `uplo` triangle of `A` is read — never the opposite
+/// triangle and, under [`Diag::Unit`], never the diagonal — so callers
+/// may keep other data there (`larfb` passes `V1` with `R` above it).
+/// `α = 0` zeroes `B` without reading either operand.
 ///
 /// # Panics
 /// On dimension mismatch.
@@ -1267,112 +1295,203 @@ pub fn trmm<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
+    if alpha == T::ZERO {
+        scale(&mut b, T::ZERO);
+        return;
+    }
+    trmm_rec(side, uplo, transa, diag, alpha, a, b);
+}
 
-    // Triangularity of op(A): Lower+NoTrans and Upper+Trans act lower.
-    let op_lower = matches!(
+/// Triangularity of `op(A)`: Lower+NoTrans and Upper+Trans act lower.
+#[inline]
+fn op_is_lower(uplo: Uplo, transa: Trans) -> bool {
+    matches!(
         (uplo, transa),
         (Uplo::Lower, Trans::NoTrans) | (Uplo::Upper, Trans::Trans)
-    );
+    )
+}
 
+/// Recursive `B ← α·op(A)·B` / `B ← α·B·op(A)` in place.
+fn trmm_rec<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    transa: Trans,
+    diag: Diag,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatMut<'_, T>,
+) {
+    let na = a.nrows();
+    if na <= TRMM_NB {
+        trmm_small(side, uplo, transa, diag, alpha, a, b);
+        return;
+    }
+    let n1 = tri_split(na);
+    let a11 = a.sub(0, 0, n1, n1);
+    let a22 = a.sub(n1, n1, na - n1, na - n1);
+    // The one stored off-diagonal block.
+    let off = match uplo {
+        Uplo::Lower => a.sub(n1, 0, na - n1, n1),
+        Uplo::Upper => a.sub(0, n1, n1, na - n1),
+    };
+    let rec = |blk: MatRef<'_, T>, rhs: MatMut<'_, T>| {
+        trmm_rec(side, uplo, transa, diag, alpha, blk, rhs);
+    };
+    // With op(A) = [T11 0; T21 T22] (lower) the half of B that T21
+    // couples *into* goes first, while its source half is still the
+    // input; an upper op(A) mirrors the order.
+    let lower = op_is_lower(uplo, transa);
     match side {
         Side::Left => {
-            for j in 0..n {
-                let bj = b.col_as_mut_slice(j);
-                match (transa, op_lower) {
-                    (Trans::NoTrans, true) => {
-                        // y = L·b via column axpys, descending so each
-                        // b[l] is consumed before row l is overwritten.
-                        for l in (0..m).rev() {
-                            let xl = bj[l];
-                            bj[l] = if diag == Diag::Unit {
-                                xl
-                            } else {
-                                a.get(l, l) * xl
-                            };
-                            if xl != T::ZERO {
-                                let (_, tail) = bj.split_at_mut(l + 1);
-                                axpy(tail, &a.col_as_slice(l)[l + 1..], xl);
-                            }
-                        }
-                    }
-                    (Trans::NoTrans, false) => {
-                        // y = U·b, ascending.
-                        for l in 0..m {
-                            let xl = bj[l];
-                            if xl != T::ZERO {
-                                let (head, _) = bj.split_at_mut(l);
-                                axpy(head, &a.col_as_slice(l)[..l], xl);
-                            }
-                            bj[l] = if diag == Diag::Unit {
-                                xl
-                            } else {
-                                a.get(l, l) * xl
-                            };
-                        }
-                    }
-                    (Trans::Trans, true) => {
-                        // y_i = dot(A(0..i, i), b(0..i)) + A(i,i)·b_i,
-                        // descending keeps the dot inputs unmodified.
-                        for i in (0..m).rev() {
-                            let ai = a.col_as_slice(i);
-                            let d = if diag == Diag::Unit {
-                                bj[i]
-                            } else {
-                                ai[i] * bj[i]
-                            };
-                            bj[i] = d + dot(&ai[..i], &bj[..i]);
-                        }
-                    }
-                    (Trans::Trans, false) => {
-                        for i in 0..m {
-                            let ai = a.col_as_slice(i);
-                            let d = if diag == Diag::Unit {
-                                bj[i]
-                            } else {
-                                ai[i] * bj[i]
-                            };
-                            bj[i] = d + dot(&ai[i + 1..], &bj[i + 1..]);
-                        }
-                    }
-                }
-                if alpha != T::ONE {
-                    for v in b.col_as_mut_slice(j) {
-                        *v *= alpha;
-                    }
-                }
+            let (mut b1, mut b2) = b.split_at_row(n1);
+            if lower {
+                rec(a22, b2.rb());
+                gemm(transa, Trans::NoTrans, alpha, off, b1.as_ref(), T::ONE, b2);
+                rec(a11, b1);
+            } else {
+                rec(a11, b1.rb());
+                gemm(transa, Trans::NoTrans, alpha, off, b2.as_ref(), T::ONE, b1);
+                rec(a22, b2);
             }
         }
         Side::Right => {
-            // B(:,j) ← α·Σ_l B(:,l)·op(A)(l,j): the sweep direction
-            // guarantees source columns are still original when read.
-            let mut mul_col = |j: usize, others: &mut dyn Iterator<Item = usize>| {
-                let d = if diag == Diag::Unit {
-                    T::ONE
-                } else {
-                    op_get(a, transa, j, j)
-                };
-                let w = alpha * d;
-                for v in b.col_as_mut_slice(j) {
-                    *v *= w;
-                }
-                for l in others {
-                    let w = alpha * op_get(a, transa, l, j);
-                    if w != T::ZERO {
-                        let (dst, src) = b.col_pair_mut(j, l);
-                        axpy(dst, src, w);
-                    }
-                }
-            };
-            if op_lower {
-                for j in 0..n {
-                    mul_col(j, &mut ((j + 1)..n));
-                }
+            let (mut b1, mut b2) = b.split_at_col(n1);
+            if lower {
+                rec(a11, b1.rb());
+                gemm(Trans::NoTrans, transa, alpha, b2.as_ref(), off, T::ONE, b1);
+                rec(a22, b2);
             } else {
-                for j in (0..n).rev() {
-                    mul_col(j, &mut (0..j));
-                }
+                rec(a22, b2.rb());
+                gemm(Trans::NoTrans, transa, alpha, b1.as_ref(), off, T::ONE, b2);
+                rec(a11, b1);
             }
         }
+    }
+}
+
+/// Base case of [`trmm`] (`A` of order at most [`TRMM_NB`]).
+///
+/// Everything runs as the right-side product on row chunks of `B`
+/// ([`trmm_sweep`]), each staged through a compact scratch tile: a
+/// left-side product is the right-side product of the transposes,
+/// `Bᵀ ← α·Bᵀ·op(A)ᵀ`, so its column chunks are copied in transposed;
+/// a right-side chunk is copied column by column, which takes it out of
+/// `B`'s leading dimension (at `ld = 512` the 64 columns of a chunk
+/// share eight L1 sets, and every column is read once per output
+/// column). Chunks are [`TRMM_ROWS`] rows while that many remain and
+/// [`TRMM_ROWS_MIN`] after. Nothing allocates once the thread's scratch
+/// is warm.
+fn trmm_small<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    transa: Trans,
+    diag: Diag,
+    alpha: T,
+    a: MatRef<'_, T>,
+    mut b: MatMut<'_, T>,
+) {
+    let na = a.nrows();
+    let (len, transa) = match side {
+        Side::Right => (b.nrows(), transa),
+        Side::Left => (
+            b.ncols(),
+            match transa {
+                Trans::NoTrans => Trans::Trans,
+                Trans::Trans => Trans::NoTrans,
+            },
+        ),
+    };
+    // Asked for at its largest, so a thread's scratch grows at most once.
+    T::with_scratch(TRMM_ROWS * TRMM_NB, |tile| {
+        let mut r0 = 0;
+        while r0 < len {
+            let left = len - r0;
+            let cap = if left >= TRMM_ROWS {
+                TRMM_ROWS
+            } else {
+                TRMM_ROWS_MIN
+            };
+            // Rows of the tile past `rows` hold stale values whose
+            // products are never copied back.
+            let rows = cap.min(left);
+            let tile = &mut tile[..cap * na];
+            match side {
+                Side::Right => {
+                    for (l, t) in tile.chunks_exact_mut(cap).enumerate() {
+                        t[..rows].copy_from_slice(&b.col_as_slice(l)[r0..r0 + rows]);
+                    }
+                }
+                Side::Left => {
+                    for r in 0..rows {
+                        let col = b.col_as_slice(r0 + r);
+                        for (t, &v) in tile.chunks_exact_mut(cap).zip(col) {
+                            t[r] = v;
+                        }
+                    }
+                }
+            }
+            if cap == TRMM_ROWS {
+                trmm_sweep::<T, TRMM_ROWS>(uplo, transa, diag, alpha, a, tile);
+            } else {
+                trmm_sweep::<T, TRMM_ROWS_MIN>(uplo, transa, diag, alpha, a, tile);
+            }
+            match side {
+                Side::Right => {
+                    for (l, t) in tile.chunks_exact(cap).enumerate() {
+                        b.col_as_mut_slice(l)[r0..r0 + rows].copy_from_slice(&t[..rows]);
+                    }
+                }
+                Side::Left => {
+                    for r in 0..rows {
+                        let col = b.col_as_mut_slice(r0 + r);
+                        for (t, v) in tile.chunks_exact(cap).zip(col) {
+                            *v = t[r];
+                        }
+                    }
+                }
+            }
+            r0 += rows;
+        }
+    });
+}
+
+/// `B ← α·B·op(A)` on an `R`-row chunk stored compactly (column `l` at
+/// `b[l·R..]`), one output column at a time: the column accumulates in
+/// `R` register lanes as an [`axpy`] over the source columns — no store
+/// until it is complete — and columns are visited so that every source
+/// is still the input when it is read.
+fn trmm_sweep<T: Scalar, const R: usize>(
+    uplo: Uplo,
+    transa: Trans,
+    diag: Diag,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: &mut [T],
+) {
+    let n = a.nrows();
+    debug_assert_eq!(b.len(), R * n);
+    let lower = op_is_lower(uplo, transa);
+    // Fixed-length column views, so the lane loops unroll into registers.
+    fn col<T, const R: usize>(b: &[T], l: usize) -> &[T; R] {
+        b[l * R..][..R].try_into().expect("the range is R long")
+    }
+    for jj in 0..n {
+        // Output column j sums source columns l ≥ j (lower op(A),
+        // ascending) or l ≤ j (upper, descending).
+        let (j, others) = if lower {
+            (jj, jj + 1..n)
+        } else {
+            (n - 1 - jj, 0..n - 1 - jj)
+        };
+        let d = match diag {
+            Diag::Unit => alpha,
+            Diag::NonUnit => alpha * a.get(j, j),
+        };
+        let mut acc: [T; R] = col::<T, R>(b, j).map(|x| d * x);
+        for l in others {
+            axpy(&mut acc, col::<T, R>(b, l), alpha * op_get(a, transa, l, j));
+        }
+        b[j * R..][..R].copy_from_slice(&acc);
     }
 }
 

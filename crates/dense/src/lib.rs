@@ -9,7 +9,9 @@
 //! * level-3 BLAS kernels ([`gemm`], [`syrk`], [`trsm`], [`trmm`]),
 //! * unblocked and blocked one-sided factorizations ([`potf2`],
 //!   [`potrf_blocked`], [`getf2`], [`getrf`], [`geqr2`], [`geqrf`]),
-//! * triangular inversion ([`trtri`]) used by the vbatched `trsm` design,
+//! * triangular inversion ([`trtri`]) used by the vbatched `trsm` design —
+//!   like [`trmm`] and [`trsm`], recursive, with the off-diagonal block
+//!   cast to [`gemm`],
 //! * flop-count formulas matching the conventions the paper uses to report
 //!   Gflop/s ([`flops`]),
 //! * seeded generators for SPD and general test matrices ([`gen`]) and

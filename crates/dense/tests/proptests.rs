@@ -164,23 +164,82 @@ proptest! {
     }
 
     #[test]
-    fn trtri_then_multiply_is_identity(n in 1usize..24, seed in 0u64..1_000_000) {
+    fn trtri_then_multiply_is_identity(
+        n in 1usize..161, seed in 0u64..1_000_000,
+        uplo in uplo_strategy(),
+        diag in prop_oneof![Just(Diag::NonUnit), Just(Diag::Unit)],
+        pad in 0usize..3,
+    ) {
         let mut rng = seeded_rng(seed);
-        let mut t = rand_mat::<f64>(&mut rng, n * n);
+        let ld = n + pad;
+        let stored = |i: usize, j: usize| match uplo {
+            Uplo::Lower => i > j,
+            Uplo::Upper => i < j,
+        };
+        // Small off-diagonals keep the inverse well conditioned at
+        // n = 160; what `trtri` must not touch holds NaN.
+        let mut t = rand_mat::<f64>(&mut rng, ld * n);
         for j in 0..n {
-            for i in 0..j { t[i + j * n] = 0.0; }
-            t[j + j * n] = 2.0 + t[j + j * n].abs();
+            for i in 0..ld {
+                let v = &mut t[i + j * ld];
+                if i == j && diag == Diag::NonUnit {
+                    *v = 2.0 + v.abs();
+                } else if i < n && stored(i, j) {
+                    *v *= 0.25;
+                } else {
+                    *v = f64::NAN;
+                }
+            }
         }
         let mut inv = t.clone();
-        trtri(Uplo::Lower, Diag::NonUnit, MatMut::from_slice(&mut inv, n, n, n)).unwrap();
+        trtri(uplo, diag, MatMut::from_slice(&mut inv, n, n, ld)).unwrap();
+        // Dense copies of both triangles for the naive product.
+        let dense = |buf: &[f64]| -> Vec<f64> {
+            let mut out = vec![0.0; n * n];
+            for j in 0..n {
+                for i in 0..n {
+                    if i == j && diag == Diag::Unit {
+                        out[i + j * n] = 1.0;
+                    } else if i == j || stored(i, j) {
+                        out[i + j * n] = buf[i + j * ld];
+                    }
+                }
+            }
+            out
+        };
         let prod = naive::gemm_ref(Trans::NoTrans, Trans::NoTrans, 1.0,
-            &t, n, n, &inv, n, n, 0.0, &vec![0.0; n * n], n, n);
+            &dense(&t), n, n, &dense(&inv), n, n, 0.0, &vec![0.0; n * n], n, n);
         for j in 0..n {
             for i in 0..n {
                 let want = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((prod[i + j * n] - want).abs() < 1e-8);
+                prop_assert!((prod[i + j * n] - want).abs() < 1e-9,
+                    "T*inv(T) != I at ({i},{j}): {}", prod[i + j * n]);
             }
         }
+        // Everything outside the referenced triangle is bitwise intact.
+        for (k, (got, was)) in inv.iter().zip(&t).enumerate() {
+            prop_assert!(!was.is_nan() || got.is_nan(), "trtri wrote unreferenced element {k}");
+        }
+    }
+
+    #[test]
+    fn trtri_reports_first_zero_diagonal_untouched(
+        n in 1usize..161, seed in 0u64..1_000_000, uplo in uplo_strategy(),
+    ) {
+        let mut rng = seeded_rng(seed);
+        let mut t = rand_mat::<f64>(&mut rng, n * n);
+        for j in 0..n { t[j + j * n] = 2.0 + t[j + j * n].abs(); }
+        // Two zero pivots: the first one is the one reported.
+        let first = seed as usize % n;
+        let second = first + (seed as usize / 7) % (n - first);
+        t[first + first * n] = 0.0;
+        t[second + second * n] = 0.0;
+        let mut a = t.clone();
+        let res = trtri(uplo, Diag::NonUnit, MatMut::from_slice(&mut a, n, n, n));
+        prop_assert_eq!(res, Err(vbatch_dense::Error::Singular { column: first }));
+        prop_assert_eq!(&a, &t);
+        // A unit triangle never reads its diagonal, zero or not.
+        prop_assert!(trtri(uplo, Diag::Unit, MatMut::from_slice(&mut a, n, n, n)).is_ok());
     }
 
     #[test]
@@ -321,6 +380,10 @@ fn boundary_dim(max: usize) -> impl Strategy<Value = usize> {
         63,
         64,
         65,
+        127,
+        128,
+        129,
+        160,
     ]
     .into_iter()
     .filter(|&v| v <= max)
@@ -336,11 +399,11 @@ fn coeff_strategy() -> impl Strategy<Value = f64> {
 /// Random `rows × cols` matrix stored with leading dimension `ld`
 /// (`ld >= rows`); the `ld - rows` gap rows hold sentinel garbage so a
 /// kernel that strays off a column shows up as a mismatch.
-fn padded_mat(rng: &mut impl rand::Rng, rows: usize, cols: usize, ld: usize) -> Vec<f64> {
-    let mut buf = rand_mat::<f64>(rng, ld * cols.max(1));
+fn padded_mat<T: Scalar>(rng: &mut impl rand::Rng, rows: usize, cols: usize, ld: usize) -> Vec<T> {
+    let mut buf = rand_mat::<T>(rng, ld * cols.max(1));
     for j in 0..cols {
         for i in rows..ld {
-            buf[i + j * ld] = 1e30;
+            buf[i + j * ld] = T::from_f64(1e30);
         }
     }
     buf
@@ -348,12 +411,144 @@ fn padded_mat(rng: &mut impl rand::Rng, rows: usize, cols: usize, ld: usize) -> 
 
 /// Extracts the `rows × cols` view of a padded buffer into packed
 /// (`ld == rows`) storage, the layout the naive references use.
-fn packed_from(buf: &[f64], rows: usize, cols: usize, ld: usize) -> Vec<f64> {
+fn packed_from<T: Scalar>(buf: &[T], rows: usize, cols: usize, ld: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(rows * cols);
     for j in 0..cols {
         out.extend_from_slice(&buf[j * ld..j * ld + rows]);
     }
     out
+}
+
+/// One `trmm` call to check against [`naive::trmm_ref`].
+#[derive(Debug)]
+struct TrmmCase {
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    /// Leading-dimension padding of `A` and `B`.
+    pa: usize,
+    pb: usize,
+    alpha: f64,
+    /// Fill what `trmm` must not read — the opposite triangle of `A`,
+    /// and its diagonal under `Diag::Unit` — with NaN.
+    poison: bool,
+    seed: u64,
+}
+
+/// Runs one case in precision `T`: the result must be finite, equal
+/// the reference to rounding, and leave the `ld` gap rows untouched.
+fn check_trmm<T: Scalar>(case: &TrmmCase) -> Result<(), String> {
+    let &TrmmCase {
+        side,
+        uplo,
+        trans,
+        diag,
+        m,
+        n,
+        pa,
+        pb,
+        alpha,
+        poison,
+        seed,
+    } = case;
+    let mut rng = seeded_rng(seed);
+    let na = if side == Side::Left { m } else { n };
+    let (lda, ldb) = (na + pa, m + pb);
+    let mut a = padded_mat::<T>(&mut rng, na, na, lda);
+    let b0 = padded_mat::<T>(&mut rng, m, n, ldb);
+    if poison {
+        for j in 0..na {
+            for i in 0..na {
+                let unread = match uplo {
+                    Uplo::Lower => i < j,
+                    Uplo::Upper => i > j,
+                } || (i == j && diag == Diag::Unit);
+                if unread {
+                    a[i + j * lda] = T::from_f64(f64::NAN);
+                }
+            }
+        }
+    }
+    let alpha = T::from_f64(alpha);
+    let want = naive::trmm_ref(
+        side,
+        uplo,
+        trans,
+        diag,
+        alpha,
+        &packed_from(&a, na, na, lda),
+        &packed_from(&b0, m, n, ldb),
+        m,
+        n,
+    );
+    let mut b = b0.clone();
+    trmm(
+        side,
+        uplo,
+        trans,
+        diag,
+        alpha,
+        MatRef::from_slice(&a, na, na, lda),
+        MatMut::from_slice(&mut b, m, n, ldb),
+    );
+    let got = packed_from(&b, m, n, ldb);
+    // `max_abs_diff_slices` folds with `f64::max`, which drops NaN.
+    let finite = got.iter().all(|v| v.is_finite());
+    let diff = max_abs_diff_slices(&got, &want);
+    let tol = 16.0 * (na as f64 + 1.0) * T::EPSILON.to_f64() * alpha.to_f64().abs().max(1.0);
+    let gaps_kept = (0..n).all(|j| (m..ldb).all(|i| b[i + j * ldb] == b0[i + j * ldb]));
+    if finite && diff < tol && gaps_kept {
+        Ok(())
+    } else {
+        Err(format!(
+            "trmm<{}> {case:?}: finite={finite} diff={diff:e} tol={tol:e} gaps_kept={gaps_kept}",
+            T::PREFIX
+        ))
+    }
+}
+
+/// Every side × uplo × trans × diag at triangle orders on both sides of
+/// the recursion cutoff (64) at each depth, with the other extent a
+/// single column, one ragged narrow chunk, and one full chunk plus a
+/// ragged one — the shapes the sampled property only meets by chance.
+#[test]
+fn trmm_recursion_boundaries_all_flags() {
+    let mut count = 0u64;
+    for side in [Side::Left, Side::Right] {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for trans in [Trans::NoTrans, Trans::Trans] {
+                for diag in [Diag::NonUnit, Diag::Unit] {
+                    for na in [63, 64, 65, 129, 160] {
+                        for other in [1, 9, 70] {
+                            let (m, n) = match side {
+                                Side::Left => (na, other),
+                                Side::Right => (other, na),
+                            };
+                            count += 1;
+                            let case = TrmmCase {
+                                side,
+                                uplo,
+                                trans,
+                                diag,
+                                m,
+                                n,
+                                pa: (count % 3) as usize,
+                                pb: (count % 2) as usize,
+                                alpha: [1.0, -1.0, 0.0, 0.37][(count % 4) as usize],
+                                poison: count & 1 == 0,
+                                seed: count,
+                            };
+                            check_trmm::<f64>(&case).unwrap();
+                            check_trmm::<f32>(&case).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -445,33 +640,19 @@ proptest! {
 
     #[test]
     fn trmm_matches_reference_any_ld(
-        m in boundary_dim(48), n in boundary_dim(48),
+        m in boundary_dim(160), n in boundary_dim(160),
         side in prop_oneof![Just(Side::Left), Just(Side::Right)],
         uplo in uplo_strategy(), trans in trans_strategy(),
         diag in prop_oneof![Just(Diag::NonUnit), Just(Diag::Unit)],
         pa in 0usize..3, pb in 0usize..3,
         alpha in coeff_strategy(),
+        poison in prop_oneof![Just(false), Just(true)],
+        single in prop_oneof![Just(false), Just(true)],
         seed in 0u64..1_000_000,
     ) {
-        let mut rng = seeded_rng(seed);
-        let na = if side == Side::Left { m } else { n };
-        let (lda, ldb) = (na + pa, m + pb);
-        let a = padded_mat(&mut rng, na, na, lda);
-        let b0 = padded_mat(&mut rng, m, n, ldb);
-
-        let want = naive::trmm_ref(
-            side, uplo, trans, diag, alpha,
-            &packed_from(&a, na, na, lda), &packed_from(&b0, m, n, ldb), m, n,
-        );
-
-        let mut b = b0.clone();
-        trmm(side, uplo, trans, diag, alpha, MatRef::from_slice(&a, na, na, lda),
-            MatMut::from_slice(&mut b, m, n, ldb));
-        prop_assert!(
-            max_abs_diff_slices(&packed_from(&b, m, n, ldb), &want)
-                < 1e-10 * (na as f64 + 1.0),
-            "trmm mismatch side={side:?} uplo={uplo:?} trans={trans:?} diag={diag:?} m={m} n={n}"
-        );
+        let case = TrmmCase { side, uplo, trans, diag, m, n, pa, pb, alpha, poison, seed };
+        let res = if single { check_trmm::<f32>(&case) } else { check_trmm::<f64>(&case) };
+        prop_assert!(res.is_ok(), "{}", res.unwrap_err());
     }
 
     #[test]
@@ -487,7 +668,7 @@ proptest! {
         let mut rng = seeded_rng(seed);
         let na = if side == Side::Left { m } else { n };
         let (lda, ldb) = (na + pa, m + pb);
-        let mut a = padded_mat(&mut rng, na, na, lda);
+        let mut a = padded_mat::<f64>(&mut rng, na, na, lda);
         // Diagonal dominance keeps the substitution well-conditioned so
         // the elementwise comparison tolerance stays meaningful.
         for i in 0..na {

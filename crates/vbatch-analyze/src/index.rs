@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lex::{match_delim, TokKind, Token};
+use crate::lex::{fn_item_at, match_delim, TokKind, Token};
 use crate::lints::FileCtx;
 
 /// Charge methods on `BlockCtx` (`crates/gpu-sim/src/cost.rs`).
@@ -563,16 +563,6 @@ fn collect_calls(toks: &[Token], a: usize, b: usize, out: &mut BTreeSet<String>)
     }
 }
 
-/// Whether the token at `k` starts a fn-definition (not a `fn(…)`
-/// pointer type), returning the name token index.
-fn fn_def_at(toks: &[Token], k: usize) -> Option<usize> {
-    if toks[k].text != "fn" || toks[k].kind != TokKind::Ident {
-        return None;
-    }
-    let name = toks.get(k + 1)?;
-    (name.kind == TokKind::Ident).then_some(k + 1)
-}
-
 /// Extracts everything [`FileIndex`] records from one file.
 fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
     let toks = &ctx.scan.tokens;
@@ -581,10 +571,11 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
     let mut fns: Vec<FnDef> = Vec::new();
     let mut k = 0;
     while k < toks.len() {
-        let Some(name_idx) = fn_def_at(toks, k) else {
+        let Some(item) = fn_item_at(toks, k) else {
             k += 1;
             continue;
         };
+        let name_idx = item.name;
         // Qualifiers: walk back over `const/unsafe/async/extern "C"`.
         let mut q = k;
         while q > 0 {
@@ -601,29 +592,11 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
         // Bare `pub` only: `pub(crate) fn` has `)` directly before the
         // qualifier run and is not a public entry.
         let is_pub = q > 0 && toks[q - 1].text == "pub";
-        // Find the body `{` (or `;` for a trait method decl) at
-        // paren/bracket depth 0 past the signature.
-        let mut j = name_idx + 1;
-        let mut depth = 0i64;
-        let mut body = None;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    body = Some(j);
-                    break;
-                }
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = body else {
-            k = j + 1;
+        // A trait method declaration has no body to index.
+        let (open, Some(close)) = (item.sig_end, item.body_close) else {
+            k = item.sig_end + 1;
             continue;
         };
-        let close = match_delim(toks, open);
         let mut calls = BTreeSet::new();
         collect_calls(toks, open + 1, close, &mut calls);
         let charges = !collect_charges(toks, open + 1, close).is_empty();

@@ -362,6 +362,49 @@ pub fn match_delim(tokens: &[Token], open_idx: usize) -> usize {
     tokens.len()
 }
 
+/// A `fn` definition located by [`fn_item_at`] (token indices).
+#[derive(Debug, Clone, Copy)]
+pub struct FnItem {
+    /// The name identifier.
+    pub name: usize,
+    /// The token ending the signature: the body's `{`, or the `;` of a
+    /// bodiless trait-method declaration.
+    pub sig_end: usize,
+    /// Matching `}` of the body (`tokens.len()` when unbalanced);
+    /// `None` for a declaration.
+    pub body_close: Option<usize>,
+}
+
+/// Parses the fn definition starting at token `k` (the `fn` keyword
+/// followed by a name — a `fn(…)` pointer type is not one): the
+/// signature runs to the first `{` or `;` at paren/bracket depth 0.
+#[must_use]
+pub fn fn_item_at(toks: &[Token], k: usize) -> Option<FnItem> {
+    if toks[k].text != "fn" || toks[k].kind != TokKind::Ident {
+        return None;
+    }
+    let name = k + 1;
+    if toks.get(name)?.kind != TokKind::Ident {
+        return None;
+    }
+    let mut depth = 0i64;
+    for (j, t) in toks.iter().enumerate().skip(name + 1) {
+        match t.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "{" | ";" if depth == 0 => {
+                return Some(FnItem {
+                    name,
+                    sig_end: j,
+                    body_close: (t.text == "{").then(|| match_delim(toks, j)),
+                });
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,9 @@
 //!   (for fns, a `/// # Safety` doc section also counts). Counts per
 //!   crate feed the budget check (`VBA002`, [`crate::config`]).
 //! * **L2 `kernel-purity`** (`VBA101`) — closures passed to
-//!   `Device::launch` / `StreamGroup::launch` must not contain
+//!   `Device::launch` / `StreamGroup::launch`, and the body of any fn
+//!   whose signature names `BlockCtx` (a helper such closures call),
+//!   must not contain
 //!   `panic!`, `.unwrap()`, `.expect()`, `Vec::new`, `vec!`,
 //!   `Box::new` or `format!`: simulated kernels must be side-effect
 //!   free until committed (fault injection rejects *before* blocks
@@ -37,7 +39,7 @@
 //! offending line; waived findings stay in `ANALYZE.json` with their
 //! reason, so the waiver list is reviewable.
 
-use crate::lex::{match_delim, scan, Scan, TokKind, Token};
+use crate::lex::{fn_item_at, match_delim, scan, Scan, TokKind, Token};
 
 /// Whether a finding fails the run (error) or only reports (warning,
 /// exit 0 — today just the VBA003 budget-slack ratchet).
@@ -99,7 +101,8 @@ pub mod codes {
     /// L1: a crate's `unsafe` count is *below* its budget (warning) —
     /// ratchet the budget down instead of accumulating stale headroom.
     pub const BUDGET_SLACK: &str = "VBA003";
-    /// L2: forbidden construct inside a launch closure.
+    /// L2: forbidden construct inside a launch closure or a
+    /// kernel-body fn (one whose signature names `BlockCtx`).
     pub const KERNEL_IMPURE: &str = "VBA101";
     /// L3: non-deterministic construct in a determinism-scoped file.
     pub const NONDETERMINISM: &str = "VBA201";
@@ -190,6 +193,7 @@ pub(crate) fn lint_file(ctx: &FileCtx<'_>) -> FileReport {
     let mut rep = FileReport::default();
     lint_unsafe(ctx, &mut rep);
     lint_launch_sites(ctx, &mut rep);
+    lint_kernel_fns(ctx, &mut rep);
     if DETERMINISM_SCOPE.iter().any(|p| path.contains(p))
         && !DETERMINISM_EXEMPT.iter().any(|p| path.ends_with(p))
     {
@@ -558,8 +562,9 @@ const PURITY_BANNED_MACROS: &[(&str, &str)] = &[
 const PURITY_BANNED_METHODS: &[&str] = &["unwrap", "expect"];
 const PURITY_BANNED_PATHS: &[(&str, &str)] = &[("Vec", "new"), ("Box", "new")];
 
-/// Scans `[a, b)` for purity violations inside one launch closure.
-fn scan_purity(ctx: &FileCtx<'_>, a: usize, b: usize, rep: &mut FileReport) {
+/// Scans `[a, b)` — one launch closure or kernel-body fn, named by
+/// `site` in the messages — for purity violations.
+fn scan_purity(ctx: &FileCtx<'_>, a: usize, b: usize, site: &str, rep: &mut FileReport) {
     let toks = &ctx.scan.tokens;
     let mut k = a;
     while k < b.min(toks.len()) {
@@ -571,7 +576,7 @@ fn scan_purity(ctx: &FileCtx<'_>, a: usize, b: usize, rep: &mut FileReport) {
                         codes::KERNEL_IMPURE,
                         "kernel-purity",
                         t.line,
-                        format!("`{name}!` inside a launch closure: {why}"),
+                        format!("`{name}!` inside {site}: {why}"),
                     ));
                     k += 2;
                     continue;
@@ -587,7 +592,7 @@ fn scan_purity(ctx: &FileCtx<'_>, a: usize, b: usize, rep: &mut FileReport) {
                     "kernel-purity",
                     t.line,
                     format!(
-                        "`.{}()` inside a launch closure: a failed kernel must \
+                        "`.{}()` inside {site}: a failed kernel must \
                          reject before side effects, not panic mid-block",
                         t.text
                     ),
@@ -603,7 +608,7 @@ fn scan_purity(ctx: &FileCtx<'_>, a: usize, b: usize, rep: &mut FileReport) {
                         "kernel-purity",
                         t.line,
                         format!(
-                            "`{ty}::{m}` inside a launch closure: the launch fast \
+                            "`{ty}::{m}` inside {site}: the launch fast \
                              path is allocation-free"
                         ),
                     ));
@@ -643,6 +648,50 @@ fn find_binding(toks: &[Token], before: usize, name: &str) -> Option<(usize, usi
         }
     }
     None
+}
+
+/// How [`scan_purity`] names a launch-closure region.
+const LAUNCH_CLOSURE: &str = "a launch closure";
+
+/// L2 over kernel-body helpers. A launch closure may hand its
+/// `BlockCtx` to a named fn (`syrk_tile_math`, `fused_step_math`, …),
+/// and only code that runs inside a block can receive one, so every
+/// non-test fn whose signature takes a `BlockCtx` is held to the same
+/// purity contract as the closures themselves.
+fn lint_kernel_fns(ctx: &FileCtx<'_>, rep: &mut FileReport) {
+    let toks = &ctx.scan.tokens;
+    for k in 0..toks.len() {
+        let Some(item) = fn_item_at(toks, k) else {
+            continue;
+        };
+        let Some(close) = item.body_close else {
+            continue;
+        };
+        // `F: Fn(&mut BlockCtx)` is the executor's side of the contract
+        // (`Device::launch`, `run_blocks`): it takes a kernel, not a
+        // block context, so closure-trait argument lists do not count.
+        let mut takes_ctx = false;
+        let mut j = item.name + 1;
+        while j < item.sig_end {
+            let t = &toks[j];
+            if matches!(t.text.as_str(), "Fn" | "FnMut" | "FnOnce")
+                && toks.get(j + 1).is_some_and(|n| n.text == "(")
+            {
+                j = match_delim(toks, j + 1);
+            } else if t.kind == TokKind::Ident && t.text == "BlockCtx" {
+                takes_ctx = true;
+                break;
+            }
+            j += 1;
+        }
+        if takes_ctx && !ctx.in_test(toks[k].line) {
+            let site = format!(
+                "kernel-body fn `{}` (takes `BlockCtx`)",
+                toks[item.name].text
+            );
+            scan_purity(ctx, item.sig_end + 1, close, &site, rep);
+        }
+    }
 }
 
 /// L2 + L4 over every `.launch(...)` / `.stream_group(...)` call site.
@@ -688,7 +737,7 @@ fn lint_launch_sites(ctx: &FileCtx<'_>, rep: &mut FileReport) {
 
         if is_launch {
             // L2 over the whole argument region (inline closures)…
-            scan_purity(ctx, i + 2, close, rep);
+            scan_purity(ctx, i + 2, close, LAUNCH_CLOSURE, rep);
             // …and over single-ident arguments bound earlier in the
             // same function (`let kernel = move |ctx| {…};`).
             let mut args: Vec<(usize, usize)> = Vec::new();
@@ -713,7 +762,7 @@ fn lint_launch_sites(ctx: &FileCtx<'_>, rep: &mut FileReport) {
             for (a, b) in args {
                 if b == a + 1 && toks[a].kind == TokKind::Ident {
                     if let Some((ba, bb)) = find_binding(toks, i, &toks[a].text) {
-                        scan_purity(ctx, ba, bb, rep);
+                        scan_purity(ctx, ba, bb, LAUNCH_CLOSURE, rep);
                     }
                 }
             }

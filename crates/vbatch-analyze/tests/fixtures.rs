@@ -46,6 +46,29 @@ fn l2_fixture_flags_heap_alloc_and_unwrap_in_kernel() {
 }
 
 #[test]
+fn l2_helper_fixture_flags_kernel_body_fns_by_their_blockctx_parameter() {
+    let got = codes_at("crates/demo/src/l2_purity_helper.rs", "l2_purity_helper.rs");
+    assert_eq!(
+        got,
+        vec![("VBA101", 7), ("VBA101", 14)],
+        "vec! in the `&mut BlockCtx` helper and .expect() in the \
+         `Option<&mut BlockCtx>` one; the executor (`F: Fn(&mut BlockCtx)`) \
+         and the #[cfg(test)] helper stay legal; got {got:?}"
+    );
+    let rep = analyze_source(
+        "crates/demo/src/l2_purity_helper.rs",
+        &fixture("l2_purity_helper.rs"),
+    );
+    assert!(
+        rep.findings[0]
+            .message
+            .contains("kernel-body fn `tile_math`"),
+        "the message names the helper: {}",
+        rep.findings[0].message
+    );
+}
+
+#[test]
 fn l3_fixture_flags_nondeterminism_only_in_scope() {
     // Under a gpu-sim path the clock and hash-order sins are errors.
     let got = codes_at("crates/gpu-sim/src/l3_determinism.rs", "l3_determinism.rs");

@@ -4,11 +4,15 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use vbatch_core::aux::StepState;
 use vbatch_core::sep::gemm::{gemm_vbatched, upload_dims};
-use vbatch_core::sep::trsm::trsm_left_vbatched;
-use vbatch_core::sep::VView;
+use vbatch_core::sep::trsm::{
+    trsm_left_upper_trans_vbatched, trsm_left_vbatched, trsm_right_lower_trans_vbatched,
+};
+use vbatch_core::sep::trtri::{trtri_diag_vbatched, TileWorkspace};
+use vbatch_core::sep::{VView, DEFAULT_NB_PANEL};
 use vbatch_core::VBatch;
-use vbatch_dense::gen::{rand_mat, seeded_rng};
+use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::naive;
 use vbatch_dense::verify::max_abs_diff_slices;
 use vbatch_dense::{Diag, MatMut, MatRef, Side, Trans, Uplo};
@@ -179,4 +183,89 @@ fn gemm_vbatched_clock_and_blocks_accounted() {
     assert_eq!(stats.timing.blocks, 2 * 4); // ceil(100/64) × ceil(100/32)
     assert!(stats.timing.flops_useful >= 2.0 * 100.0 * 100.0 * 100.0 * 0.99);
     assert!(stats.gflops() > 0.0);
+}
+
+/// The separated Cholesky panel solve at the default panel width:
+/// `trtri_diag_vbatched` then the `trtri + trmm` `trsm` of each
+/// triangle, against `dense::trsm` on the host. At 128 the inversion
+/// and both products leave their base cases (the unit tests beside the
+/// kernels run `nb = 8`, which never does), and the sizes give one
+/// trailing row, a ragged tile and several full tiles. The simulated
+/// clock and launch count are those of the scalar kernels this test was
+/// first run against: how the host computes a tile is not the device's
+/// business.
+#[test]
+fn default_panel_trtri_trsm_match_dense_at_unchanged_sim_cost() {
+    let nb = DEFAULT_NB_PANEL;
+    let sizes = [129usize, 200, 512];
+    // 64.99 µs for the two launches, either triangle (measured at the
+    // parent of the recursive `trtri`/`trmm`).
+    let want_now = f64::from_bits(0x3f11_09fc_9abc_d1ac);
+    for uplo in [Uplo::Lower, Uplo::Upper] {
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut rng = seeded_rng(2016);
+        let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+        let mut hosts = Vec::new();
+        for (i, &n) in sizes.iter().enumerate() {
+            let mut m = spd_vec::<f64>(&mut rng, n);
+            // Factor the leading panel tile so the diagonal block exists.
+            vbatch_dense::potf2(uplo, MatMut::from_slice(&mut m, n, n, n).sub(0, 0, nb, nb))
+                .unwrap();
+            batch.upload_matrix(i, &m).unwrap();
+            hosts.push(m);
+        }
+        let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
+        st.update(
+            &dev,
+            batch.d_ptrs(),
+            batch.d_cols(),
+            batch.d_ld(),
+            sizes.len(),
+            0,
+        )
+        .unwrap();
+        let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
+        let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
+        dev.reset_metrics();
+        trtri_diag_vbatched(
+            &dev,
+            sizes.len(),
+            uplo,
+            view,
+            st.d_rem.ptr(),
+            batch.d_info(),
+            &work,
+            nb,
+            true,
+        )
+        .unwrap();
+        let (count, rem, info, trail) = (sizes.len(), st.d_rem.ptr(), batch.d_info(), 512 - nb);
+        match uplo {
+            Uplo::Lower => {
+                trsm_right_lower_trans_vbatched(&dev, count, view, rem, info, &work, nb, trail)
+            }
+            Uplo::Upper => {
+                trsm_left_upper_trans_vbatched(&dev, count, view, rem, info, &work, nb, trail)
+            }
+        }
+        .unwrap();
+        assert_eq!(dev.launch_count(), 2);
+        assert_eq!(dev.now(), want_now, "{uplo:?}: simulated clock moved");
+        for (i, &n) in sizes.iter().enumerate() {
+            let mut want = hosts[i].clone();
+            let mut w = MatMut::from_slice(&mut want, n, n, n);
+            let t11 = w.alias_ref().sub(0, 0, nb, nb);
+            let (side, panel) = match uplo {
+                Uplo::Lower => (Side::Right, w.rb().sub(nb, 0, n - nb, nb)),
+                Uplo::Upper => (Side::Left, w.rb().sub(0, nb, nb, n - nb)),
+            };
+            vbatch_dense::trsm(side, uplo, Trans::Trans, Diag::NonUnit, 1.0, t11, panel);
+            let got = batch.download_matrix(i);
+            assert!(
+                max_abs_diff_slices(&got, &want) < 1e-9,
+                "{uplo:?} matrix {i} (n={n}): {}",
+                max_abs_diff_slices(&got, &want)
+            );
+        }
+    }
 }
