@@ -1,17 +1,22 @@
-//! Real CPU execution path: dynamic one-core-per-matrix with Rayon.
+//! Real CPU execution path: dynamic one-core-per-matrix through the
+//! `rayon` API.
 //!
 //! The analytic model in [`crate::cpu_model`] produces the figures; this
 //! module actually factorizes the batch on the host so tests can confirm
-//! the baseline's numerics and Criterion can measure real wall time. The
-//! Rayon work-stealing pool is precisely the "dynamic scheduling"
-//! variant the paper identifies as the best CPU competitor.
+//! the baseline's numerics and Criterion can measure real wall time.
+//! The vendored `rayon` shim runs the iterator on the workspace's
+//! persistent worker pool, whose lanes claim runs of matrices
+//! dynamically as they finish the previous one — the "dynamic
+//! scheduling" variant the paper identifies as the best CPU competitor
+//! (no work stealing; a lane never takes back work another has
+//! claimed).
 
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 use vbatch_dense::{potrf_blocked, Error, MatMut, Scalar, Uplo};
 
 /// Factorizes every matrix in place (lower Cholesky, one task per
-/// matrix, work-stealing), returning wall time and the per-matrix
+/// matrix, dynamically claimed), returning wall time and the per-matrix
 /// LAPACK-style `info` codes.
 pub fn potrf_batch_dynamic<T: Scalar>(
     mats: &mut [Vec<T>],

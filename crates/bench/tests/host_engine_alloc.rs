@@ -8,9 +8,9 @@
 //! Both measurements live in ONE `#[test]`: each integration file is
 //! its own process, and with a single test nothing else in the process
 //! allocates concurrently, so the zero bound is exact, not statistical.
-//! (`host_alloc.rs` pins the driver launch path with a loose per-launch
-//! bound instead, because its binary shares the counter with the rayon
-//! shim's fork-join.)
+//! (`host_alloc.rs` pins the driver launch path with a small per-launch
+//! bound instead: the launch executor allocates nothing either, but a
+//! driver call still allocates its per-call window bookkeeping.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,20 +1,41 @@
-//! Fixed-size worker pool for the multicore host engine.
+//! Fixed-size worker pool: the host engine's lanes and the device
+//! launch executor.
 //!
 //! This is the *only* place in the workspace allowed to spawn threads
-//! (enforced by `vbatch-analyze` rule VBA202): all host-side parallelism
-//! goes through one pool so thread count, dispatch order and scratch
-//! ownership stay auditable. The pool is deliberately minimal:
+//! (enforced by `vbatch-analyze` rule VBA202, which also walks
+//! `shims/*/src`): all host-side parallelism goes through this one
+//! source file so thread count, dispatch order and scratch ownership
+//! stay auditable. It is compiled twice — as `vbatch_dense::pool` for
+//! [`WorkerPool`] instances a `HostEngine` owns, and (by `#[path]`)
+//! inside the `rayon` shim, whose process-wide instance is the executor
+//! behind every `Device::launch`. The pool is deliberately minimal:
 //!
 //! * **Fixed workers, one job at a time.** [`WorkerPool::new`] spawns
-//!   `threads - 1` workers; [`WorkerPool::run`] publishes a job, runs
-//!   one slice of it on the calling thread, and blocks until every
-//!   worker finished its slice. A pool of one thread spawns nothing and
+//!   `threads - 1` workers once; [`WorkerPool::run`] publishes a job,
+//!   runs one lane of it on the calling thread, and returns when every
+//!   worker finished its lane. A pool of one thread spawns nothing and
 //!   runs the job inline, so the single-threaded path has zero
 //!   synchronization overhead.
+//! * **Busy means inline, never wait.** A `run` that finds a job in
+//!   flight — another thread launching on the same pool, or a launch
+//!   issued from inside a job — runs every lane itself, one after the
+//!   other, on the calling thread. It never waits for the pool, so it
+//!   cannot deadlock on it; jobs must therefore not make one lane wait
+//!   for another.
 //! * **Zero allocation per dispatch.** Publishing a job writes a raw
-//!   pointer and bumps an epoch under a mutex; no `Box`, no channel.
-//!   This keeps the warm host-engine path allocation-free (pinned by
-//!   the bench-crate counting-allocator tests).
+//!   pointer and bumps an epoch under a mutex; no `Box`, no channel, no
+//!   thread creation. This keeps the warm host-engine path and the warm
+//!   launch path allocation-free (pinned by the bench-crate
+//!   counting-allocator tests).
+//! * **A bounded spin before parking.** Launches arrive in bursts a few
+//!   microseconds apart (a driver's step loop), and a futex sleep/wake
+//!   pair costs more than that; workers poll the epoch for
+//!   [`SPIN_ROUNDS`] rounds before sleeping on the condvar, and the
+//!   launcher polls the completion count likewise.
+//! * **Panics come back to the launcher.** A panic on any lane is
+//!   caught there; `run` still waits for every lane (workers hold a
+//!   lifetime-erased pointer to the job), then re-raises the first
+//!   panic on the calling thread. The pool stays usable afterwards.
 //! * **Determinism is the caller's contract.** The pool imposes no
 //!   ordering between workers; callers must hand each worker a disjoint
 //!   slice of independent work so results are bitwise identical for any
@@ -24,12 +45,26 @@
 //! environment variable when set (floor 1), otherwise
 //! `std::thread::available_parallelism()`.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// The job type workers execute: called once per worker with the
 /// worker's index in `0..threads`.
 pub type Job<'a> = &'a (dyn Fn(usize) + Sync);
+
+/// What a caught panic carries.
+type Payload = Box<dyn Any + Send + 'static>;
+
+/// Polls of the epoch (workers) or of the completion count (launcher)
+/// before sleeping on the condvar: about 50 microseconds at ~10 ns per
+/// `pause`, which covers the host work between two launches of a
+/// driver's step loop or a serving window. Measured on `serve_open`
+/// (EXPERIMENTS.md): 0 rounds 1.0 Gflop/s, 2 000 1.8, 5 000 2.1,
+/// 50 000 2.15.
+const SPIN_ROUNDS: u32 = 5_000;
 
 /// Thread count from the environment: `VBATCH_THREADS` when set and
 /// parseable (floor 1), else `available_parallelism()` (floor 1).
@@ -42,30 +77,43 @@ pub fn resolved_threads() -> usize {
 }
 
 /// A lifetime-erased pointer to the current job. Workers only ever
-/// dereference it between the epoch bump that published it and the
-/// completion notification that [`WorkerPool::run`] blocks on, which is
-/// what makes the erasure sound (see SAFETY notes below).
+/// dereference it between the epoch bump that published it and their
+/// own decrement of `Shared::pending`, which [`WorkerPool::run`] waits
+/// on before it returns or unwinds — that is what makes the erasure
+/// sound (see SAFETY notes below).
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: JobPtr is only a courier. The pointee is a `Sync` closure
 // (shared calls from many threads are fine), and `run` keeps the
-// original reference alive, blocked, until every worker reported done —
-// so sending the pointer to worker threads never outlives the borrow.
+// original reference alive, on every exit including a panic on its own
+// lane, until every worker reported done — so sending the pointer to
+// worker threads never outlives the borrow.
 unsafe impl Send for JobPtr {}
 
 struct Slot {
-    epoch: u64,
+    /// `Some` from publication until the launcher has seen every lane
+    /// finish: the pool is busy.
     job: Option<JobPtr>,
-    remaining: usize,
+    /// First panic caught on a worker lane of the current job.
+    panic: Option<Payload>,
     shutdown: bool,
 }
 
 struct Shared {
     slot: Mutex<Slot>,
+    /// Job generation. Bumped under the slot lock when a job is
+    /// published (`Release`); spinning workers read it without the lock
+    /// (`Acquire`), sleeping ones under it.
+    epoch: AtomicU64,
+    /// Worker lanes still running the current job. Set under the slot
+    /// lock at publication, decremented under it (`Release`) as each
+    /// worker finishes; the spinning launcher reads it without the lock
+    /// (`Acquire`).
+    pending: AtomicUsize,
     /// Workers sleep here waiting for a new epoch (or shutdown).
     work_cv: Condvar,
-    /// `run` sleeps here waiting for `remaining` to hit zero.
+    /// `run` sleeps here waiting for `pending` to hit zero.
     done_cv: Condvar,
 }
 
@@ -84,11 +132,12 @@ impl WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot {
-                epoch: 0,
                 job: None,
-                remaining: 0,
+                panic: None,
                 shutdown: false,
             }),
+            epoch: AtomicU64::new(0),
+            pending: AtomicUsize::new(0),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
@@ -121,10 +170,15 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Runs `job(w)` once for every lane `w in 0..threads()`, on the
-    /// workers and the calling thread, and returns when all are done.
-    /// Lane `threads() - 1` runs on the calling thread. Allocates
-    /// nothing.
+    /// Runs `job(w)` once for every lane `w in 0..threads()` and returns
+    /// when all are done: on the workers and the calling thread (which
+    /// takes lane `threads() - 1`), or — when the pool already has a job
+    /// in flight — every lane in turn on the calling thread, without
+    /// waiting for the pool. Allocates nothing.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of any lane, after every lane is done;
+    /// the pool stays usable.
     pub fn run(&self, job: Job<'_>) {
         if self.handles.is_empty() {
             job(0);
@@ -132,22 +186,29 @@ impl WorkerPool {
         }
         {
             let mut slot = lock(&self.shared.slot);
-            debug_assert_eq!(slot.remaining, 0, "pool runs one job at a time");
+            if slot.job.is_some() {
+                drop(slot);
+                (0..self.threads).for_each(job);
+                return;
+            }
             // SAFETY: lifetime erasure only — the borrow stays alive
-            // (and this thread stays blocked in `run`) until every
-            // worker is done with the pointer; soundness argued at
-            // `JobPtr`.
+            // (and this thread stays inside `run`, which catches a
+            // panic on its own lane) until every worker is done with
+            // the pointer; soundness argued at `JobPtr`.
             let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
             slot.job = Some(JobPtr(erased as *const _));
-            slot.epoch = slot.epoch.wrapping_add(1);
-            slot.remaining = self.handles.len();
+            self.shared
+                .pending
+                .store(self.handles.len(), Ordering::Relaxed);
+            self.shared.epoch.fetch_add(1, Ordering::Release);
             self.shared.work_cv.notify_all();
         }
         // The caller is the last lane; doing real work here means a
         // T-thread pool uses T cores, not T+1 threads on T cores.
-        job(self.threads - 1);
+        let own = catch_unwind(AssertUnwindSafe(|| job(self.threads - 1)));
+        spin_until(|| self.shared.pending.load(Ordering::Acquire) == 0);
         let mut slot = lock(&self.shared.slot);
-        while slot.remaining > 0 {
+        while self.shared.pending.load(Ordering::Acquire) > 0 {
             slot = self
                 .shared
                 .done_cv
@@ -155,6 +216,11 @@ impl WorkerPool {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         slot.job = None;
+        let worker_panic = slot.panic.take();
+        drop(slot);
+        if let Some(payload) = own.err().or(worker_panic) {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -166,8 +232,9 @@ impl Drop for WorkerPool {
             self.shared.work_cv.notify_all();
         }
         for h in self.handles.drain(..) {
-            // A worker only panics if the job panicked; propagating the
-            // panic out of drop would abort, so surface it as a log.
+            // Job panics are caught on the lane and re-raised by `run`,
+            // so a worker itself only dies of a bug in this file;
+            // propagating that out of drop would abort, so log it.
             if h.join().is_err() {
                 eprintln!("vbatch host worker panicked");
             }
@@ -179,17 +246,30 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Polls `ready` for at most [`SPIN_ROUNDS`] rounds; the caller then
+/// re-checks under the lock and sleeps if it still has to wait.
+fn spin_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPIN_ROUNDS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+}
+
 fn worker_loop(shared: &Shared, index: usize) {
     let mut seen_epoch = 0u64;
     loop {
+        spin_until(|| shared.epoch.load(Ordering::Acquire) != seen_epoch);
         let job = {
             let mut slot = lock(&shared.slot);
             loop {
                 if slot.shutdown {
                     return;
                 }
-                if slot.epoch != seen_epoch {
-                    seen_epoch = slot.epoch;
+                let epoch = shared.epoch.load(Ordering::Acquire);
+                if epoch != seen_epoch {
+                    seen_epoch = epoch;
                     break;
                 }
                 slot = shared
@@ -203,12 +283,15 @@ fn worker_loop(shared: &Shared, index: usize) {
             }
         };
         // SAFETY: `run` published this pointer under the current epoch
-        // and will not return (or invalidate the borrow) until this
-        // worker decrements `remaining` below; the pointee is `Sync`.
-        unsafe { (*job.0)(index) };
+        // and will not return or unwind (or invalidate the borrow)
+        // until this worker decrements `pending` below; the pointee is
+        // `Sync`.
+        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(index) }));
         let mut slot = lock(&shared.slot);
-        slot.remaining -= 1;
-        if slot.remaining == 0 {
+        if let Err(payload) = outcome {
+            slot.panic.get_or_insert(payload);
+        }
+        if shared.pending.fetch_sub(1, Ordering::Release) == 1 {
             shared.done_cv.notify_all();
         }
     }
@@ -276,5 +359,75 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
+    }
+
+    /// Lane hit counts of one more dispatch: every lane exactly once.
+    fn assert_usable(pool: &WorkerPool) {
+        let hits: Vec<AtomicUsize> = (0..pool.threads()).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(&|w| {
+            hits[w].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn panic_on_any_lane_reaches_the_launcher_and_the_pool_survives() {
+        let pool = WorkerPool::new(4);
+        // Lane 3 is the caller's own, lanes 0..3 are workers.
+        for bad in 0..4 {
+            let finished = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(&|w| {
+                    assert!(w != bad, "lane {bad} fails");
+                    finished.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            let msg = *caught
+                .expect_err("the lane's panic must reach the launcher")
+                .downcast::<String>()
+                .expect("assert! payload");
+            assert_eq!(msg, format!("lane {bad} fails"));
+            // `run` waited for the three healthy lanes before unwinding.
+            assert_eq!(finished.load(Ordering::Relaxed), 3);
+            assert_usable(&pool);
+        }
+    }
+
+    #[test]
+    fn run_from_inside_a_job_goes_inline_on_that_lane() {
+        let pool = WorkerPool::new(3);
+        let inner_hits = AtomicUsize::new(0);
+        pool.run(&|_| {
+            let me = std::thread::current().id();
+            pool.run(&|_| {
+                assert_eq!(std::thread::current().id(), me);
+                inner_hits.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        // Three outer lanes, each running all three inner lanes itself.
+        assert_eq!(inner_hits.load(Ordering::Relaxed), 9);
+        assert_usable(&pool);
+    }
+
+    #[test]
+    fn concurrent_launchers_never_wait_for_each_other() {
+        let pool = WorkerPool::new(2);
+        let gate = std::sync::Barrier::new(2);
+        let hits = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    gate.wait();
+                    for _ in 0..200 {
+                        pool.run(&|_| {
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        // Pooled or inline, every dispatch runs both lanes once.
+        assert_eq!(hits.load(Ordering::Relaxed), 2 * 200 * 2);
+        assert_usable(&pool);
     }
 }

@@ -226,8 +226,14 @@ impl Device {
         self.cfg.kernel_launch_overhead_us * 1e-6
     }
 
-    /// Launches `kernel` over `cfg`, executing every block (in parallel
-    /// on host threads) and advancing the simulated clock.
+    /// Launches `kernel` over `cfg`, executing every block and advancing
+    /// the simulated clock. Blocks run on the process-wide launch
+    /// executor (a persistent worker pool whose lanes, this thread
+    /// included, claim blocks dynamically; see DESIGN.md §6c), or inline
+    /// on this thread when the grid has a single block, the process has
+    /// one lane, or the executor is busy with another launch. A panic in
+    /// a block is re-raised here once every lane has stopped; nothing is
+    /// committed and the device stays usable.
     ///
     /// `name` is `&'static str` by design: kernel names form a small
     /// static vocabulary, and a static name keeps the per-launch
@@ -295,15 +301,21 @@ impl Device {
         F: Fn(&mut BlockCtx) + Sync,
     {
         let n_blocks = cfg.grid.count();
+        let slots = usize::try_from(n_blocks).expect("grid block count fits in usize");
+        costs.clear();
+        costs.resize(slots, BlockCost::default());
+        // Each block writes its own slot, so `costs[linear]` — the
+        // scheduler's input — is the same for any lane count and any
+        // order the executor's lanes claim blocks in.
         (0..n_blocks)
             .into_par_iter()
-            .map(|linear| {
+            .zip(costs.par_iter_mut())
+            .for_each(|(linear, cost)| {
                 let idx = cfg.grid.unflatten(linear);
                 let mut ctx = BlockCtx::new(idx, cfg.block, cfg.grid, self.cfg.warp_size);
                 kernel(&mut ctx);
-                ctx.into_cost()
-            })
-            .collect_into_vec(costs);
+                *cost = ctx.into_cost();
+            });
     }
 
     fn commit(&self, name: &'static str, timing: &KernelTiming, launches: u64) {

@@ -230,15 +230,27 @@ impl<T: Copy + Default> DeviceBuffer<T> {
     }
 
     /// Host-side read of the whole buffer, bypassing the timing model.
-    /// Copies straight into uninitialized capacity — no redundant
-    /// zero-initialization pass before the copy (`T: Copy`, so there are
-    /// no drop obligations on the skipped default values).
     #[must_use]
     pub fn read_to_host(&self) -> Vec<T> {
-        let len = self.len();
+        self.read_prefix_to_host(self.len())
+    }
+
+    /// Host-side read of the first `len` elements, bypassing the timing
+    /// model — what a pooled buffer's user wants, whose matrix occupies
+    /// only the front of a power-of-two size class. Copies straight
+    /// into uninitialized capacity — no redundant zero-initialization
+    /// pass before the copy (`T: Copy`, so there are no drop
+    /// obligations on the skipped default values).
+    ///
+    /// # Panics
+    /// If `len` exceeds the buffer.
+    #[must_use]
+    pub fn read_prefix_to_host(&self, len: usize) -> Vec<T> {
+        assert!(len <= self.len(), "prefix longer than buffer");
         let mut out = Vec::with_capacity(len);
-        // SAFETY: buffer extent is valid for `len` elements; the copy
-        // initializes exactly the `len` elements `set_len` then claims.
+        // SAFETY: `len` is within the buffer extent (asserted above);
+        // the copy initializes exactly the `len` elements `set_len`
+        // then claims.
         unsafe {
             std::ptr::copy_nonoverlapping(self.storage.ptr, out.as_mut_ptr(), len);
             out.set_len(len);

@@ -1,8 +1,9 @@
 //! Repo-specific static analysis for the vbatch workspace.
 //!
 //! `cargo run -p vbatch-analyze -- check` (or `cargo analyze`) runs in
-//! two phases. Phase 1 walks every `crates/*/src/**/*.rs` file plus the
-//! crate `tests/`/`benches/` trees and the root `tests/` suite, runs
+//! two phases. Phase 1 walks every `crates/*/src/**/*.rs` and
+//! `shims/*/src/**/*.rs` file plus the crate `tests/`/`benches/` trees
+//! and the root `tests/` suite, runs
 //! the per-file token lints in [`lints`], and builds the cross-crate
 //! [`index`] (function spans, launch sites with statically resolved
 //! kernel names, `unsafe impl Send/Sync` wrappers, pool `take` sites,
@@ -58,48 +59,62 @@ pub fn run_check(root: &Path) -> Result<Report, String> {
 }
 
 /// Gathers every analyzable `.rs` file under `root`: `crates/*/src`
-/// (production, subject to all lints and the unsafe census),
-/// `crates/*/tests`, `crates/*/benches` and the root `tests/` tree
-/// (test context: indexed by phase 2, exempt from token lints).
+/// and `shims/*/src` (production, subject to all lints and the unsafe
+/// census — the vendored shims sit under `Device::launch` and get no
+/// pass on `unsafe` or thread creation), `crates/*/tests`,
+/// `crates/*/benches` and the root `tests/` tree (test context: indexed
+/// by phase 2, exempt from token lints).
 ///
 /// # Errors
 /// Returns `Err` when a directory or file cannot be read.
 pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
-        .map_err(|e| format!("cannot read {}/crates: {e}", root.display()))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let crate_name = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        for sub in ["src", "tests", "benches"] {
-            let d = dir.join(sub);
-            if !d.is_dir() {
-                continue;
-            }
-            let mut files = Vec::new();
-            collect_rs(&d, &mut files)?;
-            files.sort();
-            for f in files {
-                let rel = rel_path(root, &f);
-                // Fixture trees are lint-input *data* (deliberately
-                // broken code), not workspace source.
-                if rel.contains("/fixtures/") {
+    // (directory of crates, trees walked in each, must exist):
+    // `crates/` marks the workspace root; a tree without vendored shims
+    // is fine.
+    let groups: [(&str, &[&str], bool); 2] = [
+        ("crates", &["src", "tests", "benches"], true),
+        ("shims", &["src"], false),
+    ];
+    for (group, subs, required) in groups {
+        if !required && !root.join(group).is_dir() {
+            continue;
+        }
+        let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join(group))
+            .map_err(|e| format!("cannot read {}/{group}: {e}", root.display()))?
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.is_dir())
+            .collect();
+        crate_dirs.sort();
+        for dir in crate_dirs {
+            let crate_name = dir
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default()
+                .to_string();
+            for sub in subs {
+                let d = dir.join(sub);
+                if !d.is_dir() {
                     continue;
                 }
-                out.push(SourceFile {
-                    rel,
-                    crate_name: crate_name.clone(),
-                    src: std::fs::read_to_string(&f)
-                        .map_err(|e| format!("cannot read {}: {e}", f.display()))?,
-                });
+                let mut files = Vec::new();
+                collect_rs(&d, &mut files)?;
+                files.sort();
+                for f in files {
+                    let rel = rel_path(root, &f);
+                    // Fixture trees are lint-input *data* (deliberately
+                    // broken code), not workspace source.
+                    if rel.contains("/fixtures/") {
+                        continue;
+                    }
+                    out.push(SourceFile {
+                        rel,
+                        crate_name: crate_name.clone(),
+                        src: std::fs::read_to_string(&f)
+                            .map_err(|e| format!("cannot read {}: {e}", f.display()))?,
+                    });
+                }
             }
         }
     }

@@ -29,10 +29,13 @@
 //!   enumerable and launch-path allocation-free.
 //! * **L5 `threading`** (`VBA202`) — ad-hoc thread creation
 //!   (`thread::spawn`, `thread::scope`, `thread::Builder`) is forbidden
-//!   outside the audited host worker pool
-//!   (`crates/dense/src/pool.rs`): host parallelism routes through
-//!   `WorkerPool` so thread count (`VBATCH_THREADS`), naming, and the
-//!   bit-identity-across-thread-counts contract stay centralized.
+//!   outside the audited worker pool (`crates/dense/src/pool.rs`, the
+//!   one source file both the host engine and, by `#[path]`, the
+//!   `rayon` shim's launch executor are compiled from), in
+//!   `crates/*/src` and `shims/*/src` alike: host parallelism routes
+//!   through `WorkerPool` so thread count (`VBATCH_THREADS`), naming,
+//!   and the bit-identity-across-thread-counts contract stay
+//!   centralized.
 //!
 //! Findings can be waived in place with
 //! `// analyze:allow(<lint>): <reason>` on (or immediately above) the
@@ -158,7 +161,9 @@ pub const DETERMINISM_EXEMPT: &[&str] = &[];
 const NONDET_IDENTS: &[&str] = &["Instant", "SystemTime", "thread_rng", "HashMap", "HashSet"];
 
 /// Files (path suffixes, `/`-separated) exempt from the threading lint:
-/// the one audited worker pool all host parallelism must route through.
+/// the one audited worker pool all host parallelism must route through
+/// — the host engine's lanes and the executor behind `Device::launch`
+/// are both compiled from this single file.
 pub const THREADING_EXEMPT: &[&str] = &["crates/dense/src/pool.rs"];
 
 /// `thread::` members whose use constitutes ad-hoc thread creation.

@@ -355,6 +355,33 @@ fn binary_exits_nonzero_on_failing_tree_and_zero_on_clean() {
 }
 
 #[test]
+fn workspace_walk_covers_vendored_shims() {
+    // A clean crate beside a shim that spawns per call: the walk must
+    // reach `shims/*/src`, or VBA202 guards everything but the code
+    // under every launch.
+    let root = mini_tree("shim", "clean.rs", Some("[unsafe_budget]\ndemo = 1\n"));
+    let shim_src = root.join("shims/forkjoin/src");
+    std::fs::create_dir_all(&shim_src).unwrap();
+    std::fs::write(shim_src.join("lib.rs"), fixture("l5_threading_shim.rs")).unwrap();
+    let rep = vbatch_analyze::run_check(&root).unwrap();
+    let got: Vec<_> = rep
+        .findings
+        .iter()
+        .map(|f| (f.code, f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(got, vec![("VBA202", "shims/forkjoin/src/lib.rs", 8)]);
+    assert!(
+        rep.crates.contains_key("forkjoin"),
+        "shim crates take part in the unsafe census (budget 0 unless listed)"
+    );
+    // The audited pool is exempt wherever its one source file is
+    // compiled from; a copy of it under a shim is not.
+    let pool = codes_at("shims/forkjoin/src/pool.rs", "l5_threading.rs");
+    assert!(pool.iter().any(|(c, _)| *c == "VBA202"), "got {pool:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn binary_exits_nonzero_on_graph_pass_findings() {
     let bad = mini_tree("graph-bad", "g1_launch.rs", None);
     let (code, stdout) = run_binary(&bad);

@@ -346,9 +346,7 @@ impl<T: Scalar> VBatch<T> {
     /// Downloads the `info` array.
     #[must_use]
     pub fn read_info(&self) -> Vec<i32> {
-        let mut v = self.d_info.read_to_host();
-        v.truncate(self.count);
-        v
+        self.d_info.read_prefix_to_host(self.count)
     }
 
     /// Uploads matrix `i` from packed column-major host data of extent
@@ -389,9 +387,9 @@ impl<T: Scalar> VBatch<T> {
     /// Downloads matrix `i` as packed column-major data (with its `ld`).
     #[must_use]
     pub fn download_matrix(&self, i: usize) -> Vec<T> {
-        let mut v = self.storage[i].read_to_host();
-        v.truncate(extent(self.rows[i], self.cols[i], self.ld[i]));
-        v
+        // A pooled buffer is a whole power-of-two size class; read only
+        // the matrix.
+        self.storage[i].read_prefix_to_host(extent(self.rows[i], self.cols[i], self.ld[i]))
     }
 
     /// Total bytes of matrix storage (excludes metadata arrays).
@@ -463,6 +461,26 @@ mod tests {
         assert_eq!(b.read_info(), vec![0, 7]);
         b.reset_info();
         assert_eq!(b.read_info(), vec![0, 0]);
+    }
+
+    #[test]
+    fn pooled_download_reads_only_the_matrix_extent() {
+        let d = dev();
+        let mut pools = BatchPools::<f64>::new();
+        let sizes = [33usize, 48, 65];
+        let mut b = VBatch::<f64>::alloc_square_pooled(&d, &sizes, &mut pools).unwrap();
+        for (i, &n) in sizes.iter().enumerate() {
+            let data: Vec<f64> = (0..n * n).map(|x| (x + i) as f64).collect();
+            b.upload_matrix(i, &data).unwrap();
+            let got = b.download_matrix(i);
+            assert_eq!(got, data);
+            // The pooled buffer is the next power of two; the download
+            // must not have allocated (and copied) that much.
+            let class = (n * n).next_power_of_two();
+            assert_eq!(b.storage[i].len(), class);
+            assert!(got.capacity() < class, "n={n}: capacity {}", got.capacity());
+        }
+        b.reclaim(&mut pools);
     }
 
     #[test]

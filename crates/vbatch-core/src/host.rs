@@ -670,6 +670,32 @@ mod tests {
     }
 
     #[test]
+    fn engine_survives_a_panicking_job() {
+        let (sizes, mats0) = workload(13, 19, 100);
+        let indices: Vec<usize> = (0..sizes.len()).collect();
+        let opts = PotrfOptions::default();
+        let run = |engine: &HostEngine| {
+            let mut mats = mats0.clone();
+            let mut info = vec![0i32; sizes.len()];
+            let mut state = HostState::new();
+            potrf_batch_host(
+                engine, &sizes, &mut mats, &indices, &opts, &mut state, &mut info,
+            )
+            .expect("host potrf");
+            (mats, info)
+        };
+        let engine = HostEngine::with_threads(4);
+        // Lane 1 is a worker, lane 3 the launcher's own.
+        for bad in [1usize, 3] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.pool.run(&|w| assert!(w != bad, "lane {bad} fails"));
+            }));
+            assert!(caught.is_err(), "the lane's panic must reach the launcher");
+            assert!(run(&engine) == run(&HostEngine::with_threads(4)));
+        }
+    }
+
+    #[test]
     fn cost_model_is_monotone() {
         let m = HostCostModel::default_for_threads(4);
         assert!(m.matrix_cost_s(64) > m.matrix_cost_s(32));

@@ -3,30 +3,55 @@
 //! The build environment has no crates.io access, so the workspace
 //! vendors the few parallel-iterator shapes it relies on:
 //!
-//! * `(0..n).into_par_iter().map(f).collect::<Vec<_>>()`
-//! * `slice.par_iter()` / `slice.par_iter_mut()`, `zip`, `map`,
-//!   `collect`, `for_each`
+//! * `(0..n).into_par_iter()`, `slice.par_iter()`,
+//!   `slice.par_iter_mut()`
+//! * `zip`, `map`, `for_each`, `collect::<Vec<_>>()`
 //!
-//! Parallelism is real fork-join over contiguous index chunks using
-//! `std::thread::scope` (one chunk per available core, sequential
-//! fallback for small inputs or single-core hosts). Work stealing is
-//! not reproduced; the consumers here split into uniform chunks, which
-//! matches rayon's plain `par_iter` behaviour closely enough for both
-//! numerics (identical) and scheduling semantics (dynamic enough for
-//! the one-task-per-matrix CPU baseline).
+//! Parallelism is real and **dynamic**: one process-wide
+//! [`pool::WorkerPool`] — the workspace's single audited pool, compiled
+//! here from `crates/dense/src/pool.rs` so this crate keeps its empty
+//! dependency set — is created on the first parallel call with
+//! `resolved_threads() - 1` workers and lives for the process. A call
+//! publishes one job to it; every lane, the calling thread included,
+//! then claims contiguous chunks off the front of the source until none
+//! are left, so uneven items balance themselves and no thread is ever
+//! created per call. Work stealing is not reproduced. What callers can
+//! rely on:
+//!
+//! * every item is visited exactly once, and `collect` keeps index
+//!   order, for any lane count and any interleaving;
+//! * sources of fewer than two items, and every call at one lane, run
+//!   inline on the caller without touching the pool;
+//! * a call that finds the pool busy — a concurrent caller, or a call
+//!   made from inside an item — runs all of its items on the calling
+//!   thread and never waits for the pool;
+//! * a panic in an item is re-raised on the calling thread after every
+//!   lane has stopped, and the pool stays usable;
+//! * `for_each` allocates nothing once the pool exists.
 
-use std::num::NonZeroUsize;
+// The pool's host-engine surface (`new`, `Job`, ...) is unused here.
+#[allow(dead_code)]
+#[path = "../../../crates/dense/src/pool.rs"]
+mod pool;
 
-/// Number of worker threads the shim fans out to: the `VBATCH_THREADS`
-/// environment variable when set and parseable (floor 1 — the same
-/// override the vbatch host engine honors), else available parallelism.
-fn threads() -> usize {
-    match std::env::var("VBATCH_THREADS") {
-        Ok(s) => s.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
-    }
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// The process-wide executor behind every parallel call. Never dropped:
+/// its workers sleep on a condvar between calls and die with the
+/// process.
+fn executor() -> &'static pool::WorkerPool {
+    static POOL: OnceLock<pool::WorkerPool> = OnceLock::new();
+    POOL.get_or_init(pool::WorkerPool::from_env)
+}
+
+/// Chunks a call is cut into per lane: enough for lanes that finish
+/// early to find more work, few enough that claiming stays free.
+const CHUNKS_PER_LANE: usize = 4;
+
+/// Items per claimed chunk — a pure function of the item count and the
+/// lane count, so the claim sequence does not depend on timing.
+fn chunk_len(n: usize, lanes: usize) -> usize {
+    n.div_ceil(lanes * CHUNKS_PER_LANE).max(1)
 }
 
 /// A finite, splittable, ordered source of items — the shim's stand-in
@@ -35,6 +60,8 @@ fn threads() -> usize {
 pub trait ParSource: Send + Sized {
     /// Item type produced.
     type Item: Send;
+    /// Sequential iterator over the items, in index order.
+    type Seq: Iterator<Item = Self::Item>;
     /// Remaining number of items.
     fn len(&self) -> usize;
     /// True when no items remain.
@@ -43,8 +70,8 @@ pub trait ParSource: Send + Sized {
     }
     /// Splits into `[0, mid)` and `[mid, len)`.
     fn split_at(self, mid: usize) -> (Self, Self);
-    /// Drains this source sequentially into `out`.
-    fn drain(self, out: &mut dyn FnMut(Self::Item));
+    /// Iterates this source sequentially.
+    fn into_seq(self) -> Self::Seq;
 }
 
 /// Range source over `0..n`-style index ranges.
@@ -57,6 +84,7 @@ macro_rules! impl_range_source {
     ($($t:ty),*) => {$(
         impl ParSource for RangeSource<$t> {
             type Item = $t;
+            type Seq = core::ops::Range<$t>;
             fn len(&self) -> usize {
                 (self.end - self.start) as usize
             }
@@ -67,10 +95,8 @@ macro_rules! impl_range_source {
                     RangeSource { start: m, end: self.end },
                 )
             }
-            fn drain(self, out: &mut dyn FnMut($t)) {
-                for i in self.start..self.end {
-                    out(i);
-                }
+            fn into_seq(self) -> Self::Seq {
+                self.start..self.end
             }
         }
     )*};
@@ -84,6 +110,7 @@ pub struct SliceSource<'a, T: Sync> {
 
 impl<'a, T: Sync> ParSource for SliceSource<'a, T> {
     type Item = &'a T;
+    type Seq = core::slice::Iter<'a, T>;
     fn len(&self) -> usize {
         self.slice.len()
     }
@@ -91,10 +118,8 @@ impl<'a, T: Sync> ParSource for SliceSource<'a, T> {
         let (l, r) = self.slice.split_at(mid);
         (SliceSource { slice: l }, SliceSource { slice: r })
     }
-    fn drain(self, out: &mut dyn FnMut(&'a T)) {
-        for item in self.slice {
-            out(item);
-        }
+    fn into_seq(self) -> Self::Seq {
+        self.slice.iter()
     }
 }
 
@@ -105,6 +130,7 @@ pub struct SliceMutSource<'a, T: Send> {
 
 impl<'a, T: Send> ParSource for SliceMutSource<'a, T> {
     type Item = &'a mut T;
+    type Seq = core::slice::IterMut<'a, T>;
     fn len(&self) -> usize {
         self.slice.len()
     }
@@ -112,10 +138,8 @@ impl<'a, T: Send> ParSource for SliceMutSource<'a, T> {
         let (l, r) = self.slice.split_at_mut(mid);
         (SliceMutSource { slice: l }, SliceMutSource { slice: r })
     }
-    fn drain(self, out: &mut dyn FnMut(&'a mut T)) {
-        for item in self.slice {
-            out(item);
-        }
+    fn into_seq(self) -> Self::Seq {
+        self.slice.iter_mut()
     }
 }
 
@@ -127,6 +151,7 @@ pub struct ZipSource<A, B> {
 
 impl<A: ParSource, B: ParSource> ParSource for ZipSource<A, B> {
     type Item = (A::Item, B::Item);
+    type Seq = core::iter::Zip<A::Seq, B::Seq>;
     fn len(&self) -> usize {
         self.a.len().min(self.b.len())
     }
@@ -135,20 +160,8 @@ impl<A: ParSource, B: ParSource> ParSource for ZipSource<A, B> {
         let (bl, br) = self.b.split_at(mid);
         (ZipSource { a: al, b: bl }, ZipSource { a: ar, b: br })
     }
-    fn drain(self, out: &mut dyn FnMut(Self::Item)) {
-        let n = self.len();
-        let mut items_a = Vec::with_capacity(n);
-        self.a.drain(&mut |x| items_a.push(x));
-        let mut iter_a = items_a.into_iter();
-        let mut count = 0usize;
-        self.b.drain(&mut |y| {
-            if count < n {
-                if let Some(x) = iter_a.next() {
-                    out((x, y));
-                }
-            }
-            count += 1;
-        });
+    fn into_seq(self) -> Self::Seq {
+        self.a.into_seq().zip(self.b.into_seq())
     }
 }
 
@@ -165,6 +178,7 @@ where
     R: Send,
 {
     type Item = R;
+    type Seq = core::iter::Map<S::Seq, F>;
     fn len(&self) -> usize {
         self.src.len()
     }
@@ -178,9 +192,8 @@ where
             MapSource { src: r, f: self.f },
         )
     }
-    fn drain(self, out: &mut dyn FnMut(R)) {
-        let f = self.f;
-        self.src.drain(&mut |x| out(f(x)));
+    fn into_seq(self) -> Self::Seq {
+        self.src.into_seq().map(self.f)
     }
 }
 
@@ -201,41 +214,17 @@ pub trait ParallelIterator: ParSource {
         ZipSource { a: self, b: other }
     }
 
-    /// Executes `f` on every item, fork-join across cores.
+    /// Executes `f` on every item, across the executor's lanes.
     fn for_each<F>(self, f: F)
     where
-        F: Fn(Self::Item) + Sync + Send + Clone,
+        F: Fn(Self::Item) + Sync + Send,
     {
-        run_chunks(self, &|item, _idx| f(item));
+        run_chunks(self, &f);
     }
 
     /// Collects into an ordered container (only `Vec<T>` supported).
     fn collect<C: FromParSource<Self::Item>>(self) -> C {
         C::from_par_source(self)
-    }
-
-    /// Collects into a caller-provided `Vec`, clearing it first —
-    /// mirrors `IndexedParallelIterator::collect_into_vec`. On the
-    /// sequential path (single core or tiny input) items are pushed
-    /// straight into `target`, so a caller-pooled vector with enough
-    /// capacity is refilled with **zero** heap allocations; the parallel
-    /// path stages through order-preserving slots and extends `target`.
-    fn collect_into_vec(self, target: &mut Vec<Self::Item>) {
-        let n = self.len();
-        target.clear();
-        target.reserve(n);
-        if threads().min(n.max(1)) <= 1 || n < 2 {
-            self.drain(&mut |item| target.push(item));
-            return;
-        }
-        let mut slots: Vec<Option<Self::Item>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        {
-            let sink = SliceMutSource { slice: &mut slots };
-            let zipped = ZipSource { a: self, b: sink };
-            run_chunks(zipped, &|(item, slot), _| *slot = Some(item));
-        }
-        target.extend(slots.into_iter().map(|x| x.expect("slot filled")));
     }
 }
 
@@ -255,50 +244,44 @@ impl<T: Send> FromParSource<T> for Vec<T> {
         {
             let slots = SliceMutSource { slice: &mut out };
             let zipped = ZipSource { a: src, b: slots };
-            run_chunks(zipped, &|(item, slot), _| *slot = Some(item));
+            run_chunks(zipped, &|(item, slot)| *slot = Some(item));
         }
         out.into_iter().map(|x| x.expect("slot filled")).collect()
     }
 }
 
-/// Splits `src` into one contiguous chunk per worker and runs them on
-/// scoped threads; small inputs run inline.
+/// Runs `f` on every item of `src`: inline for fewer than two items or
+/// one lane, else as one executor job whose lanes claim chunks of
+/// [`chunk_len`] items off the front of the source until it is empty.
+/// The unclaimed rest sits behind a mutex because splitting needs the
+/// source by value; the lock is held for one `split_at`, never while
+/// items run.
 fn run_chunks<S, F>(src: S, f: &F)
 where
     S: ParSource,
-    F: Fn(S::Item, usize) + Sync,
+    F: Fn(S::Item) + Sync,
 {
     let n = src.len();
-    let workers = threads().min(n.max(1));
-    if workers <= 1 || n < 2 {
-        let mut idx = 0usize;
-        src.drain(&mut |item| {
-            f(item, idx);
-            idx += 1;
-        });
+    let Some(pool) = (n >= 2).then(executor).filter(|p| p.threads() > 1) else {
+        src.into_seq().for_each(f);
         return;
-    }
-    // Carve into `workers` chunks of near-equal size.
-    let mut chunks = Vec::with_capacity(workers);
-    let mut rest = src;
-    let mut remaining = n;
-    for w in 0..workers {
-        let take = remaining / (workers - w);
-        let (head, tail) = rest.split_at(take);
-        chunks.push(head);
-        rest = tail;
-        remaining -= take;
-    }
-    std::thread::scope(|scope| {
-        for chunk in chunks {
-            scope.spawn(move || {
-                let mut idx = 0usize;
-                chunk.drain(&mut |item| {
-                    f(item, idx);
-                    idx += 1;
-                });
-            });
-        }
+    };
+    let chunk = chunk_len(n, pool.threads());
+    let rest = Mutex::new(Some(src));
+    pool.run(&|_lane| loop {
+        let head = {
+            let mut rest = rest.lock().unwrap_or_else(PoisonError::into_inner);
+            match rest.take() {
+                None => return,
+                Some(src) if src.len() <= chunk => src,
+                Some(src) => {
+                    let (head, tail) = src.split_at(chunk);
+                    *rest = Some(tail);
+                    head
+                }
+            }
+        };
+        head.into_seq().for_each(f);
     });
 }
 
@@ -376,6 +359,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{chunk_len, CHUNKS_PER_LANE};
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -384,6 +368,20 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * 2);
         }
+    }
+
+    #[test]
+    fn collect_preserves_order_with_uneven_items() {
+        // Early items are ~100x the late ones, so lanes finish chunks
+        // far out of claim order; the result must not show it.
+        let v: Vec<u64> = (0..400u64)
+            .into_par_iter()
+            .map(|i| {
+                let spins = if i < 40 { 20_000 } else { 200 };
+                (0..spins).fold(i, |acc, k| std::hint::black_box(acc ^ k) ^ k)
+            })
+            .collect();
+        assert_eq!(v, (0..400).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -415,21 +413,41 @@ mod tests {
     }
 
     #[test]
-    fn collect_into_vec_reuses_target() {
-        let mut v: Vec<usize> = Vec::with_capacity(64);
-        (0..50usize)
-            .into_par_iter()
-            .map(|i| i + 1)
-            .collect_into_vec(&mut v);
-        assert_eq!(v.len(), 50);
-        assert_eq!(v[49], 50);
-        let cap = v.capacity();
-        (0..10usize)
-            .into_par_iter()
-            .map(|i| i * 3)
-            .collect_into_vec(&mut v);
-        assert_eq!(v, (0..10).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(v.capacity(), cap, "refill must not shrink the pool");
+    fn nested_call_runs_inline_and_completes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let total = AtomicUsize::new(0);
+        (0..8usize).into_par_iter().for_each(|_| {
+            (0..8usize).into_par_iter().for_each(|_| {
+                total.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn panic_in_an_item_reaches_the_caller_and_the_pool_survives() {
+        let caught = std::panic::catch_unwind(|| {
+            (0..64usize).into_par_iter().for_each(|i| {
+                assert!(i != 3, "item 3");
+            });
+        });
+        assert!(caught.is_err());
+        let v: Vec<usize> = (0..64usize).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(v, (1..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn chunk_len_covers_every_item_in_a_few_claims_per_lane() {
+        for lanes in [2usize, 3, 4, 64] {
+            for n in [2usize, 3, 7, 64, 1000, 100_000] {
+                let c = chunk_len(n, lanes);
+                assert!(c >= 1);
+                assert!(
+                    n.div_ceil(c) <= lanes * CHUNKS_PER_LANE,
+                    "n={n} lanes={lanes}"
+                );
+            }
+        }
     }
 
     #[test]
