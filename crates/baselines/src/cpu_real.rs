@@ -3,7 +3,7 @@
 //!
 //! The analytic model in [`crate::cpu_model`] produces the figures; this
 //! module actually factorizes the batch on the host so tests can confirm
-//! the baseline's numerics and Criterion can measure real wall time.
+//! the baseline's numerics.
 //! The vendored `rayon` shim runs the iterator on the workspace's
 //! persistent worker pool, whose lanes claim runs of matrices
 //! dynamically as they finish the previous one — the "dynamic
@@ -28,44 +28,21 @@ pub fn potrf_batch_dynamic<T: Scalar>(
     let info: Vec<i32> = mats
         .par_iter_mut()
         .zip(sizes.par_iter())
-        .map(|(m, &n)| {
-            if n == 0 {
-                return 0;
-            }
-            match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
-                Ok(()) => 0,
-                Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
-                Err(_) => -1,
-            }
-        })
+        .map(|(m, &n)| factor_one(m, n, nb))
         .collect();
     (start.elapsed(), info)
 }
 
-/// Sequential whole-batch factorization (the "serial fashion" reference
-/// the paper's introduction mentions for large matrices).
-pub fn potrf_batch_sequential<T: Scalar>(
-    mats: &mut [Vec<T>],
-    sizes: &[usize],
-    nb: usize,
-) -> (Duration, Vec<i32>) {
-    assert_eq!(mats.len(), sizes.len());
-    let start = Instant::now();
-    let info: Vec<i32> = mats
-        .iter_mut()
-        .zip(sizes)
-        .map(|(m, &n)| {
-            if n == 0 {
-                return 0;
-            }
-            match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
-                Ok(()) => 0,
-                Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
-                Err(_) => -1,
-            }
-        })
-        .collect();
-    (start.elapsed(), info)
+/// Lower Cholesky of one `n x n` matrix in place; LAPACK-style `info`.
+fn factor_one<T: Scalar>(m: &mut [T], n: usize, nb: usize) -> i32 {
+    if n == 0 {
+        return 0;
+    }
+    match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
+        Ok(()) => 0,
+        Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
+        Err(_) => -1,
+    }
 }
 
 #[cfg(test)]
@@ -84,7 +61,11 @@ mod tests {
         let mut par = mats.clone();
         let (_, info_p) = potrf_batch_dynamic(&mut par, &sizes, 16);
         let mut seq = mats.clone();
-        let (_, info_s) = potrf_batch_sequential(&mut seq, &sizes, 16);
+        let info_s: Vec<i32> = seq
+            .iter_mut()
+            .zip(&sizes)
+            .map(|(m, &n)| factor_one(m, n, 16))
+            .collect();
         assert_eq!(info_p, vec![0; sizes.len()]);
         assert_eq!(info_s, info_p);
         for i in 0..sizes.len() {

@@ -6,8 +6,7 @@
 //!   one-core-per-matrix with static or dynamic scheduling, and the
 //!   CPU power model for the energy study;
 //! * [`cpu_real`] — a real Rayon execution path (dynamic one-core-per-
-//!   matrix), used by tests and the Criterion benches to keep the model
-//!   honest about numerics;
+//!   matrix), used by tests to keep the model honest about numerics;
 //! * [`hybrid`] — the MAGMA hybrid CPU+GPU algorithm applied one matrix
 //!   at a time (panel on the CPU, trailing update on the GPU, PCIe
 //!   transfers in between) — the paper's "not the correct choice for

@@ -23,12 +23,11 @@
 //! so dead lanes need no per-row masking, only the per-column live masks
 //! described below.
 //!
-//! **Bit-identity contract.** Every lane kernel performs, per lane, the
+//! **Bit-identity contract.** The lane kernel performs, per lane, the
 //! *same floating-point operations in the same order* as the slice-tier
-//! reference it mirrors ([`crate::potf2`] Lower in-place,
-//! [`crate::level3::tier::gemm_small`], the slice-tier `syrk`/`trsm`
-//! substitutions). IEEE-754 arithmetic is lane-wise, so the vectorized
-//! results are bit-identical to the scalar tier — including breakdown
+//! reference it mirrors ([`crate::potf2`] Lower in-place). IEEE-754
+//! arithmetic is lane-wise, so the vectorized results are
+//! bit-identical to the scalar tier — including breakdown
 //! detection: a non-positive pivot in one lane freezes that lane (all
 //! its subsequent stores are masked off, preserving the partially
 //! factored state the scalar routine would leave) without perturbing or
@@ -383,232 +382,6 @@ fn potrf_one_lane<T: Scalar>(buf: &mut [T], m: usize, lanes: usize, l: usize, n:
 }
 
 // ---------------------------------------------------------------------
-// gemm / syrk / trsm lanes — uniform group extents, per-lane data.
-// ---------------------------------------------------------------------
-
-/// Lane-parallel `C ← α·A·Bᵀ + β·C` (`gemm` NT, the Cholesky panel
-/// shape): per lane, `A` is `m × k`, `B` is `n × k`, `C` is `m × n`,
-/// each argument its own interleaved buffer (row counts `m`, `n`, `m`).
-/// Per lane bit-identical to [`crate::level3::tier::gemm_small`] with
-/// `(NoTrans, Trans)`.
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_lanes<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    b: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    check_gemm_group::<T>(m, n, k, a, b, c);
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::gemm_nt(m, n, k, alpha, a, b, beta, c) {
-        return;
-    }
-    gemm_nt_lanes_portable(m, n, k, alpha, a, b, beta, c);
-}
-
-/// Portable per-lane reference for [`gemm_nt_lanes`].
-///
-/// # Panics
-/// As [`gemm_nt_lanes`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_lanes_portable<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    b: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    check_gemm_group::<T>(m, n, k, a, b, c);
-    let lanes = lane_count::<T>();
-    for l in 0..lanes {
-        for j in 0..n {
-            // β first (scale semantics: 0 overwrites, 1 is a no-op).
-            if beta == T::ZERO {
-                for i in 0..m {
-                    c[lane_index(m, lanes, i, j, l)] = T::ZERO;
-                }
-            } else if beta != T::ONE {
-                for i in 0..m {
-                    c[lane_index(m, lanes, i, j, l)] *= beta;
-                }
-            }
-            if alpha == T::ZERO {
-                continue;
-            }
-            for t in 0..k {
-                let w = alpha * b[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    for i in 0..m {
-                        let ci = lane_index(m, lanes, i, j, l);
-                        c[ci] = w.mul_add(a[lane_index(m, lanes, i, t, l)], c[ci]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn check_gemm_group<T: Scalar>(m: usize, n: usize, k: usize, a: &[T], b: &[T], c: &[T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(m, k, lanes),
-        "gemm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(n, k, lanes),
-        "gemm lanes: B short"
-    );
-    assert!(
-        c.len() >= interleaved_len(m, n, lanes),
-        "gemm lanes: C short"
-    );
-}
-
-/// Lane-parallel `syrk` (Lower, NoTrans): per lane
-/// `C ← α·A·Aᵀ + β·C` on the lower triangle only, `A` `n × k`, `C`
-/// `n × n`. Per lane bit-identical to the slice-tier [`crate::syrk`].
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-pub fn syrk_ln_lanes<T: Scalar>(n: usize, k: usize, alpha: T, a: &[T], beta: T, c: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, k, lanes),
-        "syrk lanes: A short"
-    );
-    assert!(
-        c.len() >= interleaved_len(n, n, lanes),
-        "syrk lanes: C short"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::syrk_ln(n, k, alpha, a, beta, c) {
-        return;
-    }
-    syrk_ln_lanes_portable(n, k, alpha, a, beta, c);
-}
-
-/// Portable per-lane reference for [`syrk_ln_lanes`].
-///
-/// # Panics
-/// As [`syrk_ln_lanes`].
-pub fn syrk_ln_lanes_portable<T: Scalar>(
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, k, lanes),
-        "syrk lanes: A short"
-    );
-    assert!(
-        c.len() >= interleaved_len(n, n, lanes),
-        "syrk lanes: C short"
-    );
-    for l in 0..lanes {
-        for j in 0..n {
-            if beta == T::ZERO {
-                for i in j..n {
-                    c[lane_index(n, lanes, i, j, l)] = T::ZERO;
-                }
-            } else if beta != T::ONE {
-                for i in j..n {
-                    c[lane_index(n, lanes, i, j, l)] *= beta;
-                }
-            }
-        }
-        if alpha == T::ZERO || k == 0 {
-            continue;
-        }
-        for t in 0..k {
-            for j in 0..n {
-                let w = alpha * a[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    for i in j..n {
-                        let ci = lane_index(n, lanes, i, j, l);
-                        c[ci] = w.mul_add(a[lane_index(n, lanes, i, t, l)], c[ci]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lane-parallel `trsm` (Right, Lower, Trans, NonUnit, α = 1 — the
-/// Cholesky panel solve): per lane `B ← B·A⁻ᵀ`, `A` `n × n` lower
-/// non-unit, `B` `m × n`. Per lane bit-identical to the slice-tier
-/// [`crate::trsm`] substitution (forward column sweep). Lanes whose
-/// packed `A` diagonal is zero (absent lanes) produce unspecified
-/// values in their own lane only.
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-pub fn trsm_rlt_lanes<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, n, lanes),
-        "trsm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(m, n, lanes),
-        "trsm lanes: B short"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::trsm_rlt(m, n, a, b) {
-        return;
-    }
-    trsm_rlt_lanes_portable(m, n, a, b);
-}
-
-/// Portable per-lane reference for [`trsm_rlt_lanes`].
-///
-/// # Panics
-/// As [`trsm_rlt_lanes`].
-pub fn trsm_rlt_lanes_portable<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, n, lanes),
-        "trsm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(m, n, lanes),
-        "trsm lanes: B short"
-    );
-    for l in 0..lanes {
-        for j in 0..n {
-            for t in 0..j {
-                // op(A)(t, j) = A(j, t) under Trans.
-                let w = a[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    let nw = -w;
-                    for i in 0..m {
-                        let bi = lane_index(m, lanes, i, j, l);
-                        b[bi] = nw.mul_add(b[lane_index(m, lanes, i, t, l)], b[bi]);
-                    }
-                }
-            }
-            let ajj = a[lane_index(n, lanes, j, j, l)];
-            for i in 0..m {
-                b[lane_index(m, lanes, i, j, l)] /= ajj;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // AVX2+FMA lane kernels.
 // ---------------------------------------------------------------------
 
@@ -652,114 +425,6 @@ mod x86 {
         } else if TypeId::of::<T>() == TypeId::of::<f32>() {
             // Safety: as above with `T` == `f32`.
             unsafe { potrf_f32(cast_mut::<T, f32>(buf), m, ns, infos) };
-            true
-        } else {
-            false
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_nt<T: Scalar>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        b: &[T],
-        beta: T,
-        c: &mut [T],
-    ) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe {
-                gemm_nt_f64(
-                    m,
-                    n,
-                    k,
-                    scalar_as::<T, f64>(alpha),
-                    cast::<T, f64>(a),
-                    cast::<T, f64>(b),
-                    scalar_as::<T, f64>(beta),
-                    cast_mut::<T, f64>(c),
-                );
-            }
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe {
-                gemm_nt_f32(
-                    m,
-                    n,
-                    k,
-                    scalar_as::<T, f32>(alpha),
-                    cast::<T, f32>(a),
-                    cast::<T, f32>(b),
-                    scalar_as::<T, f32>(beta),
-                    cast_mut::<T, f32>(c),
-                );
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn syrk_ln<T: Scalar>(
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        beta: T,
-        c: &mut [T],
-    ) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe {
-                syrk_ln_f64(
-                    n,
-                    k,
-                    scalar_as::<T, f64>(alpha),
-                    cast::<T, f64>(a),
-                    scalar_as::<T, f64>(beta),
-                    cast_mut::<T, f64>(c),
-                );
-            }
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe {
-                syrk_ln_f32(
-                    n,
-                    k,
-                    scalar_as::<T, f32>(alpha),
-                    cast::<T, f32>(a),
-                    scalar_as::<T, f32>(beta),
-                    cast_mut::<T, f32>(c),
-                );
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn trsm_rlt<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe { trsm_rlt_f64(m, n, cast::<T, f64>(a), cast_mut::<T, f64>(b)) };
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe { trsm_rlt_f32(m, n, cast::<T, f32>(a), cast_mut::<T, f32>(b)) };
             true
         } else {
             false
@@ -1586,13 +1251,7 @@ mod x86 {
         unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<U>(), s.len()) }
     }
 
-    fn scalar_as<T: Scalar, U: Copy + 'static>(v: T) -> U {
-        debug_assert_eq!(TypeId::of::<T>(), TypeId::of::<U>(), "cast: type mismatch");
-        // Safety: caller matched the TypeIds; identical layout.
-        unsafe { *core::ptr::from_ref(&v).cast::<U>() }
-    }
-
-    /// Generates the four lane kernels for one precision. Masks are
+    /// Generates the lane kernels for one precision. Masks are
     /// full-width all-ones/all-zero vectors (`blendv` keys on the sign
     /// bit, which all-ones sets); live-lane masks are rebuilt per
     /// column from lane state, `w != 0` masks come from an unordered
@@ -1604,7 +1263,7 @@ mod x86 {
             $add:ident, $sub:ident, $mul:ident, $div:ident, $sqrt:ident,
             $fmadd:ident, $blendv:ident, $and:ident, $andnot:ident, $xor:ident,
             $cmp:ident, $movemask:ident,
-            $potrf:ident, $gemm:ident, $syrk:ident, $trsm:ident,
+            $potrf:ident,
             $pack:ident, $unpack:ident, $fused:ident
         ) => {
             /// Pack → factor → unpack for one full uniform group in a
@@ -1870,142 +1529,6 @@ mod x86 {
                     }
                 }
             }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $gemm(
-                m: usize,
-                n: usize,
-                k: usize,
-                alpha: $ty,
-                a: &[$ty],
-                b: &[$ty],
-                beta: $ty,
-                c: &mut [$ty],
-            ) {
-                // SAFETY: fn contract — `a`, `b`, `c` are interleaved m×k, k×n,
-                // m×n groups, so each `(col·rows + row)·L` offset below is an
-                // in-bounds L-wide access.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-                    let zero = $setzero();
-                    let alv = $set1(alpha);
-                    let bev = $set1(beta);
-                    for j in 0..n {
-                        if beta == 0.0 {
-                            for i in 0..m {
-                                $storeu(cp.add((j * m + i) * L), zero);
-                            }
-                        } else if beta != 1.0 {
-                            for i in 0..m {
-                                let v = $loadu(cp.add((j * m + i) * L));
-                                $storeu(cp.add((j * m + i) * L), $mul(v, bev));
-                            }
-                        }
-                        if alpha == 0.0 {
-                            continue;
-                        }
-                        for t in 0..k {
-                            let w = $mul(alv, $loadu(bp.add((t * n + j) * L)));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            for i in 0..m {
-                                let cv = $loadu(cp.add((j * m + i) * L));
-                                let av = $loadu(ap.add((t * m + i) * L));
-                                let r = $fmadd(w, av, cv);
-                                $storeu(cp.add((j * m + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $syrk(n: usize, k: usize, alpha: $ty, a: &[$ty], beta: $ty, c: &mut [$ty]) {
-                // SAFETY: fn contract — `a` is an interleaved n×k group and `c` an
-                // n×n group; all offsets `(j·n + i)·L` with i, j < n (and `(t·n +
-                // j)·L` with t < k) are in-bounds L-wide accesses.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, cp) = (a.as_ptr(), c.as_mut_ptr());
-                    let zero = $setzero();
-                    let alv = $set1(alpha);
-                    let bev = $set1(beta);
-                    for j in 0..n {
-                        if beta == 0.0 {
-                            for i in j..n {
-                                $storeu(cp.add((j * n + i) * L), zero);
-                            }
-                        } else if beta != 1.0 {
-                            for i in j..n {
-                                let v = $loadu(cp.add((j * n + i) * L));
-                                $storeu(cp.add((j * n + i) * L), $mul(v, bev));
-                            }
-                        }
-                    }
-                    if alpha == 0.0 || k == 0 {
-                        return;
-                    }
-                    for t in 0..k {
-                        for j in 0..n {
-                            let w = $mul(alv, $loadu(ap.add((t * n + j) * L)));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            for i in j..n {
-                                let cv = $loadu(cp.add((j * n + i) * L));
-                                let av = $loadu(ap.add((t * n + i) * L));
-                                let r = $fmadd(w, av, cv);
-                                $storeu(cp.add((j * n + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $trsm(m: usize, n: usize, a: &[$ty], b: &mut [$ty]) {
-                // SAFETY: fn contract — `a` is an interleaved n×n group and `b` an
-                // m×n group; offsets `(j·n + j)·L` and `(j·m + i)·L` with the loop
-                // bounds below are in-bounds L-wide accesses.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, bp) = (a.as_ptr(), b.as_mut_ptr());
-                    let zero = $setzero();
-                    let neg0 = $set1(-0.0);
-                    for j in 0..n {
-                        for t in 0..j {
-                            let w = $loadu(ap.add((t * n + j) * L));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            let nw = $xor(w, neg0);
-                            for i in 0..m {
-                                let cv = $loadu(bp.add((j * m + i) * L));
-                                let av = $loadu(bp.add((t * m + i) * L));
-                                let r = $fmadd(nw, av, cv);
-                                $storeu(bp.add((j * m + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                        let ajj = $loadu(ap.add((j * n + j) * L));
-                        for i in 0..m {
-                            let cv = $loadu(bp.add((j * m + i) * L));
-                            $storeu(bp.add((j * m + i) * L), $div(cv, ajj));
-                        }
-                    }
-                }
-            }
         };
     }
 
@@ -2030,9 +1553,6 @@ mod x86 {
         _mm256_cmp_pd,
         _mm256_movemask_pd,
         potrf_f64,
-        gemm_nt_f64,
-        syrk_ln_f64,
-        trsm_rlt_f64,
         pack_group_f64,
         unpack_group_f64,
         potrf_group_f64
@@ -2059,9 +1579,6 @@ mod x86 {
         _mm256_cmp_ps,
         _mm256_movemask_ps,
         potrf_f32,
-        gemm_nt_f32,
-        syrk_ln_f32,
-        trsm_rlt_f32,
         pack_group_f32,
         unpack_group_f32,
         potrf_group_f32
@@ -2357,44 +1874,6 @@ mod tests {
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(gb, wb, "lane {l} not bit-identical");
         }
-    }
-
-    #[test]
-    fn lane_blas_kernels_match_dispatch() {
-        use crate::gen::rand_mat;
-        let mut rng = seeded_rng(21);
-        let lanes = lane_count::<f64>();
-        let (m, n, k) = (6usize, 5usize, 4usize);
-        let a = rand_mat::<f64>(&mut rng, interleaved_len(m, k, lanes));
-        let b = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let c0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut c1 = c0.clone();
-        let mut c2 = c0.clone();
-        gemm_nt_lanes(m, n, k, 1.5, &a, &b, -0.5, &mut c1);
-        gemm_nt_lanes_portable(m, n, k, 1.5, &a, &b, -0.5, &mut c2);
-        assert_eq!(c1, c2);
-
-        let sa = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let s0 = rand_mat::<f64>(&mut rng, interleaved_len(n, n, lanes));
-        let mut s1 = s0.clone();
-        let mut s2 = s0.clone();
-        syrk_ln_lanes(n, k, -1.0, &sa, 1.0, &mut s1);
-        syrk_ln_lanes_portable(n, k, -1.0, &sa, 1.0, &mut s2);
-        assert_eq!(s1, s2);
-
-        let mut ta = rand_mat::<f64>(&mut rng, interleaved_len(n, n, lanes));
-        for l in 0..lanes {
-            for j in 0..n {
-                let d = lane_index(n, lanes, j, j, l);
-                ta[d] = 2.0 + ta[d].abs();
-            }
-        }
-        let t0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut t1 = t0.clone();
-        let mut t2 = t0.clone();
-        trsm_rlt_lanes(m, n, &ta, &mut t1);
-        trsm_rlt_lanes_portable(m, n, &ta, &mut t2);
-        assert_eq!(t1, t2);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::interleave::{
-    gemm_nt_lanes, interleaved_len, lane_count, lane_index, pack_lanes, potrf_lanes, unpack_lane,
+    interleaved_len, lane_count, lane_index, pack_lanes, potrf_lanes, unpack_lane,
 };
-use vbatch_dense::level3::tier;
-use vbatch_dense::{potf2, MatMut, MatRef, Trans, Uplo};
+use vbatch_dense::{potf2, MatMut, MatRef, Uplo};
 
 /// Packs square per-lane matrices (`sizes[l]` each) into a fresh group
 /// buffer of extent `m`.
@@ -104,52 +103,6 @@ proptest! {
             // state (factors, or partial factors + untouched tail)
             // matches the scalar tier bit-for-bit.
             prop_assert_eq!(gb, wb, "lane {} state diverged", l);
-        }
-    }
-
-    #[test]
-    fn lane_gemm_bitwise_matches_scalar_tier(
-        m in 1usize..9, n in 1usize..9, k in 1usize..9,
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        beta_zero in 0usize..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = seeded_rng(seed);
-        let lanes = lane_count::<f64>();
-        let beta = if beta_zero == 1 { 0.0 } else { beta };
-        let a = rand_mat::<f64>(&mut rng, interleaved_len(m, k, lanes));
-        let b = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let c0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut c = c0.clone();
-        gemm_nt_lanes(m, n, k, alpha, &a, &b, beta, &mut c);
-        for l in 0..lanes {
-            // De-interleave this lane's operands and run the scalar
-            // slice tier on them.
-            let grab = |buf: &[f64], rows: usize, cols: usize| -> Vec<f64> {
-                let mut v = vec![0.0f64; rows * cols];
-                for j in 0..cols {
-                    for i in 0..rows {
-                        v[i + j * rows] = buf[lane_index(rows, lanes, i, j, l)];
-                    }
-                }
-                v
-            };
-            let al = grab(&a, m, k);
-            let bl = grab(&b, n, k);
-            let mut cl = grab(&c0, m, n);
-            tier::gemm_small(
-                Trans::NoTrans,
-                Trans::Trans,
-                alpha,
-                MatRef::from_slice(&al, m, k, m),
-                MatRef::from_slice(&bl, n, k, n),
-                beta,
-                MatMut::from_slice(&mut cl, m, n, m),
-            );
-            let got = grab(&c, m, n);
-            let wb: Vec<u64> = cl.iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(gb, wb, "lane {} gemm diverged", l);
         }
     }
 }

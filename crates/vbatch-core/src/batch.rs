@@ -399,6 +399,81 @@ impl<T: Scalar> VBatch<T> {
     }
 }
 
+/// Device-resident per-matrix output storage — one arena holding `per`
+/// slots for each matrix plus the device array of per-matrix pointers
+/// into it. The one implementation behind [`crate::lu::PivotArray`]
+/// (`i32` pivots) and [`crate::qr::TauArray`] (Householder scalars).
+pub(crate) struct PerMatrixArray<T> {
+    arena: DeviceBuffer<T>,
+    d_ptrs: DeviceBuffer<DevicePtr<T>>,
+    per: usize,
+}
+
+impl<T: Copy + Default> PerMatrixArray<T> {
+    /// Allocates storage for `count` matrices of up to `max_k` slots
+    /// each.
+    pub(crate) fn alloc(dev: &Device, count: usize, max_k: usize) -> Result<Self, VbatchError> {
+        let mut slot = None;
+        Self::ensure(&mut slot, dev, count, max_k)?;
+        Ok(slot.expect("ensure fills an empty slot"))
+    }
+
+    /// Ensures `slot` holds storage covering `count × max_k`, reusing
+    /// the existing arena and pointer array when they are large enough
+    /// (re-slicing the pointer table for the new stride). Grows never
+    /// shrink: a grow carries the old capacity forward, so once a slot
+    /// has seen every shape in a rotation, further calls are
+    /// device-alloc-free — the sharded getrf path relies on that.
+    pub(crate) fn ensure(
+        slot: &mut Option<Self>,
+        dev: &Device,
+        count: usize,
+        max_k: usize,
+    ) -> Result<(), VbatchError> {
+        let per = max_k.max(1);
+        let fits = slot
+            .as_ref()
+            .is_some_and(|p| p.arena.len() >= count * per && p.d_ptrs.len() >= count);
+        if !fits {
+            // Taking the slot releases the undersized storage before
+            // growing.
+            let (have_arena, have_ptrs) = slot
+                .take()
+                .map_or((0, 0), |p| (p.arena.len(), p.d_ptrs.len()));
+            let arena = dev.alloc((count * per).max(have_arena))?;
+            let d_ptrs = dev.alloc(count.max(have_ptrs))?;
+            *slot = Some(Self { arena, d_ptrs, per });
+        }
+        let p = slot.as_mut().expect("filled above");
+        p.per = per;
+        let ptrs: Vec<DevicePtr<T>> = (0..count)
+            .map(|i| p.arena.ptr().offset(i * per).truncate(per))
+            .collect();
+        p.d_ptrs.fill_from_host(&ptrs);
+        Ok(())
+    }
+
+    /// Device array of per-matrix pointers.
+    pub(crate) fn d_ptrs(&self) -> DevicePtr<DevicePtr<T>> {
+        self.d_ptrs.ptr()
+    }
+
+    /// Reads matrix `i`'s first `k` slots — only that extent, not the
+    /// arena.
+    ///
+    /// # Panics
+    /// If `[i·per, i·per + k)` runs past the arena.
+    pub(crate) fn read(&self, i: usize, k: usize) -> impl Iterator<Item = T> + '_ {
+        let start = i * self.per;
+        assert!(
+            start + k <= self.arena.len(),
+            "matrix {i}'s first {k} slots run past the arena"
+        );
+        let p = self.arena.ptr().offset(start);
+        (0..k).map(move |j| p.get(j))
+    }
+}
+
 /// Column-major extent of an `m × n` matrix with leading dimension `ld`.
 #[must_use]
 pub fn extent(m: usize, n: usize, ld: usize) -> usize {
@@ -548,5 +623,47 @@ mod tests {
         assert_eq!(extent(0, 5, 0), 0);
         assert_eq!(extent(4, 0, 4), 0);
         assert_eq!(extent(4, 4, 4), 16);
+    }
+
+    /// `download(i, k)` returns exactly the `k`-slot extent a
+    /// whole-arena read would slice out, at the first, a middle and the
+    /// last matrix of a 64-matrix arena — through both public wrappers.
+    #[test]
+    fn pivot_and_tau_download_match_a_whole_arena_read() {
+        use crate::lu::PivotArray;
+        use crate::qr::TauArray;
+        let d = dev();
+        let (count, per) = (64usize, 65usize);
+        let piv = PivotArray::alloc(&d, count, per).unwrap();
+        let tau = TauArray::<f64>::alloc(&d, count, per).unwrap();
+        let ints: Vec<i32> = (0..(count * per) as i32).collect();
+        piv.0.arena.fill_from_host(&ints);
+        let reals: Vec<f64> = ints.iter().map(|&v| f64::from(v) + 0.5).collect();
+        tau.0.arena.fill_from_host(&reals);
+        let (all_piv, all_tau) = (piv.0.arena.read_to_host(), tau.0.arena.read_to_host());
+        for i in [0, count / 2, count - 1] {
+            for k in [1usize, 33, 65] {
+                let want = i * per..i * per + k;
+                let want_piv: Vec<usize> =
+                    all_piv[want.clone()].iter().map(|&v| v as usize).collect();
+                assert_eq!(
+                    piv.download(i, k),
+                    want_piv,
+                    "pivots of matrix {i}, k = {k}"
+                );
+                assert_eq!(
+                    tau.download(i, k),
+                    &all_tau[want],
+                    "tau of matrix {i}, k = {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run past the arena")]
+    fn download_past_the_arena_panics_in_every_profile() {
+        let piv = crate::lu::PivotArray::alloc(&dev(), 4, 8).unwrap();
+        let _ = piv.download(3, 9);
     }
 }

@@ -10,7 +10,7 @@
 //! (§IV-C), keyed on the *maximum* size in the batch (§IV-E).
 
 use vbatch_dense::{Scalar, Uplo};
-use vbatch_gpu_sim::{Device, DevicePtr};
+use vbatch_gpu_sim::Device;
 
 use crate::aux::compute_imax_pooled;
 use crate::etm::EtmPolicy;
@@ -608,13 +608,6 @@ fn run_separated<T: Scalar>(
         j += nb_panel;
     }
     Ok(())
-}
-
-/// Convenience: the identity index array (no indirection) for direct
-/// fused-step launches.
-#[must_use]
-pub fn no_indices() -> DevicePtr<i32> {
-    DevicePtr::null()
 }
 
 #[cfg(test)]

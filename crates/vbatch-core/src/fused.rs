@@ -337,9 +337,8 @@ pub fn potrf_fused_step<T: Scalar>(
 /// loop. At 32 the per-matrix tiers still cannot fill SIMD lanes (the
 /// whole matrix is smaller than one register tile), the `m² · L`
 /// lane-group tile stays within one block's shared memory in both
-/// precisions, and the host A/B in
-/// `BENCH_kernels.json["batched_small"]` shows the cross-matrix path
-/// ahead across the whole range.
+/// precisions, and a host A/B of the two paths (DESIGN.md §6d) shows
+/// the cross-matrix path ahead across the whole range.
 ///
 /// This is the single source of truth only as a *default*: the value
 /// lives in [`vbatch_dense::tune::TileScheme::DEFAULT`] (`ilv_cutoff`)

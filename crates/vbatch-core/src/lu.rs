@@ -17,6 +17,7 @@
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
+use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_flops, charge_read, charge_write, kname, mat_mut, round_to_warp};
 use crate::recover::{
@@ -37,11 +38,7 @@ fn lu_step_kname() -> &'static str {
 }
 
 /// Device-resident pivot storage: `max_k` slots per matrix.
-pub struct PivotArray {
-    arena: DeviceBuffer<i32>,
-    d_ptrs: DeviceBuffer<DevicePtr<i32>>,
-    per: usize,
-}
+pub struct PivotArray(pub(crate) PerMatrixArray<i32>);
 
 impl PivotArray {
     /// Allocates pivot storage for `count` matrices of up to `max_k`
@@ -50,22 +47,10 @@ impl PivotArray {
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
     pub fn alloc(dev: &Device, count: usize, max_k: usize) -> Result<Self, VbatchError> {
-        let per = max_k.max(1);
-        let arena: DeviceBuffer<i32> = dev.alloc(count * per)?;
-        let ptrs: Vec<DevicePtr<i32>> = (0..count)
-            .map(|i| arena.ptr().offset(i * per).truncate(per))
-            .collect();
-        let d_ptrs = dev.alloc(count)?;
-        d_ptrs.fill_from_host(&ptrs);
-        Ok(Self { arena, d_ptrs, per })
+        PerMatrixArray::alloc(dev, count, max_k).map(Self)
     }
 
-    /// Ensures `slot` holds pivot storage covering `count × max_k`,
-    /// reusing the existing arena and pointer array when they are large
-    /// enough (re-slicing the pointer table for the new stride). Grows
-    /// never shrink: a grow carries the old capacity forward, so once a
-    /// slot has seen every shape in a rotation, further calls are
-    /// device-alloc-free — the sharded getrf path relies on that.
+    /// [`PerMatrixArray::ensure`] on a pivot slot.
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when a grow is needed and device memory is
@@ -76,42 +61,22 @@ impl PivotArray {
         count: usize,
         max_k: usize,
     ) -> Result<(), VbatchError> {
-        let per = max_k.max(1);
-        let (have_arena, have_ptrs) = slot
-            .as_ref()
-            .map_or((0, 0), |p| (p.arena.len(), p.d_ptrs.len()));
-        if have_arena < count * per || have_ptrs < count {
-            let grow_arena = (count * per).max(have_arena);
-            let grow_ptrs = count.max(have_ptrs);
-            // Release the undersized storage before growing.
-            *slot = None;
-            let arena: DeviceBuffer<i32> = dev.alloc(grow_arena)?;
-            let d_ptrs: DeviceBuffer<DevicePtr<i32>> = dev.alloc(grow_ptrs)?;
-            *slot = Some(Self { arena, d_ptrs, per });
-        }
-        let p = slot.as_mut().expect("filled above");
-        p.per = per;
-        let ptrs: Vec<DevicePtr<i32>> = (0..count)
-            .map(|i| p.arena.ptr().offset(i * per).truncate(per))
-            .collect();
-        p.d_ptrs.fill_from_host(&ptrs);
-        Ok(())
+        let mut inner = slot.take().map(|p| p.0);
+        let grown = PerMatrixArray::ensure(&mut inner, dev, count, max_k);
+        *slot = inner.map(Self);
+        grown
     }
 
     /// Device array of per-matrix pivot pointers.
     #[must_use]
     pub fn d_ptrs(&self) -> DevicePtr<DevicePtr<i32>> {
-        self.d_ptrs.ptr()
+        self.0.d_ptrs()
     }
 
     /// Downloads matrix `i`'s first `k` pivots as zero-based row indices.
     #[must_use]
     pub fn download(&self, i: usize, k: usize) -> Vec<usize> {
-        let all = self.arena.read_to_host();
-        all[i * self.per..i * self.per + k]
-            .iter()
-            .map(|&v| v as usize)
-            .collect()
+        self.0.read(i, k).map(|v| v as usize).collect()
     }
 }
 

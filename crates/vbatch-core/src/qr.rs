@@ -13,6 +13,7 @@
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, Dim3, LaunchConfig};
 
+use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref, round_to_warp,
@@ -24,11 +25,7 @@ use crate::report::{BatchReport, VbatchError};
 use crate::VBatch;
 
 /// Device-resident Householder scalar storage (`max_k` per matrix).
-pub struct TauArray<T> {
-    arena: DeviceBuffer<T>,
-    d_ptrs: DeviceBuffer<DevicePtr<T>>,
-    per: usize,
-}
+pub struct TauArray<T>(pub(crate) PerMatrixArray<T>);
 
 impl<T: Scalar> TauArray<T> {
     /// Allocates `tau` storage for `count` matrices of up to `max_k`
@@ -37,27 +34,19 @@ impl<T: Scalar> TauArray<T> {
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
     pub fn alloc(dev: &Device, count: usize, max_k: usize) -> Result<Self, VbatchError> {
-        let per = max_k.max(1);
-        let arena: DeviceBuffer<T> = dev.alloc(count * per)?;
-        let ptrs: Vec<DevicePtr<T>> = (0..count)
-            .map(|i| arena.ptr().offset(i * per).truncate(per))
-            .collect();
-        let d_ptrs = dev.alloc(count)?;
-        d_ptrs.fill_from_host(&ptrs);
-        Ok(Self { arena, d_ptrs, per })
+        PerMatrixArray::alloc(dev, count, max_k).map(Self)
     }
 
     /// Device array of per-matrix `tau` pointers.
     #[must_use]
     pub fn d_ptrs(&self) -> DevicePtr<DevicePtr<T>> {
-        self.d_ptrs.ptr()
+        self.0.d_ptrs()
     }
 
     /// Downloads matrix `i`'s first `k` Householder scalars.
     #[must_use]
     pub fn download(&self, i: usize, k: usize) -> Vec<T> {
-        let all = self.arena.read_to_host();
-        all[i * self.per..i * self.per + k].to_vec()
+        self.0.read(i, k).collect()
     }
 }
 

@@ -52,7 +52,7 @@ use crate::fused::tuned_nb;
 use crate::host::{potrf_batch_host, HostCostModel, HostEngine, HostState};
 use crate::lu::{getrf_vbatched_pooled, GetrfOptions, PivotArray};
 use crate::recover::{fault_events_start, with_retry, RecoveryPolicy, RecoveryReport};
-use crate::report::VbatchError;
+use crate::report::{BatchReport, VbatchError};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
 
@@ -508,9 +508,25 @@ fn charge_pipeline_stalls(group: &DeviceGroup, n_dev: usize, stats: &mut DriveSt
     }
 }
 
+/// A device peer's account of one shard execution: compute measured
+/// on the device clock around `run`, transfer bytes converted through
+/// the device's PCIe model.
+fn device_peer_io(
+    dev: &Device,
+    run: impl FnOnce() -> Result<ShardIo, VbatchError>,
+) -> Result<PeerIo, VbatchError> {
+    let t0 = dev.now();
+    let io = run()?;
+    Ok(PeerIo {
+        upload_s: dev.transfer_seconds(io.upload_bytes),
+        compute_s: dev.now() - t0,
+        download_s: dev.transfer_seconds(io.download_bytes),
+        flops: io.flops,
+    })
+}
+
 /// Device-only event loop: [`drive_peers`] with every peer a device of
-/// `group`, compute measured on the device clock and transfer bytes
-/// converted through the device's PCIe model.
+/// `group`.
 fn drive_shards<T: Scalar, F>(
     group: &DeviceGroup,
     shards: Vec<Shard>,
@@ -526,14 +542,7 @@ where
     let devices = &mut state.devices;
     let mut stats = drive_peers(n_dev, shards, opts.steal, |d, shard| {
         let dev = group.device(d);
-        let t0 = dev.now();
-        let io = run_one(dev, &mut devices[d], shard)?;
-        Ok(PeerIo {
-            upload_s: dev.transfer_seconds(io.upload_bytes),
-            compute_s: dev.now() - t0,
-            download_s: dev.transfer_seconds(io.download_bytes),
-            flops: io.flops,
-        })
+        device_peer_io(dev, || run_one(dev, &mut devices[d], shard))
     })?;
     charge_pipeline_stalls(group, n_dev, &mut stats);
     Ok(stats)
@@ -606,54 +615,14 @@ fn merge_recovery(global: &mut RecoveryReport, local: RecoveryReport, indices: &
     global.injected.extend(local.injected);
 }
 
-fn finalize(
-    group: &DeviceGroup,
-    info: Vec<i32>,
-    mut recovery: RecoveryReport,
-    state: &ShardedState<impl Scalar>,
-    stats: DriveStats,
-) -> ShardedReport {
-    recovery.quarantined.sort_unstable();
-    let makespan_s = group.barrier();
-    let hidden: f64 = stats
-        .timelines
-        .iter()
-        .map(|t| (t.serial_s() - t.total_s()).max(0.0))
-        .sum();
-    let transfer: f64 = stats
-        .timelines
-        .iter()
-        .map(CopyComputeTimeline::transfer_busy_s)
-        .sum();
-    let overlap_efficiency = if transfer > 0.0 {
-        (hidden / transfer).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-    let mut per_device = stats.per_device;
-    for (d, rec) in per_device.iter_mut().enumerate() {
-        rec.pool_high_water_bytes = state.devices[d].pools.high_water_bytes();
-    }
-    ShardedReport {
-        info,
-        recovery,
-        makespan_s,
-        energy_j: group.total_energy_j(),
-        steals: stats.steals,
-        overlap_efficiency,
-        per_device,
-        host: None,
-    }
-}
-
-/// [`finalize`] for a hybrid run: the last peer entry of `stats` is the
-/// host. Devices are pulled to the *overall* makespan (idle-power
+/// Aggregates the event loop's outcome into the merged report. With a
+/// `host` peer (a hybrid run) the last peer entry of `stats` is the
+/// host: devices are pulled to the *overall* makespan (idle-power
 /// waits), host energy is charged through the cost model, and the host
 /// record lands in [`ShardedReport::host`].
-fn finalize_hybrid(
+fn finalize(
     group: &DeviceGroup,
-    engine: &HostEngine,
-    host_model: &HostCostModel,
+    host: Option<(&HostEngine, &HostCostModel)>,
     info: Vec<i32>,
     mut recovery: RecoveryReport,
     state: &ShardedState<impl Scalar>,
@@ -661,21 +630,29 @@ fn finalize_hybrid(
 ) -> ShardedReport {
     recovery.quarantined.sort_unstable();
     let n_dev = group.len();
-    let host_stats = stats.per_device.remove(n_dev);
-    let host_timeline = stats.timelines.remove(n_dev);
-    let host_busy = host_timeline.compute_busy_s();
-
-    let dev_makespan = group.barrier();
-    let makespan_s = dev_makespan.max(host_timeline.total_s());
-    // Devices that beat the host wait for it at idle power.
-    for d in group.devices() {
-        let wait = makespan_s - d.now();
-        if wait > 0.0 {
-            d.advance_time(wait, 0.0);
+    let mut makespan_s = group.barrier();
+    let host = host.map(|(engine, host_model)| {
+        let rec = stats.per_device.remove(n_dev);
+        let timeline = stats.timelines.remove(n_dev);
+        let busy_s = timeline.compute_busy_s();
+        makespan_s = makespan_s.max(timeline.total_s());
+        // Devices that beat the host wait for it at idle power.
+        for d in group.devices() {
+            let wait = makespan_s - d.now();
+            if wait > 0.0 {
+                d.advance_time(wait, 0.0);
+            }
         }
-    }
-    let host_energy = host_model.energy_j(host_busy, makespan_s - host_busy);
-
+        HostPeerReport {
+            threads: engine.threads(),
+            shards: rec.shards,
+            stolen: rec.stolen,
+            matrices: rec.matrices,
+            flops: rec.flops,
+            busy_s,
+            energy_j: host_model.energy_j(busy_s, makespan_s - busy_s),
+        }
+    });
     let hidden: f64 = stats
         .timelines
         .iter()
@@ -699,20 +676,40 @@ fn finalize_hybrid(
         info,
         recovery,
         makespan_s,
-        energy_j: group.total_energy_j() + host_energy,
+        energy_j: group.total_energy_j() + host.as_ref().map_or(0.0, |h| h.energy_j),
         steals: stats.steals,
         overlap_efficiency,
         per_device,
-        host: Some(HostPeerReport {
-            threads: engine.threads(),
-            shards: host_stats.shards,
-            stolen: host_stats.stolen,
-            matrices: host_stats.matrices,
-            flops: host_stats.flops,
-            busy_s: host_busy,
-            energy_j: host_energy,
-        }),
+        host,
     }
+}
+
+/// The caller's arrays, in global order, that every shard execution
+/// reads its matrices from and merges its results back into.
+struct Workload<'a, T> {
+    sizes: &'a [usize],
+    mats: &'a mut [Vec<T>],
+    info: &'a mut [i32],
+    recovery: &'a mut RecoveryReport,
+}
+
+/// Rejects `mats` that disagree with `sizes`.
+fn check_workload<T>(sizes: &[usize], mats: &[Vec<T>]) -> Result<(), VbatchError> {
+    if mats.len() != sizes.len() {
+        return Err(VbatchError::InvalidArgument(
+            "sharded drivers: sizes and mats must have the same length",
+        ));
+    }
+    if sizes
+        .iter()
+        .zip(mats)
+        .any(|(&n, m)| m.len() != extent(n, n, n))
+    {
+        return Err(VbatchError::InvalidArgument(
+            "sharded drivers: mats[i] must hold sizes[i]² elements",
+        ));
+    }
+    Ok(())
 }
 
 /// Multi-device variable-size batched Cholesky: shards `mats` (global
@@ -734,20 +731,7 @@ pub fn potrf_sharded<T: Scalar>(
     shard_opts: &ShardOpts,
     state: &mut ShardedState<T>,
 ) -> Result<ShardedReport, VbatchError> {
-    if mats.len() != sizes.len() {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_sharded: sizes and mats must have the same length",
-        ));
-    }
-    if sizes
-        .iter()
-        .zip(mats.iter())
-        .any(|(&n, m)| m.len() != extent(n, n, n))
-    {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_sharded: mats[i] must hold sizes[i]² elements",
-        ));
-    }
+    check_workload(sizes, mats)?;
     let global_max = sizes.iter().copied().max().unwrap_or(0);
     let norm = normalized_options::<T>(group.device(0), opts, global_max);
     let shards = plan_shards::<T>(
@@ -759,66 +743,85 @@ pub fn potrf_sharded<T: Scalar>(
 
     let mut info = vec![0i32; sizes.len()];
     let mut recovery = RecoveryReport::default();
-    let stats = {
-        let info = &mut info;
-        let recovery = &mut recovery;
-        let mats = &mut *mats;
-        drive_shards(
-            group,
-            shards,
-            state,
-            shard_opts,
-            move |dev, dstate, shard| {
-                run_potrf_shard_on_device(dev, dstate, shard, sizes, mats, info, recovery, &norm)
-            },
-        )?
+    let mut w = Workload {
+        sizes,
+        mats,
+        info: &mut info,
+        recovery: &mut recovery,
     };
-    Ok(finalize(group, info, recovery, state, stats))
+    let stats = drive_shards(group, shards, state, shard_opts, |dev, dstate, shard| {
+        run_potrf_shard(dev, dstate, shard, &mut w, &norm)
+    })?;
+    Ok(finalize(group, None, info, recovery, state, stats))
 }
 
-/// Executes one Cholesky shard on a device: pooled batch build, upload,
-/// driver run, download, recovery merge. Shared by [`potrf_sharded`]
-/// and [`potrf_hybrid`].
-#[allow(clippy::too_many_arguments)]
-fn run_potrf_shard_on_device<T: Scalar>(
+/// Executes one shard on a device: pooled batch build, upload, `factor`
+/// (the driver call), download, recovery merge. `matrix_flops` is the
+/// useful flop count of one order-`n` factorization.
+fn run_shard_on_device<T: Scalar>(
     dev: &Device,
     dstate: &mut DeviceState<T>,
     shard: &Shard,
-    sizes: &[usize],
-    mats: &mut [Vec<T>],
-    info: &mut [i32],
-    recovery: &mut RecoveryReport,
-    norm: &PotrfOptions,
+    w: &mut Workload<'_, T>,
+    pol: &RecoveryPolicy,
+    matrix_flops: fn(usize) -> f64,
+    factor: impl FnOnce(
+        &Device,
+        &mut VBatch<T>,
+        &mut DeviceState<T>,
+    ) -> Result<BatchReport, VbatchError>,
 ) -> Result<ShardIo, VbatchError> {
-    let shard_sizes: Vec<usize> = shard.indices.iter().map(|&gi| sizes[gi]).collect();
+    let shard_sizes: Vec<usize> = shard.indices.iter().map(|&gi| w.sizes[gi]).collect();
     let ev_start = fault_events_start(dev);
     let mut local = RecoveryReport::default();
     let (mut vb, upload_bytes) = build_shard_batch(
         dev,
         &mut dstate.pools,
-        &norm.recovery,
+        pol,
         &mut local,
         &shard_sizes,
         &shard.indices,
-        mats,
+        w.mats,
     )?;
-    let shard_max = shard_sizes.iter().copied().max().unwrap_or(0);
-    let report = potrf_vbatched_max_ws(dev, &mut vb, shard_max, norm, &mut dstate.ws)?;
+    let report = factor(dev, &mut vb, dstate)?;
     collect_pre_driver_events(dev, ev_start, report.recovery.injected.len(), &mut local);
     let mut download_bytes = 0;
     for (k, &gi) in shard.indices.iter().enumerate() {
-        mats[gi] = vb.download_matrix(k);
-        download_bytes += mats[gi].len() * std::mem::size_of::<T>();
-        info[gi] = report.info[k];
+        w.mats[gi] = vb.download_matrix(k);
+        download_bytes += w.mats[gi].len() * std::mem::size_of::<T>();
+        w.info[gi] = report.info[k];
     }
-    merge_recovery(recovery, local, &shard.indices);
-    merge_recovery(recovery, report.recovery, &shard.indices);
+    merge_recovery(w.recovery, local, &shard.indices);
+    merge_recovery(w.recovery, report.recovery, &shard.indices);
     vb.reclaim(&mut dstate.pools);
     Ok(ShardIo {
         upload_bytes,
         download_bytes,
-        flops: flops::potrf_batch(&shard_sizes),
+        flops: shard_sizes.iter().map(|&n| matrix_flops(n)).sum(),
     })
+}
+
+/// [`run_shard_on_device`] with the Cholesky driver as the factor call.
+/// Shared by [`potrf_sharded`] and [`potrf_hybrid`].
+fn run_potrf_shard<T: Scalar>(
+    dev: &Device,
+    dstate: &mut DeviceState<T>,
+    shard: &Shard,
+    w: &mut Workload<'_, T>,
+    norm: &PotrfOptions,
+) -> Result<ShardIo, VbatchError> {
+    run_shard_on_device(
+        dev,
+        dstate,
+        shard,
+        w,
+        &norm.recovery,
+        flops::potrf,
+        |dev, vb, dstate| {
+            let shard_max = vb.max_rows();
+            potrf_vbatched_max_ws(dev, vb, shard_max, norm, &mut dstate.ws)
+        },
+    )
 }
 
 /// Cooperative CPU + GPU variable-size batched Cholesky: the host
@@ -851,20 +854,7 @@ pub fn potrf_hybrid<T: Scalar>(
     state: &mut ShardedState<T>,
     host_state: &mut HostState<T>,
 ) -> Result<ShardedReport, VbatchError> {
-    if mats.len() != sizes.len() {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_hybrid: sizes and mats must have the same length",
-        ));
-    }
-    if sizes
-        .iter()
-        .zip(mats.iter())
-        .any(|(&n, m)| m.len() != extent(n, n, n))
-    {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_hybrid: mats[i] must hold sizes[i]² elements",
-        ));
-    }
+    check_workload(sizes, mats)?;
     let global_max = sizes.iter().copied().max().unwrap_or(0);
     let norm = normalized_options::<T>(group.device(0), opts, global_max);
     if norm.strategy != Strategy::Fused {
@@ -885,48 +875,46 @@ pub fn potrf_hybrid<T: Scalar>(
 
     let mut info = vec![0i32; sizes.len()];
     let mut recovery = RecoveryReport::default();
-    let mut stats = {
-        let info = &mut info;
-        let recovery = &mut recovery;
-        let mats = &mut *mats;
-        state.ensure(n_dev);
-        let devices = &mut state.devices;
-        let host_state = &mut *host_state;
-        drive_peers(n_dev + 1, shards, shard_opts.steal, move |p, shard| {
-            if p < n_dev {
-                let dev = group.device(p);
-                let t0 = dev.now();
-                let io = run_potrf_shard_on_device(
-                    dev,
-                    &mut devices[p],
-                    shard,
-                    sizes,
-                    mats,
-                    info,
-                    recovery,
-                    &norm,
-                )?;
-                Ok(PeerIo {
-                    upload_s: dev.transfer_seconds(io.upload_bytes),
-                    compute_s: dev.now() - t0,
-                    download_s: dev.transfer_seconds(io.download_bytes),
-                    flops: io.flops,
-                })
-            } else {
-                let flops =
-                    potrf_batch_host(engine, sizes, mats, &shard.indices, &norm, host_state, info)?;
-                Ok(PeerIo {
-                    upload_s: 0.0,
-                    compute_s: host_model.shard_cost_s(sizes, &shard.indices),
-                    download_s: 0.0,
-                    flops,
-                })
-            }
-        })?
+    let mut w = Workload {
+        sizes,
+        mats,
+        info: &mut info,
+        recovery: &mut recovery,
     };
+    state.ensure(n_dev);
+    let devices = &mut state.devices;
+    let mut stats = drive_peers(n_dev + 1, shards, shard_opts.steal, |p, shard| {
+        if p < n_dev {
+            let dev = group.device(p);
+            device_peer_io(dev, || {
+                run_potrf_shard(dev, &mut devices[p], shard, &mut w, &norm)
+            })
+        } else {
+            let flops = potrf_batch_host(
+                engine,
+                sizes,
+                w.mats,
+                &shard.indices,
+                &norm,
+                host_state,
+                w.info,
+            )?;
+            Ok(PeerIo {
+                upload_s: 0.0,
+                compute_s: host_model.shard_cost_s(sizes, &shard.indices),
+                download_s: 0.0,
+                flops,
+            })
+        }
+    })?;
     charge_pipeline_stalls(group, n_dev, &mut stats);
-    Ok(finalize_hybrid(
-        group, engine, host_model, info, recovery, state, stats,
+    Ok(finalize(
+        group,
+        Some((engine, host_model)),
+        info,
+        recovery,
+        state,
+        stats,
     ))
 }
 
@@ -947,20 +935,7 @@ pub fn getrf_sharded<T: Scalar>(
     shard_opts: &ShardOpts,
     state: &mut ShardedState<T>,
 ) -> Result<(ShardedReport, Vec<Vec<usize>>), VbatchError> {
-    if mats.len() != sizes.len() {
-        return Err(VbatchError::InvalidArgument(
-            "getrf_sharded: sizes and mats must have the same length",
-        ));
-    }
-    if sizes
-        .iter()
-        .zip(mats.iter())
-        .any(|(&n, m)| m.len() != extent(n, n, n))
-    {
-        return Err(VbatchError::InvalidArgument(
-            "getrf_sharded: mats[i] must hold sizes[i]² elements",
-        ));
-    }
+    check_workload(sizes, mats)?;
     let shards = plan_shards::<T>(
         group.device(0).config(),
         sizes,
@@ -970,61 +945,35 @@ pub fn getrf_sharded<T: Scalar>(
     let mut info = vec![0i32; sizes.len()];
     let mut pivots: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
     let mut recovery = RecoveryReport::default();
-    let stats = {
-        let info = &mut info;
-        let pivots = &mut pivots;
-        let recovery = &mut recovery;
-        let mats = &mut *mats;
-        drive_shards(
-            group,
-            shards,
-            state,
-            shard_opts,
-            move |dev, dstate, shard| {
-                let shard_sizes: Vec<usize> = shard.indices.iter().map(|&gi| sizes[gi]).collect();
-                let ev_start = fault_events_start(dev);
-                let mut local = RecoveryReport::default();
-                let (mut vb, upload_bytes) = build_shard_batch(
-                    dev,
-                    &mut dstate.pools,
-                    &opts.recovery,
-                    &mut local,
-                    &shard_sizes,
-                    &shard.indices,
-                    mats,
-                )?;
-                let report =
-                    getrf_vbatched_pooled(dev, &mut vb, opts, &mut dstate.ws, &mut dstate.pivots)?;
-                collect_pre_driver_events(
-                    dev,
-                    ev_start,
-                    report.recovery.injected.len(),
-                    &mut local,
-                );
-                let piv = dstate
-                    .pivots
-                    .as_ref()
-                    .expect("pooled getrf fills the pivot slot");
-                let mut download_bytes = 0;
-                for (k, &gi) in shard.indices.iter().enumerate() {
-                    mats[gi] = vb.download_matrix(k);
-                    download_bytes += mats[gi].len() * std::mem::size_of::<T>();
-                    pivots[gi] = piv.download(k, sizes[gi]);
-                    download_bytes += pivots[gi].len() * 4;
-                    info[gi] = report.info[k];
-                }
-                merge_recovery(recovery, local, &shard.indices);
-                merge_recovery(recovery, report.recovery, &shard.indices);
-                vb.reclaim(&mut dstate.pools);
-                Ok(ShardIo {
-                    upload_bytes,
-                    download_bytes,
-                    flops: shard_sizes.iter().map(|&n| flops::getrf(n, n)).sum(),
-                })
-            },
-        )?
+    let mut w = Workload {
+        sizes,
+        mats,
+        info: &mut info,
+        recovery: &mut recovery,
     };
-    Ok((finalize(group, info, recovery, state, stats), pivots))
+    let stats = drive_shards(group, shards, state, shard_opts, |dev, dstate, shard| {
+        let mut io = run_shard_on_device(
+            dev,
+            dstate,
+            shard,
+            &mut w,
+            &opts.recovery,
+            |n| flops::getrf(n, n),
+            |dev, vb, dstate| {
+                getrf_vbatched_pooled(dev, vb, opts, &mut dstate.ws, &mut dstate.pivots)
+            },
+        )?;
+        let piv = dstate
+            .pivots
+            .as_ref()
+            .expect("pooled getrf fills the pivot slot");
+        for (k, &gi) in shard.indices.iter().enumerate() {
+            pivots[gi] = piv.download(k, sizes[gi]);
+            io.download_bytes += pivots[gi].len() * 4;
+        }
+        Ok(io)
+    })?;
+    Ok((finalize(group, None, info, recovery, state, stats), pivots))
 }
 
 #[cfg(test)]

@@ -1,0 +1,188 @@
+//! Launched-kernel coverage: every simulator kernel the driver families
+//! actually launch must appear in the analyzer's static launch graph.
+//! A miss means a launch site whose kernel name the index failed to
+//! resolve — a hole in the VBA5xx passes (`cargo analyze`).
+//!
+//! One `#[test]` on purpose: the intern registry is process-global and
+//! append-only, and this file is its own process, so what
+//! `known_names()` returns at the end is exactly what ran here.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
+use vbatch_core::qr::{gels_vbatched, geqrf_vbatched, GeqrfOptions};
+use vbatch_core::solve::{getrs_vbatched, potri_vbatched, potrs_vbatched};
+use vbatch_core::{
+    potrf_sharded, potrf_vbatched, FusedOpts, PotrfOptions, SepOpts, ShardOpts, ShardedState,
+    Strategy, SyrkMode, VBatch,
+};
+use vbatch_dense::gen::{diag_dominant_vec, rand_mat, seeded_rng, spd_vec};
+use vbatch_dense::{Scalar, Uplo};
+use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
+use vbatch_serve::{BatchService, Op, ResponseStatus, ServeConfig};
+use vbatch_workload::fill_spd_batch;
+
+/// Runs every single-device driver family once in precision `T` on
+/// batches just large enough to reach each kernel.
+fn drive_single_device_families<T: Scalar>(dev: &Device) {
+    let mut rng = seeded_rng(0xC0DE);
+
+    // Fused step loop (every order above the pinned interleave cutoff),
+    // then the interleaved window (every order at or below it).
+    let fused = PotrfOptions {
+        strategy: Strategy::Fused,
+        fused: FusedOpts {
+            sorting: true,
+            interleave_cutoff: Some(16),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    for sizes in [[96usize, 70, 40, 83], [9, 5, 4, 3]] {
+        let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
+        fill_spd_batch(&mut batch, &sizes, &mut rng);
+        assert!(potrf_vbatched(dev, &mut batch, &fused).unwrap().all_ok());
+    }
+
+    // Separated path: both trailing-update modes, both triangles; the
+    // factors feed the solve/inverse kernels.
+    let sizes = [100usize, 40, 77];
+    for syrk in [SyrkMode::Batched, SyrkMode::Streamed] {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let opts = PotrfOptions {
+                uplo,
+                strategy: Strategy::Separated,
+                sep: SepOpts {
+                    nb_panel: 32,
+                    nb_inner: 8,
+                    syrk,
+                },
+                ..Default::default()
+            };
+            let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
+            fill_spd_batch(&mut batch, &sizes, &mut rng);
+            assert!(potrf_vbatched(dev, &mut batch, &opts).unwrap().all_ok());
+            if uplo == Uplo::Lower {
+                let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
+                potrs_vbatched(dev, &batch, &rhs).unwrap();
+            }
+            potri_vbatched(dev, &batch, uplo).unwrap();
+        }
+    }
+
+    // LU and its solve.
+    let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
+    for (i, &n) in sizes.iter().enumerate() {
+        let a = diag_dominant_vec::<T>(&mut rng, n, n);
+        batch.upload_matrix(i, &a).unwrap();
+    }
+    let lu = GetrfOptions {
+        nb_panel: 16,
+        ..Default::default()
+    };
+    let (report, pivots) = getrf_vbatched(dev, &mut batch, &lu).unwrap();
+    assert!(report.all_ok());
+    let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
+    getrs_vbatched(dev, &batch, &pivots, &rhs).unwrap();
+
+    // QR and least squares on tall matrices.
+    let dims = [(48usize, 20usize), (30, 30), (64, 9)];
+    let qr = GeqrfOptions {
+        nb_panel: 8,
+        tile_cols: 8,
+        ..Default::default()
+    };
+    let tall = |rng: &mut _| {
+        let mut batch = VBatch::<T>::alloc(dev, &dims).unwrap();
+        for (i, &(m, n)) in dims.iter().enumerate() {
+            batch.upload_matrix(i, &rand_mat::<T>(rng, m * n)).unwrap();
+        }
+        batch
+    };
+    let mut batch = tall(&mut rng);
+    assert!(geqrf_vbatched(dev, &mut batch, &qr).unwrap().0.all_ok());
+    let mut batch = tall(&mut rng);
+    let rows: Vec<usize> = dims.iter().map(|&(m, _)| m).collect();
+    let rhs = rhs_batch::<T>(dev, &rows, &mut rng);
+    assert!(gels_vbatched(dev, &mut batch, &rhs, &qr).unwrap().all_ok());
+}
+
+/// Two random right-hand-side columns per matrix of `rows[i]` rows.
+fn rhs_batch<T: Scalar>(dev: &Device, rows: &[usize], rng: &mut impl rand::Rng) -> VBatch<T> {
+    let dims: Vec<(usize, usize)> = rows.iter().map(|&m| (m, 2)).collect();
+    let mut rhs = VBatch::<T>::alloc(dev, &dims).unwrap();
+    for (i, &m) in rows.iter().enumerate() {
+        rhs.upload_matrix(i, &rand_mat::<T>(rng, m * 2)).unwrap();
+    }
+    rhs
+}
+
+#[test]
+fn every_launched_kernel_is_in_the_static_launch_graph() {
+    let dev = Device::new(DeviceConfig::k40c());
+    drive_single_device_families::<f64>(&dev);
+    drive_single_device_families::<f32>(&dev);
+
+    // Sharded driver on two devices.
+    let mut rng = seeded_rng(0x5AD);
+    let sizes = [64usize, 48, 20, 8, 6, 90];
+    let mut mats: Vec<Vec<f64>> = sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect();
+    let group = DeviceGroup::homogeneous(DeviceConfig::k40c(), 2);
+    let report = potrf_sharded(
+        &group,
+        &sizes,
+        &mut mats,
+        &PotrfOptions::default(),
+        &ShardOpts::default(),
+        &mut ShardedState::new(),
+    )
+    .unwrap();
+    assert!(report.info.iter().all(|&i| i == 0));
+
+    // One serving window carrying both request types.
+    let mut svc =
+        BatchService::<f64>::new(Device::new(DeviceConfig::k40c()), ServeConfig::default());
+    for (k, &n) in [24usize, 8, 40, 16].iter().enumerate() {
+        let (op, payload) = if k % 2 == 0 {
+            (Op::Potrf, spd_vec::<f64>(&mut rng, n))
+        } else {
+            (Op::Getrf, diag_dominant_vec::<f64>(&mut rng, n, n))
+        };
+        svc.submit(0.0, k as u32, op, n, payload, None)
+            .expect("accepted");
+    }
+    svc.drain();
+    let responses = svc.take_responses();
+    assert_eq!(responses.len(), 4);
+    assert!(responses
+        .iter()
+        .all(|r| r.status == ResponseStatus::Factored));
+
+    let launched = vbatch_gpu_sim::intern::known_names();
+    assert!(
+        launched.len() >= 30,
+        "the families above should reach most of the kernel vocabulary, got {launched:?}"
+    );
+    let root = vbatch_analyze::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above the integration crate");
+    let graph = vbatch_analyze::run_check(&root)
+        .expect("analyzer pass runs")
+        .graph
+        .expect("a workspace check builds the launch graph");
+    let resolved: BTreeSet<&str> = graph
+        .kernels
+        .iter()
+        .chain(&graph.test_kernels)
+        .map(String::as_str)
+        .collect();
+    let missing: Vec<&str> = launched
+        .iter()
+        .copied()
+        .filter(|k| !resolved.contains(k))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "launched but absent from the analyzer's launch graph: {missing:?}"
+    );
+}

@@ -180,6 +180,24 @@ fn sharded_makespan_scales_down_with_devices() {
     );
     // Depth ≥ 2 shards per device means later uploads overlap compute.
     assert!(r2.overlap_efficiency > 0.0);
+
+    // The shape of the `benchmark/` shard_hybrid workload
+    // (Gaussian{384} x512, 4 shards per device, stealing on) must
+    // scale near-linearly on the simulated clock.
+    let (sizes, mats) = spd_workload(0x5AD, 512, 384);
+    let opts = ShardOpts {
+        shards_per_device: 4,
+        steal: true,
+    };
+    let (_, _, r1) = run_sharded_potrf(1, &sizes, &mats, &opts);
+    for (devices, at_least) in [(2, 1.8), (4, 3.2)] {
+        let (_, _, r) = run_sharded_potrf(devices, &sizes, &mats, &opts);
+        let scaling_x = r1.makespan_s / r.makespan_s;
+        assert!(
+            scaling_x >= at_least,
+            "{devices}-device scaling {scaling_x:.2}x below {at_least}x"
+        );
+    }
 }
 
 /// A heterogeneous group (one device clocked far below the others)
