@@ -322,6 +322,78 @@ pub fn potrf_lanes<T: Scalar>(buf: &mut [T], m: usize, ns: &[usize], infos: &mut
     potrf_lanes_portable(buf, m, ns, infos);
 }
 
+/// Factorizes up to [`lane_count`] square matrices **in place** as one
+/// lane group (Lower): lane `l` is `mats[l]`, of its own order and
+/// leading dimension (order 0 is a no-op lane), and `infos[l]` receives
+/// 0 or the 1-based breakdown column. This is the whole batched-small
+/// step — stage, [`potrf_lanes`], write back — behind one call, so the
+/// simulated device's block and the host engine's lane group share one
+/// body.
+///
+/// The staging tile is [`Scalar::with_scratch`] at the **group's own**
+/// extent `max ns` — at most 32 KiB at the driver cutoff, per thread,
+/// grow-only, so it stays cache-resident and a warm call allocates
+/// nothing. Only the lower triangle moves in either direction: a Lower
+/// factorization reads and writes nothing above the diagonal, so each
+/// matrix's strict upper triangle keeps the caller's bits (`potf2`'s
+/// in-place behavior) and the tile's is never initialized. The tile is
+/// zero-filled first only when some lane is absent or smaller than the
+/// extent, the rule [`pack_lanes`] uses.
+///
+/// Per lane bit-identical to [`crate::potf2`] Lower, breakdown state
+/// included, whatever the lane-mates and the extent (the
+/// [`potrf_lanes`] contract).
+///
+/// # Panics
+/// If `mats`/`infos` disagree in length, exceed [`lane_count`], or a
+/// matrix is not square.
+pub fn potrf_lanes_in_place<T: Scalar>(mats: &mut [MatMut<'_, T>], infos: &mut [i32]) {
+    let lanes = lane_count::<T>();
+    assert!(mats.len() <= lanes, "potrf_lanes_in_place: too many lanes");
+    assert_eq!(mats.len(), infos.len(), "potrf_lanes_in_place: infos");
+    let mut ns = [0usize; MAX_LANES];
+    for (n, a) in ns.iter_mut().zip(mats.iter()) {
+        assert_eq!(a.nrows(), a.ncols(), "potrf_lanes_in_place: not square");
+        *n = a.nrows();
+    }
+    let ns = &ns[..mats.len()];
+    infos.fill(0);
+    let m = ns.iter().copied().max().unwrap_or(0);
+    if m == 0 {
+        return;
+    }
+    T::with_scratch(interleaved_len(m, m, lanes), |tile| {
+        if ns.len() < lanes || ns.iter().any(|&n| n < m) {
+            tile.fill(T::ZERO);
+        }
+        for (l, a) in mats.iter().enumerate() {
+            for j in 0..ns[l] {
+                let col = &a.col_as_slice(j)[j..];
+                let base = (j * m + j) * lanes;
+                for (chunk, &v) in tile[base..base + col.len() * lanes]
+                    .chunks_exact_mut(lanes)
+                    .zip(col)
+                {
+                    chunk[l] = v;
+                }
+            }
+        }
+        potrf_lanes(tile, m, ns, infos);
+        for (l, a) in mats.iter_mut().enumerate() {
+            for j in 0..ns[l] {
+                let col = &mut a.col_as_mut_slice(j)[j..];
+                let base = (j * m + j) * lanes;
+                for (chunk, v) in tile[base..base + col.len() * lanes]
+                    .chunks_exact(lanes)
+                    .zip(col)
+                {
+                    *v = chunk[l];
+                }
+            }
+        }
+    });
+}
+
 /// Portable per-lane reference for [`potrf_lanes`]: identical operation
 /// order, one lane at a time. This is the non-AVX2 fallback and the
 /// oracle the property tests hold the vector path to.

@@ -340,7 +340,10 @@ impl<T: Scalar> VBatch<T> {
     /// Clears the `info` array to zero (host-side reset before a
     /// factorization).
     pub fn reset_info(&self) {
-        self.d_info.fill_from_host(&vec![0i32; self.count]);
+        let info = self.d_info();
+        for i in 0..self.count {
+            info.set(i, 0);
+        }
     }
 
     /// Downloads the `info` array.

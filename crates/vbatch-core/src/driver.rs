@@ -427,32 +427,21 @@ fn fused_window_once<T: Scalar>(
         return Ok(());
     }
     let pol = &opts.recovery;
+    let d_idx = with_retry(dev, pol, rec, || {
+        upload_indices_pooled(dev, indices, &mut ws.idx_dev, &mut ws.idx_host)
+            .map_err(VbatchError::from)
+    })?;
     if opts.fused.batched_small
         && uplo == Uplo::Lower
         && wmax <= opts.fused.resolved_interleave_cutoff::<T>()
     {
         // Batched-small path: the whole window factorizes in one
-        // cross-matrix interleaved launch instead of a per-step
-        // loop. Lane-group scratch is pooled like every other
-        // driver buffer (zero allocations when warm).
-        let lanes = vbatch_dense::interleave::lane_count::<T>();
-        let groups = indices.len().div_ceil(lanes);
-        let tile = wmax * wmax * lanes;
-        let need = groups * tile;
-        let ilv = with_retry(dev, pol, rec, || ws.ilv_scratch(dev, need))?;
-        let d_idx = with_retry(dev, pol, rec, || {
-            upload_indices_pooled(dev, indices, &mut ws.idx_dev, &mut ws.idx_host)
-                .map_err(VbatchError::from)
-        })?;
+        // cross-matrix interleaved launch instead of a per-step loop.
         with_retry(dev, pol, rec, || {
-            potrf_interleaved_window(dev, batch, d_idx, indices.len(), wmax, ilv)
+            potrf_interleaved_window(dev, batch, d_idx, indices.len(), wmax)
         })?;
         return Ok(());
     }
-    let d_idx = with_retry(dev, pol, rec, || {
-        upload_indices_pooled(dev, indices, &mut ws.idx_dev, &mut ws.idx_host)
-            .map_err(VbatchError::from)
-    })?;
     let mut j = 0;
     while j < wmax {
         with_retry(dev, pol, rec, || {

@@ -27,8 +27,8 @@ use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
 use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref,
-    panel_smem_bytes, round_to_warp,
+    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, panel_smem_bytes,
+    round_to_warp,
 };
 use crate::report::VbatchError;
 use crate::VBatch;
@@ -348,12 +348,19 @@ pub fn potrf_fused_step<T: Scalar>(
 pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv_cutoff;
 
 /// Interleaved batched-small Cholesky over one sorting window: each
-/// thread block packs up to `L` = [`interleave::lane_count`] matrices of
-/// the window (selected via `d_indices`, identity when empty) into the
-/// AoSoA lane-group tile it owns inside `ilv`, factorizes all lanes in
-/// one pass with the lane-parallel [`interleave::potrf_lanes`] kernel,
-/// and unpacks. `Lower` only — the driver falls back to the per-step
-/// loop for `Upper`.
+/// thread block takes up to `L` = [`interleave::lane_count`] matrices of
+/// the window (selected via `d_indices`, identity when empty) and
+/// factorizes them in place as one lane group
+/// ([`interleave::potrf_lanes_in_place`]). `Lower` only — the driver
+/// falls back to the per-step loop for `Upper`.
+///
+/// The model and the host execution differ in one deliberate way: the
+/// launch is *configured and charged* for an `m² · L` shared-memory tile
+/// at the **window** extent `m = group_max`, which is what a device
+/// kernel compiled for the window would hold, while the host stages
+/// each group through a cache-resident scratch tile at the group's own
+/// extent. Factor bits do not depend on the extent (the lane kernel's
+/// contract), so no device arena is needed.
 ///
 /// Lane masking is the host analog of ETM-aggressive: when the window
 /// count is not a multiple of `L`, the trailing lanes of the last group
@@ -362,8 +369,7 @@ pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv
 /// codes and partial factors match the scalar tier bit-for-bit).
 ///
 /// # Errors
-/// [`VbatchError::InvalidArgument`] if the window is empty or `ilv` is
-/// smaller than `ceil(group_count / L) · group_max² · L` elements;
+/// [`VbatchError::InvalidArgument`] if the window is empty;
 /// [`VbatchError::Launch`] on launch rejection.
 pub fn potrf_interleaved_window<T: Scalar>(
     dev: &Device,
@@ -371,7 +377,6 @@ pub fn potrf_interleaved_window<T: Scalar>(
     d_indices: DevicePtr<i32>,
     group_count: usize,
     group_max: usize,
-    ilv: DevicePtr<T>,
 ) -> Result<KernelStats, VbatchError> {
     use vbatch_dense::interleave::{self, MAX_LANES};
 
@@ -384,11 +389,6 @@ pub fn potrf_interleaved_window<T: Scalar>(
     let m = group_max;
     let groups = group_count.div_ceil(lanes);
     let tile_elems = interleave::interleaved_len(m, m, lanes);
-    if ilv.len() < groups * tile_elems {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_interleaved_window: interleave scratch too small",
-        ));
-    }
     let warp = dev.config().warp_size;
     let threads = round_to_warp(m * lanes, warp).min(dev.config().max_threads_per_block);
     let cfg = LaunchConfig::grid_1d(groups as u32, threads).with_shared_mem(tile_elems * T::BYTES);
@@ -400,66 +400,49 @@ pub fn potrf_interleaved_window<T: Scalar>(
         let g = ctx.linear_block_id();
         let first = g * lanes;
         let cnt = lanes.min(group_count - first);
-        // Resolve this group's matrices; already-broken lanes pack
-        // nothing (order 0) and are skipped at unpack.
+        // Resolve this group's matrices; already-broken lanes join at
+        // order 0, so nothing of theirs is staged or written back.
         let mut idx = [0usize; MAX_LANES];
-        let mut ns = [0usize; MAX_LANES];
-        for (l, (il, nl)) in idx.iter_mut().zip(ns.iter_mut()).enumerate().take(cnt) {
+        let mut read_elems = 0usize;
+        let mut total_flops = 0.0f64;
+        let mut mats: [MatMut<'_, T>; MAX_LANES] = core::array::from_fn(|l| {
+            if l >= cnt {
+                return MatMut::from_slice(&mut [], 0, 0, 1);
+            }
             let i = if d_indices.is_empty() {
                 first + l
             } else {
                 d_indices.get(first + l) as usize
             };
-            *il = i;
-            *nl = if infos.get(i) != 0 {
+            idx[l] = i;
+            let n = if infos.get(i) != 0 {
                 0
             } else {
                 sizes.get(i) as usize
             };
-        }
+            read_elems += n * n;
+            total_flops += vbatch_dense::flops::potrf(n);
+            mat_mut::<T>(ptrs.get(i), n, n, lds.get(i) as usize)
+        });
         if cnt < lanes {
             // Threads are lane-major (`t = l·m + i`), so the dead tail
             // of a partial group retires in one contiguous span — the
             // host analog of ETM-aggressive.
             ctx.retire_threads_beyond(cnt * m);
         }
-        // SAFETY: each block owns the disjoint `tile_elems` span at
-        // `g · tile_elems` of the scratch buffer (groups never overlap),
-        // and the driver hands this launch exclusive use of `ilv`.
-        let tile =
-            unsafe { core::slice::from_raw_parts_mut(ilv.raw().add(g * tile_elems), tile_elems) };
-        tile.fill(T::ZERO);
-        let mut read_elems = 0usize;
-        let mut total_flops = 0.0f64;
-        for (l, (&i, &n)) in idx.iter().zip(ns.iter()).enumerate().take(cnt) {
-            let src = mat_ref::<T>(ptrs.get(i), n, n, lds.get(i) as usize);
-            for j in 0..n {
-                let col = src.col_as_slice(j);
-                for (r, &v) in col.iter().enumerate() {
-                    tile[interleave::lane_index(m, lanes, r, j, l)] = v;
-                }
-            }
-            read_elems += n * n;
-            total_flops += vbatch_dense::flops::potrf(n);
-        }
         charge_read::<T>(ctx, read_elems);
         charge_smem::<T>(ctx, tile_elems);
         let mut infs = [0i32; MAX_LANES];
-        interleave::potrf_lanes(tile, m, &ns[..cnt], &mut infs[..cnt]);
+        interleave::potrf_lanes_in_place(&mut mats[..cnt], &mut infs[..cnt]);
         charge_flops::<T>(ctx, cnt * m, total_flops);
         // The lane kernel is column-synchronous: every column's pivot
         // gates its lane-mates' updates, one barrier per column.
         for _ in 0..m {
             ctx.sync();
         }
-        for (l, (&i, &n)) in idx.iter().zip(ns.iter()).enumerate().take(cnt) {
-            if n == 0 {
-                continue;
-            }
-            let dst = mat_mut::<T>(ptrs.get(i), n, n, lds.get(i) as usize);
-            interleave::unpack_lane(tile, m, l, dst);
-            if infs[l] != 0 {
-                infos.set(i, infs[l]);
+        for (&i, &code) in idx.iter().zip(infs.iter()).take(cnt) {
+            if code != 0 {
+                infos.set(i, code);
             }
         }
         charge_write::<T>(ctx, read_elems);
@@ -479,6 +462,12 @@ mod tests {
     fn dev() -> Device {
         Device::new(DeviceConfig::k40c())
     }
+
+    /// `Device::now()` / `energy_j()` after the one launch of
+    /// `interleaved_window_equals_scalar_tier_and_keeps_the_pinned_clock`,
+    /// recorded from the device-arena kernel this one replaced.
+    const PINNED_NOW: u64 = 0x3ef5_f3ab_7ebf_946a;
+    const PINNED_ENERGY: u64 = 0x3f5e_7514_b7e2_e5bc;
 
     fn check_factor<T: Scalar>(factored: &[T], orig: &[T], n: usize) {
         let r = chol_residual(
@@ -708,6 +697,96 @@ mod tests {
             times[1],
             times[0]
         );
+    }
+
+    /// A size-sorted mixed window (every order 1..=32, a partial last
+    /// group, one non-SPD matrix) through the interleaved launch: the
+    /// factors and `info` are the scalar fused tier's bit for bit, and
+    /// the simulated clock and energy are the words the window-extent
+    /// device-arena version of this kernel produced — the charges are
+    /// functions of the window extent, not of how the host stages.
+    #[test]
+    fn interleaved_window_equals_scalar_tier_and_keeps_the_pinned_clock() {
+        use crate::{potrf_vbatched_max, FusedOpts, PotrfOptions, Strategy};
+        let sizes: Vec<usize> = (0..37).map(|i| 1 + (i * 32) / 37).collect();
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]) && sizes[36] == 32);
+        let upload = |d: &Device| {
+            let mut rng = seeded_rng(12);
+            let mut batch = VBatch::<f64>::alloc_square(d, &sizes).unwrap();
+            for (i, &n) in sizes.iter().enumerate() {
+                let mut m = spd_vec::<f64>(&mut rng, n);
+                if i == 21 {
+                    m[5 + 5 * n] = -3.0; // breaks at column 5 (info 6)
+                }
+                batch.upload_matrix(i, &m).unwrap();
+            }
+            batch
+        };
+        let d = dev();
+        let batch = upload(&d);
+        d.reset_metrics();
+        potrf_interleaved_window(&d, &batch, DevicePtr::null(), sizes.len(), 32).unwrap();
+        assert_eq!(
+            d.now().to_bits(),
+            PINNED_NOW,
+            "clock {:#x}",
+            d.now().to_bits()
+        );
+        assert_eq!(
+            d.energy_j().to_bits(),
+            PINNED_ENERGY,
+            "energy {:#x}",
+            d.energy_j().to_bits()
+        );
+
+        let d2 = dev();
+        let mut scalar = upload(&d2);
+        let opts = PotrfOptions {
+            strategy: Strategy::Fused,
+            fused: FusedOpts {
+                batched_small: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let report = potrf_vbatched_max(&d2, &mut scalar, 32, &opts).unwrap();
+        assert_eq!(batch.read_info(), report.info);
+        assert_eq!(report.failures(), vec![(21, 6)]);
+        for (i, &n) in sizes.iter().enumerate() {
+            let got: Vec<u64> = batch
+                .download_matrix(i)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = scalar
+                .download_matrix(i)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "matrix {i} (n = {n})");
+        }
+    }
+
+    /// With the staging tile in host scratch, an interleaved-only run
+    /// holds nothing on the device but the batch, its metadata and the
+    /// window's index array.
+    #[test]
+    fn interleaved_run_allocates_only_the_index_array() {
+        use crate::{potrf_vbatched_max, PotrfOptions};
+        let d = dev();
+        let sizes: Vec<usize> = (0..50).map(|i| 1 + (i * 7) % 32).collect();
+        let mut rng = seeded_rng(13);
+        let mut batch = VBatch::<f64>::alloc_square(&d, &sizes).unwrap();
+        for (i, &n) in sizes.iter().enumerate() {
+            batch
+                .upload_matrix(i, &spd_vec::<f64>(&mut rng, n))
+                .unwrap();
+        }
+        let resident = d.mem_in_use();
+        let report = potrf_vbatched_max(&d, &mut batch, 32, &PotrfOptions::default()).unwrap();
+        assert!(report.all_ok());
+        assert_eq!(d.mem_peak(), resident + sizes.len() * 4);
+        assert_eq!(d.mem_in_use(), resident);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!
 //! All coordinator scratch (work items, per-worker assignments, sorted
 //! order) lives in a pooled [`HostState`] and grows but never shrinks;
-//! per-worker interleave tiles are pre-grown before dispatch. After one
+//! the interleave tile is each worker thread's own grow-only
+//! `Scalar::with_scratch` buffer, and the LPT assignment is
+//! deterministic, so a worker sees the same groups every run. After one
 //! warm-up run, [`potrf_batch_host`] performs no heap allocation at all
 //! (pinned by the bench-crate counting-allocator test).
 
@@ -86,13 +88,9 @@ impl Default for HostEngine {
 /// (interleaved tier) or a single blocked factorization.
 #[derive(Clone, Copy)]
 enum ItemKind {
-    /// `cnt` entries of `HostState::small` starting at `first`, packed
-    /// into one interleaved tile of extent `wmax`.
-    Lanes {
-        first: usize,
-        cnt: usize,
-        wmax: usize,
-    },
+    /// `cnt` entries of `HostState::small` starting at `first`,
+    /// factorized as one interleaved lane group.
+    Lanes { first: usize, cnt: usize },
     /// One matrix through the blocked fused-step loop.
     Single { gi: usize, n: usize },
     /// One matrix through blocked LU.
@@ -105,24 +103,7 @@ struct Item {
     cost: f64,
 }
 
-/// Per-worker scratch: the interleave tile. Grows, never shrinks.
-pub struct HostWorkspace<T> {
-    ilv: Vec<T>,
-}
-
-impl<T: Scalar> HostWorkspace<T> {
-    fn new() -> Self {
-        Self { ilv: Vec::new() }
-    }
-
-    fn reserve_tile(&mut self, elems: usize) {
-        if self.ilv.len() < elems {
-            self.ilv.resize(elems, T::ZERO);
-        }
-    }
-}
-
-/// Pooled coordinator + worker scratch for a [`HostEngine`]. Reuse one
+/// Pooled coordinator scratch for a [`HostEngine`]. Reuse one
 /// state across runs to keep the warm path allocation-free.
 pub struct HostState<T> {
     /// `(n, gi)` pairs routed to the interleaved tier, sorted ascending.
@@ -133,7 +114,9 @@ pub struct HostState<T> {
     /// Per-worker item-id lists.
     assign: Vec<Vec<usize>>,
     loads: Vec<f64>,
-    workers: Vec<HostWorkspace<T>>,
+    /// The element type names which engine entry points a state serves;
+    /// no typed scratch is left in it.
+    _elem: core::marker::PhantomData<T>,
 }
 
 impl<T: Scalar> HostState<T> {
@@ -145,14 +128,11 @@ impl<T: Scalar> HostState<T> {
             order: Vec::new(),
             assign: Vec::new(),
             loads: Vec::new(),
-            workers: Vec::new(),
+            _elem: core::marker::PhantomData,
         }
     }
 
     fn ensure_workers(&mut self, threads: usize) {
-        while self.workers.len() < threads {
-            self.workers.push(HostWorkspace::new());
-        }
         while self.assign.len() < threads {
             self.assign.push(Vec::new());
         }
@@ -324,13 +304,12 @@ pub fn potrf_batch_host<T: Scalar>(
     for g in 0..groups {
         let first = g * lanes;
         let cnt = lanes.min(state.small.len() - first);
-        let wmax = state.small[first + cnt - 1].0;
         let cost: f64 = state.small[first..first + cnt]
             .iter()
             .map(|&(n, _)| vbatch_dense::flops::potrf(n))
             .sum();
         state.items.push(Item {
-            kind: ItemKind::Lanes { first, cnt, wmax },
+            kind: ItemKind::Lanes { first, cnt },
             cost,
         });
     }
@@ -338,28 +317,11 @@ pub fn potrf_batch_host<T: Scalar>(
     let threads = engine.threads();
     assign_lpt(state, threads);
 
-    // Pre-grow every worker's interleave tile so workers never allocate.
-    let tile_cap = state
-        .small
-        .last()
-        .map_or(0, |&(n, _)| interleave::interleaved_len(n, n, lanes));
-    for ws in state.workers.iter_mut().take(threads) {
-        ws.reserve_tile(tile_cap);
-    }
-
-    let HostState {
-        small,
-        items,
-        assign,
-        workers,
-        ..
-    } = state;
-    let small: &[(usize, usize)] = small;
-    let items: &[Item] = items;
-    let assign: &[Vec<usize>] = assign;
+    let small: &[(usize, usize)] = &state.small;
+    let items: &[Item] = &state.items;
+    let assign: &[Vec<usize>] = &state.assign;
     let shared_mats = SharedSlice::new(mats);
     let shared_info = SharedSlice::new(info);
-    let shared_ws = SharedSlice::new(&mut workers[..threads]);
 
     engine.pool.run(&|w| {
         for &id in &assign[w] {
@@ -381,19 +343,8 @@ pub fn potrf_batch_host<T: Scalar>(
                     // SAFETY: same disjointness as the matrix itself.
                     unsafe { *shared_info.get(gi) = code };
                 }
-                ItemKind::Lanes { first, cnt, wmax } => {
-                    // SAFETY: worker index `w` is unique per pool lane.
-                    let ws = unsafe { shared_ws.get(w) };
-                    run_lane_group::<T>(
-                        small,
-                        first,
-                        cnt,
-                        lanes,
-                        wmax,
-                        ws,
-                        &shared_mats,
-                        &shared_info,
-                    );
+                ItemKind::Lanes { first, cnt } => {
+                    run_lane_group(&small[first..first + cnt], &shared_mats, &shared_info);
                 }
                 ItemKind::Getrf { .. } => unreachable!("potrf plan holds no LU items"),
             }
@@ -402,47 +353,28 @@ pub fn potrf_batch_host<T: Scalar>(
     Ok(useful_flops)
 }
 
-/// Packs one lane group, runs the interleaved kernel, unpacks. Matches
-/// `potrf_interleaved_window`'s per-lane arithmetic exactly (the lane
-/// kernel is extent-independent, so the per-group `wmax` here and the
-/// per-window maximum on the device produce identical bits).
-#[allow(clippy::too_many_arguments)]
+/// Factorizes one lane group of `(n, gi)` entries in place through the
+/// routine `potrf_interleaved_window`'s blocks run — one body, so the
+/// host and the device produce identical bits per lane.
 fn run_lane_group<T: Scalar>(
-    small: &[(usize, usize)],
-    first: usize,
-    cnt: usize,
-    lanes: usize,
-    wmax: usize,
-    ws: &mut HostWorkspace<T>,
+    group: &[(usize, usize)],
     shared_mats: &SharedSlice<Vec<T>>,
     shared_info: &SharedSlice<i32>,
 ) {
-    let m = wmax;
-    let tile_elems = interleave::interleaved_len(m, m, lanes);
-    debug_assert!(ws.ilv.len() >= tile_elems);
-    let tile = &mut ws.ilv[..tile_elems];
-    tile.fill(T::ZERO);
-    let mut ns = [0usize; MAX_LANES];
-    for (l, &(n, gi)) in small[first..first + cnt].iter().enumerate() {
-        ns[l] = n;
+    let mut mats: [MatMut<'_, T>; MAX_LANES] = core::array::from_fn(|l| {
+        let Some(&(n, gi)) = group.get(l) else {
+            return MatMut::from_slice(&mut [], 0, 0, 1);
+        };
         // SAFETY: each small entry's matrix belongs to exactly one lane
         // group, and each group to one worker.
-        let src = unsafe { shared_mats.get(gi) };
-        for j in 0..n {
-            for r in 0..n {
-                tile[interleave::lane_index(m, lanes, r, j, l)] = src[j * n + r];
-            }
-        }
-    }
+        let a = unsafe { shared_mats.get(gi) };
+        MatMut::from_slice(&mut a[..n * n], n, n, n)
+    });
     let mut infs = [0i32; MAX_LANES];
-    interleave::potrf_lanes(tile, m, &ns[..cnt], &mut infs[..cnt]);
-    for (l, &(n, gi)) in small[first..first + cnt].iter().enumerate() {
+    interleave::potrf_lanes_in_place(&mut mats[..group.len()], &mut infs[..group.len()]);
+    for (&(_, gi), &code) in group.iter().zip(&infs) {
         // SAFETY: disjointness as above.
-        let dst = unsafe { shared_mats.get(gi) };
-        let view = MatMut::from_slice(&mut dst[..n * n], n, n, n);
-        interleave::unpack_lane(tile, m, l, view);
-        // SAFETY: disjointness as above.
-        unsafe { *shared_info.get(gi) = infs[l] };
+        unsafe { *shared_info.get(gi) = code };
     }
 }
 

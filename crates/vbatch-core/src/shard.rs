@@ -91,7 +91,7 @@ pub struct Shard {
 /// Per-device pooled state for the sharded drivers: reusing one across
 /// calls makes warm runs zero-device-alloc.
 pub struct DeviceState<T> {
-    /// Driver scratch (windows, interleave tiles, LU step views, …).
+    /// Driver scratch (window index uploads, LU step views, …).
     pub ws: DriverWorkspace<T>,
     /// Batch storage pools (matrices, metadata, pointer arrays).
     pub pools: BatchPools<T>,

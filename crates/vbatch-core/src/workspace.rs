@@ -54,9 +54,6 @@ pub struct DriverWorkspace<T> {
     /// Sorting-window index upload: device buffer + host staging.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
-    /// Interleaved batched-small lane-group scratch
-    /// ([`crate::fused::potrf_interleaved_window`]).
-    pub(crate) ilv_dev: Option<DeviceBuffer<T>>,
     /// Host scratch for the streamed-syrk trailing sizes.
     pub(crate) trails: Vec<usize>,
     /// LU-specific pooled scratch.
@@ -77,7 +74,6 @@ impl<T: Scalar> DriverWorkspace<T> {
             imax_partial: None,
             idx_dev: None,
             idx_host: Vec::new(),
-            ilv_dev: None,
             trails: Vec::new(),
             lu: LuWorkspace::default(),
             qr: QrWorkspace::default(),
@@ -104,9 +100,6 @@ impl<T: Scalar> DriverWorkspace<T> {
             total += b.bytes();
         }
         if let Some(b) = &self.idx_dev {
-            total += b.bytes();
-        }
-        if let Some(b) = &self.ilv_dev {
             total += b.bytes();
         }
         total + self.lu.device_bytes() + self.qr.device_bytes()
@@ -143,31 +136,6 @@ impl<T: Scalar> DriverWorkspace<T> {
             self.tiles.as_ref().expect("ensured above"),
             &mut self.trails,
         ))
-    }
-
-    /// Ensures the interleaved batched-small scratch holds at least
-    /// `elems` elements, growing — never shrinking — like the other
-    /// pooled buffers, and returns a view of exactly `elems`. The
-    /// contents are stale; [`crate::fused::potrf_interleaved_window`]
-    /// zero-fills each lane-group tile before packing into it.
-    ///
-    /// # Errors
-    /// [`VbatchError::Oom`] when device memory is exhausted.
-    pub(crate) fn ilv_scratch(
-        &mut self,
-        dev: &Device,
-        elems: usize,
-    ) -> Result<vbatch_gpu_sim::DevicePtr<T>, VbatchError> {
-        if self.ilv_dev.as_ref().is_none_or(|b| b.len() < elems) {
-            self.ilv_dev = None;
-            self.ilv_dev = Some(dev.alloc::<T>(elems)?);
-        }
-        Ok(self
-            .ilv_dev
-            .as_ref()
-            .expect("ensured above")
-            .ptr()
-            .truncate(elems))
     }
 }
 

@@ -14,9 +14,10 @@
 //! `resolved_threads() - 1` workers and lives for the process. A call
 //! publishes one job to it; every lane, the calling thread included,
 //! then claims contiguous chunks off the front of the source until none
-//! are left, so uneven items balance themselves and no thread is ever
-//! created per call. Work stealing is not reproduced. What callers can
-//! rely on:
+//! are left. Each claim is a fixed share of what remains, so chunks
+//! shrink towards the end: uneven items balance themselves, and no
+//! thread is ever created per call. Work stealing is not reproduced.
+//! What callers can rely on:
 //!
 //! * every item is visited exactly once, and `collect` keeps index
 //!   order, for any lane count and any interleaving;
@@ -44,14 +45,16 @@ fn executor() -> &'static pool::WorkerPool {
     POOL.get_or_init(pool::WorkerPool::from_env)
 }
 
-/// Chunks a call is cut into per lane: enough for lanes that finish
-/// early to find more work, few enough that claiming stays free.
-const CHUNKS_PER_LANE: usize = 4;
-
-/// Items per claimed chunk — a pure function of the item count and the
-/// lane count, so the claim sequence does not depend on timing.
-fn chunk_len(n: usize, lanes: usize) -> usize {
-    n.div_ceil(lanes * CHUNKS_PER_LANE).max(1)
+/// Items the next claim takes off a source with `remaining` left:
+/// guided self-scheduling, `⌈remaining / (2·lanes)⌉`. Equal chunks leave
+/// whichever lane draws the costliest one finishing alone — and the
+/// launch path's sources are size-sorted windows, whose item cost rises
+/// all the way to the end; shrinking claims keep the last ones small
+/// enough to even that out, in O(lanes · log n) claims. The claim
+/// sequence is a pure function of the item count and the lane count, so
+/// it does not depend on timing.
+fn claim_len(remaining: usize, lanes: usize) -> usize {
+    remaining.div_ceil(2 * lanes).max(1)
 }
 
 /// A finite, splittable, ordered source of items — the shim's stand-in
@@ -252,7 +255,7 @@ impl<T: Send> FromParSource<T> for Vec<T> {
 
 /// Runs `f` on every item of `src`: inline for fewer than two items or
 /// one lane, else as one executor job whose lanes claim chunks of
-/// [`chunk_len`] items off the front of the source until it is empty.
+/// [`claim_len`] items off the front of the source until it is empty.
 /// The unclaimed rest sits behind a mutex because splitting needs the
 /// source by value; the lock is held for one `split_at`, never while
 /// items run.
@@ -266,19 +269,19 @@ where
         src.into_seq().for_each(f);
         return;
     };
-    let chunk = chunk_len(n, pool.threads());
+    let lanes = pool.threads();
     let rest = Mutex::new(Some(src));
     pool.run(&|_lane| loop {
         let head = {
             let mut rest = rest.lock().unwrap_or_else(PoisonError::into_inner);
-            match rest.take() {
-                None => return,
-                Some(src) if src.len() <= chunk => src,
-                Some(src) => {
-                    let (head, tail) = src.split_at(chunk);
-                    *rest = Some(tail);
-                    head
-                }
+            let Some(src) = rest.take() else { return };
+            let take = claim_len(src.len(), lanes);
+            if take >= src.len() {
+                src
+            } else {
+                let (head, tail) = src.split_at(take);
+                *rest = Some(tail);
+                head
             }
         };
         head.into_seq().for_each(f);
@@ -358,8 +361,8 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
+    use super::claim_len;
     use super::prelude::*;
-    use super::{chunk_len, CHUNKS_PER_LANE};
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -436,16 +439,40 @@ mod tests {
         assert_eq!(v, (1..=64).collect::<Vec<_>>());
     }
 
+    /// The claim sizes `run_chunks` takes off an `n`-item source.
+    fn claim_sequence(n: usize, lanes: usize) -> Vec<usize> {
+        let mut claims = Vec::new();
+        let mut remaining = n;
+        while remaining > 0 {
+            let take = claim_len(remaining, lanes);
+            claims.push(take);
+            remaining -= take;
+        }
+        claims
+    }
+
     #[test]
-    fn chunk_len_covers_every_item_in_a_few_claims_per_lane() {
+    fn guided_claims_cover_every_item_once_and_shrink() {
         for lanes in [2usize, 3, 4, 64] {
-            for n in [2usize, 3, 7, 64, 1000, 100_000] {
-                let c = chunk_len(n, lanes);
-                assert!(c >= 1);
+            for n in [2usize, 3, 7, 64, 1000, 5000, 100_000] {
+                let claims = claim_sequence(n, lanes);
+                assert_eq!(claims.iter().sum::<usize>(), n, "n={n} lanes={lanes}");
+                assert!(claims.iter().all(|&c| c >= 1));
                 assert!(
-                    n.div_ceil(c) <= lanes * CHUNKS_PER_LANE,
-                    "n={n} lanes={lanes}"
+                    claims.windows(2).all(|w| w[0] >= w[1]),
+                    "claims must not grow: n={n} lanes={lanes}"
                 );
+                // Each claim leaves at most (1 − 1/2L) of the rest, so
+                // the count is O(lanes · log n).
+                let log2 = (usize::BITS - n.leading_zeros()) as usize;
+                assert!(
+                    claims.len() <= 2 * lanes * (log2 + 1),
+                    "n={n} lanes={lanes}: {} claims",
+                    claims.len()
+                );
+                // No lane is ever handed more than half a lane's share.
+                assert!(claims[0] <= n.div_ceil(2 * lanes));
+                assert_eq!(claims, claim_sequence(n, lanes), "same sequence on repeat");
             }
         }
     }

@@ -197,10 +197,11 @@ fn soft_ceiling_splits_window_and_stays_bitwise_identical() {
     let dev = Device::new(DeviceConfig::k40c());
     let mem0 = dev.mem_in_use();
     let mut batch = upload::<f64>(&dev, &sizes);
-    // Full-window interleave scratch: ⌈40/4⌉ groups · 24²·4 lanes · 8 B
-    // = 184 320 B — over the ceiling. Each 20-matrix half needs 92 160 B
-    // — under it. Exactly one split suffices.
-    dev.install_fault_plan(FaultPlan::new().soft_ceiling(dev.mem_in_use() + 100_000));
+    // The window's index array is the one per-window allocation on the
+    // fused path: 40 matrices · 4 B = 160 B on top of the 4 B max-reduction
+    // partial — over the ceiling. Each 20-matrix half needs 80 B — under
+    // it. Exactly one split suffices.
+    dev.install_fault_plan(FaultPlan::new().soft_ceiling(dev.mem_in_use() + 100));
     let report = potrf_vbatched(&dev, &mut batch, &opts).unwrap();
     assert!(
         report.recovery.window_splits >= 1,
