@@ -10,7 +10,8 @@
 //! core count — a launch itself allocates nothing at any lane count,
 //! what remains is the driver's per-call window bookkeeping — and it
 //! fails on anything that allocates per launch lane, per block or per
-//! matrix again.
+//! matrix again. Host↔device copies large enough to split across the
+//! executor's lanes allocate nothing beyond a download's result.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +91,41 @@ fn fused_warm_path_allocates_o1_per_launch() {
         "warm fused driver call made {per_launch} host allocations per launch \
          (cap {MAX_ALLOCS_PER_LAUNCH}); per-block or per-call allocation crept back in"
     );
+}
+
+/// A 256×256 f64 matrix is 512 KiB, above the size at which host copies
+/// split across the executor's lanes: the split itself allocates
+/// nothing, so an upload makes no host allocation and a download exactly
+/// one — the `Vec` it returns.
+#[test]
+fn split_transfers_allocate_only_the_returned_vec() {
+    let _turn = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let n = 256;
+    let dev = fresh_device();
+    let mut batch = vbatch_core::VBatch::<f64>::alloc_square(&dev, &[n]).unwrap();
+    let a: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
+    // The first split copy creates the process-wide executor.
+    batch.upload_matrix(0, &a).unwrap();
+    drop(batch.download_matrix(0));
+
+    // The counter is process-wide, and the test harness allocates when
+    // it starts another test's thread. That noise only adds, so the
+    // fewest allocations over a few tries are the copies' own.
+    let (mut up, mut down) = (u64::MAX, u64::MAX);
+    for _ in 0..5 {
+        let a0 = ALLOCS.load(Ordering::Relaxed);
+        batch.upload_matrix(0, &a).unwrap();
+        let a1 = ALLOCS.load(Ordering::Relaxed);
+        let back = batch.download_matrix(0);
+        let a2 = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(back, a);
+        up = up.min(a1 - a0);
+        down = down.min(a2 - a1);
+    }
+    assert_eq!(up, 0, "upload_matrix allocated on the host");
+    assert_eq!(down, 1, "download_matrix allocated beyond its result");
 }
 
 /// Warm `Strategy::Separated` call on `count` matrices of order 160

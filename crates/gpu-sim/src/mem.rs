@@ -9,9 +9,35 @@
 //! (arrays of pointers).
 
 use std::marker::PhantomData;
-use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::mem::{size_of, MaybeUninit};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use rayon::prelude::*;
+
+/// Smallest host copy, in bytes, that [`DeviceBuffer`] splits across the
+/// launch executor's lanes: at most one contiguous chunk per lane, each
+/// at least half this size. Below it a second lane costs more to wake
+/// than it saves. Chosen by a sweep over 32, 64, 128 and 256 KiB
+/// (EXPERIMENTS.md, "Split host copies").
+const SPLIT_BYTES: usize = 64 << 10;
+
+/// Chunks a host copy of `bytes` runs as (see [`SPLIT_BYTES`]).
+fn copy_parts(bytes: usize) -> usize {
+    if bytes < SPLIT_BYTES {
+        return 1;
+    }
+    (bytes / (SPLIT_BYTES / 2)).min(rayon::current_num_threads())
+}
+
+/// The host side of a [`DeviceBuffer`] copy; its variant is the
+/// direction.
+enum Host<'a, T> {
+    /// Host → device: these elements land at the buffer's front.
+    From(&'a [T]),
+    /// Device → host: the buffer's front fills these slots.
+    Into(&'a mut [MaybeUninit<T>]),
+}
 
 /// Allocation failure: the device is out of global memory.
 ///
@@ -221,41 +247,83 @@ impl<T: Copy + Default> DeviceBuffer<T> {
     /// # Panics
     /// If `data` is longer than the buffer.
     pub fn fill_from_host(&self, data: &[T]) {
-        assert!(data.len() <= self.len(), "host data larger than buffer");
-        // SAFETY: exclusive extent by construction; caller must not race
-        // with running kernels (same contract as cudaMemcpy).
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.storage.ptr, data.len());
-        }
+        self.copy_host(Host::From(data));
     }
 
     /// Host-side read of the whole buffer, bypassing the timing model.
     #[must_use]
     pub fn read_to_host(&self) -> Vec<T> {
-        self.read_prefix_to_host(self.len())
+        let mut out = Vec::new();
+        self.read_prefix_to_host(self.len(), &mut out);
+        out
     }
 
-    /// Host-side read of the first `len` elements, bypassing the timing
-    /// model — what a pooled buffer's user wants, whose matrix occupies
-    /// only the front of a power-of-two size class. Copies straight
-    /// into uninitialized capacity — no redundant zero-initialization
-    /// pass before the copy (`T: Copy`, so there are no drop
-    /// obligations on the skipped default values).
+    /// Host-side read of the first `len` elements into `out`, replacing
+    /// its contents and bypassing the timing model — what a pooled
+    /// buffer's user wants, whose matrix occupies only the front of a
+    /// power-of-two size class. `out` keeps its allocation when it
+    /// already has room for `len`, and the copy lands straight in its
+    /// spare capacity: no zero-initialization pass first (`T: Copy`, so
+    /// clearing has no drop obligations).
     ///
     /// # Panics
     /// If `len` exceeds the buffer.
-    #[must_use]
-    pub fn read_prefix_to_host(&self, len: usize) -> Vec<T> {
+    pub fn read_prefix_to_host(&self, len: usize, out: &mut Vec<T>) {
         assert!(len <= self.len(), "prefix longer than buffer");
-        let mut out = Vec::with_capacity(len);
-        // SAFETY: `len` is within the buffer extent (asserted above);
-        // the copy initializes exactly the `len` elements `set_len`
-        // then claims.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.storage.ptr, out.as_mut_ptr(), len);
-            out.set_len(len);
-        }
-        out
+        out.clear();
+        out.reserve(len);
+        self.copy_host(Host::Into(&mut out.spare_capacity_mut()[..len]));
+        // SAFETY: `copy_host` initialized exactly the `len` slots
+        // `set_len` claims.
+        unsafe { out.set_len(len) };
+    }
+
+    /// The one body of every host↔device copy above: `host.len()`
+    /// elements between `host` and the front of the buffer. A copy of
+    /// [`SPLIT_BYTES`] or more splits into one contiguous chunk per
+    /// executor lane, claimed the way `Device::launch` claims blocks;
+    /// a shorter one is a single `memcpy` on this thread. When the
+    /// executor is busy — the copy was issued from inside a kernel, or
+    /// beside another launcher — every chunk runs on this thread, so a
+    /// copy never waits for the pool. Nothing here touches the
+    /// simulated clock.
+    fn copy_host(&self, host: Host<'_, T>) {
+        let (src, dst, len) = match host {
+            Host::From(h) => (h.as_ptr(), self.storage.ptr, h.len()),
+            Host::Into(h) => (
+                self.storage.ptr.cast_const(),
+                h.as_mut_ptr().cast(),
+                h.len(),
+            ),
+        };
+        assert!(len <= self.len(), "host data larger than buffer");
+        let parts = copy_parts(len * size_of::<T>());
+        let chunk = len.div_ceil(parts);
+        // `AtomicPtr` only carries the two base pointers to the lanes
+        // (it is `Sync` without an `unsafe impl`). Nothing stores to it,
+        // and the executor's job hand-off (a `Release` epoch bump its
+        // workers read with `Acquire`) publishes it, so `Relaxed` loads
+        // see the initial values.
+        let (src, dst) = (AtomicPtr::new(src.cast_mut()), AtomicPtr::new(dst));
+        (0..parts).into_par_iter().for_each(|p| {
+            let lo = (p * chunk).min(len);
+            let n = chunk.min(len - lo);
+            // SAFETY: lane `p` copies the disjoint range `[lo, lo + n)`
+            // of `[0, len)`; the ranges of all `parts` chunks tile it
+            // exactly once. `len` fits the buffer (asserted) and the
+            // host slice (its own length); host and device memory are
+            // separate allocations, and the host side is borrowed for
+            // the whole call (`&mut` when it is the destination). The
+            // caller must not race running kernels on the buffer — the
+            // cudaMemcpy contract.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    src.load(Ordering::Relaxed).add(lo).cast_const(),
+                    dst.load(Ordering::Relaxed).add(lo),
+                    n,
+                );
+            }
+        });
     }
 }
 
@@ -474,5 +542,135 @@ mod tests {
         let b: DeviceBuffer<f64> = DeviceBuffer::new(0, t).unwrap();
         assert!(b.is_empty());
         assert!(b.ptr().is_empty());
+    }
+
+    /// Elements of `T` in a copy of exactly [`SPLIT_BYTES`].
+    fn at_split<T>() -> usize {
+        SPLIT_BYTES / size_of::<T>()
+    }
+
+    /// Copy lengths around the split boundary, plus odd ones; under Miri
+    /// only the smallest that splits.
+    fn split_extents<T>() -> Vec<usize> {
+        let at = at_split::<T>();
+        if cfg!(miri) {
+            return vec![at + 1];
+        }
+        vec![0, 1, 3, 257, at - 1, at, at + 1, 3 * at + 7]
+    }
+
+    #[test]
+    fn copies_split_at_most_once_per_lane() {
+        let lanes = rayon::current_num_threads();
+        assert_eq!(copy_parts(0), 1);
+        assert_eq!(copy_parts(SPLIT_BYTES - 1), 1);
+        assert_eq!(copy_parts(SPLIT_BYTES), 2.min(lanes));
+        assert_eq!(copy_parts(usize::MAX / 2), lanes);
+    }
+
+    /// Round-trips every extent of [`split_extents`] through a buffer
+    /// three elements longer, comparing `key` bits: the prefix lands
+    /// whole, the tail keeps what was there, and a read into a larger
+    /// `Vec` replaces its contents in place.
+    fn assert_round_trips<T: Copy + Default>(make: impl Fn(usize) -> T, key: impl Fn(T) -> u128) {
+        let keys = |v: &[T]| v.iter().map(|&x| key(x)).collect::<Vec<_>>();
+        let t = MemoryTracker::new(1 << 30);
+        for len in split_extents::<T>() {
+            let data: Vec<T> = (0..len).map(&make).collect();
+            let old: Vec<T> = (len..2 * len + 3).map(&make).collect();
+            let buf = DeviceBuffer::<T>::new(len + 3, Arc::clone(&t)).unwrap();
+            buf.fill_from_host(&old);
+            buf.fill_from_host(&data);
+            let back = buf.read_to_host();
+            assert_eq!(keys(&back[..len]), keys(&data), "len {len}: prefix");
+            assert_eq!(keys(&back[len..]), keys(&old[len..]), "len {len}: tail");
+            let mut out = old.clone();
+            let base = out.as_ptr();
+            buf.read_prefix_to_host(len, &mut out);
+            assert_eq!(keys(&out), keys(&data), "len {len}: read into a Vec");
+            assert_eq!(out.as_ptr(), base, "len {len}: the Vec kept its storage");
+        }
+    }
+
+    #[test]
+    fn split_copies_round_trip_bitwise() {
+        let mix = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Every bit pattern is fair game, NaN payloads included.
+        assert_round_trips(|i| f64::from_bits(mix(i)), |x| x.to_bits().into());
+        assert_round_trips(
+            |i| f32::from_bits((mix(i) >> 32) as u32),
+            |x| x.to_bits().into(),
+        );
+        assert_round_trips(|i| mix(i) as i32, |x| (x as u32).into());
+        let t = MemoryTracker::new(1 << 20);
+        let target: DeviceBuffer<f64> = DeviceBuffer::new(1000, t).unwrap();
+        assert_round_trips(
+            |i| target.ptr().offset(i % 993).truncate(i % 7),
+            |p| ((p.raw().addr() as u128) << 64) | p.len() as u128,
+        );
+    }
+
+    #[test]
+    fn read_prefix_of_a_pooled_buffer_reads_only_the_prefix() {
+        let dev = crate::Device::new(crate::DeviceConfig::k40c());
+        let mut pool = crate::MemoryPool::<f64>::new();
+        let len = at_split::<f64>() + 1;
+        let buf = pool.take(&dev, len).unwrap();
+        assert!(buf.len() > len, "the size class rounds up");
+        buf.fill_from_host(&vec![-1.0; buf.len()]);
+        let data: Vec<f64> = (0..len).map(|i| i as f64).collect();
+        buf.fill_from_host(&data);
+        let mut out = Vec::new();
+        buf.read_prefix_to_host(len, &mut out);
+        assert_eq!(out, data);
+        pool.reclaim(buf);
+    }
+
+    #[test]
+    fn large_copy_from_inside_a_kernel_completes_inline() {
+        let dev = crate::Device::new(crate::DeviceConfig::k40c());
+        let len = 2 * at_split::<f64>() + 1;
+        let data: Vec<f64> = (0..len).map(|i| i as f64 + 0.5).collect();
+        let bufs: Vec<DeviceBuffer<f64>> = (0..4).map(|_| dev.alloc(len).unwrap()).collect();
+        let outs: Vec<std::sync::Mutex<Vec<f64>>> = (0..4).map(|_| Default::default()).collect();
+        // Four blocks keep the executor busy, so each block's copies run
+        // on the thread that issued them.
+        dev.launch(
+            "copy_in_kernel",
+            crate::LaunchConfig::grid_1d(4, 32),
+            |blk| {
+                let b = blk.linear_block_id();
+                bufs[b].fill_from_host(&data);
+                if let Ok(mut out) = outs[b].lock() {
+                    bufs[b].read_prefix_to_host(len, &mut out);
+                }
+            },
+        )
+        .unwrap();
+        for out in outs {
+            assert_eq!(out.into_inner().unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn two_threads_copy_into_distinct_buffers_at_once() {
+        let t = MemoryTracker::new(1 << 30);
+        let len = 3 * at_split::<f64>() + 5;
+        let reps = if cfg!(miri) { 2 } else { 20 };
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for k in 0..2 {
+                let (t, gate) = (&t, &gate);
+                s.spawn(move || {
+                    let data: Vec<f64> = (0..len).map(|i| (2 * i + k) as f64).collect();
+                    let buf = DeviceBuffer::<f64>::new(len, Arc::clone(t)).unwrap();
+                    gate.wait();
+                    for _ in 0..reps {
+                        buf.fill_from_host(&data);
+                        assert_eq!(buf.read_to_host(), data);
+                    }
+                });
+            }
+        });
     }
 }

@@ -349,7 +349,9 @@ impl<T: Scalar> VBatch<T> {
     /// Downloads the `info` array.
     #[must_use]
     pub fn read_info(&self) -> Vec<i32> {
-        self.d_info.read_prefix_to_host(self.count)
+        let mut info = Vec::new();
+        self.d_info.read_prefix_to_host(self.count, &mut info);
+        info
     }
 
     /// Uploads matrix `i` from packed column-major host data of extent
@@ -390,9 +392,18 @@ impl<T: Scalar> VBatch<T> {
     /// Downloads matrix `i` as packed column-major data (with its `ld`).
     #[must_use]
     pub fn download_matrix(&self, i: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        self.download_matrix_into(i, &mut out);
+        out
+    }
+
+    /// [`VBatch::download_matrix`] into `out`, reusing its allocation:
+    /// a caller that already holds the matrix's extent gets the factor
+    /// back in the same storage.
+    pub(crate) fn download_matrix_into(&self, i: usize, out: &mut Vec<T>) {
         // A pooled buffer is a whole power-of-two size class; read only
         // the matrix.
-        self.storage[i].read_prefix_to_host(extent(self.rows[i], self.cols[i], self.ld[i]))
+        self.storage[i].read_prefix_to_host(extent(self.rows[i], self.cols[i], self.ld[i]), out);
     }
 
     /// Total bytes of matrix storage (excludes metadata arrays).

@@ -787,7 +787,7 @@ fn run_shard_on_device<T: Scalar>(
     collect_pre_driver_events(dev, ev_start, report.recovery.injected.len(), &mut local);
     let mut download_bytes = 0;
     for (k, &gi) in shard.indices.iter().enumerate() {
-        w.mats[gi] = vb.download_matrix(k);
+        vb.download_matrix_into(k, &mut w.mats[gi]);
         download_bytes += w.mats[gi].len() * std::mem::size_of::<T>();
         w.info[gi] = report.info[k];
     }

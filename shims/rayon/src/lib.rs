@@ -6,6 +6,7 @@
 //! * `(0..n).into_par_iter()`, `slice.par_iter()`,
 //!   `slice.par_iter_mut()`
 //! * `zip`, `map`, `for_each`, `collect::<Vec<_>>()`
+//! * `current_num_threads()`
 //!
 //! Parallelism is real and **dynamic**: one process-wide
 //! [`pool::WorkerPool`] — the workspace's single audited pool, compiled
@@ -43,6 +44,13 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 fn executor() -> &'static pool::WorkerPool {
     static POOL: OnceLock<pool::WorkerPool> = OnceLock::new();
     POOL.get_or_init(pool::WorkerPool::from_env)
+}
+
+/// Lanes of the process-wide executor, the calling thread included
+/// (upstream's `rayon::current_num_threads`).
+#[must_use]
+pub fn current_num_threads() -> usize {
+    executor().threads()
 }
 
 /// Items the next claim takes off a source with `remaining` left:
@@ -475,6 +483,14 @@ mod tests {
                 assert_eq!(claims, claim_sequence(n, lanes), "same sequence on repeat");
             }
         }
+    }
+
+    #[test]
+    fn current_num_threads_is_the_resolved_lane_count() {
+        assert_eq!(
+            super::current_num_threads(),
+            super::pool::resolved_threads()
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use vbatch_core::shard::normalized_options;
 use vbatch_core::{
-    getrf_sharded, plan_shards, potrf_sharded, GetrfOptions, PotrfOptions, ShardOpts, ShardedState,
+    getrf_sharded, plan_shards, potrf_hybrid, potrf_sharded, GetrfOptions, HostCostModel,
+    HostEngine, HostState, PotrfOptions, ShardOpts, ShardedState,
 };
 use vbatch_dense::gen::{diag_dominant_vec, seeded_rng, spd_vec};
 use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
@@ -124,6 +125,54 @@ fn sharded_matches_single_device_driver_bitwise() {
     let (factors, info, _) = run_sharded_potrf(4, &sizes, &mats, &ShardOpts::default());
     assert_eq!(info, report.info);
     assert_bits_equal(&reference, &factors, "sharded vs plain driver");
+}
+
+/// `potrf_sharded` and `potrf_hybrid` factorize the caller's matrices
+/// in place: each `mats[i]` keeps its storage, and its factor bits match
+/// the 1-device run. Orders reach 256 (512 KiB), so downloads of the
+/// larger matrices run as split copies.
+#[test]
+fn sharded_and_hybrid_write_factors_into_the_callers_storage() {
+    let (sizes, mats) = spd_workload(0x51DE, 64, 256);
+    let (reference, ref_info, _) = run_sharded_potrf(1, &sizes, &mats, &ShardOpts::default());
+    let addrs = |m: &[Vec<f64>]| m.iter().map(|v| v.as_ptr()).collect::<Vec<_>>();
+
+    let mut work = mats.clone();
+    let before = addrs(&work);
+    let report = potrf_sharded(
+        &DeviceGroup::homogeneous(DeviceConfig::k40c(), 4),
+        &sizes,
+        &mut work,
+        &PotrfOptions::default(),
+        &ShardOpts::default(),
+        &mut ShardedState::new(),
+    )
+    .expect("sharded potrf");
+    assert_eq!(addrs(&work), before, "potrf_sharded moved a matrix");
+    assert_eq!(report.info, ref_info);
+    assert_bits_equal(&reference, &work, "4 devices vs 1");
+
+    let mut work = mats.clone();
+    let before = addrs(&work);
+    let report = potrf_hybrid(
+        &DeviceGroup::homogeneous(DeviceConfig::k40c(), 1),
+        &HostEngine::with_threads(2),
+        &HostCostModel::default_for_threads(2),
+        &sizes,
+        &mut work,
+        &PotrfOptions::default(),
+        &ShardOpts::default(),
+        &mut ShardedState::new(),
+        &mut HostState::new(),
+    )
+    .expect("hybrid potrf");
+    assert!(
+        report.per_device[0].matrices > 0,
+        "the device peer must download something"
+    );
+    assert_eq!(addrs(&work), before, "potrf_hybrid moved a matrix");
+    assert_eq!(report.info, ref_info);
+    assert_bits_equal(&reference, &work, "hybrid vs 1 device");
 }
 
 #[test]
