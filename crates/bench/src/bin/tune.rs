@@ -5,9 +5,12 @@
 //! coarse-to-fine sweep: first the register tile `(MR, NR)` among the
 //! shapes the microkernel dispatcher actually backs (at the default
 //! cache blocking), then the cache blocking `(MC, KC)` under the winning
-//! register tile, then a per-matrix-vs-interleaved A/B for the cutoff.
-//! **Every candidate is validated against the naive-tier oracle before
-//! it is timed** — a scheme that produces wrong numbers can never win.
+//! register tile, then a per-matrix-vs-interleaved A/B for the cutoff:
+//! `potf2` one matrix at a time against the lane groups the driver runs
+//! (`interleave::potrf_lanes_in_place`). **Every candidate is validated
+//! against an oracle** — the naive tier before a gemm scheme is timed,
+//! `potf2` bit-for-bit for every interleaved factor — so a path that
+//! produces wrong numbers can never win.
 //!
 //! The winner is written to `TUNE.json` (see `--out`) together with the
 //! host's CPU feature set; `TileScheme::load()` picks the file up at
@@ -229,14 +232,16 @@ fn tune_gemm<T: Scalar>(p: &Profile) -> TileScheme {
     fine
 }
 
-/// A/B of the batched-small paths: per-matrix `potf2` versus the
-/// interleaved group kernel (full-width tile). Returns the largest
+/// A/B of the batched-small paths: per-matrix `potf2` versus the lane
+/// groups the driver runs, `interleave::potrf_lanes_in_place` over
+/// consecutive `lane_count` chunks of the batch. Returns the largest
 /// probed order at which the interleaved path wins — the window router
 /// sends `wmax ≤ cutoff` through it. Every interleaved result is
 /// oracle-checked against `potf2` bit-for-bit as it goes (the kernels
 /// carry that contract; a mismatch aborts the tuner).
 fn tune_cutoff<T: Scalar>(p: &Profile) -> usize {
     let mut cutoff = 1;
+    let lanes = interleave::lane_count::<T>();
     eprintln!("  [{}] interleave cutoff A/B", T::PREFIX);
     for &n in p.cutoff_ns {
         let batch = p.cutoff_batch;
@@ -257,30 +262,34 @@ fn tune_cutoff<T: Scalar>(p: &Profile) -> usize {
         });
         let oracle = work.clone();
         let mut infos = vec![0i32; batch];
-        let mut tile = vec![T::ZERO; interleave::group_tile_len(n)];
         let interleaved = time_best(p.budget, || {
             work.copy_from_slice(&pristine);
-            interleave::potrf_group(n, &pristine, &mut work, &mut tile, &mut infos);
+            let mut mats = Vec::with_capacity(lanes);
+            for (group, inf) in work.chunks_mut(lanes * n * n).zip(infos.chunks_mut(lanes)) {
+                mats.clear();
+                mats.extend(
+                    group
+                        .chunks_exact_mut(n * n)
+                        .map(|a| MatMut::from_slice(a, n, n, n)),
+                );
+                interleave::potrf_lanes_in_place(&mut mats, inf);
+            }
         });
         assert!(infos.iter().all(|&i| i == 0), "SPD batch must not break");
-        for (i, (g, w)) in work
+        // The lane path leaves the strict upper triangle as `potf2` does,
+        // so whole matrices compare.
+        let diverged = work
             .chunks_exact(n * n)
             .zip(oracle.chunks_exact(n * n))
-            .enumerate()
-        {
-            for c in 0..n {
-                for r in c..n {
-                    let (gb, wb) = (
-                        g[c * n + r].to_f64().to_bits(),
-                        w[c * n + r].to_f64().to_bits(),
-                    );
-                    assert_eq!(
-                        gb, wb,
-                        "interleaved lane diverged from potf2 (matrix {i}, n={n})"
-                    );
-                }
-            }
-        }
+            .position(|(g, w)| {
+                g.iter()
+                    .zip(w)
+                    .any(|(a, b)| a.to_f64().to_bits() != b.to_f64().to_bits())
+            });
+        assert!(
+            diverged.is_none(),
+            "interleaved lane diverged from potf2 (matrix {diverged:?}, n={n})"
+        );
         let wins = interleaved <= per_matrix;
         eprintln!(
             "    n={n:2}: per-matrix {:9.3e}s | interleaved {:9.3e}s {}",

@@ -212,12 +212,12 @@ const TRTRI_NB: usize = 16;
 ///
 /// This is the primitive the paper's vbatched `trsm` uses on the
 /// diagonal blocks before replacing substitution with `gemm`.
-/// Recursive: the triangle splits 2×2 (at [`tri_split`], a function of
+/// Recursive: the triangle splits 2×2 (at `tri_split`, a function of
 /// the order only), both diagonal blocks are inverted, and the
 /// off-diagonal block becomes `A21 ← −A22⁻¹·A21·A11⁻¹` by two [`trmm`]
 /// calls, so nearly all the work runs in the level-3 engine. Blocks of
-/// order at most [`TRTRI_NB`] are inverted one column at a time
-/// (`xTRTI2`) with contiguous-column [`axpy`]s.
+/// order at most `TRTRI_NB` are inverted one column at a time
+/// (`xTRTI2`) with contiguous-column `axpy`s.
 ///
 /// Only the `uplo` triangle is read or written — never the opposite
 /// triangle and, under [`Diag::Unit`], never the diagonal.
@@ -523,7 +523,7 @@ pub fn getrf<T: Scalar>(mut a: MatMut<'_, T>, ipiv: &mut [usize], nb: usize) -> 
 
 /// Applies the elementary reflector `H = I − τ·v·vᵀ` from the left to
 /// `c`, where `v = [1; v_tail]` (LAPACK `xLARF`, left, forward storage):
-/// one column [`dot`] and one [`axpy`] per column of `c`.
+/// one column `dot` and one `axpy` per column of `c`.
 pub fn larf_left<T: Scalar>(v_tail: MatRef<'_, T>, tau: T, mut c: MatMut<'_, T>) {
     let m = c.nrows();
     debug_assert_eq!(v_tail.nrows() + 1, m, "larf: v length mismatch");

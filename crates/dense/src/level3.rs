@@ -25,9 +25,10 @@
 //! consumer — blocked Cholesky/LU, the vbatched kernels, the CPU
 //! baselines — inherits the fast path.
 //!
-//! [`uses_blocked`] exposes the dispatch predicate and the [`tier`]
-//! module exposes both tiers directly so tests and benches can pin a
-//! path regardless of operand size.
+//! [`uses_blocked`](crate::level3::uses_blocked) exposes the dispatch
+//! predicate and the [`tier`](crate::level3::tier) module exposes both
+//! tiers directly so tests and benches can pin a path regardless of
+//! operand size.
 //!
 //! # Runtime tile schemes
 //!
@@ -953,7 +954,7 @@ const TRSM_NB: usize = 32;
 ///
 /// Solves recursively: the triangle splits in half, the off-diagonal
 /// coupling becomes a [`gemm`] update (packed tier for large operands),
-/// and sub-[`TRSM_NB`] diagonal blocks substitute on the slice tier.
+/// and sub-`TRSM_NB` diagonal blocks substitute on the slice tier.
 ///
 /// # Panics
 /// On dimension mismatch.
@@ -1264,7 +1265,7 @@ pub(crate) fn tri_split(n: usize) -> usize {
 /// off-diagonal block is one [`gemm`] update (`B2 += α·op(A21)·B1`,
 /// ordered so each half of `B` is read before it is overwritten) and
 /// the two diagonal blocks recurse until their order is at most
-/// [`TRMM_NB`], where a register-accumulator sweep multiplies them
+/// `TRMM_NB`, where a register-accumulator sweep multiplies them
 /// directly. The split depends on the dimensions only, so the result is
 /// a pure function of the operands.
 ///

@@ -30,7 +30,7 @@
 //! * **A bounded spin before parking.** Launches arrive in bursts a few
 //!   microseconds apart (a driver's step loop), and a futex sleep/wake
 //!   pair costs more than that; workers poll the epoch for
-//!   [`SPIN_ROUNDS`] rounds before sleeping on the condvar, and the
+//!   `SPIN_ROUNDS` rounds before sleeping on the condvar, and the
 //!   launcher polls the completion count likewise.
 //! * **Panics come back to the launcher.** A panic on any lane is
 //!   caught there; `run` still waits for every lane (workers hold a

@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::interleave::{
-    interleaved_len, lane_count, lane_index, pack_lanes, potrf_lanes, potrf_lanes_in_place,
-    unpack_lane,
+    interleaved_len, lane_count, pack_lanes, potrf_lanes, potrf_lanes_in_place, unpack_lane,
 };
 use vbatch_dense::{potf2, MatMut, MatRef, Scalar, Uplo};
 
@@ -31,6 +30,12 @@ fn pack_square(m: usize, mats: &[Vec<f64>], sizes: &[usize]) -> Vec<f64> {
 /// `sizes[l] + pad`; every element the factorization must not touch —
 /// the strict upper triangle and the `ld` gap rows — holds a NaN
 /// sentinel. `poison` makes that lane non-SPD at its middle column.
+/// `zero = Some((lane, k))` decouples unknown `k` of that lane: row `k`
+/// left of the diagonal becomes `+0.0`, so every multiplier of column
+/// `k` is exactly zero in a live lane, and column `k` below the diagonal
+/// becomes `-0.0`. A skipped update and an applied `fma(-0, a, c)`
+/// differ only when `c` is a signed zero, so the negative zeros are what
+/// make the scalar tier's `w != 0` skip observable.
 ///
 /// * per lane, the caller's **whole storage** (sentinels included) and
 ///   the `info` code equal `potf2` Lower run in place on the same bytes;
@@ -39,7 +44,13 @@ fn pack_square(m: usize, mats: &[Vec<f64>], sizes: &[usize]) -> Vec<f64> {
 /// * the result equals the explicit pack → [`potrf_lanes`] → unpack path
 ///   at the padded extent 32, i.e. it does not depend on the tile extent
 ///   the routine picked (the group's own maximum).
-fn in_place_group_holds<T: Scalar>(sizes: &[usize], pad: usize, poison: Option<usize>, seed: u64) {
+fn in_place_group_holds<T: Scalar>(
+    sizes: &[usize],
+    pad: usize,
+    poison: Option<usize>,
+    zero: Option<(usize, usize)>,
+    seed: u64,
+) {
     let mut rng = seeded_rng(seed);
     let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<u64>>();
     let sentinel = T::from_f64(f64::NAN);
@@ -55,6 +66,14 @@ fn in_place_group_holds<T: Scalar>(sizes: &[usize], pad: usize, poison: Option<u
             }
             if poison == Some(l) && n > 0 {
                 a[(n / 2) * (ld + 1)] = T::from_f64(-1.0);
+            }
+            if let Some((_, k)) = zero.filter(|&(z, k)| z == l && k < n) {
+                for t in 0..k {
+                    a[t * ld + k] = T::ZERO;
+                }
+                for r in k + 1..n {
+                    a[k * ld + r] = T::from_f64(-0.0);
+                }
             }
             a
         })
@@ -108,20 +127,26 @@ fn in_place_group_holds<T: Scalar>(sizes: &[usize], pad: usize, poison: Option<u
 
 /// Every order 0..=32 in both precisions: consecutive orders share a
 /// group (non-uniform, so the zero-fill path), then each order alone
-/// fills a whole group (uniform: no fill) and a partial one.
+/// fills a whole group (uniform: no fill) and a partial one. A set of
+/// orders also runs a full uniform group holding both a breakdown lane
+/// and a live lane with exactly-zero multipliers.
 #[test]
 fn in_place_group_covers_every_order() {
     fn sweep<T: Scalar>() {
         let lanes = lane_count::<T>();
         let orders: Vec<usize> = (0..=32).collect();
         for (g, group) in orders.chunks(lanes).enumerate() {
-            in_place_group_holds::<T>(group, g % 3, None, 100 + g as u64);
+            in_place_group_holds::<T>(group, g % 3, None, None, 100 + g as u64);
         }
         for n in 0..=32usize {
-            in_place_group_holds::<T>(&vec![n; lanes], 0, None, 200 + n as u64);
-            in_place_group_holds::<T>(&vec![n; lanes - 1], 1, Some(0), 300 + n as u64);
+            in_place_group_holds::<T>(&vec![n; lanes], 0, None, None, 200 + n as u64);
+            in_place_group_holds::<T>(&vec![n; lanes - 1], 1, Some(0), None, 300 + n as u64);
         }
-        in_place_group_holds::<T>(&[], 0, None, 1);
+        for n in (1..=12usize).chain([13, 16, 24, 32]) {
+            let zero = Some((0, n / 3));
+            in_place_group_holds::<T>(&vec![n; lanes], n % 3, Some(1), zero, 400 + n as u64);
+        }
+        in_place_group_holds::<T>(&[], 0, None, None, 1);
     }
     sweep::<f64>();
     sweep::<f32>();
@@ -140,8 +165,8 @@ proptest! {
         let order = |l: usize| (seed as usize / 3 + 11 * l) % 33;
         let f64_sizes: Vec<usize> = (0..count.min(lane_count::<f64>())).map(order).collect();
         let f32_sizes: Vec<usize> = (0..count).map(order).collect();
-        in_place_group_holds::<f64>(&f64_sizes, pad, Some(poison), seed);
-        in_place_group_holds::<f32>(&f32_sizes, pad, Some(poison), seed);
+        in_place_group_holds::<f64>(&f64_sizes, pad, Some(poison), None, seed);
+        in_place_group_holds::<f32>(&f32_sizes, pad, Some(poison), None, seed);
     }
 
     #[test]
@@ -165,13 +190,15 @@ proptest! {
             prop_assert_eq!(gb, ob, "lane {} did not roundtrip", l);
         }
         // Every absent lane and every padding element is exactly zero.
+        let mut full = vec![0.0f64; m * m];
         for l in 0..lanes {
-            let top = if l < count { sizes[l] } else { 0 };
+            let top = sizes.get(l).copied().unwrap_or(0);
+            unpack_lane(&buf, m, l, MatMut::from_slice(&mut full, m, m, m));
             for j in 0..m {
                 for i in 0..m {
                     if i >= top || j >= top {
                         prop_assert_eq!(
-                            buf[lane_index(m, lanes, i, j, l)].to_bits(),
+                            full[j * m + i].to_bits(),
                             0u64,
                             "padding ({}, {}) lane {} not +0.0", i, j, l
                         );

@@ -348,11 +348,11 @@ pub fn potrf_fused_step<T: Scalar>(
 pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv_cutoff;
 
 /// Interleaved batched-small Cholesky over one sorting window: each
-/// thread block takes up to `L` = [`interleave::lane_count`] matrices of
-/// the window (selected via `d_indices`, identity when empty) and
-/// factorizes them in place as one lane group
-/// ([`interleave::potrf_lanes_in_place`]). `Lower` only — the driver
-/// falls back to the per-step loop for `Upper`.
+/// thread block takes up to `L` = [`vbatch_dense::interleave::lane_count`]
+/// matrices of the window (selected via `d_indices`, identity when
+/// empty) and factorizes them in place as one lane group
+/// ([`vbatch_dense::interleave::potrf_lanes_in_place`]). `Lower` only —
+/// the driver falls back to the per-step loop for `Upper`.
 ///
 /// The model and the host execution differ in one deliberate way: the
 /// launch is *configured and charged* for an `m² · L` shared-memory tile

@@ -4,8 +4,8 @@
 //! The paper's title promises *heterogeneous* parallel architectures;
 //! this module redeems the host half. A [`HostEngine`] drives the same
 //! per-matrix arithmetic as the simulated device — literally the same
-//! functions ([`crate::fused::fused_step_math`] for the blocked panel
-//! loop, [`vbatch_dense::interleave::potrf_lanes`] for the batched-small
+//! functions (`fused::fused_step_math` for the blocked panel loop,
+//! [`vbatch_dense::interleave::potrf_lanes_in_place`] for the batched-small
 //! interleaved tier) — across a fixed pool of worker threads
 //! ([`vbatch_dense::pool::WorkerPool`]).
 //!

@@ -95,7 +95,7 @@ struct LuStep<T> {
 /// Pooled LU driver scratch, held inside
 /// [`crate::workspace::DriverWorkspace`]: the per-step view buffers and
 /// the always-clean info vector the trailing updates read. Grown on
-/// demand, never shrunk. Reuse is safe: every [`LuStep`] buffer is fully
+/// demand, never shrunk. Reuse is safe: every `LuStep` buffer is fully
 /// rewritten by the step kernel before the trailing kernels read it, and
 /// the clean info vector is only ever read (zero forever).
 pub struct LuWorkspace<T> {

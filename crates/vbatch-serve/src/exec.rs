@@ -3,9 +3,10 @@
 //! [`BatchService`] is single-threaded by design (its determinism
 //! contract is a total order over submissions). This module provides the
 //! concurrency shell around it: a [`ServeExecutor`] owns one dispatcher
-//! thread that holds the service (and therefore the [`Device`]), and
-//! hands out cloneable [`ClientHandle`]s whose `submit` is safe to call
-//! from any number of client threads.
+//! thread that holds the service (and therefore the
+//! [`Device`](vbatch_gpu_sim::Device)), and hands out cloneable
+//! [`ClientHandle`]s whose `submit` is safe to call from any number of
+//! client threads.
 //!
 //! The mailbox is a `Mutex<VecDeque>` + `Condvar` pair — no channels, no
 //! async runtime — so the dispatcher imposes a single arrival order on

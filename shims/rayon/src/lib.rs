@@ -9,7 +9,7 @@
 //! * `current_num_threads()`
 //!
 //! Parallelism is real and **dynamic**: one process-wide
-//! [`pool::WorkerPool`] — the workspace's single audited pool, compiled
+//! `WorkerPool` — the workspace's single audited pool, compiled
 //! here from `crates/dense/src/pool.rs` so this crate keeps its empty
 //! dependency set — is created on the first parallel call with
 //! `resolved_threads() - 1` workers and lives for the process. A call
