@@ -12,6 +12,11 @@
 //! so scheduling is a pure function of the submission sequence — no
 //! hashing, no wall clock (the crate sits in the analyzer's determinism
 //! scope, VBA201).
+//!
+//! Deadline expiry is checked on every clock tick, so it must cost
+//! nothing while nothing is due: the queues keep the earliest queued
+//! deadline, and `expire` walks the FIFOs only once that deadline has
+//! passed.
 
 use std::collections::VecDeque;
 
@@ -29,6 +34,12 @@ pub(crate) struct TenantQueues<T> {
     cursor: usize,
     pending: usize,
     queued_cost_s: f64,
+    /// Earliest `deadline_s` among queued requests (`+inf` if none).
+    /// While `deadline_stale` it is only a lower bound: the request that
+    /// held it left through `collect_window`, and the next `expire`
+    /// recomputes it.
+    earliest_deadline_s: f64,
+    deadline_stale: bool,
 }
 
 impl<T> TenantQueues<T> {
@@ -38,6 +49,8 @@ impl<T> TenantQueues<T> {
             cursor: 0,
             pending: 0,
             queued_cost_s: 0.0,
+            earliest_deadline_s: f64::INFINITY,
+            deadline_stale: false,
         }
     }
 
@@ -64,6 +77,9 @@ impl<T> TenantQueues<T> {
     pub fn enqueue(&mut self, req: Request<T>) {
         self.pending += 1;
         self.queued_cost_s += req.cost_s;
+        if let Some(d) = req.deadline_s {
+            self.earliest_deadline_s = self.earliest_deadline_s.min(d);
+        }
         match self.tenants.iter_mut().find(|t| t.id == req.tenant) {
             Some(t) => t.fifo.push_back(req),
             None => self.tenants.push(Tenant {
@@ -87,22 +103,37 @@ impl<T> TenantQueues<T> {
 
     /// Removes and returns every request whose deadline has passed at
     /// `now_s` (timeout cancellation *before* dispatch: an expired
-    /// request never costs device time).
+    /// request never costs device time), in ring order, then FIFO order.
+    /// While the earliest queued deadline is known and not before `now_s`
+    /// this touches no FIFO and allocates nothing; otherwise one walk
+    /// removes the due requests in place and recomputes that deadline
+    /// from the requests that stay.
     pub fn expire(&mut self, now_s: f64) -> Vec<Request<T>> {
         let mut out = Vec::new();
+        if !self.deadline_stale && self.earliest_deadline_s >= now_s {
+            return out;
+        }
+        let mut earliest = f64::INFINITY;
         for t in &mut self.tenants {
-            let mut kept = VecDeque::with_capacity(t.fifo.len());
-            for r in t.fifo.drain(..) {
-                if r.deadline_s.is_some_and(|d| d < now_s) {
-                    self.pending -= 1;
-                    self.queued_cost_s -= r.cost_s;
-                    out.push(r);
-                } else {
-                    kept.push_back(r);
+            let mut i = 0;
+            while i < t.fifo.len() {
+                match t.fifo[i].deadline_s {
+                    Some(d) if d < now_s => {
+                        let r = t.fifo.remove(i).expect("index checked");
+                        self.pending -= 1;
+                        self.queued_cost_s -= r.cost_s;
+                        out.push(r);
+                    }
+                    Some(d) => {
+                        earliest = earliest.min(d);
+                        i += 1;
+                    }
+                    None => i += 1,
                 }
             }
-            t.fifo = kept;
         }
+        self.earliest_deadline_s = earliest;
+        self.deadline_stale = false;
         out
     }
 
@@ -138,6 +169,9 @@ impl<T> TenantQueues<T> {
                         t.deficit_s -= r.cost_s;
                         self.pending -= 1;
                         self.queued_cost_s -= r.cost_s;
+                        if r.deadline_s.is_some_and(|d| d <= self.earliest_deadline_s) {
+                            self.deadline_stale = true;
+                        }
                         picked.push(r);
                     } else if t.fifo[i].op == op {
                         break; // deficit exhausted for this tenant
@@ -226,6 +260,121 @@ mod tests {
         assert_eq!(dead[0].id, 0);
         assert_eq!(q.pending(), 1);
         assert!((q.queued_cost_s() - 1.0).abs() < 1e-12);
+    }
+
+    /// The rebuild-everything `expire` the deadline index replaced, kept
+    /// as the oracle: every call drains each FIFO into a fresh one.
+    fn expire_rebuild<T>(q: &mut TenantQueues<T>, now_s: f64) -> Vec<Request<T>> {
+        let mut out = Vec::new();
+        for t in &mut q.tenants {
+            let mut kept = VecDeque::with_capacity(t.fifo.len());
+            for r in t.fifo.drain(..) {
+                if r.deadline_s.is_some_and(|d| d < now_s) {
+                    q.pending -= 1;
+                    q.queued_cost_s -= r.cost_s;
+                    out.push(r);
+                } else {
+                    kept.push_back(r);
+                }
+            }
+            t.fifo = kept;
+        }
+        out
+    }
+
+    /// Earliest queued deadline by a full scan (`+inf` if none).
+    fn scanned_earliest<T>(q: &TenantQueues<T>) -> f64 {
+        q.tenants
+            .iter()
+            .flat_map(|t| &t.fifo)
+            .filter_map(|r| r.deadline_s)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn ids(rs: &[Request<f64>]) -> Vec<u64> {
+        rs.iter().map(|r| r.id).collect()
+    }
+
+    /// Seeded random `enqueue`/`expire`/`collect_window` sequences on the
+    /// indexed queues and on the rebuild oracle: same returned requests
+    /// in the same order, same `pending`, same `queued_cost_s` bits after
+    /// every step, and an index that is exact unless marked stale.
+    /// Times and deadlines sit on a 0.25 grid so `expire` often runs at
+    /// exactly a queued deadline (not yet due: the cutoff is strict).
+    #[test]
+    fn deadline_index_matches_rebuild_oracle() {
+        use rand::Rng;
+        use vbatch_dense::gen::seeded_rng;
+
+        let (mut ties, mut early_collects, mut expired) = (0, 0, 0);
+        for seed in 0..48 {
+            let mut rng = seeded_rng(seed);
+            let tenants = rng.gen_range(1..=24u32);
+            let mut fast = TenantQueues::new();
+            let mut oracle = TenantQueues::new();
+            let mut now_s = 0.0f64;
+            for id in 0..300u64 {
+                let op = if rng.gen_range(0..2u32) == 0 {
+                    Op::Potrf
+                } else {
+                    Op::Getrf
+                };
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let mut r = req(id, rng.gen_range(0..tenants), op, 0.0, now_s);
+                        r.cost_s = rng.gen_range(1e-7..1e-4);
+                        if rng.gen_range(0..2u32) == 0 {
+                            r.deadline_s = Some(now_s + 0.25 * f64::from(rng.gen_range(0..8u32)));
+                        }
+                        fast.enqueue(r.clone());
+                        oracle.enqueue(r);
+                    }
+                    5..=7 => {
+                        now_s += 0.25 * f64::from(rng.gen_range(0..3u32));
+                        let queued = oracle.tenants.iter().flat_map(|t| &t.fifo);
+                        if queued.filter_map(|r| r.deadline_s).any(|d| d == now_s) {
+                            ties += 1;
+                        }
+                        let got = fast.expire(now_s);
+                        let want = expire_rebuild(&mut oracle, now_s);
+                        assert_eq!(ids(&got), ids(&want), "seed {seed} step {id}: expire");
+                        expired += want.len();
+                    }
+                    _ => {
+                        let earliest = scanned_earliest(&oracle);
+                        let max_window = rng.gen_range(1..8usize);
+                        let quantum_s = rng.gen_range(1e-6..2e-4);
+                        let got = fast.collect_window(op, max_window, quantum_s);
+                        let want = oracle.collect_window(op, max_window, quantum_s);
+                        assert_eq!(ids(&got), ids(&want), "seed {seed} step {id}: collect");
+                        if want.iter().any(|r| r.deadline_s == Some(earliest)) {
+                            early_collects += 1;
+                        }
+                    }
+                }
+                assert_eq!(fast.pending(), oracle.pending(), "seed {seed} step {id}");
+                assert_eq!(
+                    fast.queued_cost_s().to_bits(),
+                    oracle.queued_cost_s().to_bits(),
+                    "seed {seed} step {id}: queued_cost_s"
+                );
+                let earliest = scanned_earliest(&oracle);
+                if fast.deadline_stale {
+                    assert!(
+                        fast.earliest_deadline_s <= earliest,
+                        "seed {seed} step {id}"
+                    );
+                } else {
+                    assert_eq!(
+                        fast.earliest_deadline_s.to_bits(),
+                        earliest.to_bits(),
+                        "seed {seed} step {id}: earliest deadline"
+                    );
+                }
+            }
+        }
+        // The sequences reached every case the index has to get right.
+        assert!(ties > 0 && early_collects > 0 && expired > 0);
     }
 
     #[test]

@@ -423,7 +423,7 @@ impl<T: Scalar> BatchService<T> {
                     self.finish_window(&window, &report, factors, pivots, service_s, attempt);
                     return;
                 }
-                Err(err) => {
+                Err(_) => {
                     // Keep the merged injection log exact even for the
                     // attempt that failed: the driver's report (which
                     // normally carries them) never came back.
@@ -442,7 +442,7 @@ impl<T: Scalar> BatchService<T> {
                             .advance_time(self.cfg.retry_backoff_s * f64::from(attempt), 0.0);
                     } else {
                         self.stats.window_failures += 1;
-                        self.fail_window(&window, &err);
+                        self.fail_window(&window);
                         return;
                     }
                 }
@@ -535,9 +535,8 @@ impl<T: Scalar> BatchService<T> {
         self.recovery.workspace_releases += rec.workspace_releases;
         self.recovery.scrub_passes += rec.scrub_passes;
         self.recovery.injected.extend(rec.injected.iter().cloned());
-        for (k, q) in rec.quarantined.iter().map(|&k| (k, &window[k])) {
+        for &k in &rec.quarantined {
             debug_assert!(report.info[k] < 0);
-            let _ = q;
             self.recovery.quarantined.push(window[k].id as usize);
         }
         for ((k, r), (factor, piv)) in window
@@ -571,8 +570,7 @@ impl<T: Scalar> BatchService<T> {
 
     /// Emits `Failed` responses after the retry budget is spent — the
     /// window's requests get a terminal answer, the service stays up.
-    fn fail_window(&mut self, window: &[Request<T>], err: &VbatchError) {
-        let _ = err;
+    fn fail_window(&mut self, window: &[Request<T>]) {
         for r in window {
             self.responses.push(Response {
                 id: r.id,

@@ -114,6 +114,81 @@ fn overloaded_soak_with_faults_still_verifies_bitwise() {
     assert_eq!(out.mem_after_release, out.mem_baseline);
 }
 
+/// FNV-1a over little-endian words.
+fn fnv(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Hash of everything a run decided: each response in emission order
+/// (id, status, info, finish time bits, factor bits, pivots) and the
+/// expiry, shedding and window counters.
+fn response_stream_hash(cfg: &SoakConfig) -> u64 {
+    let schedule = build_schedule::<f64>(cfg);
+    let out = run_soak(cfg, &schedule, None, 0);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in &out.responses {
+        fnv(&mut h, r.id);
+        let status = match r.status {
+            ResponseStatus::Factored => 0,
+            ResponseStatus::Quarantined => 1,
+            ResponseStatus::Expired => 2,
+            ResponseStatus::Failed => 3,
+        };
+        fnv(&mut h, status);
+        fnv(&mut h, u64::from(r.info as u32));
+        fnv(&mut h, r.finish_s.to_bits());
+        for x in &r.factor {
+            fnv(&mut h, x.to_bits());
+        }
+        for &p in &r.pivots {
+            fnv(&mut h, p as u64);
+        }
+    }
+    fnv(&mut h, out.stats.expired);
+    fnv(&mut h, out.stats.rejected_overloaded);
+    fnv(&mut h, out.stats.windows);
+    h
+}
+
+/// Golden of the whole response stream under constant expiry: 15 %
+/// deadlines with 0.1 ms slack, so the deadline check fires on almost
+/// every clock tick. Expiry order, `queued_cost_s` bits (hence every
+/// shedding decision) and window composition all feed the hash.
+#[test]
+fn overload_response_stream_golden() {
+    assert_eq!(response_stream_hash(&overload_cfg()), 0x09f3_ad92_c836_b236);
+}
+
+/// Golden of a 400 kHz open-loop stream with 20 % of requests on a
+/// 1 ms deadline (the shape of the benchmark's overload phase). Shedding
+/// keeps the queue short enough that no deadline passes: every
+/// deadline-bearing request leaves through a window before it is due.
+#[test]
+fn open_loop_deadline_stream_golden() {
+    let cfg = SoakConfig {
+        serve: ServeConfig {
+            max_window: 32,
+            max_wait_s: 3e-4,
+            shed_cost_s: 4e-4,
+            tenant_queue_limit: 256,
+            ..Default::default()
+        },
+        seed: 0x0DE7,
+        clients: 2000,
+        tenants: 12,
+        requests: 2400,
+        rate_hz: 400_000.0,
+        sizes: vec![8, 12, 16, 24, 32, 48, 64],
+        getrf_share: 0.3,
+        deadline_share: 0.2,
+        deadline_slack_s: 1e-3,
+    };
+    assert_eq!(response_stream_hash(&cfg), 0xc248_e746_b101_6d0a);
+}
+
 /// Satellite regression: interleaved (out-of-order, mixed-tenant)
 /// arrival orders produce the same shard plans and bitwise factors as
 /// the pre-sorted order — metadata/pool reuse must not let one
