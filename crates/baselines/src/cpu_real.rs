@@ -1,19 +1,19 @@
-//! Real CPU execution path: dynamic one-core-per-matrix through the
-//! `rayon` API.
+//! Real CPU execution path: dynamic one-core-per-matrix on the
+//! workspace's worker pool.
 //!
 //! The analytic model in [`crate::cpu_model`] produces the figures; this
 //! module actually factorizes the batch on the host so tests can confirm
 //! the baseline's numerics.
-//! The vendored `rayon` shim runs the iterator on the workspace's
-//! persistent worker pool, whose lanes claim runs of matrices
-//! dynamically as they finish the previous one — the "dynamic
+//! The batch runs on the process-wide executor
+//! ([`vbatch_gpu_sim::workers::executor`]), whose lanes claim runs of
+//! matrices dynamically as they finish the previous one — the "dynamic
 //! scheduling" variant the paper identifies as the best CPU competitor
 //! (no work stealing; a lane never takes back work another has
 //! claimed).
 
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 use vbatch_dense::{potrf_blocked, Error, MatMut, Scalar, Uplo};
+use vbatch_gpu_sim::workers::executor;
 
 /// Factorizes every matrix in place (lower Cholesky, one task per
 /// matrix, dynamically claimed), returning wall time and the per-matrix
@@ -25,11 +25,14 @@ pub fn potrf_batch_dynamic<T: Scalar>(
 ) -> (Duration, Vec<i32>) {
     assert_eq!(mats.len(), sizes.len());
     let start = Instant::now();
-    let info: Vec<i32> = mats
-        .par_iter_mut()
-        .zip(sizes.par_iter())
-        .map(|(m, &n)| factor_one(m, n, nb))
-        .collect();
+    // `(matrix, info)`: each task writes only its own slot.
+    let mut tasks: Vec<(&mut Vec<T>, i32)> = mats.iter_mut().map(|m| (m, 0)).collect();
+    executor().claim(&mut tasks, |first, mine| {
+        for ((m, info), &n) in mine.iter_mut().zip(&sizes[first..]) {
+            *info = factor_one(m, n, nb);
+        }
+    });
+    let info = tasks.into_iter().map(|(_, info)| info).collect();
     (start.elapsed(), info)
 }
 

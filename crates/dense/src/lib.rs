@@ -48,7 +48,6 @@ mod factor;
 /// Level-3 kernels and the two-tier engine internals ([`level3::tier`],
 /// [`level3::uses_blocked`], tiling constants) for tests and benches.
 pub mod level3;
-pub mod pool;
 pub mod tune;
 
 pub use error::{Error, Result};

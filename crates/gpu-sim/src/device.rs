@@ -1,9 +1,6 @@
 //! The simulated device: allocation, kernel launch, streams, clock and
 //! energy.
 
-use parking_lot::Mutex;
-use rayon::prelude::*;
-
 use crate::config::DeviceConfig;
 use crate::cost::{BlockCost, BlockCtx};
 use crate::energy::{EnergyMeter, PowerModel};
@@ -13,8 +10,9 @@ use crate::mem::{DeviceBuffer, DevicePtr, MemoryTracker, OomError};
 use crate::occupancy::{occupancy, Occupancy, OccupancyError};
 use crate::sched::{schedule_blocks, schedule_blocks_uniform, KernelTiming};
 use crate::stats::{KernelStats, Profiler};
+use crate::workers::{executor, lock, try_lock};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A kernel launch was rejected before execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,7 +106,7 @@ impl Device {
     /// allocations pass through its injection checks. Replaces any plan
     /// already installed (discarding its event log).
     pub fn install_fault_plan(&self, plan: FaultPlan) {
-        *self.fault.lock() = Some(FaultState::new(plan));
+        *lock(&self.fault) = Some(FaultState::new(plan));
         self.fault_on.store(true, Ordering::Release);
     }
 
@@ -116,8 +114,7 @@ impl Device {
     /// event log.
     pub fn clear_fault_plan(&self) -> Vec<InjectionEvent> {
         self.fault_on.store(false, Ordering::Release);
-        self.fault
-            .lock()
+        lock(&self.fault)
             .take()
             .map_or_else(Vec::new, FaultState::into_events)
     }
@@ -132,8 +129,7 @@ impl Device {
     /// (empty when none is installed).
     #[must_use]
     pub fn fault_events(&self) -> Vec<InjectionEvent> {
-        self.fault
-            .lock()
+        lock(&self.fault)
             .as_ref()
             .map_or_else(Vec::new, FaultState::events)
     }
@@ -146,30 +142,28 @@ impl Device {
         if !self.fault_active() {
             return;
         }
-        if let Some(st) = self.fault.lock().as_mut() {
+        if let Some(st) = lock(&self.fault).as_mut() {
             st.register_target(name, ptr.raw().cast(), ptr.len(), std::mem::size_of::<T>());
         }
     }
 
     /// Injection check for a launch attempt; `true` means reject.
     fn fault_try_inject_launch(&self, name: &'static str) -> bool {
-        self.fault
-            .lock()
+        lock(&self.fault)
             .as_mut()
             .is_some_and(|st| st.on_launch(name))
     }
 
     /// Injection check for an allocation attempt.
     fn fault_check_alloc(&self, bytes: usize) -> Option<OomError> {
-        self.fault
-            .lock()
+        lock(&self.fault)
             .as_mut()
             .and_then(|st| st.on_alloc(bytes, self.mem.in_use(), self.mem.capacity()))
     }
 
     /// Applies any due buffer corruption (called after a commit).
     fn fault_after_launch(&self) {
-        if let Some(st) = self.fault.lock().as_mut() {
+        if let Some(st) = lock(&self.fault).as_mut() {
             st.after_launch();
         }
     }
@@ -259,7 +253,7 @@ impl Device {
             return Err(LaunchError::Injected);
         }
         let launch_s = self.launch_overhead_s();
-        let timing = match self.scratch.try_lock() {
+        let timing = match try_lock(&self.scratch) {
             Some(mut scratch) => {
                 let LaunchScratch { costs, sm_free } = &mut *scratch;
                 self.run_blocks_into(&cfg, &kernel, costs);
@@ -307,19 +301,18 @@ impl Device {
         // Each block writes its own slot, so `costs[linear]` — the
         // scheduler's input — is the same for any lane count and any
         // order the executor's lanes claim blocks in.
-        (0..n_blocks)
-            .into_par_iter()
-            .zip(costs.par_iter_mut())
-            .for_each(|(linear, cost)| {
+        executor().claim(costs, |first, chunk| {
+            for (linear, cost) in (first as u64..).zip(chunk) {
                 let idx = cfg.grid.unflatten(linear);
                 let mut ctx = BlockCtx::new(idx, cfg.block, cfg.grid, self.cfg.warp_size);
                 kernel(&mut ctx);
                 *cost = ctx.into_cost();
-            });
+            }
+        });
     }
 
     fn commit(&self, name: &'static str, timing: &KernelTiming, launches: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock_s += timing.total_s;
         // Launch issue burns idle power; execution burns at the busy
         // fraction.
@@ -370,7 +363,7 @@ impl Device {
 
     fn transfer(&self, bytes: usize) -> f64 {
         let t = self.transfer_seconds(bytes);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock_s += t;
         inner.energy.add_interval(t, 0.0);
         t
@@ -380,7 +373,7 @@ impl Device {
     /// activity (0 = idle). Used by hybrid baselines to account for
     /// host-side work the device waits on.
     pub fn advance_time(&self, seconds: f64, activity: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock_s += seconds;
         inner.energy.add_interval(seconds, activity);
     }
@@ -388,25 +381,25 @@ impl Device {
     /// Current simulated time in seconds.
     #[must_use]
     pub fn now(&self) -> f64 {
-        self.inner.lock().clock_s
+        lock(&self.inner).clock_s
     }
 
     /// Energy consumed so far, joules.
     #[must_use]
     pub fn energy_j(&self) -> f64 {
-        self.inner.lock().energy.joules()
+        lock(&self.inner).energy.joules()
     }
 
     /// Total kernel launches issued so far.
     #[must_use]
     pub fn launch_count(&self) -> u64 {
-        self.inner.lock().launches
+        lock(&self.inner).launches
     }
 
     /// Resets clock, energy and profiler (memory stays allocated) —
     /// call before a measured region.
     pub fn reset_metrics(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock_s = 0.0;
         inner.energy.reset();
         inner.profiler.reset();
@@ -415,7 +408,7 @@ impl Device {
 
     /// Runs `f` with a snapshot view of the profiler.
     pub fn with_profiler<R>(&self, f: impl FnOnce(&Profiler) -> R) -> R {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         f(&inner.profiler)
     }
 }

@@ -19,6 +19,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
+use crate::workers::lock;
+
 type Table = Mutex<BTreeMap<(&'static str, &'static str), &'static str>>;
 
 static TABLE: OnceLock<Table> = OnceLock::new();
@@ -34,7 +36,7 @@ fn table() -> &'static Table {
 /// allocating.
 #[must_use]
 pub fn prefixed(prefix: &'static str, base: &'static str) -> &'static str {
-    let mut t = table().lock().expect("intern table lock");
+    let mut t = lock(table());
     t.entry((prefix, base))
         .or_insert_with(|| Box::leak(format!("{prefix}{base}").into_boxed_str()))
 }
@@ -48,7 +50,7 @@ pub fn prefixed(prefix: &'static str, base: &'static str) -> &'static str {
 /// rather than passing a bare literal.
 #[must_use]
 pub fn literal(name: &'static str) -> &'static str {
-    let mut t = table().lock().expect("intern table lock");
+    let mut t = lock(table());
     t.entry(("", name)).or_insert(name)
 }
 
@@ -59,7 +61,7 @@ pub fn literal(name: &'static str) -> &'static str {
 /// call order.
 #[must_use]
 pub fn known_names() -> Vec<&'static str> {
-    let t = table().lock().expect("intern table lock");
+    let t = lock(table());
     let mut names: Vec<&'static str> = t.values().copied().collect();
     names.sort_unstable();
     names.dedup();

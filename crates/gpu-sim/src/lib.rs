@@ -48,8 +48,9 @@
 //! ```
 
 // Every unsafe operation (DeviceBuffer casts, Send/Sync assertions,
-// fault-injection pokes) must sit in an explicit block with its own
-// SAFETY comment — checked by `cargo analyze` against analyze.toml.
+// fault-injection pokes, the worker pool's job hand-off) must sit in an
+// explicit block with its own SAFETY comment — checked by
+// `cargo analyze` against analyze.toml.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod config;
@@ -65,6 +66,7 @@ pub mod occupancy;
 pub mod pool;
 pub mod sched;
 pub mod stats;
+pub mod workers;
 
 pub use config::DeviceConfig;
 pub use cost::{BlockCost, BlockCtx};

@@ -13,7 +13,7 @@ use std::mem::{size_of, MaybeUninit};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rayon::prelude::*;
+use crate::workers::executor;
 
 /// Smallest host copy, in bytes, that [`DeviceBuffer`] splits across the
 /// launch executor's lanes: at most one contiguous chunk per lane, each
@@ -27,7 +27,7 @@ fn copy_parts(bytes: usize) -> usize {
     if bytes < SPLIT_BYTES {
         return 1;
     }
-    (bytes / (SPLIT_BYTES / 2)).min(rayon::current_num_threads())
+    (bytes / (SPLIT_BYTES / 2)).min(executor().threads())
 }
 
 /// The host side of a [`DeviceBuffer`] copy; its variant is the
@@ -305,23 +305,29 @@ impl<T: Copy + Default> DeviceBuffer<T> {
         // workers read with `Acquire`) publishes it, so `Relaxed` loads
         // see the initial values.
         let (src, dst) = (AtomicPtr::new(src.cast_mut()), AtomicPtr::new(dst));
-        (0..parts).into_par_iter().for_each(|p| {
-            let lo = (p * chunk).min(len);
-            let n = chunk.min(len - lo);
-            // SAFETY: lane `p` copies the disjoint range `[lo, lo + n)`
-            // of `[0, len)`; the ranges of all `parts` chunks tile it
-            // exactly once. `len` fits the buffer (asserted) and the
-            // host slice (its own length); host and device memory are
-            // separate allocations, and the host side is borrowed for
-            // the whole call (`&mut` when it is the destination). The
-            // caller must not race running kernels on the buffer — the
-            // cudaMemcpy contract.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.load(Ordering::Relaxed).add(lo).cast_const(),
-                    dst.load(Ordering::Relaxed).add(lo),
-                    n,
-                );
+        // The parts carry no data of their own: the lanes claim
+        // zero-sized slots (no allocation) and copy the range each
+        // slot's index names.
+        executor().claim(&mut vec![(); parts], |first, mine| {
+            for p in first..first + mine.len() {
+                let lo = (p * chunk).min(len);
+                let n = chunk.min(len - lo);
+                // SAFETY: part `p` copies the disjoint range
+                // `[lo, lo + n)` of `[0, len)`; the ranges of all `parts`
+                // chunks tile it exactly once. `len` fits the buffer
+                // (asserted) and the host slice (its own length); host
+                // and device memory are separate allocations, and the
+                // host side is borrowed for the whole call (`&mut` when
+                // it is the destination). The caller must not race
+                // running kernels on the buffer — the cudaMemcpy
+                // contract.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        src.load(Ordering::Relaxed).add(lo).cast_const(),
+                        dst.load(Ordering::Relaxed).add(lo),
+                        n,
+                    );
+                }
             }
         });
     }
@@ -561,7 +567,7 @@ mod tests {
 
     #[test]
     fn copies_split_at_most_once_per_lane() {
-        let lanes = rayon::current_num_threads();
+        let lanes = executor().threads();
         assert_eq!(copy_parts(0), 1);
         assert_eq!(copy_parts(SPLIT_BYTES - 1), 1);
         assert_eq!(copy_parts(SPLIT_BYTES), 2.min(lanes));

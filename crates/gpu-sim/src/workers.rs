@@ -4,11 +4,12 @@
 //! This is the *only* place in the workspace allowed to spawn threads
 //! (enforced by `vbatch-analyze` rule VBA202, which also walks
 //! `shims/*/src`): all host-side parallelism goes through this one
-//! source file so thread count, dispatch order and scratch ownership
-//! stay auditable. It is compiled twice — as `vbatch_dense::pool` for
-//! [`WorkerPool`] instances a `HostEngine` owns, and (by `#[path]`)
-//! inside the `rayon` shim, whose process-wide instance is the executor
-//! behind every `Device::launch`. The pool is deliberately minimal:
+//! module so thread count, dispatch order and scratch ownership stay
+//! auditable. Its callers use it directly: a `HostEngine` owns a
+//! [`WorkerPool`] of its own, and the process-wide [`executor`] runs
+//! every `Device::launch`, the large host↔device copies and the dynamic
+//! CPU baseline, whose lanes take work through [`WorkerPool::claim`].
+//! The pool is deliberately minimal:
 //!
 //! * **Fixed workers, one job at a time.** [`WorkerPool::new`] spawns
 //!   `threads - 1` workers once; [`WorkerPool::run`] publishes a job,
@@ -42,13 +43,13 @@
 //!   thread count.
 //!
 //! Thread count resolution ([`resolved_threads`]): the `VBATCH_THREADS`
-//! environment variable when set (floor 1), otherwise
+//! environment variable when set and parseable (floor 1), otherwise
 //! `std::thread::available_parallelism()`.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// The job type workers execute: called once per worker with the
@@ -70,10 +71,37 @@ const SPIN_ROUNDS: u32 = 5_000;
 /// parseable (floor 1), else `available_parallelism()` (floor 1).
 #[must_use]
 pub fn resolved_threads() -> usize {
-    match std::env::var("VBATCH_THREADS") {
-        Ok(s) => s.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
-    }
+    parse_threads(std::env::var("VBATCH_THREADS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The lane count a `VBATCH_THREADS` value asks for (floor 1), or `None`
+/// when it is unset or not a number — a typo must not serialize the
+/// process.
+fn parse_threads(var: Option<&str>) -> Option<usize> {
+    var?.trim().parse::<usize>().ok().map(|n| n.max(1))
+}
+
+/// The process-wide pool behind every `Device::launch`, the large host
+/// copies and the dynamic CPU baseline: [`resolved_threads`] lanes,
+/// created on first use and never dropped (its workers sleep between
+/// calls and die with the process).
+#[must_use]
+pub fn executor() -> &'static WorkerPool {
+    static EXECUTOR: OnceLock<WorkerPool> = OnceLock::new();
+    EXECUTOR.get_or_init(WorkerPool::from_env)
+}
+
+/// Items the next claim takes off a slice with `remaining` left: guided
+/// self-scheduling, `⌈remaining / (2·lanes)⌉`. Equal chunks leave
+/// whichever lane draws the costliest one finishing alone — and the
+/// launch path's grids are size-sorted windows, whose block cost rises
+/// all the way to the end; shrinking claims keep the last ones small
+/// enough to even that out, in O(lanes · log n) claims. The claim
+/// sequence is a pure function of the item count and the lane count, so
+/// it does not depend on timing.
+fn claim_len(remaining: usize, lanes: usize) -> usize {
+    remaining.div_ceil(2 * lanes).max(1)
 }
 
 /// A lifetime-erased pointer to the current job. Workers only ever
@@ -213,7 +241,7 @@ impl WorkerPool {
                 .shared
                 .done_cv
                 .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
         slot.job = None;
         let worker_panic = slot.panic.take();
@@ -221,6 +249,49 @@ impl WorkerPool {
         if let Some(payload) = own.err().or(worker_panic) {
             resume_unwind(payload);
         }
+    }
+
+    /// Runs `f(first, chunk)` over contiguous chunks of `items` until
+    /// each item has been handed out exactly once; `first` is the index
+    /// of `chunk[0]` in `items`. Every lane, this thread included, claims
+    /// `⌈remaining / (2·lanes)⌉` items at a time off the front, so chunks
+    /// shrink towards the end and uneven items balance themselves. The
+    /// claim sequence depends only on `items.len()` and the lane count,
+    /// never on timing. The unclaimed rest sits behind a mutex held for
+    /// one `split_at_mut`, never while `f` runs. Fewer than two items and
+    /// a one-lane pool run as the one call `f(0, items)` on this thread;
+    /// a busy pool runs every chunk on this thread (see
+    /// [`WorkerPool::run`]). Allocates nothing.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of `f` after every lane has stopped; the
+    /// pool stays usable.
+    pub fn claim<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        if items.len() < 2 || self.threads == 1 {
+            f(0, items);
+            return;
+        }
+        let rest = Mutex::new((0, items));
+        self.run(&|_lane| loop {
+            let (first, head) = {
+                let mut rest = lock(&rest);
+                let (first, tail) = &mut *rest;
+                if tail.is_empty() {
+                    return;
+                }
+                let take = claim_len(tail.len(), self.threads);
+                let (head, unclaimed) = std::mem::take(tail).split_at_mut(take);
+                *tail = unclaimed;
+                let at = *first;
+                *first += take;
+                (at, head)
+            };
+            f(first, head);
+        });
     }
 }
 
@@ -242,8 +313,23 @@ impl Drop for WorkerPool {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks `m`, entering it even when a panicking holder poisoned it: the
+/// crate's one locking idiom. It is only for values a panic cannot leave
+/// half-updated — the pool's slot, the launch scratch (rewritten before
+/// each use), and the device clock, fault state and intern table, whose
+/// updates do not panic midway. The panic itself still reaches its
+/// caller.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] without blocking: `None` while another thread holds `m`.
+pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Polls `ready` for at most [`SPIN_ROUNDS`] rounds; the caller then
@@ -275,7 +361,7 @@ fn worker_loop(shared: &Shared, index: usize) {
                 slot = shared
                     .work_cv
                     .wait(slot)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             match slot.job {
                 Some(j) => j,
@@ -338,10 +424,9 @@ mod tests {
             // Each lane takes its own chunk; the mutex is only the
             // hand-out mechanism, work is disjoint.
             let ptr = {
-                let guard = cell
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                guard[w].as_ptr() as usize
+                let mut guard = cell.lock().unwrap_or_else(PoisonError::into_inner);
+                // A write pointer must come from the `&mut` chunk (Miri).
+                guard[w].as_mut_ptr() as usize
             };
             let s = unsafe { std::slice::from_raw_parts_mut(ptr as *mut usize, 17) };
             for (i, v) in s.iter_mut().enumerate() {
@@ -429,5 +514,177 @@ mod tests {
         // Pooled or inline, every dispatch runs both lanes once.
         assert_eq!(hits.load(Ordering::Relaxed), 2 * 200 * 2);
         assert_usable(&pool);
+    }
+
+    /// The claim sizes `claim` takes off an `n`-item slice.
+    fn claim_sequence(n: usize, lanes: usize) -> Vec<usize> {
+        let mut claims = Vec::new();
+        let mut remaining = n;
+        while remaining > 0 {
+            let take = claim_len(remaining, lanes);
+            claims.push(take);
+            remaining -= take;
+        }
+        claims
+    }
+
+    #[test]
+    fn claim_visits_every_item_exactly_once() {
+        let pool = WorkerPool::new(4);
+        for n in [2usize, 3, 257, 400] {
+            let mut visits = vec![0u32; n];
+            let chunks = Mutex::new(Vec::new());
+            pool.claim(&mut visits, |first, chunk| {
+                lock(&chunks).push((first, chunk.len()));
+                for v in chunk.iter_mut() {
+                    *v += 1;
+                }
+            });
+            assert!(visits.iter().all(|&v| v == 1), "n={n}: {visits:?}");
+            // The chunks are the guided claim sequence, tiling `0..n`.
+            let mut chunks = chunks.into_inner().unwrap_or_else(PoisonError::into_inner);
+            chunks.sort_unstable();
+            let tiles: Vec<(usize, usize)> = claim_sequence(n, 4)
+                .into_iter()
+                .scan(0, |at, len| {
+                    *at += len;
+                    Some((*at - len, len))
+                })
+                .collect();
+            assert_eq!(chunks, tiles, "n={n}");
+        }
+    }
+
+    #[test]
+    fn claim_offsets_preserve_order_with_uneven_items() {
+        let pool = WorkerPool::new(4);
+        let heavy = if cfg!(miri) { 20 } else { 20_000 };
+        for n in [2usize, 3, 257, 400] {
+            // `(index, visits)`. Early items are ~100x the late ones, so
+            // lanes finish chunks far out of claim order; each chunk's
+            // `first` must still name its place in the slice.
+            let mut items: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+            pool.claim(&mut items, |first, chunk| {
+                for (k, (i, visits)) in chunk.iter_mut().enumerate() {
+                    assert_eq!(*i, first + k, "n={n}: chunk offset");
+                    let spins = if *i < n / 10 { heavy } else { heavy / 100 };
+                    std::hint::black_box((0..spins).fold(*i, |acc, s| acc ^ s));
+                    *visits += 1;
+                }
+            });
+            assert!(items.iter().all(|&(_, v)| v == 1), "n={n}: {items:?}");
+            let order: Vec<usize> = items.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..n).collect::<Vec<usize>>(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn claim_of_zero_or_one_item_runs_inline_without_the_pool() {
+        let pool = WorkerPool::new(4);
+        let me = std::thread::current().id();
+        let epoch = pool.shared.epoch.load(Ordering::Acquire);
+        for n in [0usize, 1] {
+            let mut items = vec![7u8; n];
+            let calls = AtomicUsize::new(0);
+            pool.claim(&mut items, |first, chunk| {
+                assert_eq!(std::thread::current().id(), me);
+                assert_eq!((first, chunk.len()), (0, n));
+                chunk.fill(9);
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 1);
+            assert_eq!(items, vec![9u8; n]);
+        }
+        assert_eq!(
+            pool.shared.epoch.load(Ordering::Acquire),
+            epoch,
+            "no job published"
+        );
+    }
+
+    #[test]
+    fn nested_claim_runs_inline_on_the_issuing_thread() {
+        let pool = WorkerPool::new(3);
+        let inner_hits = AtomicUsize::new(0);
+        pool.claim(&mut [0u8; 8], |_, outer| {
+            for _ in outer {
+                let me = std::thread::current().id();
+                pool.claim(&mut [0u8; 8], |_, inner| {
+                    assert_eq!(std::thread::current().id(), me);
+                    inner_hits.fetch_add(inner.len(), Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(inner_hits.load(Ordering::Relaxed), 64);
+        assert_usable(&pool);
+    }
+
+    #[test]
+    fn panic_in_a_claimed_item_reaches_the_caller_and_the_pool_survives() {
+        let pool = WorkerPool::new(4);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.claim(&mut [(); 64], |first, chunk| {
+                for i in first..first + chunk.len() {
+                    assert!(i != 3, "item 3");
+                }
+            });
+        }));
+        let msg = *caught
+            .expect_err("the item's panic must reach the caller")
+            .downcast::<&str>()
+            .expect("assert! payload");
+        assert_eq!(msg, "item 3");
+        // Every lane has stopped: no job in flight, no worker pending.
+        assert!(lock(&pool.shared.slot).job.is_none());
+        assert_eq!(pool.shared.pending.load(Ordering::Acquire), 0);
+        let mut items = vec![0usize; 64];
+        pool.claim(&mut items, |first, chunk| {
+            for (k, x) in chunk.iter_mut().enumerate() {
+                *x = first + k + 1;
+            }
+        });
+        assert_eq!(items, (1..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn guided_claims_cover_every_item_once_and_shrink() {
+        for lanes in [2usize, 3, 4, 64] {
+            for n in [2usize, 3, 7, 64, 1000, 5000, 100_000] {
+                let claims = claim_sequence(n, lanes);
+                assert_eq!(claims.iter().sum::<usize>(), n, "n={n} lanes={lanes}");
+                assert!(claims.iter().all(|&c| c >= 1));
+                assert!(
+                    claims.windows(2).all(|w| w[0] >= w[1]),
+                    "claims must not grow: n={n} lanes={lanes}"
+                );
+                // Each claim leaves at most (1 − 1/2L) of the rest, so
+                // the count is O(lanes · log n).
+                let log2 = (usize::BITS - n.leading_zeros()) as usize;
+                assert!(
+                    claims.len() <= 2 * lanes * (log2 + 1),
+                    "n={n} lanes={lanes}: {} claims",
+                    claims.len()
+                );
+                // No lane is ever handed more than half a lane's share.
+                assert!(claims[0] <= n.div_ceil(2 * lanes));
+                assert_eq!(claims, claim_sequence(n, lanes), "same sequence on repeat");
+            }
+        }
+    }
+
+    #[test]
+    fn executor_lane_count_is_the_resolved_thread_count() {
+        assert_eq!(executor().threads(), resolved_threads());
+    }
+
+    #[test]
+    fn unparseable_thread_counts_fall_back_to_the_machine() {
+        assert_eq!(parse_threads(None), None);
+        assert_eq!(parse_threads(Some("4")), Some(4));
+        assert_eq!(parse_threads(Some(" 3\n")), Some(3));
+        assert_eq!(parse_threads(Some("0")), Some(1), "0 clamps to one lane");
+        for typo in ["four", "", "-2", "2x", "1.5"] {
+            assert_eq!(parse_threads(Some(typo)), None, "{typo:?}");
+        }
     }
 }

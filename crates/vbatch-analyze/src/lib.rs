@@ -60,8 +60,8 @@ pub fn run_check(root: &Path) -> Result<Report, String> {
 
 /// Gathers every analyzable `.rs` file under `root`: `crates/*/src`
 /// and `shims/*/src` (production, subject to all lints and the unsafe
-/// census — the vendored shims sit under `Device::launch` and get no
-/// pass on `unsafe` or thread creation), `crates/*/tests`,
+/// census — vendored code gets no pass on `unsafe` or thread
+/// creation), `crates/*/tests`,
 /// `crates/*/benches` and the root `tests/` tree (test context: indexed
 /// by phase 2, exempt from token lints).
 ///

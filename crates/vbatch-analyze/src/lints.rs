@@ -29,13 +29,12 @@
 //!   enumerable and launch-path allocation-free.
 //! * **L5 `threading`** (`VBA202`) — ad-hoc thread creation
 //!   (`thread::spawn`, `thread::scope`, `thread::Builder`) is forbidden
-//!   outside the audited worker pool (`crates/dense/src/pool.rs`, the
-//!   one source file both the host engine and, by `#[path]`, the
-//!   `rayon` shim's launch executor are compiled from), in
-//!   `crates/*/src` and `shims/*/src` alike: host parallelism routes
-//!   through `WorkerPool` so thread count (`VBATCH_THREADS`), naming,
-//!   and the bit-identity-across-thread-counts contract stay
-//!   centralized.
+//!   outside the audited worker pool (`crates/gpu-sim/src/workers.rs`,
+//!   the one module behind both the host engine and the launch
+//!   executor), in `crates/*/src` and `shims/*/src` alike: host
+//!   parallelism routes through `WorkerPool` so thread count
+//!   (`VBATCH_THREADS`), naming, and the bit-identity-across-thread-counts
+//!   contract stay centralized.
 //!
 //! Findings can be waived in place with
 //! `// analyze:allow(<lint>): <reason>` on (or immediately above) the
@@ -163,8 +162,8 @@ const NONDET_IDENTS: &[&str] = &["Instant", "SystemTime", "thread_rng", "HashMap
 /// Files (path suffixes, `/`-separated) exempt from the threading lint:
 /// the one audited worker pool all host parallelism must route through
 /// — the host engine's lanes and the executor behind `Device::launch`
-/// are both compiled from this single file.
-pub const THREADING_EXEMPT: &[&str] = &["crates/dense/src/pool.rs"];
+/// are both instances of this single module.
+pub const THREADING_EXEMPT: &[&str] = &["crates/gpu-sim/src/workers.rs"];
 
 /// `thread::` members whose use constitutes ad-hoc thread creation.
 const THREADING_BANNED: &[&str] = &["spawn", "scope", "Builder"];
@@ -800,7 +799,7 @@ fn lint_threading(ctx: &FileCtx<'_>, rep: &mut FileReport) {
                 t.line,
                 format!(
                     "`thread::{}` outside the host worker pool: route host \
-                     parallelism through `vbatch_dense::pool::WorkerPool` so \
+                     parallelism through `vbatch_gpu_sim::workers::WorkerPool` so \
                      thread count, naming and the bit-identity contract stay \
                      centralized",
                     member.text

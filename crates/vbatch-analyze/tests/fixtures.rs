@@ -97,10 +97,10 @@ fn l5_fixture_flags_adhoc_threading_except_in_pool_and_tests() {
          members and #[cfg(test)] spawns stay legal; got {got:?}"
     );
     // The audited worker pool itself is exempt by path.
-    let pool = codes_at("crates/dense/src/pool.rs", "l5_threading.rs");
+    let pool = codes_at("crates/gpu-sim/src/workers.rs", "l5_threading.rs");
     assert!(
         pool.iter().all(|(c, _)| *c != "VBA202"),
-        "pool.rs is exempt from the threading lint; got {pool:?}"
+        "workers.rs is exempt from the threading lint; got {pool:?}"
     );
 }
 
@@ -374,9 +374,9 @@ fn workspace_walk_covers_vendored_shims() {
         rep.crates.contains_key("forkjoin"),
         "shim crates take part in the unsafe census (budget 0 unless listed)"
     );
-    // The audited pool is exempt wherever its one source file is
-    // compiled from; a copy of it under a shim is not.
-    let pool = codes_at("shims/forkjoin/src/pool.rs", "l5_threading.rs");
+    // The audited pool is exempt at its one path; a copy of it under a
+    // shim is not.
+    let pool = codes_at("shims/forkjoin/src/workers.rs", "l5_threading.rs");
     assert!(pool.iter().any(|(c, _)| *c == "VBA202"), "got {pool:?}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -7,7 +7,7 @@
 //! functions (`fused::fused_step_math` for the blocked panel loop,
 //! [`vbatch_dense::interleave::potrf_lanes_in_place`] for the batched-small
 //! interleaved tier) — across a fixed pool of worker threads
-//! ([`vbatch_dense::pool::WorkerPool`]).
+//! ([`vbatch_gpu_sim::workers::WorkerPool`]).
 //!
 //! # Determinism
 //!
@@ -40,8 +40,8 @@
 //! (pinned by the bench-crate counting-allocator test).
 
 use vbatch_dense::interleave::{self, MAX_LANES};
-use vbatch_dense::pool::WorkerPool;
 use vbatch_dense::{MatMut, Scalar, Uplo};
+use vbatch_gpu_sim::workers::WorkerPool;
 
 use crate::driver::PotrfOptions;
 use crate::fused::{fused_step_math, DEFAULT_NB};

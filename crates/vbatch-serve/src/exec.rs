@@ -18,7 +18,7 @@
 //!
 //! ## Threading audit (VBA202 waivers below)
 //!
-//! The repo routes host parallelism through `dense::pool::WorkerPool`;
+//! The repo routes host parallelism through `gpu_sim::workers::WorkerPool`;
 //! this module is the one audited exception, because the dispatcher is
 //! not a data-parallel worker: it is a long-lived *owner* thread (the
 //! actor pattern) that must outlive any one call. The audit:
