@@ -82,6 +82,18 @@ pub trait Scalar:
     /// own, reused the same way, so nesting neither aliases nor
     /// allocates once warm.
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
+
+    /// Grows this thread's idle [`Scalar::with_scratch`] stack to at
+    /// least `buffers` buffers that each serve a `len`-element call
+    /// without growing, and returns the stack's extent afterwards:
+    /// `(buffers, len)` of its longest buffer. `reserve_scratch(0, 0)`
+    /// only reads the extent. Missing buffers go in at the bottom of the
+    /// stack, so each nesting depth keeps the buffer it already had.
+    ///
+    /// A worker pool whose lanes take work dynamically brings every
+    /// lane up to the largest extent any lane holds; then a warm
+    /// `with_scratch` allocates nothing whichever lane runs which work.
+    fn reserve_scratch(buffers: usize, len: usize) -> (usize, usize);
 }
 
 /// Implements [`Scalar::with_scratch`] against a per-precision
@@ -93,7 +105,8 @@ pub trait Scalar:
 /// land decides whether the microkernel's loads split cache lines. It is
 /// handed out as-is (not re-zeroed): the packing routines overwrite
 /// every element they expose, and a defensive fill would cost more than
-/// the packing itself on small operands.
+/// the packing itself on small operands. [`Scalar::reserve_scratch`]
+/// grows the same stack.
 macro_rules! impl_with_scratch {
     ($t:ty, $tls:ident) => {
         thread_local! {
@@ -116,6 +129,24 @@ macro_rules! impl_with_scratch {
                 $tls.with(|free| free.borrow_mut().push(buf));
                 out
             }
+
+            fn reserve_scratch_impl(buffers: usize, len: usize) -> (usize, usize) {
+                const LINE: usize = 64 / core::mem::size_of::<$t>();
+                $tls.with(|free| {
+                    let mut free = free.borrow_mut();
+                    while free.len() < buffers {
+                        free.insert(0, Vec::new());
+                    }
+                    let mut longest = 0;
+                    for buf in free.iter_mut() {
+                        if buf.len() < len + LINE {
+                            buf.resize(len + LINE, 0.0);
+                        }
+                        longest = longest.max(buf.len() - LINE);
+                    }
+                    (free.len(), longest)
+                })
+            }
         }
     };
 }
@@ -124,6 +155,7 @@ macro_rules! impl_with_scratch {
 /// blocks while `Scalar::with_scratch` stays a single forwarding call.
 trait ScratchProvider: Sized {
     fn with_scratch_impl<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
+    fn reserve_scratch_impl(buffers: usize, len: usize) -> (usize, usize);
 }
 
 impl_with_scratch!(f32, SCRATCH_F32);
@@ -165,6 +197,10 @@ impl Scalar for f32 {
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
         <f32 as ScratchProvider>::with_scratch_impl(len, f)
     }
+    #[inline]
+    fn reserve_scratch(buffers: usize, len: usize) -> (usize, usize) {
+        <f32 as ScratchProvider>::reserve_scratch_impl(buffers, len)
+    }
 }
 
 impl Scalar for f64 {
@@ -202,6 +238,10 @@ impl Scalar for f64 {
     #[inline]
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
         <f64 as ScratchProvider>::with_scratch_impl(len, f)
+    }
+    #[inline]
+    fn reserve_scratch(buffers: usize, len: usize) -> (usize, usize) {
+        <f64 as ScratchProvider>::reserve_scratch_impl(buffers, len)
     }
 }
 
@@ -279,5 +319,32 @@ mod tests {
         // Each nesting depth gets its own buffer back: no allocation
         // once both are warm.
         assert_eq!(nested(), (outer1, inner1));
+    }
+
+    #[test]
+    fn reserved_scratch_serves_nested_calls_without_growing() {
+        // A fresh thread, so the stack starts empty.
+        std::thread::spawn(|| {
+            assert_eq!(f64::reserve_scratch(0, 0), (0, 0));
+            let outer = f64::with_scratch(100, |s| s.as_ptr() as usize);
+            assert_eq!(f64::reserve_scratch(0, 0), (1, 100));
+            assert_eq!(f64::reserve_scratch(2, 100), (2, 100));
+            let nested = || {
+                f64::with_scratch(100, |o| {
+                    let inner = f64::with_scratch(100, |i| i.as_ptr() as usize);
+                    (o.as_ptr() as usize, inner)
+                })
+            };
+            let (outer2, inner) = nested();
+            // Depth 0 keeps the buffer it had; the reserved one went in
+            // below it and serves depth 1.
+            assert_eq!(outer2, outer);
+            assert_ne!(inner, outer);
+            // Neither depth grew the stack, and both keep their buffer.
+            assert_eq!(f64::reserve_scratch(0, 0), (2, 100));
+            assert_eq!(nested(), (outer, inner));
+        })
+        .join()
+        .expect("scratch thread");
     }
 }

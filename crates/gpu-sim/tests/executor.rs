@@ -10,18 +10,11 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
+use vbatch_gpu_sim::workers::resolved_threads;
 use vbatch_gpu_sim::{BlockCtx, Device, DeviceConfig, KernelStats, LaunchConfig};
 
 fn dev() -> Device {
     Device::new(DeviceConfig::k40c())
-}
-
-/// The executor's lane count, resolved the way the pool resolves it.
-fn lanes() -> usize {
-    match std::env::var("VBATCH_THREADS") {
-        Ok(s) => s.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
-    }
 }
 
 /// Block `i` charges `i + 1` useful flops on one thread.
@@ -43,7 +36,9 @@ fn fingerprint(s: &KernelStats) -> String {
 fn every_block_runs_once_and_fills_its_cost_slot() {
     let d = dev();
     let mut grids = vec![0usize, 1, 2, 100_000];
-    grids.extend([lanes().saturating_sub(1), lanes() + 1]);
+    // Either side of the executor's lane count.
+    let lanes = resolved_threads();
+    grids.extend([lanes.saturating_sub(1), lanes + 1]);
     for n in grids {
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let launched = d.launch("count", LaunchConfig::grid_1d(n as u32, 32), |blk| {

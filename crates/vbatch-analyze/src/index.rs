@@ -167,8 +167,6 @@ pub struct FileIndex<'a> {
     pub unsafe_impls: Vec<UnsafeImplSite>,
     pub takes: Vec<PoolTake>,
     pub matchers: Vec<FaultMatcher>,
-    /// Identifiers bound to `SharedSlice` values in this file.
-    pub shared_idents: BTreeSet<String>,
 }
 
 /// The whole-workspace index.
@@ -856,26 +854,6 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
         }
     }
 
-    // ---- SharedSlice-bound identifiers ----
-    let mut shared_idents = BTreeSet::new();
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "SharedSlice" {
-            continue;
-        }
-        // `let X = SharedSlice::new(…)`.
-        if k >= 2 && toks[k - 1].text == "=" && toks[k - 2].kind == TokKind::Ident {
-            shared_idents.insert(toks[k - 2].text.clone());
-        }
-        // Param or field `X: &SharedSlice<…>` / `X: SharedSlice<…>`.
-        let mut b = k;
-        while b > 0 && matches!(toks[b - 1].text.as_str(), "&" | "mut") {
-            b -= 1;
-        }
-        if b >= 2 && toks[b - 1].text == ":" && toks[b - 2].kind == TokKind::Ident {
-            shared_idents.insert(toks[b - 2].text.clone());
-        }
-    }
-
     FileIndex {
         ctx,
         fns,
@@ -883,7 +861,6 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
         unsafe_impls,
         takes,
         matchers,
-        shared_idents,
     }
 }
 

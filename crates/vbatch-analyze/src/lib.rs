@@ -8,7 +8,7 @@
 //! [`index`] (function spans, launch sites with statically resolved
 //! kernel names, `unsafe impl Send/Sync` wrappers, pool `take` sites,
 //! fault matchers). Phase 2 ([`passes`]) runs graph and dataflow lints
-//! over that index: concurrency (VBA4xx), launch-graph (VBA5xx) and
+//! over that index: concurrency (VBA401), launch-graph (VBA5xx) and
 //! pool-lifecycle (VBA6xx). Per-crate `unsafe` counts are checked
 //! against the budgets in `analyze.toml` both ways (over budget is an
 //! error, slack is a warning). The run prints human-readable

@@ -115,9 +115,6 @@ pub mod codes {
     /// C1: `unsafe impl Send/Sync` whose SAFETY comment does not name
     /// the audited wrapper type.
     pub const SEND_SYNC_UNNAMED: &str = "VBA401";
-    /// C2: `SharedSlice::get` inside a worker-pool closure whose index
-    /// argument is not derived from the lane/worker parameter.
-    pub const SHARED_WRITE_UNLANED: &str = "VBA402";
     /// G1: launch-site kernel name that does not resolve to the intern
     /// registry.
     pub const KERNEL_UNRESOLVED: &str = "VBA501";

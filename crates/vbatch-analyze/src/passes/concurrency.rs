@@ -1,36 +1,17 @@
-//! VBA4xx — concurrency passes over the host engine's race surface.
+//! VBA401 — the concurrency pass over cross-thread wrapper types.
 //!
-//! * **VBA401**: every `unsafe impl Send`/`Sync` must carry a SAFETY
-//!   comment that *names the implemented wrapper type*, so the audit
-//!   trail survives refactors (a comment about "the pointer" silently
-//!   goes stale when the wrapper is renamed or split).
-//! * **VBA402**: inside closures handed to `WorkerPool::run` /
-//!   `drive_peers`, every `SharedSlice::get(i)` index must be derived
-//!   from the closure's lane/worker parameter. `get` is the *only*
-//!   shared-state write path in those closures, and its soundness
-//!   contract is per-lane disjointness — an index that does not flow
-//!   from the lane parameter (a constant, a captured global) is the
-//!   static signature of two workers writing the same slot.
-//!
-//! The lane-derivation check is a forward dataflow over `let`/`for`/
-//! `match`/`if let` bindings: an identifier is lane-derived when its
-//! binding expression mentions a lane-derived identifier (seeded with
-//! the closure parameters). Helper functions that take `&SharedSlice`
-//! parameters are checked the same way with all their parameters as
-//! seeds — the call-site lint guarantees the arguments themselves were
-//! lane-derived.
+//! Every `unsafe impl Send`/`Sync` must carry a SAFETY comment that
+//! *names the implemented wrapper type*, so the audit trail survives
+//! refactors (a comment about "the pointer" silently goes stale when the
+//! wrapper is renamed or split).
 
-use std::collections::BTreeSet;
-
-use crate::index::{receiver_chain, FileIndex, Index};
-use crate::lex::{match_delim, TokKind, Token};
+use crate::index::{FileIndex, Index};
 use crate::lints::{codes, Finding};
 
-/// Runs VBA401 + VBA402 over every file.
+/// Runs VBA401 over every file.
 pub fn run(idx: &Index<'_>, findings: &mut Vec<Finding>) {
     for f in &idx.files {
         send_sync_named(f, findings);
-        lane_indexed_gets(f, findings);
     }
 }
 
@@ -51,347 +32,6 @@ fn send_sync_named(f: &FileIndex<'_>, findings: &mut Vec<Finding>) {
                      `{}`; name the audited wrapper type so the justification \
                      cannot silently go stale under a rename",
                     site.trait_name, site.type_name, site.type_name
-                ),
-            ));
-        }
-    }
-}
-
-/// VBA402 driver: finds worker closures and SharedSlice-parameter
-/// helpers, then checks each `get` call inside them.
-fn lane_indexed_gets(f: &FileIndex<'_>, findings: &mut Vec<Finding>) {
-    if f.shared_idents.is_empty() {
-        return;
-    }
-    let toks = &f.ctx.scan.tokens;
-
-    // Worker closures: the last argument of `<pool-ish>.run(…)` and of
-    // `drive_peers(…)`.
-    let mut regions: Vec<(usize, usize, Vec<String>)> = Vec::new();
-    for i in 1..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || toks.get(i + 1).is_none_or(|n| n.text != "(") {
-            continue;
-        }
-        let is_pool_run = t.text == "run"
-            && toks[i - 1].text == "."
-            && receiver_chain(toks, i - 1)
-                .iter()
-                .any(|c| c.contains("pool"));
-        let is_drive = t.text == "drive_peers" && toks[i - 1].text != ".";
-        if !(is_pool_run || is_drive) || f.ctx.in_test(t.line) {
-            continue;
-        }
-        let close = match_delim(toks, i + 1);
-        if close >= toks.len() {
-            continue;
-        }
-        if let Some(&(a, b)) = split_args_local(toks, i + 2, close).last() {
-            if let Some((params, body)) = closure_params(toks, a, b) {
-                regions.push((body, b, params));
-            }
-        }
-    }
-
-    // Helper fns with a `&SharedSlice` parameter: all params are seeds
-    // (the call-site closure lint guarantees lane-derived arguments).
-    for d in &f.fns {
-        if d.is_test {
-            continue;
-        }
-        let has_shared_param = toks[d.sig.0..d.sig.1]
-            .iter()
-            .any(|t| t.text == "SharedSlice");
-        if !has_shared_param {
-            continue;
-        }
-        let params = fn_params(toks, d.sig.0, d.sig.1);
-        regions.push((d.body.0 + 1, d.body.1, params));
-    }
-
-    for (a, b, seeds) in regions {
-        let derived = derive(toks, a, b, &seeds);
-        check_gets(f, a, b, &derived, findings);
-    }
-}
-
-/// Local copy of top-level comma splitting (kept private to the pass).
-fn split_args_local(toks: &[Token], a: usize, b: usize) -> Vec<(usize, usize)> {
-    let mut args = Vec::new();
-    let mut depth = 0i64;
-    let mut start = a;
-    for (k, tok) in toks.iter().enumerate().take(b).skip(a) {
-        if tok.kind == TokKind::Punct {
-            match tok.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "," if depth == 0 => {
-                    args.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    if start < b {
-        args.push((start, b));
-    }
-    args
-}
-
-/// Parses `&|w| …` / `move |p, ev| …` at `[a, b)`, returning the
-/// parameter names and the body start.
-fn closure_params(toks: &[Token], a: usize, b: usize) -> Option<(Vec<String>, usize)> {
-    let mut k = a;
-    while k < b && matches!(toks[k].text.as_str(), "&" | "move" | "mut") {
-        k += 1;
-    }
-    if toks.get(k)?.text != "|" {
-        return None;
-    }
-    k += 1;
-    let mut params = Vec::new();
-    let mut in_type = false;
-    while k < b && toks[k].text != "|" {
-        match toks[k].text.as_str() {
-            ":" => in_type = true,
-            "," => in_type = false,
-            _ => {
-                if !in_type
-                    && toks[k].kind == TokKind::Ident
-                    && !matches!(toks[k].text.as_str(), "mut" | "ref" | "_")
-                {
-                    params.push(toks[k].text.clone());
-                }
-            }
-        }
-        k += 1;
-    }
-    Some((params, k + 1))
-}
-
-/// Parameter names of a fn signature `[sig_a, sig_b)` (identifiers at
-/// paren depth 1 directly followed by `:`).
-fn fn_params(toks: &[Token], sig_a: usize, sig_b: usize) -> Vec<String> {
-    let mut params = Vec::new();
-    let mut depth = 0i64;
-    for k in sig_a..sig_b.min(toks.len()) {
-        match toks[k].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            _ => {
-                if depth == 1
-                    && toks[k].kind == TokKind::Ident
-                    && toks.get(k + 1).is_some_and(|n| n.text == ":")
-                    && (k == 0 || toks[k - 1].text != ":")
-                {
-                    params.push(toks[k].text.clone());
-                }
-            }
-        }
-    }
-    params
-}
-
-const PAT_SKIP: &[&str] = &["mut", "ref", "_", "box"];
-
-/// Forward dataflow: the set of identifiers derived from `seeds`
-/// through `let`/`for`/`match`/`if let` bindings in `[a, b)`. Iterates
-/// to a fixed point (binding order in source is almost always forward,
-/// so this converges in 1–2 rounds).
-fn derive(toks: &[Token], a: usize, b: usize, seeds: &[String]) -> BTreeSet<String> {
-    let mut derived: BTreeSet<String> = seeds.iter().cloned().collect();
-    loop {
-        let before = derived.len();
-        propagate(toks, a, b, &mut derived);
-        if derived.len() == before {
-            return derived;
-        }
-    }
-}
-
-fn idents_in(toks: &[Token], a: usize, b: usize) -> Vec<&str> {
-    toks[a..b.min(toks.len())]
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect()
-}
-
-fn any_derived(toks: &[Token], a: usize, b: usize, derived: &BTreeSet<String>) -> bool {
-    idents_in(toks, a, b).iter().any(|i| derived.contains(*i))
-}
-
-/// Scans forward from `k` for the first of `stops` at delimiter depth
-/// 0, collecting pattern identifiers on the way.
-fn scan_pattern<'t>(
-    toks: &'t [Token],
-    mut k: usize,
-    b: usize,
-    stops: &[&str],
-) -> (Vec<&'t str>, usize) {
-    let mut ids = Vec::new();
-    let mut depth = 0i64;
-    while k < b.min(toks.len()) {
-        let t = &toks[k];
-        match t.text.as_str() {
-            // The stop check runs before delimiter bookkeeping so a
-            // stop that is itself a delimiter (`{`) can fire at depth 0.
-            s if depth == 0 && stops.contains(&s) => return (ids, k),
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            _ => {
-                if t.kind == TokKind::Ident && !PAT_SKIP.contains(&t.text.as_str()) {
-                    ids.push(t.text.as_str());
-                }
-            }
-        }
-        k += 1;
-    }
-    (ids, k)
-}
-
-/// One propagation pass over the region's binding statements.
-fn propagate(toks: &[Token], a: usize, b: usize, derived: &mut BTreeSet<String>) {
-    let mut k = a;
-    let end = b.min(toks.len());
-    while k < end {
-        match toks[k].text.as_str() {
-            "let" => {
-                // `let PAT = EXPR ;|{|else` (covers plain let, if/while
-                // let, and let-else).
-                let (pat, eq) = scan_pattern(toks, k + 1, end, &["="]);
-                if eq < end {
-                    let (_, stop) = scan_pattern(toks, eq + 1, end, &[";", "{", "else"]);
-                    if any_derived(toks, eq + 1, stop, derived) {
-                        for id in pat {
-                            derived.insert(id.to_string());
-                        }
-                    }
-                    k = eq;
-                }
-            }
-            "for" => {
-                let (pat, in_kw) = scan_pattern(toks, k + 1, end, &["in"]);
-                if in_kw < end {
-                    let (_, open) = scan_pattern(toks, in_kw + 1, end, &["{"]);
-                    if any_derived(toks, in_kw + 1, open, derived) {
-                        for id in pat {
-                            derived.insert(id.to_string());
-                        }
-                    }
-                    k = in_kw;
-                }
-            }
-            "match" => {
-                let (_, open) = scan_pattern(toks, k + 1, end, &["{"]);
-                if open < end && toks[open].text == "{" {
-                    let close = match_delim(toks, open);
-                    if any_derived(toks, k + 1, open, derived) {
-                        match_arm_patterns(toks, open, close.min(end), derived);
-                    }
-                    k = open;
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-}
-
-/// Adds every arm-pattern identifier of a (derived-scrutinee) match to
-/// the derived set. Arm bodies are skipped; guard identifiers are
-/// harmless over-approximation.
-fn match_arm_patterns(toks: &[Token], open: usize, close: usize, derived: &mut BTreeSet<String>) {
-    let mut k = open + 1;
-    while k < close {
-        // Pattern until `=>` at depth 0.
-        let mut depth = 0i64;
-        let mut matched = false;
-        while k < close {
-            let t = &toks[k];
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" if depth == 0 && toks.get(k + 1).is_some_and(|n| n.text == ">") => {
-                    k += 2;
-                    matched = true;
-                    break;
-                }
-                _ => {
-                    if t.kind == TokKind::Ident && !PAT_SKIP.contains(&t.text.as_str()) {
-                        derived.insert(t.text.clone());
-                    }
-                }
-            }
-            k += 1;
-        }
-        if !matched {
-            return;
-        }
-        // Skip the arm body: a braced block or an expression up to the
-        // next `,` at depth 0.
-        if toks.get(k).is_some_and(|t| t.text == "{") {
-            k = match_delim(toks, k) + 1;
-            if toks.get(k).is_some_and(|t| t.text == ",") {
-                k += 1;
-            }
-        } else {
-            let mut depth = 0i64;
-            while k < close {
-                match toks[k].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
-/// Flags every `shared.get(i)` in `[a, b)` whose index argument
-/// contains no lane-derived identifier.
-fn check_gets(
-    f: &FileIndex<'_>,
-    a: usize,
-    b: usize,
-    derived: &BTreeSet<String>,
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &f.ctx.scan.tokens;
-    for k in a..b.min(toks.len()) {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident
-            || t.text != "get"
-            || k == 0
-            || toks[k - 1].text != "."
-            || toks.get(k + 1).is_none_or(|n| n.text != "(")
-        {
-            continue;
-        }
-        let chain = receiver_chain(toks, k - 1);
-        let Some(recv) = chain.last() else {
-            continue;
-        };
-        if !f.shared_idents.contains(recv) {
-            continue;
-        }
-        let close = match_delim(toks, k + 1);
-        if !any_derived(toks, k + 2, close, derived) {
-            findings.push(f.ctx.finding(
-                codes::SHARED_WRITE_UNLANED,
-                "lane-disjointness",
-                t.line,
-                format!(
-                    "`{recv}.get(…)` in a worker closure with an index not \
-                     derived from the lane parameter; SharedSlice's soundness \
-                     contract is per-lane disjoint writes — index through the \
-                     worker/lane id (or data derived from it)"
                 ),
             ));
         }

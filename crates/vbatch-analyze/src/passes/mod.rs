@@ -1,7 +1,7 @@
 //! Phase 2: graph and dataflow passes over the cross-crate
 //! [`crate::index::Index`].
 //!
-//! * [`concurrency`] — VBA401/VBA402, the host engine's race surface.
+//! * [`concurrency`] — VBA401, the audit of cross-thread wrapper types.
 //! * [`launch_graph`] — VBA501…VBA505, the launch-site contract.
 //! * [`pool_lifecycle`] — VBA601/VBA602, pooled-buffer reuse.
 //!

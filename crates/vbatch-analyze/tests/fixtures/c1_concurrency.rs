@@ -1,4 +1,4 @@
-//! Fixture: fails the VBA4xx concurrency passes.
+//! Fixture: fails the VBA401 concurrency pass.
 //! Never compiled — consumed as text by the analyzer's tests.
 
 struct RawShared<U> {
@@ -8,13 +8,3 @@ struct RawShared<U> {
 // SAFETY: element access is disjoint per worker, and the element type
 // crosses threads with the closure.
 unsafe impl<U: Send> Send for RawShared<U> {}
-
-fn drive(engine: &Engine, mats: &mut [f64]) {
-    let shared = SharedSlice::new(mats);
-    engine.pool.run(&|w| {
-        // SAFETY: slot 0 is claimed to be exclusive (it is not: every
-        // worker writes it — exactly what the lint exists to catch).
-        let slot = unsafe { shared.get(0) };
-        *slot = w as f64;
-    });
-}

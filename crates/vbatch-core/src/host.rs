@@ -9,14 +9,26 @@
 //! interleaved tier) — across a fixed pool of worker threads
 //! ([`vbatch_gpu_sim::workers::WorkerPool`]).
 //!
+//! # Scheduling
+//!
+//! A batch becomes a list of tasks — one blocked factorization, or one
+//! lane group of up to `MAX_LANES` small matrices — each of which
+//! *owns* its matrices (moved in with `std::mem::take`, moved back
+//! afterwards). The tasks are sorted by ascending modelled cost and
+//! handed to [`WorkerPool::claim`], the dynamic one-core-per-matrix
+//! scheduling of the paper's best CPU competitor (§IV-F): the guided
+//! claims shrink towards the end, so the largest matrices are the last,
+//! single-task claims. Each lane gets `&mut` chunks of the task list,
+//! so disjointness is the borrow checker's, not a caller contract.
+//!
 //! # Determinism
 //!
 //! Results are **bitwise identical for any thread count and for any
 //! host/device placement**, by construction:
 //!
 //! * every matrix's factorization is independent — no floating-point
-//!   reduction ever crosses a matrix boundary, so partitioning the batch
-//!   across workers cannot reassociate anything;
+//!   reduction ever crosses a matrix boundary, so which lane runs a
+//!   task cannot reassociate anything;
 //! * host and device share one implementation of the panel step
 //!   (`fused_step_math`, called with `ctx = None` here so only the cost
 //!   charges disappear, never an arithmetic operation);
@@ -31,13 +43,19 @@
 //!
 //! # Zero-allocation warm path
 //!
-//! All coordinator scratch (work items, per-worker assignments, sorted
-//! order) lives in a pooled [`HostState`] and grows but never shrinks;
-//! the interleave tile is each worker thread's own grow-only
-//! `Scalar::with_scratch` buffer, and the LPT assignment is
-//! deterministic, so a worker sees the same groups every run. After one
-//! warm-up run, [`potrf_batch_host`] performs no heap allocation at all
-//! (pinned by the bench-crate counting-allocator test).
+//! All coordinator scratch (the small-tier order, the repeated-index
+//! marks, the task list) lives in a pooled [`HostState`] and grows but
+//! never shrinks; moving a matrix into a task and back allocates
+//! nothing. The per-thread `Scalar::with_scratch` stacks (gemm packing,
+//! the interleave tile) grow with the largest order a lane factorizes,
+//! and which lane claims the largest matrix changes from run to run —
+//! so after every claim each lane's stack is brought up to the largest
+//! any lane holds (`Scalar::reserve_scratch`). After one warm-up run,
+//! [`potrf_batch_host`] and [`getrf_batch_host`] perform no heap
+//! allocation at all (pinned by the bench-crate counting-allocator
+//! test).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vbatch_dense::interleave::{self, MAX_LANES};
 use vbatch_dense::{MatMut, Scalar, Uplo};
@@ -84,23 +102,43 @@ impl Default for HostEngine {
     }
 }
 
-/// One unit of host work: either a lane group of small matrices
-/// (interleaved tier) or a single blocked factorization.
-#[derive(Clone, Copy)]
-enum ItemKind {
-    /// `cnt` entries of `HostState::small` starting at `first`,
-    /// factorized as one interleaved lane group.
-    Lanes { first: usize, cnt: usize },
-    /// One matrix through the blocked fused-step loop.
-    Single { gi: usize, n: usize },
-    /// One matrix through blocked LU.
-    Getrf { gi: usize, n: usize },
+/// One claimable unit of host work, owning its matrices while the
+/// claim runs: one blocked potrf, one blocked getrf, or one lane group
+/// of up to `MAX_LANES` small matrices. A struct, not an enum of the
+/// three: a lane-group variant would dwarf the others, and boxing it
+/// would allocate per task. Which routine runs follows from the entry
+/// point and the matrices' order.
+struct Task<T> {
+    /// Modelled flops: the claim order.
+    cost: f64,
+    /// Matrices held: 1, or a lane group's count.
+    len: usize,
+    /// `(n, gi)` of each held matrix; `(0, 0)` past `len`.
+    ids: [(usize, usize); MAX_LANES],
+    mats: [Vec<T>; MAX_LANES],
+    info: [i32; MAX_LANES],
+    /// LU only: the held matrix's pivot vector, already sized `n`.
+    pivots: Vec<usize>,
 }
 
-#[derive(Clone, Copy)]
-struct Item {
-    kind: ItemKind,
-    cost: f64,
+impl<T> Task<T> {
+    /// A task holding the `(n, gi)` matrices of `members`, moved out of
+    /// `mats` (which keeps an empty `Vec` in their place).
+    fn new(cost: f64, members: &[(usize, usize)], mats: &mut [Vec<T>]) -> Self {
+        let mut task = Self {
+            cost,
+            len: members.len(),
+            ids: [(0, 0); MAX_LANES],
+            mats: core::array::from_fn(|_| Vec::new()),
+            info: [0; MAX_LANES],
+            pivots: Vec::new(),
+        };
+        for (l, &(n, gi)) in members.iter().enumerate() {
+            task.ids[l] = (n, gi);
+            task.mats[l] = std::mem::take(&mut mats[gi]);
+        }
+        task
+    }
 }
 
 /// Pooled coordinator scratch for a [`HostEngine`]. Reuse one
@@ -108,15 +146,11 @@ struct Item {
 pub struct HostState<T> {
     /// `(n, gi)` pairs routed to the interleaved tier, sorted ascending.
     small: Vec<(usize, usize)>,
-    items: Vec<Item>,
-    /// Item ids sorted by descending cost (LPT order).
-    order: Vec<usize>,
-    /// Per-worker item-id lists.
-    assign: Vec<Vec<usize>>,
-    loads: Vec<f64>,
-    /// The element type names which engine entry points a state serves;
-    /// no typed scratch is left in it.
-    _elem: core::marker::PhantomData<T>,
+    /// Per-matrix marks of the repeated-index check.
+    seen: Vec<bool>,
+    /// The run's tasks, empty between runs (a task that panics leaves
+    /// the batch's matrices here until the next run clears them).
+    tasks: Vec<Task<T>>,
 }
 
 impl<T: Scalar> HostState<T> {
@@ -124,20 +158,8 @@ impl<T: Scalar> HostState<T> {
     pub fn new() -> Self {
         Self {
             small: Vec::new(),
-            items: Vec::new(),
-            order: Vec::new(),
-            assign: Vec::new(),
-            loads: Vec::new(),
-            _elem: core::marker::PhantomData,
-        }
-    }
-
-    fn ensure_workers(&mut self, threads: usize) {
-        while self.assign.len() < threads {
-            self.assign.push(Vec::new());
-        }
-        if self.loads.len() < threads {
-            self.loads.resize(threads, 0.0);
+            seen: Vec::new(),
+            tasks: Vec::new(),
         }
     }
 }
@@ -148,53 +170,20 @@ impl<T: Scalar> Default for HostState<T> {
     }
 }
 
-/// A raw-pointer view of a slice handed to the worker pool. Workers
-/// index disjoint elements (the scheduler partitions matrix indices),
-/// so handing each worker `&mut` access to *its* elements is sound even
-/// though the wrapper itself is shared.
-struct SharedSlice<U> {
-    ptr: *mut U,
-    len: usize,
-}
-
-impl<U> SharedSlice<U> {
-    fn new(s: &mut [U]) -> Self {
-        Self {
-            ptr: s.as_mut_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// # Safety
-    /// `i < self.len`, and no two concurrent callers pass the same `i`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut U {
-        debug_assert!(i < self.len);
-        // SAFETY: in-bounds by the caller contract; disjointness of `i`
-        // across workers makes the derived `&mut` unique.
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
-// SAFETY: `SharedSlice` is only a courier for the base pointer; element
-// access is disjoint per worker (caller contract on `get`), and `U`
-// itself crosses threads, hence the `U: Send` bound.
-unsafe impl<U: Send> Send for SharedSlice<U> {}
-// SAFETY: `&SharedSlice` only exposes `get`, whose disjointness contract
-// is what shared access means here.
-unsafe impl<U: Send> Sync for SharedSlice<U> {}
-
 fn validate_batch<T: Scalar>(
     sizes: &[usize],
     mats: &[Vec<T>],
     indices: &[usize],
     info: &[i32],
+    seen: &mut Vec<bool>,
 ) -> Result<(), VbatchError> {
     if mats.len() != sizes.len() || info.len() != sizes.len() {
         return Err(VbatchError::InvalidArgument(
             "host engine: sizes/mats/info length mismatch",
         ));
     }
+    seen.clear();
+    seen.resize(sizes.len(), false);
     for &gi in indices {
         let Some(n) = sizes.get(gi) else {
             return Err(VbatchError::InvalidArgument(
@@ -206,38 +195,61 @@ fn validate_batch<T: Scalar>(
                 "host engine: matrix storage smaller than n*n",
             ));
         }
+        if std::mem::replace(&mut seen[gi], true) {
+            return Err(VbatchError::InvalidArgument(
+                "host engine: repeated matrix index",
+            ));
+        }
     }
     Ok(())
 }
 
-/// Builds the LPT (longest-processing-time) assignment of
-/// `state.items` onto `threads` workers. Deterministic: ties in cost
-/// break on item id, ties in load break on worker index.
-fn assign_lpt<T: Scalar>(state: &mut HostState<T>, threads: usize) {
-    state.ensure_workers(threads);
-    state.order.clear();
-    state.order.extend(0..state.items.len());
-    let items = &state.items;
-    state
-        .order
-        .sort_unstable_by(|&a, &b| match items[b].cost.total_cmp(&items[a].cost) {
-            core::cmp::Ordering::Equal => a.cmp(&b),
-            o => o,
-        });
-    for w in 0..threads {
-        state.assign[w].clear();
-        state.loads[w] = 0.0;
-    }
-    for &id in &state.order {
-        let mut best = 0usize;
-        for w in 1..threads {
-            if state.loads[w] < state.loads[best] {
-                best = w;
-            }
+/// Runs `task` over every task in `tasks`, cheapest first, on the
+/// engine's lanes; then evens out the lanes' scratch (see the module
+/// docs) and moves every matrix, code and pivot vector home, leaving
+/// `tasks` empty.
+fn run_tasks<T: Scalar>(
+    engine: &HostEngine,
+    tasks: &mut Vec<Task<T>>,
+    mats: &mut [Vec<T>],
+    info: &mut [i32],
+    mut pivots: Option<&mut [Vec<usize>]>,
+    task: impl Fn(&mut Task<T>) + Sync,
+) {
+    tasks.sort_unstable_by(|a, b| a.cost.total_cmp(&b.cost));
+    engine
+        .pool
+        .claim(tasks, |_, chunk| chunk.iter_mut().for_each(&task));
+    sync_scratch::<T>(&engine.pool);
+    for mut t in tasks.drain(..) {
+        for l in 0..t.len {
+            let (_, gi) = t.ids[l];
+            mats[gi] = std::mem::take(&mut t.mats[l]);
+            info[gi] = t.info[l];
         }
-        state.assign[best].push(id);
-        state.loads[best] += items[id].cost;
+        if let Some(pivots) = pivots.as_deref_mut() {
+            pivots[t.ids[0].1] = std::mem::take(&mut t.pivots);
+        }
     }
+}
+
+/// Brings every lane's idle `with_scratch` stack up to the largest
+/// extent any lane holds — buffer count and longest buffer — in two
+/// passes over the pool: one gathers, one grows. The maxima publish no
+/// other data, and `run` returns only after every lane's `Release`
+/// completion, which its own `Acquire` wait pairs with; so `Relaxed`.
+fn sync_scratch<T: Scalar>(pool: &WorkerPool) {
+    let buffers = AtomicUsize::new(0);
+    let len = AtomicUsize::new(0);
+    pool.run(&|_| {
+        let (b, l) = T::reserve_scratch(0, 0);
+        buffers.fetch_max(b, Ordering::Relaxed);
+        len.fetch_max(l, Ordering::Relaxed);
+    });
+    let (buffers, len) = (buffers.into_inner(), len.into_inner());
+    pool.run(&|_| {
+        T::reserve_scratch(buffers, len);
+    });
 }
 
 /// Factorizes `mats[gi]` for every `gi` in `indices` on the host pool:
@@ -259,7 +271,8 @@ fn assign_lpt<T: Scalar>(state: &mut HostState<T>, threads: usize) {
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on length mismatches, out-of-range
-/// indices, or undersized matrix storage.
+/// or repeated indices, or undersized matrix storage; `mats` and `info`
+/// are then untouched.
 pub fn potrf_batch_host<T: Scalar>(
     engine: &HostEngine,
     sizes: &[usize],
@@ -269,7 +282,7 @@ pub fn potrf_batch_host<T: Scalar>(
     state: &mut HostState<T>,
     info: &mut [i32],
 ) -> Result<f64, VbatchError> {
-    validate_batch(sizes, mats, indices, info)?;
+    validate_batch(sizes, mats, indices, info, &mut state.seen)?;
     let uplo = opts.uplo;
     let nb = opts.fused.nb.unwrap_or(DEFAULT_NB).max(1);
     let cutoff = if opts.fused.batched_small && uplo == Uplo::Lower {
@@ -277,11 +290,10 @@ pub fn potrf_batch_host<T: Scalar>(
     } else {
         0
     };
-    let lanes = interleave::lane_count::<T>();
 
     // Plan: route each matrix, group the small tier into lanes.
     state.small.clear();
-    state.items.clear();
+    state.tasks.clear();
     let mut useful_flops = 0.0f64;
     for &gi in indices {
         let n = sizes[gi];
@@ -289,93 +301,50 @@ pub fn potrf_batch_host<T: Scalar>(
             info[gi] = 0;
             continue;
         }
-        useful_flops += vbatch_dense::flops::potrf(n);
+        let cost = vbatch_dense::flops::potrf(n);
+        useful_flops += cost;
         if n <= cutoff {
             state.small.push((n, gi));
         } else {
-            state.items.push(Item {
-                kind: ItemKind::Single { gi, n },
-                cost: vbatch_dense::flops::potrf(n),
-            });
+            state.tasks.push(Task::new(cost, &[(n, gi)], mats));
         }
     }
     state.small.sort_unstable();
-    let groups = state.small.len().div_ceil(lanes);
-    for g in 0..groups {
-        let first = g * lanes;
-        let cnt = lanes.min(state.small.len() - first);
-        let cost: f64 = state.small[first..first + cnt]
+    for group in state.small.chunks(interleave::lane_count::<T>()) {
+        let cost = group
             .iter()
             .map(|&(n, _)| vbatch_dense::flops::potrf(n))
             .sum();
-        state.items.push(Item {
-            kind: ItemKind::Lanes { first, cnt },
-            cost,
-        });
+        state.tasks.push(Task::new(cost, group, mats));
     }
 
-    let threads = engine.threads();
-    assign_lpt(state, threads);
-
-    let small: &[(usize, usize)] = &state.small;
-    let items: &[Item] = &state.items;
-    let assign: &[Vec<usize>] = &state.assign;
-    let shared_mats = SharedSlice::new(mats);
-    let shared_info = SharedSlice::new(info);
-
-    engine.pool.run(&|w| {
-        for &id in &assign[w] {
-            match items[id].kind {
-                ItemKind::Single { gi, n } => {
-                    // SAFETY: `gi` appears in exactly one item and each
-                    // item is assigned to exactly one worker.
-                    let a = unsafe { shared_mats.get(gi) };
-                    let mut code = 0i32;
-                    let mut j = 0usize;
-                    while j < n {
-                        let view = MatMut::from_slice(&mut a[..n * n], n, n, n);
-                        if let Err(col) = fused_step_math::<T>(None, uplo, view, n, j, nb) {
-                            code = (col + 1) as i32;
-                            break;
-                        }
-                        j += nb;
-                    }
-                    // SAFETY: same disjointness as the matrix itself.
-                    unsafe { *shared_info.get(gi) = code };
-                }
-                ItemKind::Lanes { first, cnt } => {
-                    run_lane_group(&small[first..first + cnt], &shared_mats, &shared_info);
-                }
-                ItemKind::Getrf { .. } => unreachable!("potrf plan holds no LU items"),
+    run_tasks(engine, &mut state.tasks, mats, info, None, |t| {
+        let (n, _) = t.ids[0];
+        if n <= cutoff {
+            // One lane group through the routine
+            // `potrf_interleaved_window`'s blocks run — one body, so the
+            // host and the device produce identical bits per lane.
+            let mut ns = t.ids.iter().map(|&(n, _)| n);
+            let mut views = t.mats.each_mut().map(|a| {
+                let n = ns.next().unwrap_or(0);
+                MatMut::from_slice(&mut a[..n * n], n, n, n)
+            });
+            interleave::potrf_lanes_in_place(&mut views[..t.len], &mut t.info[..t.len]);
+            return;
+        }
+        let a = &mut t.mats[0][..n * n];
+        t.info[0] = 0;
+        let mut j = 0usize;
+        while j < n {
+            let view = MatMut::from_slice(a, n, n, n);
+            if let Err(col) = fused_step_math::<T>(None, uplo, view, n, j, nb) {
+                t.info[0] = (col + 1) as i32;
+                break;
             }
+            j += nb;
         }
     });
     Ok(useful_flops)
-}
-
-/// Factorizes one lane group of `(n, gi)` entries in place through the
-/// routine `potrf_interleaved_window`'s blocks run — one body, so the
-/// host and the device produce identical bits per lane.
-fn run_lane_group<T: Scalar>(
-    group: &[(usize, usize)],
-    shared_mats: &SharedSlice<Vec<T>>,
-    shared_info: &SharedSlice<i32>,
-) {
-    let mut mats: [MatMut<'_, T>; MAX_LANES] = core::array::from_fn(|l| {
-        let Some(&(n, gi)) = group.get(l) else {
-            return MatMut::from_slice(&mut [], 0, 0, 1);
-        };
-        // SAFETY: each small entry's matrix belongs to exactly one lane
-        // group, and each group to one worker.
-        let a = unsafe { shared_mats.get(gi) };
-        MatMut::from_slice(&mut a[..n * n], n, n, n)
-    });
-    let mut infs = [0i32; MAX_LANES];
-    interleave::potrf_lanes_in_place(&mut mats[..group.len()], &mut infs[..group.len()]);
-    for (&(_, gi), &code) in group.iter().zip(&infs) {
-        // SAFETY: disjointness as above.
-        unsafe { *shared_info.get(gi) = code };
-    }
 }
 
 /// Blocked LU of `mats[gi]` for every `gi` in `indices` on the host
@@ -389,7 +358,8 @@ fn run_lane_group<T: Scalar>(
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on shape mismatches (including
-/// `pivots.len() != sizes.len()`).
+/// `pivots.len() != sizes.len()`), out-of-range or repeated indices;
+/// `mats`, `info` and `pivots` are then untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn getrf_batch_host<T: Scalar>(
     engine: &HostEngine,
@@ -401,15 +371,14 @@ pub fn getrf_batch_host<T: Scalar>(
     info: &mut [i32],
     pivots: &mut [Vec<usize>],
 ) -> Result<f64, VbatchError> {
-    validate_batch(sizes, mats, indices, info)?;
+    validate_batch(sizes, mats, indices, info, &mut state.seen)?;
     if pivots.len() != sizes.len() {
         return Err(VbatchError::InvalidArgument(
             "host engine: pivots length mismatch",
         ));
     }
     let nb = nb.max(1);
-    state.small.clear();
-    state.items.clear();
+    state.tasks.clear();
     let mut useful_flops = 0.0f64;
     for &gi in indices {
         let n = sizes[gi];
@@ -420,40 +389,20 @@ pub fn getrf_batch_host<T: Scalar>(
             info[gi] = 0;
             continue;
         }
-        useful_flops += vbatch_dense::flops::getrf(n, n);
-        state.items.push(Item {
-            kind: ItemKind::Getrf { gi, n },
-            cost: vbatch_dense::flops::getrf(n, n),
-        });
+        let cost = vbatch_dense::flops::getrf(n, n);
+        useful_flops += cost;
+        let mut task = Task::new(cost, &[(n, gi)], mats);
+        task.pivots = std::mem::take(&mut pivots[gi]);
+        state.tasks.push(task);
     }
-    let threads = engine.threads();
-    assign_lpt(state, threads);
 
-    let HostState { items, assign, .. } = state;
-    let items: &[Item] = items;
-    let assign: &[Vec<usize>] = assign;
-    let shared_mats = SharedSlice::new(mats);
-    let shared_info = SharedSlice::new(info);
-    let shared_piv = SharedSlice::new(pivots);
-
-    engine.pool.run(&|w| {
-        for &id in &assign[w] {
-            let ItemKind::Getrf { gi, n } = items[id].kind else {
-                unreachable!("LU plan holds only LU items");
-            };
-            // SAFETY: each matrix index appears in exactly one item and
-            // each item is assigned to exactly one worker.
-            let a = unsafe { shared_mats.get(gi) };
-            // SAFETY: same disjointness.
-            let ipiv = unsafe { shared_piv.get(gi) };
-            let view = MatMut::from_slice(&mut a[..n * n], n, n, n);
-            let code = match vbatch_dense::getrf(view, &mut ipiv[..n], nb) {
-                Ok(()) => 0i32,
-                Err(e) => e.info() as i32,
-            };
-            // SAFETY: same disjointness.
-            unsafe { *shared_info.get(gi) = code };
-        }
+    run_tasks(engine, &mut state.tasks, mats, info, Some(pivots), |t| {
+        let (n, _) = t.ids[0];
+        let view = MatMut::from_slice(&mut t.mats[0][..n * n], n, n, n);
+        t.info[0] = match vbatch_dense::getrf(view, &mut t.pivots, nb) {
+            Ok(()) => 0,
+            Err(e) => e.info() as i32,
+        };
     });
     Ok(useful_flops)
 }

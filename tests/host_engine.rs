@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vbatch_core::shard::normalized_options;
 use vbatch_core::{
     getrf_batch_host, potrf_batch_host, potrf_hybrid, potrf_sharded, potrf_vbatched, HostCostModel,
-    HostEngine, HostState, PotrfOptions, ShardOpts, ShardedState, VBatch,
+    HostEngine, HostState, PotrfOptions, ShardOpts, ShardedState, VBatch, VbatchError,
 };
 use vbatch_dense::gen::{diag_dominant_vec, seeded_rng, spd_vec};
 use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
@@ -163,6 +163,59 @@ fn host_breakdown_info_matches_device() {
         assert_eq!(report.info, host_info, "n={n}");
         assert!(host_info[1] > 0, "poisoned matrix must break down");
     }
+}
+
+/// A repeated index would hand two lanes the same matrix: both entry
+/// points reject it before touching `mats`, `info` or `pivots`.
+#[test]
+fn host_engine_rejects_repeated_indices_untouched() {
+    let (sizes, mats) = spd_workload(0xD0B, 4, 40);
+    let engine = HostEngine::with_threads(2);
+    let indices = [1usize, 2, 1];
+    let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        m.iter()
+            .map(|a| a.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    let mut work = mats.clone();
+    let mut info = vec![-7i32; sizes.len()];
+    let got = potrf_batch_host(
+        &engine,
+        &sizes,
+        &mut work,
+        &indices,
+        &PotrfOptions::default(),
+        &mut HostState::new(),
+        &mut info,
+    );
+    assert!(
+        matches!(got, Err(VbatchError::InvalidArgument(_))),
+        "{got:?}"
+    );
+    assert_eq!(bits(&work), bits(&mats), "potrf moved a matrix");
+    assert_eq!(info, vec![-7; sizes.len()]);
+
+    let mut pivots: Vec<Vec<usize>> = (0..sizes.len()).map(|i| vec![i; 3]).collect();
+    let got = getrf_batch_host(
+        &engine,
+        &sizes,
+        &mut work,
+        &indices,
+        16,
+        &mut HostState::new(),
+        &mut info,
+        &mut pivots,
+    );
+    assert!(
+        matches!(got, Err(VbatchError::InvalidArgument(_))),
+        "{got:?}"
+    );
+    assert_eq!(bits(&work), bits(&mats), "getrf moved a matrix");
+    assert_eq!(info, vec![-7; sizes.len()]);
+    assert_eq!(
+        pivots,
+        (0..sizes.len()).map(|i| vec![i; 3]).collect::<Vec<_>>()
+    );
 }
 
 /// Cooperative run: bit-identical to device-only and host-only runs,
