@@ -19,7 +19,10 @@
 //! cache tiling: `MC × KC` panels of `op(A)` and `KC × NR` micro-panels
 //! of `op(B)` are packed into reusable thread-local scratch
 //! ([`Scalar::with_scratch`], no steady-state allocation) and consumed by
-//! an `MR × NR` register-tiled microkernel. `syrk` routes its
+//! an `MR × NR` register-tiled microkernel. A narrow update whose
+//! `op(A)` is column-major and fits one panel skips the packing: the
+//! microkernel reads both operands in place through strides, with the
+//! same bits. `syrk` routes its
 //! off-diagonal rank-k updates, and the recursive `trsm` and `trmm`
 //! their off-diagonal blocks, through the same engine, so every
 //! consumer — blocked Cholesky/LU, the vbatched kernels, the CPU
@@ -252,8 +255,100 @@ fn gemm_small_acc<T: Scalar>(
 /// `C ← C + α·op(A)·op(B)` (β already applied) via mc×kc×nr tiling
 /// under the given [`TileScheme`] (callers pass a validated scheme —
 /// [`tune::active`] or one vetted by [`TileScheme::validate`]).
+///
+/// Packing is conditional. A narrow update whose operands already sit
+/// where the microkernel can read them ([`uses_direct`]) runs
+/// [`gemm_direct`]: no scratch, no copies. Everything else packs
+/// `op(A)`/`op(B)` panels into thread-local scratch ([`gemm_packed`]).
+/// The two paths run the same microkernel over the same `p` order, so
+/// they produce the same bits.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_acc<T: Scalar>(
+    ts: &TileScheme,
+    transa: Trans,
+    transb: Trans,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: &mut MatMut<'_, T>,
+) {
+    let k = match transa {
+        Trans::NoTrans => a.ncols(),
+        Trans::Trans => a.nrows(),
+    };
+    if uses_direct(ts, transa, c.nrows(), c.ncols(), k) {
+        gemm_direct(ts, transb, alpha, a, b, beta, c);
+    } else {
+        gemm_packed(ts, transa, transb, alpha, a, b, beta, c);
+    }
+}
+
+/// Gate of the blocked tier's direct mode, a fixed rule like
+/// [`uses_blocked`]: `op(A)` is `A` itself, so a register tile's rows
+/// are contiguous in each column; one `kc` sweep and one `mc` panel
+/// cover the product, so packing would copy every element once for no
+/// reuse beyond what the caches give anyway; and `C` is narrow — at most
+/// four register tiles wide — so `A` is read at most four times. Wider
+/// updates keep their packed, cache-blocked panels. The tile must also
+/// fit inside `C` (`m ≥ mr`, `n ≥ nr`): ragged edge tiles then overlap
+/// their neighbour instead of reading past the operands.
+#[inline]
+fn uses_direct(ts: &TileScheme, transa: Trans, m: usize, n: usize, k: usize) -> bool {
+    transa == Trans::NoTrans
+        && k <= ts.kc
+        && (ts.mr..=ts.mc).contains(&m)
+        && (ts.nr..=4 * ts.nr).contains(&n)
+}
+
+/// Direct mode of the blocked tier (see [`uses_direct`]): the
+/// microkernel reads `A` straight from its columns and `op(B)` straight
+/// from `B`. A ragged last row tile is shifted up to end at row `m` and
+/// writes back only its rows past the previous tile; a ragged last
+/// column tile is shifted left the same way. Every element still runs
+/// its own chain over the whole `k` extent, and which register lane it
+/// occupies does not change its bits.
+fn gemm_direct<T: Scalar>(
+    ts: &TileScheme,
+    transb: Trans,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: &mut MatMut<'_, T>,
+) {
+    let (tmr, tnr) = (ts.mr, ts.nr);
+    let (m, n, k) = (c.nrows(), c.ncols(), a.ncols());
+    // Column tiles outermost, as in the packed nest: a `k × nr` block of
+    // op(B) stays in L1 while the row tiles stream A from its columns.
+    for jr0 in (0..n).step_by(tnr) {
+        let jt = jr0.min(n - tnr);
+        let b_tile = match transb {
+            Trans::NoTrans => b.sub(0, jt, k, tnr),
+            Trans::Trans => b.sub(jt, 0, tnr, k),
+        };
+        for ir0 in (0..m).step_by(tmr) {
+            let it = ir0.min(m - tmr);
+            let a_tile = a.sub(it, 0, tmr, k);
+            let tile = Tile {
+                i0: ir0,
+                j0: jr0,
+                mr: tmr.min(m - ir0),
+                nr: tnr.min(n - jr0),
+                skip_r: ir0 - it,
+                skip_c: jr0 - jt,
+            };
+            microkernel(alpha, a_tile, b_tile, transb, beta, c, tile);
+        }
+    }
+}
+
+/// Packed mode of the blocked tier: `op(A)` and `op(B)` are copied into
+/// `tmr`-row and `tnr`-column micro-panels in thread-local scratch, one
+/// `kc × mc` block at a time, so wide products keep their operands in
+/// cache.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed<T: Scalar>(
     ts: &TileScheme,
     transa: Trans,
     transb: Trans,
@@ -287,23 +382,28 @@ fn gemm_blocked_acc<T: Scalar>(
                 let mc = mc_blk.min(m - ic);
                 pack_a(transa, a, ic, mc, pc, kc, tmr, pa_buf);
                 for jr0 in (0..n).step_by(tnr) {
-                    let nr = tnr.min(n - jr0);
                     let pb_panel = &pb_buf[(jr0 / tnr) * (tnr * kc)..][..tnr * kc];
+                    // op(B)(p, j) of the panel sits at `p·tnr + j`: the
+                    // transpose of a `tnr × kc` column-major view.
+                    let pb_panel = MatRef::from_slice(pb_panel, tnr, kc, tnr);
                     for ir0 in (0..mc).step_by(tmr) {
-                        let mr = tmr.min(mc - ir0);
                         let pa_panel = &pa_buf[(ir0 / tmr) * (tmr * kc)..][..tmr * kc];
+                        let tile = Tile {
+                            i0: ic + ir0,
+                            j0: jr0,
+                            mr: tmr.min(mc - ir0),
+                            nr: tnr.min(n - jr0),
+                            skip_r: 0,
+                            skip_c: 0,
+                        };
                         microkernel(
                             alpha,
-                            pa_panel,
+                            MatRef::from_slice(pa_panel, tmr, kc, tmr),
                             pb_panel,
+                            Trans::Trans,
                             beta_eff,
                             c,
-                            ic + ir0,
-                            jr0,
-                            mr,
-                            nr,
-                            tmr,
-                            tnr,
+                            tile,
                         );
                     }
                 }
@@ -398,48 +498,73 @@ fn pack_b<T: Scalar>(
     }
 }
 
-/// Register-tiled `tmr × tnr` microkernel: accumulates one packed
-/// `op(A)`-panel × `op(B)`-panel product over the shared `kc` extent in
-/// a `tmr × tnr` corner of an `MR_MAX × NR_MAX` accumulator block, then
-/// writes `C ← α·acc + β·C` on the live `mr × nr` corner of `C`
-/// (β = 0 overwrites without reading, BLAS-style).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn microkernel<T: Scalar>(
-    alpha: T,
-    pa: &[T],
-    pb: &[T],
-    beta: T,
-    c: &mut MatMut<'_, T>,
+/// Where a register tile's live `mr × nr` corner lands in `C`: rows
+/// `i0..i0+mr` and columns `j0..j0+nr`, read from accumulator rows
+/// `skip_r..` and columns `skip_c..` (non-zero only for a direct-mode
+/// edge tile shifted back inside `C`).
+#[derive(Clone, Copy)]
+struct Tile {
     i0: usize,
     j0: usize,
     mr: usize,
     nr: usize,
-    tmr: usize,
-    tnr: usize,
+    skip_r: usize,
+    skip_c: usize,
+}
+
+/// Register-tiled `tmr × tnr` microkernel: accumulates the product of a
+/// `tmr × kc` block of `op(A)` and a `kc × tnr` block of `op(B)` in a
+/// `tmr × tnr` corner of an `MR_MAX × NR_MAX` accumulator block, then
+/// writes `C ← α·acc + β·C` on the tile's live corner of `C`
+/// (β = 0 overwrites without reading, BLAS-style).
+///
+/// The operands are views, not copies, and their extents are the tile's:
+/// `a` is the `tmr × kc` block of `op(A)`, rows contiguous (a packed
+/// panel, or `A` itself in direct mode), and `op_tb(b)` is the
+/// `kc × tnr` block of `op(B)` (a packed panel read as `Trans`, or `B`
+/// itself). Packed and direct calls run one kernel body, so an element's
+/// bits do not depend on the mode.
+#[inline]
+fn microkernel<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    tb: Trans,
+    beta: T,
+    c: &mut MatMut<'_, T>,
+    tile: Tile,
 ) {
     let mut acc = [[T::ZERO; MR_MAX]; NR_MAX];
-    accumulate_tile(pa, pb, &mut acc, tmr, tnr);
-    for (jr, accj) in acc.iter().enumerate().take(nr) {
+    accumulate_tile(a, b, tb, &mut acc);
+    let Tile {
+        i0,
+        j0,
+        mr,
+        nr,
+        skip_r,
+        skip_c,
+    } = tile;
+    for (jr, accj) in acc[skip_c..skip_c + nr].iter().enumerate() {
+        let accj = &accj[skip_r..skip_r + mr];
         let col = &mut c.col_as_mut_slice(j0 + jr)[i0..i0 + mr];
         if beta == T::ONE {
-            for (r, ci) in col.iter_mut().enumerate() {
-                *ci = alpha.mul_add(accj[r], *ci);
+            for (ci, &v) in col.iter_mut().zip(accj) {
+                *ci = alpha.mul_add(v, *ci);
             }
         } else if beta == T::ZERO {
-            for (r, ci) in col.iter_mut().enumerate() {
-                *ci = alpha * accj[r];
+            for (ci, &v) in col.iter_mut().zip(accj) {
+                *ci = alpha * v;
             }
         } else {
-            for (r, ci) in col.iter_mut().enumerate() {
-                *ci = alpha.mul_add(accj[r], beta * *ci);
+            for (ci, &v) in col.iter_mut().zip(accj) {
+                *ci = alpha.mul_add(v, beta * *ci);
             }
         }
     }
 }
 
-/// `acc[jr][r] += Σ_p pa[p·tmr + r] · pb[p·tnr + jr]` over packed panels
-/// (`pa.len() == tmr·kc`, `pb.len() == tnr·kc`).
+/// `acc[jr][r] += Σ_{p<kc} a(r, p) · op_tb(b)(p, jr)` over the tile
+/// the two views span: `a` is `tmr × kc`, `op_tb(b)` is `kc × tnr`.
 ///
 /// On x86-64 hosts with AVX2+FMA (runtime-detected), `T` ∈
 /// {`f32`, `f64`} and a kernel-backed tile shape, this routes to a
@@ -451,27 +576,31 @@ fn microkernel<T: Scalar>(
 /// intrinsic blocks that and serializes the tile.
 #[inline]
 fn accumulate_tile<T: Scalar>(
-    pa: &[T],
-    pb: &[T],
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    tb: Trans,
     acc: &mut [[T; MR_MAX]; NR_MAX],
-    tmr: usize,
-    tnr: usize,
 ) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::accumulate_tile(pa, pb, acc, tmr, tnr) {
+    if x86::accumulate_tile(a, b, tb, acc) {
         return;
     }
-    match (tmr, tnr) {
-        (8, 4) => portable_tile::<T, 8, 4>(pa, pb, acc),
-        (16, 4) => portable_tile::<T, 16, 4>(pa, pb, acc),
-        (8, 8) => portable_tile::<T, 8, 8>(pa, pb, acc),
-        (16, 8) => portable_tile::<T, 16, 8>(pa, pb, acc),
+    let tnr = match tb {
+        Trans::NoTrans => b.ncols(),
+        Trans::Trans => b.nrows(),
+    };
+    match (a.nrows(), tnr) {
+        (8, 4) => portable_tile::<T, 8, 4>(a, b, tb, acc),
+        (16, 4) => portable_tile::<T, 16, 4>(a, b, tb, acc),
+        (8, 8) => portable_tile::<T, 8, 8>(a, b, tb, acc),
+        (16, 8) => portable_tile::<T, 16, 8>(a, b, tb, acc),
         _ => {
-            for (av, bv) in pa.chunks_exact(tmr).zip(pb.chunks_exact(tnr)) {
+            for p in 0..a.ncols() {
+                let av = a.col_as_slice(p);
                 for (jr, accj) in acc.iter_mut().enumerate().take(tnr) {
-                    let b = bv[jr];
-                    for (r, slot) in accj.iter_mut().enumerate().take(tmr) {
-                        *slot += av[r] * b;
+                    let bv = op_get(b, tb, p, jr);
+                    for (slot, &x) in accj.iter_mut().zip(av) {
+                        *slot += x * bv;
                     }
                 }
             }
@@ -483,15 +612,17 @@ fn accumulate_tile<T: Scalar>(
 /// inner loops have compile-time trip counts and SLP-vectorize.
 #[inline]
 fn portable_tile<T: Scalar, const TMR: usize, const TNR: usize>(
-    pa: &[T],
-    pb: &[T],
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    tb: Trans,
     acc: &mut [[T; MR_MAX]; NR_MAX],
 ) {
-    for (av, bv) in pa.chunks_exact(TMR).zip(pb.chunks_exact(TNR)) {
+    for p in 0..a.ncols() {
+        let av: &[T; TMR] = a.col_as_slice(p).try_into().expect("a has TMR rows");
         for (jr, accj) in acc.iter_mut().enumerate().take(TNR) {
-            let b = bv[jr];
+            let bv = op_get(b, tb, p, jr);
             for (r, slot) in accj.iter_mut().enumerate().take(TMR) {
-                *slot += av[r] * b;
+                *slot += av[r] * bv;
             }
         }
     }
@@ -509,7 +640,8 @@ fn portable_tile<T: Scalar, const TMR: usize, const TNR: usize>(
 /// scheme.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod x86 {
-    use super::{Scalar, MR_MAX, NR_MAX};
+    use super::{Scalar, Trans, MR_MAX, NR_MAX};
+    use crate::matrix::MatRef;
     use core::any::TypeId;
     use std::arch::x86_64::*;
 
@@ -519,15 +651,44 @@ mod x86 {
     /// bounds.
     type Acc<F> = [[F; MR_MAX]; NR_MAX];
 
+    /// A register tile's operands as strided reads: lane `r` of `op(A)`
+    /// at step `p` is `*a.add(r + p·a_ps)` and lane `j` of `op(B)` at
+    /// step `p` is `*b.add(j·b_js + p·b_ps)`, for `p < kc`. A packed
+    /// panel pair reads with `a_ps = tmr` and `(b_js, b_ps) = (1, tnr)`;
+    /// direct mode reads `A` with `a_ps = lda` and `B` with
+    /// `(1, ldb)` (`Trans`) or `(ldb, 1)` (`NoTrans`).
+    #[derive(Clone, Copy)]
+    struct Operands<F> {
+        a: *const F,
+        a_ps: usize,
+        b: *const F,
+        b_js: usize,
+        b_ps: usize,
+        kc: usize,
+    }
+
+    impl<F> Operands<F> {
+        /// The same reads with the element type re-stated.
+        fn cast<G>(self) -> Operands<G> {
+            Operands {
+                a: self.a.cast(),
+                a_ps: self.a_ps,
+                b: self.b.cast(),
+                b_js: self.b_js,
+                b_ps: self.b_ps,
+                kc: self.kc,
+            }
+        }
+    }
+
     /// Returns `true` when the tile was handled by an FMA kernel,
     /// `false` when the caller must run the portable loop.
     #[inline]
     pub(super) fn accumulate_tile<T: Scalar>(
-        pa: &[T],
-        pb: &[T],
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        tb: Trans,
         acc: &mut [[T; MR_MAX]; NR_MAX],
-        tmr: usize,
-        tnr: usize,
     ) -> bool {
         // `is_x86_feature_detected!` caches its answer in an atomic, so
         // the per-call cost is a couple of relaxed loads.
@@ -535,19 +696,36 @@ mod x86 {
             return false;
         }
         let wide = is_x86_feature_detected!("avx512f");
-        debug_assert_eq!(pa.len() / tmr, pb.len() / tnr);
+        // The tile is the views' own extent: `a` is `tmr × kc` and
+        // `op_tb(b)` is `kc × tnr`, so every strided read names an
+        // element of one of them.
+        let (tmr, kc) = (a.nrows(), a.ncols());
+        let (tnr, b_kc, b_js, b_ps) = match tb {
+            Trans::Trans => (b.nrows(), b.ncols(), 1, b.ld()),
+            Trans::NoTrans => (b.ncols(), b.nrows(), b.ld(), 1),
+        };
+        assert_eq!(b_kc, kc, "microkernel: inner extents differ");
+        let ops = Operands {
+            a: a.as_ptr(),
+            a_ps: a.ld(),
+            b: b.as_ptr(),
+            b_js,
+            b_ps,
+            kc,
+        };
         if TypeId::of::<T>() == TypeId::of::<f64>() {
             // Safety: `T` is exactly `f64` (TypeId match above), so the
-            // pointer casts only re-state the slice types; the features
-            // each kernel enables were just detected.
+            // casts only re-state the element type; each arm's kernel
+            // reads the `tmr × tnr` tile it matches, which lies inside
+            // the views (see above); the features each kernel enables
+            // were just detected.
             unsafe {
-                let pa = core::slice::from_raw_parts(pa.as_ptr().cast::<f64>(), pa.len());
-                let pb = core::slice::from_raw_parts(pb.as_ptr().cast::<f64>(), pb.len());
+                let ops = ops.cast::<f64>();
                 let acc = &mut *(acc as *mut [[T; MR_MAX]; NR_MAX]).cast::<Acc<f64>>();
                 match (tmr, tnr) {
-                    (8, 4) => accumulate_f64(pa, pb, acc),
-                    (16, 4) if wide => accumulate_f64_16x4(pa, pb, acc),
-                    (8, 8) if wide => accumulate_f64_8x8(pa, pb, acc),
+                    (8, 4) => accumulate_f64(ops, acc),
+                    (16, 4) if wide => accumulate_f64_16x4(ops, acc),
+                    (8, 8) if wide => accumulate_f64_8x8(ops, acc),
                     _ => return false,
                 }
             }
@@ -555,13 +733,12 @@ mod x86 {
         } else if TypeId::of::<T>() == TypeId::of::<f32>() {
             // Safety: as above with `T` == `f32`.
             unsafe {
-                let pa = core::slice::from_raw_parts(pa.as_ptr().cast::<f32>(), pa.len());
-                let pb = core::slice::from_raw_parts(pb.as_ptr().cast::<f32>(), pb.len());
+                let ops = ops.cast::<f32>();
                 let acc = &mut *(acc as *mut [[T; MR_MAX]; NR_MAX]).cast::<Acc<f32>>();
                 match (tmr, tnr) {
-                    (8, 4) => accumulate_f32(pa, pb, acc),
-                    (16, 4) if wide => accumulate_f32_16x4(pa, pb, acc),
-                    (16, 8) if wide => accumulate_f32_16x8(pa, pb, acc),
+                    (8, 4) => accumulate_f32(ops, acc),
+                    (16, 4) if wide => accumulate_f32_16x4(ops, acc),
+                    (16, 8) if wide => accumulate_f32_16x8(ops, acc),
                     _ => return false,
                 }
             }
@@ -576,24 +753,22 @@ mod x86 {
     /// issues per cycle.
     ///
     /// # Safety
-    /// Caller must have verified AVX2+FMA support.
+    /// Caller must have verified AVX2+FMA support, and `o` must name
+    /// readable elements for lanes `r < 8`, `j < 4` at every step.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn accumulate_f64(pa: &[f64], pb: &[f64], acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — `pa` holds kc packed 8-rows and `pb` kc
-        // packed 4-rows (debug-asserted by the dispatcher), so offsets
-        // `p·8 + 0..8` and `p·4 + jr` stay in bounds; `acc` rows are
+    unsafe fn accumulate_f64(o: Operands<f64>, acc: &mut Acc<f64>) {
+        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
+        // (r < 8) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
+        // of elements inside the caller's operand views; `acc` rows are
         // MR_MAX = 16 wide, covering both 4-wide halves.
         unsafe {
-            const TMR: usize = 8;
-            const TNR: usize = 4;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
-            let mut c: [[__m256d; 2]; TNR] = [[_mm256_setzero_pd(); 2]; TNR];
-            for p in 0..kc {
-                let a0 = _mm256_loadu_pd(pa.add(p * TMR));
-                let a1 = _mm256_loadu_pd(pa.add(p * TMR + 4));
+            let mut c: [[__m256d; 2]; 4] = [[_mm256_setzero_pd(); 2]; 4];
+            for p in 0..o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm256_loadu_pd(ap);
+                let a1 = _mm256_loadu_pd(ap.add(4));
                 for (jr, cj) in c.iter_mut().enumerate() {
-                    let b = _mm256_set1_pd(*pb.add(p * TNR + jr));
+                    let b = _mm256_set1_pd(*bp.add(jr * o.b_js));
                     cj[0] = _mm256_fmadd_pd(a0, b, cj[0]);
                     cj[1] = _mm256_fmadd_pd(a1, b, cj[1]);
                 }
@@ -612,35 +787,37 @@ mod x86 {
     /// separate partial sums (eight chains) that merge at the end.
     ///
     /// # Safety
-    /// Caller must have verified AVX2+FMA support.
+    /// Caller must have verified AVX2+FMA support, and `o` must name
+    /// readable elements for lanes `r < 8`, `j < 4` at every step.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn accumulate_f32(pa: &[f32], pb: &[f32], acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — as `accumulate_f64`: packed panel offsets
-        // `p·8 + 0..8` / `p·4 + jr` are in bounds for kc packed rows,
-        // and each `acc` row is MR_MAX = 16 wide (≥ one 8-lane register).
+    unsafe fn accumulate_f32(o: Operands<f32>, acc: &mut Acc<f32>) {
+        // SAFETY: fn contract — as `accumulate_f64`: the strided offsets
+        // for `r < 8`, `j < 4`, `p < kc` are reads inside the operand
+        // views, and each `acc` row is MR_MAX = 16 wide (≥ one 8-lane
+        // register).
         unsafe {
-            const TMR: usize = 8;
             const TNR: usize = 4;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
             let mut c0: [__m256; TNR] = [_mm256_setzero_ps(); TNR];
             let mut c1: [__m256; TNR] = [_mm256_setzero_ps(); TNR];
             let mut p = 0;
-            while p + 2 <= kc {
-                let a0 = _mm256_loadu_ps(pa.add(p * TMR));
-                let a1 = _mm256_loadu_ps(pa.add((p + 1) * TMR));
+            while p + 2 <= o.kc {
+                let (ap0, bp0) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let (ap1, bp1) = (ap0.add(o.a_ps), bp0.add(o.b_ps));
+                let a0 = _mm256_loadu_ps(ap0);
+                let a1 = _mm256_loadu_ps(ap1);
                 for jr in 0..TNR {
-                    let b0 = _mm256_set1_ps(*pb.add(p * TNR + jr));
-                    let b1 = _mm256_set1_ps(*pb.add((p + 1) * TNR + jr));
+                    let b0 = _mm256_set1_ps(*bp0.add(jr * o.b_js));
+                    let b1 = _mm256_set1_ps(*bp1.add(jr * o.b_js));
                     c0[jr] = _mm256_fmadd_ps(a0, b0, c0[jr]);
                     c1[jr] = _mm256_fmadd_ps(a1, b1, c1[jr]);
                 }
                 p += 2;
             }
-            if p < kc {
-                let a0 = _mm256_loadu_ps(pa.add(p * TMR));
+            if p < o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm256_loadu_ps(ap);
                 for (jr, c0j) in c0.iter_mut().enumerate() {
-                    let b0 = _mm256_set1_ps(*pb.add(p * TNR + jr));
+                    let b0 = _mm256_set1_ps(*bp.add(jr * o.b_js));
                     *c0j = _mm256_fmadd_ps(a0, b0, *c0j);
                 }
             }
@@ -658,24 +835,22 @@ mod x86 {
     /// 32-register AVX-512 file.
     ///
     /// # Safety
-    /// Caller must have verified AVX-512F support.
+    /// Caller must have verified AVX-512F support, and `o` must name
+    /// readable elements for lanes `r < 16`, `j < 4` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f64_16x4(pa: &[f64], pb: &[f64], acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — `pa` holds kc packed 16-rows and `pb` kc
-        // packed 4-rows (debug-asserted by the dispatcher), so offsets
-        // `p·16 + 0..16` and `p·4 + jr` stay in bounds; `acc` rows are
+    unsafe fn accumulate_f64_16x4(o: Operands<f64>, acc: &mut Acc<f64>) {
+        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
+        // (r < 16) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
+        // of elements inside the caller's operand views; `acc` rows are
         // MR_MAX = 16 wide, covering both 8-wide halves.
         unsafe {
-            const TMR: usize = 16;
-            const TNR: usize = 4;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
-            let mut c: [[__m512d; 2]; TNR] = [[_mm512_setzero_pd(); 2]; TNR];
-            for p in 0..kc {
-                let a0 = _mm512_loadu_pd(pa.add(p * TMR));
-                let a1 = _mm512_loadu_pd(pa.add(p * TMR + 8));
+            let mut c: [[__m512d; 2]; 4] = [[_mm512_setzero_pd(); 2]; 4];
+            for p in 0..o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm512_loadu_pd(ap);
+                let a1 = _mm512_loadu_pd(ap.add(8));
                 for (jr, cj) in c.iter_mut().enumerate() {
-                    let b = _mm512_set1_pd(*pb.add(p * TNR + jr));
+                    let b = _mm512_set1_pd(*bp.add(jr * o.b_js));
                     cj[0] = _mm512_fmadd_pd(a0, b, cj[0]);
                     cj[1] = _mm512_fmadd_pd(a1, b, cj[1]);
                 }
@@ -694,23 +869,21 @@ mod x86 {
     /// `m` tails would leave half a 16-row panel padded.
     ///
     /// # Safety
-    /// Caller must have verified AVX-512F support.
+    /// Caller must have verified AVX-512F support, and `o` must name
+    /// readable elements for lanes `r < 8`, `j < 8` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f64_8x8(pa: &[f64], pb: &[f64], acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — `pa` holds kc packed 8-rows and `pb` kc
-        // packed 8-rows (debug-asserted by the dispatcher), so offsets
-        // `p·8 + 0..8` and `p·8 + jr` stay in bounds; `acc` rows are
+    unsafe fn accumulate_f64_8x8(o: Operands<f64>, acc: &mut Acc<f64>) {
+        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
+        // (r < 8) and `j·b_js + p·b_ps` (j < 8) for `p < kc` are reads
+        // of elements inside the caller's operand views; `acc` rows are
         // MR_MAX = 16 wide (≥ one 8-lane register).
         unsafe {
-            const TMR: usize = 8;
-            const TNR: usize = 8;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
-            let mut c: [__m512d; TNR] = [_mm512_setzero_pd(); TNR];
-            for p in 0..kc {
-                let a0 = _mm512_loadu_pd(pa.add(p * TMR));
+            let mut c: [__m512d; 8] = [_mm512_setzero_pd(); 8];
+            for p in 0..o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm512_loadu_pd(ap);
                 for (jr, cj) in c.iter_mut().enumerate() {
-                    let b = _mm512_set1_pd(*pb.add(p * TNR + jr));
+                    let b = _mm512_set1_pd(*bp.add(jr * o.b_js));
                     *cj = _mm512_fmadd_pd(a0, b, *cj);
                 }
             }
@@ -725,23 +898,21 @@ mod x86 {
     /// independent fma chains.
     ///
     /// # Safety
-    /// Caller must have verified AVX-512F support.
+    /// Caller must have verified AVX-512F support, and `o` must name
+    /// readable elements for lanes `r < 16`, `j < 8` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f32_16x8(pa: &[f32], pb: &[f32], acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — `pa` holds kc packed 16-rows and `pb` kc
-        // packed 8-rows (debug-asserted by the dispatcher), so offsets
-        // `p·16 + 0..16` and `p·8 + jr` stay in bounds; `acc` rows are
+    unsafe fn accumulate_f32_16x8(o: Operands<f32>, acc: &mut Acc<f32>) {
+        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
+        // (r < 16) and `j·b_js + p·b_ps` (j < 8) for `p < kc` are reads
+        // of elements inside the caller's operand views; `acc` rows are
         // MR_MAX = 16 wide (exactly one 16-lane register).
         unsafe {
-            const TMR: usize = 16;
-            const TNR: usize = 8;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
-            let mut c: [__m512; TNR] = [_mm512_setzero_ps(); TNR];
-            for p in 0..kc {
-                let a0 = _mm512_loadu_ps(pa.add(p * TMR));
+            let mut c: [__m512; 8] = [_mm512_setzero_ps(); 8];
+            for p in 0..o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm512_loadu_ps(ap);
                 for (jr, cj) in c.iter_mut().enumerate() {
-                    let b = _mm512_set1_ps(*pb.add(p * TNR + jr));
+                    let b = _mm512_set1_ps(*bp.add(jr * o.b_js));
                     *cj = _mm512_fmadd_ps(a0, b, *cj);
                 }
             }
@@ -758,36 +929,37 @@ mod x86 {
     /// at the end — same schedule as the AVX2 8×4 f32 kernel.
     ///
     /// # Safety
-    /// Caller must have verified AVX-512F support.
+    /// Caller must have verified AVX-512F support, and `o` must name
+    /// readable elements for lanes `r < 16`, `j < 4` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f32_16x4(pa: &[f32], pb: &[f32], acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — `pa` holds kc packed 16-rows and `pb` kc
-        // packed 4-rows (debug-asserted by the dispatcher), so offsets
-        // `p·16 + 0..16` and `p·4 + jr` stay in bounds; `acc` rows are
+    unsafe fn accumulate_f32_16x4(o: Operands<f32>, acc: &mut Acc<f32>) {
+        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
+        // (r < 16) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
+        // of elements inside the caller's operand views; `acc` rows are
         // MR_MAX = 16 wide (exactly one 16-lane register).
         unsafe {
-            const TMR: usize = 16;
             const TNR: usize = 4;
-            let kc = pa.len() / TMR;
-            let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
             let mut c0: [__m512; TNR] = [_mm512_setzero_ps(); TNR];
             let mut c1: [__m512; TNR] = [_mm512_setzero_ps(); TNR];
             let mut p = 0;
-            while p + 2 <= kc {
-                let a0 = _mm512_loadu_ps(pa.add(p * TMR));
-                let a1 = _mm512_loadu_ps(pa.add((p + 1) * TMR));
+            while p + 2 <= o.kc {
+                let (ap0, bp0) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let (ap1, bp1) = (ap0.add(o.a_ps), bp0.add(o.b_ps));
+                let a0 = _mm512_loadu_ps(ap0);
+                let a1 = _mm512_loadu_ps(ap1);
                 for jr in 0..TNR {
-                    let b0 = _mm512_set1_ps(*pb.add(p * TNR + jr));
-                    let b1 = _mm512_set1_ps(*pb.add((p + 1) * TNR + jr));
+                    let b0 = _mm512_set1_ps(*bp0.add(jr * o.b_js));
+                    let b1 = _mm512_set1_ps(*bp1.add(jr * o.b_js));
                     c0[jr] = _mm512_fmadd_ps(a0, b0, c0[jr]);
                     c1[jr] = _mm512_fmadd_ps(a1, b1, c1[jr]);
                 }
                 p += 2;
             }
-            if p < kc {
-                let a0 = _mm512_loadu_ps(pa.add(p * TMR));
+            if p < o.kc {
+                let (ap, bp) = (o.a.add(p * o.a_ps), o.b.add(p * o.b_ps));
+                let a0 = _mm512_loadu_ps(ap);
                 for (jr, c0j) in c0.iter_mut().enumerate() {
-                    let b0 = _mm512_set1_ps(*pb.add(p * TNR + jr));
+                    let b0 = _mm512_set1_ps(*bp.add(jr * o.b_js));
                     *c0j = _mm512_fmadd_ps(a0, b0, *c0j);
                 }
             }
@@ -944,8 +1116,8 @@ fn syrk_small<T: Scalar>(
 // trsm
 // ---------------------------------------------------------------------
 
-/// Diagonal-block size below which `trsm` substitutes directly on the
-/// slice tier instead of recursing.
+/// Diagonal-block order at or below which `trsm` substitutes directly
+/// ([`trsm_small`]) instead of recursing.
 const TRSM_NB: usize = 32;
 
 /// Triangular solve with multiple right-hand sides:
@@ -954,7 +1126,8 @@ const TRSM_NB: usize = 32;
 ///
 /// Solves recursively: the triangle splits in half, the off-diagonal
 /// coupling becomes a [`gemm`] update (packed tier for large operands),
-/// and sub-`TRSM_NB` diagonal blocks substitute on the slice tier.
+/// and diagonal blocks of order at most 32 substitute directly, in
+/// registers for the axpy forms.
 ///
 /// # Panics
 /// On dimension mismatch.
@@ -1125,7 +1298,18 @@ fn trsm_rec<T: Scalar>(
     }
 }
 
-/// Slice-tier substitution on one diagonal block (α already applied).
+/// Substitution on one diagonal block (α already applied).
+///
+/// The axpy forms — all four `Side::Right` cases and the two
+/// `Side::Left` `NoTrans` cases — run in registers. `B` is staged in
+/// row chunks through a compact scratch tile ([`tri_staged`], as
+/// [`trmm_small`] does) and [`trsm_sweep`] solves each output column in
+/// an `R`-lane accumulator. A left-side solve is the right-side solve of
+/// the transposes, `Xᵀ·op(A)ᵀ = Bᵀ`, so its chunks are staged
+/// transposed. Each element runs the same fused multiply-add chain, in
+/// the same order, as the column-axpy loops these sweeps replaced, so
+/// the bits are theirs. The two `Side::Left` `Trans` cases keep their
+/// column-dot loops: [`dot`]'s eight partial sums define their bits.
 fn trsm_small<T: Scalar>(
     side: Side,
     uplo: Uplo,
@@ -1136,99 +1320,103 @@ fn trsm_small<T: Scalar>(
 ) {
     let m = b.nrows();
     let n = b.ncols();
-    match side {
-        Side::Left => match (uplo, transa) {
-            (Uplo::Lower, Trans::NoTrans) => {
-                // Right-looking forward substitution: each solved x_i is
-                // broadcast down the remaining rows via a column axpy.
-                for j in 0..n {
-                    let bj = b.col_as_mut_slice(j);
-                    for i in 0..m {
-                        let (head, tail) = bj.split_at_mut(i + 1);
-                        let mut x = head[i];
-                        if diag == Diag::NonUnit {
-                            x /= a.get(i, i);
-                        }
-                        head[i] = x;
-                        axpy(tail, &a.col_as_slice(i)[i + 1..], -x);
+    let left = side == Side::Left;
+    match (left, uplo, transa) {
+        (true, Uplo::Upper, Trans::Trans) => {
+            // Forward substitution in dot form: column i of A holds
+            // exactly the coefficients op(A)(i, 0..i).
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in 0..m {
+                    let mut x = bj[i] - dot(&a.col_as_slice(i)[..i], &bj[..i]);
+                    if diag == Diag::NonUnit {
+                        x /= a.get(i, i);
                     }
-                }
-            }
-            (Uplo::Upper, Trans::NoTrans) => {
-                // Right-looking backward substitution.
-                for j in 0..n {
-                    let bj = b.col_as_mut_slice(j);
-                    for i in (0..m).rev() {
-                        let (head, tail) = bj.split_at_mut(i);
-                        let mut x = tail[0];
-                        if diag == Diag::NonUnit {
-                            x /= a.get(i, i);
-                        }
-                        tail[0] = x;
-                        axpy(head, &a.col_as_slice(i)[..i], -x);
-                    }
-                }
-            }
-            (Uplo::Upper, Trans::Trans) => {
-                // Forward substitution in dot form: column i of A holds
-                // exactly the coefficients op(A)(i, 0..i).
-                for j in 0..n {
-                    let bj = b.col_as_mut_slice(j);
-                    for i in 0..m {
-                        let mut x = bj[i] - dot(&a.col_as_slice(i)[..i], &bj[..i]);
-                        if diag == Diag::NonUnit {
-                            x /= a.get(i, i);
-                        }
-                        bj[i] = x;
-                    }
-                }
-            }
-            (Uplo::Lower, Trans::Trans) => {
-                // Backward substitution in dot form.
-                for j in 0..n {
-                    let bj = b.col_as_mut_slice(j);
-                    for i in (0..m).rev() {
-                        let mut x = bj[i] - dot(&a.col_as_slice(i)[i + 1..], &bj[i + 1..]);
-                        if diag == Diag::NonUnit {
-                            x /= a.get(i, i);
-                        }
-                        bj[i] = x;
-                    }
-                }
-            }
-        },
-        Side::Right => {
-            // X(:,j) = (B(:,j) − Σ_l X(:,l)·op(A)(l,j)) / op(A)(j,j):
-            // column axpys between distinct columns of B.
-            let forward = matches!(
-                (uplo, transa),
-                (Uplo::Upper, Trans::NoTrans) | (Uplo::Lower, Trans::Trans)
-            );
-            let mut solve_col = |j: usize, prior: &mut dyn Iterator<Item = usize>| {
-                for l in prior {
-                    let alj = op_get(a, transa, l, j);
-                    if alj != T::ZERO {
-                        let (dst, src) = b.col_pair_mut(j, l);
-                        axpy(dst, src, -alj);
-                    }
-                }
-                if diag == Diag::NonUnit {
-                    let ajj = op_get(a, transa, j, j);
-                    for v in b.col_as_mut_slice(j) {
-                        *v /= ajj;
-                    }
-                }
-            };
-            if forward {
-                for j in 0..n {
-                    solve_col(j, &mut (0..j));
-                }
-            } else {
-                for j in (0..n).rev() {
-                    solve_col(j, &mut ((j + 1)..n));
+                    bj[i] = x;
                 }
             }
         }
+        (true, Uplo::Lower, Trans::Trans) => {
+            // Backward substitution in dot form.
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in (0..m).rev() {
+                    let mut x = bj[i] - dot(&a.col_as_slice(i)[i + 1..], &bj[i + 1..]);
+                    if diag == Diag::NonUnit {
+                        x /= a.get(i, i);
+                    }
+                    bj[i] = x;
+                }
+            }
+        }
+        _ => {
+            let transa = if left { transposed(transa) } else { transa };
+            tri_staged(side, a.nrows(), b, |tile, cap| {
+                if cap == SWEEP_ROWS {
+                    trsm_sweep::<T, SWEEP_ROWS>(uplo, transa, diag, a, tile, left);
+                } else {
+                    trsm_sweep::<T, SWEEP_ROWS_MIN>(uplo, transa, diag, a, tile, left);
+                }
+            });
+        }
+    }
+}
+
+/// Solves `X·op(A) = B` in place on an `R`-row chunk stored compactly
+/// (column `l` at `b[l·R..]`), one output column at a time:
+/// `X(:,j) = (B(:,j) − Σ_l X(:,l)·op(A)(l,j)) / op(A)(j,j)` accumulates
+/// in `R` register lanes, with no store until the column is solved.
+///
+/// A right-side chunk replays the old column loop: sources `l` in
+/// ascending order, `axpy(acc, X(:,l), −op(A)(l,j))`, zero coefficients
+/// skipped. A transposed left-side chunk (`left`) replays the
+/// right-looking left solve instead: each step is
+/// `acc ← (−x_l)·a + acc`, sources come in the order that solve
+/// produced them (ascending forward, descending backward) and none is
+/// skipped.
+fn trsm_sweep<T: Scalar, const R: usize>(
+    uplo: Uplo,
+    transa: Trans,
+    diag: Diag,
+    a: MatRef<'_, T>,
+    b: &mut [T],
+    left: bool,
+) {
+    let n = a.nrows();
+    debug_assert_eq!(b.len(), R * n);
+    // An upper op(A) couples column j to the columns before it.
+    let forward = !op_is_lower(uplo, transa);
+    for jj in 0..n {
+        let j = if forward { jj } else { n - 1 - jj };
+        let mut acc = *tile_col::<T, R>(b, j);
+        let others = if forward { 0..j } else { j + 1..n };
+        if left {
+            let mut step = |l: usize| {
+                let coef = op_get(a, transa, l, j);
+                for (s, &x) in acc.iter_mut().zip(tile_col::<T, R>(b, l)) {
+                    *s = (-x).mul_add(coef, *s);
+                }
+            };
+            if forward {
+                others.for_each(&mut step);
+            } else {
+                others.rev().for_each(&mut step);
+            }
+        } else {
+            for l in others {
+                let alj = op_get(a, transa, l, j);
+                if alj != T::ZERO {
+                    axpy(&mut acc, tile_col::<T, R>(b, l), -alj);
+                }
+            }
+        }
+        if diag == Diag::NonUnit {
+            let ajj = op_get(a, transa, j, j);
+            for v in &mut acc {
+                *v /= ajj;
+            }
+        }
+        b[j * R..][..R].copy_from_slice(&acc);
     }
 }
 
@@ -1241,12 +1429,14 @@ fn trsm_small<T: Scalar>(
 /// `gemm` would pack panels for an inner extent too short to repay them.
 const TRMM_NB: usize = 64;
 
-/// Rows of `B` one register-accumulator sweep of [`trmm_small`] covers.
-const TRMM_ROWS: usize = 64;
+/// Rows of `B` one register-accumulator sweep of [`trmm_small`] or
+/// [`trsm_small`] covers.
+const SWEEP_ROWS: usize = 64;
 
-/// Row count of the narrow sweep that takes what is left below
-/// [`TRMM_ROWS`] (and single right-hand sides, as in `larft`).
-const TRMM_ROWS_MIN: usize = 8;
+/// Row count of the narrow sweep that takes the last rows once at most
+/// twice this many are left (and single right-hand sides, as in
+/// `larft`).
+const SWEEP_ROWS_MIN: usize = 8;
 
 /// Where the recursive triangular kernels ([`trmm`], `trtri`) cut a
 /// triangle of order `n > 8`: half, rounded up to a multiple of 8 so
@@ -1370,18 +1560,10 @@ fn trmm_rec<T: Scalar>(
     }
 }
 
-/// Base case of [`trmm`] (`A` of order at most [`TRMM_NB`]).
-///
-/// Everything runs as the right-side product on row chunks of `B`
-/// ([`trmm_sweep`]), each staged through a compact scratch tile: a
-/// left-side product is the right-side product of the transposes,
-/// `Bᵀ ← α·Bᵀ·op(A)ᵀ`, so its column chunks are copied in transposed;
-/// a right-side chunk is copied column by column, which takes it out of
-/// `B`'s leading dimension (at `ld = 512` the 64 columns of a chunk
-/// share eight L1 sets, and every column is read once per output
-/// column). Chunks are [`TRMM_ROWS`] rows while that many remain and
-/// [`TRMM_ROWS_MIN`] after. Nothing allocates once the thread's scratch
-/// is warm.
+/// Base case of [`trmm`] (`A` of order at most [`TRMM_NB`]): every
+/// case runs as the right-side product on row chunks of `B`
+/// ([`tri_staged`], [`trmm_sweep`]). A left-side product is the
+/// right-side product of the transposes, `Bᵀ ← α·Bᵀ·op(A)ᵀ`.
 fn trmm_small<T: Scalar>(
     side: Side,
     uplo: Uplo,
@@ -1389,33 +1571,64 @@ fn trmm_small<T: Scalar>(
     diag: Diag,
     alpha: T,
     a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
+    b: MatMut<'_, T>,
 ) {
-    let na = a.nrows();
-    let (len, transa) = match side {
-        Side::Right => (b.nrows(), transa),
-        Side::Left => (
-            b.ncols(),
-            match transa {
-                Trans::NoTrans => Trans::Trans,
-                Trans::Trans => Trans::NoTrans,
-            },
-        ),
+    let transa = match side {
+        Side::Right => transa,
+        Side::Left => transposed(transa),
+    };
+    tri_staged(side, a.nrows(), b, |tile, cap| {
+        if cap == SWEEP_ROWS {
+            trmm_sweep::<T, SWEEP_ROWS>(uplo, transa, diag, alpha, a, tile);
+        } else {
+            trmm_sweep::<T, SWEEP_ROWS_MIN>(uplo, transa, diag, alpha, a, tile);
+        }
+    });
+}
+
+/// Runs a right-side triangular `sweep` (order `na`) over `B` in row
+/// chunks, each staged through a compact scratch tile: `sweep(tile,
+/// cap)` gets `na` columns of `cap` rows, column `l` at `tile[l·cap..]`.
+/// For `Side::Left` the chunks are rows of `Bᵀ`, so column chunks of `B`
+/// are copied in transposed. A right-side chunk is copied column by
+/// column, which takes it out of `B`'s leading dimension (at `ld = 512`
+/// the 64 columns of a chunk share eight L1 sets, and every column is
+/// read once per output column). Chunks are [`SWEEP_ROWS`] rows, or
+/// [`SWEEP_ROWS_MIN`] once at most twice that many are left: a wide
+/// chunk keeps eight independent vector chains in flight, and a sweep
+/// step costs about the same either way. Nothing allocates once the
+/// thread's scratch is warm.
+fn tri_staged<T: Scalar>(
+    side: Side,
+    na: usize,
+    mut b: MatMut<'_, T>,
+    mut sweep: impl FnMut(&mut [T], usize),
+) {
+    debug_assert!(na <= TRMM_NB);
+    let len = match side {
+        Side::Right => b.nrows(),
+        Side::Left => b.ncols(),
     };
     // Asked for at its largest, so a thread's scratch grows at most once.
-    T::with_scratch(TRMM_ROWS * TRMM_NB, |tile| {
-        let mut r0 = 0;
-        while r0 < len {
-            let left = len - r0;
-            let cap = if left >= TRMM_ROWS {
-                TRMM_ROWS
+    T::with_scratch(SWEEP_ROWS * TRMM_NB, |tile| {
+        let mut done = 0;
+        while done < len {
+            let cap = if len - done > 2 * SWEEP_ROWS_MIN {
+                SWEEP_ROWS
             } else {
-                TRMM_ROWS_MIN
+                SWEEP_ROWS_MIN
             };
-            // Rows of the tile past `rows` hold stale values whose
-            // products are never copied back.
-            let rows = cap.min(left);
+            // Rows are independent, so a last partial chunk shifts back
+            // to end at `len` when `B` has `cap` rows: the rows it shares
+            // with the chunk before are done already, ride along as
+            // spare lanes and are not copied back. Only a `B` shorter
+            // than one chunk pads it, with zero lanes.
+            let r0 = done.min(len.saturating_sub(cap));
+            let rows = cap.min(len - r0);
             let tile = &mut tile[..cap * na];
+            if rows < cap {
+                tile.fill(T::ZERO);
+            }
             match side {
                 Side::Right => {
                     for (l, t) in tile.chunks_exact_mut(cap).enumerate() {
@@ -1431,19 +1644,15 @@ fn trmm_small<T: Scalar>(
                     }
                 }
             }
-            if cap == TRMM_ROWS {
-                trmm_sweep::<T, TRMM_ROWS>(uplo, transa, diag, alpha, a, tile);
-            } else {
-                trmm_sweep::<T, TRMM_ROWS_MIN>(uplo, transa, diag, alpha, a, tile);
-            }
+            sweep(tile, cap);
             match side {
                 Side::Right => {
                     for (l, t) in tile.chunks_exact(cap).enumerate() {
-                        b.col_as_mut_slice(l)[r0..r0 + rows].copy_from_slice(&t[..rows]);
+                        b.col_as_mut_slice(l)[done..r0 + rows].copy_from_slice(&t[done - r0..rows]);
                     }
                 }
                 Side::Left => {
-                    for r in 0..rows {
+                    for r in done - r0..rows {
                         let col = b.col_as_mut_slice(r0 + r);
                         for (t, v) in tile.chunks_exact(cap).zip(col) {
                             *v = t[r];
@@ -1451,9 +1660,25 @@ fn trmm_small<T: Scalar>(
                     }
                 }
             }
-            r0 += rows;
+            done = r0 + rows;
         }
     });
+}
+
+/// Column `l` of a compact `R`-row tile as a fixed-length view, so the
+/// lane loops of the sweeps unroll into registers.
+#[inline]
+fn tile_col<T, const R: usize>(b: &[T], l: usize) -> &[T; R] {
+    b[l * R..][..R].try_into().expect("the range is R long")
+}
+
+/// The other transposition.
+#[inline]
+fn transposed(t: Trans) -> Trans {
+    match t {
+        Trans::NoTrans => Trans::Trans,
+        Trans::Trans => Trans::NoTrans,
+    }
 }
 
 /// `B ← α·B·op(A)` on an `R`-row chunk stored compactly (column `l` at
@@ -1472,10 +1697,6 @@ fn trmm_sweep<T: Scalar, const R: usize>(
     let n = a.nrows();
     debug_assert_eq!(b.len(), R * n);
     let lower = op_is_lower(uplo, transa);
-    // Fixed-length column views, so the lane loops unroll into registers.
-    fn col<T, const R: usize>(b: &[T], l: usize) -> &[T; R] {
-        b[l * R..][..R].try_into().expect("the range is R long")
-    }
     for jj in 0..n {
         // Output column j sums source columns l ≥ j (lower op(A),
         // ascending) or l ≤ j (upper, descending).
@@ -1488,9 +1709,13 @@ fn trmm_sweep<T: Scalar, const R: usize>(
             Diag::Unit => alpha,
             Diag::NonUnit => alpha * a.get(j, j),
         };
-        let mut acc: [T; R] = col::<T, R>(b, j).map(|x| d * x);
+        let mut acc: [T; R] = tile_col::<T, R>(b, j).map(|x| d * x);
         for l in others {
-            axpy(&mut acc, col::<T, R>(b, l), alpha * op_get(a, transa, l, j));
+            axpy(
+                &mut acc,
+                tile_col::<T, R>(b, l),
+                alpha * op_get(a, transa, l, j),
+            );
         }
         b[j * R..][..R].copy_from_slice(&acc);
     }
@@ -1582,6 +1807,30 @@ pub mod tier {
         let (m, n, k) = check_gemm_dims(transa, transb, a, b, &c);
         if alpha != T::ZERO && m > 0 && n > 0 && k > 0 {
             gemm_blocked_acc(ts, transa, transb, alpha, a, b, beta, &mut c);
+        } else {
+            scale(&mut c, beta);
+        }
+    }
+
+    /// Packed mode of the blocked tier under an explicit scheme, even
+    /// where [`uses_direct`] would read the operands in place: the
+    /// oracle the direct-mode bit-identity tests compare against.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_packed_scheme<T: Scalar>(
+        ts: &TileScheme,
+        transa: Trans,
+        transb: Trans,
+        alpha: T,
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        beta: T,
+        mut c: MatMut<'_, T>,
+    ) {
+        ts.validate().expect("test schemes are valid");
+        let (m, n, k) = check_gemm_dims(transa, transb, a, b, &c);
+        if alpha != T::ZERO && m > 0 && n > 0 && k > 0 {
+            gemm_packed(ts, transa, transb, alpha, a, b, beta, &mut c);
         } else {
             scale(&mut c, beta);
         }
@@ -1755,6 +2004,91 @@ mod tests {
         }
         run::<f64>(1e-10);
         run::<f32>(1e-3);
+    }
+
+    /// Direct mode against the packed path it replaces, bit for bit:
+    /// every scheme the sweep above covers, `m`/`n` on and past the tile
+    /// edges (ragged tails shift back inside `C`), `k` on both sides of
+    /// the `kc` gate edge, α/β over {1, −1, 0.5, 0}, padded leading
+    /// dimensions, and operands holding −0.0, NaN and ±Inf.
+    #[test]
+    fn gemm_direct_matches_packed_bits() {
+        type Entry<T> =
+            fn(&TileScheme, Trans, Trans, T, MatRef<'_, T>, MatRef<'_, T>, T, MatMut<'_, T>);
+        fn run<T: Scalar>() -> usize {
+            let mut rng = seeded_rng(41);
+            let specials = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let coeffs = [1.0, -1.0, 0.5, 0.0];
+            let mut fill = |len: usize, salt: usize| -> Vec<T> {
+                let mut v = rand_mat::<f64>(&mut rng, len);
+                for (i, x) in v.iter_mut().enumerate() {
+                    if (i * 7 + salt).is_multiple_of(61) {
+                        *x = specials[(i + salt) % specials.len()];
+                    }
+                }
+                v.into_iter().map(T::from_f64).collect()
+            };
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            let mut direct = 0;
+            let mut case = 0;
+            for &(mr, nr) in &[(8usize, 4usize), (16, 4), (8, 8), (16, 8), (4, 2)] {
+                for &(mc, kc) in &[(64usize, 256usize), (32, 64), (48, 4096)] {
+                    let ts = TileScheme {
+                        mr,
+                        nr,
+                        mc: mc.div_ceil(mr) * mr,
+                        kc,
+                        ilv_cutoff: 32,
+                    };
+                    for m in [mr, mr + 3, ts.mc - 1, ts.mc] {
+                        for n in [nr, nr + 1, 3 * nr - 1, 4 * nr] {
+                            for k in [13, kc, kc + 1] {
+                                for tb in [Trans::NoTrans, Trans::Trans] {
+                                    case += 1;
+                                    let alpha = T::from_f64(coeffs[case % 4]);
+                                    let beta = T::from_f64(coeffs[case / 4 % 4]);
+                                    let (lda, ldc) = (m + 3, m + 1);
+                                    let (bm, bn) = match tb {
+                                        Trans::NoTrans => (k, n),
+                                        Trans::Trans => (n, k),
+                                    };
+                                    let ldb = bm + 2;
+                                    let a = fill(lda * k, case);
+                                    let b = fill(ldb * bn, case + 1);
+                                    let c0 = fill(ldc * n, case + 2);
+                                    let run_with = |entry: Entry<T>| {
+                                        let mut c = c0.clone();
+                                        entry(
+                                            &ts,
+                                            Trans::NoTrans,
+                                            tb,
+                                            alpha,
+                                            MatRef::from_slice(&a, m, k, lda),
+                                            MatRef::from_slice(&b, bm, bn, ldb),
+                                            beta,
+                                            MatMut::from_slice(&mut c, m, n, ldc),
+                                        );
+                                        bits(&c)
+                                    };
+                                    direct +=
+                                        usize::from(uses_direct(&ts, Trans::NoTrans, m, n, k));
+                                    assert_eq!(
+                                        run_with(tier::gemm_blocked_scheme),
+                                        run_with(tier::gemm_packed_scheme),
+                                        "{} {ts:?} m={m} n={n} k={k} tb={tb:?}",
+                                        std::any::type_name::<T>()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            direct
+        }
+        // The gate must actually open on most of these shapes.
+        assert!(run::<f64>() > 200);
+        assert!(run::<f32>() > 200);
     }
 
     #[test]

@@ -767,3 +767,279 @@ fn geqrf_backward_error_and_orthogonality_bounds() {
         }
     }
 }
+
+/// `y ← y + a·x`, as the slice tier's `axpy`.
+fn axpy_ref<T: Scalar>(y: &mut [T], x: &[T], a: T) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = a.mul_add(*xi, *yi);
+    }
+}
+
+/// The slice tier's eight-partial-sum `dot`, whose order defines the
+/// bits of the dot-form solves.
+fn dot_ref<T: Scalar>(x: &[T], y: &[T]) -> T {
+    let split = x.len() - x.len() % 8;
+    let mut acc = [T::ZERO; 8];
+    for (xa, ya) in x[..split].chunks_exact(8).zip(y[..split].chunks_exact(8)) {
+        for l in 0..8 {
+            acc[l] = xa[l].mul_add(ya[l], acc[l]);
+        }
+    }
+    let mut s = T::ZERO;
+    for v in acc {
+        s += v;
+    }
+    for (xi, yi) in x[split..].iter().zip(&y[split..]) {
+        s += *xi * *yi;
+    }
+    s
+}
+
+/// Column-axpy substitution on one diagonal block: the loops `trsm`
+/// solved its small blocks with before they moved into registers, kept
+/// as the oracle for those register sweeps.
+fn trsm_columns_leaf<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    a: MatRef<'_, T>,
+    mut b: MatMut<'_, T>,
+) {
+    let (m, n) = (b.nrows(), b.ncols());
+    let op = |l: usize, j: usize| match trans {
+        Trans::NoTrans => a.get(l, j),
+        Trans::Trans => a.get(j, l),
+    };
+    let unit = diag == Diag::Unit;
+    match (side, uplo, trans) {
+        (Side::Left, Uplo::Lower, Trans::NoTrans) => {
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in 0..m {
+                    let (head, tail) = bj.split_at_mut(i + 1);
+                    let x = if unit { head[i] } else { head[i] / a.get(i, i) };
+                    head[i] = x;
+                    axpy_ref(tail, &a.col_as_slice(i)[i + 1..], -x);
+                }
+            }
+        }
+        (Side::Left, Uplo::Upper, Trans::NoTrans) => {
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in (0..m).rev() {
+                    let (head, tail) = bj.split_at_mut(i);
+                    let x = if unit { tail[0] } else { tail[0] / a.get(i, i) };
+                    tail[0] = x;
+                    axpy_ref(head, &a.col_as_slice(i)[..i], -x);
+                }
+            }
+        }
+        (Side::Left, Uplo::Upper, Trans::Trans) => {
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in 0..m {
+                    let x = bj[i] - dot_ref(&a.col_as_slice(i)[..i], &bj[..i]);
+                    bj[i] = if unit { x } else { x / a.get(i, i) };
+                }
+            }
+        }
+        (Side::Left, Uplo::Lower, Trans::Trans) => {
+            for j in 0..n {
+                let bj = b.col_as_mut_slice(j);
+                for i in (0..m).rev() {
+                    let x = bj[i] - dot_ref(&a.col_as_slice(i)[i + 1..], &bj[i + 1..]);
+                    bj[i] = if unit { x } else { x / a.get(i, i) };
+                }
+            }
+        }
+        (Side::Right, ..) => {
+            let forward = matches!(
+                (uplo, trans),
+                (Uplo::Upper, Trans::NoTrans) | (Uplo::Lower, Trans::Trans)
+            );
+            for jj in 0..n {
+                let (j, prior) = if forward {
+                    (jj, 0..jj)
+                } else {
+                    (n - 1 - jj, n - jj..n)
+                };
+                for l in prior {
+                    let alj = op(l, j);
+                    if alj != T::ZERO {
+                        let (dst, src) = b.col_pair_mut(j, l);
+                        axpy_ref(dst, src, -alj);
+                    }
+                }
+                if !unit {
+                    let ajj = op(j, j);
+                    for v in b.col_as_mut_slice(j) {
+                        *v /= ajj;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `trsm` with [`trsm_columns_leaf`] at the leaves: α first, then the
+/// library's recursion — halves, the coupling through the public
+/// `gemm`, leaves at order ≤ 32 (`TRSM_NB`).
+fn trsm_columns_oracle<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: T,
+    a: MatRef<'_, T>,
+    mut b: MatMut<'_, T>,
+) {
+    if alpha != T::ONE {
+        for j in 0..b.ncols() {
+            for v in b.col_as_mut_slice(j) {
+                *v = if alpha == T::ZERO {
+                    T::ZERO
+                } else {
+                    *v * alpha
+                };
+            }
+        }
+    }
+    if b.nrows() > 0 && b.ncols() > 0 {
+        trsm_columns_rec(side, uplo, trans, diag, a, b);
+    }
+}
+
+fn trsm_columns_rec<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    a: MatRef<'_, T>,
+    b: MatMut<'_, T>,
+) {
+    let na = a.nrows();
+    if na <= 32 {
+        trsm_columns_leaf(side, uplo, trans, diag, a, b);
+        return;
+    }
+    let n1 = na / 2;
+    let a11 = a.sub(0, 0, n1, n1);
+    let a22 = a.sub(n1, n1, na - n1, na - n1);
+    let off = match uplo {
+        Uplo::Lower => a.sub(n1, 0, na - n1, n1),
+        Uplo::Upper => a.sub(0, n1, n1, na - n1),
+    };
+    let rec = |blk: MatRef<'_, T>, rhs: MatMut<'_, T>| {
+        trsm_columns_rec(side, uplo, trans, diag, blk, rhs);
+    };
+    let op_lower = matches!(
+        (uplo, trans),
+        (Uplo::Lower, Trans::NoTrans) | (Uplo::Upper, Trans::Trans)
+    );
+    let (one, nt) = (T::ONE, Trans::NoTrans);
+    match side {
+        Side::Left => {
+            let (mut b1, mut b2) = b.split_at_row(n1);
+            if op_lower {
+                rec(a11, b1.rb());
+                gemm(trans, nt, -one, off, b1.as_ref(), one, b2.rb());
+                rec(a22, b2);
+            } else {
+                rec(a22, b2.rb());
+                gemm(trans, nt, -one, off, b2.as_ref(), one, b1.rb());
+                rec(a11, b1);
+            }
+        }
+        Side::Right => {
+            let (mut b1, mut b2) = b.split_at_col(n1);
+            if op_lower {
+                rec(a22, b2.rb());
+                gemm(nt, trans, -one, b2.as_ref(), off, one, b1.rb());
+                rec(a11, b1);
+            } else {
+                rec(a11, b1.rb());
+                gemm(nt, trans, -one, b1.as_ref(), off, one, b2.rb());
+                rec(a22, b2);
+            }
+        }
+    }
+}
+
+/// `trsm` against the column-axpy oracle, bit for bit: all 16
+/// side/uplo/trans/diag cases, triangle orders around the recursion
+/// cutoff (32) and the other extent around the register sweep's row
+/// chunks (8 and 64), with exact zeros (±0.0) off the diagonal — the
+/// right-side solve skips them — and −0.0 in `B`.
+#[test]
+fn trsm_register_sweeps_match_column_oracle_bits() {
+    fn run<T: Scalar>() {
+        let mut count = 0usize;
+        for side in [Side::Left, Side::Right] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                for trans in [Trans::NoTrans, Trans::Trans] {
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        for na in [1, 7, 8, 9, 31, 32, 33, 65] {
+                            for other in [1, 7, 8, 9, 63, 64, 65, 130] {
+                                count += 1;
+                                let (m, n) = match side {
+                                    Side::Left => (na, other),
+                                    Side::Right => (other, na),
+                                };
+                                let (lda, ldb) = (na + count % 3, m + count % 2);
+                                let mut rng = seeded_rng(count as u64);
+                                let mut a = padded_mat::<T>(&mut rng, na, na, lda);
+                                for j in 0..na {
+                                    a[j + j * lda] = T::from_f64(2.0) + a[j + j * lda].abs();
+                                    for i in (0..na).filter(|&i| i != j) {
+                                        match (i + 3 * j + count) % 11 {
+                                            0 => a[i + j * lda] = T::ZERO,
+                                            1 => a[i + j * lda] = -T::ZERO,
+                                            _ => {}
+                                        }
+                                    }
+                                }
+                                let mut b0 = padded_mat::<T>(&mut rng, m, n, ldb);
+                                for (i, v) in b0.iter_mut().enumerate() {
+                                    if (i + count).is_multiple_of(13) {
+                                        *v = -T::ZERO;
+                                    }
+                                }
+                                let alpha = T::from_f64([1.0, -1.0, 0.5, 0.0][count % 4]);
+                                let solve = |f: fn(
+                                    Side,
+                                    Uplo,
+                                    Trans,
+                                    Diag,
+                                    T,
+                                    MatRef<'_, T>,
+                                    MatMut<'_, T>,
+                                )| {
+                                    let mut b = b0.clone();
+                                    f(
+                                        side,
+                                        uplo,
+                                        trans,
+                                        diag,
+                                        alpha,
+                                        MatRef::from_slice(&a, na, na, lda),
+                                        MatMut::from_slice(&mut b, m, n, ldb),
+                                    );
+                                    b.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>()
+                                };
+                                assert_eq!(
+                                    solve(trsm),
+                                    solve(trsm_columns_oracle),
+                                    "trsm<{}> {side:?} {uplo:?} {trans:?} {diag:?} m={m} n={n}",
+                                    T::PREFIX
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    run::<f64>();
+    run::<f32>();
+}
