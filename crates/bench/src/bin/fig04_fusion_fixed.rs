@@ -46,7 +46,6 @@ fn separated_time<T: Scalar>(n: usize, count: usize, seed: u64) -> f64 {
         sep: SepOpts {
             nb_panel: 32,
             nb_inner: 1,
-            ..Default::default()
         },
         ..Default::default()
     };

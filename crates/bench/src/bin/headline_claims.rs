@@ -55,7 +55,6 @@ fn main() {
                 sep: SepOpts {
                     nb_panel: 32,
                     nb_inner: 1,
-                    ..Default::default()
                 },
                 ..Default::default()
             };

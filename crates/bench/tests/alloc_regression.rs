@@ -29,7 +29,6 @@ fn potrf_steady_state_is_alloc_free<T: Scalar>(strategy: Strategy) {
         sep: SepOpts {
             nb_panel: 32,
             nb_inner: 8,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -368,7 +367,6 @@ fn workspace_results_match_per_call_path() {
             sep: SepOpts {
                 nb_panel: 32,
                 nb_inner: 8,
-                ..Default::default()
             },
             ..Default::default()
         };

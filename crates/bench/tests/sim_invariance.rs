@@ -54,7 +54,6 @@ fn simulated_clock_totals_are_pinned() {
             sep: SepOpts {
                 nb_panel: 32,
                 nb_inner: 8,
-                ..Default::default()
             },
             ..Default::default()
         };

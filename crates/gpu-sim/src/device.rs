@@ -1,5 +1,4 @@
-//! The simulated device: allocation, kernel launch, streams, clock and
-//! energy.
+//! The simulated device: allocation, kernel launch, clock and energy.
 
 use crate::config::DeviceConfig;
 use crate::cost::{BlockCost, BlockCtx};
@@ -7,8 +6,8 @@ use crate::energy::{EnergyMeter, PowerModel};
 use crate::fault::{FaultPlan, FaultState, InjectionEvent};
 use crate::grid::LaunchConfig;
 use crate::mem::{DeviceBuffer, DevicePtr, MemoryTracker, OomError};
-use crate::occupancy::{occupancy, Occupancy, OccupancyError};
-use crate::sched::{schedule_blocks, schedule_blocks_uniform, KernelTiming};
+use crate::occupancy::{occupancy, OccupancyError};
+use crate::sched::{schedule_blocks_uniform, KernelTiming};
 use crate::stats::{KernelStats, Profiler};
 use crate::workers::{executor, lock, try_lock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,8 +63,7 @@ struct LaunchScratch {
 /// (producing actual numeric results in device buffers) while the cost
 /// model advances the simulated clock. The device is `Sync`; launches
 /// serialize on an internal lock for the timeline (matching the default
-/// CUDA stream semantics). Use [`Device::stream_group`] for concurrent
-/// kernel execution.
+/// CUDA stream semantics).
 pub struct Device {
     cfg: DeviceConfig,
     mem: Arc<MemoryTracker>,
@@ -268,7 +266,7 @@ impl Device {
                 schedule_blocks_uniform(&self.cfg, &costs, &occ, launch_s, &mut sm_free)
             }
         };
-        self.commit(name, &timing, 1);
+        self.commit(name, &timing);
         if faulty {
             self.fault_after_launch();
         }
@@ -279,15 +277,6 @@ impl Device {
             time_s: timing.total_s,
             timing,
         })
-    }
-
-    fn run_blocks<F>(&self, cfg: &LaunchConfig, kernel: &F) -> Vec<BlockCost>
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        let mut costs = Vec::new();
-        self.run_blocks_into(cfg, kernel, &mut costs);
-        costs
     }
 
     fn run_blocks_into<F>(&self, cfg: &LaunchConfig, kernel: &F, costs: &mut Vec<BlockCost>)
@@ -311,7 +300,7 @@ impl Device {
         });
     }
 
-    fn commit(&self, name: &'static str, timing: &KernelTiming, launches: u64) {
+    fn commit(&self, name: &'static str, timing: &KernelTiming) {
         let mut inner = lock(&self.inner);
         inner.clock_s += timing.total_s;
         // Launch issue burns idle power; execution burns at the busy
@@ -321,24 +310,7 @@ impl Device {
             .energy
             .add_interval(timing.exec_s, timing.busy_fraction);
         inner.profiler.record(name, timing);
-        inner.launches += launches;
-    }
-
-    /// Opens a stream group: kernels launched through it are issued
-    /// back-to-back by the host (paying one launch overhead each, in
-    /// sequence) but execute concurrently on the device — the model of
-    /// the paper's CUDA-streams `syrk` alternative.
-    #[must_use]
-    pub fn stream_group<'d>(&'d self, name: &'static str) -> StreamGroup<'d> {
-        StreamGroup {
-            dev: self,
-            name,
-            pending: Vec::new(),
-            launches: 0,
-            copy_done_s: 0.0,
-            compute_ready_s: 0.0,
-            dtoh_bytes: Vec::new(),
-        }
+        inner.launches += 1;
     }
 
     /// Charges a host→device copy of `bytes` to the simulated clock.
@@ -353,8 +325,7 @@ impl Device {
 
     /// Duration of a PCIe transfer of `bytes` without charging the
     /// clock — the building block for overlap schedules
-    /// ([`crate::group::CopyComputeTimeline`], [`StreamGroup::upload`])
-    /// that account transfer time against a DMA engine instead of the
+    /// ([`crate::group::CopyComputeTimeline`]) that account transfer time against a DMA engine instead of the
     /// serial timeline.
     #[must_use]
     pub fn transfer_seconds(&self, bytes: usize) -> f64 {
@@ -410,105 +381,6 @@ impl Device {
     pub fn with_profiler<R>(&self, f: impl FnOnce(&Profiler) -> R) -> R {
         let inner = lock(&self.inner);
         f(&inner.profiler)
-    }
-}
-
-/// A group of kernels issued on separate streams and executed
-/// concurrently. Obtain via [`Device::stream_group`]; call
-/// [`StreamGroup::sync`] to schedule the group and advance the clock.
-///
-/// Besides kernels, a group carries explicit *transfer phases*: an
-/// [`StreamGroup::upload`] occupies the group's DMA engine and gates
-/// every kernel launched after it, while a [`StreamGroup::download`]
-/// drains after the compute finishes. Phases let one group express the
-/// classic double-buffered shard schedule — upload *i+1* overlapping
-/// compute *i* — with the clock charged once at [`StreamGroup::sync`].
-pub struct StreamGroup<'d> {
-    dev: &'d Device,
-    name: &'static str,
-    pending: Vec<(BlockCost, Occupancy, f64)>,
-    launches: u64,
-    /// DMA engine busy-until, relative to the group's opening.
-    copy_done_s: f64,
-    /// Earliest release for kernels issued after the last upload.
-    compute_ready_s: f64,
-    /// Download phases, scheduled after the compute drains at sync.
-    dtoh_bytes: Vec<usize>,
-}
-
-impl StreamGroup<'_> {
-    /// Launches one kernel into the group. Blocks execute immediately
-    /// (real numerics); timing is deferred until [`StreamGroup::sync`].
-    ///
-    /// # Errors
-    /// [`LaunchError`] if the configuration violates device limits.
-    pub fn launch<F>(&mut self, cfg: LaunchConfig, kernel: F) -> Result<(), LaunchError>
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        let occ = occupancy(&self.dev.cfg, &cfg)?;
-        if self.dev.fault_on.load(Ordering::Relaxed) && self.dev.fault_try_inject_launch(self.name)
-        {
-            return Err(LaunchError::Injected);
-        }
-        let costs = self.dev.run_blocks(&cfg, &kernel);
-        // The host issues launches serially: kernel k's blocks release
-        // only after k+1 launch overheads have elapsed — and never
-        // before the uploads they depend on have landed.
-        self.launches += 1;
-        let release =
-            (self.launches as f64 * self.dev.launch_overhead_s()).max(self.compute_ready_s);
-        self.pending
-            .extend(costs.into_iter().map(|c| (c, occ, release)));
-        Ok(())
-    }
-
-    /// Upload phase: `bytes` host→device on the group's DMA engine.
-    /// Transfers within a group serialize on that engine; kernels
-    /// launched *after* this call release only once the copy has
-    /// landed, while kernels already issued keep running — upload
-    /// *i+1* overlaps compute *i*. Returns the engine's busy-until
-    /// time relative to the group's opening.
-    pub fn upload(&mut self, bytes: usize) -> f64 {
-        self.copy_done_s += self.dev.transfer_seconds(bytes);
-        self.compute_ready_s = self.compute_ready_s.max(self.copy_done_s);
-        self.copy_done_s
-    }
-
-    /// Download phase: `bytes` device→host, scheduled on the DMA engine
-    /// after every pending kernel has drained (at
-    /// [`StreamGroup::sync`]).
-    pub fn download(&mut self, bytes: usize) {
-        self.dtoh_bytes.push(bytes);
-    }
-
-    /// Number of kernels issued into the group so far.
-    #[must_use]
-    pub fn launches(&self) -> u64 {
-        self.launches
-    }
-
-    /// Schedules all pending blocks together (respecting per-kernel
-    /// issue times and upload dependencies), appends the download
-    /// phases, advances the device clock once, and returns the group
-    /// timing. The time any transfer phase adds beyond the compute
-    /// makespan is charged at idle activity, like a plain PCIe copy.
-    pub fn sync(self) -> KernelTiming {
-        // Launch overhead is encoded in the release times; the group
-        // itself adds none on top.
-        let mut timing = schedule_blocks(&self.dev.cfg, &self.pending, 0.0);
-        let mut dma_free = self.copy_done_s.max(timing.total_s);
-        for &bytes in &self.dtoh_bytes {
-            dma_free += self.dev.transfer_seconds(bytes);
-        }
-        let end = timing.total_s.max(self.copy_done_s).max(dma_free);
-        timing.launch_s += end - timing.total_s;
-        timing.total_s = end;
-        self.dev.commit(self.name, &timing, self.launches);
-        if self.dev.fault_on.load(Ordering::Relaxed) {
-            self.dev.fault_after_launch();
-        }
-        timing
     }
 }
 
@@ -632,82 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_group_cheaper_than_serial_for_many_small_kernels() {
-        // 20 small kernels: serial launches pay 20 overheads on the
-        // critical path; the stream group overlaps execution with issue.
-        let d1 = dev();
-        for _ in 0..20 {
-            d1.launch("small", LaunchConfig::grid_1d(1, 32), |blk| {
-                blk.dp_flops(32, 10.0);
-            })
-            .unwrap();
-        }
-        let serial = d1.now();
-
-        let d2 = dev();
-        let mut g = d2.stream_group("small_streamed");
-        for _ in 0..20 {
-            g.launch(LaunchConfig::grid_1d(1, 32), |blk| {
-                blk.dp_flops(32, 10.0);
-            })
-            .unwrap();
-        }
-        g.sync();
-        let streamed = d2.now();
-        assert!(
-            streamed < serial,
-            "streamed {streamed} should beat serial {serial}"
-        );
-    }
-
-    #[test]
-    fn stream_phases_overlap_transfers_with_compute() {
-        // Reference: serial copies around the same kernels.
-        let work = |blk: &mut BlockCtx| blk.dp_flops(32, 5e5);
-        let d1 = dev();
-        d1.copy_htod_bytes(500_000);
-        d1.launch("k", LaunchConfig::grid_1d(2, 32), work).unwrap();
-        d1.copy_htod_bytes(500_000);
-        d1.launch("k", LaunchConfig::grid_1d(2, 32), work).unwrap();
-        d1.copy_dtoh_bytes(500_000);
-        d1.copy_dtoh_bytes(500_000);
-        let serial = d1.now();
-
-        // Phased group: the second upload overlaps the first kernel.
-        let d2 = dev();
-        let mut g = d2.stream_group("k_phased");
-        g.upload(500_000);
-        g.launch(LaunchConfig::grid_1d(2, 32), work).unwrap();
-        g.upload(500_000);
-        g.launch(LaunchConfig::grid_1d(2, 32), work).unwrap();
-        g.download(500_000);
-        g.download(500_000);
-        let timing = g.sync();
-        let phased = d2.now();
-        assert!(
-            phased < serial,
-            "phased {phased} should beat serial {serial}"
-        );
-        // The first upload still gates the first kernel, and the
-        // downloads still drain after compute: no free lunch.
-        let up = d2.transfer_seconds(500_000);
-        assert!(phased >= 2.0 * up + timing.exec_s - up);
-    }
-
-    #[test]
-    fn upload_gates_later_kernels() {
-        let d = dev();
-        let mut g = d.stream_group("gated");
-        // A huge upload: the kernel launched after it cannot start
-        // before the copy lands, so the group takes at least that long.
-        g.upload(10_000_000);
-        let gate = d.transfer_seconds(10_000_000);
-        g.launch(LaunchConfig::grid_1d(1, 32), |_blk| {}).unwrap();
-        g.sync();
-        assert!(d.now() >= gate);
-    }
-
-    #[test]
     fn profiler_sees_kernel_names() {
         let d = dev();
         d.launch("aux_compute_max", LaunchConfig::grid_1d(1, 32), |_b| {})
@@ -817,22 +613,5 @@ mod tests {
             &events[0],
             InjectionEvent::Corrupted { elem: 3, .. }
         ));
-    }
-
-    #[test]
-    fn stream_group_launch_injection_and_no_plan_overhead() {
-        let d = dev();
-        d.install_fault_plan(FaultPlan::new().transient_launch("streamed", 0, 1));
-        let mut g = d.stream_group("k_streamed");
-        let err = g.launch(LaunchConfig::grid_1d(1, 32), |_blk| panic!("must not run"));
-        assert_eq!(err.unwrap_err(), LaunchError::Injected);
-        g.launch(LaunchConfig::grid_1d(1, 32), |_blk| {}).unwrap();
-        g.sync();
-        assert_eq!(d.launch_count(), 1);
-        d.clear_fault_plan();
-        // With the plan cleared the seam is inert.
-        assert!(d.fault_events().is_empty());
-        d.launch("streamed", LaunchConfig::grid_1d(1, 32), |_blk| {})
-            .unwrap();
     }
 }

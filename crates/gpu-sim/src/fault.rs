@@ -361,7 +361,7 @@ impl FaultState {
         })
     }
 
-    /// Called after a launch (or stream-group sync) has committed:
+    /// Called after a launch has committed:
     /// applies every due, not-yet-fired corruption.
     pub(crate) fn after_launch(&mut self) {
         for (k, f) in self.plan.faults.iter().enumerate() {
@@ -472,7 +472,7 @@ mod tests {
         assert!(!st.on_launch("dsyrk_tile")); // match 0
         assert!(st.on_launch("dsyrk_tile")); // match 1 → fail
         assert!(!st.on_launch("dgemm_tile")); // not a match
-        assert!(st.on_launch("ssyrk_streamed")); // match 2 → fail
+        assert!(st.on_launch("ssyrk_vbatched")); // match 2 → fail
         assert!(!st.on_launch("dsyrk_tile")); // match 3 → recovered
         assert_eq!(st.events().len(), 2);
     }

@@ -70,7 +70,7 @@ pub mod workers;
 
 pub use config::DeviceConfig;
 pub use cost::{BlockCost, BlockCtx};
-pub use device::{Device, LaunchError, StreamGroup};
+pub use device::{Device, LaunchError};
 pub use energy::{EnergyMeter, PowerModel};
 pub use fault::{Corruption, Fault, FaultPlan, InjectionEvent};
 pub use grid::{Dim3, LaunchConfig};

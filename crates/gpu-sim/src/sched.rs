@@ -15,7 +15,7 @@ use crate::config::DeviceConfig;
 use crate::cost::BlockCost;
 use crate::occupancy::Occupancy;
 
-/// Simulated execution-time breakdown of one kernel (or kernel group).
+/// Simulated execution-time breakdown of one kernel.
 #[derive(Clone, Debug, Default)]
 pub struct KernelTiming {
     /// Makespan of block execution across SMs, seconds (excludes launch
@@ -63,7 +63,9 @@ pub fn block_service_cycles(dev: &DeviceConfig, occ: &Occupancy, cost: &BlockCos
 
 /// Schedules `blocks` (with per-block occupancy context) over the
 /// device's SMs. `release_s[i]` is the earliest simulated time block `i`
-/// may start (0 for a plain kernel; staggered for stream groups).
+/// may start. This general form is the reference the launch path's
+/// [`schedule_blocks_uniform`] (one occupancy, every release 0) is
+/// checked against.
 ///
 /// `launch_s` is added to the critical path *before* the first block may
 /// run (host-side issue cost).

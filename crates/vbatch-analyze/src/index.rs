@@ -6,11 +6,10 @@
 //! * **function definitions** — name, span, `pub`-ness, test context,
 //!   the set of call-site identifiers inside the body, and whether the
 //!   body charges `BlockCost` directly;
-//! * **launch sites** — `Device::launch` / `Device::stream_group` /
-//!   `StreamGroup::launch` calls with their kernel-name expression
-//!   *resolved* through the same interning vocabulary the runtime uses
-//!   (`kname::<T>`, `intern::literal`, `intern::prefixed`, and local
-//!   `*_kname()` helper functions are all chased);
+//! * **launch sites** — `Device::launch` calls with their kernel-name
+//!   expression *resolved* through the same interning vocabulary the
+//!   runtime uses (`kname::<T>`, `intern::literal`, `intern::prefixed`,
+//!   and local `*_kname()` helper functions are all chased);
 //! * **`unsafe impl Send/Sync` wrappers** — the implemented type plus
 //!   the adjacent SAFETY comment text;
 //! * **pool `take` sites** — the bound buffer and whether the rest of
@@ -65,33 +64,8 @@ pub enum NameRes {
     /// Resolved to one or more interned names (generic `kname::<T>`
     /// yields both precision prefixes).
     Resolved(Vec<String>),
-    /// `StreamGroup::launch(cfg, f)` — the name lives on the
-    /// `stream_group` site that created the group.
-    Group,
     /// Could not be resolved statically; carries the expression text.
     Unresolved(String),
-}
-
-/// The kind of launch-path call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaunchKind {
-    /// `Device::launch(name, cfg, f)`.
-    Launch,
-    /// `Device::stream_group(name)`.
-    StreamGroup,
-    /// `StreamGroup::launch(cfg, f)` (two arguments, no name).
-    GroupLaunch,
-}
-
-impl LaunchKind {
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LaunchKind::Launch => "launch",
-            LaunchKind::StreamGroup => "stream_group",
-            LaunchKind::GroupLaunch => "group_launch",
-        }
-    }
 }
 
 /// One direct `BlockCost` charge inside a closure region.
@@ -105,11 +79,10 @@ pub struct ChargeSite {
     pub tok: usize,
 }
 
-/// One `launch`/`stream_group` call site.
+/// One `launch` call site.
 #[derive(Debug)]
 pub struct LaunchSite {
     pub line: u32,
-    pub kind: LaunchKind,
     /// Index into the file's `fns` of the enclosing function.
     pub fn_idx: Option<usize>,
     pub is_test: bool,
@@ -632,9 +605,7 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
         if t.kind != TokKind::Ident || toks[i - 1].text != "." {
             continue;
         }
-        let is_launch = t.text == "launch";
-        let is_group = t.text == "stream_group";
-        if !(is_launch || is_group) || toks.get(i + 1).is_none_or(|n| n.text != "(") {
+        if t.text != "launch" || toks.get(i + 1).is_none_or(|n| n.text != "(") {
             continue;
         }
         let close = match_delim(toks, i + 1);
@@ -642,48 +613,33 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
             continue;
         }
         let args = split_args(toks, i + 2, close);
-        let kind = if is_group {
-            LaunchKind::StreamGroup
-        } else if args.len() == 2 {
-            // `StreamGroup::launch(cfg, f)` — no name argument.
-            LaunchKind::GroupLaunch
-        } else {
-            LaunchKind::Launch
-        };
-        let resolution = match kind {
-            LaunchKind::GroupLaunch => NameRes::Group,
-            _ => {
-                let (a, b) = args.first().copied().unwrap_or((i + 2, i + 2));
-                // A single-ident name chases its local `let` binding.
-                if b == a + 1 && toks[a].kind == TokKind::Ident {
-                    if let Some((ba, bb)) = let_binding(toks, i, &toks[a].text) {
-                        NameRes::Unresolved(tok_text(toks, ba, bb))
-                    } else {
-                        NameRes::Unresolved(tok_text(toks, a, b))
-                    }
+        let resolution = {
+            let (a, b) = args.first().copied().unwrap_or((i + 2, i + 2));
+            // A single-ident name chases its local `let` binding.
+            if b == a + 1 && toks[a].kind == TokKind::Ident {
+                if let Some((ba, bb)) = let_binding(toks, i, &toks[a].text) {
+                    NameRes::Unresolved(tok_text(toks, ba, bb))
                 } else {
                     NameRes::Unresolved(tok_text(toks, a, b))
                 }
+            } else {
+                NameRes::Unresolved(tok_text(toks, a, b))
             }
         };
         // Closure argument: the last argument when it is a closure
         // (`move |…| …`, `|…| …`, or `&|…| …`).
-        let closure = if kind == LaunchKind::StreamGroup {
-            None
-        } else {
-            args.last().and_then(|&(a, b)| {
-                let first = toks.get(a)?;
-                let is_closure = first.text == "move" || first.text == "|" || first.text == "&";
-                if is_closure {
-                    Some((a, b))
-                } else if b == a + 1 && first.kind == TokKind::Ident {
-                    // Hoisted closure binding.
-                    let_binding(toks, i, &first.text)
-                } else {
-                    None
-                }
-            })
-        };
+        let closure = args.last().and_then(|&(a, b)| {
+            let first = toks.get(a)?;
+            let is_closure = first.text == "move" || first.text == "|" || first.text == "&";
+            if is_closure {
+                Some((a, b))
+            } else if b == a + 1 && first.kind == TokKind::Ident {
+                // Hoisted closure binding.
+                let_binding(toks, i, &first.text)
+            } else {
+                None
+            }
+        });
         let (charges, mut closure_calls) = match closure {
             Some((a, b)) => {
                 let mut calls = BTreeSet::new();
@@ -697,7 +653,6 @@ fn index_file<'a>(ctx: &'a FileCtx<'a>) -> FileIndex<'a> {
         }
         launches.push(LaunchSite {
             line: t.line,
-            kind,
             fn_idx: enclosing_fn(i),
             is_test: ctx.in_test(t.line),
             resolution,

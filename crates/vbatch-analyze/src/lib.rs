@@ -226,7 +226,6 @@ fn build_graph(idx: &Index<'_>) -> GraphSection {
         for site in &f.launches {
             let (kernels, resolved) = match &site.resolution {
                 NameRes::Resolved(names) => (names.clone(), true),
-                NameRes::Group => (Vec::new(), true),
                 NameRes::Unresolved(_) => (Vec::new(), false),
             };
             g.launch_sites.push(GraphLaunchSite {
@@ -236,7 +235,6 @@ fn build_graph(idx: &Index<'_>) -> GraphSection {
                     .fn_idx
                     .map(|i| f.fns[i].name.clone())
                     .unwrap_or_default(),
-                kind: site.kind.as_str(),
                 kernels,
                 resolved,
                 test: site.is_test,

@@ -9,9 +9,8 @@
 //!   (for fns, a `/// # Safety` doc section also counts). Counts per
 //!   crate feed the budget check (`VBA002`, [`crate::config`]).
 //! * **L2 `kernel-purity`** (`VBA101`) — closures passed to
-//!   `Device::launch` / `StreamGroup::launch`, and the body of any fn
-//!   whose signature names `BlockCtx` (a helper such closures call),
-//!   must not contain
+//!   `Device::launch`, and the body of any fn whose signature names
+//!   `BlockCtx` (a helper such closures call), must not contain
 //!   `panic!`, `.unwrap()`, `.expect()`, `Vec::new`, `vec!`,
 //!   `Box::new` or `format!`: simulated kernels must be side-effect
 //!   free until committed (fault injection rejects *before* blocks
@@ -22,9 +21,9 @@
 //!   simulator's cost/schedule/energy paths and the vbatch drivers;
 //!   the sim clock/energy goldens are bit-exact and unordered-map
 //!   iteration or wall-clock reads would silently break them.
-//! * **L4 `intern`** (`VBA301`) — kernel-name arguments to `launch` /
-//!   `stream_group` must not be inline string literals; they route
-//!   through `vbatch_gpu_sim::intern` (`kname`, `intern::prefixed`,
+//! * **L4 `intern`** (`VBA301`) — kernel-name arguments to `launch`
+//!   must not be inline string literals; they route through
+//!   `vbatch_gpu_sim::intern` (`kname`, `intern::prefixed`,
 //!   `intern::literal`) so the process-wide kernel vocabulary is
 //!   enumerable and launch-path allocation-free.
 //! * **L5 `threading`** (`VBA202`) — ad-hoc thread creation
@@ -669,7 +668,7 @@ fn lint_kernel_fns(ctx: &FileCtx<'_>, rep: &mut FileReport) {
             continue;
         };
         // `F: Fn(&mut BlockCtx)` is the executor's side of the contract
-        // (`Device::launch`, `run_blocks`): it takes a kernel, not a
+        // (`Device::launch`, `run_blocks_into`): it takes a kernel, not a
         // block context, so closure-trait argument lists do not count.
         let mut takes_ctx = false;
         let mut j = item.name + 1;
@@ -695,31 +694,26 @@ fn lint_kernel_fns(ctx: &FileCtx<'_>, rep: &mut FileReport) {
     }
 }
 
-/// L2 + L4 over every `.launch(...)` / `.stream_group(...)` call site.
+/// L2 + L4 over every `.launch(...)` call site.
 fn lint_launch_sites(ctx: &FileCtx<'_>, rep: &mut FileReport) {
     let toks = &ctx.scan.tokens;
     for i in 1..toks.len() {
         let t = &toks[i];
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
+        if t.kind != TokKind::Ident
+            || t.text != "launch"
+            || toks[i - 1].text != "."
+            || toks.get(i + 1).is_none_or(|n| n.text != "(")
+            || ctx.in_test(t.line)
+        {
             continue;
         }
-        let is_launch = t.text == "launch";
-        let is_group = t.text == "stream_group";
-        if !(is_launch || is_group) || toks[i - 1].text != "." {
-            continue;
-        }
-        let Some(open) = toks.get(i + 1).filter(|n| n.text == "(") else {
-            continue;
-        };
-        let _ = open;
         let close = match_delim(toks, i + 1);
         if close >= toks.len() {
             continue;
         }
 
         // L4: a kernel name must be an interned expression, not an
-        // inline literal. The name is the first argument of both
-        // `launch` and `stream_group`.
+        // inline literal. The name is `launch`'s first argument.
         if let Some(first) = toks.get(i + 2) {
             if first.kind == TokKind::Str {
                 rep.findings.push(ctx.finding(
@@ -736,35 +730,33 @@ fn lint_launch_sites(ctx: &FileCtx<'_>, rep: &mut FileReport) {
             }
         }
 
-        if is_launch {
-            // L2 over the whole argument region (inline closures)…
-            scan_purity(ctx, i + 2, close, LAUNCH_CLOSURE, rep);
-            // …and over single-ident arguments bound earlier in the
-            // same function (`let kernel = move |ctx| {…};`).
-            let mut args: Vec<(usize, usize)> = Vec::new();
-            let mut depth = 0i64;
-            let mut start = i + 2;
-            for (k, tok) in toks.iter().enumerate().take(close).skip(i + 2) {
-                if tok.kind == TokKind::Punct {
-                    match tok.text.as_str() {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        "," if depth == 0 => {
-                            args.push((start, k));
-                            start = k + 1;
-                        }
-                        _ => {}
+        // L2 over the whole argument region (inline closures)…
+        scan_purity(ctx, i + 2, close, LAUNCH_CLOSURE, rep);
+        // …and over single-ident arguments bound earlier in the
+        // same function (`let kernel = move |ctx| {…};`).
+        let mut args: Vec<(usize, usize)> = Vec::new();
+        let mut depth = 0i64;
+        let mut start = i + 2;
+        for (k, tok) in toks.iter().enumerate().take(close).skip(i + 2) {
+            if tok.kind == TokKind::Punct {
+                match tok.text.as_str() {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth -= 1,
+                    "," if depth == 0 => {
+                        args.push((start, k));
+                        start = k + 1;
                     }
+                    _ => {}
                 }
             }
-            if start < close {
-                args.push((start, close));
-            }
-            for (a, b) in args {
-                if b == a + 1 && toks[a].kind == TokKind::Ident {
-                    if let Some((ba, bb)) = find_binding(toks, i, &toks[a].text) {
-                        scan_purity(ctx, ba, bb, LAUNCH_CLOSURE, rep);
-                    }
+        }
+        if start < close {
+            args.push((start, close));
+        }
+        for (a, b) in args {
+            if b == a + 1 && toks[a].kind == TokKind::Ident {
+                if let Some((ba, bb)) = find_binding(toks, i, &toks[a].text) {
+                    scan_purity(ctx, ba, bb, LAUNCH_CLOSURE, rep);
                 }
             }
         }

@@ -23,7 +23,7 @@
 //!   nothing. (The empty substring matches every launch and is the
 //!   chaos suites' wildcard — always fine.)
 
-use crate::index::{Index, LaunchKind, NameRes};
+use crate::index::{Index, NameRes};
 use crate::lints::{codes, Finding};
 
 /// Transitive charge-chasing depth (closure → helper → math kernel).
@@ -72,7 +72,7 @@ pub fn run(idx: &Index<'_>, findings: &mut Vec<Finding>) {
                     ));
                 }
             }
-            if site.kind != LaunchKind::StreamGroup && site.closure.is_some() {
+            if site.closure.is_some() {
                 let direct = !site.charges.is_empty();
                 let transitive = site
                     .closure_calls

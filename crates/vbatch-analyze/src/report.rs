@@ -20,9 +20,7 @@ pub struct GraphLaunchSite {
     pub line: u32,
     /// Enclosing function name (empty at module scope).
     pub func: String,
-    /// "launch" | "stream_group" | "group_launch".
-    pub kind: &'static str,
-    /// Resolved kernel names (empty for group launches / unresolved).
+    /// Resolved kernel names (empty when unresolved).
     pub kernels: Vec<String>,
     pub resolved: bool,
     pub test: bool,
@@ -173,12 +171,11 @@ impl Report {
             for (k, l) in g.launch_sites.iter().enumerate() {
                 let _ = write!(
                     s,
-                    "      {{\"file\": {}, \"line\": {}, \"fn\": {}, \"kind\": {}, \
+                    "      {{\"file\": {}, \"line\": {}, \"fn\": {}, \"kind\": \"launch\", \
                      \"kernels\": {}, \"resolved\": {}, \"test\": {}, \"charges\": {}}}",
                     quote(&l.file),
                     l.line,
                     quote(&l.func),
-                    quote(l.kind),
                     str_arr(&l.kernels),
                     l.resolved,
                     l.test,

@@ -20,23 +20,13 @@ use crate::recover::{
 };
 use crate::report::{BatchReport, VbatchError};
 use crate::sep::potf2::potf2_panel_vbatched;
-use crate::sep::syrk::{syrk_streamed, syrk_vbatched};
+use crate::sep::syrk::syrk_vbatched;
 use crate::sep::trsm::{trsm_left_upper_trans_vbatched, trsm_right_lower_trans_vbatched};
 use crate::sep::trtri::trtri_diag_vbatched;
 use crate::sep::{VView, DEFAULT_NB_PANEL};
 use crate::sorting::{build_windows, charge_sort_transfers, single_window, upload_indices_pooled};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
-
-/// How the trailing `syrk` update is executed (a tuning decision in the
-/// paper, "beyond the scope"; exposed here so the benches can compare).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyrkMode {
-    /// Single vbatched launch with the triangular decision layer.
-    Batched,
-    /// One kernel per matrix on concurrent streams (cuBLAS style).
-    Streamed,
-}
 
 /// Options of the fused approach (§III-D).
 #[derive(Clone, Copy, Debug)]
@@ -104,8 +94,6 @@ pub struct SepOpts {
     pub nb_panel: usize,
     /// Inner blocking of the panel factorization (`nb < NB`).
     pub nb_inner: usize,
-    /// Trailing-update variant.
-    pub syrk: SyrkMode,
 }
 
 impl Default for SepOpts {
@@ -113,17 +101,8 @@ impl Default for SepOpts {
         Self {
             nb_panel: DEFAULT_NB_PANEL,
             nb_inner: 8,
-            syrk: SyrkMode::Batched,
         }
     }
-}
-
-/// Crossover policy for [`Strategy::Auto`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CrossoverConfig {
-    /// Largest batch maximum for which the fused approach is used;
-    /// `None` applies only the shared-memory feasibility bound.
-    pub max_fused_n: Option<usize>,
 }
 
 /// Which approach the driver runs.
@@ -133,7 +112,9 @@ pub enum Strategy {
     Fused,
     /// Approach 2: separated vbatched BLAS.
     Separated,
-    /// Pick by the batch's maximum size (the paper's combined design).
+    /// Pick by the batch's maximum size (the paper's combined design):
+    /// fused while it is feasible and the maximum is at most
+    /// [`default_crossover`], separated above.
     Auto,
 }
 
@@ -150,8 +131,6 @@ pub struct PotrfOptions {
     pub fused: FusedOpts,
     /// Separated-approach options.
     pub sep: SepOpts,
-    /// Crossover for [`Strategy::Auto`].
-    pub crossover: CrossoverConfig,
     /// Response to transient device failures (retry → split →
     /// quarantine; see [`crate::recover`]).
     pub recovery: RecoveryPolicy,
@@ -164,7 +143,6 @@ impl Default for PotrfOptions {
             strategy: Strategy::Auto,
             fused: FusedOpts::default(),
             sep: SepOpts::default(),
-            crossover: CrossoverConfig::default(),
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -185,9 +163,15 @@ pub fn default_crossover<T: Scalar>() -> usize {
 /// supplies `max_n`, "recommended when the user has such information so
 /// that computing the maximums is waived".
 ///
+/// `max_n` may overstate the batch's largest order but not understate
+/// it.
+///
 /// # Errors
-/// [`VbatchError`] on launch/allocation failures or invalid arguments;
-/// per-matrix numerical breakdowns are reported in the [`BatchReport`].
+/// [`VbatchError::InvalidArgument`] when the matrices are not square or
+/// `max_n` is smaller than the largest order in the batch (checked on
+/// the host mirror of the sizes, at no simulated cost; the batch is left
+/// untouched); otherwise [`VbatchError`] on launch/allocation failures.
+/// Per-matrix numerical breakdowns are reported in the [`BatchReport`].
 pub fn potrf_vbatched_max<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
@@ -211,6 +195,11 @@ pub fn potrf_vbatched_max_ws<T: Scalar>(
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
 ) -> Result<BatchReport, VbatchError> {
+    if max_n < batch.max_cols() {
+        return Err(VbatchError::InvalidArgument(
+            "potrf_vbatched_max: max_n is smaller than the largest matrix",
+        ));
+    }
     let ev_start = fault_events_start(dev);
     potrf_run(
         dev,
@@ -309,11 +298,7 @@ pub fn resolve_strategy<T: Scalar>(
     match opts.strategy {
         Strategy::Fused | Strategy::Separated => opts.strategy,
         Strategy::Auto => {
-            let cap = opts
-                .crossover
-                .max_fused_n
-                .unwrap_or_else(default_crossover::<T>);
-            if fused_feasible::<T>(dev, max_n, nb) && max_n <= cap {
+            if fused_feasible::<T>(dev, max_n, nb) && max_n <= default_crossover::<T>() {
                 Strategy::Fused
             } else {
                 Strategy::Separated
@@ -386,7 +371,7 @@ fn process_fused_window<T: Scalar>(
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
     match fused_window_once(dev, batch, uplo, indices, wmax, nb, opts, ws, rec) {
-        Err(VbatchError::Oom(e)) if opts.recovery.split_on_oom => {
+        Err(VbatchError::Oom(e)) => {
             if indices.len() > 1 {
                 rec.window_splits += 1;
                 let (lo, hi) = indices.split_at(indices.len() / 2);
@@ -483,15 +468,13 @@ fn run_separated<T: Scalar>(
     let mut grown = with_retry(dev, &pol, rec, || {
         ws.sep_scratch(dev, count, nb_panel).map(|_| ())
     });
-    if matches!(grown, Err(VbatchError::Oom(_))) && pol.split_on_oom {
+    if matches!(grown, Err(VbatchError::Oom(_))) {
         rec.workspace_releases += 1;
         ws.release();
         grown = ws.sep_scratch(dev, count, nb_panel).map(|_| ());
     }
     grown?;
-    let (st, work, trails) = ws.sep_scratch(dev, count, nb_panel)?;
-    // Host mirrors drive the streamed-syrk grids.
-    let sizes = batch.cols();
+    let (st, work) = ws.sep_scratch(dev, count, nb_panel)?;
 
     let mut j = 0;
     while j < max_n {
@@ -554,44 +537,18 @@ fn run_separated<T: Scalar>(
                     )
                 })?,
             };
-            match opts.sep.syrk {
-                SyrkMode::Batched => {
-                    with_retry(dev, &pol, rec, || {
-                        syrk_vbatched(
-                            dev,
-                            count,
-                            uplo,
-                            view,
-                            st.d_rem.ptr(),
-                            batch.d_info(),
-                            nb_panel,
-                            max_trail,
-                        )
-                    })?;
-                }
-                SyrkMode::Streamed => {
-                    trails.clear();
-                    trails.extend(
-                        sizes
-                            .iter()
-                            .map(|&n| n.saturating_sub(j).saturating_sub(nb_panel)),
-                    );
-                    // Stream-group blocks execute at launch time, so the
-                    // retry loop lives *inside* syrk_streamed, per
-                    // sub-launch — a whole-group retry would re-apply
-                    // the updates of launches that already ran.
-                    syrk_streamed(
-                        dev,
-                        uplo,
-                        view,
-                        st.d_rem.ptr(),
-                        batch.d_info(),
-                        trails,
-                        nb_panel,
-                        Some((&pol, &mut *rec)),
-                    )?;
-                }
-            }
+            with_retry(dev, &pol, rec, || {
+                syrk_vbatched(
+                    dev,
+                    count,
+                    uplo,
+                    view,
+                    st.d_rem.ptr(),
+                    batch.d_info(),
+                    nb_panel,
+                    max_trail,
+                )
+            })?;
         }
         scrub_batch(dev, batch, &pol, rec)?;
         j += nb_panel;
@@ -689,16 +646,6 @@ mod tests {
                 sep: SepOpts {
                     nb_panel: 32,
                     nb_inner: 8,
-                    syrk: SyrkMode::Batched,
-                },
-                ..Default::default()
-            },
-            PotrfOptions {
-                strategy: Strategy::Separated,
-                sep: SepOpts {
-                    nb_panel: 32,
-                    nb_inner: 8,
-                    syrk: SyrkMode::Streamed,
                 },
                 ..Default::default()
             },
@@ -806,26 +753,24 @@ mod tests {
 
     #[test]
     fn auto_picks_fused_small_separated_large() {
+        fn check<T: Scalar>(d: &Device) {
+            let opts = PotrfOptions::default();
+            let nb = 8;
+            let cap = default_crossover::<T>();
+            assert_eq!(resolve_strategy::<T>(d, &opts, 64, nb), Strategy::Fused);
+            assert_eq!(resolve_strategy::<T>(d, &opts, cap, nb), Strategy::Fused);
+            assert_eq!(
+                resolve_strategy::<T>(d, &opts, cap + 1, nb),
+                Strategy::Separated
+            );
+            assert_eq!(
+                resolve_strategy::<T>(d, &opts, 2000, nb),
+                Strategy::Separated
+            );
+        }
         let d = dev();
-        let opts = PotrfOptions::default();
-        let nb = 8;
-        assert_eq!(resolve_strategy::<f64>(&d, &opts, 64, nb), Strategy::Fused);
-        assert_eq!(
-            resolve_strategy::<f64>(&d, &opts, 2000, nb),
-            Strategy::Separated
-        );
-        // Explicit crossover override.
-        let opts = PotrfOptions {
-            crossover: CrossoverConfig {
-                max_fused_n: Some(100),
-            },
-            ..Default::default()
-        };
-        assert_eq!(
-            resolve_strategy::<f64>(&d, &opts, 101, nb),
-            Strategy::Separated
-        );
-        assert_eq!(resolve_strategy::<f64>(&d, &opts, 100, nb), Strategy::Fused);
+        check::<f64>(&d);
+        check::<f32>(&d);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   [`sorting`];
 //! * **Approach 2 — separated vbatched BLAS** (§III-E): `potf2` panels,
 //!   `trsm` via diagonal-block inversion (`trtri`) plus `gemm`, tiled
-//!   `gemm`, and `syrk` with a triangular decision layer or CUDA-streams
-//!   emulation — [`sep`];
+//!   `gemm`, and `syrk` with a triangular decision layer — [`sep`];
 //! * the **factorization driver** with per-step auxiliary kernels and
 //!   the fused/separated **crossover** (§III-F) — [`driver`];
 //! * the paper's stated future work: **vbatched LU and QR** and batched
@@ -64,13 +63,13 @@ pub mod workspace;
 
 pub use batch::{BatchPools, VBatch};
 pub use driver::{
-    potrf_vbatched, potrf_vbatched_max, potrf_vbatched_max_ws, potrf_vbatched_ws, CrossoverConfig,
-    FusedOpts, PotrfOptions, SepOpts, Strategy, SyrkMode,
+    potrf_vbatched, potrf_vbatched_max, potrf_vbatched_max_ws, potrf_vbatched_ws, FusedOpts,
+    PotrfOptions, SepOpts, Strategy,
 };
 pub use etm::EtmPolicy;
 pub use host::{getrf_batch_host, potrf_batch_host, HostCostModel, HostEngine, HostState};
 pub use lu::{getrf_vbatched, getrf_vbatched_pooled, getrf_vbatched_ws, GetrfOptions, PivotArray};
-pub use recover::{Outcome, RecoveryPolicy, RecoveryReport, ScrubPolicy};
+pub use recover::{Outcome, RecoveryPolicy, RecoveryReport};
 pub use report::{BatchReport, VbatchError};
 pub use shard::{
     getrf_sharded, plan_shards, plan_shards_hybrid, potrf_hybrid, potrf_sharded, DeviceShardStats,

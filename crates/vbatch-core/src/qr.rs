@@ -192,7 +192,6 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
     // whatever partial progress the first attempt made.
     let t_ptrs = with_retry(dev, &pol, &mut rec, || ws.qr.t_scratch(dev, count, nb))?;
 
-    let max_m = batch.max_rows();
     let max_n = batch.max_cols();
 
     let mut j = 0;
@@ -203,7 +202,7 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
         let max_tcols = max_n.saturating_sub(j + 1);
         if max_tcols > 0 {
             with_retry(dev, &pol, &mut rec, || {
-                larfb_cols(dev, batch, t_ptrs, j, nb, tc, max_m, max_n)
+                larfb_cols(dev, batch, t_ptrs, j, nb, tc, max_n)
             })?;
         }
         scrub_batch(dev, batch, &pol, &mut rec)?;
@@ -271,7 +270,6 @@ fn geqr2_larft_panel<T: Scalar>(
 }
 
 /// Column-tiled trailing update `C ← (I − V·Tᵀ·Vᵀ)·C`.
-#[allow(clippy::too_many_arguments)]
 fn larfb_cols<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
@@ -279,7 +277,6 @@ fn larfb_cols<T: Scalar>(
     j: usize,
     nb: usize,
     tile_cols: usize,
-    max_m: usize,
     max_n: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
@@ -291,7 +288,6 @@ fn larfb_cols<T: Scalar>(
     let grid = Dim3::xy(max_tcols.div_ceil(tile_cols).max(1) as u32, count as u32);
     let smem = (nb * nb + nb * tile_cols) * T::BYTES;
     let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
-    let _ = max_m;
     dev.launch(kname::<T>("larfb_vbatched"), cfg, move |ctx| {
         let bx = ctx.block_idx().x as usize;
         let i = ctx.block_idx().y as usize;

@@ -21,11 +21,13 @@
 //!    the device. Sub-batch factorization is bitwise-identical to the
 //!    full window because the per-matrix fused-step arithmetic depends
 //!    only on the matrix's own order and the (globally fixed) blocking.
-//! 3. **quarantine** — after each step, a *simulated scrubber kernel*
-//!    (`vbatch_scrub_finite`; clock and energy charged like any other
-//!    launch) scans still-healthy matrices for non-finite values planted
-//!    by corruption faults and retires them with `info = -(first bad
-//!    column)`. The negative-`info` convention distinguishes "quarantined
+//! 3. **quarantine** — while a fault plan is installed on the device,
+//!    a *simulated scrubber kernel* (`vbatch_scrub_finite`; clock and
+//!    energy charged like any other launch) runs after each step. It
+//!    scans still-healthy matrices for non-finite values planted by
+//!    corruption faults and retires them with `info = -(first bad
+//!    column)`. Without a plan it never runs, so fault-free runs pay
+//!    nothing for it. The negative-`info` convention distinguishes "quarantined
 //!    by the runtime" from LAPACK's positive "numerical breakdown", and
 //!    every downstream kernel already skips matrices with `info != 0` —
 //!    the corruption cannot propagate through `syrk`/`gemm` updates into
@@ -44,18 +46,6 @@ use crate::kernels::{charge_read, charge_write, kname};
 use crate::report::VbatchError;
 use crate::VBatch;
 
-/// When the post-step finite scrubber runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScrubPolicy {
-    /// Never scrub (trust device memory).
-    Off,
-    /// Scrub only while a fault plan is installed on the device — the
-    /// default: production runs pay nothing, chaos runs are protected.
-    Auto,
-    /// Scrub unconditionally after every driver step.
-    Always,
-}
-
 /// How a driver responds to injected/transient device failures.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
@@ -64,12 +54,6 @@ pub struct RecoveryPolicy {
     /// Simulated backoff before retry `k` is `k · backoff_s` seconds,
     /// charged to the device clock at idle activity.
     pub backoff_s: f64,
-    /// Degrade on persistent OOM by splitting the current fused window
-    /// into sub-batches (and releasing the pooled workspace as a last
-    /// resort) instead of failing the whole batch.
-    pub split_on_oom: bool,
-    /// Finite-check scrubber schedule.
-    pub scrub: ScrubPolicy,
 }
 
 impl Default for RecoveryPolicy {
@@ -77,8 +61,6 @@ impl Default for RecoveryPolicy {
         Self {
             max_retries: 3,
             backoff_s: 1e-5,
-            split_on_oom: true,
-            scrub: ScrubPolicy::Auto,
         }
     }
 }
@@ -164,17 +146,8 @@ pub(crate) fn with_retry<R>(
     }
 }
 
-/// Whether the scrubber should run now.
-pub(crate) fn scrub_due(dev: &Device, pol: &RecoveryPolicy) -> bool {
-    match pol.scrub {
-        ScrubPolicy::Off => false,
-        ScrubPolicy::Auto => dev.fault_active(),
-        ScrubPolicy::Always => true,
-    }
-}
-
-/// The finite-check scrubber: one simulated kernel launch (one thread
-/// block per matrix) that scans each still-healthy matrix's full extent
+/// The finite-check scrubber, a no-op unless a fault plan is installed:
+/// one simulated kernel launch (one thread block per matrix) that scans each still-healthy matrix's full extent
 /// and retires any matrix holding a non-finite value with
 /// `info = -(first offending column)` (1-based). Matrices already marked
 /// (`info != 0`) are skipped — LAPACK breakdowns keep their positive
@@ -187,7 +160,7 @@ pub(crate) fn scrub_batch<T: Scalar>(
     pol: &RecoveryPolicy,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
-    if !scrub_due(dev, pol) || batch.count() == 0 {
+    if !dev.fault_active() || batch.count() == 0 {
         return Ok(());
     }
     let count = batch.count();

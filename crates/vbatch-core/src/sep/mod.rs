@@ -13,14 +13,9 @@
 //!   every other kernel leans on;
 //! * [`syrk::syrk_vbatched`] — the trailing update, "realized as a gemm
 //!   with an additional decision layer" that early-terminates blocks in
-//!   the unused triangle, plus [`syrk::syrk_streamed`], the
-//!   CUDA-streams-per-matrix alternative;
+//!   the unused triangle, one launch over the whole batch;
 //! * [`trsm::trsm_left_vbatched`] — direct in-block substitution, used
-//!   by the LU/QR extensions and the batched solves;
-//! * [`syrk::syrk_general_vbatched`] and [`gemv::gemv_vbatched`] —
-//!   standalone general-purpose members of the vbatched BLAS foundation
-//!   (independent operands, full α/β), beyond what the Cholesky driver
-//!   itself consumes.
+//!   by the LU/QR extensions and the batched solves.
 //!
 //! All of these use **ETM-classic** only: "they cannot use
 //! ETM-aggressive since the implementation of these kernels requires all
@@ -31,7 +26,6 @@
 //! them out of the box, as the paper's conclusion anticipates.
 
 pub mod gemm;
-pub mod gemv;
 pub mod potf2;
 pub mod syrk;
 pub mod trsm;

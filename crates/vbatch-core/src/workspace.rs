@@ -30,9 +30,9 @@ use crate::qr::QrWorkspace;
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
 
-/// Borrows handed to the separated driver loop: step state, tile arena,
-/// and the pooled trailing-size host scratch.
-pub(crate) type SepScratch<'a, T> = (&'a StepState<T>, &'a TileWorkspace<T>, &'a mut Vec<usize>);
+/// Borrows handed to the separated driver loop: step state and tile
+/// arena.
+pub(crate) type SepScratch<'a, T> = (&'a StepState<T>, &'a TileWorkspace<T>);
 
 /// Pooled device scratch for the factorization drivers, reusable across
 /// calls and across precisions' driver families (Cholesky, LU, QR).
@@ -54,8 +54,6 @@ pub struct DriverWorkspace<T> {
     /// Sorting-window index upload: device buffer + host staging.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
-    /// Host scratch for the streamed-syrk trailing sizes.
-    pub(crate) trails: Vec<usize>,
     /// LU-specific pooled scratch.
     pub(crate) lu: LuWorkspace<T>,
     /// QR-specific pooled scratch.
@@ -74,7 +72,6 @@ impl<T: Scalar> DriverWorkspace<T> {
             imax_partial: None,
             idx_dev: None,
             idx_host: Vec::new(),
-            trails: Vec::new(),
             lu: LuWorkspace::default(),
             qr: QrWorkspace::default(),
         }
@@ -106,8 +103,7 @@ impl<T: Scalar> DriverWorkspace<T> {
     }
 
     /// Ensures the separated-path scratch covers `count` matrices at
-    /// panel width `nb`, returning the step state, the tile arena and
-    /// the pooled trailing-size host scratch.
+    /// panel width `nb`, returning the step state and the tile arena.
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
@@ -134,7 +130,6 @@ impl<T: Scalar> DriverWorkspace<T> {
         Ok((
             self.step.as_ref().expect("ensured above"),
             self.tiles.as_ref().expect("ensured above"),
-            &mut self.trails,
         ))
     }
 }

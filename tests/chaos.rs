@@ -176,7 +176,22 @@ fn corruption_is_quarantined_with_negative_info() {
         "the corruption must be enumerated: {:?}",
         report.recovery.injected
     );
+    assert!(
+        report.recovery.scrub_passes >= 1,
+        "the plan turns the scrubber on"
+    );
     dev.clear_fault_plan();
+
+    // The same matrix with no plan installed: the scrubber never runs.
+    let mut batch = upload::<f64>(&dev, &[n]);
+    dev.reset_metrics();
+    let report = potrf_vbatched_max(&dev, &mut batch, n, &opts).unwrap();
+    assert_eq!(report.info, vec![0]);
+    assert_eq!(report.recovery.scrub_passes, 0, "no plan, no scrub pass");
+    assert!(
+        dev.with_profiler(|p| p.get("dvbatch_scrub_finite").is_none()),
+        "no plan, no scrubber launch"
+    );
 }
 
 /// A soft memory ceiling forces the fused driver to split the sorting

@@ -1,11 +1,11 @@
 //! Cross-crate integration: every vbatched Cholesky configuration
-//! (strategy × ETM × sorting × syrk mode × precision × interface) must
+//! (strategy × ETM × sorting × panel width × precision × interface) must
 //! produce residual-verified factors on mixed-size batches, including
 //! degenerate sizes.
 
 use vbatch_core::{
     potrf_vbatched, potrf_vbatched_max, EtmPolicy, FusedOpts, PotrfOptions, SepOpts, Strategy,
-    SyrkMode, VBatch,
+    VBatch,
 };
 use vbatch_dense::gen::seeded_rng;
 use vbatch_dense::verify::{chol_residual, residual_tol};
@@ -28,18 +28,15 @@ fn all_options() -> Vec<PotrfOptions> {
             });
         }
     }
-    for syrk in [SyrkMode::Batched, SyrkMode::Streamed] {
-        for nb_panel in [16usize, 48, 128] {
-            v.push(PotrfOptions {
-                strategy: Strategy::Separated,
-                sep: SepOpts {
-                    nb_panel,
-                    nb_inner: 8,
-                    syrk,
-                },
-                ..Default::default()
-            });
-        }
+    for nb_panel in [16usize, 48, 128] {
+        v.push(PotrfOptions {
+            strategy: Strategy::Separated,
+            sep: SepOpts {
+                nb_panel,
+                nb_inner: 8,
+            },
+            ..Default::default()
+        });
     }
     v.push(PotrfOptions::default()); // Auto
     v

@@ -4,7 +4,10 @@
 
 use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
 use vbatch_core::report::VbatchError;
-use vbatch_core::{potrf_vbatched, EtmPolicy, FusedOpts, PotrfOptions, SepOpts, Strategy, VBatch};
+use vbatch_core::{
+    potrf_vbatched, potrf_vbatched_max, EtmPolicy, FusedOpts, PotrfOptions, SepOpts, Strategy,
+    VBatch,
+};
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::verify::{chol_residual, residual_tol};
 use vbatch_dense::{MatRef, Uplo};
@@ -114,6 +117,59 @@ fn invalid_arguments_rejected_before_any_work() {
         potrf_vbatched(&dev, &mut r, &PotrfOptions::default()),
         Err(VbatchError::InvalidArgument(_))
     ));
+}
+
+/// The expert interface trusts `max_n` to bound the batch; an
+/// understated one would leave the largest matrices partly factored
+/// (or untouched) behind a clean report, so it is rejected before any
+/// device work. An overstated `max_n` stays legal.
+#[test]
+fn understated_max_n_rejected_with_batch_untouched() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut rng = seeded_rng(63);
+    for (sizes, max_n) in [(vec![200usize, 50], 64usize), (vec![5], 0)] {
+        let origs: Vec<Vec<f64>> = sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect();
+        for strategy in [Strategy::Fused, Strategy::Separated, Strategy::Auto] {
+            let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+            for (i, m) in origs.iter().enumerate() {
+                batch.upload_matrix(i, m).unwrap();
+            }
+            let opts = PotrfOptions {
+                strategy,
+                ..Default::default()
+            };
+            let launches = dev.launch_count();
+            let res = potrf_vbatched_max(&dev, &mut batch, max_n, &opts);
+            assert!(
+                matches!(res, Err(VbatchError::InvalidArgument(_))),
+                "{strategy:?} sizes {sizes:?} max_n {max_n}: {res:?}"
+            );
+            assert_eq!(dev.launch_count(), launches, "{strategy:?}: no launch");
+            for (i, m) in origs.iter().enumerate() {
+                assert_eq!(
+                    &batch.download_matrix(i),
+                    m,
+                    "{strategy:?} sizes {sizes:?}: matrix {i} touched"
+                );
+            }
+        }
+    }
+    // Overstating is fine: the batch factorizes as with the exact max.
+    let sizes = [5usize, 3];
+    for strategy in [Strategy::Fused, Strategy::Separated, Strategy::Auto] {
+        let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+        for (i, &n) in sizes.iter().enumerate() {
+            batch
+                .upload_matrix(i, &spd_vec::<f64>(&mut rng, n))
+                .unwrap();
+        }
+        let opts = PotrfOptions {
+            strategy,
+            ..Default::default()
+        };
+        let report = potrf_vbatched_max(&dev, &mut batch, 64, &opts).unwrap();
+        assert!(report.all_ok(), "{strategy:?}: {:?}", report.failures());
+    }
 }
 
 #[test]

@@ -15,7 +15,7 @@ use vbatch_core::qr::{gels_vbatched, geqrf_vbatched, GeqrfOptions};
 use vbatch_core::solve::{getrs_vbatched, potri_vbatched, potrs_vbatched};
 use vbatch_core::{
     potrf_sharded, potrf_vbatched, FusedOpts, PotrfOptions, SepOpts, ShardOpts, ShardedState,
-    Strategy, SyrkMode, VBatch,
+    Strategy, VBatch,
 };
 use vbatch_dense::gen::{diag_dominant_vec, rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::{Scalar, Uplo};
@@ -45,30 +45,27 @@ fn drive_single_device_families<T: Scalar>(dev: &Device) {
         assert!(potrf_vbatched(dev, &mut batch, &fused).unwrap().all_ok());
     }
 
-    // Separated path: both trailing-update modes, both triangles; the
-    // factors feed the solve/inverse kernels.
+    // Separated path, both triangles; the factors feed the
+    // solve/inverse kernels.
     let sizes = [100usize, 40, 77];
-    for syrk in [SyrkMode::Batched, SyrkMode::Streamed] {
-        for uplo in [Uplo::Lower, Uplo::Upper] {
-            let opts = PotrfOptions {
-                uplo,
-                strategy: Strategy::Separated,
-                sep: SepOpts {
-                    nb_panel: 32,
-                    nb_inner: 8,
-                    syrk,
-                },
-                ..Default::default()
-            };
-            let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
-            fill_spd_batch(&mut batch, &sizes, &mut rng);
-            assert!(potrf_vbatched(dev, &mut batch, &opts).unwrap().all_ok());
-            if uplo == Uplo::Lower {
-                let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
-                potrs_vbatched(dev, &batch, &rhs).unwrap();
-            }
-            potri_vbatched(dev, &batch, uplo).unwrap();
+    for uplo in [Uplo::Lower, Uplo::Upper] {
+        let opts = PotrfOptions {
+            uplo,
+            strategy: Strategy::Separated,
+            sep: SepOpts {
+                nb_panel: 32,
+                nb_inner: 8,
+            },
+            ..Default::default()
+        };
+        let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
+        fill_spd_batch(&mut batch, &sizes, &mut rng);
+        assert!(potrf_vbatched(dev, &mut batch, &opts).unwrap().all_ok());
+        if uplo == Uplo::Lower {
+            let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
+            potrs_vbatched(dev, &batch, &rhs).unwrap();
         }
+        potri_vbatched(dev, &batch, uplo).unwrap();
     }
 
     // LU and its solve.

@@ -132,39 +132,6 @@ fn aux_kernels_are_negligible() {
 }
 
 #[test]
-fn streamed_launch_count_scales_with_batch() {
-    use vbatch_core::{SepOpts, SyrkMode};
-    let dev = Device::new(DeviceConfig::k40c());
-    let sizes = vec![96usize; 24];
-    let opts = PotrfOptions {
-        strategy: Strategy::Separated,
-        sep: SepOpts {
-            nb_panel: 32,
-            nb_inner: 8,
-            syrk: SyrkMode::Streamed,
-        },
-        ..Default::default()
-    };
-    sim_time(&dev, &sizes, &opts, 6);
-    let streamed_launches = dev.launch_count();
-    let opts_b = PotrfOptions {
-        strategy: Strategy::Separated,
-        sep: SepOpts {
-            nb_panel: 32,
-            nb_inner: 8,
-            syrk: SyrkMode::Batched,
-        },
-        ..Default::default()
-    };
-    sim_time(&dev, &sizes, &opts_b, 6);
-    let batched_launches = dev.launch_count();
-    assert!(
-        streamed_launches > batched_launches + sizes.len() as u64 / 2,
-        "streamed {streamed_launches} vs batched {batched_launches}"
-    );
-}
-
-#[test]
 fn pascal_what_if_raises_fused_occupancy() {
     // The fused DP kernel at max_n = 512 needs a 32 KB panel: one block
     // per SM on the K40c (48 KB), two on the Pascal-class preset
