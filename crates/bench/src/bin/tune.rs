@@ -12,20 +12,20 @@
 //! `potf2` bit-for-bit for every interleaved factor — so a path that
 //! produces wrong numbers can never win.
 //!
-//! The winner is written to `TUNE.json` (see `--out`) together with the
-//! host's CPU feature set; `TileScheme::load()` picks the file up at
-//! startup and falls back to the built-in defaults when it is absent,
-//! malformed, or recorded on a host with different CPU features.
+//! The tuner writes no file: it prints each precision's winner as a
+//! `TileScheme` literal, together with the cutoff A/B, for a developer
+//! to paste into the `vbatch_dense::tune::TABLE` row for the host's CPU
+//! feature class. The library never reads a tuning result at run time.
 //!
 //! ```text
-//! cargo tune                         # alias, writes ./TUNE.json
-//! cargo run --release -p vbatch-bench --bin tune -- --out TUNE.json
+//! cargo tune                         # alias
+//! cargo run --release -p vbatch-bench --bin tune
 //! VBATCH_TUNE_BUDGET=smoke cargo run --release -p vbatch-bench --bin tune
 //! ```
 //!
 //! `VBATCH_TUNE_BUDGET=smoke` shrinks sizes, grids and timing budgets to
-//! a few seconds total for CI; its output is schema-valid but its
-//! numbers are not a real tuning (do not commit them).
+//! a few seconds total for CI; its winners are valid schemes but not a
+//! real tuning (do not paste them).
 
 use std::time::Instant;
 
@@ -304,44 +304,32 @@ fn tune_cutoff<T: Scalar>(p: &Profile) -> usize {
     cutoff
 }
 
-fn tune_precision<T: Scalar>(p: &Profile) -> TileScheme {
-    let mut ts = tune_gemm::<T>(p);
-    ts.ilv_cutoff = tune_cutoff::<T>(p);
+/// One precision's gemm winner and interleave A/B winner. The scheme
+/// keeps [`TileScheme::DEFAULT`]'s `ilv_cutoff`: the simulated grid
+/// depends on it, so a table row never changes it; the A/B result is
+/// reported beside the row instead.
+fn tune_precision<T: Scalar>(p: &Profile) -> (TileScheme, usize) {
+    let ts = tune_gemm::<T>(p);
     assert!(
         ts.validate().is_ok(),
         "tuner produced an invalid scheme: {ts:?}"
     );
+    let cutoff = tune_cutoff::<T>(p);
     eprintln!(
-        "  [{}] winner: mr={} nr={} mc={} kc={} ilv_cutoff={}",
+        "  [{}] winner: mr={} nr={} mc={} kc={}; interleave A/B cutoff={cutoff}",
         T::PREFIX,
         ts.mr,
         ts.nr,
         ts.mc,
         ts.kc,
-        ts.ilv_cutoff
     );
-    ts
+    (ts, cutoff)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out = String::from("TUNE.json");
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other} (usage: tune [--out PATH])");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument: {arg} (usage: tune)");
+        std::process::exit(2);
     }
     let smoke = std::env::var("VBATCH_TUNE_BUDGET").is_ok_and(|v| v == "smoke");
     let p = if smoke { &SMOKE } else { &FULL };
@@ -357,9 +345,11 @@ fn main() {
         if smoke { " (smoke budget)" } else { "" }
     );
     let wall = Instant::now();
-    let f64_scheme = tune_precision::<f64>(p);
-    let f32_scheme = tune_precision::<f32>(p);
-    let json = vbatch_dense::tune::render_tune_json(&cpu, cores, &f64_scheme, &f32_scheme);
-    std::fs::write(&out, &json).expect("write TUNE.json");
-    eprintln!("wrote {out} in {:.1}s", wall.elapsed().as_secs_f64());
+    let (f64_scheme, f64_cutoff) = tune_precision::<f64>(p);
+    let (f32_scheme, f32_cutoff) = tune_precision::<f32>(p);
+    eprintln!("tuned in {:.1}s", wall.elapsed().as_secs_f64());
+    // `TileScheme`'s `Debug` form is the struct literal `TABLE` takes.
+    println!("// table row for {cpu:?}");
+    println!("f64_scheme: {f64_scheme:?}, // interleave A/B: {f64_cutoff}");
+    println!("f32_scheme: {f32_scheme:?}, // interleave A/B: {f32_cutoff}");
 }

@@ -33,15 +33,16 @@
 //! tiers directly so tests and benches can pin a path regardless of
 //! operand size.
 //!
-//! # Runtime tile schemes
+//! # Tile schemes by CPU
 //!
-//! The tiling parameters are no longer compile-time-only: the blocked
-//! tier reads its `(mr, nr, mc, kc)` from [`crate::tune::active`] — the
-//! per-precision [`crate::tune::TileScheme`] resolved from a committed
-//! `TUNE.json` (or the defaults below when none applies). Register-tile
-//! shapes with a hand-written microkernel — 8×4 on AVX2+FMA, plus 16×4
-//! f64/f32, 8×8 f64 and 16×8 f32 on AVX-512F — dispatch to it at
-//! runtime; any other valid shape runs on the portable loop.
+//! The blocked tier reads its `(mr, nr, mc, kc)` from
+//! [`crate::tune::active`] — the per-precision
+//! [`crate::tune::TileScheme`] of the built-in table row that matches
+//! the host's CPU features (the defaults below when no tuned row
+//! applies). Register-tile shapes with a hand-written microkernel — 8×4
+//! on AVX2+FMA, plus 16×4 f64/f32, 8×8 f64 and 16×8 f32 on AVX-512F —
+//! dispatch to it at runtime; any other valid shape runs on the
+//! portable loop.
 
 use crate::matrix::{Diag, MatMut, MatRef, Side, Trans, Uplo};
 use crate::scalar::Scalar;
@@ -635,9 +636,8 @@ fn portable_tile<T: Scalar, const TMR: usize, const TNR: usize>(
 /// `_mm256_fmadd` / `_mm512_fmadd` kernels, selected per call by
 /// `(TypeId, tile shape)` after a runtime CPU-feature check. Tile
 /// shapes without a matching kernel (or hosts without the feature the
-/// kernel needs) return `false` and run the portable loop — that is the
-/// zero-regression path for AVX2-only machines handed an AVX-512 tuned
-/// scheme.
+/// kernel needs) return `false` and run the portable loop, so any valid
+/// scheme a test or the `tune` sweep hands in runs on any host.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod x86 {
     use super::{Scalar, Trans, MR_MAX, NR_MAX};
@@ -1933,15 +1933,17 @@ mod tests {
 
     /// Every register-tile shape with a hand-written kernel (plus one
     /// portable-only shape) against the naive oracle, across mc/kc
-    /// variants including kc > k (clamping) and non-default mc.
+    /// variants including kc > k (clamping) and non-default mc, then
+    /// every scheme of the built-in table exactly as a host runs it, on
+    /// an operand past one `mc × kc` block so both blockings bind.
     #[test]
     fn gemm_blocked_scheme_sweep_matches_naive() {
         fn run<T: Scalar>(tol: f64) {
             let mut rng = seeded_rng(31);
             let shapes = [(8usize, 4usize), (16, 4), (8, 8), (16, 8), (4, 2)];
             let blocks = [(64usize, 256usize), (32, 64), (48, 4096)];
-            for &(mr, nr) in &shapes {
-                for &(mc, kc) in &blocks {
+            let swept = shapes.iter().flat_map(|&(mr, nr)| {
+                blocks.iter().map(move |&(mc, kc)| {
                     let ts = TileScheme {
                         mr,
                         nr,
@@ -1949,57 +1951,63 @@ mod tests {
                         kc,
                         ilv_cutoff: 32,
                     };
-                    ts.validate().expect("sweep schemes are valid");
-                    let (m, n, k) = (65usize, 39usize, 70usize);
-                    let a: Vec<T> = rand_mat::<f64>(&mut rng, m * k)
-                        .iter()
-                        .map(|&v| T::from_f64(v))
-                        .collect();
-                    let b: Vec<T> = rand_mat::<f64>(&mut rng, k * n)
-                        .iter()
-                        .map(|&v| T::from_f64(v))
-                        .collect();
-                    let c0: Vec<T> = rand_mat::<f64>(&mut rng, m * n)
-                        .iter()
-                        .map(|&v| T::from_f64(v))
-                        .collect();
-                    let mut c = c0.clone();
-                    tier::gemm_blocked_scheme(
-                        &ts,
-                        Trans::NoTrans,
-                        Trans::NoTrans,
-                        T::from_f64(1.5),
-                        MatRef::from_slice(&a, m, k, m),
-                        MatRef::from_slice(&b, k, n, k),
-                        T::from_f64(-0.5),
-                        MatMut::from_slice(&mut c, m, n, m),
-                    );
-                    let want = naive::gemm_ref(
-                        Trans::NoTrans,
-                        Trans::NoTrans,
-                        T::from_f64(1.5),
-                        &a,
-                        m,
-                        k,
-                        &b,
-                        k,
-                        n,
-                        T::from_f64(-0.5),
-                        &c0,
-                        m,
-                        n,
-                    );
-                    let err = c
-                        .iter()
-                        .zip(&want)
-                        .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
-                        .fold(0.0f64, f64::max);
-                    assert!(
-                        err < tol,
-                        "scheme {ts:?} {} err {err}",
-                        std::any::type_name::<T>()
-                    );
-                }
+                    (ts, (65usize, 39usize, 70usize))
+                })
+            });
+            let table = tune::TABLE
+                .iter()
+                .flat_map(|row| [row.f64_scheme, row.f32_scheme])
+                .map(|ts| (ts, (ts.mc + 17, 39, ts.kc + 9)));
+            for (ts, (m, n, k)) in swept.chain(table) {
+                ts.validate().expect("sweep schemes are valid");
+                let a: Vec<T> = rand_mat::<f64>(&mut rng, m * k)
+                    .iter()
+                    .map(|&v| T::from_f64(v))
+                    .collect();
+                let b: Vec<T> = rand_mat::<f64>(&mut rng, k * n)
+                    .iter()
+                    .map(|&v| T::from_f64(v))
+                    .collect();
+                let c0: Vec<T> = rand_mat::<f64>(&mut rng, m * n)
+                    .iter()
+                    .map(|&v| T::from_f64(v))
+                    .collect();
+                let mut c = c0.clone();
+                tier::gemm_blocked_scheme(
+                    &ts,
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    T::from_f64(1.5),
+                    MatRef::from_slice(&a, m, k, m),
+                    MatRef::from_slice(&b, k, n, k),
+                    T::from_f64(-0.5),
+                    MatMut::from_slice(&mut c, m, n, m),
+                );
+                let want = naive::gemm_ref(
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    T::from_f64(1.5),
+                    &a,
+                    m,
+                    k,
+                    &b,
+                    k,
+                    n,
+                    T::from_f64(-0.5),
+                    &c0,
+                    m,
+                    n,
+                );
+                let err = c
+                    .iter()
+                    .zip(&want)
+                    .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
+                    .fold(0.0f64, f64::max);
+                assert!(
+                    err < tol,
+                    "scheme {ts:?} {} err {err}",
+                    std::any::type_name::<T>()
+                );
             }
         }
         run::<f64>(1e-10);

@@ -1,37 +1,28 @@
-//! Runtime tile-scheme configuration for the blocked and interleaved
-//! tiers.
+//! Tile-scheme configuration for the blocked and interleaved tiers.
 //!
 //! The blocked GEMM tier historically ran on compile-time constants
 //! (MR 8 / NR 4 / MC 64 / KC 256) chosen once on one machine, and the
 //! interleave cutoff (32) was a second hand-picked constant in
 //! `vbatch-core`. Deshmukh & Yokota (PAPERS.md) show these parameters
 //! are strongly CPU-dependent and searchable with a small sweep, so
-//! this module turns them into a first-class runtime value:
+//! this module keys them on the CPU:
 //!
 //! - [`TileScheme`] carries `(mr, nr, mc, kc, ilv_cutoff)` per
 //!   precision, with [`TileScheme::DEFAULT`] reproducing the historical
 //!   constants exactly.
-//! - [`active`] returns the scheme the process is running with. It is
-//!   resolved once (at first use) from a committed `TUNE.json` produced
-//!   by the `tune` binary in `crates/bench`, and falls back to the
-//!   defaults when the file is absent, malformed, or was tuned on a
-//!   host whose CPU features don't match this one. `VBATCH_TUNE=off`
-//!   pins the defaults; `VBATCH_TUNE=<path>` loads a specific file.
+//! - [`TABLE`] holds the schemes the offline `tune` binary in
+//!   `crates/bench` derived, one [`Row`] per CPU feature class, built
+//!   into the library the way the paper builds in its tuned kernels.
+//! - [`active`] returns the scheme the process is running with: the
+//!   row [`row_for`] picks from what [`CpuFeatures::detect`] reports,
+//!   resolved once at first use. Every host — Miri and non-x86
+//!   included — gets a row.
 //!
-//! The fallback rule is deliberately strict (exact feature-set match):
-//! a scheme tuned with AVX-512 microkernels in play says nothing about
-//! an AVX2-only machine, and silently applying it would make cross-host
-//! benchmark trajectories incomparable. A mismatch is reported once on
-//! stderr and the defaults — bit-identical to the pre-tuning tree —
-//! take over.
-//!
-//! No external JSON dependency exists in this workspace, so the loader
-//! ships a ~100-line recursive-descent parser for the subset of JSON
-//! the schema uses. Every failure path degrades to defaults with a
-//! warning; nothing in this module panics on bad input.
+//! The selection depends on the CPU alone, never on the working
+//! directory or the environment, so one binary runs the same kernels
+//! wherever it is started.
 
 use std::any::TypeId;
-use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::scalar::Scalar;
@@ -109,9 +100,7 @@ impl Default for TileScheme {
     }
 }
 
-/// The CPU feature set a `TUNE.json` was produced under. A tuned scheme
-/// is honored only when the recorded set matches [`CpuFeatures::detect`]
-/// on the running host exactly.
+/// The CPU features that select a [`TABLE`] row (see [`row_for`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CpuFeatures {
     /// 256-bit integer/FP vectors.
@@ -146,35 +135,84 @@ impl CpuFeatures {
     }
 }
 
-/// Resolved process-wide tuning state: one scheme per precision plus a
-/// human-readable provenance string for bench metadata.
+/// One row of the built-in scheme table: the schemes for one class of
+/// host CPU (see [`row_for`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// Row name, reported as [`Active::source`].
+    pub name: &'static str,
+    /// Scheme applied to `f64` kernels.
+    pub f64_scheme: TileScheme,
+    /// Scheme applied to `f32` kernels.
+    pub f32_scheme: TileScheme,
+}
+
+/// The built-in scheme table. Rows come from `cargo tune` (the `tune`
+/// binary in `crates/bench`), which prints the winning schemes as
+/// literals for this table. The simulated grid depends on `ilv_cutoff`,
+/// so every row keeps [`TileScheme::DEFAULT`]'s.
+pub const TABLE: [Row; 2] = [
+    Row {
+        name: "avx512",
+        f64_scheme: TileScheme {
+            mr: 16,
+            nr: 4,
+            mc: 256,
+            kc: 256,
+            ilv_cutoff: 32,
+        },
+        f32_scheme: TileScheme {
+            mr: 16,
+            nr: 8,
+            mc: 128,
+            kc: 512,
+            ilv_cutoff: 32,
+        },
+    },
+    Row {
+        name: "default",
+        f64_scheme: TileScheme::DEFAULT,
+        f32_scheme: TileScheme::DEFAULT,
+    },
+];
+
+/// The [`TABLE`] row for a host with `cpu`'s features: `avx512` when
+/// it has AVX2, FMA, AVX-512F and AVX-512VL, else `default` (Miri and
+/// non-x86 hosts detect no feature).
+#[must_use]
+pub fn row_for(cpu: &CpuFeatures) -> &'static Row {
+    if cpu.avx2 && cpu.fma && cpu.avx512f && cpu.avx512vl {
+        &TABLE[0]
+    } else {
+        &TABLE[1]
+    }
+}
+
+/// Resolved process-wide tuning state: one scheme per precision plus
+/// the name of the table row they came from, for bench metadata.
 #[derive(Debug, Clone)]
 pub struct Active {
     /// Scheme applied to `f64` kernels.
     pub f64_scheme: TileScheme,
     /// Scheme applied to `f32` kernels.
     pub f32_scheme: TileScheme,
-    /// Where the schemes came from (`"defaults"`, `"defaults
-    /// (VBATCH_TUNE=off)"`, or the TUNE.json path).
+    /// Name of the [`TABLE`] row the schemes came from.
     pub source: String,
-}
-
-impl Active {
-    fn defaults(source: &str) -> Self {
-        Self {
-            f64_scheme: TileScheme::DEFAULT,
-            f32_scheme: TileScheme::DEFAULT,
-            source: source.to_owned(),
-        }
-    }
 }
 
 static ACTIVE: OnceLock<Active> = OnceLock::new();
 
-/// The process-wide tuning state, resolved on first use (see module
-/// docs for the resolution order).
+/// The process-wide tuning state: the [`TABLE`] row for this host's
+/// CPU, resolved on first use.
 pub fn active_info() -> &'static Active {
-    ACTIVE.get_or_init(load)
+    ACTIVE.get_or_init(|| {
+        let row = row_for(&CpuFeatures::detect());
+        Active {
+            f64_scheme: row.f64_scheme,
+            f32_scheme: row.f32_scheme,
+            source: row.name.to_owned(),
+        }
+    })
 }
 
 /// The active [`TileScheme`] for precision `T`.
@@ -185,349 +223,6 @@ pub fn active<T: Scalar>() -> TileScheme {
         info.f32_scheme
     } else {
         info.f64_scheme
-    }
-}
-
-fn warn(msg: &str) {
-    eprintln!("vbatch-dense: tuning: {msg}; using default tile scheme");
-}
-
-fn load() -> Active {
-    match std::env::var("VBATCH_TUNE") {
-        Ok(v) if v == "off" || v == "0" => return Active::defaults("defaults (VBATCH_TUNE=off)"),
-        Ok(path) => {
-            return load_file(Path::new(&path)).unwrap_or_else(|why| {
-                warn(&format!("VBATCH_TUNE={path}: {why}"));
-                Active::defaults("defaults (VBATCH_TUNE load failed)")
-            });
-        }
-        Err(_) => {}
-    }
-    match find_tune_json() {
-        Some(path) => load_file(&path).unwrap_or_else(|why| {
-            warn(&format!("{}: {why}", path.display()));
-            Active::defaults("defaults (TUNE.json load failed)")
-        }),
-        None => Active::defaults("defaults"),
-    }
-}
-
-/// Looks for `TUNE.json` in the current directory and a few parents:
-/// `cargo test` runs with the package directory as CWD, while the
-/// committed file lives at the workspace root two levels up.
-fn find_tune_json() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    for _ in 0..6 {
-        let cand = dir.join("TUNE.json");
-        if cand.is_file() {
-            return Some(cand);
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    None
-}
-
-fn load_file(path: &Path) -> Result<Active, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc = json::parse(&text).ok_or("not valid JSON")?;
-    let schema = doc.get("schema").and_then(Json::as_u64);
-    if schema != Some(1) {
-        return Err(format!("unsupported schema version {schema:?}"));
-    }
-    let cpu = doc.get("cpu").ok_or("missing \"cpu\" section")?;
-    let feat = |name: &str| cpu.get(name).and_then(Json::as_bool).unwrap_or(false);
-    let recorded = CpuFeatures {
-        avx2: feat("avx2"),
-        fma: feat("fma"),
-        avx512f: feat("avx512f"),
-        avx512vl: feat("avx512vl"),
-    };
-    let here = CpuFeatures::detect();
-    if recorded != here {
-        return Err(format!(
-            "tuned for {recorded:?} but this host is {here:?} (feature mismatch)"
-        ));
-    }
-    let schemes = doc.get("schemes").ok_or("missing \"schemes\" section")?;
-    let f64_scheme = parse_scheme(schemes.get("f64").ok_or("missing schemes.f64")?)?;
-    let f32_scheme = parse_scheme(schemes.get("f32").ok_or("missing schemes.f32")?)?;
-    Ok(Active {
-        f64_scheme,
-        f32_scheme,
-        source: path.display().to_string(),
-    })
-}
-
-fn parse_scheme(obj: &Json) -> Result<TileScheme, String> {
-    let field = |name: &str| -> Result<usize, String> {
-        obj.get(name)
-            .and_then(Json::as_u64)
-            .map(|v| v as usize)
-            .ok_or_else(|| format!("missing or non-integer field \"{name}\""))
-    };
-    let ts = TileScheme {
-        mr: field("mr")?,
-        nr: field("nr")?,
-        mc: field("mc")?,
-        kc: field("kc")?,
-        ilv_cutoff: field("ilv_cutoff")?,
-    };
-    ts.validate()?;
-    Ok(ts)
-}
-
-/// Serializes a tuning result into the `TUNE.json` schema the loader
-/// accepts (shared by the `tune` binary and the roundtrip tests).
-#[must_use]
-pub fn render_tune_json(
-    cpu: &CpuFeatures,
-    cores: usize,
-    f64_scheme: &TileScheme,
-    f32_scheme: &TileScheme,
-) -> String {
-    let scheme = |ts: &TileScheme| {
-        format!(
-            "{{ \"mr\": {}, \"nr\": {}, \"mc\": {}, \"kc\": {}, \"ilv_cutoff\": {} }}",
-            ts.mr, ts.nr, ts.mc, ts.kc, ts.ilv_cutoff
-        )
-    };
-    format!(
-        "{{\n  \"schema\": 1,\n  \"cpu\": {{ \"avx2\": {}, \"fma\": {}, \"avx512f\": {}, \"avx512vl\": {} }},\n  \"cores\": {},\n  \"schemes\": {{\n    \"f64\": {},\n    \"f32\": {}\n  }}\n}}\n",
-        cpu.avx2,
-        cpu.fma,
-        cpu.avx512f,
-        cpu.avx512vl,
-        cores,
-        scheme(f64_scheme),
-        scheme(f32_scheme)
-    )
-}
-
-pub use json::Json;
-
-mod json {
-    //! Minimal recursive-descent JSON parser — just enough for the
-    //! TUNE.json schema (objects, arrays, strings without exotic
-    //! escapes, numbers, booleans, null). Returns `None` on any
-    //! malformed input rather than panicking.
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (stored as `f64`).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object field lookup; `None` for non-objects/missing keys.
-        #[must_use]
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The value as a bool, if it is one.
-        #[must_use]
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The value as a non-negative integer, if it is one.
-        #[must_use]
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses `text` as a single JSON value (trailing whitespace
-    /// allowed, trailing garbage rejected).
-    #[must_use]
-    pub fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i == p.b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .b
-                .get(self.i)
-                .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> bool {
-            if self.b.get(self.i) == Some(&c) {
-                self.i += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn lit(&mut self, s: &str, v: Json) -> Option<Json> {
-            if self.b[self.i..].starts_with(s.as_bytes()) {
-                self.i += s.len();
-                Some(v)
-            } else {
-                None
-            }
-        }
-
-        fn value(&mut self) -> Option<Json> {
-            self.skip_ws();
-            match *self.b.get(self.i)? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => self.string().map(Json::Str),
-                b't' => self.lit("true", Json::Bool(true)),
-                b'f' => self.lit("false", Json::Bool(false)),
-                b'n' => self.lit("null", Json::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                _ => None,
-            }
-        }
-
-        fn object(&mut self) -> Option<Json> {
-            self.i += 1; // past '{'
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Some(Json::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                if !self.eat(b':') {
-                    return None;
-                }
-                let val = self.value()?;
-                fields.push((key, val));
-                self.skip_ws();
-                if self.eat(b'}') {
-                    return Some(Json::Obj(fields));
-                }
-                if !self.eat(b',') {
-                    return None;
-                }
-            }
-        }
-
-        fn array(&mut self) -> Option<Json> {
-            self.i += 1; // past '['
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.eat(b']') {
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                if self.eat(b']') {
-                    return Some(Json::Arr(items));
-                }
-                if !self.eat(b',') {
-                    return None;
-                }
-            }
-        }
-
-        fn string(&mut self) -> Option<String> {
-            if !self.eat(b'"') {
-                return None;
-            }
-            let mut out = String::new();
-            loop {
-                match *self.b.get(self.i)? {
-                    b'"' => {
-                        self.i += 1;
-                        return Some(out);
-                    }
-                    b'\\' => {
-                        self.i += 1;
-                        let esc = *self.b.get(self.i)?;
-                        self.i += 1;
-                        out.push(match esc {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'r' => '\r',
-                            // \uXXXX and rarer escapes aren't needed by
-                            // the schema; reject rather than mangle.
-                            _ => return None,
-                        });
-                    }
-                    c if c < 0x20 => return None,
-                    _ => {
-                        // Consume one UTF-8 scalar (input is &str, so
-                        // boundaries are valid).
-                        let start = self.i;
-                        self.i += 1;
-                        while self.b.get(self.i).is_some_and(|c| c & 0xC0 == 0x80) {
-                            self.i += 1;
-                        }
-                        out.push_str(std::str::from_utf8(&self.b[start..self.i]).ok()?);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Option<Json> {
-            let start = self.i;
-            self.eat(b'-');
-            while self.b.get(self.i).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-            }) {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()?
-                .parse::<f64>()
-                .ok()
-                .filter(|n| n.is_finite())
-                .map(Json::Num)
-        }
     }
 }
 
@@ -594,134 +289,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn render_roundtrips_through_loader_schema() {
-        let cpu = CpuFeatures {
-            avx2: true,
-            fma: true,
-            avx512f: false,
-            avx512vl: false,
-        };
-        let d = TileScheme {
-            mr: 16,
-            nr: 4,
-            mc: 128,
-            kc: 512,
-            ilv_cutoff: 32,
-        };
-        let s = TileScheme::DEFAULT;
-        let text = render_tune_json(&cpu, 8, &d, &s);
-        let doc = json::parse(&text).expect("render emits valid JSON");
-        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            doc.get("cpu")
-                .and_then(|c| c.get("avx2"))
-                .and_then(Json::as_bool),
-            Some(true)
-        );
-        let parsed = parse_scheme(doc.get("schemes").and_then(|s| s.get("f64")).expect("f64"))
-            .expect("valid scheme");
-        assert_eq!(parsed, d);
-    }
+    const AVX512: CpuFeatures = CpuFeatures {
+        avx2: true,
+        fma: true,
+        avx512f: true,
+        avx512vl: true,
+    };
 
-    #[test]
-    fn corrupted_tune_json_falls_back_instead_of_panicking() {
-        let dir = std::env::temp_dir();
-        let write = |name: &str, body: &str| {
-            let p = dir.join(name);
-            std::fs::write(&p, body).expect("temp write");
-            p
-        };
-        // Truncated JSON.
-        let p = write("vbatch_tune_trunc.json", "{\"schema\": 1, \"cpu\": {");
-        assert!(load_file(&p).is_err());
-        // Valid JSON, missing schemes.
-        let p = write(
-            "vbatch_tune_partial.json",
-            "{\"schema\": 1, \"cpu\": {\"avx2\": true, \"fma\": true, \"avx512f\": false, \"avx512vl\": false}}",
-        );
-        assert!(load_file(&p).is_err());
-        // Wrong schema version.
-        let p = write("vbatch_tune_schema.json", "{\"schema\": 2}");
-        assert!(load_file(&p).is_err());
-        // Not JSON at all.
-        let p = write("vbatch_tune_garbage.json", "not json");
-        assert!(load_file(&p).is_err());
-        // Nonexistent path.
-        assert!(load_file(Path::new("/nonexistent/TUNE.json")).is_err());
-        let _ = std::fs::remove_file(dir.join("vbatch_tune_trunc.json"));
-        let _ = std::fs::remove_file(dir.join("vbatch_tune_partial.json"));
-        let _ = std::fs::remove_file(dir.join("vbatch_tune_schema.json"));
-        let _ = std::fs::remove_file(dir.join("vbatch_tune_garbage.json"));
-    }
-
+    /// The AVX-512 row applies only with all four features: a host
+    /// missing any one of them gets the default row.
     #[test]
     fn feature_mismatch_is_rejected() {
-        let here = CpuFeatures::detect();
-        // Flip one recorded feature relative to the running host.
-        let cpu = CpuFeatures {
-            avx2: !here.avx2,
-            ..here
-        };
-        let text = render_tune_json(&cpu, 4, &TileScheme::DEFAULT, &TileScheme::DEFAULT);
-        let p = std::env::temp_dir().join("vbatch_tune_mismatch.json");
-        std::fs::write(&p, text).expect("temp write");
-        let err = load_file(&p).expect_err("mismatched features must be rejected");
-        assert!(err.contains("mismatch"), "unexpected error: {err}");
-        let _ = std::fs::remove_file(&p);
+        let flips: [fn(&mut CpuFeatures); 4] = [
+            |c| c.avx2 = false,
+            |c| c.fma = false,
+            |c| c.avx512f = false,
+            |c| c.avx512vl = false,
+        ];
+        for flip in flips {
+            let mut cpu = AVX512;
+            flip(&mut cpu);
+            let row = row_for(&cpu);
+            assert_eq!(row.name, "default", "{cpu:?}");
+            assert_eq!(row.f64_scheme, TileScheme::DEFAULT);
+            assert_eq!(row.f32_scheme, TileScheme::DEFAULT);
+        }
+        assert_eq!(row_for(&CpuFeatures::default()).name, "default");
     }
 
     #[test]
     fn matching_features_load_tuned_schemes() {
-        let here = CpuFeatures::detect();
-        let d = TileScheme {
-            mr: 8,
-            nr: 8,
-            mc: 64,
-            kc: 128,
-            ilv_cutoff: 24,
-        };
-        let text = render_tune_json(&here, 2, &d, &TileScheme::DEFAULT);
-        let p = std::env::temp_dir().join("vbatch_tune_match.json");
-        std::fs::write(&p, text).expect("temp write");
-        let active = load_file(&p).expect("matching features load");
-        assert_eq!(active.f64_scheme, d);
-        assert_eq!(active.f32_scheme, TileScheme::DEFAULT);
-        let _ = std::fs::remove_file(&p);
+        let row = row_for(&AVX512);
+        assert_eq!(row.name, "avx512");
+        assert_eq!((row.f64_scheme.mr, row.f64_scheme.nr), (16, 4));
+        assert_eq!((row.f64_scheme.mc, row.f64_scheme.kc), (256, 256));
+        assert_eq!((row.f32_scheme.mr, row.f32_scheme.nr), (16, 8));
+        assert_eq!((row.f32_scheme.mc, row.f32_scheme.kc), (128, 512));
     }
 
     #[test]
     fn active_returns_a_valid_scheme_per_precision() {
-        // Whatever the environment resolves to, the result must be a
-        // valid scheme and the provenance string non-empty.
+        // Whatever the host resolves to, the result must be a valid
+        // scheme and name its table row.
         let d = active::<f64>();
         let s = active::<f32>();
         d.validate().expect("active f64 scheme valid");
         s.validate().expect("active f32 scheme valid");
         assert!(!active_info().source.is_empty());
-    }
-
-    #[test]
-    fn json_parser_handles_edge_cases() {
-        assert_eq!(json::parse("null"), Some(Json::Null));
-        assert_eq!(
-            json::parse("[1, 2]"),
-            Some(Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]))
-        );
-        assert_eq!(json::parse("\"a\\nb\""), Some(Json::Str("a\nb".to_owned())));
-        assert_eq!(
-            json::parse("{\"k\": -2.5e1}").and_then(|v| v.get("k").cloned()),
-            Some(Json::Num(-25.0))
-        );
-        assert_eq!(json::parse(""), None);
-        assert_eq!(json::parse("{"), None);
-        assert_eq!(json::parse("{}extra"), None);
-        assert_eq!(json::parse("[1,]"), None);
-        assert_eq!(json::parse("{\"k\" 1}"), None);
-        assert_eq!(Json::Num(1.5).as_u64(), None);
-        assert_eq!(Json::Num(-1.0).as_u64(), None);
-        assert_eq!(Json::Num(3.0).as_u64(), Some(3));
-        assert_eq!(Json::Bool(true).as_bool(), Some(true));
-        assert_eq!(Json::Null.get("k"), None);
     }
 }

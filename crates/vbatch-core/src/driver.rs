@@ -40,17 +40,11 @@ pub struct FusedOpts {
     /// Implicit-sorting window width in multiples of `nb`.
     pub window_factor: usize,
     /// Route `Lower` windows whose largest matrix is at or below the
-    /// interleave cutoff (see [`FusedOpts::interleave_cutoff`]) through
-    /// the lane-interleaved batched-small kernel
+    /// interleave cutoff (see [`FusedOpts::resolved_interleave_cutoff`])
+    /// through the lane-interleaved batched-small kernel
     /// ([`crate::fused::potrf_interleaved_window`]) instead of the
     /// per-matrix step loop.
     pub batched_small: bool,
-    /// Largest window maximum that takes the batched-small path. `None`
-    /// resolves the active [`vbatch_dense::tune::TileScheme`]'s
-    /// `ilv_cutoff` at dispatch time — the autotuner's `TUNE.json` can
-    /// retune it per precision; without a tuning file it equals
-    /// [`crate::fused::INTERLEAVE_CUTOFF`].
-    pub interleave_cutoff: Option<usize>,
     /// Exact sorting-window bucket width. `None` derives the width from
     /// `nb · window_factor` and the batch shape (the default heuristic);
     /// `Some(w)` fixes it. The multi-device scheduler
@@ -68,22 +62,21 @@ impl Default for FusedOpts {
             nb: None,
             window_factor: 4,
             batched_small: true,
-            interleave_cutoff: None,
             window_width: None,
         }
     }
 }
 
 impl FusedOpts {
-    /// The effective batched-small cutoff for element type `T`: the
-    /// explicit override when set, else the active tile scheme's
-    /// `ilv_cutoff`. Both the fused window router and anything that
-    /// needs to predict its routing (sizing, tests) must go through
-    /// this one resolver so they cannot disagree.
+    /// The batched-small cutoff for element type `T`: the active
+    /// [`vbatch_dense::tune::TileScheme`]'s `ilv_cutoff`, which every
+    /// row of the built-in scheme table keeps at
+    /// [`crate::fused::INTERLEAVE_CUTOFF`]. Both the fused window router
+    /// and anything that needs to predict its routing (sizing, tests)
+    /// go through this one resolver so they cannot disagree.
     #[must_use]
     pub fn resolved_interleave_cutoff<T: Scalar>(&self) -> usize {
-        self.interleave_cutoff
-            .unwrap_or_else(|| vbatch_dense::tune::active::<T>().ilv_cutoff)
+        vbatch_dense::tune::active::<T>().ilv_cutoff
     }
 }
 
@@ -686,68 +679,50 @@ mod tests {
     /// one place ([`FusedOpts::resolved_interleave_cutoff`]), so the
     /// fused router and anything predicting it cannot disagree. Probe
     /// the boundary with uniform batches at `cutoff − 1`, `cutoff`,
-    /// `cutoff + 1` under an explicit override: at or below the cutoff
-    /// the window collapses into fewer launches than the per-step loop
-    /// (the interleaved route), strictly above it both configurations
-    /// issue identical launch sequences — and every variant, the
-    /// separated approach included, agrees numerically.
+    /// `cutoff + 1`: at or below the cutoff the window collapses into
+    /// one interleaved launch, strictly above it the per-step loop runs
+    /// — and every variant, the separated approach included, agrees
+    /// numerically.
     #[test]
     fn interleave_cutoff_boundary_routing() {
         let d = dev();
-        let defaults = FusedOpts::default();
-        assert_eq!(
-            defaults.resolved_interleave_cutoff::<f64>(),
-            vbatch_dense::tune::active::<f64>().ilv_cutoff,
-            "None must resolve the active scheme's cutoff"
-        );
-        assert_eq!(
-            FusedOpts {
-                interleave_cutoff: Some(7),
-                ..Default::default()
-            }
-            .resolved_interleave_cutoff::<f32>(),
-            7,
-            "an explicit override must win"
-        );
+        let c = FusedOpts::default().resolved_interleave_cutoff::<f64>();
         let ilv_launches =
             |d: &Device| d.with_profiler(|p| p.get("dpotrf_ilv_batch").map_or(0, |e| e.launches));
-        for c in [16usize, 32] {
-            for (n, expect_interleaved) in [(c - 1, true), (c, true), (c + 1, false)] {
-                let sizes = vec![n; 8];
-                let opts = PotrfOptions {
-                    strategy: Strategy::Fused,
-                    fused: FusedOpts {
-                        interleave_cutoff: Some(c),
-                        sorting: false,
-                        ..Default::default()
-                    },
+        for (n, expect_interleaved) in [(c - 1, true), (c, true), (c + 1, false)] {
+            let sizes = vec![n; 8];
+            let opts = PotrfOptions {
+                strategy: Strategy::Fused,
+                fused: FusedOpts {
+                    sorting: false,
                     ..Default::default()
-                };
-                let (mut batch, origs) = make_batch::<f64>(&d, &sizes, 300 + n as u64);
-                let before = ilv_launches(&d);
-                let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
-                let routed = ilv_launches(&d) - before;
-                assert!(report.all_ok(), "n={n}: {:?}", report.failures());
-                verify_all(&batch, &origs, &sizes);
-                if expect_interleaved {
-                    assert_eq!(
-                        routed, 1,
-                        "n={n} ≤ cutoff {c} must be one interleaved launch"
-                    );
-                } else {
-                    assert_eq!(routed, 0, "n={n} > cutoff {c} must run the per-step loop");
-                }
-                // The separated approach must agree numerically at the
-                // same boundary sizes.
-                let (mut batch, origs) = make_batch::<f64>(&d, &sizes, 300 + n as u64);
-                let opts = PotrfOptions {
-                    strategy: Strategy::Separated,
-                    ..Default::default()
-                };
-                let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
-                assert!(report.all_ok());
-                verify_all(&batch, &origs, &sizes);
+                },
+                ..Default::default()
+            };
+            let (mut batch, origs) = make_batch::<f64>(&d, &sizes, 300 + n as u64);
+            let before = ilv_launches(&d);
+            let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
+            let routed = ilv_launches(&d) - before;
+            assert!(report.all_ok(), "n={n}: {:?}", report.failures());
+            verify_all(&batch, &origs, &sizes);
+            if expect_interleaved {
+                assert_eq!(
+                    routed, 1,
+                    "n={n} ≤ cutoff {c} must be one interleaved launch"
+                );
+            } else {
+                assert_eq!(routed, 0, "n={n} > cutoff {c} must run the per-step loop");
             }
+            // The separated approach must agree numerically at the
+            // same boundary sizes.
+            let (mut batch, origs) = make_batch::<f64>(&d, &sizes, 300 + n as u64);
+            let opts = PotrfOptions {
+                strategy: Strategy::Separated,
+                ..Default::default()
+            };
+            let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
+            assert!(report.all_ok());
+            verify_all(&batch, &origs, &sizes);
         }
     }
 

@@ -340,10 +340,10 @@ pub fn potrf_fused_step<T: Scalar>(
 /// precisions, and a host A/B of the two paths (DESIGN.md §6d) shows
 /// the cross-matrix path ahead across the whole range.
 ///
-/// This is the single source of truth only as a *default*: the value
-/// lives in [`vbatch_dense::tune::TileScheme::DEFAULT`] (`ilv_cutoff`)
-/// and the driver resolves the active, possibly `TUNE.json`-retuned
-/// scheme per precision through
+/// The value lives in [`vbatch_dense::tune::TileScheme::DEFAULT`]
+/// (`ilv_cutoff`), and every row of the built-in scheme table
+/// ([`vbatch_dense::tune::TABLE`]) keeps it, because the simulated grid
+/// depends on it; the driver reads the active scheme's value through
 /// [`crate::FusedOpts::resolved_interleave_cutoff`].
 pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv_cutoff;
 

@@ -354,9 +354,6 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     })
     .and(ws.lu.scratch(dev, count))?;
 
-    let max_m = batch.max_rows();
-    let max_n = batch.max_cols();
-
     let mut j = 0;
     while j < k_max {
         with_retry(dev, &pol, &mut rec, || {
@@ -439,7 +436,6 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
         }
         scrub_batch(dev, batch, &pol, &mut rec)?;
         j += nb;
-        let _ = (max_m, max_n);
     }
 
     dev.copy_dtoh_bytes(count * 4);

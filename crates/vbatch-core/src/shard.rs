@@ -350,9 +350,9 @@ pub fn plan_shards_hybrid<T: Scalar>(
     shards
 }
 
-/// Options normalized for composition-independent results: `nb`,
-/// strategy, interleave cutoff and window width pinned against the
-/// *global* workload maximum (see the module docs).
+/// Options normalized for composition-independent results: `nb` and
+/// strategy pinned against the *global* workload maximum, the window
+/// width to the interleave cutoff (see the module docs).
 #[must_use]
 pub fn normalized_options<T: Scalar>(
     dev: &Device,
@@ -366,9 +366,7 @@ pub fn normalized_options<T: Scalar>(
         .unwrap_or_else(|| tuned_nb::<T>(dev, global_max.max(1)));
     norm.fused.nb = Some(nb);
     norm.strategy = resolve_strategy::<T>(dev, &norm, global_max, nb);
-    let cutoff = norm.fused.resolved_interleave_cutoff::<T>();
-    norm.fused.interleave_cutoff = Some(cutoff);
-    norm.fused.window_width = Some(cutoff.max(1));
+    norm.fused.window_width = Some(norm.fused.resolved_interleave_cutoff::<T>().max(1));
     norm
 }
 
@@ -1035,7 +1033,6 @@ mod tests {
         let norm = normalized_options::<f64>(&dev, &PotrfOptions::default(), 200);
         assert!(norm.fused.nb.is_some());
         assert!(norm.fused.window_width.is_some());
-        assert!(norm.fused.interleave_cutoff.is_some());
         assert_ne!(norm.strategy, crate::driver::Strategy::Auto);
         // Idempotent: normalizing again changes nothing.
         let again = normalized_options::<f64>(&dev, &norm, 200);

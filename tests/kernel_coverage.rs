@@ -28,13 +28,12 @@ use vbatch_workload::fill_spd_batch;
 fn drive_single_device_families<T: Scalar>(dev: &Device) {
     let mut rng = seeded_rng(0xC0DE);
 
-    // Fused step loop (every order above the pinned interleave cutoff),
+    // Fused step loop (every order above the interleave cutoff of 32),
     // then the interleaved window (every order at or below it).
     let fused = PotrfOptions {
         strategy: Strategy::Fused,
         fused: FusedOpts {
             sorting: true,
-            interleave_cutoff: Some(16),
             ..Default::default()
         },
         ..Default::default()
