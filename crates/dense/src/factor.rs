@@ -379,10 +379,31 @@ pub fn potri<T: Scalar>(uplo: Uplo, mut a: MatMut<'_, T>) -> Result<()> {
 /// Unblocked LU factorization with partial pivoting (LAPACK `xGETF2`),
 /// in place. `ipiv[i]` receives the zero-based row swapped with row `i`.
 ///
+/// `f64` on an AVX-512F host runs a left-looking (Crout) panel in
+/// registers; every other precision and host runs
+/// [`getf2_right_looking`]. The two agree bit for bit, factor, pivots
+/// and error alike.
+///
 /// # Errors
 /// [`Error::Singular`] if a pivot column is exactly zero; the
 /// factorization up to that column is still valid, as in LAPACK.
-pub fn getf2<T: Scalar>(mut a: MatMut<'_, T>, ipiv: &mut [usize]) -> Result<()> {
+pub fn getf2<T: Scalar>(a: MatMut<'_, T>, ipiv: &mut [usize]) -> Result<()> {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crate::crout::applies::<T>() {
+        return crate::crout::getf2(a, ipiv);
+    }
+    getf2_right_looking(a, ipiv)
+}
+
+/// [`getf2`] as the right-looking loop: per column, the pivot search
+/// (the first maximum of `|a(i, j)|` wins), the row swap, the scale and
+/// a rank-1 update of the trailing panel that skips `a(j, c) == 0`. A
+/// column whose pivot search finds zero is skipped whole. The portable
+/// path, and the oracle the Crout panel is tested against.
+///
+/// # Errors
+/// As [`getf2`].
+pub fn getf2_right_looking<T: Scalar>(mut a: MatMut<'_, T>, ipiv: &mut [usize]) -> Result<()> {
     let m = a.nrows();
     let n = a.ncols();
     let k = m.min(n);

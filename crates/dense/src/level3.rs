@@ -629,7 +629,9 @@ fn portable_tile<T: Scalar, const TMR: usize, const TNR: usize>(
     }
 }
 
-/// Hand-written AVX2+FMA and AVX-512F microkernel accumulators. The
+/// Hand-written AVX2+FMA and AVX-512F microkernel accumulators: safe
+/// `#[target_feature]` fns over the tile's views, with `unsafe` only
+/// around their strided reads and at the dispatch below. The
 /// generic tile loop tops out without fused multiply-adds (Rust never
 /// contracts `a*b + c`, and the scalar `mul_add` intrinsic defeats SLP
 /// vectorization), so the two primitive precisions get explicit
@@ -651,14 +653,22 @@ mod x86 {
     /// bounds.
     type Acc<F> = [[F; MR_MAX]; NR_MAX];
 
-    /// A register tile's operands as strided reads: lane `r` of `op(A)`
-    /// at step `p` is `*a.add(r + p·a_ps)` and lane `j` of `op(B)` at
-    /// step `p` is `*b.add(j·b_js + p·b_ps)`, for `p < kc`. A packed
-    /// panel pair reads with `a_ps = tmr` and `(b_js, b_ps) = (1, tnr)`;
-    /// direct mode reads `A` with `a_ps = lda` and `B` with
-    /// `(1, ldb)` (`Trans`) or `(ldb, 1)` (`NoTrans`).
+    /// A register tile's operands: `a` is `op(A)` (`tmr × kc`) and `b`
+    /// holds `op(B)` (`kc × tnr`) as `B` (`NoTrans`) or `Bᵀ` (`Trans`).
     #[derive(Clone, Copy)]
-    struct Operands<F> {
+    struct Operands<'a, F> {
+        a: MatRef<'a, F>,
+        b: MatRef<'a, F>,
+        tb: Trans,
+    }
+
+    /// The same tile as strided reads: lane `r` of `op(A)` at step `p`
+    /// is `*a.add(r + p·a_ps)` and lane `j` of `op(B)` at step `p` is
+    /// `*b.add(j·b_js + p·b_ps)`, for `p < kc`. A packed panel pair
+    /// reads with `a_ps = tmr` and `(b_js, b_ps) = (1, tnr)`; direct
+    /// mode reads `A` with `a_ps = lda` and `B` with `(1, ldb)`
+    /// (`Trans`) or `(ldb, 1)` (`NoTrans`).
+    struct Reads<F> {
         a: *const F,
         a_ps: usize,
         b: *const F,
@@ -667,16 +677,30 @@ mod x86 {
         kc: usize,
     }
 
-    impl<F> Operands<F> {
-        /// The same reads with the element type re-stated.
-        fn cast<G>(self) -> Operands<G> {
-            Operands {
-                a: self.a.cast(),
-                a_ps: self.a_ps,
-                b: self.b.cast(),
-                b_js: self.b_js,
-                b_ps: self.b_ps,
-                kc: self.kc,
+    impl<F> Operands<'_, F> {
+        /// The reads of a `tmr × tnr` kernel; every offset they name
+        /// for `r < tmr`, `j < tnr`, `p < kc` is an element of `a` or
+        /// `b`.
+        ///
+        /// # Panics
+        /// Unless the views span exactly a `tmr × tnr` tile.
+        fn reads(self, tmr: usize, tnr: usize) -> Reads<F> {
+            let (a, b) = (self.a, self.b);
+            let (b_tnr, b_kc, b_js, b_ps) = match self.tb {
+                Trans::Trans => (b.nrows(), b.ncols(), 1, b.ld()),
+                Trans::NoTrans => (b.ncols(), b.nrows(), b.ld(), 1),
+            };
+            assert!(
+                a.nrows() == tmr && b_tnr == tnr && b_kc == a.ncols(),
+                "microkernel: operands do not span a {tmr}x{tnr} tile"
+            );
+            Reads {
+                a: a.as_ptr(),
+                a_ps: a.ld(),
+                b: b.as_ptr(),
+                b_js,
+                b_ps,
+                kc: a.ncols(),
             }
         }
     }
@@ -696,31 +720,24 @@ mod x86 {
             return false;
         }
         let wide = is_x86_feature_detected!("avx512f");
-        // The tile is the views' own extent: `a` is `tmr × kc` and
-        // `op_tb(b)` is `kc × tnr`, so every strided read names an
-        // element of one of them.
-        let (tmr, kc) = (a.nrows(), a.ncols());
-        let (tnr, b_kc, b_js, b_ps) = match tb {
-            Trans::Trans => (b.nrows(), b.ncols(), 1, b.ld()),
-            Trans::NoTrans => (b.ncols(), b.nrows(), b.ld(), 1),
+        let tmr = a.nrows();
+        let tnr = match tb {
+            Trans::NoTrans => b.ncols(),
+            Trans::Trans => b.nrows(),
         };
-        assert_eq!(b_kc, kc, "microkernel: inner extents differ");
-        let ops = Operands {
-            a: a.as_ptr(),
-            a_ps: a.ld(),
-            b: b.as_ptr(),
-            b_js,
-            b_ps,
-            kc,
-        };
+        let (am, ak, lda) = (a.nrows(), a.ncols(), a.ld());
+        let (bm, bk, ldb) = (b.nrows(), b.ncols(), b.ld());
         if TypeId::of::<T>() == TypeId::of::<f64>() {
             // Safety: `T` is exactly `f64` (TypeId match above), so the
-            // casts only re-state the element type; each arm's kernel
-            // reads the `tmr × tnr` tile it matches, which lies inside
-            // the views (see above); the features each kernel enables
-            // were just detected.
+            // views and `acc` are re-stated over the same storage and
+            // extents; each kernel checks that the views span its tile;
+            // the features each kernel enables were just detected.
             unsafe {
-                let ops = ops.cast::<f64>();
+                let ops = Operands {
+                    a: MatRef::from_raw_parts(a.as_ptr().cast::<f64>(), am, ak, lda),
+                    b: MatRef::from_raw_parts(b.as_ptr().cast::<f64>(), bm, bk, ldb),
+                    tb,
+                };
                 let acc = &mut *(acc as *mut [[T; MR_MAX]; NR_MAX]).cast::<Acc<f64>>();
                 match (tmr, tnr) {
                     (8, 4) => accumulate_f64(ops, acc),
@@ -733,7 +750,11 @@ mod x86 {
         } else if TypeId::of::<T>() == TypeId::of::<f32>() {
             // Safety: as above with `T` == `f32`.
             unsafe {
-                let ops = ops.cast::<f32>();
+                let ops = Operands {
+                    a: MatRef::from_raw_parts(a.as_ptr().cast::<f32>(), am, ak, lda),
+                    b: MatRef::from_raw_parts(b.as_ptr().cast::<f32>(), bm, bk, ldb),
+                    tb,
+                };
                 let acc = &mut *(acc as *mut [[T; MR_MAX]; NR_MAX]).cast::<Acc<f32>>();
                 match (tmr, tnr) {
                     (8, 4) => accumulate_f32(ops, acc),
@@ -751,15 +772,12 @@ mod x86 {
     /// 8×4 f64 tile: two 4-lane registers per C column, eight
     /// independent fma chains — enough to cover fma latency at two
     /// issues per cycle.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support, and `o` must name
-    /// readable elements for lanes `r < 8`, `j < 4` at every step.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn accumulate_f64(o: Operands<f64>, acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
-        // (r < 8) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
-        // of elements inside the caller's operand views; `acc` rows are
+    fn accumulate_f64(o: Operands<'_, f64>, acc: &mut Acc<f64>) {
+        let o = o.reads(8, 4);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets `r + p·a_ps` (r < 8) and `j·b_js + p·b_ps`
+        // (j < 4) for `p < kc` name elements of the views; `acc` rows are
         // MR_MAX = 16 wide, covering both 4-wide halves.
         unsafe {
             let mut c: [[__m256d; 2]; 4] = [[_mm256_setzero_pd(); 2]; 4];
@@ -785,16 +803,13 @@ mod x86 {
     /// 8×4 f32 tile: one 8-lane register per C column. Four columns give
     /// only four fma chains, so the k loop runs two steps at a time into
     /// separate partial sums (eight chains) that merge at the end.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support, and `o` must name
-    /// readable elements for lanes `r < 8`, `j < 4` at every step.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn accumulate_f32(o: Operands<f32>, acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — as `accumulate_f64`: the strided offsets
-        // for `r < 8`, `j < 4`, `p < kc` are reads inside the operand
-        // views, and each `acc` row is MR_MAX = 16 wide (≥ one 8-lane
-        // register).
+    fn accumulate_f32(o: Operands<'_, f32>, acc: &mut Acc<f32>) {
+        let o = o.reads(8, 4);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets for `r < 8`, `j < 4`, `p < kc` name
+        // elements of the views, and each `acc` row is MR_MAX = 16 wide
+        // (≥ one 8-lane register).
         unsafe {
             const TNR: usize = 4;
             let mut c0: [__m256; TNR] = [_mm256_setzero_ps(); TNR];
@@ -833,15 +848,12 @@ mod x86 {
     /// independent fma chains over a register footprint of 8 ZMM
     /// accumulators + 2 A loads + 1 broadcast — comfortably inside the
     /// 32-register AVX-512 file.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support, and `o` must name
-    /// readable elements for lanes `r < 16`, `j < 4` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f64_16x4(o: Operands<f64>, acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
-        // (r < 16) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
-        // of elements inside the caller's operand views; `acc` rows are
+    fn accumulate_f64_16x4(o: Operands<'_, f64>, acc: &mut Acc<f64>) {
+        let o = o.reads(16, 4);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets `r + p·a_ps` (r < 16) and `j·b_js + p·b_ps`
+        // (j < 4) for `p < kc` name elements of the views; `acc` rows are
         // MR_MAX = 16 wide, covering both 8-wide halves.
         unsafe {
             let mut c: [[__m512d; 2]; 4] = [[_mm512_setzero_pd(); 2]; 4];
@@ -867,15 +879,12 @@ mod x86 {
     /// 8×8 f64 tile: one 8-lane ZMM register per C column, eight
     /// independent fma chains. Narrower A panel than 16×4 — wins when
     /// `m` tails would leave half a 16-row panel padded.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support, and `o` must name
-    /// readable elements for lanes `r < 8`, `j < 8` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f64_8x8(o: Operands<f64>, acc: &mut Acc<f64>) {
-        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
-        // (r < 8) and `j·b_js + p·b_ps` (j < 8) for `p < kc` are reads
-        // of elements inside the caller's operand views; `acc` rows are
+    fn accumulate_f64_8x8(o: Operands<'_, f64>, acc: &mut Acc<f64>) {
+        let o = o.reads(8, 8);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets `r + p·a_ps` (r < 8) and `j·b_js + p·b_ps`
+        // (j < 8) for `p < kc` name elements of the views; `acc` rows are
         // MR_MAX = 16 wide (≥ one 8-lane register).
         unsafe {
             let mut c: [__m512d; 8] = [_mm512_setzero_pd(); 8];
@@ -896,15 +905,12 @@ mod x86 {
 
     /// 16×8 f32 tile: one 16-lane ZMM register per C column, eight
     /// independent fma chains.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support, and `o` must name
-    /// readable elements for lanes `r < 16`, `j < 8` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f32_16x8(o: Operands<f32>, acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
-        // (r < 16) and `j·b_js + p·b_ps` (j < 8) for `p < kc` are reads
-        // of elements inside the caller's operand views; `acc` rows are
+    fn accumulate_f32_16x8(o: Operands<'_, f32>, acc: &mut Acc<f32>) {
+        let o = o.reads(16, 8);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets `r + p·a_ps` (r < 16) and `j·b_js + p·b_ps`
+        // (j < 8) for `p < kc` name elements of the views; `acc` rows are
         // MR_MAX = 16 wide (exactly one 16-lane register).
         unsafe {
             let mut c: [__m512; 8] = [_mm512_setzero_ps(); 8];
@@ -927,15 +933,12 @@ mod x86 {
     /// columns give only four fma chains, so the k loop runs two steps
     /// at a time into separate partial sums (eight chains) that merge
     /// at the end — same schedule as the AVX2 8×4 f32 kernel.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support, and `o` must name
-    /// readable elements for lanes `r < 16`, `j < 4` at every step.
     #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_f32_16x4(o: Operands<f32>, acc: &mut Acc<f32>) {
-        // SAFETY: fn contract — the strided offsets `r + p·a_ps`
-        // (r < 16) and `j·b_js + p·b_ps` (j < 4) for `p < kc` are reads
-        // of elements inside the caller's operand views; `acc` rows are
+    fn accumulate_f32_16x4(o: Operands<'_, f32>, acc: &mut Acc<f32>) {
+        let o = o.reads(16, 4);
+        // SAFETY: `reads` checked that the views span exactly this tile,
+        // so the strided offsets `r + p·a_ps` (r < 16) and `j·b_js + p·b_ps`
+        // (j < 4) for `p < kc` name elements of the views; `acc` rows are
         // MR_MAX = 16 wide (exactly one 16-lane register).
         unsafe {
             const TNR: usize = 4;
@@ -2014,8 +2017,8 @@ mod tests {
         run::<f32>(1e-3);
     }
 
-    /// Direct mode against the packed path it replaces, bit for bit:
-    /// every scheme the sweep above covers, `m`/`n` on and past the tile
+    /// Direct mode against the packed path it replaces, bit for bit (a
+    /// NaN as a class): every scheme the sweep above covers, `m`/`n` on and past the tile
     /// edges (ragged tails shift back inside `C`), `k` on both sides of
     /// the `kc` gate edge, α/β over {1, −1, 0.5, 0}, padded leading
     /// dimensions, and operands holding −0.0, NaN and ±Inf.
@@ -2036,7 +2039,22 @@ mod tests {
                 }
                 v.into_iter().map(T::from_f64).collect()
             };
-            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            // Rust leaves the sign and payload of an arithmetic NaN
+            // unspecified, and release codegen of the portable tile
+            // does produce different ones, so a NaN compares as a class;
+            // every other value, signed zeros included, by its bits.
+            let bits = |v: &[T]| {
+                v.iter()
+                    .map(|x| {
+                        let x = x.to_f64();
+                        if x.is_nan() {
+                            u64::MAX
+                        } else {
+                            x.to_bits()
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            };
             let mut direct = 0;
             let mut case = 0;
             for &(mr, nr) in &[(8usize, 4usize), (16, 4), (8, 8), (16, 8), (4, 2)] {

@@ -8,7 +8,10 @@
 //!   ([`MatRef`], [`MatMut`]),
 //! * level-3 BLAS kernels ([`gemm`], [`syrk`], [`trsm`], [`trmm`]),
 //! * unblocked and blocked one-sided factorizations ([`potf2`],
-//!   [`potrf_blocked`], [`getf2`], [`getrf`], [`geqr2`], [`geqrf`]),
+//!   [`potrf_blocked`], [`getf2`], [`getrf`], [`geqr2`], [`geqrf`]);
+//!   on an AVX-512F host the `f64` [`getf2`] is a left-looking (Crout)
+//!   panel in registers, bit for bit the right-looking loop
+//!   ([`getf2_right_looking`]) every other precision and host runs,
 //! * triangular inversion ([`trtri`]) used by the vbatched `trsm` design —
 //!   like [`trmm`] and [`trsm`], recursive, with the off-diagonal block
 //!   cast to [`gemm`],
@@ -28,11 +31,12 @@
 //!
 //! `unsafe` code is confined to the raw-view constructors in [`matrix`]
 //! (which carry the CUDA-like contract that concurrently executing
-//! thread blocks touch disjoint elements) and the AVX2 paths in
-//! [`level3`] and [`interleave`]; every unsafe operation sits in an
-//! explicit block behind its own `SAFETY:` comment (enforced by
-//! `unsafe_op_in_unsafe_fn` below plus the workspace `vbatch-analyze`
-//! pass and its `analyze.toml` budget).
+//! thread blocks touch disjoint elements) and the SIMD paths in
+//! [`level3`], [`interleave`] and the LU panel, where it covers pointer
+//! loads and stores and the dispatch to `#[target_feature]` code. Every
+//! unsafe operation sits in an explicit block behind its own `SAFETY:`
+//! comment (enforced by `unsafe_op_in_unsafe_fn` below plus the
+//! workspace `vbatch-analyze` pass and its `analyze.toml` budget).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod error;
@@ -44,6 +48,8 @@ pub mod naive;
 pub mod scalar;
 pub mod verify;
 
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod crout;
 mod factor;
 /// Level-3 kernels and the two-tier engine internals ([`level3::tier`],
 /// [`level3::uses_blocked`], tiling constants) for tests and benches.
@@ -52,8 +58,8 @@ pub mod tune;
 
 pub use error::{Error, Result};
 pub use factor::{
-    geqr2, geqrf, getf2, getrf, getrs, larf_left, larfb_left_t, larft, laswp, lauum, potf2,
-    potrf_blocked, potri, potrs, trtri,
+    geqr2, geqrf, getf2, getf2_right_looking, getrf, getrs, larf_left, larfb_left_t, larft, laswp,
+    lauum, potf2, potrf_blocked, potri, potrs, trtri,
 };
 pub use level3::{gemm, syrk, trmm, trsm};
 pub use matrix::{Diag, MatMut, MatRef, Side, Trans, Uplo};
