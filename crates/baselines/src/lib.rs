@@ -16,6 +16,9 @@
 //!   every matrix to the batch maximum, including its out-of-memory
 //!   failure mode.
 
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod cpu_model;
 pub mod cpu_real;
 pub mod hybrid;

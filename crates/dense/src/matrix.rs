@@ -81,8 +81,10 @@ impl<T> Clone for MatRef<'_, T> {
 impl<T> Copy for MatRef<'_, T> {}
 
 // SAFETY: a MatRef only permits reads, and the lifetime ties it to storage
-// that outlives it; sharing reads across threads is sound for T: Sync.
+// that outlives it; moving a reader to another thread is sound for T: Sync.
 unsafe impl<T: Sync> Send for MatRef<'_, T> {}
+// SAFETY: a shared MatRef hands out only reads of `T`, which T: Sync
+// makes safe from many threads at once.
 unsafe impl<T: Sync> Sync for MatRef<'_, T> {}
 
 impl<'a, T> MatRef<'a, T> {
@@ -242,6 +244,8 @@ pub struct MatMut<'a, T> {
 // point of block-parallel kernels, under the documented disjointness
 // contract.
 unsafe impl<T: Send> Send for MatMut<'_, T> {}
+// SAFETY: a shared `&MatMut` hands out only reads of `T` (mutation
+// needs &mut self), which T: Sync makes safe from many threads.
 unsafe impl<T: Sync> Sync for MatMut<'_, T> {}
 
 impl<'a, T> MatMut<'a, T> {

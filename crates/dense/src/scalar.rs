@@ -322,6 +322,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a fresh thread starts with an empty scratch stack"
+    )]
     fn reserved_scratch_serves_nested_calls_without_growing() {
         // A fresh thread, so the stack starts empty.
         std::thread::spawn(|| {

@@ -47,6 +47,8 @@
 //! assert_eq!(buf.read_to_host()[0], 2.0);
 //! ```
 
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // Every unsafe operation (DeviceBuffer casts, Send/Sync assertions,
 // fault-injection pokes, the worker pool's job hand-off) must sit in an
 // explicit block with its own SAFETY comment — checked by

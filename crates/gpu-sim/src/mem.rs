@@ -182,9 +182,11 @@ struct Storage<T> {
     len: usize,
 }
 
-// SAFETY: `Storage` is plain owned memory behind a raw pointer; access
-// is through raw pointers under the kernel disjointness contract.
+// SAFETY: `Storage` is plain owned memory behind a raw pointer; moving
+// it to another thread moves ownership of its `T`s, sound for T: Send.
 unsafe impl<T: Send> Send for Storage<T> {}
+// SAFETY: a shared `Storage` is accessed only through raw pointers
+// under the kernel disjointness contract, sound for T: Sync.
 unsafe impl<T: Sync> Sync for Storage<T> {}
 
 impl<T> Drop for Storage<T> {
@@ -369,6 +371,8 @@ impl<T> std::fmt::Debug for DevicePtr<T> {
 // must touch disjoint elements; the simulator's kernels uphold this
 // the same way real kernels do.
 unsafe impl<T: Send> Send for DevicePtr<T> {}
+// SAFETY: a shared `DevicePtr` is the same device address seen by many
+// blocks; under the same disjointness contract no two touch one element.
 unsafe impl<T: Sync> Sync for DevicePtr<T> {}
 
 impl<T> Default for DevicePtr<T> {
@@ -659,6 +663,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the two copiers are real threads by purpose"
+    )]
     fn two_threads_copy_into_distinct_buffers_at_once() {
         let t = MemoryTracker::new(1 << 30);
         let len = 3 * at_split::<f64>() + 5;

@@ -48,6 +48,8 @@ pub struct ProfileEntry {
     pub time_s: f64,
     /// Total useful flops.
     pub flops_useful: f64,
+    /// Total global-memory traffic, bytes.
+    pub gmem_bytes: f64,
     /// Total blocks dispatched.
     pub blocks: u64,
     /// Total blocks that early-exited.
@@ -58,8 +60,8 @@ pub struct ProfileEntry {
 /// are `&'static str`, so the steady-state record path allocates only
 /// the first time a name is seen (the map node itself). A `BTreeMap`
 /// keeps iteration (and thus every sum derived from it) in name order,
-/// independent of insertion history — the determinism lint (VBA201)
-/// bans unordered maps on this path.
+/// independent of insertion history — `clippy.toml` bans unordered
+/// maps in the workspace.
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     entries: BTreeMap<&'static str, ProfileEntry>,
@@ -72,6 +74,7 @@ impl Profiler {
         e.launches += 1;
         e.time_s += timing.total_s;
         e.flops_useful += timing.flops_useful;
+        e.gmem_bytes += timing.gmem_bytes;
         e.blocks += timing.blocks;
         e.early_exit_blocks += timing.early_exit_blocks;
     }

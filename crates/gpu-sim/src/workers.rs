@@ -2,9 +2,9 @@
 //! launch executor.
 //!
 //! This is the *only* place in the workspace allowed to spawn threads
-//! (enforced by `vbatch-analyze` rule VBA202, which also walks
-//! `shims/*/src`): all host-side parallelism goes through this one
-//! module so thread count, dispatch order and scratch ownership stay
+//! (enforced by clippy's `disallowed_methods`, configured in the root
+//! `clippy.toml`, with one `#[allow]` here): all host-side parallelism
+//! goes through this one module so thread count, dispatch order and scratch ownership stay
 //! auditable. Its callers use it directly: a `HostEngine` owns a
 //! [`WorkerPool`] of its own, and the process-wide [`executor`] runs
 //! every `Device::launch`, the large host↔device copies and the dynamic
@@ -169,6 +169,11 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the audited worker pool: every host lane and launch-executor \
+                      worker starts here"
+        )]
         let handles = (0..threads - 1)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -428,6 +433,8 @@ mod tests {
                 // A write pointer must come from the `&mut` chunk (Miri).
                 guard[w].as_mut_ptr() as usize
             };
+            // SAFETY: the pointer comes from lane `w`'s own `&mut` chunk of
+            // 17 elements, which no other lane touches.
             let s = unsafe { std::slice::from_raw_parts_mut(ptr as *mut usize, 17) };
             for (i, v) in s.iter_mut().enumerate() {
                 *v = w * 1000 + i;
@@ -495,6 +502,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the two launchers are real threads by purpose"
+    )]
     fn concurrent_launchers_never_wait_for_each_other() {
         let pool = WorkerPool::new(2);
         let gate = std::sync::Barrier::new(2);

@@ -6,6 +6,10 @@
 //! and energy of a fixed launch sequence are one bit pattern whatever
 //! the lane count (CI runs this file at `VBATCH_THREADS=1` and `=4`;
 //! the lane count is resolved once per process).
+#![allow(
+    clippy::disallowed_methods,
+    reason = "concurrent launchers are real threads by purpose"
+)]
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Barrier;

@@ -1,7 +1,7 @@
 //! A purpose-built token scanner for the analysis pass.
 //!
 //! The build container has no crates.io access, so `syn`/`proc-macro2`
-//! are unavailable; the four repo lints only need token streams with
+//! are unavailable; the repo lints only need token streams with
 //! comment and line information — not a full AST — and a scanner that
 //! understands Rust's lexical grammar (nested block comments, raw
 //! strings, char literals vs. lifetimes) is enough to implement them
@@ -76,8 +76,8 @@ impl Scan {
 }
 
 /// Scans `src` into tokens and comments. Unterminated constructs are
-/// tolerated (consumed to end of input) — the pass must not panic on
-/// malformed fixtures.
+/// tolerated (consumed to end of input) and a non-ASCII character is
+/// stepped over whole — the pass must not panic on any input.
 #[must_use]
 pub fn scan(src: &str) -> Scan {
     let b = src.as_bytes();
@@ -253,8 +253,8 @@ pub fn scan(src: &str) -> Scan {
                         }
                         i += 1;
                     } else {
-                        // `'(' ` etc.
-                        i += 1;
+                        // `'(' `, `'é'` etc.
+                        i += utf8_len(b.get(i).copied().unwrap_or(0));
                         if i < b.len() && b[i] == b'\'' {
                             i += 1;
                         }
@@ -296,17 +296,29 @@ pub fn scan(src: &str) -> Scan {
                 mark_code(&mut out, line);
             }
             _ => {
+                let end = (i + utf8_len(c)).min(b.len());
                 out.tokens.push(Token {
                     kind: TokKind::Punct,
-                    text: (c as char).to_string(),
+                    text: String::from_utf8_lossy(&b[i..end]).into_owned(),
                     line,
                 });
                 mark_code(&mut out, line);
-                i += 1;
+                i = end;
             }
         }
     }
     out
+}
+
+/// Byte length of the UTF-8 character whose first byte is `lead` (1 for
+/// ASCII and for a stray continuation byte).
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0xF0.. => 4,
+        0xE0.. => 3,
+        0xC0.. => 2,
+        _ => 1,
+    }
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -419,7 +431,7 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let s = scan("fn f<'a>(x: &'a u8) { let c = 'x'; let d = '\\n'; }");
+        let s = scan("fn f<'a>(x: &'a u8) { let c = 'x'; let d = '\\n'; let e = 'é'; }");
         let lt: Vec<_> = s
             .tokens
             .iter()
@@ -431,7 +443,8 @@ mod tests {
             .iter()
             .filter(|t| t.kind == TokKind::Char)
             .collect();
-        assert_eq!(ch.len(), 2);
+        assert_eq!(ch.len(), 3);
+        assert_eq!(ch[2].text, "'é'");
     }
 
     #[test]

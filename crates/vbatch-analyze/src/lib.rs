@@ -1,46 +1,38 @@
-//! Repo-specific static analysis for the vbatch workspace.
+//! Repo-specific static analysis for the vbatch workspace: the checks
+//! that need the source text and that neither rustc, clippy nor the
+//! test suite can see.
 //!
-//! `cargo run -p vbatch-analyze -- check` (or `cargo analyze`) runs in
-//! two phases. Phase 1 walks every `crates/*/src/**/*.rs` and
-//! `shims/*/src/**/*.rs` file plus the crate `tests/`/`benches/` trees
-//! and the root `tests/` suite, runs
-//! the per-file token lints in [`lints`], and builds the cross-crate
-//! [`index`] (function spans, launch sites with statically resolved
-//! kernel names, `unsafe impl Send/Sync` wrappers, pool `take` sites,
-//! fault matchers). Phase 2 ([`passes`]) runs graph and dataflow lints
-//! over that index: concurrency (VBA401), launch-graph (VBA5xx) and
-//! pool-lifecycle (VBA6xx). Per-crate `unsafe` counts are checked
-//! against the budgets in `analyze.toml` both ways (over budget is an
-//! error, slack is a warning). The run prints human-readable
-//! diagnostics and writes the machine-readable `ANALYZE.json`
-//! ([`report`]), whose `graph` section mirrors the index so CI can
-//! diff kernel-registry drift. See DESIGN.md §6k for the lint catalog
-//! and the allowlist convention.
+//! `cargo run -p vbatch-analyze -- check` (or `cargo analyze`) walks
+//! every `crates/*/src/**/*.rs` and `shims/*/src/**/*.rs` file, runs
+//! the token lints in [`lints`] (kernel purity, kernel-name interning,
+//! the `Send`/`Sync` audit naming, copy-paste double charges, waiver
+//! hygiene) and checks each crate's `unsafe` count against its budget
+//! in `analyze.toml` both ways (over budget is an error, slack is a
+//! warning). The run prints human-readable diagnostics and writes the
+//! machine-readable `ANALYZE.json` ([`report`]). DESIGN.md §6f says
+//! which tool checks which invariant.
 
-pub mod config;
-pub mod index;
-pub mod lex;
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+mod config;
+mod lex;
 pub mod lints;
-pub mod passes;
 pub mod report;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use index::{Index, NameRes};
-use lints::{codes, FileCtx, Finding, Severity, UnsafeCounts};
-use report::{
-    CrateStats, GraphLaunchSite, GraphMatcher, GraphSection, GraphTake, GraphWrapper, Report,
-};
+use lints::{codes, Finding, Severity, UnsafeCounts};
+use report::{CrateStats, Report};
 
 /// One source file queued for analysis.
-#[derive(Debug)]
-pub struct SourceFile {
+struct SourceFile {
     /// Workspace-relative path with `/` separators.
-    pub rel: String,
-    /// Crate directory name, or empty for the root `tests/` tree.
-    pub crate_name: String,
-    pub src: String,
+    rel: String,
+    /// Crate directory name.
+    crate_name: String,
+    src: String,
 }
 
 /// Runs the full pass over the workspace at `root`.
@@ -58,25 +50,14 @@ pub fn run_check(root: &Path) -> Result<Report, String> {
     Ok(analyze_files(&files, &cfg))
 }
 
-/// Gathers every analyzable `.rs` file under `root`: `crates/*/src`
-/// and `shims/*/src` (production, subject to all lints and the unsafe
-/// census — vendored code gets no pass on `unsafe` or thread
-/// creation), `crates/*/tests`,
-/// `crates/*/benches` and the root `tests/` tree (test context: indexed
-/// by phase 2, exempt from token lints).
-///
-/// # Errors
-/// Returns `Err` when a directory or file cannot be read.
-pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
+/// Gathers every `.rs` file under `crates/*/src` and `shims/*/src`
+/// (vendored code gets no pass on `unsafe`). Test trees are not walked:
+/// nothing the pass checks applies to them.
+fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
-    // (directory of crates, trees walked in each, must exist):
     // `crates/` marks the workspace root; a tree without vendored shims
     // is fine.
-    let groups: [(&str, &[&str], bool); 2] = [
-        ("crates", &["src", "tests", "benches"], true),
-        ("shims", &["src"], false),
-    ];
-    for (group, subs, required) in groups {
+    for (group, required) in [("crates", true), ("shims", false)] {
         if !required && !root.join(group).is_dir() {
             continue;
         }
@@ -84,7 +65,7 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
             .map_err(|e| format!("cannot read {}/{group}: {e}", root.display()))?
             .filter_map(Result::ok)
             .map(|e| e.path())
-            .filter(|p| p.is_dir())
+            .filter(|p| p.join("src").is_dir())
             .collect();
         crate_dirs.sort();
         for dir in crate_dirs {
@@ -93,183 +74,74 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
                 .and_then(|n| n.to_str())
                 .unwrap_or_default()
                 .to_string();
-            for sub in subs {
-                let d = dir.join(sub);
-                if !d.is_dir() {
-                    continue;
-                }
-                let mut files = Vec::new();
-                collect_rs(&d, &mut files)?;
-                files.sort();
-                for f in files {
-                    let rel = rel_path(root, &f);
-                    // Fixture trees are lint-input *data* (deliberately
-                    // broken code), not workspace source.
-                    if rel.contains("/fixtures/") {
-                        continue;
-                    }
-                    out.push(SourceFile {
-                        rel,
-                        crate_name: crate_name.clone(),
-                        src: std::fs::read_to_string(&f)
-                            .map_err(|e| format!("cannot read {}: {e}", f.display()))?,
-                    });
-                }
+            let mut files = Vec::new();
+            collect_rs(&dir.join("src"), &mut files)?;
+            files.sort();
+            for f in files {
+                out.push(SourceFile {
+                    rel: rel_path(root, &f),
+                    crate_name: crate_name.clone(),
+                    src: std::fs::read_to_string(&f)
+                        .map_err(|e| format!("cannot read {}: {e}", f.display()))?,
+                });
             }
-        }
-    }
-    let root_tests = root.join("tests");
-    if root_tests.is_dir() {
-        let mut files = Vec::new();
-        collect_rs(&root_tests, &mut files)?;
-        files.sort();
-        for f in files {
-            out.push(SourceFile {
-                rel: rel_path(root, &f),
-                crate_name: String::new(),
-                src: std::fs::read_to_string(&f)
-                    .map_err(|e| format!("cannot read {}: {e}", f.display()))?,
-            });
         }
     }
     Ok(out)
 }
 
-/// Runs both analysis phases over an in-memory file set. This is the
-/// whole analyzer minus the filesystem walk, so fixture tests can feed
-/// it synthetic trees.
-#[must_use]
-pub fn analyze_files(files: &[SourceFile], cfg: &config::Config) -> Report {
-    let scans: Vec<lex::Scan> = files.iter().map(|f| lex::scan(&f.src)).collect();
-    let ctxs: Vec<FileCtx<'_>> = files
-        .iter()
-        .zip(&scans)
-        .map(|(f, s)| FileCtx::new(&f.rel, s))
-        .collect();
-
+/// Runs the token lints and the budget check over the gathered files.
+fn analyze_files(files: &[SourceFile], cfg: &config::Config) -> Report {
     let mut rep = Report {
         files_scanned: files.len() as u32,
         ..Report::default()
     };
-
-    // Phase 1: per-file token lints + the unsafe census. Test-context
-    // files contribute findings (VBA901 waiver hygiene) but their
-    // counts are zero by construction, and only `src/` files feed the
-    // per-crate budgets.
     let mut crate_counts: BTreeMap<String, UnsafeCounts> = BTreeMap::new();
-    for (f, ctx) in files.iter().zip(&ctxs) {
-        let file_rep = lints::lint_file(ctx);
-        if !f.crate_name.is_empty() && f.rel.contains("/src/") {
-            let c = crate_counts.entry(f.crate_name.clone()).or_default();
-            c.blocks += file_rep.counts.blocks;
-            c.fns += file_rep.counts.fns;
-            c.impls += file_rep.counts.impls;
-            c.safety_comments += file_rep.counts.safety_comments;
-        }
+    for f in files {
+        let file_rep = lints::analyze_source(&f.rel, &f.src);
+        let c = crate_counts.entry(f.crate_name.clone()).or_default();
+        c.blocks += file_rep.counts.blocks;
+        c.fns += file_rep.counts.fns;
+        c.impls += file_rep.counts.impls;
         rep.findings.extend(file_rep.findings);
     }
     for (crate_name, counts) in crate_counts {
         let budget = cfg.budget_for(&crate_name);
-        if counts.total() > budget {
+        let (code, severity, advice) = if counts.total() > budget {
+            (
+                codes::UNSAFE_OVER_BUDGET,
+                Severity::Error,
+                "if the new unsafe is justified, raise the budget in analyze.toml \
+                 in the same change that adds it",
+            )
+        } else {
+            (
+                codes::BUDGET_SLACK,
+                Severity::Warning,
+                "ratchet the budget down to the actual count so new unsafe \
+                 cannot slip in under stale headroom",
+            )
+        };
+        if counts.total() != budget {
             rep.findings.push(Finding {
-                code: codes::UNSAFE_OVER_BUDGET,
+                code,
                 lint: "unsafe-audit",
                 file: "analyze.toml".to_string(),
                 line: 1,
                 message: format!(
                     "crate `{crate_name}` has {} unsafe occurrences but a budget of \
-                     {budget}; if the new unsafe is justified, raise the budget in \
-                     analyze.toml in the same change that adds it",
+                     {budget}; {advice}",
                     counts.total()
                 ),
                 allowed: None,
-                severity: Severity::Error,
-            });
-        } else if counts.total() < budget {
-            rep.findings.push(Finding {
-                code: codes::BUDGET_SLACK,
-                lint: "unsafe-audit",
-                file: "analyze.toml".to_string(),
-                line: 1,
-                message: format!(
-                    "crate `{crate_name}` has {} unsafe occurrences but a budget of \
-                     {budget}; ratchet the budget down to the actual count so new \
-                     unsafe cannot slip in under stale headroom",
-                    counts.total()
-                ),
-                allowed: None,
-                severity: Severity::Warning,
+                severity,
             });
         }
         rep.crates.insert(crate_name, CrateStats { counts, budget });
     }
-
-    // Phase 2: the cross-crate index and the graph/dataflow passes.
-    let idx = Index::build(&ctxs);
-    passes::run(&idx, &mut rep.findings);
-    rep.graph = Some(build_graph(&idx));
-
     rep.findings
         .sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));
     rep
-}
-
-/// Flattens the phase-1 index into the report's `graph` section.
-fn build_graph(idx: &Index<'_>) -> GraphSection {
-    let mut g = GraphSection {
-        kernels: idx.kernels.iter().cloned().collect(),
-        test_kernels: idx.test_kernels.iter().cloned().collect(),
-        ..GraphSection::default()
-    };
-    for f in &idx.files {
-        let file = f.ctx.path.to_string();
-        for site in &f.launches {
-            let (kernels, resolved) = match &site.resolution {
-                NameRes::Resolved(names) => (names.clone(), true),
-                NameRes::Unresolved(_) => (Vec::new(), false),
-            };
-            g.launch_sites.push(GraphLaunchSite {
-                file: file.clone(),
-                line: site.line,
-                func: site
-                    .fn_idx
-                    .map(|i| f.fns[i].name.clone())
-                    .unwrap_or_default(),
-                kernels,
-                resolved,
-                test: site.is_test,
-                charges: site.charges.len() as u32,
-            });
-        }
-        for w in &f.unsafe_impls {
-            g.unsafe_wrappers.push(GraphWrapper {
-                file: file.clone(),
-                line: w.line,
-                trait_name: w.trait_name.clone(),
-                type_name: w.type_name.clone(),
-            });
-        }
-        for t in &f.takes {
-            g.pool_takes.push(GraphTake {
-                file: file.clone(),
-                line: t.line,
-                binding: t.binding.clone(),
-                meta: t.meta_like,
-                escapes: t.escapes,
-                rewritten: t.rewritten,
-            });
-        }
-        for m in &f.matchers {
-            g.fault_matchers.push(GraphMatcher {
-                file: file.clone(),
-                line: m.line,
-                substring: m.substring.clone(),
-                test: m.is_test,
-                matched: m.substring.is_empty() || idx.any_kernel_contains(&m.substring),
-            });
-        }
-    }
-    g
 }
 
 /// Workspace-relative path with `/` separators.

@@ -70,22 +70,9 @@ fn main() -> ExitCode {
     }
     for (name, st) in &rep.crates {
         println!(
-            "crate {name}: unsafe {} (budget {}), SAFETY comments {}",
+            "crate {name}: unsafe {} (budget {})",
             st.counts.total(),
-            st.budget,
-            st.counts.safety_comments
-        );
-    }
-    if let Some(g) = &rep.graph {
-        println!(
-            "graph: {} kernels ({} test-only), {} launch sites, {} wrappers, \
-             {} pool takes, {} fault matchers",
-            g.kernels.len(),
-            g.test_kernels.len(),
-            g.launch_sites.len(),
-            g.unsafe_wrappers.len(),
-            g.pool_takes.len(),
-            g.fault_matchers.len()
+            st.budget
         );
     }
     println!(

@@ -1,7 +1,5 @@
-//! Fixture: passes all four lints.
-//! Never compiled — consumed as text by the analyzer's tests; analyzed
-//! under a virtual `crates/gpu-sim/src/` path to prove the determinism
-//! lint stays quiet on conforming code.
+//! Fixture: passes every lint, with one audited `unsafe` block.
+//! Never compiled — consumed as text by the analyzer's tests.
 
 use std::collections::BTreeMap;
 

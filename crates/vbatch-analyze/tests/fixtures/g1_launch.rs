@@ -1,18 +1,13 @@
-//! Fixture: fails the VBA5xx launch-graph passes.
+//! Fixture: fails the VBA504 double-charge lint once.
 //! Never compiled — consumed as text by the analyzer's tests.
 
 pub fn driver(dev: &Device, cfg: LaunchConfig) {
     dev.launch(kname::<f64>("fixture_ok"), cfg, move |ctx| {
         ctx.gmem_read(8);
         ctx.gmem_read(8);
-    });
-    let plan = FaultPlan::default().transient_launch("missing_kernel", 1, 1);
-    let _ = plan;
-}
-
-fn orphan(dev: &Device, cfg: LaunchConfig) {
-    let name = runtime_name();
-    dev.launch(name, cfg, move |ctx| {
-        let _ = ctx;
+        if ctx.block_idx().x == 0 {
+            ctx.gmem_read(8);
+        }
+        ctx.gmem_read(16);
     });
 }

@@ -13,16 +13,6 @@ use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, MemoryPool};
 
 use crate::report::VbatchError;
 
-/// The metadata buffers of one batch: rows, cols, leading dimensions,
-/// `info`, and the pointer array.
-type MetaBuffers<T> = (
-    DeviceBuffer<i32>,
-    DeviceBuffer<i32>,
-    DeviceBuffer<i32>,
-    DeviceBuffer<i32>,
-    DeviceBuffer<DevicePtr<T>>,
-);
-
 /// The pool bundle a pooled batch draws from — one per device on the
 /// sharded path ([`crate::shard`]): element storage, `i32` metadata
 /// (sizes, leading dimensions, `info`) and pointer arrays each recycle
@@ -188,10 +178,10 @@ impl<T: Scalar> VBatch<T> {
         let count = sizes.len();
         let mut storage: Vec<DeviceBuffer<T>> = Vec::with_capacity(count);
         let mut ptrs = Vec::with_capacity(count);
-        let build = |storage: &mut Vec<DeviceBuffer<T>>,
-                     ptrs: &mut Vec<DevicePtr<T>>,
-                     pools: &mut BatchPools<T>|
-         -> Result<MetaBuffers<T>, VbatchError> {
+        // rows, cols, ld and info stay here until every take succeeded,
+        // so a failure can return each buffer taken before it.
+        let mut meta: [Option<DeviceBuffer<i32>>; 4] = Default::default();
+        let mut take_all = || -> Result<DeviceBuffer<DevicePtr<T>>, VbatchError> {
             for &n in sizes {
                 let elems = extent(n, n, n);
                 let buf = pools.mats.take(dev, elems)?;
@@ -199,48 +189,48 @@ impl<T: Scalar> VBatch<T> {
                 ptrs.push(buf.ptr().truncate(elems));
                 storage.push(buf);
             }
-            let d_rows = pools.meta.take(dev, count)?;
-            let d_cols = pools.meta.take(dev, count)?;
-            let d_ld = pools.meta.take(dev, count)?;
-            let d_info = pools.meta.take(dev, count)?;
-            let d_ptrs = pools.ptrs.take(dev, count)?;
-            Ok((d_rows, d_cols, d_ld, d_info, d_ptrs))
-        };
-        match build(&mut storage, &mut ptrs, pools) {
-            Ok((d_rows, d_cols, d_ld, d_info, d_ptrs)) => {
-                let ns: Vec<i32> = sizes.iter().map(|&n| n as i32).collect();
-                d_rows.fill_from_host(&ns);
-                d_cols.fill_from_host(&ns);
-                d_ld.fill_from_host(&ns);
-                d_ptrs.fill_from_host(&ptrs);
-                // A pooled info buffer carries the previous tenant's
-                // statuses; rewrite it like every other metadata array
-                // so pooled batches start from the fresh-path zero
-                // state regardless of what shapes came before them.
-                let pi = d_info.ptr();
-                for i in 0..count {
-                    pi.set(i, 0);
-                }
-                Ok(Self {
-                    count,
-                    d_rows,
-                    d_cols,
-                    d_ld,
-                    d_ptrs,
-                    d_info,
-                    storage,
-                    rows: sizes.to_vec(),
-                    cols: sizes.to_vec(),
-                    ld: sizes.to_vec(),
-                })
+            for slot in &mut meta {
+                *slot = Some(pools.meta.take(dev, count)?);
             }
+            Ok(pools.ptrs.take(dev, count)?)
+        };
+        let d_ptrs = match take_all() {
+            Ok(d_ptrs) => d_ptrs,
             Err(e) => {
                 for buf in storage {
                     pools.mats.reclaim(buf);
                 }
-                Err(e)
+                for buf in meta.into_iter().flatten() {
+                    pools.meta.reclaim(buf);
+                }
+                return Err(e);
             }
-        }
+        };
+        let [Some(d_rows), Some(d_cols), Some(d_ld), Some(d_info)] = meta else {
+            unreachable!("every metadata take precedes the pointer-array take");
+        };
+        let ns: Vec<i32> = sizes.iter().map(|&n| n as i32).collect();
+        d_rows.fill_from_host(&ns);
+        d_cols.fill_from_host(&ns);
+        d_ld.fill_from_host(&ns);
+        d_ptrs.fill_from_host(&ptrs);
+        let batch = Self {
+            count,
+            d_rows,
+            d_cols,
+            d_ld,
+            d_ptrs,
+            d_info,
+            storage,
+            rows: sizes.to_vec(),
+            cols: sizes.to_vec(),
+            ld: sizes.to_vec(),
+        };
+        // A pooled info buffer carries the previous tenant's statuses;
+        // pooled batches start from the fresh-path zero state whatever
+        // shapes came before them.
+        batch.reset_info();
+        Ok(batch)
     }
 
     /// Retires the batch into `pools`: every buffer moves to a free
@@ -591,6 +581,19 @@ mod tests {
         );
         b.reclaim(&mut pools);
         pools.trim();
+    }
+
+    #[test]
+    fn pooled_oom_returns_every_buffer_taken() {
+        use vbatch_gpu_sim::FaultPlan;
+        let d = dev();
+        let mut pools = BatchPools::<f64>::new();
+        // Takes 0 and 1 are the two matrices, 2 is `rows`; 3 fails.
+        d.install_fault_plan(FaultPlan::new().oom_at_alloc(3));
+        assert!(VBatch::<f64>::alloc_square_pooled(&d, &[4, 4], &mut pools).is_err());
+        assert_eq!(pools.mats.outstanding_bytes(), 0);
+        assert_eq!(pools.meta.outstanding_bytes(), 0);
+        assert_eq!(pools.ptrs.outstanding_bytes(), 0);
     }
 
     #[test]

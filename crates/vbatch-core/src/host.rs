@@ -409,8 +409,8 @@ pub fn getrf_batch_host<T: Scalar>(
 
 /// Calibratable host cost + power model, used by the hybrid scheduler
 /// to place and clock host work. Plain numbers only — the model is what
-/// keeps cooperative scheduling deterministic (rule VBA201: no
-/// wall-clock reads inside `vbatch-core`); the bench crate measures
+/// keeps cooperative scheduling deterministic (`clippy.toml` bans
+/// wall-clock reads); the bench crate measures
 /// real Gflop/s and feeds them in.
 #[derive(Clone, Copy, Debug)]
 pub struct HostCostModel {

@@ -44,6 +44,9 @@
 //! assert!(report.all_ok());
 //! ```
 
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod aux;
 pub mod batch;
 pub mod driver;

@@ -31,7 +31,7 @@
 //! window-splitting ladder relies on), so neither shard membership nor
 //! work-stealing can perturb a single bit. Scheduling decisions key on
 //! simulated time and plain ordered containers — no host clocks, no
-//! hashing (the VBA201 determinism lint covers this module).
+//! hashing (`clippy.toml` bans both).
 //!
 //! Heterogeneous groups are supported (devices may differ in clock or
 //! SM count), with one caveat for the *fused* strategy: feasibility and
@@ -828,7 +828,7 @@ fn run_potrf_shard<T: Scalar>(
 /// like a device, factorizing its shards *in place* on the caller's
 /// matrices (no PCIe phases) while its event-loop clock advances by
 /// `host_model` charges (plain numbers: placement stays deterministic
-/// and the VBA201 no-wall-clock rule holds).
+/// and no wall clock is read).
 ///
 /// Factors and `info` are bit-identical to [`potrf_sharded`] and to a
 /// host-only run of the same workload: [`normalized_options`] pins

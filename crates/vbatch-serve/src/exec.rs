@@ -16,7 +16,7 @@
 //! the soak harness drives the service directly and uses this executor
 //! only for liveness/robustness coverage.
 //!
-//! ## Threading audit (VBA202 waivers below)
+//! ## Threading audit (the `disallowed_methods` allow below)
 //!
 //! The repo routes host parallelism through `gpu_sim::workers::WorkerPool`;
 //! this module is the one audited exception, because the dispatcher is
@@ -205,7 +205,11 @@ impl<T: Scalar> ServeExecutor<T> {
             arrived: Condvar::new(),
         });
         let rx = Arc::clone(&inbox);
-        // analyze:allow(VBA202): single audited owner thread (actor pattern), named, joined in finish()/Drop — see the module-level threading audit
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "single audited owner thread (actor pattern), named, joined in \
+                      finish()/Drop — see the module-level threading audit"
+        )]
         let dispatcher = thread::Builder::new()
             .name("vbatch-serve-dispatch".into())
             .spawn(move || dispatch_loop(&rx, service))
@@ -316,6 +320,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the clients are real threads by purpose"
+    )]
     fn concurrent_clients_all_get_verdicts_and_factors() {
         let exec = executor(ServeConfig {
             max_window: 16,

@@ -10,8 +10,7 @@
 //!
 //! The ring is insertion-ordered and the cursor persists across windows,
 //! so scheduling is a pure function of the submission sequence — no
-//! hashing, no wall clock (the crate sits in the analyzer's determinism
-//! scope, VBA201).
+//! hashing, no wall clock (`clippy.toml` bans both).
 //!
 //! Deadline expiry is checked on every clock tick, so it must cost
 //! nothing while nothing is due: the queues keep the earliest queued

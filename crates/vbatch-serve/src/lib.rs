@@ -28,6 +28,9 @@
 //! [`ServeExecutor`] is the audited threaded shell for concurrent
 //! clients.
 
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod exec;
 pub mod fair;
 pub mod metrics;

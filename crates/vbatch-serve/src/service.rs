@@ -9,7 +9,7 @@
 //!   [`BatchService::advance_to`]). Every *decision* (window trigger,
 //!   deadline cancellation, load shedding) reads this clock, never a
 //!   wall clock, so a seeded replay reproduces every decision bit for
-//!   bit (the crate is inside the analyzer's VBA201 determinism scope);
+//!   bit (`clippy.toml` bans wall-clock types);
 //! * the **device clock** (`Device::now`) — charged by the simulated
 //!   kernels. A dispatched window's service time is the device-clock
 //!   delta across its uploads, factorization and downloads, and is fed

@@ -135,7 +135,7 @@ mod tests {
         let sizes = d.sample_batch(&mut rng, 2000);
         assert!(sizes.iter().all(|&n| (1..=512).contains(&n)));
         // Paper Fig. 3a: "most sizes appear at least once".
-        let distinct: std::collections::HashSet<_> = sizes.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = sizes.iter().collect();
         assert!(
             distinct.len() > 450,
             "only {} distinct sizes",

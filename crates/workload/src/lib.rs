@@ -7,6 +7,9 @@
 //! experiment is repeatable), the histograms, and batch-building
 //! helpers that fill device batches with SPD or general matrices.
 
+// Library code reports failures as typed errors; tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod dist;
 pub mod histogram;
 

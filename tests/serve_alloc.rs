@@ -38,13 +38,16 @@ fn allocs() -> u64 {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        // SAFETY: our caller upheld this method\'s contract; `System` gets it unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: our caller upheld this method\'s contract; `System` gets it unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        // SAFETY: our caller upheld this method\'s contract; `System` gets it unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

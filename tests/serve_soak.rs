@@ -281,6 +281,10 @@ fn interleaved_arrival_order_matches_presorted_bitwise() {
 /// The threaded executor under many real client threads: no deadlock,
 /// no lost verdict, every accepted request answered, memory clean.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the clients are real threads by purpose"
+)]
 fn threaded_executor_survives_concurrent_burst() {
     let cfg = ServeConfig {
         max_window: 16,
