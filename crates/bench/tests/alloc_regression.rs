@@ -4,7 +4,6 @@
 //! `free_count` counters so any future per-call scratch sneaking back
 //! into the drivers fails loudly.
 
-use vbatch_bench::fresh_device;
 use vbatch_core::lu::{getrf_vbatched_ws, GetrfOptions};
 use vbatch_core::qr::{geqrf_vbatched_ws, GeqrfOptions};
 use vbatch_core::{
@@ -14,13 +13,13 @@ use vbatch_core::{
 };
 use vbatch_dense::gen::{diag_dominant_vec, seeded_rng, spd_vec};
 use vbatch_dense::Scalar;
-use vbatch_gpu_sim::{DeviceConfig, DeviceGroup};
+use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
 use vbatch_workload::{fill_spd_batch, SizeDist};
 
 const SIZES: [usize; 10] = [33, 7, 150, 64, 1, 0, 90, 12, 128, 45];
 
 fn potrf_steady_state_is_alloc_free<T: Scalar>(strategy: Strategy) {
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = VBatch::<T>::alloc_square(&dev, &SIZES).unwrap();
     let mut rng = seeded_rng(7);
     fill_spd_batch(&mut batch, &SIZES, &mut rng);
@@ -86,7 +85,7 @@ fn potrf_interleaved_warm_zero_device_allocs() {
     // lane-group scratch must come from the pooled workspace — warm
     // calls make zero device allocations, like every other driver path.
     let sizes: [usize; 9] = [4, 32, 7, 16, 1, 8, 27, 32, 3];
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
     fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(13));
     let opts = PotrfOptions {
@@ -121,7 +120,7 @@ fn potrf_interleaved_warm_zero_device_allocs() {
 #[test]
 fn potrf_lapack_interface_warm_zero_device_allocs() {
     // The LAPACK-style entry (device max reduction) must be warm too.
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = VBatch::<f64>::alloc_square(&dev, &SIZES).unwrap();
     fill_spd_batch(&mut batch, &SIZES, &mut seeded_rng(7));
     let opts = PotrfOptions::default();
@@ -135,7 +134,7 @@ fn potrf_lapack_interface_warm_zero_device_allocs() {
 
 #[test]
 fn lu_warm_allocates_only_the_pivot_arena() {
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let dims: Vec<(usize, usize)> = vec![(40, 40), (7, 7), (90, 60), (33, 70), (64, 64)];
     let mut rng = seeded_rng(81);
     let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
@@ -163,7 +162,7 @@ fn lu_warm_allocates_only_the_pivot_arena() {
 
 #[test]
 fn qr_warm_allocates_only_the_tau_arena() {
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let dims: Vec<(usize, usize)> = vec![(48, 32), (16, 16), (80, 40)];
     let mut rng = seeded_rng(82);
     let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
@@ -370,12 +369,12 @@ fn workspace_results_match_per_call_path() {
             },
             ..Default::default()
         };
-        let dev_a = fresh_device();
+        let dev_a = Device::new(DeviceConfig::k40c());
         let mut batch_a = VBatch::<f64>::alloc_square(&dev_a, &SIZES).unwrap();
         fill_spd_batch(&mut batch_a, &SIZES, &mut seeded_rng(7));
         vbatch_core::potrf_vbatched_max(&dev_a, &mut batch_a, 150, &opts).unwrap();
 
-        let dev_b = fresh_device();
+        let dev_b = Device::new(DeviceConfig::k40c());
         let mut batch_b = VBatch::<f64>::alloc_square(&dev_b, &SIZES).unwrap();
         fill_spd_batch(&mut batch_b, &SIZES, &mut seeded_rng(7));
         let mut ws = DriverWorkspace::<f64>::new();

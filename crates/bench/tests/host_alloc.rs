@@ -42,11 +42,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use vbatch_bench::fresh_device;
 use vbatch_core::{
     potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, PotrfOptions, SepOpts, Strategy,
 };
 use vbatch_dense::gen::seeded_rng;
+use vbatch_gpu_sim::{Device, DeviceConfig};
 use vbatch_workload::{fill_spd_batch, SizeDist};
 
 /// Allocations per launch admitted on the warm path: the driver's
@@ -67,7 +67,7 @@ fn fused_warm_path_allocates_o1_per_launch() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let sizes = SizeDist::Uniform { max: 96 }.sample_batch(&mut seeded_rng(40), 384);
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = vbatch_core::VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
     fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(41));
     let opts = PotrfOptions {
@@ -106,7 +106,7 @@ fn split_transfers_allocate_only_the_returned_vec() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let n = 256;
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = vbatch_core::VBatch::<f64>::alloc_square(&dev, &[n]).unwrap();
     let a: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
     // The first split copy creates the process-wide executor.
@@ -136,7 +136,7 @@ fn split_transfers_allocate_only_the_returned_vec() {
 /// `count`·10 diagonal `syrk` tiles): host allocations and launches.
 fn warm_separated(count: usize) -> (u64, u64) {
     let sizes = vec![160usize; count];
-    let dev = fresh_device();
+    let dev = Device::new(DeviceConfig::k40c());
     let mut batch = vbatch_core::VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
     let opts = PotrfOptions {
         strategy: Strategy::Separated,

@@ -13,9 +13,9 @@
 //! scalar tier's arithmetic bit-for-bit, so every size-derived charge
 //! is identical — only host-side execution is reorganized.
 
-use vbatch_bench::fresh_device;
 use vbatch_core::{potrf_vbatched, PotrfOptions, SepOpts, Strategy, VBatch};
 use vbatch_dense::gen::seeded_rng;
+use vbatch_gpu_sim::{Device, DeviceConfig};
 use vbatch_workload::fill_spd_batch;
 
 const SIZES: [usize; 10] = [33, 7, 150, 64, 1, 0, 90, 12, 128, 45];
@@ -45,7 +45,7 @@ const GOLDENS: [Golden; 2] = [
 #[test]
 fn simulated_clock_totals_are_pinned() {
     for g in &GOLDENS {
-        let dev = fresh_device();
+        let dev = Device::new(DeviceConfig::k40c());
         let mut batch = VBatch::<f64>::alloc_square(&dev, &SIZES).unwrap();
         let mut rng = seeded_rng(7);
         fill_spd_batch(&mut batch, &SIZES, &mut rng);

@@ -23,15 +23,6 @@ pub fn rand_mat<T: Scalar>(rng: &mut impl Rng, len: usize) -> Vec<T> {
         .collect()
 }
 
-/// Fills `a` with uniform values in `[-1, 1]`.
-pub fn fill_rand<T: Scalar>(rng: &mut impl Rng, a: &mut MatMut<'_, T>) {
-    for j in 0..a.ncols() {
-        for i in 0..a.nrows() {
-            a.set(i, j, T::from_f64(rng.gen_range(-1.0..1.0)));
-        }
-    }
-}
-
 /// Fills the `n × n` view `a` with a random symmetric positive-definite
 /// matrix: `A = R + Rᵀ` with the diagonal shifted by `n`, which makes it
 /// strictly diagonally dominant and hence SPD with a modest condition

@@ -384,29 +384,6 @@ impl Device {
     }
 }
 
-/// Convenience: a device-side array of matrix pointers, sizes, or
-/// leading dimensions — the vbatched metadata triple (§III-A) — built
-/// from host data in one call (bypasses the PCIe clock; use
-/// [`Device::copy_htod_bytes`] to charge it).
-pub fn upload_vec<T: Copy + Default>(
-    dev: &Device,
-    data: &[T],
-) -> Result<DeviceBuffer<T>, OomError> {
-    let buf = dev.alloc::<T>(data.len())?;
-    buf.fill_from_host(data);
-    Ok(buf)
-}
-
-/// Convenience: device array of `DevicePtr<T>` handles.
-pub fn upload_ptrs<T: Copy + Default>(
-    dev: &Device,
-    ptrs: &[DevicePtr<T>],
-) -> Result<DeviceBuffer<DevicePtr<T>>, OomError> {
-    let buf = dev.alloc::<DevicePtr<T>>(ptrs.len())?;
-    buf.fill_from_host(ptrs);
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,17 +510,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(buf.read_to_host(), vec![1; 12]);
-    }
-
-    #[test]
-    fn upload_helpers() {
-        let d = dev();
-        let b = upload_vec(&d, &[1i32, 2, 3]).unwrap();
-        assert_eq!(b.read_to_host(), vec![1, 2, 3]);
-        let data = d.alloc::<f64>(10).unwrap();
-        let ptrs = upload_ptrs(&d, &[data.ptr(), data.ptr().offset(5)]).unwrap();
-        ptrs.ptr().get(1).set(0, 3.5);
-        assert_eq!(data.ptr().get(5), 3.5);
     }
 
     #[test]

@@ -38,24 +38,13 @@ fn step_kname() -> &'static str {
 /// to the host (one `i32` device→host copy, charged to the clock) — the
 /// LAPACK-style interface wrapper of §III-A.
 ///
-/// Returns 0 for an empty array.
+/// Returns 0 for an empty array. The block-partial buffer is pooled by
+/// the caller (pass `&mut None` for a one-off): grown on demand, never
+/// shrunk, so a warm scratch makes the reduction allocation-free (the
+/// [`crate::workspace::DriverWorkspace`] path).
 ///
 /// # Errors
 /// [`VbatchError::Launch`] / [`VbatchError::Oom`] on device failures.
-pub fn compute_imax(
-    dev: &Device,
-    values: DevicePtr<i32>,
-    count: usize,
-) -> Result<i32, VbatchError> {
-    compute_imax_pooled(dev, values, count, &mut None)
-}
-
-/// [`compute_imax`] with a caller-pooled block-partial buffer: grown on
-/// demand, never shrunk, so a warm scratch makes the reduction
-/// allocation-free (the [`crate::workspace::DriverWorkspace`] path).
-///
-/// # Errors
-/// As [`compute_imax`].
 pub fn compute_imax_pooled(
     dev: &Device,
     values: DevicePtr<i32>,
@@ -196,7 +185,7 @@ mod tests {
         let vals: Vec<i32> = vec![3, 9, 1, 7];
         let buf = d.alloc::<i32>(4).unwrap();
         buf.fill_from_host(&vals);
-        assert_eq!(compute_imax(&d, buf.ptr(), 4).unwrap(), 9);
+        assert_eq!(compute_imax_pooled(&d, buf.ptr(), 4, &mut None).unwrap(), 9);
 
         // Multi-block reduction (3000 values, max hidden past the first
         // block boundary).
@@ -204,7 +193,10 @@ mod tests {
         vals[2345] = 5000;
         let buf = d.alloc::<i32>(3000).unwrap();
         buf.fill_from_host(&vals);
-        assert_eq!(compute_imax(&d, buf.ptr(), 3000).unwrap(), 5000);
+        assert_eq!(
+            compute_imax_pooled(&d, buf.ptr(), 3000, &mut None).unwrap(),
+            5000
+        );
     }
 
     #[test]
@@ -230,7 +222,10 @@ mod tests {
     #[test]
     fn imax_empty_is_zero() {
         let d = dev();
-        assert_eq!(compute_imax(&d, DevicePtr::null(), 0).unwrap(), 0);
+        assert_eq!(
+            compute_imax_pooled(&d, DevicePtr::null(), 0, &mut None).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -238,7 +233,7 @@ mod tests {
         let d = dev();
         let buf = d.alloc::<i32>(10).unwrap();
         let t0 = d.now();
-        compute_imax(&d, buf.ptr(), 10).unwrap();
+        compute_imax_pooled(&d, buf.ptr(), 10, &mut None).unwrap();
         assert!(d.now() > t0, "aux kernel + copy must advance the clock");
     }
 

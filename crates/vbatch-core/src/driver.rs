@@ -324,7 +324,7 @@ fn run_fused<T: Scalar>(
         // Window width: at least `window_factor · nb` (the paper ties it
         // to nb), widened so the average group still fills the device —
         // narrow windows on small batches multiply launches faster than
-        // they improve occupancy (measured by `ablation_window`). An
+        // they improve occupancy (measured by `figures -- ablation-window`). An
         // explicit `window_width` bypasses the count-dependent heuristic
         // entirely (the sharded path needs bucketing that is independent
         // of how many matrices landed on this device).

@@ -632,7 +632,9 @@ mod tests {
             })
             .collect();
         // Factorize only matrices 2 and 0 (in that order) via indices.
-        let idx = crate::sorting::upload_indices(&d, &[2, 0]).unwrap();
+        let mut idx_buf = None;
+        let idx = crate::sorting::upload_indices_pooled(&d, &[2, 0], &mut idx_buf, &mut Vec::new())
+            .unwrap();
         let nb = 4;
         let max = 9;
         let mut j = 0;
@@ -641,7 +643,7 @@ mod tests {
                 &d,
                 &batch,
                 Uplo::Lower,
-                idx.ptr(),
+                idx,
                 2,
                 max,
                 j,

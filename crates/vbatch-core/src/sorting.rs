@@ -73,21 +73,11 @@ pub fn single_window(sizes: &[usize]) -> Vec<SizeWindow> {
 }
 
 /// Uploads a window's index list as a device `i32` array (the kernels
-/// indirect block → matrix through it).
-///
-/// # Errors
-/// [`OomError`] when device memory is exhausted.
-pub fn upload_indices(dev: &Device, indices: &[usize]) -> Result<DeviceBuffer<i32>, OomError> {
-    let buf = dev.alloc::<i32>(indices.len())?;
-    buf.fill_from_host(&indices.iter().map(|&i| i as i32).collect::<Vec<_>>());
-    Ok(buf)
-}
-
-/// [`upload_indices`] into caller-pooled buffers: the device buffer is
-/// grown on demand (never shrunk) and `host` stages the `i32`
-/// conversion, so a warm pool uploads with zero allocations. Returns the
-/// device pointer truncated to this window's length. Reuse across
-/// windows is safe because simulated launches are synchronous.
+/// indirect block → matrix through it) into caller-pooled buffers: the
+/// device buffer is grown on demand (never shrunk) and `host` stages the
+/// `i32` conversion, so a warm pool uploads with zero allocations.
+/// Returns the device pointer truncated to this window's length. Reuse
+/// across windows is safe because simulated launches are synchronous.
 ///
 /// # Errors
 /// [`OomError`] when device memory is exhausted.
@@ -242,8 +232,9 @@ mod tests {
     #[test]
     fn upload_and_charge() {
         let dev = Device::new(DeviceConfig::k40c());
-        let buf = upload_indices(&dev, &[4, 7, 1]).unwrap();
-        assert_eq!(buf.read_to_host(), vec![4, 7, 1]);
+        let mut buf = None;
+        upload_indices_pooled(&dev, &[4, 7, 1], &mut buf, &mut Vec::new()).unwrap();
+        assert_eq!(buf.unwrap().read_to_host(), vec![4, 7, 1]);
         let t0 = dev.now();
         charge_sort_transfers(&dev, 1000);
         assert!(dev.now() > t0);

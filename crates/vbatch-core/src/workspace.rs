@@ -49,7 +49,7 @@ pub struct DriverWorkspace<T> {
     /// matrices at its own `nb()`.
     pub(crate) tiles: Option<TileWorkspace<T>>,
     pub(crate) tiles_count: usize,
-    /// `compute_imax` block-partial buffer.
+    /// `compute_imax_pooled` block-partial buffer.
     pub(crate) imax_partial: Option<DeviceBuffer<i32>>,
     /// Sorting-window index upload: device buffer + host staging.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,

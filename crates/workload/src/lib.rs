@@ -4,8 +4,8 @@
 //! generators (§IV-B): a uniform distribution over `[1, Nmax]` and a
 //! Gaussian centered at `⌊Nmax/2⌋` clamped to the same interval
 //! (Fig. 3). This crate reproduces those generators (seeded, so every
-//! experiment is repeatable), the histograms, and batch-building
-//! helpers that fill device batches with SPD or general matrices.
+//! experiment is repeatable), the histograms, and a batch-building
+//! helper that fills device batches with SPD matrices.
 
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -17,7 +17,7 @@ pub use dist::SizeDist;
 pub use histogram::Histogram;
 
 use rand::Rng;
-use vbatch_dense::gen::{diag_dominant_vec, spd_vec};
+use vbatch_dense::gen::spd_vec;
 use vbatch_dense::Scalar;
 
 /// Fills an already-allocated square batch with SPD matrices (seeded by
@@ -38,26 +38,6 @@ pub fn fill_spd_batch<T: Scalar>(
                     .expect("matrix i fits the batch it was sized for");
             }
             m
-        })
-        .collect()
-}
-
-/// Fills a general rectangular batch with diagonally-dominant matrices.
-pub fn fill_general_batch<T: Scalar>(
-    batch: &mut vbatch_core::VBatch<T>,
-    dims: &[(usize, usize)],
-    rng: &mut impl Rng,
-) -> Vec<Vec<T>> {
-    dims.iter()
-        .enumerate()
-        .map(|(i, &(m, n))| {
-            let a = diag_dominant_vec::<T>(rng, m, n);
-            if m * n > 0 {
-                batch
-                    .upload_matrix(i, &a)
-                    .expect("matrix i fits the batch it was sized for");
-            }
-            a
         })
         .collect()
 }
