@@ -135,7 +135,7 @@ pub fn potrf_hybrid_serial<T: Scalar>(
                     if bi == bj {
                         // Stack tile (mt, nt ≤ TS): stages the product so
                         // only the lower triangle is written back, without
-                        // heap allocation in the launch body (VBA101).
+                        // heap allocation in the launch body.
                         let mut tmp = [T::ZERO; TS * TS];
                         vbatch_dense::gemm(
                             Trans::NoTrans,

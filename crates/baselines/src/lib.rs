@@ -16,6 +16,7 @@
 //!   every matrix to the batch maximum, including its out-of-memory
 //!   failure mode.
 
+#![forbid(unsafe_code)]
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -12,6 +12,8 @@
 //! `all` runs every figure and ablation. `claims` checks the paper's
 //! headline claims and makes the exit status 1 if any fails.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::time::Instant;
 

@@ -27,6 +27,8 @@
 //! a few seconds total for CI; its winners are valid schemes but not a
 //! real tuning (do not paste them).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};

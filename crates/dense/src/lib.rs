@@ -36,8 +36,8 @@
 //! loads and stores and the dispatch to `#[target_feature]` code. Every
 //! unsafe operation sits in an explicit block behind its own `SAFETY:`
 //! comment (enforced by `unsafe_op_in_unsafe_fn` below, clippy's
-//! `undocumented_unsafe_blocks` and the `analyze.toml` budget that
-//! `vbatch-analyze` checks).
+//! `undocumented_unsafe_blocks` and the count that
+//! `tests/unsafe_ratchet.rs` pins).
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -11,10 +11,10 @@
 //! The table is global and append-only. The set of kernel names in a
 //! process is a small static vocabulary (two precisions × a few dozen
 //! kernels), so the leak is bounded and intentional, and the whole
-//! vocabulary is enumerable via [`known_names`] — which is why the
-//! `intern` lint (VBA301) requires launch sites to register even
-//! constant names through [`literal`] instead of passing raw string
-//! literals.
+//! vocabulary is enumerable via [`known_names`] — which is why launch
+//! sites register even constant names through [`literal`] instead of
+//! passing raw string literals (`tests/kernel_coverage.rs` checks every
+//! launched name against the vocabulary).
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};

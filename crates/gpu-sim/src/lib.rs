@@ -51,8 +51,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // Every unsafe operation (DeviceBuffer casts, Send/Sync assertions,
 // fault-injection pokes, the worker pool's job hand-off) must sit in an
-// explicit block with its own SAFETY comment — checked by
-// `cargo analyze` against analyze.toml.
+// explicit block with its own SAFETY comment; their number is pinned by
+// `tests/unsafe_ratchet.rs`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod config;

@@ -21,7 +21,8 @@ const AUX_THREADS: u32 = 256;
 
 /// Registered name of the max-reduction kernel. Even constant kernel
 /// names go through [`intern::literal`] so the process-wide kernel
-/// vocabulary stays enumerable (lint VBA301); the `OnceLock` keeps the
+/// vocabulary stays enumerable (`tests/kernel_coverage.rs` checks every
+/// launched name against it); the `OnceLock` keeps the
 /// per-launch cost at one atomic load.
 fn imax_kname() -> &'static str {
     static NAME: OnceLock<&'static str> = OnceLock::new();

@@ -30,8 +30,8 @@ use crate::sep::VView;
 use crate::VBatch;
 
 /// Registered name of the LU per-step metadata kernel (see
-/// [`vbatch_gpu_sim::intern::literal`]; lint VBA301 — constant kernel
-/// names still register into the enumerable vocabulary).
+/// [`vbatch_gpu_sim::intern::literal`]: constant kernel names still
+/// register into the enumerable vocabulary).
 fn lu_step_kname() -> &'static str {
     static NAME: std::sync::OnceLock<&'static str> = std::sync::OnceLock::new();
     NAME.get_or_init(|| vbatch_gpu_sim::intern::literal("vbatch_aux_lu_step"))
@@ -444,6 +444,14 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     Ok(BatchReport::from_parts(info, rec))
 }
 
+thread_local! {
+    /// Panel-relative pivots of the block `getf2_vbatched` is running on
+    /// this thread, the host analog of the shared memory its launch
+    /// declares: grow-only, so a warm block allocates nothing.
+    static PIVOT_SCRATCH: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// One-block-per-matrix panel factorization with partial pivoting.
 fn getf2_panel<T: Scalar>(
     dev: &Device,
@@ -474,16 +482,17 @@ fn getf2_panel<T: Scalar>(
         let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
         let panel = mat_mut(base.get(i).offset(j * ld + j), rows, jb, ld);
-        // Per-block pivot scratch sized by the runtime panel width nb — the
-        // host analog of the nb*nb shared memory this launch declares in
-        // its LaunchConfig; pooling it would need per-block aliasing unsafe.
-        // analyze:allow(kernel-purity): panel scratch = declared shared memory analog
-        let mut local = vec![0usize; jb];
-        let res = vbatch_dense::getf2(panel, &mut local);
-        let p = piv.get(i);
-        for (t, &lp) in local.iter().enumerate() {
-            p.set(j + t, (j + lp) as i32);
-        }
+        let res = PIVOT_SCRATCH.with_borrow_mut(|local| {
+            if local.len() < jb {
+                local.resize(jb, 0);
+            }
+            let res = vbatch_dense::getf2(panel, &mut local[..jb]);
+            let p = piv.get(i);
+            for (t, &lp) in local[..jb].iter().enumerate() {
+                p.set(j + t, (j + lp) as i32);
+            }
+            res
+        });
         if let Err(vbatch_dense::Error::Singular { column }) = res {
             if d_info.get(i) == 0 {
                 d_info.set(i, (j + column + 1) as i32);

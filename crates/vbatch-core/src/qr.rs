@@ -410,6 +410,9 @@ pub fn gels_vbatched<T: Scalar>(
     }
     let ev_start = fault_events_start(dev);
     let (mut report, tau) = geqrf_vbatched(dev, batch, opts)?;
+    if batch.count() == 0 {
+        return Ok(report);
+    }
     let pol = opts.recovery;
     let mut rec = std::mem::take(&mut report.recovery);
     with_retry(dev, &pol, &mut rec, || {
@@ -621,6 +624,11 @@ mod tests {
             gels_vbatched(&dev, &mut batch, &rhs, &GeqrfOptions::default()),
             Err(VbatchError::InvalidArgument(_))
         ));
+        // An empty batch has nothing to reject, as in every other driver.
+        let mut empty = VBatch::<f64>::alloc(&dev, &[]).unwrap();
+        let rhs = VBatch::<f64>::alloc(&dev, &[]).unwrap();
+        let report = gels_vbatched(&dev, &mut empty, &rhs, &GeqrfOptions::default()).unwrap();
+        assert!(report.all_ok() && report.info.is_empty());
     }
 
     #[test]

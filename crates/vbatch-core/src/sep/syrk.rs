@@ -59,9 +59,9 @@ fn syrk_tile_math<T: Scalar>(
     let c_tile = mat_mut(a_ptr, rem, rem, ld).sub(k + r0, k + c0, mt, nt);
     if bi == bj {
         // Diagonal tile: compute fully (as the hardware kernel would)
-        // into a stack tile — the simulated analog of shared memory;
-        // kernel purity (VBA101) bans heap allocation in kernel bodies —
-        // and write only the stored triangle.
+        // into a stack tile — the simulated analog of shared memory; a
+        // kernel body allocates nothing — and write only the stored
+        // triangle.
         let mut tmp = [T::ZERO; SYRK_TILE * SYRK_TILE];
         let tmp_view = vbatch_dense::MatMut::from_slice(&mut tmp[..mt * nt], mt, nt, mt);
         vbatch_dense::gemm(op.0, op.1, -T::ONE, a_bi, a_bj, T::ZERO, tmp_view);

@@ -28,6 +28,7 @@
 //! [`ServeExecutor`] is the audited threaded shell for concurrent
 //! clients.
 
+#![forbid(unsafe_code)]
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -7,6 +7,7 @@
 //! experiment is repeatable), the histograms, and a batch-building
 //! helper that fills device batches with SPD matrices.
 
+#![forbid(unsafe_code)]
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -11,6 +11,8 @@
 //! the case number and the harness re-panics with the offending inputs
 //! left to the assertion message.
 
+#![forbid(unsafe_code)]
+
 /// Deterministic generator backing all strategies (xorshift64*).
 pub struct TestRng {
     state: u64,

@@ -9,6 +9,8 @@
 //! (every consumer in this repo derives data from explicit seeds and
 //! asserts seed-independent invariants, so only determinism matters).
 
+#![forbid(unsafe_code)]
+
 /// Low-level source of random 64-bit words.
 pub trait RngCore {
     /// Next raw 64-bit word from the stream.

@@ -7,10 +7,23 @@
 //!   block it ran exited early, so no kernel runs for free on the
 //!   simulated clock and energy.
 //!
-//! One `#[test]` on purpose: the intern registry is process-global and
-//! append-only, and this file is its own process, so what
-//! `known_names()` returns at the end is exactly what ran here.
+//! Under a counting `#[global_allocator]`, the same families also show
+//! that no kernel body heap-allocates: a kernel closure runs once per
+//! block, so an allocation in one grows with the batch, and doubling
+//! the batch must leave each warm driver call's host allocations nearly
+//! flat. A panicking kernel already fails whichever test drives it (the
+//! executor re-raises the panic in the launching thread).
+//!
+//! The intern registry is process-global and append-only, and this file
+//! is its own process, so what `known_names()` returns at the end is
+//! exactly what ran here.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+use vbatch_baselines::hybrid::{potrf_hybrid_serial, HybridOptions};
+use vbatch_baselines::CpuConfig;
 use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
 use vbatch_core::qr::{gels_vbatched, geqrf_vbatched, GeqrfOptions};
 use vbatch_core::solve::{getrs_vbatched, potri_vbatched, potrs_vbatched};
@@ -24,9 +37,50 @@ use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
 use vbatch_serve::{BatchService, Op, ResponseStatus, ServeConfig};
 use vbatch_workload::fill_spd_batch;
 
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates directly to `System`; the counter has no effect on
+// the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: our caller upheld this method's contract; `System` gets it unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: our caller upheld this method's contract; `System` gets it unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: our caller upheld this method's contract; `System` gets it unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The two tests share the process-wide counter, so they take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Per driver call, in call order: family, batch count, host allocations.
+type Tally = Vec<(&'static str, usize, u64)>;
+
+/// Runs `f`, recording the host allocations it made under `family`.
+fn counted<R>(tally: &mut Tally, family: &'static str, count: usize, f: impl FnOnce() -> R) -> R {
+    let a0 = ALLOCS.load(Ordering::Relaxed);
+    let r = f();
+    tally.push((family, count, ALLOCS.load(Ordering::Relaxed) - a0));
+    r
+}
+
 /// Runs every single-device driver family once in precision `T` on
-/// batches just large enough to reach each kernel.
-fn drive_single_device_families<T: Scalar>(dev: &Device) {
+/// batches just large enough to reach each kernel, each size repeated
+/// `copies` times.
+fn drive_single_device_families<T: Scalar>(dev: &Device, copies: usize, tally: &mut Tally) {
     let mut rng = seeded_rng(0xC0DE);
 
     // Fused step loop (every order above the interleave cutoff of 32),
@@ -40,14 +94,19 @@ fn drive_single_device_families<T: Scalar>(dev: &Device) {
         ..Default::default()
     };
     for sizes in [[96usize, 70, 40, 83], [9, 5, 4, 3]] {
+        let sizes = sizes.repeat(copies);
         let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
         fill_spd_batch(&mut batch, &sizes, &mut rng);
-        assert!(potrf_vbatched(dev, &mut batch, &fused).unwrap().all_ok());
+        let report = counted(tally, "potrf fused", sizes.len(), || {
+            potrf_vbatched(dev, &mut batch, &fused)
+        });
+        assert!(report.unwrap().all_ok());
     }
 
     // Separated path, both triangles; the factors feed the
     // solve/inverse kernels.
-    let sizes = [100usize, 40, 77];
+    let sizes = [100usize, 40, 77].repeat(copies);
+    let count = sizes.len();
     for uplo in [Uplo::Lower, Uplo::Upper] {
         let opts = PotrfOptions {
             uplo,
@@ -60,13 +119,25 @@ fn drive_single_device_families<T: Scalar>(dev: &Device) {
         };
         let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
         fill_spd_batch(&mut batch, &sizes, &mut rng);
-        assert!(potrf_vbatched(dev, &mut batch, &opts).unwrap().all_ok());
+        let report = counted(tally, "potrf separated", count, || {
+            potrf_vbatched(dev, &mut batch, &opts)
+        });
+        assert!(report.unwrap().all_ok());
         if uplo == Uplo::Lower {
             let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
-            potrs_vbatched(dev, &batch, &rhs).unwrap();
+            counted(tally, "potrs", count, || potrs_vbatched(dev, &batch, &rhs)).unwrap();
         }
-        potri_vbatched(dev, &batch, uplo).unwrap();
+        counted(tally, "potri", count, || potri_vbatched(dev, &batch, uplo)).unwrap();
     }
+
+    // The hybrid baseline's device trsm/syrk, one matrix at a time.
+    let mut batch = VBatch::<T>::alloc_square(dev, &sizes).unwrap();
+    fill_spd_batch(&mut batch, &sizes, &mut rng);
+    let cpu = CpuConfig::dual_e5_2670();
+    let report = counted(tally, "hybrid", count, || {
+        potrf_hybrid_serial(dev, &mut batch, &cpu, &HybridOptions { nb: 32 })
+    });
+    assert!(report.unwrap().all_ok());
 
     // LU and its solve, on general matrices: partial pivoting swaps
     // rows, so the row-interchange kernels move (and charge) data.
@@ -80,13 +151,19 @@ fn drive_single_device_families<T: Scalar>(dev: &Device) {
         nb_panel: 16,
         ..Default::default()
     };
-    let (report, pivots) = getrf_vbatched(dev, &mut batch, &lu).unwrap();
+    let (report, pivots) = counted(tally, "getrf", count, || {
+        getrf_vbatched(dev, &mut batch, &lu)
+    })
+    .unwrap();
     assert!(report.all_ok());
     let rhs = rhs_batch::<T>(dev, &sizes, &mut rng);
-    getrs_vbatched(dev, &batch, &pivots, &rhs).unwrap();
+    counted(tally, "getrs", count, || {
+        getrs_vbatched(dev, &batch, &pivots, &rhs)
+    })
+    .unwrap();
 
     // QR and least squares on tall matrices.
-    let dims = [(48usize, 20usize), (30, 30), (64, 9)];
+    let dims = [(48usize, 20usize), (30, 30), (64, 9)].repeat(copies);
     let qr = GeqrfOptions {
         nb_panel: 8,
         tile_cols: 8,
@@ -100,11 +177,17 @@ fn drive_single_device_families<T: Scalar>(dev: &Device) {
         batch
     };
     let mut batch = tall(&mut rng);
-    assert!(geqrf_vbatched(dev, &mut batch, &qr).unwrap().0.all_ok());
+    let report = counted(tally, "geqrf", count, || {
+        geqrf_vbatched(dev, &mut batch, &qr)
+    });
+    assert!(report.unwrap().0.all_ok());
     let mut batch = tall(&mut rng);
     let rows: Vec<usize> = dims.iter().map(|&(m, _)| m).collect();
     let rhs = rhs_batch::<T>(dev, &rows, &mut rng);
-    assert!(gels_vbatched(dev, &mut batch, &rhs, &qr).unwrap().all_ok());
+    let report = counted(tally, "gels", count, || {
+        gels_vbatched(dev, &mut batch, &rhs, &qr)
+    });
+    assert!(report.unwrap().all_ok());
 }
 
 /// Two random right-hand-side columns per matrix of `rows[i]` rows.
@@ -119,9 +202,10 @@ fn rhs_batch<T: Scalar>(dev: &Device, rows: &[usize], rng: &mut impl rand::Rng) 
 
 #[test]
 fn every_launched_kernel_is_interned_and_charges_work() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let dev = Device::new(DeviceConfig::k40c());
-    drive_single_device_families::<f64>(&dev);
-    drive_single_device_families::<f32>(&dev);
+    drive_single_device_families::<f64>(&dev, 1, &mut Tally::new());
+    drive_single_device_families::<f32>(&dev, 1, &mut Tally::new());
 
     // Sharded driver on two devices.
     let mut rng = seeded_rng(0x5AD);
@@ -182,5 +266,31 @@ fn every_launched_kernel_is_interned_and_charges_work() {
                 );
             }
         });
+    }
+}
+
+/// Doubling every family's batch from `n` (≥ 64) to `2n` matrices adds
+/// fewer than `n / 16` host allocations to its warm driver call: what a
+/// call allocates per window or per step grows slowly if at all, and
+/// one allocation per block or per matrix would add at least `n`.
+#[test]
+fn kernel_bodies_do_not_allocate_per_block() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let dev = Device::new(DeviceConfig::k40c());
+    let run = |copies| {
+        let mut tally = Tally::new();
+        drive_single_device_families::<f64>(&dev, copies, &mut tally);
+        tally
+    };
+    // The larger batch first, so pools and the profiler are warm for both.
+    run(64);
+    for ((family, n, a), (_, n2, a2)) in run(32).into_iter().zip(run(64)) {
+        eprintln!("{family}: {a} host allocations at {n} matrices, {a2} at {n2}");
+        assert!(n >= 64 && n2 == 2 * n);
+        assert!(
+            a2 < a + n as u64 / 16,
+            "{family}: {a} -> {a2} host allocations from {n} to {n2} matrices; \
+             a kernel body allocates per block"
+        );
     }
 }
