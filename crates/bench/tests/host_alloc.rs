@@ -50,8 +50,8 @@ use vbatch_gpu_sim::{Device, DeviceConfig};
 use vbatch_workload::{fill_spd_batch, SizeDist};
 
 /// Allocations per launch admitted on the warm path: the driver's
-/// per-call window bookkeeping spread over its launches (measured: 27
-/// over the fused call's 10 launches, 2 over the separated call's 22;
+/// per-call window bookkeeping spread over its launches (measured: 26
+/// over the fused call's 10 launches, 1 over the separated call's 22;
 /// the launch path itself makes none). The spawn-per-launch fork-join
 /// this replaced read 25 and 19 per launch on two lanes; per-block or
 /// per-matrix allocation would blow straight through on a 384-matrix

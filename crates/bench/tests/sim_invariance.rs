@@ -19,11 +19,15 @@
 
 use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
 use vbatch_core::qr::{geqrf_vbatched, GeqrfOptions};
+use vbatch_core::shard::ShardedReport;
 use vbatch_core::solve::getrs_vbatched;
-use vbatch_core::{potrf_vbatched, PotrfOptions, SepOpts, Strategy, VBatch};
-use vbatch_dense::gen::{rand_mat, seeded_rng};
-use vbatch_gpu_sim::{Device, DeviceConfig};
-use vbatch_workload::fill_spd_batch;
+use vbatch_core::{
+    getrf_sharded, potrf_hybrid, potrf_sharded, potrf_vbatched, HostCostModel, HostEngine,
+    HostState, PotrfOptions, SepOpts, ShardOpts, ShardedState, Strategy, VBatch,
+};
+use vbatch_dense::gen::{diag_dominant_vec, rand_mat, seeded_rng, spd_vec};
+use vbatch_gpu_sim::{Device, DeviceConfig, DeviceGroup};
+use vbatch_workload::{fill_spd_batch, SizeDist};
 
 const SIZES: [usize; 10] = [33, 7, 150, 64, 1, 0, 90, 12, 128, 45];
 
@@ -160,6 +164,173 @@ fn simulated_clock_totals_are_pinned() {
             g.launches,
             "{:?}: launch count changed",
             g.leg
+        );
+    }
+}
+
+/// What a schedule golden row runs: `potrf_sharded` on a homogeneous
+/// K40c group, `potrf_hybrid` on one K40c plus a two-thread host peer,
+/// or `getrf_sharded`.
+#[derive(Clone, Copy, Debug)]
+enum Schedule {
+    Sharded { devices: usize, steal: bool },
+    Hybrid,
+    GetrfSharded { devices: usize },
+}
+
+/// One peer's `(shards, stolen, matrices)`; a hybrid row lists the
+/// host peer last.
+type PeerRow = (usize, u32, usize);
+
+struct ScheduleGolden {
+    run: Schedule,
+    makespan_bits: u64,
+    energy_bits: u64,
+    steals: u32,
+    peers: &'static [PeerRow],
+}
+
+/// The shard scheduler's placement and clock: makespan, energy, steals
+/// and each peer's share, bit for bit. Factor bits are pinned by
+/// `tests/sharding.rs`; these rows pin where the shards ran and what
+/// that cost, which no factor bit shows.
+const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
+    ScheduleGolden {
+        run: Schedule::Sharded {
+            devices: 1,
+            steal: true,
+        },
+        makespan_bits: 0x3f4e_ec88_557f_afdf, // 9.43724221540428207e-4 s
+        energy_bits: 0x3fa4_8f44_36f8_2e03,   // 4.01555363751775682e-2 J
+        steals: 0,
+        peers: &[(3, 0, 48)],
+    },
+    ScheduleGolden {
+        run: Schedule::Sharded {
+            devices: 2,
+            steal: true,
+        },
+        makespan_bits: 0x3f43_cf49_cc1c_c9d3, // 6.04544671864377220e-4 s
+        energy_bits: 0x3fa7_ce2b_ddf7_02dc,   // 4.64948376134139696e-2 J
+        steals: 0,
+        peers: &[(3, 0, 26), (3, 0, 22)],
+    },
+    ScheduleGolden {
+        run: Schedule::Sharded {
+            devices: 4,
+            steal: true,
+        },
+        makespan_bits: 0x3f3f_702e_9699_78e7, // 4.79709028331400144e-4 s
+        energy_bits: 0x3fb0_6d01_0075_cdf6,   // 6.41632677195998757e-2 J
+        steals: 2,
+        peers: &[(1, 0, 3), (4, 1, 19), (4, 1, 14), (3, 0, 12)],
+    },
+    ScheduleGolden {
+        run: Schedule::Sharded {
+            devices: 4,
+            steal: false,
+        },
+        makespan_bits: 0x3f40_e752_419e_c172, // 5.15856899474127642e-4 s
+        energy_bits: 0x3fb1_59e7_10e5_e1dc,   // 6.77780548338726141e-2 J
+        steals: 0,
+        peers: &[(3, 0, 12), (3, 0, 14), (3, 0, 10), (3, 0, 12)],
+    },
+    ScheduleGolden {
+        run: Schedule::Hybrid,
+        makespan_bits: 0x3f47_cfd3_b308_0f20, // 7.26679200000000108e-4 s
+        energy_bits: 0x3fc9_2086_fe59_3924,   // 1.96305154985062846e-1 J
+        steals: 0,
+        peers: &[(4, 0, 32), (2, 0, 16)],
+    },
+    ScheduleGolden {
+        run: Schedule::GetrfSharded { devices: 2 },
+        makespan_bits: 0x3f42_afc8_0a08_6226, // 5.70271182428309887e-4 s
+        energy_bits: 0x3fb1_dc4b_27e3_e59a,   // 6.97676632297742627e-2 J
+        steals: 0,
+        peers: &[(3, 0, 26), (3, 0, 22)],
+    },
+];
+
+/// Runs `run` on a seeded mixed-size workload and returns its report.
+fn run_schedule(run: Schedule) -> ShardedReport {
+    let mut rng = seeded_rng(0x5CED);
+    let sizes = SizeDist::Gaussian { max: 160 }.sample_batch(&mut rng, 48);
+    let mut mats: Vec<Vec<f64>> = match run {
+        Schedule::GetrfSharded { .. } => sizes
+            .iter()
+            .map(|&n| diag_dominant_vec(&mut rng, n, n))
+            .collect(),
+        _ => sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect(),
+    };
+    let shard_opts = |steal| ShardOpts {
+        steal,
+        ..ShardOpts::default()
+    };
+    let group = |devices| DeviceGroup::homogeneous(DeviceConfig::k40c(), devices);
+    let mut state = ShardedState::new();
+    let opts = PotrfOptions::default();
+    let report = match run {
+        Schedule::Sharded { devices, steal } => potrf_sharded(
+            &group(devices),
+            &sizes,
+            &mut mats,
+            &opts,
+            &shard_opts(steal),
+            &mut state,
+        ),
+        Schedule::Hybrid => potrf_hybrid(
+            &group(1),
+            &HostEngine::with_threads(2),
+            &HostCostModel::default_for_threads(2),
+            &sizes,
+            &mut mats,
+            &opts,
+            &shard_opts(true),
+            &mut state,
+            &mut HostState::new(),
+        ),
+        Schedule::GetrfSharded { devices } => getrf_sharded(
+            &group(devices),
+            &sizes,
+            &mut mats,
+            &GetrfOptions::default(),
+            &shard_opts(true),
+            &mut state,
+        )
+        .map(|(report, _)| report),
+    }
+    .unwrap();
+    assert!(
+        report.info.iter().all(|&i| i == 0),
+        "{run:?}: {:?}",
+        report.info
+    );
+    report
+}
+
+#[test]
+fn shard_schedules_are_pinned() {
+    for g in &SCHEDULE_GOLDENS {
+        let report = run_schedule(g.run);
+        let mut peers: Vec<PeerRow> = report
+            .per_device
+            .iter()
+            .map(|d| (d.shards, d.stolen, d.matrices))
+            .collect();
+        peers.extend(report.host.map(|h| (h.shards, h.stolen, h.matrices)));
+        let got = (
+            report.makespan_s.to_bits(),
+            report.energy_j.to_bits(),
+            report.steals,
+            peers.as_slice(),
+        );
+        assert_eq!(
+            got,
+            (g.makespan_bits, g.energy_bits, g.steals, g.peers),
+            "{:?}: schedule drifted (makespan {:.17e} s, energy {:.17e} J)",
+            g.run,
+            report.makespan_s,
+            report.energy_j
         );
     }
 }

@@ -158,7 +158,7 @@ impl DeviceConfig {
 
     /// Core clock in Hz.
     #[must_use]
-    pub fn clock_hz(&self) -> f64 {
+    pub(crate) fn clock_hz(&self) -> f64 {
         self.clock_mhz * 1e6
     }
 
@@ -188,7 +188,7 @@ impl DeviceConfig {
     /// Issue efficiency for `warps` resident warps on an SM — the
     /// saturating latency-hiding curve `w / (w + w½)`.
     #[must_use]
-    pub fn issue_efficiency(&self, warps: f64) -> f64 {
+    pub(crate) fn issue_efficiency(&self, warps: f64) -> f64 {
         let w = warps.max(1.0);
         w / (w + self.latency_hiding_half_warps)
     }

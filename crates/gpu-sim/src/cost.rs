@@ -56,19 +56,19 @@ pub struct BlockCost {
 impl BlockCost {
     /// Total executed flops across precisions.
     #[must_use]
-    pub fn flops_exec(&self) -> f64 {
+    pub(crate) fn flops_exec(&self) -> f64 {
         self.sp_flops_exec + self.dp_flops_exec
     }
 
     /// Total useful flops across precisions.
     #[must_use]
-    pub fn flops_useful(&self) -> f64 {
+    pub(crate) fn flops_useful(&self) -> f64 {
         self.sp_flops_useful + self.dp_flops_useful
     }
 
     /// Total global-memory traffic in bytes.
     #[must_use]
-    pub fn gmem_bytes(&self) -> f64 {
+    pub(crate) fn gmem_bytes(&self) -> f64 {
         self.gmem_read_bytes + self.gmem_write_bytes
     }
 }
@@ -76,7 +76,6 @@ impl BlockCost {
 /// Execution context handed to a kernel body for one thread block.
 pub struct BlockCtx {
     block_idx: Dim3,
-    block_dim: Dim3,
     grid_dim: Dim3,
     warp_size: u32,
     cost: BlockCost,
@@ -88,7 +87,6 @@ impl BlockCtx {
         let warps = threads.div_ceil(warp_size);
         Self {
             block_idx,
-            block_dim,
             grid_dim,
             warp_size,
             cost: BlockCost {
@@ -107,18 +105,6 @@ impl BlockCtx {
     #[must_use]
     pub fn block_idx(&self) -> Dim3 {
         self.block_idx
-    }
-
-    /// Threads per block (as launched).
-    #[must_use]
-    pub fn block_dim(&self) -> Dim3 {
-        self.block_dim
-    }
-
-    /// Grid extent.
-    #[must_use]
-    pub fn grid_dim(&self) -> Dim3 {
-        self.grid_dim
     }
 
     /// Linear block id (x fastest).
@@ -147,7 +133,7 @@ impl BlockCtx {
     }
 
     /// Single-precision counterpart of [`BlockCtx::dp_flops`].
-    pub fn sp_flops(&mut self, active_threads: usize, flops_per_thread: f64) {
+    pub(crate) fn sp_flops(&mut self, active_threads: usize, flops_per_thread: f64) {
         let (exec, useful) = self.padded(active_threads, flops_per_thread);
         self.cost.sp_flops_exec += exec;
         self.cost.sp_flops_useful += useful;

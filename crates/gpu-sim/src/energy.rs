@@ -7,24 +7,24 @@
 
 /// A linear power model between idle and peak draw.
 #[derive(Clone, Copy, Debug)]
-pub struct PowerModel {
+pub(crate) struct PowerModel {
     /// Watts drawn with no work resident.
-    pub idle_w: f64,
+    pub(crate) idle_w: f64,
     /// Watts drawn at full activity.
-    pub max_w: f64,
+    pub(crate) max_w: f64,
 }
 
 impl PowerModel {
     /// Instantaneous power at `activity ∈ [0, 1]`.
     #[must_use]
-    pub fn power_w(&self, activity: f64) -> f64 {
+    pub(crate) fn power_w(&self, activity: f64) -> f64 {
         self.idle_w + (self.max_w - self.idle_w) * activity.clamp(0.0, 1.0)
     }
 }
 
 /// Integrates energy over the simulated timeline.
 #[derive(Clone, Debug)]
-pub struct EnergyMeter {
+pub(crate) struct EnergyMeter {
     model: PowerModel,
     joules: f64,
 }
@@ -32,30 +32,24 @@ pub struct EnergyMeter {
 impl EnergyMeter {
     /// New meter over `model`, starting at zero joules.
     #[must_use]
-    pub fn new(model: PowerModel) -> Self {
+    pub(crate) fn new(model: PowerModel) -> Self {
         Self { model, joules: 0.0 }
     }
 
     /// Adds `seconds` of operation at `activity ∈ [0, 1]`.
-    pub fn add_interval(&mut self, seconds: f64, activity: f64) {
+    pub(crate) fn add_interval(&mut self, seconds: f64, activity: f64) {
         self.joules += self.model.power_w(activity) * seconds;
     }
 
     /// Total integrated energy in joules.
     #[must_use]
-    pub fn joules(&self) -> f64 {
+    pub(crate) fn joules(&self) -> f64 {
         self.joules
     }
 
     /// Resets the integral (for measuring a region of interest).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.joules = 0.0;
-    }
-
-    /// The underlying power model.
-    #[must_use]
-    pub fn model(&self) -> PowerModel {
-        self.model
     }
 }
 

@@ -32,14 +32,14 @@ impl Dim3 {
 
     /// Total number of elements in the extent.
     #[must_use]
-    pub const fn count(&self) -> u64 {
+    pub(crate) const fn count(&self) -> u64 {
         self.x as u64 * self.y as u64 * self.z as u64
     }
 
     /// Decomposes a linear index (x fastest) into a `Dim3` index within
     /// this extent.
     #[must_use]
-    pub fn unflatten(&self, linear: u64) -> Dim3 {
+    pub(crate) fn unflatten(&self, linear: u64) -> Dim3 {
         debug_assert!(linear < self.count());
         let x = (linear % self.x as u64) as u32;
         let rest = linear / self.x as u64;
@@ -97,13 +97,13 @@ impl LaunchConfig {
 
     /// Threads per block.
     #[must_use]
-    pub fn threads_per_block(&self) -> u32 {
+    pub(crate) fn threads_per_block(&self) -> u32 {
         self.block.count() as u32
     }
 
     /// Warps per block (rounded up to whole warps of `warp_size`).
     #[must_use]
-    pub fn warps_per_block(&self, warp_size: u32) -> u32 {
+    pub(crate) fn warps_per_block(&self, warp_size: u32) -> u32 {
         self.threads_per_block().div_ceil(warp_size)
     }
 }

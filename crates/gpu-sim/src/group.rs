@@ -5,7 +5,7 @@
 //! the simulator to N such devices, each fully independent — its own
 //! clock, energy meter, profiler, memory tracker and fault plan — so a
 //! fault injected on one device can never perturb another's timeline or
-//! results. Aggregates ([`DeviceGroup::makespan_s`],
+//! results. Aggregates (the makespan [`DeviceGroup::barrier`] returns,
 //! [`DeviceGroup::total_energy_j`]) describe the group as one machine:
 //! time-to-solution is the slowest device, energy-to-solution is the sum
 //! (with [`DeviceGroup::barrier`] charging idle power to the devices
@@ -91,7 +91,7 @@ impl DeviceGroup {
 
     /// Time-to-solution: the slowest device's clock.
     #[must_use]
-    pub fn makespan_s(&self) -> f64 {
+    pub(crate) fn makespan_s(&self) -> f64 {
         self.devices.iter().map(Device::now).fold(0.0, f64::max)
     }
 
@@ -99,12 +99,6 @@ impl DeviceGroup {
     #[must_use]
     pub fn total_energy_j(&self) -> f64 {
         self.devices.iter().map(Device::energy_j).sum()
-    }
-
-    /// Total kernel launches across devices.
-    #[must_use]
-    pub fn total_launches(&self) -> u64 {
-        self.devices.iter().map(Device::launch_count).sum()
     }
 
     /// Resets every device's clock, energy and profiler.

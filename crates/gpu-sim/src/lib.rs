@@ -58,7 +58,7 @@
 pub mod config;
 pub mod cost;
 pub mod device;
-pub mod energy;
+mod energy;
 pub mod fault;
 pub mod grid;
 pub mod group;
@@ -73,7 +73,6 @@ pub mod workers;
 pub use config::DeviceConfig;
 pub use cost::{BlockCost, BlockCtx};
 pub use device::{Device, LaunchError};
-pub use energy::{EnergyMeter, PowerModel};
 pub use fault::{Corruption, Fault, FaultPlan, InjectionEvent};
 pub use grid::{Dim3, LaunchConfig};
 pub use group::{CopyComputeTimeline, DeviceGroup};

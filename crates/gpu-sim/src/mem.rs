@@ -68,7 +68,7 @@ impl std::error::Error for OomError {}
 
 /// Shared allocation bookkeeping for one device.
 #[derive(Debug)]
-pub struct MemoryTracker {
+pub(crate) struct MemoryTracker {
     capacity: usize,
     in_use: AtomicUsize,
     peak: AtomicUsize,
@@ -79,7 +79,7 @@ pub struct MemoryTracker {
 impl MemoryTracker {
     /// Creates a tracker for `capacity` bytes.
     #[must_use]
-    pub fn new(capacity: usize) -> Arc<Self> {
+    pub(crate) fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             capacity,
             in_use: AtomicUsize::new(0),
@@ -91,7 +91,7 @@ impl MemoryTracker {
 
     /// Attempts to reserve `bytes`, failing with [`OomError`] when the
     /// device capacity would be exceeded.
-    pub fn reserve(&self, bytes: usize) -> Result<(), OomError> {
+    pub(crate) fn reserve(&self, bytes: usize) -> Result<(), OomError> {
         let mut cur = self.in_use.load(Ordering::Relaxed);
         loop {
             let new = cur.checked_add(bytes).ok_or(OomError {
@@ -120,25 +120,25 @@ impl MemoryTracker {
     }
 
     /// Releases `bytes` previously reserved.
-    pub fn release(&self, bytes: usize) {
+    pub(crate) fn release(&self, bytes: usize) {
         self.in_use.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Bytes currently allocated.
     #[must_use]
-    pub fn in_use(&self) -> usize {
+    pub(crate) fn in_use(&self) -> usize {
         self.in_use.load(Ordering::Relaxed)
     }
 
     /// High-water mark of allocated bytes.
     #[must_use]
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
 
     /// Device capacity in bytes.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -147,13 +147,13 @@ impl MemoryTracker {
     /// call is the allocation-regression metric: a warm-workspace call
     /// must leave it unchanged.
     #[must_use]
-    pub fn alloc_count(&self) -> u64 {
+    pub(crate) fn alloc_count(&self) -> u64 {
         self.allocs.load(Ordering::Relaxed)
     }
 
     /// Number of buffer frees performed so far (monotonic).
     #[must_use]
-    pub fn free_count(&self) -> u64 {
+    pub(crate) fn free_count(&self) -> u64 {
         self.frees.load(Ordering::Relaxed)
     }
 

@@ -65,7 +65,7 @@ impl<T: Copy + Default> MemoryPool<T> {
 
     /// The class a request of `len` elements is served from.
     #[must_use]
-    pub fn class_len(len: usize) -> usize {
+    pub(crate) fn class_len(len: usize) -> usize {
         if len == 0 {
             0
         } else {
@@ -108,7 +108,7 @@ impl<T: Copy + Default> MemoryPool<T> {
     }
 
     /// Drops every free buffer, returning its memory to the device
-    /// (the pool analogue of [`crate::mem::MemoryTracker`] release).
+    /// (the pool analogue of a device buffer's release on drop).
     pub fn trim(&mut self) {
         self.free.clear();
         self.held_bytes = 0;

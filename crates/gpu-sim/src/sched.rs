@@ -64,8 +64,8 @@ pub fn block_service_cycles(dev: &DeviceConfig, occ: &Occupancy, cost: &BlockCos
 /// Schedules `blocks` (with per-block occupancy context) over the
 /// device's SMs. `release_s[i]` is the earliest simulated time block `i`
 /// may start. This general form is the reference the launch path's
-/// [`schedule_blocks_uniform`] (one occupancy, every release 0) is
-/// checked against.
+/// crate-private `schedule_blocks_uniform` (one occupancy, every
+/// release 0) is checked against.
 ///
 /// `launch_s` is added to the critical path *before* the first block may
 /// run (host-side issue cost).
@@ -128,7 +128,7 @@ pub fn schedule_blocks(
 /// uniform occupancy and zero releases: same iteration order, same
 /// first-minimum SM pick, same accumulation order.
 #[must_use]
-pub fn schedule_blocks_uniform(
+pub(crate) fn schedule_blocks_uniform(
     dev: &DeviceConfig,
     costs: &[BlockCost],
     occ: &Occupancy,

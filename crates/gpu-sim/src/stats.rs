@@ -69,7 +69,7 @@ pub struct Profiler {
 
 impl Profiler {
     /// Records one launch.
-    pub fn record(&mut self, name: &'static str, timing: &KernelTiming) {
+    pub(crate) fn record(&mut self, name: &'static str, timing: &KernelTiming) {
         let e = self.entries.entry(name).or_default();
         e.launches += 1;
         e.time_s += timing.total_s;
@@ -95,7 +95,7 @@ impl Profiler {
 
     /// Total simulated time across all kernels.
     #[must_use]
-    pub fn total_time_s(&self) -> f64 {
+    pub(crate) fn total_time_s(&self) -> f64 {
         self.entries.values().map(|e| e.time_s).sum()
     }
 
@@ -117,7 +117,7 @@ impl Profiler {
     }
 
     /// Clears all recorded entries.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.entries.clear();
     }
 }

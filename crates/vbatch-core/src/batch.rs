@@ -403,14 +403,18 @@ impl<T: Scalar> VBatch<T> {
     }
 }
 
-/// Device-resident per-matrix output storage — one arena holding `per`
-/// slots for each matrix plus the device array of per-matrix pointers
-/// into it. The one implementation behind [`crate::lu::PivotArray`]
-/// (`i32` pivots) and [`crate::qr::TauArray`] (Householder scalars).
+/// Device-resident per-matrix storage — one arena holding `per` slots
+/// for each matrix plus the device array of per-matrix pointers into
+/// it. The one implementation behind [`crate::lu::PivotArray`] (`i32`
+/// pivots), [`crate::qr::TauArray`] (Householder scalars),
+/// [`crate::sep::trtri::TileWorkspace`] (inverted diagonal tiles) and
+/// the QR driver's `T`-factor tiles.
 pub(crate) struct PerMatrixArray<T> {
     arena: DeviceBuffer<T>,
     d_ptrs: DeviceBuffer<DevicePtr<T>>,
     per: usize,
+    /// Leading matrices whose pointers `d_ptrs` holds at stride `per`.
+    covered: usize,
 }
 
 impl<T: Copy + Default> PerMatrixArray<T> {
@@ -423,11 +427,15 @@ impl<T: Copy + Default> PerMatrixArray<T> {
     }
 
     /// Ensures `slot` holds storage covering `count × max_k`, reusing
-    /// the existing arena and pointer array when they are large enough
-    /// (re-slicing the pointer table for the new stride). Grows never
-    /// shrink: a grow carries the old capacity forward, so once a slot
-    /// has seen every shape in a rotation, further calls are
-    /// device-alloc-free — the sharded getrf path relies on that.
+    /// the existing arena and pointer array when they are large enough.
+    /// The pointer table is rewritten only when the stride changes or
+    /// `count` runs past the matrices it covers, so a warm call makes
+    /// no host allocation. Grows never shrink: a grow carries the old
+    /// capacity forward, so once a slot has seen every shape in a
+    /// rotation, further calls are device-alloc-free — the sharded
+    /// getrf path relies on that. A grow frees the old arena and table
+    /// first, then allocates the arena and the table, in that order
+    /// (fault plans count allocations).
     pub(crate) fn ensure(
         slot: &mut Option<Self>,
         dev: &Device,
@@ -446,15 +454,33 @@ impl<T: Copy + Default> PerMatrixArray<T> {
                 .map_or((0, 0), |p| (p.arena.len(), p.d_ptrs.len()));
             let arena = dev.alloc((count * per).max(have_arena))?;
             let d_ptrs = dev.alloc(count.max(have_ptrs))?;
-            *slot = Some(Self { arena, d_ptrs, per });
+            *slot = Some(Self {
+                arena,
+                d_ptrs,
+                per,
+                covered: 0,
+            });
         }
         let p = slot.as_mut().expect("filled above");
-        p.per = per;
-        let ptrs: Vec<DevicePtr<T>> = (0..count)
-            .map(|i| p.arena.ptr().offset(i * per).truncate(per))
-            .collect();
-        p.d_ptrs.fill_from_host(&ptrs);
+        if p.per != per || p.covered < count {
+            p.per = per;
+            p.covered = count;
+            let ptrs: Vec<DevicePtr<T>> = (0..count)
+                .map(|i| p.arena.ptr().offset(i * per).truncate(per))
+                .collect();
+            p.d_ptrs.fill_from_host(&ptrs);
+        }
         Ok(())
+    }
+
+    /// Device bytes held by the arena alone.
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.arena.bytes()
+    }
+
+    /// Device bytes held by the arena and the pointer table.
+    pub(crate) fn bytes(&self) -> usize {
+        self.arena_bytes() + self.d_ptrs.bytes()
     }
 
     /// Device array of per-matrix pointers.

@@ -21,7 +21,7 @@ use crate::recover::{
 use crate::report::{BatchReport, VbatchError};
 use crate::sep::potf2::potf2_panel_vbatched;
 use crate::sep::syrk::syrk_vbatched;
-use crate::sep::trsm::{trsm_left_upper_trans_vbatched, trsm_right_lower_trans_vbatched};
+use crate::sep::trsm::trsm_panel_vbatched;
 use crate::sep::trtri::trtri_diag_vbatched;
 use crate::sep::{VView, DEFAULT_NB_PANEL};
 use crate::sorting::{build_windows, charge_sort_transfers, single_window, upload_indices_pooled};
@@ -504,32 +504,19 @@ fn run_separated<T: Scalar>(
                     true,
                 )
             })?;
-            match uplo {
-                Uplo::Lower => with_retry(dev, &pol, rec, || {
-                    trsm_right_lower_trans_vbatched(
-                        dev,
-                        count,
-                        view,
-                        st.d_rem.ptr(),
-                        batch.d_info(),
-                        work,
-                        nb_panel,
-                        max_trail,
-                    )
-                })?,
-                Uplo::Upper => with_retry(dev, &pol, rec, || {
-                    trsm_left_upper_trans_vbatched(
-                        dev,
-                        count,
-                        view,
-                        st.d_rem.ptr(),
-                        batch.d_info(),
-                        work,
-                        nb_panel,
-                        max_trail,
-                    )
-                })?,
-            };
+            with_retry(dev, &pol, rec, || {
+                trsm_panel_vbatched(
+                    dev,
+                    count,
+                    uplo,
+                    view,
+                    st.d_rem.ptr(),
+                    batch.d_info(),
+                    work,
+                    nb_panel,
+                    max_trail,
+                )
+            })?;
             with_retry(dev, &pol, rec, || {
                 syrk_vbatched(
                     dev,

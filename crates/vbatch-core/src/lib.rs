@@ -75,7 +75,7 @@ pub use lu::{getrf_vbatched, getrf_vbatched_pooled, getrf_vbatched_ws, GetrfOpti
 pub use recover::{Outcome, RecoveryPolicy, RecoveryReport};
 pub use report::{BatchReport, VbatchError};
 pub use shard::{
-    getrf_sharded, plan_shards, plan_shards_hybrid, potrf_hybrid, potrf_sharded, DeviceShardStats,
-    DeviceState, HostPeerReport, Shard, ShardOpts, ShardedReport, ShardedState,
+    getrf_sharded, plan_shards, potrf_hybrid, potrf_sharded, DeviceShardStats, DeviceState,
+    HostPeerReport, Shard, ShardOpts, ShardedReport, ShardedState,
 };
 pub use workspace::DriverWorkspace;

@@ -81,8 +81,10 @@ impl PivotArray {
 }
 
 /// Per-step device views for the trailing updates, produced by an
-/// auxiliary kernel (the §III-A device-side pointer arithmetic).
-struct LuStep<T> {
+/// auxiliary kernel (the §III-A device-side pointer arithmetic). Pooled
+/// in [`crate::workspace::DriverWorkspace`]: every buffer is fully
+/// rewritten by the step kernel before the trailing kernels read it.
+pub(crate) struct LuStep<T> {
     d_l11: DeviceBuffer<DevicePtr<T>>,
     d_a12: DeviceBuffer<DevicePtr<T>>,
     d_a21: DeviceBuffer<DevicePtr<T>>,
@@ -92,73 +94,8 @@ struct LuStep<T> {
     d_tcols: DeviceBuffer<i32>,
 }
 
-/// Pooled LU driver scratch, held inside
-/// [`crate::workspace::DriverWorkspace`]: the per-step view buffers and
-/// the always-clean info vector the trailing updates read. Grown on
-/// demand, never shrunk. Reuse is safe: every `LuStep` buffer is fully
-/// rewritten by the step kernel before the trailing kernels read it, and
-/// the clean info vector is only ever read (zero forever).
-pub struct LuWorkspace<T> {
-    step: Option<LuStep<T>>,
-    step_count: usize,
-    clean_info: Option<DeviceBuffer<i32>>,
-}
-
-impl<T> Default for LuWorkspace<T> {
-    fn default() -> Self {
-        Self {
-            step: None,
-            step_count: 0,
-            clean_info: None,
-        }
-    }
-}
-
-impl<T: Scalar> LuWorkspace<T> {
-    /// Ensures coverage for `count` matrices, returning the step views
-    /// and the clean-info pointer.
-    fn scratch(
-        &mut self,
-        dev: &Device,
-        count: usize,
-    ) -> Result<(&LuStep<T>, DevicePtr<i32>), VbatchError> {
-        if self.step.is_none() || self.step_count < count {
-            self.step = None;
-            self.step = Some(LuStep::alloc(dev, count)?);
-            self.step_count = count;
-        }
-        if self.clean_info.as_ref().is_none_or(|b| b.len() < count) {
-            self.clean_info = None;
-            self.clean_info = Some(dev.alloc(count)?);
-        }
-        Ok((
-            self.step.as_ref().expect("ensured above"),
-            self.clean_info.as_ref().expect("ensured above").ptr(),
-        ))
-    }
-
-    /// Device bytes currently held.
-    #[must_use]
-    pub fn device_bytes(&self) -> usize {
-        let mut total = 0;
-        if let Some(s) = &self.step {
-            total += s.d_l11.bytes()
-                + s.d_a12.bytes()
-                + s.d_a21.bytes()
-                + s.d_a22.bytes()
-                + s.d_jb.bytes()
-                + s.d_trows.bytes()
-                + s.d_tcols.bytes();
-        }
-        if let Some(b) = &self.clean_info {
-            total += b.bytes();
-        }
-        total
-    }
-}
-
 impl<T: Scalar> LuStep<T> {
-    fn alloc(dev: &Device, count: usize) -> Result<Self, VbatchError> {
+    pub(crate) fn alloc(dev: &Device, count: usize) -> Result<Self, VbatchError> {
         Ok(Self {
             d_l11: dev.alloc(count)?,
             d_a12: dev.alloc(count)?,
@@ -168,6 +105,22 @@ impl<T: Scalar> LuStep<T> {
             d_trows: dev.alloc(count)?,
             d_tcols: dev.alloc(count)?,
         })
+    }
+
+    /// Matrices the views cover.
+    pub(crate) fn count(&self) -> usize {
+        self.d_jb.len()
+    }
+
+    /// Device bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.d_l11.bytes()
+            + self.d_a12.bytes()
+            + self.d_a21.bytes()
+            + self.d_a22.bytes()
+            + self.d_jb.bytes()
+            + self.d_trows.bytes()
+            + self.d_tcols.bytes()
     }
 
     fn update(
@@ -350,9 +303,9 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     // Trailing kernels must keep running for singular matrices (LAPACK
     // continues past a zero pivot), so they get an always-clean info.
     let (step, clean_info) = with_retry(dev, &pol, &mut rec, || {
-        ws.lu.scratch(dev, count).map(|_| ())
+        ws.lu_scratch(dev, count).map(|_| ())
     })
-    .and(ws.lu.scratch(dev, count))?;
+    .and(ws.lu_scratch(dev, count))?;
 
     let mut j = 0;
     while j < k_max {

@@ -11,7 +11,7 @@
 //!    and the batch with ETM-classic on out-of-range tiles.
 
 use vbatch_dense::Scalar;
-use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, Dim3, LaunchConfig};
+use vbatch_gpu_sim::{Device, DevicePtr, Dim3, LaunchConfig};
 
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
@@ -47,70 +47,6 @@ impl<T: Scalar> TauArray<T> {
     #[must_use]
     pub fn download(&self, i: usize, k: usize) -> Vec<T> {
         self.0.read(i, k).collect()
-    }
-}
-
-/// Pooled QR driver scratch, held inside
-/// [`crate::workspace::DriverWorkspace`]: the per-matrix `T`-factor
-/// arena and its device pointer array, keyed on `(count, nb)`. Grown on
-/// demand (and rebuilt when `nb` changes, since the arena stride is
-/// `nb²`); every tile is fully rewritten by the panel kernel before
-/// `larfb` reads it, so reuse across calls is safe.
-pub struct QrWorkspace<T> {
-    t_work: Option<DeviceBuffer<T>>,
-    d_t_ptrs: Option<DeviceBuffer<DevicePtr<T>>>,
-    nb: usize,
-    count: usize,
-}
-
-impl<T> Default for QrWorkspace<T> {
-    fn default() -> Self {
-        Self {
-            t_work: None,
-            d_t_ptrs: None,
-            nb: 0,
-            count: 0,
-        }
-    }
-}
-
-impl<T: Scalar> QrWorkspace<T> {
-    /// Ensures `count` tiles of order `nb`, returning the device array
-    /// of per-matrix `T`-factor pointers.
-    fn t_scratch(
-        &mut self,
-        dev: &Device,
-        count: usize,
-        nb: usize,
-    ) -> Result<DevicePtr<DevicePtr<T>>, VbatchError> {
-        if self.t_work.is_none() || self.nb != nb || self.count < count {
-            self.t_work = None;
-            self.d_t_ptrs = None;
-            let t_work: DeviceBuffer<T> = dev.alloc(count * nb * nb)?;
-            let ptrs: Vec<DevicePtr<T>> = (0..count)
-                .map(|i| t_work.ptr().offset(i * nb * nb).truncate(nb * nb))
-                .collect();
-            let d_t_ptrs: DeviceBuffer<DevicePtr<T>> = dev.alloc(count)?;
-            d_t_ptrs.fill_from_host(&ptrs);
-            self.t_work = Some(t_work);
-            self.d_t_ptrs = Some(d_t_ptrs);
-            self.nb = nb;
-            self.count = count;
-        }
-        Ok(self.d_t_ptrs.as_ref().expect("ensured above").ptr())
-    }
-
-    /// Device bytes currently held.
-    #[must_use]
-    pub fn device_bytes(&self) -> usize {
-        let mut total = 0;
-        if let Some(b) = &self.t_work {
-            total += b.bytes();
-        }
-        if let Some(b) = &self.d_t_ptrs {
-            total += b.bytes();
-        }
-        total
     }
 }
 
@@ -187,10 +123,12 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
         return Ok((BatchReport::from_parts(batch.read_info(), rec), tau));
     }
     batch.register_fault_targets(dev);
-    // Per-matrix T-factor workspace (nb × nb each), pooled. On OOM under
-    // an active fault plan the retry re-enters `t_scratch`, which keeps
-    // whatever partial progress the first attempt made.
-    let t_ptrs = with_retry(dev, &pol, &mut rec, || ws.qr.t_scratch(dev, count, nb))?;
+    // Per-matrix T-factor workspace (nb × nb each), pooled; every tile
+    // is fully rewritten by the panel kernel before `larfb` reads it.
+    with_retry(dev, &pol, &mut rec, || {
+        PerMatrixArray::ensure(&mut ws.qr_t, dev, count, nb * nb)
+    })?;
+    let t_ptrs = ws.qr_t.as_ref().expect("ensured above").d_ptrs();
 
     let max_n = batch.max_cols();
 

@@ -6,9 +6,9 @@
 //!
 //! * [`potf2::potf2_panel_vbatched`] — panel factorization, reusing the
 //!   fused kernel's step logic on an `NB × NB` tile (`NB > nb`);
-//! * [`trsm::trsm_right_lower_trans_vbatched`] — the paper's `trsm`
-//!   design: invert diagonal blocks with a vbatched `trtri`, then apply
-//!   them with `gemm`-shaped multiplies;
+//! * [`trsm::trsm_panel_vbatched`] — the paper's `trsm` design, one
+//!   launcher for either triangle: invert diagonal blocks with a
+//!   vbatched `trtri`, then apply them with `gemm`-shaped multiplies;
 //! * [`gemm::gemm_vbatched`] — tiled general multiply, the workhorse
 //!   every other kernel leans on;
 //! * [`syrk::syrk_vbatched`] — the trailing update, "realized as a gemm

@@ -2,12 +2,12 @@
 //!
 //! Two designs, matching the paper:
 //!
-//! * [`trsm_right_lower_trans_vbatched`] — the Cholesky panel solve
-//!   `A21 ← A21·L11⁻ᵀ`, implemented as the paper describes: the
-//!   diagonal blocks are first inverted by the vbatched `trtri`
-//!   ([`crate::sep::trtri`]), then applied with `gemm`-shaped tile
-//!   multiplies ("updates the solution matrix based on several calls to
-//!   a vbatched `gemm` kernel").
+//! * [`trsm_panel_vbatched`] — the Cholesky panel solve
+//!   (`A21 ← A21·L11⁻ᵀ` or `A12 ← U11⁻ᵀ·A12`), implemented as the paper
+//!   describes: the diagonal blocks are first inverted by the vbatched
+//!   `trtri` ([`crate::sep::trtri`]), then applied with `gemm`-shaped
+//!   tile multiplies ("updates the solution matrix based on several
+//!   calls to a vbatched `gemm` kernel").
 //! * [`trsm_left_vbatched`] — a direct in-block substitution solve
 //!   (`op(L)·X = B`), used where the triangular matrix is small (LU/QR
 //!   panels, batched `potrs`); one thread block per matrix.
@@ -23,19 +23,27 @@ use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
 use crate::sep::{VView, GEMM_TILE_M};
 
-/// Applies inverted diagonal blocks to the rows below the panel:
-/// `A21_i ← A21_i · W_iᵀ` where `W_i = L11_i⁻¹` sits in `work`
-/// (produced by [`crate::sep::trtri::trtri_diag_vbatched`]).
+/// The Cholesky panel solve by inverted diagonal blocks
+/// `W_i = T11_i⁻¹` in `work` (produced by
+/// [`crate::sep::trtri::trtri_diag_vbatched`]), applied as a `trmm`
+/// per tile of the off-diagonal panel:
+///
+/// * `Lower`: the rows below the panel, `A21_i ← A21_i · W_iᵀ`
+///   (so `A21 ← A21·L11⁻ᵀ`), tiled over rows;
+/// * `Upper`: the columns right of the panel, `A12_i ← W_iᵀ · A12_i`
+///   (so `A12 ← U11⁻ᵀ·A12`), tiled over columns.
 ///
 /// `a` points at the displaced `A(j,j)`; the panel is `nb_panel` wide;
-/// `max_trail` (= `max_rem − nb_panel`) sizes the row-tile grid.
+/// `max_trail` (= `max_rem − nb_panel`) sizes the tile grid.
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] when there is nothing to solve;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
-pub fn trsm_right_lower_trans_vbatched<T: Scalar>(
+pub fn trsm_panel_vbatched<T: Scalar>(
     dev: &Device,
     count: usize,
+    uplo: Uplo,
     a: VView<T>,
     d_rem: DevicePtr<i32>,
     d_info: DevicePtr<i32>,
@@ -45,7 +53,7 @@ pub fn trsm_right_lower_trans_vbatched<T: Scalar>(
 ) -> Result<KernelStats, VbatchError> {
     if max_trail == 0 || count == 0 {
         return Err(VbatchError::InvalidArgument(
-            "trsm_right_lower_trans_vbatched: no trailing rows",
+            "trsm_panel_vbatched: no trailing rows or columns",
         ));
     }
     let grid = Dim3::xy(max_trail.div_ceil(GEMM_TILE_M) as u32, count as u32);
@@ -58,95 +66,34 @@ pub fn trsm_right_lower_trans_vbatched<T: Scalar>(
         let i = ctx.block_idx().y as usize;
         let rem = d_rem.get(i).max(0) as usize;
         let trail = rem.saturating_sub(nb_panel);
-        let r0 = bi * GEMM_TILE_M;
-        let live = trail > 0 && r0 < trail && d_info.get(i) == 0;
+        let t0 = bi * GEMM_TILE_M;
+        let live = trail > 0 && t0 < trail && d_info.get(i) == 0;
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }
-        let mt = GEMM_TILE_M.min(trail - r0);
+        let len = GEMM_TILE_M.min(trail - t0);
         let ld = a.lds.get(i) as usize;
-        // A21 row tile: rows nb_panel + r0 .. of the displaced frame.
-        let tile = mat_mut(a.ptrs.get(i), rem, nb_panel, ld).sub(nb_panel + r0, 0, mt, nb_panel);
+        let p = a.ptrs.get(i);
+        // The tile starts `nb_panel + t0` rows (Lower) or columns
+        // (Upper) into the displaced frame.
+        let (side, tile) = match uplo {
+            Uplo::Lower => (
+                Side::Right,
+                mat_mut(p, rem, nb_panel, ld).sub(nb_panel + t0, 0, len, nb_panel),
+            ),
+            Uplo::Upper => (
+                Side::Left,
+                mat_mut(p, nb_panel, rem, ld).sub(0, nb_panel + t0, nb_panel, len),
+            ),
+        };
         let w = mat_ref(w_ptrs.get(i), nb_panel, nb_panel, w_nb);
-        // A21 ← A21 · (L11⁻¹)ᵀ; W is lower triangular, so this is a trmm.
-        vbatch_dense::trmm(
-            Side::Right,
-            Uplo::Lower,
-            Trans::Trans,
-            Diag::NonUnit,
-            T::ONE,
-            w,
-            tile,
-        );
-        let active = 128.min(mt.max(1) * 2);
-        charge_read::<T>(ctx, mt * nb_panel + nb_panel * nb_panel / 2);
-        charge_write::<T>(ctx, mt * nb_panel);
-        charge_smem::<T>(ctx, (mt + nb_panel) * nb_panel);
-        charge_flops::<T>(ctx, active, mt as f64 * nb_panel as f64 * nb_panel as f64);
-        for _ in 0..nb_panel.div_ceil(8) {
-            ctx.sync();
-        }
-    })?;
-    Ok(stats)
-}
-
-/// Upper-triangle counterpart: applies inverted diagonal blocks to the
-/// columns right of the panel, `A12_i ← W_iᵀ · A12_i` where
-/// `W_i = U11_i⁻¹` (so `A12 ← U11⁻ᵀ·A12`), tiled over columns.
-///
-/// # Errors
-/// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
-pub fn trsm_left_upper_trans_vbatched<T: Scalar>(
-    dev: &Device,
-    count: usize,
-    a: VView<T>,
-    d_rem: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
-    work: &TileWorkspace<T>,
-    nb_panel: usize,
-    max_trail: usize,
-) -> Result<KernelStats, VbatchError> {
-    if max_trail == 0 || count == 0 {
-        return Err(VbatchError::InvalidArgument(
-            "trsm_left_upper_trans_vbatched: no trailing columns",
-        ));
-    }
-    let grid = Dim3::xy(max_trail.div_ceil(GEMM_TILE_M) as u32, count as u32);
-    let smem = (GEMM_TILE_M + nb_panel) * nb_panel.min(8) * T::BYTES;
-    let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
-    let w_ptrs = work.d_ptrs();
-    let w_nb = work.nb();
-    let stats = dev.launch(kname::<T>("trsm_vbatched"), cfg, move |ctx| {
-        let bi = ctx.block_idx().x as usize;
-        let i = ctx.block_idx().y as usize;
-        let rem = d_rem.get(i).max(0) as usize;
-        let trail = rem.saturating_sub(nb_panel);
-        let c0 = bi * GEMM_TILE_M;
-        let live = trail > 0 && c0 < trail && d_info.get(i) == 0;
-        if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
-            return;
-        }
-        let nt = GEMM_TILE_M.min(trail - c0);
-        let ld = a.lds.get(i) as usize;
-        // A12 column tile: columns nb_panel + c0 .. of the displaced frame.
-        let tile = mat_mut(a.ptrs.get(i), nb_panel, rem, ld).sub(0, nb_panel + c0, nb_panel, nt);
-        let w = mat_ref(w_ptrs.get(i), nb_panel, nb_panel, w_nb);
-        // A12 ← (U11⁻¹)ᵀ · A12; W is upper triangular, so this is a trmm.
-        vbatch_dense::trmm(
-            Side::Left,
-            Uplo::Upper,
-            Trans::Trans,
-            Diag::NonUnit,
-            T::ONE,
-            w,
-            tile,
-        );
-        let active = 128.min(nt.max(1) * 2);
-        charge_read::<T>(ctx, nt * nb_panel + nb_panel * nb_panel / 2);
-        charge_write::<T>(ctx, nt * nb_panel);
-        charge_smem::<T>(ctx, (nt + nb_panel) * nb_panel);
-        charge_flops::<T>(ctx, active, nt as f64 * nb_panel as f64 * nb_panel as f64);
+        // W is triangular in `uplo`, so the solve is a trmm.
+        vbatch_dense::trmm(side, uplo, Trans::Trans, Diag::NonUnit, T::ONE, w, tile);
+        let active = 128.min(len.max(1) * 2);
+        charge_read::<T>(ctx, len * nb_panel + nb_panel * nb_panel / 2);
+        charge_write::<T>(ctx, len * nb_panel);
+        charge_smem::<T>(ctx, (len + nb_panel) * nb_panel);
+        charge_flops::<T>(ctx, active, len as f64 * nb_panel as f64 * nb_panel as f64);
         for _ in 0..nb_panel.div_ceil(8) {
             ctx.sync();
         }
@@ -262,9 +209,10 @@ mod tests {
             true,
         )
         .unwrap();
-        trsm_right_lower_trans_vbatched(
+        trsm_panel_vbatched(
             &dev,
             sizes.len(),
+            Uplo::Lower,
             view,
             st.d_rem.ptr(),
             batch.d_info(),

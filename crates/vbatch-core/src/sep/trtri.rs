@@ -6,8 +6,9 @@
 //! leaving the factor itself untouched. ETM-classic only.
 
 use vbatch_dense::{Diag, Scalar, Uplo};
-use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
+use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_write, kname, mat_mut, mat_ref, round_to_warp,
@@ -16,10 +17,9 @@ use crate::report::VbatchError;
 use crate::sep::VView;
 
 /// Per-matrix square workspace arena (e.g. for inverted diagonal
-/// blocks): `count` tiles of `nb × nb` elements each.
+/// blocks): a `PerMatrixArray` of `nb × nb` tiles, one per matrix.
 pub struct TileWorkspace<T> {
-    arena: DeviceBuffer<T>,
-    d_ptrs: DeviceBuffer<DevicePtr<T>>,
+    pub(crate) tiles: PerMatrixArray<T>,
     nb: usize,
 }
 
@@ -29,19 +29,27 @@ impl<T: Scalar> TileWorkspace<T> {
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
     pub fn alloc(dev: &Device, count: usize, nb: usize) -> Result<Self, VbatchError> {
-        let arena: DeviceBuffer<T> = dev.alloc(count * nb * nb)?;
-        let ptrs: Vec<DevicePtr<T>> = (0..count)
-            .map(|i| arena.ptr().offset(i * nb * nb).truncate(nb * nb))
-            .collect();
-        let d_ptrs = dev.alloc(count)?;
-        d_ptrs.fill_from_host(&ptrs);
-        Ok(Self { arena, d_ptrs, nb })
+        PerMatrixArray::alloc(dev, count, nb * nb).map(|tiles| Self { tiles, nb })
+    }
+
+    /// [`PerMatrixArray::ensure`] on a tile slot: a smaller `nb` reuses
+    /// the arena, a larger one or more matrices grow it.
+    pub(crate) fn ensure(
+        slot: &mut Option<Self>,
+        dev: &Device,
+        count: usize,
+        nb: usize,
+    ) -> Result<(), VbatchError> {
+        let mut inner = slot.take().map(|t| t.tiles);
+        let grown = PerMatrixArray::ensure(&mut inner, dev, count, nb * nb);
+        *slot = inner.map(|tiles| Self { tiles, nb });
+        grown
     }
 
     /// Device array of tile pointers.
     #[must_use]
     pub fn d_ptrs(&self) -> DevicePtr<DevicePtr<T>> {
-        self.d_ptrs.ptr()
+        self.tiles.d_ptrs()
     }
 
     /// Tile order.
@@ -50,10 +58,10 @@ impl<T: Scalar> TileWorkspace<T> {
         self.nb
     }
 
-    /// Total bytes held.
+    /// Bytes of the tile arena.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.arena.bytes()
+        self.tiles.arena_bytes()
     }
 }
 

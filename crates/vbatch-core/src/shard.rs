@@ -78,7 +78,7 @@ impl Default for ShardOpts {
 
 /// One planned shard: a set of global matrix indices, its planned home
 /// device and its modeled cost.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Shard {
     /// Planned home device (execution may steal it elsewhere).
     pub home: usize,
@@ -88,8 +88,10 @@ pub struct Shard {
     pub cost_s: f64,
 }
 
-/// Per-device pooled state for the sharded drivers: reusing one across
-/// calls makes warm runs zero-device-alloc.
+/// Per-device pooled state: the sharded drivers keep one per device of
+/// the group, a single-device caller (the serving front end) one for
+/// its device. Reusing one across calls makes warm runs
+/// zero-device-alloc. Construction allocates no device memory.
 pub struct DeviceState<T> {
     /// Driver scratch (window index uploads, LU step views, …).
     pub ws: DriverWorkspace<T>,
@@ -125,10 +127,11 @@ impl<T: Scalar> ShardedState<T> {
         }
     }
 
-    fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) -> &mut [DeviceState<T>] {
         while self.devices.len() < n {
             self.devices.push(DeviceState::default());
         }
+        &mut self.devices[..n]
     }
 }
 
@@ -250,19 +253,47 @@ pub fn plan_shards<T: Scalar>(
     devices: usize,
     shards_per_device: usize,
 ) -> Vec<Shard> {
-    let devices = devices.max(1);
-    let mut shards = cut_shards::<T>(cfg, sizes, devices * shards_per_device.max(1));
+    plan_peers::<T>(cfg, None, sizes, devices, shards_per_device)
+}
 
-    // Greedy LPT assignment over planned load; ties break on the lower
-    // device index. Shards are already in descending-cost-ish order
-    // (they cover a size-descending sequence at equal cost targets).
-    let mut load = vec![0.0f64; devices];
+/// The one shard planner: cuts `peers · shards_per_device` shards and
+/// assigns each, in cut order, to the peer with the earliest projected
+/// finish time (greedy LPT; ties break on the lower peer index). Device
+/// peers are costed by the device model (`Shard::cost_s`); a `host`
+/// peer, index `devices`, by its own model — heterogeneous LPT, so a
+/// slow host takes few (or zero) shards and a fast one its fair share.
+fn plan_peers<T: Scalar>(
+    cfg: &DeviceConfig,
+    host: Option<&HostCostModel>,
+    sizes: &[usize],
+    devices: usize,
+    shards_per_device: usize,
+) -> Vec<Shard> {
+    let devices = devices.max(1);
+    let n_peers = devices + usize::from(host.is_some());
+    let mut shards = cut_shards::<T>(cfg, sizes, n_peers * shards_per_device.max(1));
+    let mut load = vec![0.0f64; n_peers];
     for shard in &mut shards {
-        let home = (0..devices)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b)))
+        let host_cost = host.map(|h| h.shard_cost_s(sizes, &shard.indices));
+        let cost = |p: usize| match host_cost {
+            Some(c) if p == devices => c,
+            _ => shard.cost_s,
+        };
+        // Without a host every peer costs the shard the same, so the
+        // loads alone order them; adding the cost could round two
+        // distinct loads into a tie.
+        let finish = |p: usize| {
+            if host.is_some() {
+                load[p] + cost(p)
+            } else {
+                load[p]
+            }
+        };
+        let home = (0..n_peers)
+            .min_by(|&a, &b| finish(a).total_cmp(&finish(b)).then(a.cmp(&b)))
             .unwrap_or(0);
+        load[home] += cost(home);
         shard.home = home;
-        load[home] += shard.cost_s;
     }
     shards
 }
@@ -310,46 +341,6 @@ fn cut_shards<T: Scalar>(cfg: &DeviceConfig, sizes: &[usize], want: usize) -> Ve
     shards
 }
 
-/// Plans a cooperative host + device run: cuts
-/// `(devices + 1) · shards_per_device` shards and assigns each to the
-/// peer with the earliest *projected finish time*, where device peers
-/// are costed by the device model (`Shard::cost_s`) and the host peer
-/// (index `devices`) by `host`. Heterogeneous LPT — a slow host takes
-/// few (or zero) shards, a fast one takes its fair share.
-#[must_use]
-pub fn plan_shards_hybrid<T: Scalar>(
-    cfg: &DeviceConfig,
-    host: &HostCostModel,
-    sizes: &[usize],
-    devices: usize,
-    shards_per_device: usize,
-) -> Vec<Shard> {
-    let devices = devices.max(1);
-    let n_peers = devices + 1;
-    let mut shards = cut_shards::<T>(cfg, sizes, n_peers * shards_per_device.max(1));
-    let mut load = vec![0.0f64; n_peers];
-    for shard in &mut shards {
-        let host_cost = host.shard_cost_s(sizes, &shard.indices);
-        let peer_cost = |p: usize| {
-            if p == devices {
-                host_cost
-            } else {
-                shard.cost_s
-            }
-        };
-        let home = (0..n_peers)
-            .min_by(|&a, &b| {
-                (load[a] + peer_cost(a))
-                    .total_cmp(&(load[b] + peer_cost(b)))
-                    .then(a.cmp(&b))
-            })
-            .unwrap_or(0);
-        shard.home = home;
-        load[home] += peer_cost(home);
-    }
-    shards
-}
-
 /// Options normalized for composition-independent results: `nb` and
 /// strategy pinned against the *global* workload maximum, the window
 /// width to the interleave cutoff (see the module docs).
@@ -368,15 +359,6 @@ pub fn normalized_options<T: Scalar>(
     norm.strategy = resolve_strategy::<T>(dev, &norm, global_max, nb);
     norm.fused.window_width = Some(norm.fused.resolved_interleave_cutoff::<T>().max(1));
     norm
-}
-
-/// What one shard execution moved over PCIe (payload only; anything the
-/// driver charges itself — info readback, index uploads — is already in
-/// the measured compute time).
-struct ShardIo {
-    upload_bytes: usize,
-    download_bytes: usize,
-    flops: f64,
 }
 
 /// One peer's account of a shard execution, in seconds: the peer's
@@ -491,71 +473,6 @@ where
     })
 }
 
-/// Charges each of the first `n_dev` peers' pipeline stalls (time
-/// beyond pure compute) to its device clock at idle activity and
-/// records the pipeline figures.
-fn charge_pipeline_stalls(group: &DeviceGroup, n_dev: usize, stats: &mut DriveStats) {
-    for d in 0..n_dev {
-        let t = &stats.timelines[d];
-        let extra = t.total_s() - t.compute_busy_s();
-        if extra > 0.0 {
-            group.device(d).advance_time(extra, 0.0);
-        }
-        stats.per_device[d].pipeline_s = t.total_s();
-        stats.per_device[d].overlap_efficiency = t.overlap_efficiency();
-    }
-}
-
-/// A device peer's account of one shard execution: compute measured
-/// on the device clock around `run`, transfer bytes converted through
-/// the device's PCIe model.
-fn device_peer_io(
-    dev: &Device,
-    run: impl FnOnce() -> Result<ShardIo, VbatchError>,
-) -> Result<PeerIo, VbatchError> {
-    let t0 = dev.now();
-    let io = run()?;
-    Ok(PeerIo {
-        upload_s: dev.transfer_seconds(io.upload_bytes),
-        compute_s: dev.now() - t0,
-        download_s: dev.transfer_seconds(io.download_bytes),
-        flops: io.flops,
-    })
-}
-
-/// Device-only event loop: [`drive_peers`] with every peer a device of
-/// `group`.
-fn drive_shards<T: Scalar, F>(
-    group: &DeviceGroup,
-    shards: Vec<Shard>,
-    state: &mut ShardedState<T>,
-    opts: &ShardOpts,
-    mut run_one: F,
-) -> Result<DriveStats, VbatchError>
-where
-    F: FnMut(&Device, &mut DeviceState<T>, &Shard) -> Result<ShardIo, VbatchError>,
-{
-    let n_dev = group.len();
-    state.ensure(n_dev);
-    let devices = &mut state.devices;
-    let mut stats = drive_peers(n_dev, shards, opts.steal, |d, shard| {
-        let dev = group.device(d);
-        device_peer_io(dev, || run_one(dev, &mut devices[d], shard))
-    })?;
-    charge_pipeline_stalls(group, n_dev, &mut stats);
-    Ok(stats)
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Self {
-            home: 0,
-            indices: Vec::new(),
-            cost_s: 0.0,
-        }
-    }
-}
-
 /// Builds the shard's pooled batch under the retry ladder (injected
 /// OOMs during pool refill recover locally, like the driver's own
 /// workspace allocations) and uploads the shard's matrices. Fault
@@ -613,21 +530,35 @@ fn merge_recovery(global: &mut RecoveryReport, local: RecoveryReport, indices: &
     global.injected.extend(local.injected);
 }
 
-/// Aggregates the event loop's outcome into the merged report. With a
-/// `host` peer (a hybrid run) the last peer entry of `stats` is the
-/// host: devices are pulled to the *overall* makespan (idle-power
-/// waits), host energy is charged through the cost model, and the host
-/// record lands in [`ShardedReport::host`].
-fn finalize(
+/// Aggregates the event loop's outcome into the merged report, after
+/// charging the devices' pipeline stalls. With a `host` peer (a hybrid
+/// run) the last peer entry of `stats` is the host: devices are pulled
+/// to the *overall* makespan (idle-power waits), host energy is charged
+/// through the cost model, and the host record lands in
+/// [`ShardedReport::host`].
+fn finalize<T: Scalar>(
     group: &DeviceGroup,
     host: Option<(&HostEngine, &HostCostModel)>,
-    info: Vec<i32>,
-    mut recovery: RecoveryReport,
-    state: &ShardedState<impl Scalar>,
+    w: Workload<'_, T>,
+    state: &ShardedState<T>,
     mut stats: DriveStats,
 ) -> ShardedReport {
-    recovery.quarantined.sort_unstable();
     let n_dev = group.len();
+    // Each device's pipeline stalls (time beyond pure compute) land on
+    // its clock at idle activity.
+    for d in 0..n_dev {
+        let t = &stats.timelines[d];
+        let extra = t.total_s() - t.compute_busy_s();
+        if extra > 0.0 {
+            group.device(d).advance_time(extra, 0.0);
+        }
+        stats.per_device[d].pipeline_s = t.total_s();
+        stats.per_device[d].overlap_efficiency = t.overlap_efficiency();
+    }
+    let Workload {
+        info, mut recovery, ..
+    } = w;
+    recovery.quarantined.sort_unstable();
     let mut makespan_s = group.barrier();
     let host = host.map(|(engine, host_model)| {
         let rec = stats.per_device.remove(n_dev);
@@ -683,16 +614,21 @@ fn finalize(
 }
 
 /// The caller's arrays, in global order, that every shard execution
-/// reads its matrices from and merges its results back into.
+/// reads its matrices from and merges its results back into, with the
+/// merged per-matrix `info` and recovery record.
 struct Workload<'a, T> {
     sizes: &'a [usize],
     mats: &'a mut [Vec<T>],
-    info: &'a mut [i32],
-    recovery: &'a mut RecoveryReport,
+    info: Vec<i32>,
+    recovery: RecoveryReport,
 }
 
-/// Rejects `mats` that disagree with `sizes`.
-fn check_workload<T>(sizes: &[usize], mats: &[Vec<T>]) -> Result<(), VbatchError> {
+/// Wraps the caller's arrays, rejecting `mats` that disagree with
+/// `sizes`.
+fn workload<'a, T>(
+    sizes: &'a [usize],
+    mats: &'a mut [Vec<T>],
+) -> Result<Workload<'a, T>, VbatchError> {
     if mats.len() != sizes.len() {
         return Err(VbatchError::InvalidArgument(
             "sharded drivers: sizes and mats must have the same length",
@@ -700,14 +636,19 @@ fn check_workload<T>(sizes: &[usize], mats: &[Vec<T>]) -> Result<(), VbatchError
     }
     if sizes
         .iter()
-        .zip(mats)
+        .zip(mats.iter())
         .any(|(&n, m)| m.len() != extent(n, n, n))
     {
         return Err(VbatchError::InvalidArgument(
             "sharded drivers: mats[i] must hold sizes[i]² elements",
         ));
     }
-    Ok(())
+    Ok(Workload {
+        sizes,
+        mats,
+        info: vec![0; sizes.len()],
+        recovery: RecoveryReport::default(),
+    })
 }
 
 /// Multi-device variable-size batched Cholesky: shards `mats` (global
@@ -729,33 +670,89 @@ pub fn potrf_sharded<T: Scalar>(
     shard_opts: &ShardOpts,
     state: &mut ShardedState<T>,
 ) -> Result<ShardedReport, VbatchError> {
-    check_workload(sizes, mats)?;
+    potrf_peers(group, None, sizes, mats, opts, shard_opts, state)
+}
+
+/// The host peer of a hybrid run: its engine, its cost model and its
+/// pooled scheduling state.
+type HostPeer<'a, T> = (&'a HostEngine, &'a HostCostModel, &'a mut HostState<T>);
+
+/// The body of [`potrf_sharded`] and, with a `host` peer (index
+/// `group.len()`), of [`potrf_hybrid`].
+fn potrf_peers<T: Scalar>(
+    group: &DeviceGroup,
+    mut host: Option<HostPeer<'_, T>>,
+    sizes: &[usize],
+    mats: &mut [Vec<T>],
+    opts: &PotrfOptions,
+    shard_opts: &ShardOpts,
+    state: &mut ShardedState<T>,
+) -> Result<ShardedReport, VbatchError> {
+    let mut w = workload(sizes, mats)?;
     let global_max = sizes.iter().copied().max().unwrap_or(0);
     let norm = normalized_options::<T>(group.device(0), opts, global_max);
-    let shards = plan_shards::<T>(
+    if host.is_some() && norm.strategy != Strategy::Fused {
+        return Err(VbatchError::InvalidArgument(
+            "potrf_hybrid: cooperative execution requires the fused strategy \
+             (host and device share the fused kernels; the separated path has \
+             no bit-identical host twin)",
+        ));
+    }
+    let n_dev = group.len();
+    let shards = plan_peers::<T>(
         group.device(0).config(),
+        host.as_ref().map(|&(_, model, _)| model),
         sizes,
-        group.len(),
+        n_dev,
         shard_opts.shards_per_device,
     );
 
-    let mut info = vec![0i32; sizes.len()];
-    let mut recovery = RecoveryReport::default();
-    let mut w = Workload {
-        sizes,
-        mats,
-        info: &mut info,
-        recovery: &mut recovery,
-    };
-    let stats = drive_shards(group, shards, state, shard_opts, |dev, dstate, shard| {
-        run_potrf_shard(dev, dstate, shard, &mut w, &norm)
+    let devices = state.ensure(n_dev);
+    let n_peers = n_dev + usize::from(host.is_some());
+    let stats = drive_peers(n_peers, shards, shard_opts.steal, |p, shard| {
+        if p < n_dev {
+            return run_shard_on_device(
+                group.device(p),
+                &mut devices[p],
+                shard,
+                &mut w,
+                &norm.recovery,
+                flops::potrf,
+                |dev, vb, dstate| {
+                    let shard_max = vb.max_rows();
+                    potrf_vbatched_max_ws(dev, vb, shard_max, &norm, &mut dstate.ws).map(|r| (r, 0))
+                },
+            );
+        }
+        let (engine, host_model, host_state) = host.as_mut().expect("peer n_dev is the host");
+        let flops = potrf_batch_host(
+            engine,
+            sizes,
+            w.mats,
+            &shard.indices,
+            &norm,
+            host_state,
+            &mut w.info,
+        )?;
+        Ok(PeerIo {
+            upload_s: 0.0,
+            compute_s: host_model.shard_cost_s(sizes, &shard.indices),
+            download_s: 0.0,
+            flops,
+        })
     })?;
-    Ok(finalize(group, None, info, recovery, state, stats))
+    let host = host.map(|(engine, host_model, _)| (engine, host_model));
+    Ok(finalize(group, host, w, state, stats))
 }
 
-/// Executes one shard on a device: pooled batch build, upload, `factor`
-/// (the driver call), download, recovery merge. `matrix_flops` is the
-/// useful flop count of one order-`n` factorization.
+/// Executes one shard on a device peer: pooled batch build, upload,
+/// `factor` (the driver call; it returns its report and the bytes of
+/// any side output it downloads), download, recovery merge. Compute is
+/// the device clock's advance over all of it, and the payload bytes go
+/// through the device's PCIe model (anything the driver charges itself
+/// — info readback, index uploads — is already in the compute time).
+/// `matrix_flops` is the useful flop count of one order-`n`
+/// factorization.
 fn run_shard_on_device<T: Scalar>(
     dev: &Device,
     dstate: &mut DeviceState<T>,
@@ -767,8 +764,9 @@ fn run_shard_on_device<T: Scalar>(
         &Device,
         &mut VBatch<T>,
         &mut DeviceState<T>,
-    ) -> Result<BatchReport, VbatchError>,
-) -> Result<ShardIo, VbatchError> {
+    ) -> Result<(BatchReport, usize), VbatchError>,
+) -> Result<PeerIo, VbatchError> {
+    let t0 = dev.now();
     let shard_sizes: Vec<usize> = shard.indices.iter().map(|&gi| w.sizes[gi]).collect();
     let ev_start = fault_events_start(dev);
     let mut local = RecoveryReport::default();
@@ -781,45 +779,22 @@ fn run_shard_on_device<T: Scalar>(
         &shard.indices,
         w.mats,
     )?;
-    let report = factor(dev, &mut vb, dstate)?;
+    let (report, mut download_bytes) = factor(dev, &mut vb, dstate)?;
     collect_pre_driver_events(dev, ev_start, report.recovery.injected.len(), &mut local);
-    let mut download_bytes = 0;
     for (k, &gi) in shard.indices.iter().enumerate() {
         vb.download_matrix_into(k, &mut w.mats[gi]);
         download_bytes += w.mats[gi].len() * std::mem::size_of::<T>();
         w.info[gi] = report.info[k];
     }
-    merge_recovery(w.recovery, local, &shard.indices);
-    merge_recovery(w.recovery, report.recovery, &shard.indices);
+    merge_recovery(&mut w.recovery, local, &shard.indices);
+    merge_recovery(&mut w.recovery, report.recovery, &shard.indices);
     vb.reclaim(&mut dstate.pools);
-    Ok(ShardIo {
-        upload_bytes,
-        download_bytes,
+    Ok(PeerIo {
+        upload_s: dev.transfer_seconds(upload_bytes),
+        compute_s: dev.now() - t0,
+        download_s: dev.transfer_seconds(download_bytes),
         flops: shard_sizes.iter().map(|&n| matrix_flops(n)).sum(),
     })
-}
-
-/// [`run_shard_on_device`] with the Cholesky driver as the factor call.
-/// Shared by [`potrf_sharded`] and [`potrf_hybrid`].
-fn run_potrf_shard<T: Scalar>(
-    dev: &Device,
-    dstate: &mut DeviceState<T>,
-    shard: &Shard,
-    w: &mut Workload<'_, T>,
-    norm: &PotrfOptions,
-) -> Result<ShardIo, VbatchError> {
-    run_shard_on_device(
-        dev,
-        dstate,
-        shard,
-        w,
-        &norm.recovery,
-        flops::potrf,
-        |dev, vb, dstate| {
-            let shard_max = vb.max_rows();
-            potrf_vbatched_max_ws(dev, vb, shard_max, norm, &mut dstate.ws)
-        },
-    )
 }
 
 /// Cooperative CPU + GPU variable-size batched Cholesky: the host
@@ -852,68 +827,15 @@ pub fn potrf_hybrid<T: Scalar>(
     state: &mut ShardedState<T>,
     host_state: &mut HostState<T>,
 ) -> Result<ShardedReport, VbatchError> {
-    check_workload(sizes, mats)?;
-    let global_max = sizes.iter().copied().max().unwrap_or(0);
-    let norm = normalized_options::<T>(group.device(0), opts, global_max);
-    if norm.strategy != Strategy::Fused {
-        return Err(VbatchError::InvalidArgument(
-            "potrf_hybrid: cooperative execution requires the fused strategy \
-             (host and device share the fused kernels; the separated path has \
-             no bit-identical host twin)",
-        ));
-    }
-    let n_dev = group.len();
-    let shards = plan_shards_hybrid::<T>(
-        group.device(0).config(),
-        host_model,
-        sizes,
-        n_dev,
-        shard_opts.shards_per_device,
-    );
-
-    let mut info = vec![0i32; sizes.len()];
-    let mut recovery = RecoveryReport::default();
-    let mut w = Workload {
+    potrf_peers(
+        group,
+        Some((engine, host_model, host_state)),
         sizes,
         mats,
-        info: &mut info,
-        recovery: &mut recovery,
-    };
-    state.ensure(n_dev);
-    let devices = &mut state.devices;
-    let mut stats = drive_peers(n_dev + 1, shards, shard_opts.steal, |p, shard| {
-        if p < n_dev {
-            let dev = group.device(p);
-            device_peer_io(dev, || {
-                run_potrf_shard(dev, &mut devices[p], shard, &mut w, &norm)
-            })
-        } else {
-            let flops = potrf_batch_host(
-                engine,
-                sizes,
-                w.mats,
-                &shard.indices,
-                &norm,
-                host_state,
-                w.info,
-            )?;
-            Ok(PeerIo {
-                upload_s: 0.0,
-                compute_s: host_model.shard_cost_s(sizes, &shard.indices),
-                download_s: 0.0,
-                flops,
-            })
-        }
-    })?;
-    charge_pipeline_stalls(group, n_dev, &mut stats);
-    Ok(finalize(
-        group,
-        Some((engine, host_model)),
-        info,
-        recovery,
+        opts,
+        shard_opts,
         state,
-        stats,
-    ))
+    )
 }
 
 /// Multi-device variable-size batched LU with partial pivoting over
@@ -933,45 +855,41 @@ pub fn getrf_sharded<T: Scalar>(
     shard_opts: &ShardOpts,
     state: &mut ShardedState<T>,
 ) -> Result<(ShardedReport, Vec<Vec<usize>>), VbatchError> {
-    check_workload(sizes, mats)?;
+    let mut w = workload(sizes, mats)?;
+    let n_dev = group.len();
     let shards = plan_shards::<T>(
         group.device(0).config(),
         sizes,
-        group.len(),
+        n_dev,
         shard_opts.shards_per_device,
     );
-    let mut info = vec![0i32; sizes.len()];
     let mut pivots: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
-    let mut recovery = RecoveryReport::default();
-    let mut w = Workload {
-        sizes,
-        mats,
-        info: &mut info,
-        recovery: &mut recovery,
-    };
-    let stats = drive_shards(group, shards, state, shard_opts, |dev, dstate, shard| {
-        let mut io = run_shard_on_device(
-            dev,
-            dstate,
+    let devices = state.ensure(n_dev);
+    let stats = drive_peers(n_dev, shards, shard_opts.steal, |d, shard| {
+        run_shard_on_device(
+            group.device(d),
+            &mut devices[d],
             shard,
             &mut w,
             &opts.recovery,
             |n| flops::getrf(n, n),
             |dev, vb, dstate| {
-                getrf_vbatched_pooled(dev, vb, opts, &mut dstate.ws, &mut dstate.pivots)
+                let report =
+                    getrf_vbatched_pooled(dev, vb, opts, &mut dstate.ws, &mut dstate.pivots)?;
+                let piv = dstate
+                    .pivots
+                    .as_ref()
+                    .expect("pooled getrf fills the pivot slot");
+                let mut bytes = 0;
+                for (k, &gi) in shard.indices.iter().enumerate() {
+                    pivots[gi] = piv.download(k, sizes[gi]);
+                    bytes += pivots[gi].len() * 4;
+                }
+                Ok((report, bytes))
             },
-        )?;
-        let piv = dstate
-            .pivots
-            .as_ref()
-            .expect("pooled getrf fills the pivot slot");
-        for (k, &gi) in shard.indices.iter().enumerate() {
-            pivots[gi] = piv.download(k, sizes[gi]);
-            io.download_bytes += pivots[gi].len() * 4;
-        }
-        Ok(io)
+        )
     })?;
-    Ok((finalize(group, None, info, recovery, state, stats), pivots))
+    Ok((finalize(group, None, w, state, stats), pivots))
 }
 
 #[cfg(test)]

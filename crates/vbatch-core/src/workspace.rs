@@ -22,11 +22,11 @@
 //! (pivot and tau arenas) are *not* pooled.
 
 use vbatch_dense::Scalar;
-use vbatch_gpu_sim::{Device, DeviceBuffer};
+use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr};
 
 use crate::aux::StepState;
-use crate::lu::LuWorkspace;
-use crate::qr::QrWorkspace;
+use crate::batch::PerMatrixArray;
+use crate::lu::LuStep;
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
 
@@ -42,22 +42,23 @@ pub(crate) type SepScratch<'a, T> = (&'a StepState<T>, &'a TileWorkspace<T>);
 /// by later ones. Call [`DriverWorkspace::release`] to return all held
 /// device memory.
 pub struct DriverWorkspace<T> {
-    /// Separated-path per-step state, valid for `step_count` matrices.
+    /// Separated-path per-step state.
     pub(crate) step: Option<StepState<T>>,
-    pub(crate) step_count: usize,
-    /// Separated-path diagonal-tile arena, valid for `tiles_count`
-    /// matrices at its own `nb()`.
+    /// Separated-path diagonal-tile arena.
     pub(crate) tiles: Option<TileWorkspace<T>>,
-    pub(crate) tiles_count: usize,
+    /// QR `T`-factor arena: one `nb × nb` tile per matrix, every tile
+    /// fully rewritten by the panel kernel before `larfb` reads it.
+    pub(crate) qr_t: Option<PerMatrixArray<T>>,
     /// `compute_imax_pooled` block-partial buffer.
     pub(crate) imax_partial: Option<DeviceBuffer<i32>>,
     /// Sorting-window index upload: device buffer + host staging.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
-    /// LU-specific pooled scratch.
-    pub(crate) lu: LuWorkspace<T>,
-    /// QR-specific pooled scratch.
-    pub(crate) qr: QrWorkspace<T>,
+    /// LU per-step views.
+    lu_step: Option<LuStep<T>>,
+    /// The always-clean `info` vector the LU trailing updates read
+    /// (zero forever: nothing writes it).
+    clean_info: Option<DeviceBuffer<i32>>,
 }
 
 impl<T: Scalar> DriverWorkspace<T> {
@@ -66,14 +67,13 @@ impl<T: Scalar> DriverWorkspace<T> {
     pub fn new() -> Self {
         Self {
             step: None,
-            step_count: 0,
             tiles: None,
-            tiles_count: 0,
+            qr_t: None,
             imax_partial: None,
             idx_dev: None,
             idx_host: Vec::new(),
-            lu: LuWorkspace::default(),
-            qr: QrWorkspace::default(),
+            lu_step: None,
+            clean_info: None,
         }
     }
 
@@ -90,16 +90,22 @@ impl<T: Scalar> DriverWorkspace<T> {
         if let Some(st) = &self.step {
             total += st.d_ptrs.bytes() + st.d_rem.bytes();
         }
-        if let Some(t) = &self.tiles {
-            total += t.bytes() + self.tiles_count * std::mem::size_of::<*mut T>();
+        for t in [self.tiles.as_ref().map(|t| &t.tiles), self.qr_t.as_ref()]
+            .into_iter()
+            .flatten()
+        {
+            total += t.bytes();
         }
-        if let Some(b) = &self.imax_partial {
+        if let Some(s) = &self.lu_step {
+            total += s.bytes();
+        }
+        for b in [&self.imax_partial, &self.idx_dev, &self.clean_info]
+            .into_iter()
+            .flatten()
+        {
             total += b.bytes();
         }
-        if let Some(b) = &self.idx_dev {
-            total += b.bytes();
-        }
-        total + self.lu.device_bytes() + self.qr.device_bytes()
+        total
     }
 
     /// Ensures the separated-path scratch covers `count` matrices at
@@ -113,23 +119,38 @@ impl<T: Scalar> DriverWorkspace<T> {
         count: usize,
         nb: usize,
     ) -> Result<SepScratch<'_, T>, VbatchError> {
-        if self.step.is_none() || self.step_count < count {
+        if self.step.as_ref().is_none_or(|st| st.d_rem.len() < count) {
             self.step = None;
             self.step = Some(StepState::alloc(dev, count)?);
-            self.step_count = count;
         }
-        let tiles_stale = self
-            .tiles
-            .as_ref()
-            .is_none_or(|t| t.nb() != nb || self.tiles_count < count);
-        if tiles_stale {
-            self.tiles = None;
-            self.tiles = Some(TileWorkspace::alloc(dev, count, nb)?);
-            self.tiles_count = count;
-        }
+        TileWorkspace::ensure(&mut self.tiles, dev, count, nb)?;
         Ok((
             self.step.as_ref().expect("ensured above"),
             self.tiles.as_ref().expect("ensured above"),
+        ))
+    }
+
+    /// Ensures the LU scratch covers `count` matrices, returning the
+    /// step views and the clean-info pointer.
+    ///
+    /// # Errors
+    /// [`VbatchError::Oom`] when device memory is exhausted.
+    pub(crate) fn lu_scratch(
+        &mut self,
+        dev: &Device,
+        count: usize,
+    ) -> Result<(&LuStep<T>, DevicePtr<i32>), VbatchError> {
+        if self.lu_step.as_ref().is_none_or(|s| s.count() < count) {
+            self.lu_step = None;
+            self.lu_step = Some(LuStep::alloc(dev, count)?);
+        }
+        if self.clean_info.as_ref().is_none_or(|b| b.len() < count) {
+            self.clean_info = None;
+            self.clean_info = Some(dev.alloc(count)?);
+        }
+        Ok((
+            self.lu_step.as_ref().expect("ensured above"),
+            self.clean_info.as_ref().expect("ensured above").ptr(),
         ))
     }
 }
@@ -163,11 +184,14 @@ mod tests {
         // Smaller batch still fits: no new allocations.
         ws.sep_scratch(&dev, 3, 32).unwrap();
         assert_eq!(dev.alloc_count(), after_first);
-        // Larger batch grows; different nb replaces the tile arena.
+        // Larger batch grows; a smaller nb reuses the tile arena, a
+        // larger one grows it.
         ws.sep_scratch(&dev, 16, 32).unwrap();
         assert!(dev.alloc_count() > after_first);
         let after_grow = dev.alloc_count();
         ws.sep_scratch(&dev, 16, 8).unwrap();
+        assert_eq!(dev.alloc_count(), after_grow);
+        ws.sep_scratch(&dev, 16, 64).unwrap();
         assert!(dev.alloc_count() > after_grow);
         assert!(ws.device_bytes() > 0);
         let in_use = dev.mem_in_use();

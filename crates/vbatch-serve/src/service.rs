@@ -32,8 +32,8 @@ use vbatch_gpu_sim::{Device, DeviceConfig};
 
 use vbatch_core::shard::{matrix_cost_s, normalized_options};
 use vbatch_core::{
-    getrf_vbatched_pooled, potrf_vbatched_max_ws, BatchPools, BatchReport, DriverWorkspace,
-    GetrfOptions, Outcome, PivotArray, PotrfOptions, RecoveryReport, VBatch, VbatchError,
+    getrf_vbatched_pooled, potrf_vbatched_max_ws, BatchReport, DeviceState, GetrfOptions, Outcome,
+    PotrfOptions, RecoveryReport, VBatch, VbatchError,
 };
 
 use crate::fair::TenantQueues;
@@ -119,9 +119,8 @@ pub struct BatchService<T: Scalar> {
     cfg: ServeConfig,
     popts: PotrfOptions,
     gopts: GetrfOptions,
-    ws: DriverWorkspace<T>,
-    pools: BatchPools<T>,
-    pivot_slot: Option<PivotArray>,
+    /// Driver workspace, batch pools and pivot arena of the device.
+    dstate: DeviceState<T>,
     queues: TenantQueues<T>,
     now_s: f64,
     busy_until_s: f64,
@@ -147,9 +146,7 @@ impl<T: Scalar> BatchService<T> {
             cfg,
             popts,
             gopts,
-            ws: DriverWorkspace::new(),
-            pools: BatchPools::new(),
-            pivot_slot: None,
+            dstate: DeviceState::default(),
             queues: TenantQueues::new(),
             now_s: 0.0,
             busy_until_s: 0.0,
@@ -338,9 +335,9 @@ impl<T: Scalar> BatchService<T> {
     /// pivot arena) to the device — after this, `device().mem_in_use()`
     /// is back to its pre-service baseline.
     pub fn release_memory(&mut self) {
-        self.ws.release();
-        self.pools.trim();
-        self.pivot_slot = None;
+        self.dstate.ws.release();
+        self.dstate.pools.trim();
+        self.dstate.pivots = None;
     }
 
     /// Consumes the service, releasing pooled memory and returning the
@@ -462,7 +459,8 @@ impl<T: Scalar> BatchService<T> {
         let t0 = self.dev.now();
         let sizes: Vec<usize> = window.iter().map(|r| r.n).collect();
         let wmax = sizes.iter().copied().max().unwrap_or(0);
-        let mut batch = VBatch::<T>::alloc_square_pooled(&self.dev, &sizes, &mut self.pools)?;
+        let dstate = &mut self.dstate;
+        let mut batch = VBatch::<T>::alloc_square_pooled(&self.dev, &sizes, &mut dstate.pools)?;
         let payload_bytes: usize = window
             .iter()
             .map(|r| r.payload.len() * std::mem::size_of::<T>())
@@ -477,14 +475,14 @@ impl<T: Scalar> BatchService<T> {
             self.dev.copy_htod_bytes(payload_bytes);
             let report = match op {
                 Op::Potrf => {
-                    potrf_vbatched_max_ws(&self.dev, &mut batch, wmax, &self.popts, &mut self.ws)?
+                    potrf_vbatched_max_ws(&self.dev, &mut batch, wmax, &self.popts, &mut dstate.ws)?
                 }
                 Op::Getrf => getrf_vbatched_pooled(
                     &self.dev,
                     &mut batch,
                     &self.gopts,
-                    &mut self.ws,
-                    &mut self.pivot_slot,
+                    &mut dstate.ws,
+                    &mut dstate.pivots,
                 )?,
             };
             let factors: Vec<Vec<T>> = (0..batch.count())
@@ -494,7 +492,7 @@ impl<T: Scalar> BatchService<T> {
             let pivots: Vec<Vec<usize>> = match op {
                 Op::Potrf => vec![Vec::new(); window.len()],
                 Op::Getrf => {
-                    let arena = self.pivot_slot.as_ref().expect("getrf filled the slot");
+                    let arena = dstate.pivots.as_ref().expect("getrf filled the slot");
                     window
                         .iter()
                         .enumerate()
@@ -504,7 +502,7 @@ impl<T: Scalar> BatchService<T> {
             };
             Ok((report, factors, pivots))
         })();
-        batch.reclaim(&mut self.pools);
+        batch.reclaim(&mut dstate.pools);
         let (report, factors, pivots) = result?;
         Ok((report, factors, pivots, self.dev.now() - t0))
     }

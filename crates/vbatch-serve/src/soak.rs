@@ -29,8 +29,7 @@ use vbatch_gpu_sim::{Device, FaultPlan, InjectionEvent};
 
 use vbatch_core::shard::normalized_options;
 use vbatch_core::{
-    getrf_vbatched_pooled, potrf_vbatched_max_ws, BatchPools, DriverWorkspace, GetrfOptions,
-    PivotArray, RecoveryReport, VBatch,
+    getrf_vbatched_pooled, potrf_vbatched_max_ws, DeviceState, GetrfOptions, RecoveryReport, VBatch,
 };
 
 use crate::metrics::{LatencyStats, ServeStats};
@@ -233,16 +232,15 @@ pub fn offline_factor<T: Scalar>(
 ) -> (Vec<T>, Vec<usize>, i32) {
     let dev = Device::new(serve.device.clone());
     let popts = normalized_options::<T>(&dev, &serve.potrf, serve.max_n.max(1));
-    let mut pools = BatchPools::new();
-    let mut ws = DriverWorkspace::new();
-    let mut batch = VBatch::<T>::alloc_square_pooled(&dev, &[n], &mut pools)
+    let mut dstate = DeviceState::default();
+    let mut batch = VBatch::<T>::alloc_square_pooled(&dev, &[n], &mut dstate.pools)
         .expect("oracle alloc on a fresh device");
     batch
         .upload_matrix(0, payload)
         .expect("oracle upload of a validated payload");
     let (report, pivots) = match op {
         Op::Potrf => {
-            let r = potrf_vbatched_max_ws(&dev, &mut batch, n, &popts, &mut ws)
+            let r = potrf_vbatched_max_ws(&dev, &mut batch, n, &popts, &mut dstate.ws)
                 .expect("oracle potrf on a fault-free device");
             (r, Vec::new())
         }
@@ -251,16 +249,20 @@ pub fn offline_factor<T: Scalar>(
                 nb_panel: serve.getrf_nb.max(1),
                 recovery: serve.potrf.recovery,
             };
-            let mut piv: Option<PivotArray> = None;
-            let r = getrf_vbatched_pooled(&dev, &mut batch, &gopts, &mut ws, &mut piv)
-                .expect("oracle getrf on a fault-free device");
-            let p = piv.as_ref().map(|p| p.download(0, n)).unwrap_or_default();
+            let r =
+                getrf_vbatched_pooled(&dev, &mut batch, &gopts, &mut dstate.ws, &mut dstate.pivots)
+                    .expect("oracle getrf on a fault-free device");
+            let p = dstate
+                .pivots
+                .as_ref()
+                .map(|p| p.download(0, n))
+                .unwrap_or_default();
             (r, p)
         }
     };
     let factor = batch.download_matrix(0);
     let info = report.info[0];
-    batch.reclaim(&mut pools);
+    batch.reclaim(&mut dstate.pools);
     (factor, pivots, info)
 }
 

@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use rand::Rng;
 use vbatch_core::aux::StepState;
 use vbatch_core::sep::gemm::{gemm_vbatched, upload_dims};
-use vbatch_core::sep::trsm::{
-    trsm_left_upper_trans_vbatched, trsm_left_vbatched, trsm_right_lower_trans_vbatched,
-};
+use vbatch_core::sep::trsm::{trsm_left_vbatched, trsm_panel_vbatched};
 use vbatch_core::sep::trtri::{trtri_diag_vbatched, TileWorkspace};
 use vbatch_core::sep::{VView, DEFAULT_NB_PANEL};
 use vbatch_core::VBatch;
@@ -240,15 +238,7 @@ fn default_panel_trtri_trsm_match_dense_at_unchanged_sim_cost() {
         )
         .unwrap();
         let (count, rem, info, trail) = (sizes.len(), st.d_rem.ptr(), batch.d_info(), 512 - nb);
-        match uplo {
-            Uplo::Lower => {
-                trsm_right_lower_trans_vbatched(&dev, count, view, rem, info, &work, nb, trail)
-            }
-            Uplo::Upper => {
-                trsm_left_upper_trans_vbatched(&dev, count, view, rem, info, &work, nb, trail)
-            }
-        }
-        .unwrap();
+        trsm_panel_vbatched(&dev, count, uplo, view, rem, info, &work, nb, trail).unwrap();
         assert_eq!(dev.launch_count(), 2);
         assert_eq!(dev.now(), want_now, "{uplo:?}: simulated clock moved");
         for (i, &n) in sizes.iter().enumerate() {
