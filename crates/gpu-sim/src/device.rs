@@ -7,7 +7,7 @@ use crate::fault::{FaultPlan, FaultState, InjectionEvent};
 use crate::grid::LaunchConfig;
 use crate::mem::{DeviceBuffer, DevicePtr, MemoryTracker, OomError};
 use crate::occupancy::{occupancy, OccupancyError};
-use crate::sched::{schedule_blocks_uniform, KernelTiming};
+use crate::sched::{block_service_cycles, schedule_blocks_uniform, KernelTiming};
 use crate::stats::{KernelStats, Profiler};
 use crate::workers::{executor, lock, try_lock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -279,6 +279,34 @@ impl Device {
         })
     }
 
+    /// Predicted simulated seconds of launching `cfg` when every block
+    /// charges what `charge` records: the launch overhead plus
+    /// `⌈blocks / num_sms⌉` service times of that block at the launch's
+    /// occupancy. For identical blocks this is what [`Device::launch`]
+    /// charges under the greedy scheduler. No block runs, and neither
+    /// the clock, the profiler nor a fault plan sees the prediction.
+    ///
+    /// # Errors
+    /// [`LaunchError::Occupancy`] if the configuration violates device
+    /// limits, exactly when [`Device::launch`] would reject it.
+    pub fn predict_launch(
+        &self,
+        cfg: &LaunchConfig,
+        charge: impl FnOnce(&mut BlockCtx),
+    ) -> Result<f64, LaunchError> {
+        let occ = occupancy(&self.cfg, cfg)?;
+        let mut ctx = BlockCtx::new(
+            cfg.grid.unflatten(0),
+            cfg.block,
+            cfg.grid,
+            self.cfg.warp_size,
+        );
+        charge(&mut ctx);
+        let service = block_service_cycles(&self.cfg, &occ, &ctx.into_cost()) * self.cfg.cycle_s();
+        let waves = cfg.grid.count().div_ceil(u64::from(self.cfg.num_sms));
+        Ok(self.launch_overhead_s() + waves as f64 * service)
+    }
+
     fn run_blocks_into<F>(&self, cfg: &LaunchConfig, kernel: &F, costs: &mut Vec<BlockCost>)
     where
         F: Fn(&mut BlockCtx) + Sync,
@@ -454,6 +482,40 @@ mod tests {
         });
         assert!(err.is_err());
         assert_eq!(d.now(), before);
+    }
+
+    #[test]
+    fn predicted_launch_matches_identical_blocks() {
+        let d = dev();
+        let charge = |blk: &mut BlockCtx| {
+            blk.dp_flops(48, 3000.0);
+            blk.gmem_read(4096);
+            blk.sync();
+        };
+        // 1, 2 and 3 waves over the tiny config's two SMs, with two
+        // resident blocks each (64 threads of a 256-thread SM, 512 B of
+        // a 1 KiB shared memory).
+        for blocks in [1u32, 4, 5] {
+            let cfg = LaunchConfig::grid_1d(blocks, 64).with_shared_mem(512);
+            let (now, launches) = (d.now(), d.launch_count());
+            let predicted = d.predict_launch(&cfg, charge).unwrap();
+            assert_eq!(
+                (d.now(), d.launch_count()),
+                (now, launches),
+                "prediction ran"
+            );
+            let stats = d.launch("same", cfg, charge).unwrap();
+            assert!(
+                (predicted - stats.time_s).abs() <= 1e-12 * stats.time_s,
+                "{blocks} blocks: predicted {predicted}, launched {}",
+                stats.time_s
+            );
+        }
+        let bad = LaunchConfig::grid_1d(1, 4096);
+        assert!(matches!(
+            d.predict_launch(&bad, |_| {}),
+            Err(LaunchError::Occupancy(_))
+        ));
     }
 
     #[test]

@@ -413,11 +413,25 @@ fn fused_window_once<T: Scalar>(
         && uplo == Uplo::Lower
         && wmax <= opts.fused.resolved_interleave_cutoff::<T>()
     {
-        // Batched-small path: the whole window factorizes in one
-        // cross-matrix interleaved launch instead of a per-step loop.
-        with_retry(dev, pol, rec, || {
-            potrf_interleaved_window(dev, batch, d_idx, indices.len(), wmax)
-        })?;
+        // Batched-small path: the window factorizes in cross-matrix
+        // interleaved launches instead of a per-step loop. A sorted
+        // window is cut into runs of orders where the simulator's own
+        // launch arithmetic predicts the cut pays; an unsorted one is a
+        // single launch.
+        let whole = [(0, indices.len(), wmax)];
+        let runs = if opts.fused.sorting {
+            ws.ilv_plan
+                .get_or_insert_with(Box::default)
+                .cut::<T>(dev, batch.cols(), indices)
+        } else {
+            &whole
+        };
+        for &(first, len, m) in runs {
+            let run_idx = d_idx.offset(first).truncate(len);
+            with_retry(dev, pol, rec, || {
+                potrf_interleaved_window(dev, batch, run_idx, len, m)
+            })?;
+        }
         return Ok(());
     }
     let mut j = 0;
@@ -711,6 +725,96 @@ mod tests {
             assert!(report.all_ok());
             verify_all(&batch, &origs, &sizes);
         }
+    }
+
+    /// The batched-small window cut never costs simulated time and never
+    /// moves a bit. On uniform batches at and below the cutoff (window
+    /// width pinned to the cutoff, so each case is one sorted window)
+    /// with one non-SPD lane, the driver's interleaved launches advance
+    /// `dev.now()` by no more than one [`potrf_interleaved_window`]
+    /// launch over the same sorted window does, and the factors and
+    /// `info` match that launch bit for bit.
+    #[test]
+    fn window_cut_never_slower_and_bit_identical() {
+        use crate::sorting::build_windows;
+        use rand::Rng;
+
+        fn check<T: Scalar>(max: usize, count: usize) {
+            let cutoff = FusedOpts::default().resolved_interleave_cutoff::<T>();
+            let mut rng = seeded_rng(0x1C0 + count as u64);
+            let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1..=max)).collect();
+            let bad = sizes.iter().position(|&n| n >= 8).expect("an order ≥ 8");
+            let upload = |d: &Device| {
+                let mut rng = seeded_rng(0x1C1);
+                let mut batch = VBatch::<T>::alloc_square(d, &sizes).unwrap();
+                for (i, &n) in sizes.iter().enumerate() {
+                    let mut m = spd_vec::<T>(&mut rng, n);
+                    if i == bad {
+                        m[5 + 5 * n] = T::from_f64(-3.0); // info 6
+                    }
+                    batch.upload_matrix(i, &m).unwrap();
+                }
+                batch
+            };
+            let ilv_s = |d: &Device| {
+                d.with_profiler(|p| {
+                    p.get(crate::kernels::kname::<T>("potrf_ilv_batch"))
+                        .map_or((0.0, 0), |e| (e.time_s, e.launches))
+                })
+            };
+
+            let d = dev();
+            let mut batch = upload(&d);
+            let opts = PotrfOptions {
+                strategy: Strategy::Fused,
+                fused: FusedOpts {
+                    window_width: Some(cutoff),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            d.reset_metrics();
+            let report = potrf_vbatched_max(&d, &mut batch, max, &opts).unwrap();
+            let (cut_s, launches) = ilv_s(&d);
+
+            let d1 = dev();
+            let single = upload(&d1);
+            let windows = build_windows(&sizes, cutoff);
+            assert_eq!(windows.len(), 1);
+            let idx: Vec<i32> = windows[0].indices.iter().map(|&i| i as i32).collect();
+            let d_idx = d1.alloc::<i32>(idx.len()).unwrap();
+            d_idx.fill_from_host(&idx);
+            d1.reset_metrics();
+            potrf_interleaved_window(&d1, &single, d_idx.ptr(), idx.len(), windows[0].max_size)
+                .unwrap();
+            let (single_s, _) = ilv_s(&d1);
+            assert_eq!(d1.now(), single_s);
+
+            let case = format!("{} x{count} Uniform{{{max}}}", core::any::type_name::<T>());
+            assert!(
+                cut_s <= single_s,
+                "{case}: {launches} launches take {cut_s:e} s, one launch {single_s:e} s"
+            );
+            // Large windows are cut, so the comparison is not vacuous.
+            assert!(count < 2_000 || launches > 1, "{case}: window not cut");
+            assert_eq!(report.info, single.read_info(), "{case}");
+            assert_eq!(report.failures(), vec![(bad, 6)], "{case}");
+            for (i, &n) in sizes.iter().enumerate() {
+                let bits = |b: &VBatch<T>| -> Vec<u64> {
+                    b.download_matrix(i)
+                        .iter()
+                        .map(|v| v.to_f64().to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&batch), bits(&single), "{case}: matrix {i} (n = {n})");
+            }
+        }
+        for count in [40, 500, 2_000, 20_000] {
+            check::<f64>(32, count);
+            check::<f32>(32, count);
+        }
+        check::<f64>(16, 3_000);
+        check::<f32>(16, 3_000);
     }
 
     #[test]

@@ -362,6 +362,15 @@ pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv
 /// extent. Factor bits do not depend on the extent (the lane kernel's
 /// contract), so no device arena is needed.
 ///
+/// Because the tile, the block width and the barrier count all follow
+/// `m`, one launch over a window of orders `1..=32` charges every group
+/// the 32 KiB tile of the largest order. The fused driver therefore
+/// cuts each size-sorted window into contiguous runs of orders, one
+/// launch per run, wherever its plan predicts from this kernel's
+/// own launch shape and block charge that the cut shortens the
+/// simulated clock. A lane's factor and `info` do not depend on its
+/// lane-mates, so the cut moves no factor bit.
+///
 /// Lane masking is the host analog of ETM-aggressive: when the window
 /// count is not a multiple of `L`, the trailing lanes of the last group
 /// are dead on arrival and their threads retire at launch; a breakdown
@@ -387,11 +396,7 @@ pub fn potrf_interleaved_window<T: Scalar>(
     }
     let lanes = interleave::lane_count::<T>();
     let m = group_max;
-    let groups = group_count.div_ceil(lanes);
-    let tile_elems = interleave::interleaved_len(m, m, lanes);
-    let warp = dev.config().warp_size;
-    let threads = round_to_warp(m * lanes, warp).min(dev.config().max_threads_per_block);
-    let cfg = LaunchConfig::grid_1d(groups as u32, threads).with_shared_mem(tile_elems * T::BYTES);
+    let cfg = ilv_launch_config::<T>(dev, group_count.div_ceil(lanes), m);
     let ptrs = batch.d_ptrs();
     let sizes = batch.d_cols();
     let lds = batch.d_ld();
@@ -424,31 +429,170 @@ pub fn potrf_interleaved_window<T: Scalar>(
             total_flops += vbatch_dense::flops::potrf(n);
             mat_mut::<T>(ptrs.get(i), n, n, lds.get(i) as usize)
         });
-        if cnt < lanes {
-            // Threads are lane-major (`t = l·m + i`), so the dead tail
-            // of a partial group retires in one contiguous span — the
-            // host analog of ETM-aggressive.
-            ctx.retire_threads_beyond(cnt * m);
-        }
-        charge_read::<T>(ctx, read_elems);
-        charge_smem::<T>(ctx, tile_elems);
         let mut infs = [0i32; MAX_LANES];
         interleave::potrf_lanes_in_place(&mut mats[..cnt], &mut infs[..cnt]);
-        charge_flops::<T>(ctx, cnt * m, total_flops);
-        // The lane kernel is column-synchronous: every column's pivot
-        // gates its lane-mates' updates, one barrier per column.
-        for _ in 0..m {
-            ctx.sync();
-        }
         for (&i, &code) in idx.iter().zip(infs.iter()).take(cnt) {
             if code != 0 {
                 infos.set(i, code);
             }
         }
-        charge_write::<T>(ctx, read_elems);
-        charge_smem::<T>(ctx, tile_elems);
+        charge_ilv_group::<T>(ctx, m, cnt, read_elems, total_flops);
     })?;
     Ok(stats)
+}
+
+/// Launch shape of `potrf_ilv_batch`: one block per lane group, `m · L`
+/// threads (warp-rounded) and an `m² · L` shared-memory tile at window
+/// extent `m`.
+fn ilv_launch_config<T: Scalar>(dev: &Device, groups: usize, m: usize) -> LaunchConfig {
+    let lanes = vbatch_dense::interleave::lane_count::<T>();
+    let tile_elems = vbatch_dense::interleave::interleaved_len(m, m, lanes);
+    let threads =
+        round_to_warp(m * lanes, dev.config().warp_size).min(dev.config().max_threads_per_block);
+    LaunchConfig::grid_1d(groups as u32, threads).with_shared_mem(tile_elems * T::BYTES)
+}
+
+/// What one `potrf_ilv_batch` block charges at window extent `m` for a
+/// lane group of `cnt` live lanes holding `elems` matrix elements and
+/// `flops` useful flops. The launch and [`IlvPlan`]'s prediction both
+/// call it, so the two cannot drift apart.
+fn charge_ilv_group<T: Scalar>(ctx: &mut BlockCtx, m: usize, cnt: usize, elems: usize, flops: f64) {
+    let lanes = vbatch_dense::interleave::lane_count::<T>();
+    let tile_elems = vbatch_dense::interleave::interleaved_len(m, m, lanes);
+    if cnt < lanes {
+        // Threads are lane-major (`t = l·m + i`), so the dead tail of a
+        // partial group retires in one contiguous span — the host
+        // analog of ETM-aggressive.
+        ctx.retire_threads_beyond(cnt * m);
+    }
+    charge_read::<T>(ctx, elems);
+    charge_smem::<T>(ctx, tile_elems);
+    charge_flops::<T>(ctx, cnt * m, flops);
+    // The lane kernel is column-synchronous: every column's pivot gates
+    // its lane-mates' updates, one barrier per column.
+    for _ in 0..m {
+        ctx.sync();
+    }
+    charge_write::<T>(ctx, elems);
+    charge_smem::<T>(ctx, tile_elems);
+}
+
+/// Where the fused driver cuts a size-sorted window at or below the
+/// interleave cutoff: grow-only host scratch (held by
+/// [`crate::DriverWorkspace`]) for a dynamic program over the window's
+/// distinct orders.
+///
+/// A candidate run of consecutive distinct orders costs what
+/// [`Device::predict_launch`] gives for one [`potrf_interleaved_window`]
+/// launch over it: the launch overhead plus `⌈groups / num_sms⌉`
+/// service times of the run's mean lane group, at the occupancy of the
+/// run's own extent (its largest order). The plan minimises the sum
+/// over runs. Prefix sums of the counts, of `n²` and of
+/// [`vbatch_dense::flops::potrf`] price each of the `K (K + 1) / 2`
+/// candidates in O(1), so a window of `K` distinct orders plans in
+/// O(K²). The unsplit window is a candidate and wins ties.
+#[derive(Debug, Default)]
+pub(crate) struct IlvPlan {
+    /// The window's distinct orders, ascending.
+    orders: Vec<usize>,
+    /// Prefix sums over the distinct orders (entry `k` covers the
+    /// first `k`): matrices, elements, useful flops.
+    count: Vec<usize>,
+    elems: Vec<usize>,
+    flops: Vec<f64>,
+    /// Least predicted seconds of the first `k` orders, and where the
+    /// last run of that plan starts.
+    best: Vec<f64>,
+    from: Vec<usize>,
+    /// The chosen runs: first position in the window's index list,
+    /// matrices, extent.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl IlvPlan {
+    /// Cuts the window `indices` (ascending in `sizes`, all orders
+    /// nonzero) into the runs of least predicted simulated time and
+    /// returns them in ascending order as `(first, len, extent)`.
+    pub(crate) fn cut<T: Scalar>(
+        &mut self,
+        dev: &Device,
+        sizes: &[usize],
+        indices: &[usize],
+    ) -> &[(usize, usize, usize)] {
+        let Self {
+            orders,
+            count,
+            elems,
+            flops,
+            best,
+            from,
+            runs,
+        } = self;
+        orders.clear();
+        count.clear();
+        elems.clear();
+        flops.clear();
+        runs.clear();
+        count.push(0);
+        elems.push(0);
+        flops.push(0.0);
+        for &i in indices {
+            let n = sizes[i];
+            debug_assert!(
+                orders.last().is_none_or(|&last| last <= n),
+                "window not sorted"
+            );
+            if orders.last() != Some(&n) {
+                orders.push(n);
+                count.push(count[count.len() - 1]);
+                elems.push(elems[elems.len() - 1]);
+                flops.push(flops[flops.len() - 1]);
+            }
+            let k = orders.len();
+            count[k] += 1;
+            elems[k] += n * n;
+            flops[k] += vbatch_dense::flops::potrf(n);
+        }
+        let k_max = orders.len();
+        best.clear();
+        best.resize(k_max + 1, f64::INFINITY);
+        from.clear();
+        from.resize(k_max + 1, 0);
+        best[0] = 0.0;
+        let lanes = vbatch_dense::interleave::lane_count::<T>();
+        for j in 1..=k_max {
+            let m = orders[j - 1];
+            // `i = 0` first: the longest last run, and for `j = k_max`
+            // the unsplit window, wins every tie.
+            for i in 0..j {
+                let mats = count[j] - count[i];
+                let groups = mats.div_ceil(lanes);
+                let predicted = dev
+                    .predict_launch(&ilv_launch_config::<T>(dev, groups, m), |ctx| {
+                        charge_ilv_group::<T>(
+                            ctx,
+                            m,
+                            lanes.min(mats),
+                            (elems[j] - elems[i]) / groups,
+                            (flops[j] - flops[i]) / groups as f64,
+                        );
+                    })
+                    .unwrap_or(f64::INFINITY);
+                if best[i] + predicted < best[j] {
+                    best[j] = best[i] + predicted;
+                    from[j] = i;
+                }
+            }
+        }
+        let mut j = k_max;
+        while j > 0 {
+            let i = from[j];
+            runs.push((count[i], count[j] - count[i], orders[j - 1]));
+            j = i;
+        }
+        runs.reverse();
+        runs
+    }
 }
 
 #[cfg(test)]

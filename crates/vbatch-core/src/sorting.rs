@@ -14,6 +14,17 @@
 //! and raises occupancy (smaller shared-memory panels for small
 //! windows).
 //!
+//! A bucket width suits the step loop, whose panels follow `nb`, but
+//! not the batched-small tier: one interleaved launch over the bucket
+//! `(0, 32]` would give every lane group the shared-memory tile of the
+//! largest order. The fused driver therefore re-cuts each window at or
+//! below the interleave cutoff into contiguous runs of distinct orders
+//! where the simulator's own launch arithmetic predicts the smaller
+//! tiles outweigh the extra launch overheads (see
+//! [`crate::fused::potrf_interleaved_window`]). The runs are slices of
+//! the window's ascending index list, so the window's one index upload
+//! serves all of them.
+//!
 //! The index permutation is computed on the host from a one-off
 //! device→host copy of the size array (charged to the simulated clock),
 //! then uploaded as a device index array the kernels indirect through.

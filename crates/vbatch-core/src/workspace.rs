@@ -26,6 +26,7 @@ use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr};
 
 use crate::aux::StepState;
 use crate::batch::PerMatrixArray;
+use crate::fused::IlvPlan;
 use crate::lu::LuStep;
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
@@ -54,6 +55,10 @@ pub struct DriverWorkspace<T> {
     /// Sorting-window index upload: device buffer + host staging.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
+    /// Host scratch of the fused driver's batched-small window cut,
+    /// boxed on first use: a workspace that never cuts a window holds
+    /// one empty pointer.
+    pub(crate) ilv_plan: Option<Box<IlvPlan>>,
     /// LU per-step views.
     lu_step: Option<LuStep<T>>,
     /// The always-clean `info` vector the LU trailing updates read
@@ -72,6 +77,7 @@ impl<T: Scalar> DriverWorkspace<T> {
             imax_partial: None,
             idx_dev: None,
             idx_host: Vec::new(),
+            ilv_plan: None,
             lu_step: None,
             clean_info: None,
         }
