@@ -23,7 +23,7 @@ use crate::sep::potf2::potf2_panel_vbatched;
 use crate::sep::syrk::syrk_vbatched;
 use crate::sep::trsm::trsm_panel_vbatched;
 use crate::sep::trtri::trtri_diag_vbatched;
-use crate::sep::{VView, DEFAULT_NB_PANEL};
+use crate::sep::{LiveGrid, SepKernel, VView, DEFAULT_NB_PANEL};
 use crate::sorting::{build_windows, charge_sort_transfers, single_window, upload_indices_pooled};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
@@ -234,7 +234,7 @@ fn potrf_run<T: Scalar>(
     let strategy = resolve_strategy::<T>(dev, opts, max_n, nb);
     match strategy {
         Strategy::Fused => run_fused(dev, batch, opts.uplo, max_n, nb, opts, ws, &mut rec)?,
-        Strategy::Separated => run_separated(dev, batch, opts.uplo, max_n, opts, ws, &mut rec)?,
+        Strategy::Separated => run_separated(dev, batch, opts.uplo, opts, ws, &mut rec)?,
         Strategy::Auto => unreachable!("resolved above"),
     }
 
@@ -454,16 +454,22 @@ fn fused_window_once<T: Scalar>(
     Ok(())
 }
 
+/// The separated approach (§III-E): per step, the panel `potf2`, the
+/// diagonal-block `trtri`, the panel `trsm` and the trailing `syrk`,
+/// each launched on a [`LiveGrid`] of its live work alone. The grids
+/// are counted on the host size mirror, so the step loop ends at the
+/// batch's largest order whatever `max_n` the caller passed, and a
+/// kernel with no live block at a step is not launched.
 fn run_separated<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     uplo: Uplo,
-    max_n: usize,
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
+    let sizes = batch.cols();
     let pol = opts.recovery;
     let nb_panel = opts.sep.nb_panel.max(1);
     let nb_inner = opts.sep.nb_inner.max(1).min(nb_panel);
@@ -472,80 +478,51 @@ fn run_separated<T: Scalar>(
     // so the only degradations are retry (under a fault plan) and a
     // last-resort release of the pooled workspace; `sep_scratch` keeps
     // partial progress (the step state survives a failed tile alloc).
-    let mut grown = with_retry(dev, &pol, rec, || {
-        ws.sep_scratch(dev, count, nb_panel).map(|_| ())
-    });
+    let mut grown = with_retry(dev, &pol, rec, || ws.sep_scratch(dev, sizes, nb_panel));
     if matches!(grown, Err(VbatchError::Oom(_))) {
         rec.workspace_releases += 1;
         ws.release();
-        grown = ws.sep_scratch(dev, count, nb_panel).map(|_| ());
+        grown = ws.sep_scratch(dev, sizes, nb_panel);
     }
     grown?;
-    let (st, work) = ws.sep_scratch(dev, count, nb_panel)?;
+    let (st, work, d_starts, starts) = ws.sep_views();
+    // Counting live work reads the device size array back once; every
+    // step's block starts then go down in one upload. Both are charged
+    // as the fused sort's transfers are.
+    dev.copy_dtoh_bytes(count * 4);
+    dev.copy_htod_bytes(starts.len() * 4);
+    d_starts.fill_from_host(starts);
 
-    let mut j = 0;
-    while j < max_n {
+    let top = sizes.iter().copied().max().unwrap_or(0);
+    for s in 0..top.div_ceil(nb_panel) {
+        let j = s * nb_panel;
         with_retry(dev, &pol, rec, || {
             st.update(dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), count, j)
         })?;
         let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
-        with_retry(dev, &pol, rec, || {
-            potf2_panel_vbatched(
-                dev,
-                count,
-                uplo,
-                view,
-                st.d_rem.ptr(),
-                batch.d_info(),
-                nb_panel,
-                nb_inner,
-                j,
-            )
-        })?;
-        let max_rem = max_n - j;
-        if max_rem > nb_panel {
-            let max_trail = max_rem - nb_panel;
+        let (rem, info) = (st.d_rem.ptr(), batch.d_info());
+        for kernel in SepKernel::STEP {
+            let grid = LiveGrid::of_plan(d_starts.ptr(), starts, count, s, kernel);
+            if grid.blocks() == 0 {
+                continue;
+            }
             with_retry(dev, &pol, rec, || {
-                trtri_diag_vbatched(
-                    dev,
-                    count,
-                    uplo,
-                    view,
-                    st.d_rem.ptr(),
-                    batch.d_info(),
-                    work,
-                    nb_panel,
-                    true,
-                )
-            })?;
-            with_retry(dev, &pol, rec, || {
-                trsm_panel_vbatched(
-                    dev,
-                    count,
-                    uplo,
-                    view,
-                    st.d_rem.ptr(),
-                    batch.d_info(),
-                    work,
-                    nb_panel,
-                    max_trail,
-                )
-            })?;
-            with_retry(dev, &pol, rec, || {
-                syrk_vbatched(
-                    dev,
-                    count,
-                    uplo,
-                    view,
-                    st.d_rem.ptr(),
-                    batch.d_info(),
-                    nb_panel,
-                    max_trail,
-                )
+                match kernel {
+                    SepKernel::Potf2 => potf2_panel_vbatched(
+                        dev, grid, uplo, view, rem, info, nb_panel, nb_inner, j,
+                    ),
+                    SepKernel::Trtri => {
+                        trtri_diag_vbatched(dev, grid, uplo, view, rem, info, work, nb_panel)
+                    }
+                    SepKernel::Trsm => {
+                        trsm_panel_vbatched(dev, grid, uplo, view, rem, info, work, nb_panel)
+                    }
+                    SepKernel::Syrk => syrk_vbatched(dev, grid, uplo, view, rem, info, nb_panel),
+                }
+                .map(|_| ())
             })?;
         }
         scrub_batch(dev, batch, &pol, rec)?;
-        j += nb_panel;
     }
     Ok(())
 }

@@ -20,7 +20,8 @@
 //!   [`sorting`];
 //! * **Approach 2 — separated vbatched BLAS** (§III-E): `potf2` panels,
 //!   `trsm` via diagonal-block inversion (`trtri`) plus `gemm`, tiled
-//!   `gemm`, and `syrk` with a triangular decision layer — [`sep`];
+//!   `gemm`, and `syrk` over the stored triangle, the Cholesky kernels
+//!   launched on grids of their live work alone — [`sep`];
 //! * the **factorization driver** with per-step auxiliary kernels and
 //!   the fused/separated **crossover** (§III-F) — [`driver`];
 //! * the paper's stated future work: **vbatched LU and QR** and batched

@@ -12,14 +12,22 @@
 //! * [`gemm::gemm_vbatched`] — tiled general multiply, the workhorse
 //!   every other kernel leans on;
 //! * [`syrk::syrk_vbatched`] — the trailing update, "realized as a gemm
-//!   with an additional decision layer" that early-terminates blocks in
-//!   the unused triangle, one launch over the whole batch;
+//!   with an additional decision layer" that identifies the tiles of the
+//!   stored triangle, one launch over the whole batch;
 //! * [`trsm::trsm_left_vbatched`] — direct in-block substitution, used
 //!   by the LU/QR extensions and the batched solves.
 //!
 //! All of these use **ETM-classic** only: "they cannot use
 //! ETM-aggressive since the implementation of these kernels requires all
 //! threads in live thread blocks to be in sync."
+//!
+//! The paper sizes each of these launches by the batch's largest matrix
+//! and lets ETM retire the blocks with no work. Each retired block still
+//! pays its dispatch, so the Cholesky driver launches `potf2`, `trtri`,
+//! `trsm` and `syrk` on a [`LiveGrid`] instead: one block per unit of
+//! live work, counted on the host from the size mirror. Their in-kernel
+//! ETM check is left with the runtime case, a matrix whose `info` is
+//! set.
 //!
 //! These kernels are a foundation for other variable-size batched
 //! factorizations — the [`crate::lu`] and [`crate::qr`] extensions reuse
@@ -31,7 +39,9 @@ pub mod syrk;
 pub mod trsm;
 pub mod trtri;
 
-use vbatch_gpu_sim::DevicePtr;
+use vbatch_gpu_sim::{BlockCtx, Device, DeviceBuffer, DevicePtr};
+
+use crate::report::VbatchError;
 
 /// Default outer panel width of the separated approach.
 pub const DEFAULT_NB_PANEL: usize = 128;
@@ -39,7 +49,7 @@ pub const DEFAULT_NB_PANEL: usize = 128;
 /// Row-tile height of the tiled `gemm`/`trsm`-application kernels.
 pub const GEMM_TILE_M: usize = 64;
 
-/// Tile size of the `syrk` decision-layer kernel.
+/// Tile size of the `syrk` trailing-update kernel.
 pub const SYRK_TILE: usize = 32;
 
 /// A `Copy` bundle describing one per-matrix operand array: device
@@ -64,5 +74,156 @@ impl<T> VView<T> {
     #[must_use]
     pub fn new(ptrs: DevicePtr<DevicePtr<T>>, lds: DevicePtr<i32>) -> Self {
         Self { ptrs, lds }
+    }
+}
+
+/// One of the four kernels of a separated Cholesky step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SepKernel {
+    /// [`potf2::potf2_panel_vbatched`].
+    Potf2,
+    /// [`trtri::trtri_diag_vbatched`].
+    Trtri,
+    /// [`trsm::trsm_panel_vbatched`].
+    Trsm,
+    /// [`syrk::syrk_vbatched`].
+    Syrk,
+}
+
+impl SepKernel {
+    /// The kernels of one step, in launch order.
+    pub(crate) const STEP: [SepKernel; 4] = [Self::Potf2, Self::Trtri, Self::Trsm, Self::Syrk];
+
+    /// Live blocks of a matrix with `rem` rows left at a step of panel
+    /// width `nb_panel`: one `potf2` block if `rem > 0`, one `trtri`
+    /// block if `rem > nb_panel`, one `trsm` block per `GEMM_TILE_M`
+    /// trailing rows, one `syrk` block per `SYRK_TILE` tile of the
+    /// trailing triangle.
+    fn live_blocks(self, rem: usize, nb_panel: usize) -> usize {
+        let trail = rem.saturating_sub(nb_panel);
+        let tiles = trail.div_ceil(SYRK_TILE);
+        match self {
+            Self::Potf2 => usize::from(rem > 0),
+            Self::Trtri => usize::from(trail > 0),
+            Self::Trsm => trail.div_ceil(GEMM_TILE_M),
+            Self::Syrk => tiles * (tiles + 1) / 2,
+        }
+    }
+
+    /// Appends this kernel's block starts at the step `j` columns in
+    /// (the exclusive prefix sum of live blocks over `sizes`, its last
+    /// entry the grid size) and returns the grid size.
+    fn push_starts(self, host: &mut Vec<i32>, sizes: &[usize], j: usize, nb: usize) -> usize {
+        let mut total = 0;
+        host.push(0);
+        for &n in sizes {
+            total += self.live_blocks(n.saturating_sub(j), nb);
+            host.push(total as i32);
+        }
+        total
+    }
+}
+
+/// Fills `host` with the block starts of every step of a separated
+/// Cholesky call on matrices of orders `sizes`, four grids per step in
+/// [`SepKernel::STEP`] order ([`LiveGrid::of_plan`] reads them back).
+/// Steps run while a matrix has columns left.
+pub(crate) fn plan_live_grids(host: &mut Vec<i32>, sizes: &[usize], nb_panel: usize) {
+    host.clear();
+    let top = sizes.iter().copied().max().unwrap_or(0);
+    for j in (0..top).step_by(nb_panel) {
+        for k in SepKernel::STEP {
+            k.push_starts(host, sizes, j, nb_panel);
+        }
+    }
+}
+
+/// A compacted launch grid: one block per unit of live work, matrix by
+/// matrix. Block `b` belongs to the matrix `i` with
+/// `starts[i] ≤ b < starts[i + 1]` (`count + 1` starts on the device).
+#[derive(Clone, Copy, Debug)]
+pub struct LiveGrid {
+    starts: DevicePtr<i32>,
+    count: usize,
+    blocks: usize,
+}
+
+impl LiveGrid {
+    /// The grid of the `count + 1` block starts at `starts`, the last
+    /// of which is `blocks`.
+    fn new(starts: DevicePtr<i32>, count: usize, blocks: usize) -> Self {
+        Self {
+            starts,
+            count,
+            blocks,
+        }
+    }
+
+    /// The grid of `kernel` at step `s` of a [`plan_live_grids`] plan
+    /// for `count` matrices, held in `host` and uploaded to `d_starts`.
+    pub(crate) fn of_plan(
+        d_starts: DevicePtr<i32>,
+        host: &[i32],
+        count: usize,
+        s: usize,
+        kernel: SepKernel,
+    ) -> Self {
+        let first = (SepKernel::STEP.len() * s + kernel as usize) * (count + 1);
+        Self::new(d_starts.offset(first), count, host[first + count] as usize)
+    }
+
+    /// Uploads the grid of `kernel` at the step `j` columns in for a
+    /// launch of its own; the returned buffer must outlive the launch.
+    /// Charges no transfer.
+    ///
+    /// # Errors
+    /// [`VbatchError::Oom`] when device memory is exhausted.
+    pub fn upload(
+        dev: &Device,
+        kernel: SepKernel,
+        sizes: &[usize],
+        j: usize,
+        nb_panel: usize,
+    ) -> Result<(Self, DeviceBuffer<i32>), VbatchError> {
+        let mut host = Vec::with_capacity(sizes.len() + 1);
+        let blocks = kernel.push_starts(&mut host, sizes, j, nb_panel);
+        let buf = dev.alloc::<i32>(host.len())?;
+        buf.fill_from_host(&host);
+        Ok((Self::new(buf.ptr(), sizes.len(), blocks), buf))
+    }
+
+    /// Blocks in the grid.
+    #[must_use]
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// The grid size as a launch dimension, or
+    /// [`VbatchError::InvalidArgument`] with `msg` if it is empty.
+    pub(crate) fn launch_blocks(&self, msg: &'static str) -> Result<u32, VbatchError> {
+        match self.blocks {
+            0 => Err(VbatchError::InvalidArgument(msg)),
+            b => Ok(b as u32),
+        }
+    }
+
+    /// This block's matrix and its index among that matrix's blocks: a
+    /// binary search of the starts, each probe charged as a 4-byte read.
+    /// A matrix with no blocks shares its start with the next one, so
+    /// the last start at or before the block is its owner's.
+    pub(crate) fn locate(&self, ctx: &mut BlockCtx) -> (usize, usize) {
+        let b = ctx.linear_block_id();
+        let (mut lo, mut hi, mut probes) = (0, self.count - 1, 1);
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            probes += 1;
+            if self.starts.get(mid) as usize <= b {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        ctx.gmem_read(probes * std::mem::size_of::<i32>());
+        (lo, b - self.starts.get(lo) as usize)
     }
 }

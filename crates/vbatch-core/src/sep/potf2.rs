@@ -5,8 +5,8 @@
 //! factorize a square panel of size `NB`, where `NB > nb`." One thread
 //! block factorizes one matrix's `jb × jb` diagonal tile (`jb =
 //! min(NB, rem)`), blocked internally by `nb` with the panel staged in
-//! shared memory. Dead matrices (`rem == 0` or already broken)
-//! early-terminate (ETM-classic).
+//! shared memory. The launch covers a [`LiveGrid`] of the matrices with
+//! rows left; a broken matrix's block early-terminates (ETM-classic).
 
 use vbatch_dense::{Scalar, Uplo};
 use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
@@ -14,22 +14,25 @@ use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 use crate::etm::EtmPolicy;
 use crate::kernels::{kname, mat_mut, panel_smem_bytes, round_to_warp};
 use crate::report::VbatchError;
-use crate::sep::VView;
+use crate::sep::{LiveGrid, VView};
 
 /// Factorizes the `jb_i × jb_i` leading tile of each per-matrix operand
 /// (pointers pre-displaced to `A(j,j)`), where
 /// `jb_i = min(nb_panel, rem_i)`.
 ///
-/// `d_rem` holds the per-matrix trailing size at this step; `d_info`
-/// receives `j + col + 1` on breakdown (`j` = global column offset of
-/// this step); broken matrices are skipped.
+/// `grid` holds one block per matrix with `rem_i > 0`
+/// ([`crate::sep::SepKernel::Potf2`]); `d_rem` holds the per-matrix
+/// trailing size at this step; `d_info` receives `j + col + 1` on
+/// breakdown (`j` = global column offset of this step); broken matrices
+/// are skipped.
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
 pub fn potf2_panel_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
+    grid: LiveGrid,
     uplo: Uplo,
     a: VView<T>,
     d_rem: DevicePtr<i32>,
@@ -40,16 +43,15 @@ pub fn potf2_panel_vbatched<T: Scalar>(
 ) -> Result<KernelStats, VbatchError> {
     let warp = dev.config().warp_size;
     let threads = round_to_warp(nb_panel, warp).min(dev.config().max_threads_per_block);
-    let cfg = LaunchConfig::grid_1d(count as u32, threads)
+    let blocks = grid.launch_blocks("potf2_panel_vbatched: no live matrix")?;
+    let cfg = LaunchConfig::grid_1d(blocks, threads)
         .with_shared_mem(panel_smem_bytes::<T>(nb_panel, nb_inner));
     let stats = dev.launch(kname::<T>("potf2_vbatched"), cfg, move |ctx| {
-        let i = ctx.linear_block_id();
-        let rem = d_rem.get(i).max(0) as usize;
-        let live = rem > 0 && d_info.get(i) == 0;
-        if !EtmPolicy::Classic.apply(ctx, if live { rem.min(nb_panel) } else { 0 }) {
+        let (i, _) = grid.locate(ctx);
+        let jb = (d_rem.get(i).max(0) as usize).min(nb_panel);
+        if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {
             return;
         }
-        let jb = rem.min(nb_panel);
         let ld = a.lds.get(i) as usize;
         // Internally blocked left-looking factorization of the tile,
         // reusing the fused step logic.
@@ -72,6 +74,7 @@ pub fn potf2_panel_vbatched<T: Scalar>(
 mod tests {
     use super::*;
     use crate::aux::StepState;
+    use crate::sep::SepKernel;
     use crate::VBatch;
     use vbatch_dense::gen::{seeded_rng, spd_vec};
     use vbatch_dense::verify::{chol_residual, residual_tol};
@@ -106,9 +109,11 @@ mod tests {
         )
         .unwrap();
         let nb_panel = 16;
-        potf2_panel_vbatched(
+        let (grid, _starts) =
+            LiveGrid::upload(&dev, SepKernel::Potf2, &sizes, 0, nb_panel).unwrap();
+        let stats = potf2_panel_vbatched(
             &dev,
-            sizes.len(),
+            grid,
             Uplo::Lower,
             VView::new(st.d_ptrs.ptr(), batch.d_ld()),
             st.d_rem.ptr(),
@@ -118,6 +123,9 @@ mod tests {
             0,
         )
         .unwrap();
+        // The order-0 matrix owns no block.
+        assert_eq!(stats.timing.blocks, 3);
+        assert_eq!(stats.timing.early_exit_blocks, 0);
         // Matrix 0 (10 ≤ 16): fully factorized.
         let f0 = batch.download_matrix(0);
         let r = chol_residual(
@@ -157,9 +165,10 @@ mod tests {
         let st = StepState::<f64>::alloc(&dev, 1).unwrap();
         st.update(&dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), 1, 0)
             .unwrap();
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Potf2, &[n], 0, 16).unwrap();
         potf2_panel_vbatched(
             &dev,
-            1,
+            grid,
             Uplo::Lower,
             VView::new(st.d_ptrs.ptr(), batch.d_ld()),
             st.d_rem.ptr(),

@@ -5,21 +5,27 @@
 //! either the upper or the lower triangular part of the trailing
 //! submatrix, and thus terminating all other thread blocks."
 //!
-//! [`syrk_vbatched`] is that one launch: a 3-D tile grid over the whole
-//! batch whose decision layer retires the tiles of the unused triangle.
-//! The paper's other option, one kernel per matrix on CUDA streams, pays
-//! the per-matrix launch overhead the vbatched interface exists to
-//! avoid, so it is not modelled.
+//! [`syrk_vbatched`] is that one launch over the whole batch. Its
+//! decision layer runs on the host: the launch covers a [`LiveGrid`]
+//! holding, matrix by matrix, only the `T(T+1)/2` tiles of the stored
+//! triangle (`T = ⌈trail/SYRK_TILE⌉`), and each block decodes its tile
+//! from its local index. A grid sized by the largest matrix, as in the
+//! paper, would dispatch `T_max² · count` blocks and retire all but the
+//! live ones at a dispatch each. The kernel's only exit is the runtime
+//! one, a matrix whose `info` is set. The paper's other option, one
+//! kernel per matrix on CUDA streams, pays the per-matrix launch
+//! overhead the vbatched interface exists to avoid, so it is not
+//! modelled.
 
 use vbatch_dense::{Scalar, Trans, Uplo};
-use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, Dim3, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref,
 };
 use crate::report::VbatchError;
-use crate::sep::{VView, SYRK_TILE};
+use crate::sep::{LiveGrid, VView, SYRK_TILE};
 
 /// Tile body of [`syrk_vbatched`]: update the `(bi, bj)` lower tile
 /// of `C_i ← C_i − A21_i · A21_iᵀ` for a matrix with `trail` trailing
@@ -91,51 +97,45 @@ fn syrk_tile_math<T: Scalar>(
     }
 }
 
-/// Batched trailing update `A22_i ← A22_i − A21_i·A21_iᵀ` (lower) with
-/// the triangular decision layer. `max_trail` sizes the tile grid.
+/// Row and column of the `t`-th tile of a lower triangle of tiles
+/// enumerated row by row: `t = r(r+1)/2 + c` with `c ≤ r`.
+fn lower_tile(t: usize) -> (usize, usize) {
+    let r = ((8 * t + 1).isqrt() - 1) / 2;
+    (r, t - r * (r + 1) / 2)
+}
+
+/// Batched trailing update `A22_i ← A22_i − A21_i·A21_iᵀ` (lower) or
+/// `A22_i ← A22_i − A12_iᵀ·A12_i` (upper) over `grid`, one block per
+/// stored-triangle tile ([`crate::sep::SepKernel::Syrk`]).
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
 pub fn syrk_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
+    grid: LiveGrid,
     uplo: Uplo,
     a: VView<T>,
     d_rem: DevicePtr<i32>,
     d_info: DevicePtr<i32>,
     nb_panel: usize,
-    max_trail: usize,
 ) -> Result<KernelStats, VbatchError> {
-    if max_trail == 0 || count == 0 {
-        return Err(VbatchError::InvalidArgument(
-            "syrk_vbatched: no trailing rows",
-        ));
-    }
-    let tiles = max_trail.div_ceil(SYRK_TILE) as u32;
-    let grid = Dim3::xyz(tiles, tiles, count as u32);
+    let blocks = grid.launch_blocks("syrk_vbatched: no trailing rows")?;
     let smem = 2 * SYRK_TILE * 8 * T::BYTES;
-    let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
+    let cfg = LaunchConfig::grid_1d(blocks, 128).with_shared_mem(smem);
     let stats = dev.launch(kname::<T>("syrk_vbatched"), cfg, move |ctx| {
-        let bi = ctx.block_idx().x as usize;
-        let bj = ctx.block_idx().y as usize;
-        let i = ctx.block_idx().z as usize;
-        let rem = d_rem.get(i).max(0) as usize;
-        let trail = rem.saturating_sub(nb_panel);
-        // Decision layer: tiles in the unused triangle and out-of-range
-        // tiles die.
-        let in_tri = match uplo {
-            Uplo::Lower => bi >= bj,
-            Uplo::Upper => bi <= bj,
-        };
-        let live = trail > 0
-            && in_tri
-            && bi * SYRK_TILE < trail
-            && bj * SYRK_TILE < trail
-            && d_info.get(i) == 0;
-        if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
+        let (i, t) = grid.locate(ctx);
+        if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
             return;
         }
+        let (r, c) = lower_tile(t);
+        let (bi, bj) = match uplo {
+            Uplo::Lower => (r, c),
+            Uplo::Upper => (c, r),
+        };
+        let rem = d_rem.get(i).max(0) as usize;
+        let trail = rem.saturating_sub(nb_panel);
         let ld = a.lds.get(i) as usize;
         syrk_tile_math::<T>(ctx, uplo, a.ptrs.get(i), ld, rem, trail, nb_panel, bi, bj);
     })?;
@@ -146,6 +146,7 @@ pub fn syrk_vbatched<T: Scalar>(
 mod tests {
     use super::*;
     use crate::aux::StepState;
+    use crate::sep::SepKernel;
     use crate::VBatch;
     use vbatch_dense::gen::{seeded_rng, spd_vec};
     use vbatch_dense::{MatMut, MatRef, Uplo};
@@ -189,15 +190,15 @@ mod tests {
         )
         .unwrap();
         let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Syrk, &sizes, 0, nb).unwrap();
         syrk_vbatched(
             &dev,
-            sizes.len(),
+            grid,
             Uplo::Lower,
             view,
             st.d_rem.ptr(),
             batch.d_info(),
             nb,
-            130 - nb,
         )
         .unwrap();
         for (i, &n) in sizes.iter().enumerate() {
@@ -225,6 +226,19 @@ mod tests {
     }
 
     #[test]
+    fn lower_tile_decodes_row_by_row() {
+        let mut t = 0;
+        for r in 0..40 {
+            for c in 0..=r {
+                assert_eq!(lower_tile(t), (r, c), "tile {t}");
+                t += 1;
+            }
+        }
+    }
+
+    /// The decision layer runs on the host: the upper tiles are
+    /// never dispatched, so none has to exit early.
+    #[test]
     fn decision_layer_kills_upper_tiles() {
         let dev = Device::new(DeviceConfig::k40c());
         let n = 130;
@@ -237,19 +251,19 @@ mod tests {
         let st = StepState::<f64>::alloc(&dev, 1).unwrap();
         st.update(&dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), 1, 0)
             .unwrap();
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Syrk, &[n], 0, nb).unwrap();
         let stats = syrk_vbatched(
             &dev,
-            1,
+            grid,
             Uplo::Lower,
             VView::new(st.d_ptrs.ptr(), batch.d_ld()),
             st.d_rem.ptr(),
             batch.d_info(),
             nb,
-            n - nb,
         )
         .unwrap();
-        // trail = 122 → 4 tiles per dim → 16 blocks, 6 strictly upper die.
-        assert_eq!(stats.timing.blocks, 16);
-        assert_eq!(stats.timing.early_exit_blocks, 6);
+        // trail = 122 → 4 tiles per dim → the 10 lower tiles, none dead.
+        assert_eq!(stats.timing.blocks, 10);
+        assert_eq!(stats.timing.early_exit_blocks, 0);
     }
 }

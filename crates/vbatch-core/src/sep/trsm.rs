@@ -13,7 +13,7 @@
 //!   panels, batched `potrs`); one thread block per matrix.
 
 use vbatch_dense::{Diag, Scalar, Side, Trans, Uplo};
-use vbatch_gpu_sim::{Device, DevicePtr, Dim3, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
 use crate::kernels::{
@@ -21,7 +21,7 @@ use crate::kernels::{
 };
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
-use crate::sep::{VView, GEMM_TILE_M};
+use crate::sep::{LiveGrid, VView, GEMM_TILE_M};
 
 /// The Cholesky panel solve by inverted diagonal blocks
 /// `W_i = T11_i⁻¹` in `work` (produced by
@@ -34,7 +34,8 @@ use crate::sep::{VView, GEMM_TILE_M};
 ///   (so `A12 ← U11⁻ᵀ·A12`), tiled over columns.
 ///
 /// `a` points at the displaced `A(j,j)`; the panel is `nb_panel` wide;
-/// `max_trail` (= `max_rem − nb_panel`) sizes the tile grid.
+/// `grid` holds one block per `GEMM_TILE_M` trailing rows (or columns)
+/// of each matrix ([`crate::sep::SepKernel::Trsm`]).
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] when there is nothing to solve;
@@ -42,35 +43,27 @@ use crate::sep::{VView, GEMM_TILE_M};
 #[allow(clippy::too_many_arguments)]
 pub fn trsm_panel_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
+    grid: LiveGrid,
     uplo: Uplo,
     a: VView<T>,
     d_rem: DevicePtr<i32>,
     d_info: DevicePtr<i32>,
     work: &TileWorkspace<T>,
     nb_panel: usize,
-    max_trail: usize,
 ) -> Result<KernelStats, VbatchError> {
-    if max_trail == 0 || count == 0 {
-        return Err(VbatchError::InvalidArgument(
-            "trsm_panel_vbatched: no trailing rows or columns",
-        ));
-    }
-    let grid = Dim3::xy(max_trail.div_ceil(GEMM_TILE_M) as u32, count as u32);
+    let blocks = grid.launch_blocks("trsm_panel_vbatched: no trailing rows or columns")?;
     let smem = (GEMM_TILE_M + nb_panel) * nb_panel.min(8) * T::BYTES;
-    let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
+    let cfg = LaunchConfig::grid_1d(blocks, 128).with_shared_mem(smem);
     let w_ptrs = work.d_ptrs();
     let w_nb = work.nb();
     let stats = dev.launch(kname::<T>("trsm_vbatched"), cfg, move |ctx| {
-        let bi = ctx.block_idx().x as usize;
-        let i = ctx.block_idx().y as usize;
+        let (i, bi) = grid.locate(ctx);
+        if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
+            return;
+        }
         let rem = d_rem.get(i).max(0) as usize;
         let trail = rem.saturating_sub(nb_panel);
         let t0 = bi * GEMM_TILE_M;
-        let live = trail > 0 && t0 < trail && d_info.get(i) == 0;
-        if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
-            return;
-        }
         let len = GEMM_TILE_M.min(trail - t0);
         let ld = a.lds.get(i) as usize;
         let p = a.ptrs.get(i);
@@ -159,6 +152,7 @@ mod tests {
     use super::*;
     use crate::aux::StepState;
     use crate::sep::trtri::trtri_diag_vbatched;
+    use crate::sep::SepKernel;
     use crate::VBatch;
     use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
     use vbatch_dense::verify::max_abs_diff_slices;
@@ -197,30 +191,33 @@ mod tests {
         .unwrap();
         let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
+        let (inv, _inv_starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
         trtri_diag_vbatched(
             &dev,
-            sizes.len(),
+            inv,
             Uplo::Lower,
             view,
             st.d_rem.ptr(),
             batch.d_info(),
             &work,
             nb,
-            true,
         )
         .unwrap();
-        trsm_panel_vbatched(
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trsm, &sizes, 0, nb).unwrap();
+        let stats = trsm_panel_vbatched(
             &dev,
-            sizes.len(),
+            grid,
             Uplo::Lower,
             view,
             st.d_rem.ptr(),
             batch.d_info(),
             &work,
             nb,
-            150 - nb,
         )
         .unwrap();
+        // Trailing rows 92, 12, 0, 142: 2 + 1 + 0 + 3 tiles of 64.
+        assert_eq!(stats.timing.blocks, 6);
+        assert_eq!(stats.timing.early_exit_blocks, 0);
         for (i, &n) in sizes.iter().enumerate() {
             if n <= nb {
                 // No trailing rows: untouched below the tile.

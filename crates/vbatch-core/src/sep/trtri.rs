@@ -2,7 +2,7 @@
 //!
 //! The vbatched `trsm` "starts by inverting the diagonal blocks ...
 //! using a vbatched `trtri` routine". One thread block inverts one
-//! matrix's `jb × jb` lower-triangular tile into a per-matrix workspace,
+//! matrix's `jb × jb` triangular tile into a per-matrix workspace,
 //! leaving the factor itself untouched. ETM-classic only.
 
 use vbatch_dense::{Diag, Scalar, Uplo};
@@ -14,7 +14,7 @@ use crate::kernels::{
     charge_flops, charge_read, charge_write, kname, mat_mut, mat_ref, round_to_warp,
 };
 use crate::report::VbatchError;
-use crate::sep::VView;
+use crate::sep::{LiveGrid, VView};
 
 /// Per-matrix square workspace arena (e.g. for inverted diagonal
 /// blocks): a `PerMatrixArray` of `nb × nb` tiles, one per matrix.
@@ -65,25 +65,25 @@ impl<T: Scalar> TileWorkspace<T> {
     }
 }
 
-/// Inverts each live matrix's `jb_i × jb_i` lower-triangular diagonal
-/// tile (`jb_i = min(nb, rem_i)`) into the workspace
-/// (`W_i ← L11_i⁻¹`). Matrices with `rem_i == 0`, broken `info`, or no
-/// trailing rows (`rem_i ≤ nb`, nothing for `trsm` to do) terminate
-/// early.
+/// Inverts the `jb_i × jb_i` triangular diagonal tile
+/// (`jb_i = min(nb, rem_i)`) of each matrix in `grid` into the
+/// workspace (`W_i ← T11_i⁻¹`). The grid holds one block per matrix
+/// with trailing rows ([`crate::sep::SepKernel::Trtri`]: `rem_i > nb`,
+/// so `trsm` has work); a broken matrix's block terminates early.
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
 pub fn trtri_diag_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
+    grid: LiveGrid,
     uplo: Uplo,
     a: VView<T>,
     d_rem: DevicePtr<i32>,
     d_info: DevicePtr<i32>,
     work: &TileWorkspace<T>,
     nb: usize,
-    require_trailing: bool,
 ) -> Result<KernelStats, VbatchError> {
     let warp = dev.config().warp_size;
     let threads = round_to_warp(nb, warp).min(dev.config().max_threads_per_block);
@@ -91,15 +91,13 @@ pub fn trtri_diag_vbatched<T: Scalar>(
     // memory (as MAGMA's trtri does); the full inverse lives in the
     // global workspace, so the request does not grow with `nb`.
     let stage = nb.min(32);
-    let cfg =
-        LaunchConfig::grid_1d(count as u32, threads).with_shared_mem(2 * stage * stage * T::BYTES);
+    let blocks = grid.launch_blocks("trtri_diag_vbatched: no trailing rows")?;
+    let cfg = LaunchConfig::grid_1d(blocks, threads).with_shared_mem(2 * stage * stage * T::BYTES);
     let w_ptrs = work.d_ptrs();
     let stats = dev.launch(kname::<T>("trtri_vbatched"), cfg, move |ctx| {
-        let i = ctx.linear_block_id();
-        let rem = d_rem.get(i).max(0) as usize;
-        let jb = rem.min(nb);
-        let live = jb > 0 && d_info.get(i) == 0 && (!require_trailing || rem > nb);
-        if !EtmPolicy::Classic.apply(ctx, if live { jb } else { 0 }) {
+        let (i, _) = grid.locate(ctx);
+        let jb = (d_rem.get(i).max(0) as usize).min(nb);
+        if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {
             return;
         }
         let ld = a.lds.get(i) as usize;
@@ -141,6 +139,7 @@ pub fn trtri_diag_vbatched<T: Scalar>(
 mod tests {
     use super::*;
     use crate::aux::StepState;
+    use crate::sep::SepKernel;
     use crate::VBatch;
     use vbatch_dense::gen::{seeded_rng, spd_vec};
     use vbatch_dense::{potf2 as dense_potf2, MatMut};
@@ -177,18 +176,21 @@ mod tests {
         )
         .unwrap();
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
-        trtri_diag_vbatched(
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
+        let stats = trtri_diag_vbatched(
             &dev,
-            sizes.len(),
+            grid,
             Uplo::Lower,
             VView::new(st.d_ptrs.ptr(), batch.d_ld()),
             st.d_rem.ptr(),
             batch.d_info(),
             &work,
             nb,
-            true,
         )
         .unwrap();
+        // Matrix 1 (6 ≤ nb) has no trailing rows and owns no block.
+        assert_eq!(stats.timing.blocks, 2);
+        assert_eq!(stats.timing.early_exit_blocks, 0);
         // Matrix 0 (rem 20 > nb): W·L11 = I.
         let w = {
             let p = work.d_ptrs().get(0);
@@ -210,7 +212,7 @@ mod tests {
                 assert!((acc - want).abs() < 1e-10, "W·L ≠ I at ({r},{c})");
             }
         }
-        // Matrix 1 (rem 6 ≤ nb, no trailing rows): dead, workspace zero.
+        // Matrix 1 was never visited: its workspace is still zero.
         assert_eq!(work.d_ptrs().get(1).get(0), 0.0);
     }
 

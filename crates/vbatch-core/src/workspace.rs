@@ -29,11 +29,18 @@ use crate::batch::PerMatrixArray;
 use crate::fused::IlvPlan;
 use crate::lu::LuStep;
 use crate::report::VbatchError;
+use crate::sep::plan_live_grids;
 use crate::sep::trtri::TileWorkspace;
 
-/// Borrows handed to the separated driver loop: step state and tile
-/// arena.
-pub(crate) type SepScratch<'a, T> = (&'a StepState<T>, &'a TileWorkspace<T>);
+/// Borrows handed to the separated driver loop: step state, tile
+/// arena, and the call's live-grid block starts on the device and on
+/// the host.
+pub(crate) type SepScratch<'a, T> = (
+    &'a StepState<T>,
+    &'a TileWorkspace<T>,
+    &'a DeviceBuffer<i32>,
+    &'a [i32],
+);
 
 /// Pooled device scratch for the factorization drivers, reusable across
 /// calls and across precisions' driver families (Cholesky, LU, QR).
@@ -47,6 +54,10 @@ pub struct DriverWorkspace<T> {
     pub(crate) step: Option<StepState<T>>,
     /// Separated-path diagonal-tile arena.
     pub(crate) tiles: Option<TileWorkspace<T>>,
+    /// Separated-path live-grid plan ([`plan_live_grids`]): host
+    /// block starts + device copy.
+    live_host: Vec<i32>,
+    live_dev: Option<DeviceBuffer<i32>>,
     /// QR `T`-factor arena: one `nb × nb` tile per matrix, every tile
     /// fully rewritten by the panel kernel before `larfb` reads it.
     pub(crate) qr_t: Option<PerMatrixArray<T>>,
@@ -73,6 +84,8 @@ impl<T: Scalar> DriverWorkspace<T> {
         Self {
             step: None,
             tiles: None,
+            live_host: Vec::new(),
+            live_dev: None,
             qr_t: None,
             imax_partial: None,
             idx_dev: None,
@@ -105,35 +118,57 @@ impl<T: Scalar> DriverWorkspace<T> {
         if let Some(s) = &self.lu_step {
             total += s.bytes();
         }
-        for b in [&self.imax_partial, &self.idx_dev, &self.clean_info]
-            .into_iter()
-            .flatten()
+        for b in [
+            &self.imax_partial,
+            &self.idx_dev,
+            &self.clean_info,
+            &self.live_dev,
+        ]
+        .into_iter()
+        .flatten()
         {
             total += b.bytes();
         }
         total
     }
 
-    /// Ensures the separated-path scratch covers `count` matrices at
-    /// panel width `nb`, returning the step state and the tile arena.
+    /// Ensures the separated-path scratch covers matrices of orders
+    /// `sizes` at panel width `nb`: step state, tile arena, and the
+    /// live-grid plan, built on the host and sized on the device (not
+    /// uploaded; see [`DriverWorkspace::sep_views`]).
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
     pub(crate) fn sep_scratch(
         &mut self,
         dev: &Device,
-        count: usize,
+        sizes: &[usize],
         nb: usize,
-    ) -> Result<SepScratch<'_, T>, VbatchError> {
+    ) -> Result<(), VbatchError> {
+        let count = sizes.len();
         if self.step.as_ref().is_none_or(|st| st.d_rem.len() < count) {
             self.step = None;
             self.step = Some(StepState::alloc(dev, count)?);
         }
         TileWorkspace::ensure(&mut self.tiles, dev, count, nb)?;
-        Ok((
-            self.step.as_ref().expect("ensured above"),
-            self.tiles.as_ref().expect("ensured above"),
-        ))
+        plan_live_grids(&mut self.live_host, sizes, nb);
+        let len = self.live_host.len();
+        if self.live_dev.as_ref().is_none_or(|b| b.len() < len) {
+            self.live_dev = None;
+            self.live_dev = Some(dev.alloc(len.max(1))?);
+        }
+        Ok(())
+    }
+
+    /// The scratch the last successful [`DriverWorkspace::sep_scratch`]
+    /// ensured.
+    pub(crate) fn sep_views(&self) -> SepScratch<'_, T> {
+        (
+            self.step.as_ref().expect("ensured by sep_scratch"),
+            self.tiles.as_ref().expect("ensured by sep_scratch"),
+            self.live_dev.as_ref().expect("ensured by sep_scratch"),
+            &self.live_host,
+        )
     }
 
     /// Ensures the LU scratch covers `count` matrices, returning the
@@ -182,23 +217,28 @@ mod tests {
     fn sep_scratch_grows_and_reuses() {
         let dev = Device::new(DeviceConfig::k40c());
         let mut ws = DriverWorkspace::<f64>::new();
-        ws.sep_scratch(&dev, 8, 32).unwrap();
+        // Orders of 8 take one step at every panel width below, so the
+        // live-grid plan grows with the batch only.
+        let sizes = [8usize; 16];
+        ws.sep_scratch(&dev, &sizes[..8], 32).unwrap();
         let after_first = dev.alloc_count();
         // Same shape: no new allocations.
-        ws.sep_scratch(&dev, 8, 32).unwrap();
+        ws.sep_scratch(&dev, &sizes[..8], 32).unwrap();
         assert_eq!(dev.alloc_count(), after_first);
         // Smaller batch still fits: no new allocations.
-        ws.sep_scratch(&dev, 3, 32).unwrap();
+        ws.sep_scratch(&dev, &sizes[..3], 32).unwrap();
         assert_eq!(dev.alloc_count(), after_first);
         // Larger batch grows; a smaller nb reuses the tile arena, a
         // larger one grows it.
-        ws.sep_scratch(&dev, 16, 32).unwrap();
+        ws.sep_scratch(&dev, &sizes, 32).unwrap();
         assert!(dev.alloc_count() > after_first);
         let after_grow = dev.alloc_count();
-        ws.sep_scratch(&dev, 16, 8).unwrap();
+        ws.sep_scratch(&dev, &sizes, 8).unwrap();
         assert_eq!(dev.alloc_count(), after_grow);
-        ws.sep_scratch(&dev, 16, 64).unwrap();
+        ws.sep_scratch(&dev, &sizes, 64).unwrap();
         assert!(dev.alloc_count() > after_grow);
+        // Four grids of 17 starts each.
+        assert_eq!(ws.sep_views().3.len(), 4 * 17);
         assert!(ws.device_bytes() > 0);
         let in_use = dev.mem_in_use();
         assert!(in_use > 0);

@@ -233,3 +233,114 @@ fn all_matrices_same_size_matches_fixed_kernel() {
         }
     }
 }
+
+/// Blocks each separated Cholesky kernel has work for, counted from the
+/// sizes alone: per step `j`, one `potf2` block per matrix with rows
+/// left, one `trtri` block and one `trsm` block per 64 trailing rows
+/// per matrix with trailing rows, and one `syrk` block per 32×32 tile
+/// of the stored trailing triangle.
+fn separated_live_blocks(sizes: &[usize], nb: usize) -> [(&'static str, u64); 4] {
+    let (mut potf2, mut trtri, mut trsm, mut syrk) = (0, 0, 0, 0);
+    let top = sizes.iter().copied().max().unwrap_or(0);
+    let mut j = 0;
+    while j < top {
+        for &n in sizes.iter().filter(|&&n| n > j) {
+            potf2 += 1;
+            let trail = (n - j).saturating_sub(nb);
+            if trail == 0 {
+                continue;
+            }
+            trtri += 1;
+            trsm += trail.div_ceil(64) as u64;
+            let tiles = trail.div_ceil(32);
+            for bi in 0..tiles {
+                syrk += (bi + 1) as u64;
+            }
+        }
+        j += nb;
+    }
+    [
+        ("potf2_vbatched", potf2),
+        ("trtri_vbatched", trtri),
+        ("trsm_vbatched", trsm),
+        ("syrk_vbatched", syrk),
+    ]
+}
+
+/// Each separated launch covers its live work alone: on a fault-free
+/// SPD batch with orders 0, 1, at and below the panel width and ragged
+/// tiles, no block exits early in any kernel, and each kernel
+/// dispatches exactly one block per unit of live work. A non-SPD
+/// matrix still retires through `info`: its later blocks exit early,
+/// and its neighbours factor as before.
+#[test]
+fn separated_dispatches_one_block_per_unit_of_live_work() {
+    fn check<T: Scalar>(uplo: Uplo) {
+        let sizes = [0usize, 1, 20, 32, 33, 97, 150, 64, 129];
+        let nb = 32;
+        let opts = PotrfOptions {
+            strategy: Strategy::Separated,
+            uplo,
+            sep: SepOpts {
+                nb_panel: nb,
+                nb_inner: 8,
+            },
+            ..Default::default()
+        };
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut batch = VBatch::<T>::alloc_square(&dev, &sizes).unwrap();
+        let origs = fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(91));
+        let report = potrf_vbatched_max(&dev, &mut batch, 150, &opts).unwrap();
+        assert!(report.all_ok(), "{uplo:?}: {:?}", report.failures());
+        dev.with_profiler(|p| {
+            for (name, entry) in p.sorted_by_time() {
+                assert_eq!(entry.early_exit_blocks, 0, "{uplo:?} {name}");
+            }
+            for (base, want) in separated_live_blocks(&sizes, nb) {
+                let name = format!("{}{base}", T::PREFIX);
+                let got = p.get(&name).map_or(0, |e| e.blocks);
+                assert_eq!(got, want, "{uplo:?} {name}");
+            }
+        });
+        for (i, &n) in sizes.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let f = batch.download_matrix(i);
+            let r = chol_residual(
+                uplo,
+                MatRef::from_slice(&f, n, n, n),
+                MatRef::from_slice(&origs[i], n, n, n),
+            );
+            assert!(r < residual_tol::<T>(n), "{uplo:?} n={n}: residual {r}");
+        }
+
+        // Matrix 6 (order 150) breaks at column 2 of the first panel.
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut batch = VBatch::<T>::alloc_square(&dev, &sizes).unwrap();
+        let mut origs = fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(91));
+        origs[6][1 + 150] = T::from_f64(-1e9);
+        batch.upload_matrix(6, &origs[6]).unwrap();
+        let report = potrf_vbatched_max(&dev, &mut batch, 150, &opts).unwrap();
+        let info = batch.read_info();
+        assert_eq!(info[6], 2, "{uplo:?}");
+        assert_eq!(report.failure_count(), 1, "{uplo:?}");
+        let exits: u64 = dev.with_profiler(|p| {
+            p.sorted_by_time()
+                .iter()
+                .map(|(_, e)| e.early_exit_blocks)
+                .sum()
+        });
+        assert!(exits > 0, "{uplo:?}: the broken matrix's blocks retire");
+        for (i, &n) in sizes.iter().enumerate().filter(|&(i, &n)| n > 0 && i != 6) {
+            let f = batch.download_matrix(i);
+            let r = chol_residual(
+                uplo,
+                MatRef::from_slice(&f, n, n, n),
+                MatRef::from_slice(&origs[i], n, n, n),
+            );
+            assert!(r < residual_tol::<T>(n), "{uplo:?} n={n}: residual {r}");
+        }
+    }
+    for uplo in [Uplo::Lower, Uplo::Upper] {
+        check::<f64>(uplo);
+        check::<f32>(uplo);
+    }
+}

@@ -172,6 +172,34 @@ fn understated_max_n_rejected_with_batch_untouched() {
     }
 }
 
+/// An overstated `max_n` costs the separated path nothing: its step
+/// loop ends at the batch's largest order and a step with no live block
+/// launches nothing, so the call's clock, launches and factor bits are
+/// those of the exact maximum.
+#[test]
+fn overstated_max_n_adds_no_separated_step() {
+    let sizes = [300usize, 129, 40, 0];
+    let mut rng = seeded_rng(64);
+    let origs: Vec<Vec<f64>> = sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect();
+    let opts = PotrfOptions {
+        strategy: Strategy::Separated,
+        ..Default::default()
+    };
+    let run = |max_n: usize| {
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+        for (i, m) in origs.iter().enumerate() {
+            batch.upload_matrix(i, m).unwrap();
+        }
+        let report = potrf_vbatched_max(&dev, &mut batch, max_n, &opts).unwrap();
+        assert!(report.all_ok(), "max_n {max_n}: {:?}", report.failures());
+        let factors: Vec<Vec<f64>> = (0..sizes.len()).map(|i| batch.download_matrix(i)).collect();
+        (dev.now().to_bits(), dev.launch_count(), factors)
+    };
+    let exact = run(300);
+    assert!(exact == run(600), "an overstated max_n changed the call");
+}
+
 #[test]
 fn lu_singularity_reported_with_global_column() {
     let dev = Device::new(DeviceConfig::k40c());

@@ -8,7 +8,7 @@ use vbatch_core::aux::StepState;
 use vbatch_core::sep::gemm::{gemm_vbatched, upload_dims};
 use vbatch_core::sep::trsm::{trsm_left_vbatched, trsm_panel_vbatched};
 use vbatch_core::sep::trtri::{trtri_diag_vbatched, TileWorkspace};
-use vbatch_core::sep::{VView, DEFAULT_NB_PANEL};
+use vbatch_core::sep::{LiveGrid, SepKernel, VView, DEFAULT_NB_PANEL};
 use vbatch_core::VBatch;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::naive;
@@ -189,16 +189,17 @@ fn gemm_vbatched_clock_and_blocks_accounted() {
 /// and both products leave their base cases (the unit tests beside the
 /// kernels run `nb = 8`, which never does), and the sizes give one
 /// trailing row, a ragged tile and several full tiles. The simulated
-/// clock and launch count are those of the scalar kernels this test was
-/// first run against: how the host computes a tile is not the device's
-/// business.
+/// clock and launch count are pinned: how the host computes a tile is
+/// not the device's business. Each launch covers its live grid alone
+/// (3 inversion blocks, 1 + 2 + 6 = 9 `trsm` tiles); a grid sized by the
+/// largest matrix dispatched 18 `trsm` blocks, 9 of them dead.
 #[test]
 fn default_panel_trtri_trsm_match_dense_at_unchanged_sim_cost() {
     let nb = DEFAULT_NB_PANEL;
     let sizes = [129usize, 200, 512];
-    // 64.99 µs for the two launches, either triangle (measured at the
-    // parent of the recursive `trtri`/`trmm`).
-    let want_now = f64::from_bits(0x3f11_09fc_9abc_d1ac);
+    // 64.60 µs for the two launches, either triangle (64.999 µs when
+    // the `trsm` grid still carried the 9 dead blocks).
+    let want_now = f64::from_bits(0x3f10_ef23_0c3c_4cf4);
     for uplo in [Uplo::Lower, Uplo::Upper] {
         let dev = Device::new(DeviceConfig::k40c());
         let mut rng = seeded_rng(2016);
@@ -224,23 +225,24 @@ fn default_panel_trtri_trsm_match_dense_at_unchanged_sim_cost() {
         .unwrap();
         let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
+        let (inv, _inv_starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
+        let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trsm, &sizes, 0, nb).unwrap();
         dev.reset_metrics();
-        trtri_diag_vbatched(
-            &dev,
-            sizes.len(),
-            uplo,
-            view,
-            st.d_rem.ptr(),
-            batch.d_info(),
-            &work,
-            nb,
-            true,
-        )
-        .unwrap();
-        let (count, rem, info, trail) = (sizes.len(), st.d_rem.ptr(), batch.d_info(), 512 - nb);
-        trsm_panel_vbatched(&dev, count, uplo, view, rem, info, &work, nb, trail).unwrap();
+        let (rem, info) = (st.d_rem.ptr(), batch.d_info());
+        trtri_diag_vbatched(&dev, inv, uplo, view, rem, info, &work, nb).unwrap();
+        trsm_panel_vbatched(&dev, grid, uplo, view, rem, info, &work, nb).unwrap();
         assert_eq!(dev.launch_count(), 2);
         assert_eq!(dev.now(), want_now, "{uplo:?}: simulated clock moved");
+        dev.with_profiler(|p| {
+            for (name, blocks) in [("dtrtri_vbatched", 3), ("dtrsm_vbatched", 9)] {
+                let e = p.get(name).expect("launched");
+                assert_eq!(
+                    (e.blocks, e.early_exit_blocks),
+                    (blocks, 0),
+                    "{uplo:?} {name}"
+                );
+            }
+        });
         for (i, &n) in sizes.iter().enumerate() {
             let mut want = hosts[i].clone();
             let mut w = MatMut::from_slice(&mut want, n, n, n);
