@@ -9,7 +9,8 @@
 //! cover both Cholesky strategies, LU, the LU solve and QR, so a charge
 //! a kernel pays twice (a copy-pasted `charge_read`, say) moves a pinned
 //! bit in any of those families. The LU rows also pin the seeded values:
-//! `laswp_vbatched` charges only the rows it actually swaps.
+//! besides its pivot and metadata reads, `laswp_vbatched` charges only
+//! the rows it actually swaps.
 //!
 //! The lane-interleaved batched-small path (DESIGN.md §6d) performs the
 //! scalar tier's arithmetic bit-for-bit, so every size-derived charge
@@ -17,10 +18,12 @@
 //! count, however, is a scheduling decision: the fused driver cuts a
 //! size-sorted window at or below the interleave cutoff into runs of
 //! orders wherever the simulator's own launch arithmetic predicts that
-//! the smaller tiles pay for the extra launches. The Fused row's small
-//! window (max 12, three matrices) stays one launch; the `PotrfTiny`
-//! row (2 000 Uniform{32} matrices) pins the cut, so a change that
-//! undoes or alters it moves a bit.
+//! the smaller tiles pay for the extra launches. The Fused row's nine
+//! nonzero matrices form one window (orders up to 150) that takes the
+//! step loop, each step launching only the matrices still live: 37
+//! blocks over 10 steps. The `PotrfTiny` row (2 000 Uniform{32}
+//! matrices) pins the cut, so a change that undoes or alters it moves
+//! a bit.
 
 use rand::rngs::StdRng;
 use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
@@ -63,7 +66,7 @@ const GOLDENS: [Golden; 6] = [
     Golden {
         leg: Leg::Potrf(Strategy::Fused),
         now_bits: 0x3f26_8e2e_eb56_db3e, // 1.72084071591272218e-4 s
-        energy_j: 7.538_336_659_458_441e-3,
+        energy_j: 7.239_544_713_149_715e-3,
         launches: 11,
     },
     Golden {
@@ -80,9 +83,9 @@ const GOLDENS: [Golden; 6] = [
     },
     Golden {
         leg: Leg::Getrf,
-        now_bits: 0x3f3b_c73c_08d6_6877, // 4.23862606874110049e-4 s
-        energy_j: 2.259_122_925_971_121_2e-2,
-        launches: 48,
+        now_bits: 0x3f3b_6bd0_8cfb_2efb, // 4.18413558673988168e-4 s
+        energy_j: 2.245_119_056_172_464e-2,
+        launches: 47,
     },
     Golden {
         leg: Leg::Getrs,
@@ -180,14 +183,11 @@ fn fnv(h: &mut u64, word: u64) {
     *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
 }
 
-/// The Separated row's factor bits and `info`, FNV-hashed. The row's
-/// clock moves whenever its launch grids change shape; this pin
-/// (recorded before the grids were compacted to live work) keeps a
-/// re-pinned clock from hiding a moved factor bit.
-#[test]
-fn separated_factor_bits_are_pinned() {
+/// The Cholesky row's factor bits and `info` under `strategy`,
+/// FNV-hashed.
+fn potrf_factor_hash(strategy: Strategy) -> u64 {
     let dev = Device::new(DeviceConfig::k40c());
-    let batch = potrf_sizes(&dev, Strategy::Separated, &mut seeded_rng(7));
+    let batch = potrf_sizes(&dev, strategy, &mut seeded_rng(7));
     let mut h = 0xcbf2_9ce4_8422_2325;
     for (i, &info) in batch.read_info().iter().enumerate() {
         fnv(&mut h, info as u64);
@@ -195,8 +195,28 @@ fn separated_factor_bits_are_pinned() {
             fnv(&mut h, v.to_bits());
         }
     }
+    h
+}
+
+/// The Separated row's clock moves whenever its launch grids change
+/// shape; this pin (recorded before the grids were compacted to live
+/// work) keeps a re-pinned clock from hiding a moved factor bit.
+#[test]
+fn separated_factor_bits_are_pinned() {
+    let h = potrf_factor_hash(Strategy::Separated);
     assert_eq!(
         h, 0x43f7_a5d9_14c6_1888,
+        "factor bits or info moved (hash {h:#018x})"
+    );
+}
+
+/// As [`separated_factor_bits_are_pinned`] for the Fused row, recorded
+/// before its step loop launched only each window's live suffix.
+#[test]
+fn fused_factor_bits_are_pinned() {
+    let h = potrf_factor_hash(Strategy::Fused);
+    assert_eq!(
+        h, 0x4f9f_1e5c_d6f3_733e,
         "factor bits or info moved (hash {h:#018x})"
     );
 }
@@ -263,7 +283,7 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             steal: true,
         },
         makespan_bits: 0x3f4e_ec88_557f_afdf, // 9.43724221540428207e-4 s
-        energy_bits: 0x3fa4_8f44_36f8_2e03,   // 4.01555363751775682e-2 J
+        energy_bits: 0x3fa4_807c_e56e_7adc,   // 4.00427846973252233e-2 J
         steals: 0,
         peers: &[(3, 0, 48)],
     },
@@ -273,7 +293,7 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             steal: true,
         },
         makespan_bits: 0x3f43_cf49_cc1c_c9d3, // 6.04544671864377220e-4 s
-        energy_bits: 0x3fa7_ce2b_ddf7_02dc,   // 4.64948376134139696e-2 J
+        energy_bits: 0x3fa7_c785_5fac_3f0a,   // 4.64440993583804113e-2 J
         steals: 0,
         peers: &[(3, 0, 26), (3, 0, 22)],
     },
@@ -283,7 +303,7 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             steal: true,
         },
         makespan_bits: 0x3f3f_702e_9699_78e7, // 4.79709028331400144e-4 s
-        energy_bits: 0x3fb0_6d01_0075_cdf6,   // 6.41632677195998757e-2 J
+        energy_bits: 0x3fb0_6ac9_8107_8cb0,   // 6.41294422162441702e-2 J
         steals: 2,
         peers: &[(1, 0, 3), (4, 1, 19), (4, 1, 14), (3, 0, 12)],
     },
@@ -293,21 +313,21 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             steal: false,
         },
         makespan_bits: 0x3f40_e752_419e_c172, // 5.15856899474127642e-4 s
-        energy_bits: 0x3fb1_59e7_10e5_e1dc,   // 6.77780548338726141e-2 J
+        energy_bits: 0x3fb1_57af_9177_a096,   // 6.77442293305169085e-2 J
         steals: 0,
         peers: &[(3, 0, 12), (3, 0, 14), (3, 0, 10), (3, 0, 12)],
     },
     ScheduleGolden {
         run: Schedule::Hybrid,
         makespan_bits: 0x3f47_cfd3_b308_0f20, // 7.26679200000000108e-4 s
-        energy_bits: 0x3fc9_2086_fe59_3924,   // 1.96305154985062846e-1 J
+        energy_bits: 0x3fc9_2028_691c_2e44,   // 1.96293879817277639e-1 J
         steals: 0,
         peers: &[(4, 0, 32), (2, 0, 16)],
     },
     ScheduleGolden {
         run: Schedule::GetrfSharded { devices: 2 },
-        makespan_bits: 0x3f42_afc8_0a08_6226, // 5.70271182428309887e-4 s
-        energy_bits: 0x3fb1_dc4b_27e3_e59a,   // 6.97676632297742627e-2 J
+        makespan_bits: 0x3f42_54a6_a4c0_81cf, // 5.59407586028065856e-4 s
+        energy_bits: 0x3fb1_b76c_2d65_cdea,   // 6.92050562700427252e-2 J
         steals: 0,
         peers: &[(3, 0, 26), (3, 0, 22)],
     },

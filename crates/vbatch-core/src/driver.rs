@@ -434,15 +434,30 @@ fn fused_window_once<T: Scalar>(
         }
         return Ok(());
     }
+    // A sorted window's indices ascend by order (and so do the halves
+    // the OOM ladder cuts from it), so the matrices still live at step
+    // `j` are a suffix of the list: each step launches that suffix alone,
+    // counted on the host size mirror. The launch shape still follows
+    // `wmax - j`. An unsorted window (the sorting ablation) keeps every
+    // matrix in every step, and a matrix that breaks mid-window retires
+    // through the ETM's `info` check either way.
+    let sizes = batch.cols();
     let mut j = 0;
     while j < wmax {
+        let first = if opts.fused.sorting {
+            indices.partition_point(|&i| sizes[i] <= j)
+        } else {
+            0
+        };
+        let live = indices.len() - first;
+        let live_idx = d_idx.offset(first).truncate(live);
         with_retry(dev, pol, rec, || {
             potrf_fused_step(
                 dev,
                 batch,
                 uplo,
-                d_idx,
-                indices.len(),
+                live_idx,
+                live,
                 wmax,
                 j,
                 nb,

@@ -309,45 +309,30 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
 
     let mut j = 0;
     while j < k_max {
+        // Host-side bounds for this step's grids, from the size mirror:
+        // whether any `laswp` block is live (a panel with columns outside
+        // it), and the trailing extents. A kernel with no live block is
+        // not launched; the step views feed only `trsm` and `gemm`.
+        let (mut swaps, mut max_trows, mut max_tcols) = (false, 0, 0);
+        for (&m, &n) in batch.rows().iter().zip(batch.cols()) {
+            let jb = m.min(n).saturating_sub(j).min(nb);
+            if jb > 0 {
+                swaps |= n > jb;
+                max_trows = max_trows.max(m - j - jb);
+                max_tcols = max_tcols.max(n - j - jb);
+            }
+        }
+
         with_retry(dev, &pol, &mut rec, || {
             getf2_panel(dev, batch, pivots, j, nb)
         })?;
-        with_retry(dev, &pol, &mut rec, || {
-            laswp_outside(dev, batch, pivots, j, nb)
-        })?;
-        with_retry(dev, &pol, &mut rec, || step.update(dev, batch, j, nb))?;
-
-        // Host-side conservative bounds for the trailing grids.
-        let max_trows = batch
-            .rows()
-            .iter()
-            .zip(batch.cols())
-            .map(|(&m, &n)| {
-                let jb = m.min(n).saturating_sub(j).min(nb);
-                if jb == 0 {
-                    0
-                } else {
-                    m - j - jb
-                }
-            })
-            .max()
-            .unwrap_or(0);
-        let max_tcols = batch
-            .rows()
-            .iter()
-            .zip(batch.cols())
-            .map(|(&m, &n)| {
-                let jb = m.min(n).saturating_sub(j).min(nb);
-                if jb == 0 {
-                    0
-                } else {
-                    n - j - jb
-                }
-            })
-            .max()
-            .unwrap_or(0);
-
+        if swaps {
+            with_retry(dev, &pol, &mut rec, || {
+                laswp_outside(dev, batch, pivots, j, nb)
+            })?;
+        }
         if max_tcols > 0 {
+            with_retry(dev, &pol, &mut rec, || step.update(dev, batch, j, nb))?;
             // U12 ← L11⁻¹ · A12 (unit lower).
             with_retry(dev, &pol, &mut rec, || {
                 trsm_left_vbatched(
@@ -502,6 +487,9 @@ fn laswp_outside<T: Scalar>(
                 swapped += 1;
             }
         }
+        // Every live block reads its `m`/`n`/`ld` and the step's `jb`
+        // pivots, whether or not a row moves.
+        ctx.gmem_read(12 + 4 * jb);
         charge_read::<T>(ctx, 2 * swapped * outside);
         charge_write::<T>(ctx, 2 * swapped * outside);
         ctx.sync();

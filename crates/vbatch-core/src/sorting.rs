@@ -12,7 +12,10 @@
 //! window group to completion with launches sized to the *window*
 //! maximum — which both balances the wave (blocks of nearly-equal cost)
 //! and raises occupancy (smaller shared-memory panels for small
-//! windows).
+//! windows). A window's indices ascend by order, so the matrices still
+//! live at a step are a suffix of them: each step launches that slice
+//! of the window's one index upload, and a factorized matrix gets no
+//! block (the paper's retire kernels).
 //!
 //! A bucket width suits the step loop, whose panels follow `nb`, but
 //! not the batched-small tier: one interleaved launch over the bucket

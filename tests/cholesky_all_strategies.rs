@@ -344,3 +344,108 @@ fn separated_dispatches_one_block_per_unit_of_live_work() {
         check::<f32>(uplo);
     }
 }
+
+/// `potrf_fused_step` blocks with work, counted from the sizes alone:
+/// the matrices sort into windows of `width` orders (`((k-1)·width,
+/// k·width]`), and each step `j` of a window covers the window's
+/// matrices of order above `j`.
+fn fused_live_blocks(sizes: &[usize], width: usize, nb: usize) -> u64 {
+    let mut windows: Vec<Vec<usize>> = Vec::new();
+    for &n in sizes.iter().filter(|&&n| n > 0) {
+        let k = (n - 1) / width;
+        if windows.len() <= k {
+            windows.resize(k + 1, Vec::new());
+        }
+        windows[k].push(n);
+    }
+    let mut blocks = 0;
+    for w in windows.iter().filter(|w| !w.is_empty()) {
+        let wmax = w.iter().copied().max().unwrap_or(0);
+        for j in (0..wmax).step_by(nb) {
+            blocks += w.iter().filter(|&&n| n > j).count() as u64;
+        }
+    }
+    blocks
+}
+
+/// With sorting on, each fused step launches only the suffix of its
+/// sorted window that is still live: on a fault-free SPD batch with
+/// orders 0, 1, `nb`, `nb + 1` and both sides of every window edge, no
+/// `potrf_fused_step` block exits early and the blocks equal the live
+/// count. A non-SPD matrix still retires through `info`. Factors and
+/// `info` are bit-identical to the unsorted single window, which
+/// launches every matrix at every step.
+#[test]
+fn fused_step_loop_launches_only_the_live_suffix() {
+    fn run<T: Scalar>(uplo: Uplo, sorting: bool, broken: bool) -> (Vec<i32>, Vec<Vec<T>>, u64) {
+        let (nb, width) = (16, 64);
+        let sizes = [65usize, 0, 1, 16, 17, 64, 100, 128, 129, 40, 5, 63, 150];
+        let opts = PotrfOptions {
+            strategy: Strategy::Fused,
+            uplo,
+            fused: FusedOpts {
+                sorting,
+                nb: Some(nb),
+                window_width: Some(width),
+                // Every window takes the step loop.
+                batched_small: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut batch = VBatch::<T>::alloc_square(&dev, &sizes).unwrap();
+        let mut origs = fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(92));
+        if broken {
+            // Matrix 6 (order 100) breaks at column 2 of the first step.
+            origs[6][1 + 100] = T::from_f64(-1e9);
+            batch.upload_matrix(6, &origs[6]).unwrap();
+        }
+        let report = potrf_vbatched_max(&dev, &mut batch, 150, &opts).unwrap();
+        assert_eq!(report.failure_count(), usize::from(broken), "{uplo:?}");
+        let (blocks, exits) = dev.with_profiler(|p| {
+            let e = p.get(&format!("{}potrf_fused_step", T::PREFIX)).unwrap();
+            (e.blocks, e.early_exit_blocks)
+        });
+        if sorting && !broken {
+            assert_eq!(exits, 0, "{uplo:?}");
+            assert_eq!(blocks, fused_live_blocks(&sizes, width, nb), "{uplo:?}");
+        }
+        for (i, &n) in sizes
+            .iter()
+            .enumerate()
+            .filter(|&(i, &n)| n > 0 && !(broken && i == 6))
+        {
+            let f = batch.download_matrix(i);
+            let r = chol_residual(
+                uplo,
+                MatRef::from_slice(&f, n, n, n),
+                MatRef::from_slice(&origs[i], n, n, n),
+            );
+            assert!(r < residual_tol::<T>(n), "{uplo:?} n={n}: residual {r}");
+        }
+        let factors = (0..sizes.len()).map(|i| batch.download_matrix(i)).collect();
+        (batch.read_info(), factors, exits)
+    }
+    fn check<T: Scalar>(uplo: Uplo) {
+        for broken in [false, true] {
+            let (info, factors, exits) = run::<T>(uplo, true, broken);
+            let (info_u, factors_u, _) = run::<T>(uplo, false, broken);
+            if broken {
+                assert_eq!(info[6], 2, "{uplo:?}");
+                assert!(exits > 0, "{uplo:?}: the broken matrix's blocks retire");
+            }
+            assert_eq!(info, info_u, "{uplo:?}");
+            let bits = |f: &Vec<Vec<T>>| -> Vec<Vec<u64>> {
+                f.iter()
+                    .map(|m| m.iter().map(|v| v.to_f64().to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&factors), bits(&factors_u), "{uplo:?} broken={broken}");
+        }
+    }
+    for uplo in [Uplo::Lower, Uplo::Upper] {
+        check::<f64>(uplo);
+        check::<f32>(uplo);
+    }
+}

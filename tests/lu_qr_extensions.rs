@@ -273,3 +273,99 @@ fn f32_extensions() {
         assert!(r < residual_tol::<f32>(m.max(n)), "matrix {i}: {r}");
     }
 }
+
+/// Every live `laswp` block reads its `m`/`n`/`ld` (12 bytes) and the
+/// step's `jb` pivots (4 bytes each) even when no row moves, so the
+/// simulated clock does not depend on whether the input needs pivoting.
+/// Diagonally dominant matrices never pivot, so those reads are all the
+/// kernel charges: exactly `12 + 4·jb` per matrix with columns outside
+/// the step's panel.
+#[test]
+fn laswp_charges_pivot_and_metadata_reads_without_swaps() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut rng = seeded_rng(47);
+    let dims = [(40usize, 40usize), (33, 33), (70, 70), (9, 9), (50, 20)];
+    let nb = 16;
+    let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
+    for (i, &(m, n)) in dims.iter().enumerate() {
+        batch
+            .upload_matrix(i, &diag_dominant_vec::<f64>(&mut rng, m, n))
+            .unwrap();
+    }
+    let (report, pivots) = getrf_vbatched(
+        &dev,
+        &mut batch,
+        &GetrfOptions {
+            nb_panel: nb,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(report.all_ok());
+    let mut want = 0;
+    for (i, &(m, n)) in dims.iter().enumerate() {
+        let k = m.min(n);
+        assert_eq!(pivots.download(i, k), (0..k).collect::<Vec<_>>(), "{i}");
+        for j in (0..k).step_by(nb) {
+            let jb = (k - j).min(nb);
+            if n > jb {
+                want += 12 + 4 * jb;
+            }
+        }
+    }
+    let got = dev.with_profiler(|p| p.get("dlaswp_vbatched").map(|e| e.gmem_bytes));
+    assert_eq!(got, Some(want as f64));
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(h: &mut u64, word: u64) {
+    *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+/// A batch whose every matrix fits one panel has no column outside the
+/// panel and no trailing update, so getrf launches neither `laswp` nor
+/// the step-view kernel: one `getf2` launch does it all. Factors,
+/// pivots and `info` are pinned to the bits recorded while both kernels
+/// were still launched on every step.
+#[test]
+fn getrf_within_one_panel_launches_no_laswp_or_step_kernel() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut rng = seeded_rng(48);
+    let dims = [
+        (1usize, 1usize),
+        (5, 5),
+        (17, 17),
+        (64, 64),
+        (40, 40),
+        (50, 20),
+    ];
+    let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
+    for (i, &(m, n)) in dims.iter().enumerate() {
+        batch
+            .upload_matrix(i, &rand_mat::<f64>(&mut rng, m * n))
+            .unwrap();
+    }
+    dev.reset_metrics();
+    let opts = GetrfOptions::default();
+    assert!(dims.iter().all(|&(m, n)| m.min(n) <= opts.nb_panel));
+    let (report, pivots) = getrf_vbatched(&dev, &mut batch, &opts).unwrap();
+    dev.with_profiler(|p| {
+        assert!(p.get("dlaswp_vbatched").is_none());
+        assert!(p.get("vbatch_aux_lu_step").is_none());
+        assert_eq!(p.get("dgetf2_vbatched").map(|e| e.launches), Some(1));
+    });
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (i, &(m, n)) in dims.iter().enumerate() {
+        fnv(&mut h, report.info[i] as u64);
+        for p in pivots.download(i, m.min(n)) {
+            fnv(&mut h, p as u64);
+        }
+        for v in batch.download_matrix(i) {
+            fnv(&mut h, v.to_bits());
+        }
+    }
+    assert_eq!(
+        h, 0x0e6f_e91e_f191_a6ac,
+        "factor, pivot or info bits moved (hash {h:#018x})"
+    );
+}
