@@ -15,6 +15,7 @@ use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{intern, Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
 use crate::report::VbatchError;
+use crate::workspace::grow_slot;
 
 /// Threads per block used by the auxiliary kernels.
 const AUX_THREADS: u32 = 256;
@@ -46,7 +47,7 @@ fn step_kname() -> &'static str {
 ///
 /// # Errors
 /// [`VbatchError::Launch`] / [`VbatchError::Oom`] on device failures.
-pub fn compute_imax_pooled(
+pub(crate) fn compute_imax_pooled(
     dev: &Device,
     values: DevicePtr<i32>,
     count: usize,
@@ -56,11 +57,10 @@ pub fn compute_imax_pooled(
         return Ok(0);
     }
     let blocks = count.div_ceil(AUX_THREADS as usize) as u32;
-    if scratch.as_ref().is_none_or(|b| b.len() < blocks as usize) {
-        *scratch = None;
-        *scratch = Some(dev.alloc(blocks as usize)?);
-    }
-    let partial_ptr = scratch.as_ref().expect("ensured above").ptr();
+    let partial_ptr = grow_slot(scratch, DeviceBuffer::len, blocks as usize, || {
+        dev.alloc(blocks as usize)
+    })?
+    .ptr();
     dev.launch(
         imax_kname(),
         LaunchConfig::grid_1d(blocks, AUX_THREADS),

@@ -46,7 +46,7 @@ impl<T: Scalar> BatchPools<T> {
 
     /// High-water mark of bytes checked out across the three pools.
     #[must_use]
-    pub fn high_water_bytes(&self) -> usize {
+    pub(crate) fn high_water_bytes(&self) -> usize {
         self.mats.high_water_bytes() + self.meta.high_water_bytes() + self.ptrs.high_water_bytes()
     }
 
@@ -291,6 +291,18 @@ impl<T: Scalar> VBatch<T> {
     #[must_use]
     pub fn max_cols(&self) -> usize {
         self.cols.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Largest `min(m, n)` in the batch: the column where the LU/QR
+    /// panel loop ends.
+    #[must_use]
+    pub(crate) fn max_k(&self) -> usize {
+        self.rows
+            .iter()
+            .zip(&self.cols)
+            .map(|(&m, &n)| m.min(n))
+            .max()
+            .unwrap_or(0)
     }
 
     // Metadata pointers are truncated to `count`: pooled buffers are

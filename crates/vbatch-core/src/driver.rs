@@ -42,7 +42,7 @@ pub struct FusedOpts {
     /// Route `Lower` windows whose largest matrix is at or below the
     /// interleave cutoff (see [`FusedOpts::resolved_interleave_cutoff`])
     /// through the lane-interleaved batched-small kernel
-    /// ([`crate::fused::potrf_interleaved_window`]) instead of the
+    /// (`fused::potrf_interleaved_window`) instead of the
     /// per-matrix step loop.
     pub batched_small: bool,
     /// Exact sorting-window bucket width. `None` derives the width from
@@ -226,7 +226,7 @@ fn potrf_run<T: Scalar>(
     }
     batch.reset_info();
     if batch.count() == 0 || max_n == 0 {
-        return Ok(BatchReport::from_parts(batch.read_info(), rec));
+        return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
     }
     batch.register_fault_targets(dev);
 
@@ -239,9 +239,7 @@ fn potrf_run<T: Scalar>(
     }
 
     dev.copy_dtoh_bytes(batch.count() * 4);
-    let info = batch.read_info();
-    finish_recovery(dev, ev_start, &mut rec, &info);
-    Ok(BatchReport::from_parts(info, rec))
+    Ok(finish_recovery(dev, ev_start, rec, batch.read_info()))
 }
 
 /// Variable-size batched Cholesky, LAPACK-style interface (§III-A): the
@@ -282,7 +280,7 @@ pub fn potrf_vbatched_ws<T: Scalar>(
 
 /// Resolves [`Strategy::Auto`] to a concrete approach for this batch.
 #[must_use]
-pub fn resolve_strategy<T: Scalar>(
+pub(crate) fn resolve_strategy<T: Scalar>(
     dev: &Device,
     opts: &PotrfOptions,
     max_n: usize,

@@ -36,7 +36,7 @@ use crate::VBatch;
 /// Default inner blocking size of the fused kernels (the paper's ETM
 /// example uses `nb = 8`; autotuning selects per-size values, see
 /// [`tuned_nb`]).
-pub const DEFAULT_NB: usize = 8;
+pub(crate) const DEFAULT_NB: usize = 8;
 
 /// The compile-time-template `nb` values the "modular templated
 /// interface" instantiates (paper §III-D: "we call the kernel using the
@@ -333,7 +333,7 @@ pub fn potrf_fused_step<T: Scalar>(
 
 /// Default cutoff: windows whose largest matrix is at or below this
 /// order take the interleaved batched-small path
-/// ([`potrf_interleaved_window`]) instead of the per-matrix fused step
+/// (`potrf_interleaved_window`) instead of the per-matrix fused step
 /// loop. At 32 the per-matrix tiers still cannot fill SIMD lanes (the
 /// whole matrix is smaller than one register tile), the `m² · L`
 /// lane-group tile stays within one block's shared memory in both
@@ -380,7 +380,7 @@ pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv
 /// # Errors
 /// [`VbatchError::InvalidArgument`] if the window is empty;
 /// [`VbatchError::Launch`] on launch rejection.
-pub fn potrf_interleaved_window<T: Scalar>(
+pub(crate) fn potrf_interleaved_window<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     d_indices: DevicePtr<i32>,

@@ -83,7 +83,7 @@ impl HostEngine {
     /// An engine sized by `VBATCH_THREADS` (default: available
     /// parallelism).
     #[must_use]
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         Self {
             pool: WorkerPool::from_env(),
         }
@@ -263,7 +263,7 @@ fn sync_scratch<T: Scalar>(pool: &WorkerPool) {
 /// below the interleave cutoff (when `opts.fused.batched_small` and
 /// `uplo == Lower`) take the lane-interleaved tier; the rest run the
 /// blocked fused-step loop with `nb = opts.fused.nb` (default
-/// [`DEFAULT_NB`] when unset — pass options through
+/// `fused::DEFAULT_NB`, 8, when unset — pass options through
 /// [`crate::shard::normalized_options`] to match a device bit-for-bit).
 ///
 /// Returns the total useful flops (the paper's `n³/3 + …` Cholesky

@@ -56,7 +56,7 @@ pub fn charge_write<T: Scalar>(ctx: &mut BlockCtx, elems: usize) {
 }
 
 /// Charges shared-memory traffic of `elems` elements of `T`.
-pub fn charge_smem<T: Scalar>(ctx: &mut BlockCtx, elems: usize) {
+pub(crate) fn charge_smem<T: Scalar>(ctx: &mut BlockCtx, elems: usize) {
     ctx.smem_traffic(elems * T::BYTES);
 }
 
@@ -71,14 +71,22 @@ pub fn kname<T: Scalar>(base: &'static str) -> &'static str {
 
 /// Rounds `threads` up to a whole number of warps (min one warp).
 #[must_use]
-pub fn round_to_warp(threads: usize, warp: u32) -> u32 {
+pub(crate) fn round_to_warp(threads: usize, warp: u32) -> u32 {
     let w = warp as usize;
     (threads.div_ceil(w).max(1) * w) as u32
 }
 
+/// Width of the LU/QR panel starting at column `j` of an `m × n`
+/// matrix under outer panel width `nb`: 0 once `j` reaches
+/// `min(m, n)`.
+#[must_use]
+pub(crate) fn panel_width(m: usize, n: usize, j: usize, nb: usize) -> usize {
+    m.min(n).saturating_sub(j).min(nb)
+}
+
 /// Shared-memory bytes for an `m × nb` panel of `T`.
 #[must_use]
-pub fn panel_smem_bytes<T: Scalar>(m: usize, nb: usize) -> usize {
+pub(crate) fn panel_smem_bytes<T: Scalar>(m: usize, nb: usize) -> usize {
     m * nb * T::BYTES
 }
 

@@ -19,7 +19,9 @@ use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
-use crate::kernels::{charge_flops, charge_read, charge_write, kname, mat_mut, round_to_warp};
+use crate::kernels::{
+    charge_flops, charge_read, charge_write, kname, mat_mut, panel_width, round_to_warp,
+};
 use crate::recover::{
     fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
 };
@@ -154,8 +156,7 @@ impl<T: Scalar> LuStep<T> {
                     let m = d_m.get(i).max(0) as usize;
                     let n = d_n.get(i).max(0) as usize;
                     let ld = d_ld.get(i).max(1) as usize;
-                    let k = m.min(n);
-                    let jb = k.saturating_sub(j).min(nb);
+                    let jb = panel_width(m, n, j, nb);
                     djb.set(i, jb as i32);
                     if jb == 0 {
                         l11.set(i, DevicePtr::null());
@@ -284,20 +285,14 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     let pol = opts.recovery;
     let count = batch.count();
     let nb = opts.nb_panel.max(1);
-    let k_max = batch
-        .rows()
-        .iter()
-        .zip(batch.cols())
-        .map(|(&m, &n)| m.min(n))
-        .max()
-        .unwrap_or(0);
+    let k_max = batch.max_k();
     batch.reset_info();
     with_retry(dev, &pol, &mut rec, || {
         PivotArray::ensure(pivots, dev, count.max(1), k_max)
     })?;
     let pivots = pivots.as_ref().expect("ensured above");
     if count == 0 || k_max == 0 {
-        return Ok(BatchReport::from_parts(batch.read_info(), rec));
+        return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
     }
     batch.register_fault_targets(dev);
     // Trailing kernels must keep running for singular matrices (LAPACK
@@ -315,7 +310,7 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
         // not launched; the step views feed only `trsm` and `gemm`.
         let (mut swaps, mut max_trows, mut max_tcols) = (false, 0, 0);
         for (&m, &n) in batch.rows().iter().zip(batch.cols()) {
-            let jb = m.min(n).saturating_sub(j).min(nb);
+            let jb = panel_width(m, n, j, nb);
             if jb > 0 {
                 swaps |= n > jb;
                 max_trows = max_trows.max(m - j - jb);
@@ -377,9 +372,7 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     }
 
     dev.copy_dtoh_bytes(count * 4);
-    let info = batch.read_info();
-    finish_recovery(dev, ev_start, &mut rec, &info);
-    Ok(BatchReport::from_parts(info, rec))
+    Ok(finish_recovery(dev, ev_start, rec, batch.read_info()))
 }
 
 thread_local! {
@@ -412,8 +405,7 @@ fn getf2_panel<T: Scalar>(
         let i = ctx.linear_block_id();
         let m = d_m.get(i).max(0) as usize;
         let n = d_n.get(i).max(0) as usize;
-        let k = m.min(n);
-        let jb = k.saturating_sub(j).min(nb);
+        let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
             return;
         }
@@ -465,8 +457,7 @@ fn laswp_outside<T: Scalar>(
         let i = ctx.linear_block_id();
         let m = d_m.get(i).max(0) as usize;
         let n = d_n.get(i).max(0) as usize;
-        let k = m.min(n);
-        let jb = k.saturating_sub(j).min(nb);
+        let jb = panel_width(m, n, j, nb);
         let outside = n.saturating_sub(jb); // columns not in the panel
         if !EtmPolicy::Classic.apply(ctx, if jb > 0 && outside > 0 { 1 } else { 0 }) {
             return;

@@ -16,7 +16,8 @@ use vbatch_gpu_sim::{Device, DevicePtr, Dim3, LaunchConfig};
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref, round_to_warp,
+    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref, panel_width,
+    round_to_warp,
 };
 use crate::recover::{
     fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
@@ -108,19 +109,13 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
     let ev_start = fault_events_start(dev);
     let mut rec = RecoveryReport::default();
     let pol = opts.recovery;
-    let k_max = batch
-        .rows()
-        .iter()
-        .zip(batch.cols())
-        .map(|(&m, &n)| m.min(n))
-        .max()
-        .unwrap_or(0);
+    let k_max = batch.max_k();
     batch.reset_info();
     let tau = with_retry(dev, &pol, &mut rec, || {
         TauArray::<T>::alloc(dev, count.max(1), k_max)
     })?;
     if count == 0 || k_max == 0 {
-        return Ok((BatchReport::from_parts(batch.read_info(), rec), tau));
+        return Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau));
     }
     batch.register_fault_targets(dev);
     // Per-matrix T-factor workspace (nb × nb each), pooled; every tile
@@ -147,9 +142,7 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
         j += nb;
     }
 
-    let info = batch.read_info();
-    finish_recovery(dev, ev_start, &mut rec, &info);
-    Ok((BatchReport::from_parts(info, rec), tau))
+    Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau))
 }
 
 /// Panel factorization + `T` formation, one block per matrix.
@@ -174,8 +167,7 @@ fn geqr2_larft_panel<T: Scalar>(
         let i = ctx.linear_block_id();
         let m = d_m.get(i).max(0) as usize;
         let n = d_n.get(i).max(0) as usize;
-        let k = m.min(n);
-        let jb = k.saturating_sub(j).min(nb);
+        let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
             return;
         }
@@ -231,8 +223,7 @@ fn larfb_cols<T: Scalar>(
         let i = ctx.block_idx().y as usize;
         let m = d_m.get(i).max(0) as usize;
         let n = d_n.get(i).max(0) as usize;
-        let k = m.min(n);
-        let jb = k.saturating_sub(j).min(nb);
+        let jb = panel_width(m, n, j, nb);
         let tcols = n.saturating_sub(j + jb);
         let c0 = bx * tile_cols;
         let live = jb > 0 && c0 < tcols;
@@ -265,7 +256,7 @@ fn larfb_cols<T: Scalar>(
 ///
 /// # Errors
 /// [`VbatchError`] on launch failures or count mismatch.
-pub fn ormqr_left_trans_vbatched<T: Scalar>(
+pub(crate) fn ormqr_left_trans_vbatched<T: Scalar>(
     dev: &Device,
     factors: &VBatch<T>,
     tau: &TauArray<T>,
@@ -347,12 +338,12 @@ pub fn gels_vbatched<T: Scalar>(
         ));
     }
     let ev_start = fault_events_start(dev);
-    let (mut report, tau) = geqrf_vbatched(dev, batch, opts)?;
+    let (report, tau) = geqrf_vbatched(dev, batch, opts)?;
     if batch.count() == 0 {
         return Ok(report);
     }
     let pol = opts.recovery;
-    let mut rec = std::mem::take(&mut report.recovery);
+    let mut rec = report.recovery;
     with_retry(dev, &pol, &mut rec, || {
         ormqr_left_trans_vbatched(dev, batch, &tau, rhs)
     })?;
@@ -373,9 +364,7 @@ pub fn gels_vbatched<T: Scalar>(
     })?;
     // Re-capture from the gels entry point so injections during the
     // `ormqr`/`trsm` tail are reported alongside the factorization's.
-    finish_recovery(dev, ev_start, &mut rec, &report.info);
-    report.recovery = rec;
-    Ok(report)
+    Ok(finish_recovery(dev, ev_start, rec, report.info))
 }
 
 #[cfg(test)]

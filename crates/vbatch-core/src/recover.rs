@@ -43,7 +43,7 @@ use vbatch_gpu_sim::{Device, InjectionEvent, LaunchConfig, LaunchError};
 
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_read, charge_write, kname};
-use crate::report::VbatchError;
+use crate::report::{BatchReport, VbatchError};
 use crate::VBatch;
 
 /// How a driver responds to injected/transient device failures.
@@ -113,6 +113,21 @@ impl RecoveryReport {
         } else {
             Outcome::Clean
         }
+    }
+
+    /// Merges `child`, the record of a run over a subset of this
+    /// record's matrices, into `self`: counters add, `child`'s
+    /// injections append in order, and its quarantine indices map
+    /// through `remap` into this record's numbering.
+    pub fn absorb(&mut self, child: &RecoveryReport, remap: impl Fn(usize) -> usize) {
+        self.retried_launches += child.retried_launches;
+        self.retried_allocs += child.retried_allocs;
+        self.window_splits += child.window_splits;
+        self.workspace_releases += child.workspace_releases;
+        self.scrub_passes += child.scrub_passes;
+        self.injected.extend(child.injected.iter().cloned());
+        self.quarantined
+            .extend(child.quarantined.iter().map(|&k| remap(k)));
     }
 }
 
@@ -209,10 +224,15 @@ pub(crate) fn fault_events_start(dev: &Device) -> usize {
     }
 }
 
-/// Finalizes a [`RecoveryReport`] at driver exit: attaches the injection
-/// events fired since `start` and derives the quarantine list from
-/// negative `info` codes.
-pub(crate) fn finish_recovery(dev: &Device, start: usize, rec: &mut RecoveryReport, info: &[i32]) {
+/// Finalizes a run's [`RecoveryReport`] at driver exit into its
+/// [`BatchReport`]: attaches the injection events fired since `start`
+/// and derives the quarantine list from negative `info` codes.
+pub(crate) fn finish_recovery(
+    dev: &Device,
+    start: usize,
+    mut rec: RecoveryReport,
+    info: Vec<i32>,
+) -> BatchReport {
     if dev.fault_active() {
         let mut ev = dev.fault_events();
         if start <= ev.len() {
@@ -225,6 +245,10 @@ pub(crate) fn finish_recovery(dev: &Device, start: usize, rec: &mut RecoveryRepo
         .filter(|(_, &v)| v < 0)
         .map(|(i, _)| i)
         .collect();
+    BatchReport {
+        info,
+        recovery: rec,
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +268,28 @@ mod tests {
         assert_eq!(r.outcome(), Outcome::Recovered);
         r.quarantined.push(3);
         assert_eq!(r.outcome(), Outcome::Degraded);
+    }
+
+    #[test]
+    fn absorb_sums_counters_remaps_quarantine_and_appends_injections() {
+        let ev = |launch| InjectionEvent::LaunchRejected { name: "k", launch };
+        let rec = |n: u32, quarantined, injected| RecoveryReport {
+            retried_launches: n,
+            retried_allocs: 2 * n,
+            window_splits: 3 * n,
+            workspace_releases: 4 * n,
+            scrub_passes: 5 * n,
+            quarantined,
+            injected,
+        };
+        let mut parent = rec(1, vec![7], vec![ev(0)]);
+        parent.absorb(&rec(10, vec![0, 2], vec![ev(1), ev(2)]), |k| {
+            [10, 11, 12][k]
+        });
+        let merged = rec(11, vec![7, 10, 12], vec![ev(0), ev(1), ev(2)]);
+        assert_eq!(parent, merged);
+        parent.absorb(&RecoveryReport::default(), |_| unreachable!());
+        assert_eq!(parent, merged, "an empty child is a no-op");
     }
 
     #[test]

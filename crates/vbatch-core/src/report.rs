@@ -32,27 +32,10 @@ impl BatchReport {
         }
     }
 
-    /// Builds a report carrying the run's [`RecoveryReport`].
-    #[must_use]
-    pub fn from_parts(info: Vec<i32>, recovery: RecoveryReport) -> Self {
-        Self { info, recovery }
-    }
-
     /// Overall health of the run: clean, recovered, or degraded.
     #[must_use]
     pub fn outcome(&self) -> Outcome {
         self.recovery.outcome()
-    }
-
-    /// Indices of matrices the runtime quarantined (negative `info`).
-    #[must_use]
-    pub fn quarantined(&self) -> Vec<usize> {
-        self.info
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v < 0)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// `true` when every matrix factorized successfully.
@@ -134,7 +117,6 @@ mod tests {
     #[test]
     fn negative_info_is_quarantine() {
         let r = BatchReport::from_info(vec![0, -2, 4, -1]);
-        assert_eq!(r.quarantined(), vec![1, 3]);
         assert_eq!(r.failure_count(), 3, "quarantined matrices are failures");
         assert!(!r.all_ok());
     }

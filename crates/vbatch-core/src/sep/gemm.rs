@@ -21,13 +21,13 @@ use crate::report::VbatchError;
 use crate::sep::VView;
 
 /// Row-tile height.
-pub const TILE_M: usize = 64;
+pub(crate) const TILE_M: usize = 64;
 /// Column-tile width.
-pub const TILE_N: usize = 32;
+pub(crate) const TILE_N: usize = 32;
 /// Inner blocking (stages staged through shared memory).
-pub const TILE_K: usize = 8;
+pub(crate) const TILE_K: usize = 8;
 /// Threads per gemm block.
-pub const THREADS: u32 = 128;
+pub(crate) const THREADS: u32 = 128;
 
 /// Per-matrix problem dimensions for the generic vbatched `gemm`.
 pub struct GemmDims {

@@ -4,7 +4,7 @@
 //! shared-memory panel infeasible, the factorization is built from
 //! standalone vbatched BLAS kernels, each a separate launch:
 //!
-//! * [`potf2::potf2_panel_vbatched`] — panel factorization, reusing the
+//! * `potf2::potf2_panel_vbatched` — panel factorization, reusing the
 //!   fused kernel's step logic on an `NB × NB` tile (`NB > nb`);
 //! * [`trsm::trsm_panel_vbatched`] — the paper's `trsm` design, one
 //!   launcher for either triangle: invert diagonal blocks with a
@@ -47,10 +47,10 @@ use crate::report::VbatchError;
 pub const DEFAULT_NB_PANEL: usize = 128;
 
 /// Row-tile height of the tiled `gemm`/`trsm`-application kernels.
-pub const GEMM_TILE_M: usize = 64;
+pub(crate) const GEMM_TILE_M: usize = 64;
 
 /// Tile size of the `syrk` trailing-update kernel.
-pub const SYRK_TILE: usize = 32;
+pub(crate) const SYRK_TILE: usize = 32;
 
 /// A `Copy` bundle describing one per-matrix operand array: device
 /// pointer array plus device leading-dimension array.
@@ -80,7 +80,7 @@ impl<T> VView<T> {
 /// One of the four kernels of a separated Cholesky step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SepKernel {
-    /// [`potf2::potf2_panel_vbatched`].
+    /// `potf2::potf2_panel_vbatched`.
     Potf2,
     /// [`trtri::trtri_diag_vbatched`].
     Trtri,

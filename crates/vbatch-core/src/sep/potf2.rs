@@ -30,7 +30,7 @@ use crate::sep::{LiveGrid, VView};
 /// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
-pub fn potf2_panel_vbatched<T: Scalar>(
+pub(crate) fn potf2_panel_vbatched<T: Scalar>(
     dev: &Device,
     grid: LiveGrid,
     uplo: Uplo,

@@ -51,7 +51,9 @@ use crate::driver::{potrf_vbatched_max_ws, resolve_strategy, PotrfOptions, Strat
 use crate::fused::tuned_nb;
 use crate::host::{potrf_batch_host, HostCostModel, HostEngine, HostState};
 use crate::lu::{getrf_vbatched_pooled, GetrfOptions, PivotArray};
-use crate::recover::{fault_events_start, with_retry, RecoveryPolicy, RecoveryReport};
+use crate::recover::{
+    fault_events_start, finish_recovery, with_retry, RecoveryPolicy, RecoveryReport,
+};
 use crate::report::{BatchReport, VbatchError};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
@@ -473,63 +475,6 @@ where
     })
 }
 
-/// Builds the shard's pooled batch under the retry ladder (injected
-/// OOMs during pool refill recover locally, like the driver's own
-/// workspace allocations) and uploads the shard's matrices. Fault
-/// events fired in this pre-driver window are collected into `local`
-/// after the driver runs — the driver only enumerates its own window.
-fn build_shard_batch<T: Scalar>(
-    dev: &Device,
-    pools: &mut BatchPools<T>,
-    pol: &RecoveryPolicy,
-    local: &mut RecoveryReport,
-    shard_sizes: &[usize],
-    shard_indices: &[usize],
-    mats: &[Vec<T>],
-) -> Result<(VBatch<T>, usize), VbatchError> {
-    let mut vb = with_retry(dev, pol, local, || {
-        VBatch::<T>::alloc_square_pooled(dev, shard_sizes, pools)
-    })?;
-    let mut upload_bytes = shard_indices.len() * (3 * 4 + std::mem::size_of::<DevicePtr<T>>());
-    for (k, &gi) in shard_indices.iter().enumerate() {
-        vb.upload_matrix(k, &mats[gi])?;
-        upload_bytes += mats[gi].len() * std::mem::size_of::<T>();
-    }
-    Ok((vb, upload_bytes))
-}
-
-/// Collects the fault events fired between `ev_start` and the start of
-/// the driver's own window (whose events are `driver_events` long) into
-/// `local.injected`.
-fn collect_pre_driver_events(
-    dev: &Device,
-    ev_start: usize,
-    driver_events: usize,
-    local: &mut RecoveryReport,
-) {
-    if dev.fault_active() {
-        let ev = dev.fault_events();
-        let end = ev.len().saturating_sub(driver_events);
-        if ev_start <= end {
-            local.injected = ev[ev_start..end].to_vec();
-        }
-    }
-}
-
-/// Merges one shard's recovery record into the global report, remapping
-/// quarantine indices through the shard's index list.
-fn merge_recovery(global: &mut RecoveryReport, local: RecoveryReport, indices: &[usize]) {
-    global.retried_launches += local.retried_launches;
-    global.retried_allocs += local.retried_allocs;
-    global.window_splits += local.window_splits;
-    global.workspace_releases += local.workspace_releases;
-    global.scrub_passes += local.scrub_passes;
-    global
-        .quarantined
-        .extend(local.quarantined.iter().map(|&k| indices[k]));
-    global.injected.extend(local.injected);
-}
-
 /// Aggregates the event loop's outcome into the merged report, after
 /// charging the devices' pipeline stalls. With a `host` peer (a hybrid
 /// run) the last peer entry of `stats` is the host: devices are pulled
@@ -769,25 +714,26 @@ fn run_shard_on_device<T: Scalar>(
     let t0 = dev.now();
     let shard_sizes: Vec<usize> = shard.indices.iter().map(|&gi| w.sizes[gi]).collect();
     let ev_start = fault_events_start(dev);
-    let mut local = RecoveryReport::default();
-    let (mut vb, upload_bytes) = build_shard_batch(
-        dev,
-        &mut dstate.pools,
-        pol,
-        &mut local,
-        &shard_sizes,
-        &shard.indices,
-        w.mats,
-    )?;
+    // Injected OOMs while the pools refill recover locally, like the
+    // driver's own workspace allocations.
+    let mut vb = with_retry(dev, pol, &mut w.recovery, || {
+        VBatch::<T>::alloc_square_pooled(dev, &shard_sizes, &mut dstate.pools)
+    })?;
+    let mut upload_bytes = shard.indices.len() * (3 * 4 + std::mem::size_of::<DevicePtr<T>>());
+    for (k, &gi) in shard.indices.iter().enumerate() {
+        vb.upload_matrix(k, &w.mats[gi])?;
+        upload_bytes += w.mats[gi].len() * std::mem::size_of::<T>();
+    }
     let (report, mut download_bytes) = factor(dev, &mut vb, dstate)?;
-    collect_pre_driver_events(dev, ev_start, report.recovery.injected.len(), &mut local);
+    // The shard's injections are the device log since the shard began:
+    // the batch build's, then the driver's own.
+    let report = finish_recovery(dev, ev_start, report.recovery, report.info);
     for (k, &gi) in shard.indices.iter().enumerate() {
         vb.download_matrix_into(k, &mut w.mats[gi]);
         download_bytes += w.mats[gi].len() * std::mem::size_of::<T>();
         w.info[gi] = report.info[k];
     }
-    merge_recovery(&mut w.recovery, local, &shard.indices);
-    merge_recovery(&mut w.recovery, report.recovery, &shard.indices);
+    w.recovery.absorb(&report.recovery, |k| shard.indices[k]);
     vb.reclaim(&mut dstate.pools);
     Ok(PeerIo {
         upload_s: dev.transfer_seconds(upload_bytes),

@@ -24,7 +24,7 @@
 //! below the interleave cutoff into contiguous runs of distinct orders
 //! where the simulator's own launch arithmetic predicts the smaller
 //! tiles outweigh the extra launch overheads (see
-//! [`crate::fused::potrf_interleaved_window`]). The runs are slices of
+//! `fused::potrf_interleaved_window`). The runs are slices of
 //! the window's ascending index list, so the window's one index upload
 //! serves all of them.
 //!
@@ -33,6 +33,8 @@
 //! then uploaded as a device index array the kernels indirect through.
 
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, OomError};
+
+use crate::workspace::grow_slot;
 
 /// One window of nearly-equal-size matrices, ready to be factorized
 /// together.
@@ -77,7 +79,7 @@ pub fn build_windows(sizes: &[usize], window: usize) -> Vec<SizeWindow> {
 /// The trivial schedule used when implicit sorting is off: one window
 /// containing every (nonzero) matrix, sized by the global maximum.
 #[must_use]
-pub fn single_window(sizes: &[usize]) -> Vec<SizeWindow> {
+pub(crate) fn single_window(sizes: &[usize]) -> Vec<SizeWindow> {
     let indices: Vec<usize> = (0..sizes.len()).filter(|&i| sizes[i] > 0).collect();
     if indices.is_empty() {
         return Vec::new();
@@ -95,7 +97,7 @@ pub fn single_window(sizes: &[usize]) -> Vec<SizeWindow> {
 ///
 /// # Errors
 /// [`OomError`] when device memory is exhausted.
-pub fn upload_indices_pooled(
+pub(crate) fn upload_indices_pooled(
     dev: &Device,
     indices: &[usize],
     dev_buf: &mut Option<DeviceBuffer<i32>>,
@@ -103,18 +105,16 @@ pub fn upload_indices_pooled(
 ) -> Result<DevicePtr<i32>, OomError> {
     host.clear();
     host.extend(indices.iter().map(|&i| i as i32));
-    if dev_buf.as_ref().is_none_or(|b| b.len() < indices.len()) {
-        *dev_buf = None;
-        *dev_buf = Some(dev.alloc::<i32>(indices.len())?);
-    }
-    let buf = dev_buf.as_ref().expect("ensured above");
+    let buf = grow_slot(dev_buf, DeviceBuffer::len, indices.len(), || {
+        dev.alloc::<i32>(indices.len())
+    })?;
     buf.fill_from_host(host);
     Ok(buf.ptr().truncate(indices.len()))
 }
 
 /// Charges the host↔device traffic the sorting pass needs (sizes down,
 /// indices up) to the simulated clock.
-pub fn charge_sort_transfers(dev: &Device, count: usize) {
+pub(crate) fn charge_sort_transfers(dev: &Device, count: usize) {
     dev.copy_dtoh_bytes(count * 4);
     dev.copy_htod_bytes(count * 4);
 }

@@ -42,6 +42,25 @@ pub(crate) type SepScratch<'a, T> = (
     &'a [i32],
 );
 
+/// The grow-only scratch slot: keeps `slot`'s buffer while it holds at
+/// least `need` (by `len`), else drops it *before* calling `alloc` for
+/// the replacement, so a grow never holds both buffers at once.
+///
+/// # Errors
+/// Whatever `alloc` returns; the slot is then left empty.
+pub(crate) fn grow_slot<B, E>(
+    slot: &mut Option<B>,
+    len: impl FnOnce(&B) -> usize,
+    need: usize,
+    alloc: impl FnOnce() -> Result<B, E>,
+) -> Result<&B, E> {
+    if slot.as_ref().is_none_or(|b| len(b) < need) {
+        *slot = None;
+        *slot = Some(alloc()?);
+    }
+    Ok(slot.as_ref().expect("filled above"))
+}
+
 /// Pooled device scratch for the factorization drivers, reusable across
 /// calls and across precisions' driver families (Cholesky, LU, QR).
 ///
@@ -146,17 +165,18 @@ impl<T: Scalar> DriverWorkspace<T> {
         nb: usize,
     ) -> Result<(), VbatchError> {
         let count = sizes.len();
-        if self.step.as_ref().is_none_or(|st| st.d_rem.len() < count) {
-            self.step = None;
-            self.step = Some(StepState::alloc(dev, count)?);
-        }
+        grow_slot(
+            &mut self.step,
+            |st| st.d_rem.len(),
+            count,
+            || StepState::alloc(dev, count),
+        )?;
         TileWorkspace::ensure(&mut self.tiles, dev, count, nb)?;
         plan_live_grids(&mut self.live_host, sizes, nb);
         let len = self.live_host.len();
-        if self.live_dev.as_ref().is_none_or(|b| b.len() < len) {
-            self.live_dev = None;
-            self.live_dev = Some(dev.alloc(len.max(1))?);
-        }
+        grow_slot(&mut self.live_dev, DeviceBuffer::len, len, || {
+            dev.alloc(len.max(1))
+        })?;
         Ok(())
     }
 
@@ -181,18 +201,13 @@ impl<T: Scalar> DriverWorkspace<T> {
         dev: &Device,
         count: usize,
     ) -> Result<(&LuStep<T>, DevicePtr<i32>), VbatchError> {
-        if self.lu_step.as_ref().is_none_or(|s| s.count() < count) {
-            self.lu_step = None;
-            self.lu_step = Some(LuStep::alloc(dev, count)?);
-        }
-        if self.clean_info.as_ref().is_none_or(|b| b.len() < count) {
-            self.clean_info = None;
-            self.clean_info = Some(dev.alloc(count)?);
-        }
-        Ok((
-            self.lu_step.as_ref().expect("ensured above"),
-            self.clean_info.as_ref().expect("ensured above").ptr(),
-        ))
+        let step = grow_slot(&mut self.lu_step, LuStep::count, count, || {
+            LuStep::alloc(dev, count)
+        })?;
+        let clean_info = grow_slot(&mut self.clean_info, DeviceBuffer::len, count, || {
+            dev.alloc(count)
+        })?;
+        Ok((step, clean_info.ptr()))
     }
 }
 

@@ -146,6 +146,31 @@ pub struct Response<T> {
 }
 
 impl<T> Response<T> {
+    /// The terminal answer to `req`. `result` is the request's
+    /// `(info, factor, pivots)` from its window; a request that never
+    /// completed (`Expired`, `Failed`) carries `(0, [], [])`.
+    pub(crate) fn answer(
+        req: &Request<T>,
+        status: ResponseStatus,
+        outcome: Outcome,
+        finish_s: f64,
+        (info, factor, pivots): (i32, Vec<T>, Vec<usize>),
+    ) -> Self {
+        Response {
+            id: req.id,
+            tenant: req.tenant,
+            op: req.op,
+            n: req.n,
+            status,
+            info,
+            factor,
+            pivots,
+            outcome,
+            arrival_s: req.arrival_s,
+            finish_s,
+        }
+    }
+
     /// Queue wait + service time in simulated seconds.
     #[must_use]
     pub fn latency_s(&self) -> f64 {
@@ -180,19 +205,23 @@ mod tests {
 
     #[test]
     fn latency_is_finish_minus_arrival() {
-        let r = Response::<f64> {
+        let req = Request::<f64> {
             id: 1,
             tenant: 0,
             op: Op::Potrf,
             n: 4,
-            status: ResponseStatus::Factored,
-            info: 0,
-            factor: vec![],
-            pivots: vec![],
-            outcome: Outcome::Clean,
+            payload: vec![],
             arrival_s: 2.0,
-            finish_s: 2.5,
+            deadline_s: None,
+            cost_s: 0.0,
         };
+        let r = Response::answer(
+            &req,
+            ResponseStatus::Factored,
+            Outcome::Clean,
+            2.5,
+            (0, vec![], vec![]),
+        );
         assert!((r.latency_s() - 0.5).abs() < 1e-12);
     }
 }

@@ -110,6 +110,18 @@ impl ServeConfig {
             Op::Getrf => 2.0 * base,
         }
     }
+
+    /// The Cholesky options normalized on `dev` against `max_n`, and the
+    /// LU options at the fixed panel width: what every window, and the
+    /// offline oracle, factorizes with.
+    pub(crate) fn options<T: Scalar>(&self, dev: &Device) -> (PotrfOptions, GetrfOptions) {
+        let popts = normalized_options::<T>(dev, &self.potrf, self.max_n.max(1));
+        let gopts = GetrfOptions {
+            nb_panel: self.getrf_nb.max(1),
+            recovery: self.potrf.recovery,
+        };
+        (popts, gopts)
+    }
 }
 
 /// A long-running, multi-tenant batch-serving front end over one
@@ -136,11 +148,7 @@ impl<T: Scalar> BatchService<T> {
     /// `cfg.max_n` once, here — the bit-identity anchor.
     #[must_use]
     pub fn new(dev: Device, cfg: ServeConfig) -> Self {
-        let popts = normalized_options::<T>(&dev, &cfg.potrf, cfg.max_n.max(1));
-        let gopts = GetrfOptions {
-            nb_panel: cfg.getrf_nb.max(1),
-            recovery: cfg.potrf.recovery,
-        };
+        let (popts, gopts) = cfg.options::<T>(&dev);
         Self {
             dev,
             cfg,
@@ -156,20 +164,6 @@ impl<T: Scalar> BatchService<T> {
             stats: ServeStats::default(),
             recovery: RecoveryReport::default(),
         }
-    }
-
-    /// The normalized Cholesky options every window runs with — the
-    /// offline oracle must factorize with exactly these to be bitwise
-    /// comparable.
-    #[must_use]
-    pub fn potrf_options(&self) -> &PotrfOptions {
-        &self.popts
-    }
-
-    /// The LU options every window runs with.
-    #[must_use]
-    pub fn getrf_options(&self) -> &GetrfOptions {
-        &self.gopts
     }
 
     /// The device the service runs on (fault plans are installed and
@@ -313,21 +307,7 @@ impl<T: Scalar> BatchService<T> {
     /// clock advances past every remaining trigger; the returned stats
     /// snapshot is taken after the last window retires.
     pub fn drain(&mut self) -> ServeStats {
-        while self.queues.pending() > 0 {
-            let Some((oldest_s, _)) = self.queues.oldest() else {
-                break;
-            };
-            let trigger = if self.queues.pending() >= self.cfg.max_window {
-                self.now_s
-            } else {
-                oldest_s + self.cfg.max_wait_s
-            };
-            self.now_s = self.now_s.max(trigger).max(self.busy_until_s);
-            self.cancel_expired();
-            if self.queues.pending() > 0 {
-                self.dispatch_window();
-            }
-        }
+        self.fire_due(f64::INFINITY);
         self.stats.clone()
     }
 
@@ -379,19 +359,13 @@ impl<T: Scalar> BatchService<T> {
         for r in self.queues.expire(self.now_s) {
             self.stats.expired += 1;
             let finish = r.deadline_s.unwrap_or(self.now_s);
-            self.responses.push(Response {
-                id: r.id,
-                tenant: r.tenant,
-                op: r.op,
-                n: r.n,
-                status: ResponseStatus::Expired,
-                info: 0,
-                factor: Vec::new(),
-                pivots: Vec::new(),
-                outcome: Outcome::Clean,
-                arrival_s: r.arrival_s,
-                finish_s: finish,
-            });
+            self.responses.push(Response::answer(
+                &r,
+                ResponseStatus::Expired,
+                Outcome::Clean,
+                finish,
+                (0, Vec::new(), Vec::new()),
+            ));
         }
     }
 
@@ -526,17 +500,8 @@ impl<T: Scalar> BatchService<T> {
             // itself was clean.
             outcome = Outcome::Recovered;
         }
-        let rec = &report.recovery;
-        self.recovery.retried_launches += rec.retried_launches;
-        self.recovery.retried_allocs += rec.retried_allocs;
-        self.recovery.window_splits += rec.window_splits;
-        self.recovery.workspace_releases += rec.workspace_releases;
-        self.recovery.scrub_passes += rec.scrub_passes;
-        self.recovery.injected.extend(rec.injected.iter().cloned());
-        for &k in &rec.quarantined {
-            debug_assert!(report.info[k] < 0);
-            self.recovery.quarantined.push(window[k].id as usize);
-        }
+        self.recovery
+            .absorb(&report.recovery, |k| window[k].id as usize);
         for ((k, r), (factor, piv)) in window
             .iter()
             .enumerate()
@@ -550,19 +515,13 @@ impl<T: Scalar> BatchService<T> {
             };
             self.stats.completed += 1;
             self.latencies_s.push(finish - r.arrival_s);
-            self.responses.push(Response {
-                id: r.id,
-                tenant: r.tenant,
-                op: r.op,
-                n: r.n,
+            self.responses.push(Response::answer(
+                r,
                 status,
-                info,
-                factor,
-                pivots: piv,
                 outcome,
-                arrival_s: r.arrival_s,
-                finish_s: finish,
-            });
+                finish,
+                (info, factor, piv),
+            ));
         }
     }
 
@@ -570,19 +529,13 @@ impl<T: Scalar> BatchService<T> {
     /// window's requests get a terminal answer, the service stays up.
     fn fail_window(&mut self, window: &[Request<T>]) {
         for r in window {
-            self.responses.push(Response {
-                id: r.id,
-                tenant: r.tenant,
-                op: r.op,
-                n: r.n,
-                status: ResponseStatus::Failed,
-                info: 0,
-                factor: Vec::new(),
-                pivots: Vec::new(),
-                outcome: Outcome::Degraded,
-                arrival_s: r.arrival_s,
-                finish_s: self.now_s,
-            });
+            self.responses.push(Response::answer(
+                r,
+                ResponseStatus::Failed,
+                Outcome::Degraded,
+                self.now_s,
+                (0, Vec::new(), Vec::new()),
+            ));
         }
     }
 }

@@ -27,9 +27,8 @@ use vbatch_dense::gen::{diag_dominant_vec, seeded_rng, spd_vec};
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, FaultPlan, InjectionEvent};
 
-use vbatch_core::shard::normalized_options;
 use vbatch_core::{
-    getrf_vbatched_pooled, potrf_vbatched_max_ws, DeviceState, GetrfOptions, RecoveryReport, VBatch,
+    getrf_vbatched_pooled, potrf_vbatched_max_ws, DeviceState, RecoveryReport, VBatch,
 };
 
 use crate::metrics::{LatencyStats, ServeStats};
@@ -231,7 +230,7 @@ pub fn offline_factor<T: Scalar>(
     payload: &[T],
 ) -> (Vec<T>, Vec<usize>, i32) {
     let dev = Device::new(serve.device.clone());
-    let popts = normalized_options::<T>(&dev, &serve.potrf, serve.max_n.max(1));
+    let (popts, gopts) = serve.options::<T>(&dev);
     let mut dstate = DeviceState::default();
     let mut batch = VBatch::<T>::alloc_square_pooled(&dev, &[n], &mut dstate.pools)
         .expect("oracle alloc on a fresh device");
@@ -245,10 +244,6 @@ pub fn offline_factor<T: Scalar>(
             (r, Vec::new())
         }
         Op::Getrf => {
-            let gopts = GetrfOptions {
-                nb_panel: serve.getrf_nb.max(1),
-                recovery: serve.potrf.recovery,
-            };
             let r =
                 getrf_vbatched_pooled(&dev, &mut batch, &gopts, &mut dstate.ws, &mut dstate.pivots)
                     .expect("oracle getrf on a fault-free device");

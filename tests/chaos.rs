@@ -311,3 +311,110 @@ fn sharded_faults_on_one_device_recover_locally() {
         );
     }
 }
+
+/// The `getrf_sharded` twin: an injected OOM while device 1 builds its
+/// first shard's pooled batch (before the driver runs), then a rejected
+/// launch inside the driver. The merged report enumerates device 1's
+/// log in order, and factors, pivots and `info` are bitwise equal to
+/// the fault-free run.
+#[test]
+fn sharded_getrf_faults_on_one_device_recover_locally() {
+    use vbatch_core::{getrf_sharded, GetrfOptions, ShardOpts, ShardedState};
+    use vbatch_dense::gen::diag_dominant_vec;
+    use vbatch_gpu_sim::{DeviceGroup, InjectionEvent};
+
+    let sizes: Vec<usize> = (0..40).map(|i| 4 + (i * 11) % 60).collect();
+    let mats: Vec<Vec<f64>> = {
+        let mut rng = seeded_rng(0xC0FFEE);
+        sizes
+            .iter()
+            .map(|&n| diag_dominant_vec::<f64>(&mut rng, n, n))
+            .collect()
+    };
+    let opts = GetrfOptions {
+        nb_panel: 16,
+        ..Default::default()
+    };
+    let shard_opts = ShardOpts {
+        shards_per_device: 3,
+        steal: true,
+    };
+
+    let run = |plan: Option<FaultPlan>| {
+        let group = DeviceGroup::homogeneous(DeviceConfig::k40c(), 4);
+        if let Some(p) = plan {
+            group.install_fault_plan(1, p);
+        }
+        let mut state = ShardedState::new();
+        let mut work = mats.clone();
+        let (report, pivots) =
+            getrf_sharded(&group, &sizes, &mut work, &opts, &shard_opts, &mut state).unwrap();
+        let fired = group.clear_fault_plans();
+        (work, report, pivots, fired)
+    };
+
+    let (clean_f, clean_r, clean_p, _) = run(None);
+    assert_eq!(clean_r.recovery.outcome(), Outcome::Clean);
+
+    // Allocation 0 on device 1 is its first shard's pooled batch build.
+    let plan = FaultPlan::new()
+        .oom_at_alloc(0)
+        .transient_launch("getf2", 1, 1);
+    let (fault_f, fault_r, fault_p, fired) = run(Some(plan));
+
+    for (d, ev) in fired.iter().enumerate() {
+        if d != 1 {
+            assert!(ev.is_empty(), "device {d} fired {ev:?} without a plan");
+        }
+    }
+    assert!(
+        matches!(
+            fired[1].as_slice(),
+            [
+                InjectionEvent::AllocDenied { alloc: 0, .. },
+                InjectionEvent::LaunchRejected { .. }
+            ]
+        ),
+        "the batch build's OOM, then the driver's launch: {:?}",
+        fired[1]
+    );
+    assert_eq!(
+        fault_r.recovery.injected, fired[1],
+        "merged report must enumerate exactly device 1's injections"
+    );
+    assert_eq!(fault_r.recovery.retried_allocs, 1);
+    assert_eq!(fault_r.recovery.retried_launches, 1);
+    assert_eq!(fault_r.recovery.outcome(), Outcome::Recovered);
+
+    assert_eq!(clean_r.info, fault_r.info);
+    assert_eq!(clean_p, fault_p);
+    for (i, (a, b)) in clean_f.iter().zip(&fault_f).enumerate() {
+        assert!(
+            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "matrix {i}: LU factors diverged under device-1 faults"
+        );
+    }
+}
+
+/// LU and QR return early on a batch with no panel column (`k_max`
+/// 0), after allocating their pivot or `tau` arena under the retry
+/// ladder. An OOM injected into that allocation is retried and still
+/// enumerated in the report.
+#[test]
+fn early_return_reports_injections_fired_before_it() {
+    use vbatch_core::{getrf_vbatched, qr::geqrf_vbatched, GetrfOptions};
+
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut batch = VBatch::<f64>::alloc(&dev, &[(0, 5), (4, 0)]).unwrap();
+    dev.install_fault_plan(FaultPlan::new().oom_at_alloc(0));
+    let (lu, _) = getrf_vbatched(&dev, &mut batch, &GetrfOptions::default()).unwrap();
+    let fired = dev.clear_fault_plan();
+    assert_eq!(fired.len(), 1);
+    assert_eq!(lu.recovery.retried_allocs, 1);
+    assert_eq!(lu.recovery.injected, fired);
+
+    dev.install_fault_plan(FaultPlan::new().oom_at_alloc(0));
+    let (qr, _) = geqrf_vbatched(&dev, &mut batch, &Default::default()).unwrap();
+    assert_eq!(qr.recovery.injected, dev.clear_fault_plan());
+    assert_eq!(qr.recovery.retried_allocs, 1);
+}
