@@ -17,7 +17,8 @@ use vbatch_dense::{Diag, Scalar, Side, Trans, Uplo};
 use vbatch_gpu_sim::{Device, Dim3, LaunchConfig};
 
 use crate::cpu_model::CpuConfig;
-use vbatch_core::kernels::{charge_flops, charge_read, charge_write, kname, mat_mut, mat_ref};
+use vbatch_core::kernels::{charge_flops, charge_read, charge_write, mat_mut, mat_ref};
+use vbatch_core::kname;
 
 /// Options of the hybrid baseline.
 #[derive(Clone, Copy, Debug)]
@@ -88,7 +89,7 @@ pub fn potrf_hybrid_serial<T: Scalar>(
                 let tiles = trail.div_ceil(TM) as u32;
                 let cfg = LaunchConfig::grid_1d(tiles, 128)
                     .with_shared_mem((TM + nb.min(rem)) * 8 * T::BYTES);
-                dev.launch(kname::<T>("hybrid_trsm"), cfg, move |ctx| {
+                dev.launch(kname!(T, "hybrid_trsm"), cfg, move |ctx| {
                     let b = ctx.block_idx().x as usize;
                     let r0 = b * TM;
                     if r0 >= trail {
@@ -118,7 +119,7 @@ pub fn potrf_hybrid_serial<T: Scalar>(
                 const TS: usize = 32;
                 let t2 = trail.div_ceil(TS) as u32;
                 let cfg = LaunchConfig::new(Dim3::xy(t2, t2), Dim3::x(128), 2 * TS * 8 * T::BYTES);
-                dev.launch(kname::<T>("hybrid_syrk"), cfg, move |ctx| {
+                dev.launch(kname!(T, "hybrid_syrk"), cfg, move |ctx| {
                     let bi = ctx.block_idx().x as usize;
                     let bj = ctx.block_idx().y as usize;
                     let r0 = bi * TS;

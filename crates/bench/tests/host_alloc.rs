@@ -2,7 +2,7 @@
 //! [`DriverWorkspace`], the fused and the separated driver's
 //! steady-state loops perform a
 //! small, batch-size-independent number of host heap allocations per
-//! kernel launch (launch-name interning, pooled block-cost scratch and
+//! kernel launch (constant launch names, pooled block-cost scratch and
 //! pooled index staging removed the per-launch `format!` and `Vec`
 //! churn, and the launch executor is a persistent pool that allocates
 //! nothing per dispatch). The counting `#[global_allocator]` is the
@@ -76,8 +76,8 @@ fn fused_warm_path_allocates_o1_per_launch() {
         ..Default::default()
     };
     let mut ws = DriverWorkspace::<f64>::new();
-    // Cold call warms the workspace, the profiler map, the interner and
-    // the launch scratch.
+    // Cold call warms the workspace, the profiler map and the launch
+    // scratch.
     potrf_vbatched_max_ws(&dev, &mut batch, 96, &opts, &mut ws).unwrap();
 
     fill_spd_batch(&mut batch, &sizes, &mut seeded_rng(41));

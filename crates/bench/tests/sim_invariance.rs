@@ -1,7 +1,7 @@
 //! Simulated-time invariance goldens: the device clock depends only on
 //! size-derived charges, never on numeric values or host-side
 //! implementation details, so host-perf refactors (pooled workspaces,
-//! interned launch names, scratch reuse) must leave these totals
+//! constant launch names, scratch reuse) must leave these totals
 //! **bit-exact**. The Cholesky rows were produced by the pre-workspace
 //! driver on the same workload; a mismatch means a change altered the
 //! simulated schedule, not just host speed — that is a correctness bug

@@ -27,7 +27,7 @@ pub fn rand_mat<T: Scalar>(rng: &mut impl Rng, len: usize) -> Vec<T> {
 /// matrix: `A = R + Rᵀ` with the diagonal shifted by `n`, which makes it
 /// strictly diagonally dominant and hence SPD with a modest condition
 /// number — the standard construction for Cholesky benchmarks.
-pub fn fill_spd<T: Scalar>(rng: &mut impl Rng, a: &mut MatMut<'_, T>) {
+pub(crate) fn fill_spd<T: Scalar>(rng: &mut impl Rng, a: &mut MatMut<'_, T>) {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "SPD matrix must be square");
     for j in 0..n {

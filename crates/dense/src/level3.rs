@@ -64,7 +64,7 @@ pub const KC: usize = 256;
 /// Minimum inner extent `k` for the blocked tier: packing `op(A)` and
 /// `op(B)` is paid once per element but amortized over `k` fused
 /// multiply-adds, so a thin inner dimension can't recoup it.
-pub const BLOCKED_MIN_K: usize = 12;
+pub(crate) const BLOCKED_MIN_K: usize = 12;
 /// Minimum column count `n` for the blocked tier: with fewer columns
 /// than two `NR`-wide micro-panels the register tile runs mostly padded.
 pub const BLOCKED_MIN_N: usize = 8;

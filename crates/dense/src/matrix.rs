@@ -505,7 +505,7 @@ impl<'a, T> MatMut<'a, T> {
     ///
     /// # Panics
     /// If dimensions differ.
-    pub fn copy_from(&mut self, src: MatRef<'_, T>)
+    pub(crate) fn copy_from(&mut self, src: MatRef<'_, T>)
     where
         T: Copy,
     {

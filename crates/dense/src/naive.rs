@@ -257,7 +257,7 @@ pub fn matvec_ref<T: Scalar>(a: &[T], m: usize, n: usize, x: &[T]) -> Vec<T> {
 
 /// Reconstructs `L·Lᵀ` from the lower triangle of a packed `n × n`
 /// factored matrix (entries above the diagonal ignored).
-pub fn llt_ref<T: Scalar>(l: &[T], n: usize, ld: usize) -> Vec<T> {
+pub(crate) fn llt_ref<T: Scalar>(l: &[T], n: usize, ld: usize) -> Vec<T> {
     let get = |i: usize, j: usize| if i >= j { l[i + j * ld] } else { T::ZERO };
     let mut out = vec![T::ZERO; n * n];
     for j in 0..n {
@@ -274,7 +274,7 @@ pub fn llt_ref<T: Scalar>(l: &[T], n: usize, ld: usize) -> Vec<T> {
 
 /// Reconstructs `Uᵀ·U` from the upper triangle of a packed `n × n`
 /// factored matrix.
-pub fn utu_ref<T: Scalar>(u: &[T], n: usize, ld: usize) -> Vec<T> {
+pub(crate) fn utu_ref<T: Scalar>(u: &[T], n: usize, ld: usize) -> Vec<T> {
     let get = |i: usize, j: usize| if i <= j { u[i + j * ld] } else { T::ZERO };
     let mut out = vec![T::ZERO; n * n];
     for j in 0..n {
@@ -291,7 +291,7 @@ pub fn utu_ref<T: Scalar>(u: &[T], n: usize, ld: usize) -> Vec<T> {
 
 /// Reconstructs `L·U` from a packed in-place LU factorization
 /// (`L` unit-lower, `U` upper), `m × n`.
-pub fn lu_ref<T: Scalar>(lu: &[T], m: usize, n: usize, ld: usize) -> Vec<T> {
+pub(crate) fn lu_ref<T: Scalar>(lu: &[T], m: usize, n: usize, ld: usize) -> Vec<T> {
     let k = m.min(n);
     let gl = |i: usize, j: usize| {
         if i == j {
@@ -318,7 +318,7 @@ pub fn lu_ref<T: Scalar>(lu: &[T], m: usize, n: usize, ld: usize) -> Vec<T> {
 
 /// Applies the row permutation recorded by `getrf`-style pivots to a
 /// packed matrix, producing `P·A` (forward order, as `laswp` would).
-pub fn permute_rows_ref<T: Scalar>(a: &[T], m: usize, n: usize, ipiv: &[usize]) -> Vec<T> {
+pub(crate) fn permute_rows_ref<T: Scalar>(a: &[T], m: usize, n: usize, ipiv: &[usize]) -> Vec<T> {
     let mut out = a.to_vec();
     for (i, &p) in ipiv.iter().enumerate() {
         if p != i {

@@ -29,9 +29,9 @@ use crate::scalar::Scalar;
 
 /// Widest register-tile row count any microkernel supports (AVX-512
 /// f32: one 16-lane vector per C column; f64: two 8-lane vectors).
-pub const MR_MAX: usize = 16;
+pub(crate) const MR_MAX: usize = 16;
 /// Widest register-tile column count any microkernel supports.
-pub const NR_MAX: usize = 8;
+pub(crate) const NR_MAX: usize = 8;
 
 /// Runtime tile/packing parameters for one precision.
 ///

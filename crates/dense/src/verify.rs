@@ -18,7 +18,7 @@ pub fn fro_norm_slice<T: Scalar>(a: &[T]) -> f64 {
 }
 
 /// Frobenius norm of a view.
-pub fn fro_norm<T: Scalar>(a: MatRef<'_, T>) -> f64 {
+pub(crate) fn fro_norm<T: Scalar>(a: MatRef<'_, T>) -> f64 {
     let mut acc = 0.0;
     for j in 0..a.ncols() {
         for i in 0..a.nrows() {

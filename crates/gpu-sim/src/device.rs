@@ -228,9 +228,8 @@ impl Device {
     /// committed and the device stays usable.
     ///
     /// `name` is `&'static str` by design: kernel names form a small
-    /// static vocabulary, and a static name keeps the per-launch
-    /// bookkeeping allocation-free (use [`crate::intern::prefixed`] for
-    /// names composed at runtime). Block costs and the scheduler's SM
+    /// static vocabulary of compile-time constants, which keeps the
+    /// per-launch bookkeeping allocation-free. Block costs and the scheduler's SM
     /// sweep run in pooled scratch reused across launches.
     ///
     /// # Errors

@@ -62,7 +62,6 @@ mod energy;
 pub mod fault;
 pub mod grid;
 pub mod group;
-pub mod intern;
 pub mod mem;
 pub mod occupancy;
 pub mod pool;

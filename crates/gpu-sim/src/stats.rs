@@ -14,7 +14,7 @@ use crate::sched::KernelTiming;
 /// The record a single kernel launch returns.
 #[derive(Clone, Debug)]
 pub struct KernelStats {
-    /// Kernel name as passed to `launch` (interned, so `Copy`).
+    /// Kernel name as passed to `launch`.
     pub name: &'static str,
     /// Launch configuration used.
     pub config: LaunchConfig,
@@ -56,7 +56,7 @@ pub struct ProfileEntry {
     pub early_exit_blocks: u64,
 }
 
-/// Device-wide launch profiler keyed by (interned) kernel name. Keys
+/// Device-wide launch profiler keyed by kernel name (by content). Keys
 /// are `&'static str`, so the steady-state record path allocates only
 /// the first time a name is seen (the map node itself). A `BTreeMap`
 /// keeps iteration (and thus every sum derived from it) in name order,

@@ -321,9 +321,8 @@ impl Drop for WorkerPool {
 /// Locks `m`, entering it even when a panicking holder poisoned it: the
 /// crate's one locking idiom. It is only for values a panic cannot leave
 /// half-updated — the pool's slot, the launch scratch (rewritten before
-/// each use), and the device clock, fault state and intern table, whose
-/// updates do not panic midway. The panic itself still reaches its
-/// caller.
+/// each use), and the device clock and fault state, whose updates do
+/// not panic midway. The panic itself still reaches its caller.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -9,32 +9,14 @@
 //! so their overhead is measurable — the paper claims, and the profiler
 //! can confirm, that it is almost negligible.
 
-use std::sync::OnceLock;
-
 use vbatch_dense::Scalar;
-use vbatch_gpu_sim::{intern, Device, DeviceBuffer, DevicePtr, LaunchConfig};
+use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
 use crate::report::VbatchError;
 use crate::workspace::grow_slot;
 
 /// Threads per block used by the auxiliary kernels.
 const AUX_THREADS: u32 = 256;
-
-/// Registered name of the max-reduction kernel. Even constant kernel
-/// names go through [`intern::literal`] so the process-wide kernel
-/// vocabulary stays enumerable (`tests/kernel_coverage.rs` checks every
-/// launched name against it); the `OnceLock` keeps the
-/// per-launch cost at one atomic load.
-fn imax_kname() -> &'static str {
-    static NAME: OnceLock<&'static str> = OnceLock::new();
-    NAME.get_or_init(|| intern::literal("vbatch_aux_imax"))
-}
-
-/// Registered name of the per-step size/pointer advance kernel.
-fn step_kname() -> &'static str {
-    static NAME: OnceLock<&'static str> = OnceLock::new();
-    NAME.get_or_init(|| intern::literal("vbatch_aux_step"))
-}
 
 /// Computes `max(values)` with a device reduction kernel and returns it
 /// to the host (one `i32` device→host copy, charged to the clock) — the
@@ -62,7 +44,7 @@ pub(crate) fn compute_imax_pooled(
     })?
     .ptr();
     dev.launch(
-        imax_kname(),
+        "vbatch_aux_imax",
         LaunchConfig::grid_1d(blocks, AUX_THREADS),
         move |ctx| {
             let b = ctx.block_idx().x as usize;
@@ -82,7 +64,7 @@ pub(crate) fn compute_imax_pooled(
     )?;
     if blocks > 1 {
         dev.launch(
-            imax_kname(),
+            "vbatch_aux_imax",
             LaunchConfig::grid_1d(1, AUX_THREADS),
             move |ctx| {
                 let mut m = i32::MIN;
@@ -142,7 +124,7 @@ impl<T: Scalar> StepState<T> {
         let out_rem = self.d_rem.ptr();
         let blocks = count.div_ceil(AUX_THREADS as usize).max(1) as u32;
         dev.launch(
-            step_kname(),
+            "vbatch_aux_step",
             LaunchConfig::grid_1d(blocks, AUX_THREADS),
             move |ctx| {
                 let b = ctx.block_idx().x as usize;

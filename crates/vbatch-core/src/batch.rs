@@ -339,6 +339,17 @@ impl<T: Scalar> VBatch<T> {
         self.d_info.ptr().truncate(self.count)
     }
 
+    /// The five device metadata arrays as one view a kernel captures.
+    pub(crate) fn meta(&self) -> BatchMeta<T> {
+        BatchMeta {
+            ptrs: self.d_ptrs(),
+            rows: self.d_rows(),
+            cols: self.d_cols(),
+            ld: self.d_ld(),
+            info: self.d_info(),
+        }
+    }
+
     /// Clears the `info` array to zero (host-side reset before a
     /// factorization).
     pub fn reset_info(&self) {
@@ -412,6 +423,38 @@ impl<T: Scalar> VBatch<T> {
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
         self.storage.iter().map(DeviceBuffer::bytes).sum()
+    }
+}
+
+/// What a per-matrix kernel reads of a [`VBatch`]: its device arrays of
+/// base pointers, sizes, leading dimensions and `info` codes (paper
+/// §III-A), `Copy` so a launch closure captures it whole. Reads are
+/// uncharged; each kernel charges the metadata traffic it models.
+pub(crate) struct BatchMeta<T> {
+    /// Per-matrix base pointers.
+    pub(crate) ptrs: DevicePtr<DevicePtr<T>>,
+    rows: DevicePtr<i32>,
+    cols: DevicePtr<i32>,
+    ld: DevicePtr<i32>,
+    /// Per-matrix LAPACK `info` codes.
+    pub(crate) info: DevicePtr<i32>,
+}
+
+impl<T> Clone for BatchMeta<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for BatchMeta<T> {}
+
+impl<T> BatchMeta<T> {
+    /// `(m, n, ld)` of matrix `i`, clamped to `m, n ≥ 0` and `ld ≥ 1`.
+    pub(crate) fn dims(self, i: usize) -> (usize, usize, usize) {
+        (
+            self.rows.get(i).max(0) as usize,
+            self.cols.get(i).max(0) as usize,
+            self.ld.get(i).max(1) as usize,
+        )
     }
 }
 

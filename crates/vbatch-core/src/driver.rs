@@ -748,7 +748,7 @@ mod tests {
             };
             let ilv_s = |d: &Device| {
                 d.with_profiler(|p| {
-                    p.get(crate::kernels::kname::<T>("potrf_ilv_batch"))
+                    p.get(kname!(T, "potrf_ilv_batch"))
                         .map_or((0.0, 0), |e| (e.time_s, e.launches))
                 })
             };

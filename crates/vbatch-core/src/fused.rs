@@ -27,8 +27,7 @@ use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
 use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, panel_smem_bytes,
-    round_to_warp,
+    charge_flops, charge_read, charge_smem, charge_write, mat_mut, panel_smem_bytes, round_to_warp,
 };
 use crate::report::VbatchError;
 use crate::VBatch;
@@ -258,18 +257,16 @@ pub fn potrf_fused_fixed<T: Scalar>(
     let threads = round_to_warp(n, warp);
     let cfg = LaunchConfig::grid_1d(batch.count() as u32, threads)
         .with_shared_mem(panel_smem_bytes::<T>(n, nb));
-    let ptrs = batch.d_ptrs();
-    let lds = batch.d_ld();
-    let infos = batch.d_info();
-    let stats = dev.launch(kname::<T>("potrf_fused_fixed"), cfg, move |ctx| {
+    let a = batch.meta();
+    let stats = dev.launch(kname!(T, "potrf_fused_fixed"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let ld = lds.get(i) as usize;
+        let (_, _, ld) = a.dims(i);
         let mut j = 0;
         while j < n {
             // Re-derive the view each step (the math consumes it).
-            let a_step = mat_mut(ptrs.get(i), n, n, ld);
+            let a_step = mat_mut(a.ptrs.get(i), n, n, ld);
             if let Err(col) = fused_step_math::<T>(Some(ctx), uplo, a_step, n, j, nb) {
-                infos.set(i, (col + 1) as i32);
+                a.info.set(i, (col + 1) as i32);
                 return;
             }
             j += nb;
@@ -305,27 +302,23 @@ pub fn potrf_fused_step<T: Scalar>(
     let threads = round_to_warp(max_rem, warp).min(dev.config().max_threads_per_block);
     let cfg = LaunchConfig::grid_1d(group_count as u32, threads)
         .with_shared_mem(panel_smem_bytes::<T>(max_rem, nb));
-    let ptrs = batch.d_ptrs();
-    let sizes = batch.d_cols();
-    let lds = batch.d_ld();
-    let infos = batch.d_info();
-    let stats = dev.launch(kname::<T>("potrf_fused_step"), cfg, move |ctx| {
+    let a = batch.meta();
+    let stats = dev.launch(kname!(T, "potrf_fused_step"), cfg, move |ctx| {
         let b = ctx.linear_block_id();
         let i = if d_indices.is_empty() {
             b
         } else {
             d_indices.get(b) as usize
         };
-        let n = sizes.get(i) as usize;
-        let broken = infos.get(i) != 0;
+        let (_, n, ld) = a.dims(i);
+        let broken = a.info.get(i) != 0;
         let rem = if broken { 0 } else { n.saturating_sub(j) };
         if !etm.apply(ctx, rem) {
             return;
         }
-        let ld = lds.get(i) as usize;
-        let a = mat_mut(ptrs.get(i), n, n, ld);
-        if let Err(col) = fused_step_math::<T>(Some(ctx), uplo, a, n, j, nb) {
-            infos.set(i, (col + 1) as i32);
+        let a_i = mat_mut(a.ptrs.get(i), n, n, ld);
+        if let Err(col) = fused_step_math::<T>(Some(ctx), uplo, a_i, n, j, nb) {
+            a.info.set(i, (col + 1) as i32);
         }
     })?;
     Ok(stats)
@@ -397,11 +390,8 @@ pub(crate) fn potrf_interleaved_window<T: Scalar>(
     let lanes = interleave::lane_count::<T>();
     let m = group_max;
     let cfg = ilv_launch_config::<T>(dev, group_count.div_ceil(lanes), m);
-    let ptrs = batch.d_ptrs();
-    let sizes = batch.d_cols();
-    let lds = batch.d_ld();
-    let infos = batch.d_info();
-    let stats = dev.launch(kname::<T>("potrf_ilv_batch"), cfg, move |ctx| {
+    let a = batch.meta();
+    let stats = dev.launch(kname!(T, "potrf_ilv_batch"), cfg, move |ctx| {
         let g = ctx.linear_block_id();
         let first = g * lanes;
         let cnt = lanes.min(group_count - first);
@@ -420,20 +410,17 @@ pub(crate) fn potrf_interleaved_window<T: Scalar>(
                 d_indices.get(first + l) as usize
             };
             idx[l] = i;
-            let n = if infos.get(i) != 0 {
-                0
-            } else {
-                sizes.get(i) as usize
-            };
+            let (_, n, ld) = a.dims(i);
+            let n = if a.info.get(i) != 0 { 0 } else { n };
             read_elems += n * n;
             total_flops += vbatch_dense::flops::potrf(n);
-            mat_mut::<T>(ptrs.get(i), n, n, lds.get(i) as usize)
+            mat_mut::<T>(a.ptrs.get(i), n, n, ld)
         });
         let mut infs = [0i32; MAX_LANES];
         interleave::potrf_lanes_in_place(&mut mats[..cnt], &mut infs[..cnt]);
         for (&i, &code) in idx.iter().zip(infs.iter()).take(cnt) {
             if code != 0 {
-                infos.set(i, code);
+                a.info.set(i, code);
             }
         }
         charge_ilv_group::<T>(ctx, m, cnt, read_elems, total_flops);

@@ -60,15 +60,6 @@ pub(crate) fn charge_smem<T: Scalar>(ctx: &mut BlockCtx, elems: usize) {
     ctx.smem_traffic(elems * T::BYTES);
 }
 
-/// Interned kernel name `{T::PREFIX}{base}` (e.g. `"dgemm_vbatched"`),
-/// returned as `&'static str` so [`vbatch_gpu_sim::Device::launch`]
-/// performs no per-launch string allocation. The join is built once per
-/// `(precision, base)` pair and cached process-wide.
-#[must_use]
-pub fn kname<T: Scalar>(base: &'static str) -> &'static str {
-    vbatch_gpu_sim::intern::prefixed(T::PREFIX, base)
-}
-
 /// Rounds `threads` up to a whole number of warps (min one warp).
 #[must_use]
 pub(crate) fn round_to_warp(threads: usize, warp: u32) -> u32 {
@@ -112,16 +103,6 @@ mod tests {
         assert_eq!(round_to_warp(32, 32), 32);
         assert_eq!(round_to_warp(33, 32), 64);
         assert_eq!(round_to_warp(0, 32), 32);
-    }
-
-    #[test]
-    fn kname_interned_per_precision() {
-        assert_eq!(kname::<f64>("potf2_vbatched"), "dpotf2_vbatched");
-        assert_eq!(kname::<f32>("potf2_vbatched"), "spotf2_vbatched");
-        assert!(std::ptr::eq(
-            kname::<f64>("potf2_vbatched"),
-            kname::<f64>("potf2_vbatched")
-        ));
     }
 
     #[test]

@@ -48,6 +48,22 @@
 // Library code reports failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+/// Kernel name `{d|s}{base}` for precision `T`, e.g.
+/// `kname!(T, "gemm_vbatched")` is `"dgemm_vbatched"` for `f64`: a
+/// `&'static str` constant per precision (the paper's compile-time
+/// templates), so [`vbatch_gpu_sim::Device::launch`] builds no name at
+/// run time. The calling crate must depend on `vbatch_dense`.
+#[macro_export]
+macro_rules! kname {
+    ($t:ty, $base:literal) => {
+        if <$t as ::vbatch_dense::Scalar>::IS_DOUBLE {
+            concat!("d", $base)
+        } else {
+            concat!("s", $base)
+        }
+    };
+}
+
 pub mod aux;
 pub mod batch;
 pub mod driver;

@@ -20,7 +20,7 @@ use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
-    charge_flops, charge_read, charge_write, kname, mat_mut, panel_width, round_to_warp,
+    charge_flops, charge_read, charge_write, mat_mut, panel_width, round_to_warp,
 };
 use crate::recover::{
     fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
@@ -30,14 +30,6 @@ use crate::sep::gemm::{gemm_vbatched, GemmDims};
 use crate::sep::trsm::trsm_left_vbatched;
 use crate::sep::VView;
 use crate::VBatch;
-
-/// Registered name of the LU per-step metadata kernel (see
-/// [`vbatch_gpu_sim::intern::literal`]: constant kernel names still
-/// register into the enumerable vocabulary).
-fn lu_step_kname() -> &'static str {
-    static NAME: std::sync::OnceLock<&'static str> = std::sync::OnceLock::new();
-    NAME.get_or_init(|| vbatch_gpu_sim::intern::literal("vbatch_aux_lu_step"))
-}
 
 /// Device-resident pivot storage: `max_k` slots per matrix.
 pub struct PivotArray(pub(crate) PerMatrixArray<i32>);
@@ -133,10 +125,7 @@ impl<T: Scalar> LuStep<T> {
         nb: usize,
     ) -> Result<(), VbatchError> {
         let count = batch.count();
-        let base = batch.d_ptrs();
-        let d_m = batch.d_rows();
-        let d_n = batch.d_cols();
-        let d_ld = batch.d_ld();
+        let a = batch.meta();
         let (l11, a12, a21, a22) = (
             self.d_l11.ptr(),
             self.d_a12.ptr(),
@@ -146,16 +135,14 @@ impl<T: Scalar> LuStep<T> {
         let (djb, dtr, dtc) = (self.d_jb.ptr(), self.d_trows.ptr(), self.d_tcols.ptr());
         let blocks = count.div_ceil(256).max(1) as u32;
         dev.launch(
-            lu_step_kname(),
+            "vbatch_aux_lu_step",
             LaunchConfig::grid_1d(blocks, 256),
             move |ctx| {
                 let b = ctx.block_idx().x as usize;
                 let lo = b * 256;
                 let hi = (lo + 256).min(count);
                 for i in lo..hi {
-                    let m = d_m.get(i).max(0) as usize;
-                    let n = d_n.get(i).max(0) as usize;
-                    let ld = d_ld.get(i).max(1) as usize;
+                    let (m, n, ld) = a.dims(i);
                     let jb = panel_width(m, n, j, nb);
                     djb.set(i, jb as i32);
                     if jb == 0 {
@@ -167,7 +154,7 @@ impl<T: Scalar> LuStep<T> {
                         dtc.set(i, 0);
                         continue;
                     }
-                    let base_p = base.get(i);
+                    let base_p = a.ptrs.get(i);
                     l11.set(i, base_p.offset(j * ld + j));
                     let trows = m - j - jb;
                     let tcols = n - j - jb;
@@ -392,26 +379,20 @@ fn getf2_panel<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let base = batch.d_ptrs();
-    let d_m = batch.d_rows();
-    let d_n = batch.d_cols();
-    let d_ld = batch.d_ld();
-    let d_info = batch.d_info();
+    let a = batch.meta();
     let piv = pivots.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
     let cfg = LaunchConfig::grid_1d(count as u32, threads).with_shared_mem(nb * nb * T::BYTES);
-    dev.launch(kname::<T>("getf2_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "getf2_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let m = d_m.get(i).max(0) as usize;
-        let n = d_n.get(i).max(0) as usize;
+        let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
             return;
         }
-        let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
-        let panel = mat_mut(base.get(i).offset(j * ld + j), rows, jb, ld);
+        let panel = mat_mut(a.ptrs.get(i).offset(j * ld + j), rows, jb, ld);
         let res = PIVOT_SCRATCH.with_borrow_mut(|local| {
             if local.len() < jb {
                 local.resize(jb, 0);
@@ -424,8 +405,8 @@ fn getf2_panel<T: Scalar>(
             res
         });
         if let Err(vbatch_dense::Error::Singular { column }) = res {
-            if d_info.get(i) == 0 {
-                d_info.set(i, (j + column + 1) as i32);
+            if a.info.get(i) == 0 {
+                a.info.set(i, (j + column + 1) as i32);
             }
         }
         charge_read::<T>(ctx, rows * jb);
@@ -447,26 +428,20 @@ fn laswp_outside<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let base = batch.d_ptrs();
-    let d_m = batch.d_rows();
-    let d_n = batch.d_cols();
-    let d_ld = batch.d_ld();
+    let meta = batch.meta();
     let piv = pivots.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
-    dev.launch(kname::<T>("laswp_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "laswp_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let m = d_m.get(i).max(0) as usize;
-        let n = d_n.get(i).max(0) as usize;
+        let (m, n, ld) = meta.dims(i);
         let jb = panel_width(m, n, j, nb);
         let outside = n.saturating_sub(jb); // columns not in the panel
         if !EtmPolicy::Classic.apply(ctx, if jb > 0 && outside > 0 { 1 } else { 0 }) {
             return;
         }
-        let ld = d_ld.get(i).max(1) as usize;
-        let a = mat_mut(base.get(i), m, n, ld);
+        let mut a = mat_mut(meta.ptrs.get(i), m, n, ld);
         let p = piv.get(i);
         let mut swapped = 0usize;
-        let mut a = a;
         for t in j..j + jb {
             let pr = p.get(t) as usize;
             if pr != t {

@@ -16,7 +16,7 @@ use vbatch_gpu_sim::{Device, DevicePtr, Dim3, LaunchConfig};
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref, panel_width,
+    charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref, panel_width,
     round_to_warp,
 };
 use crate::recover::{
@@ -155,25 +155,20 @@ fn geqr2_larft_panel<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let base = batch.d_ptrs();
-    let d_m = batch.d_rows();
-    let d_n = batch.d_cols();
-    let d_ld = batch.d_ld();
+    let a = batch.meta();
     let tau_ptrs = tau.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
     let cfg = LaunchConfig::grid_1d(count as u32, threads).with_shared_mem(2 * nb * nb * T::BYTES);
-    dev.launch(kname::<T>("geqr2_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "geqr2_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let m = d_m.get(i).max(0) as usize;
-        let n = d_n.get(i).max(0) as usize;
+        let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
             return;
         }
-        let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
-        let panel = mat_mut(base.get(i).offset(j * ld + j), rows, jb, ld);
+        let panel = mat_mut(a.ptrs.get(i).offset(j * ld + j), rows, jb, ld);
         // tau and T land straight in their device arrays (this block is
         // the only one touching matrix i's slots), so the kernel needs
         // no staging copies.
@@ -183,7 +178,7 @@ fn geqr2_larft_panel<T: Scalar>(
         // Form T for the trailing update (only needed when trailing
         // columns exist, but forming it unconditionally matches the
         // fixed-shape kernel a GPU would compile).
-        let v = mat_ref(base.get(i).offset(j * ld + j), rows, jb, ld);
+        let v = mat_ref(a.ptrs.get(i).offset(j * ld + j), rows, jb, ld);
         vbatch_dense::larft(v, tau_j, mat_mut(t_ptrs.get(i), jb, jb, jb));
         charge_read::<T>(ctx, rows * jb);
         charge_write::<T>(ctx, rows * jb + jb + jb * jb);
@@ -210,19 +205,15 @@ fn larfb_cols<T: Scalar>(
     max_n: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let base = batch.d_ptrs();
-    let d_m = batch.d_rows();
-    let d_n = batch.d_cols();
-    let d_ld = batch.d_ld();
+    let a = batch.meta();
     let max_tcols = max_n.saturating_sub(j);
     let grid = Dim3::xy(max_tcols.div_ceil(tile_cols).max(1) as u32, count as u32);
     let smem = (nb * nb + nb * tile_cols) * T::BYTES;
     let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
-    dev.launch(kname::<T>("larfb_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "larfb_vbatched"), cfg, move |ctx| {
         let bx = ctx.block_idx().x as usize;
         let i = ctx.block_idx().y as usize;
-        let m = d_m.get(i).max(0) as usize;
-        let n = d_n.get(i).max(0) as usize;
+        let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         let tcols = n.saturating_sub(j + jb);
         let c0 = bx * tile_cols;
@@ -231,11 +222,10 @@ fn larfb_cols<T: Scalar>(
             return;
         }
         let tcw = tile_cols.min(tcols - c0);
-        let ld = d_ld.get(i).max(1) as usize;
         let rows = m - j;
-        let v = mat_ref(base.get(i).offset(j * ld + j), rows, jb, ld);
+        let v = mat_ref(a.ptrs.get(i).offset(j * ld + j), rows, jb, ld);
         let t = mat_ref(t_ptrs.get(i), jb, jb, jb);
-        let c_view = mat_mut(base.get(i).offset((j + jb + c0) * ld + j), rows, tcw, ld);
+        let c_view = mat_mut(a.ptrs.get(i).offset((j + jb + c0) * ld + j), rows, tcw, ld);
         vbatch_dense::larfb_left_t(v, t, c_view);
         let active = 128.min(tcw * 4).max(32);
         charge_read::<T>(ctx, rows * jb + jb * jb + rows * tcw);
@@ -271,26 +261,17 @@ pub(crate) fn ormqr_left_trans_vbatched<T: Scalar>(
     if count == 0 {
         return Ok(());
     }
-    let a_ptrs = factors.d_ptrs();
-    let a_ld = factors.d_ld();
-    let d_m = factors.d_rows();
-    let d_n = factors.d_cols();
-    let b_ptrs = rhs.d_ptrs();
-    let b_ld = rhs.d_ld();
-    let d_nrhs = rhs.d_cols();
+    let (a, b) = (factors.meta(), rhs.meta());
     let tau_ptrs = tau.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
-    dev.launch(kname::<T>("ormqr_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "ormqr_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let m = d_m.get(i).max(0) as usize;
-        let n = d_n.get(i).max(0) as usize;
+        let (m, n, lda) = a.dims(i);
         let k = m.min(n);
-        let nrhs = d_nrhs.get(i).max(0) as usize;
+        let (_, nrhs, ldb) = b.dims(i);
         if !EtmPolicy::Classic.apply(ctx, if k > 0 && nrhs > 0 { 1 } else { 0 }) {
             return;
         }
-        let lda = a_ld.get(i).max(1) as usize;
-        let ldb = b_ld.get(i).max(1) as usize;
         let tp = tau_ptrs.get(i);
         // Qᵀ·B = H_{k−1} ⋯ H_0 · B, applied in forward order.
         for r in 0..k {
@@ -298,9 +279,9 @@ pub(crate) fn ormqr_left_trans_vbatched<T: Scalar>(
             if tau_r == T::ZERO {
                 continue;
             }
-            let v_tail = crate::kernels::mat_ref(a_ptrs.get(i).offset(r * lda + r), m - r, 1, lda);
+            let v_tail = mat_ref(a.ptrs.get(i).offset(r * lda + r), m - r, 1, lda);
             let v_tail = v_tail.sub(1, 0, m - r - 1, 1);
-            let c = crate::kernels::mat_mut(b_ptrs.get(i).offset(r), m - r, nrhs, ldb);
+            let c = mat_mut(b.ptrs.get(i).offset(r), m - r, nrhs, ldb);
             vbatch_dense::larf_left(v_tail, tau_r, c);
         }
         charge_read::<T>(ctx, m * k / 2 + m * nrhs);

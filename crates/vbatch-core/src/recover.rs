@@ -42,7 +42,7 @@ use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, InjectionEvent, LaunchConfig, LaunchError};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{charge_read, charge_write, kname};
+use crate::kernels::{charge_read, charge_write};
 use crate::report::{BatchReport, VbatchError};
 use crate::VBatch;
 
@@ -179,27 +179,21 @@ pub(crate) fn scrub_batch<T: Scalar>(
         return Ok(());
     }
     let count = batch.count();
-    let ptrs = batch.d_ptrs();
-    let rows = batch.d_rows();
-    let cols = batch.d_cols();
-    let lds = batch.d_ld();
-    let infos = batch.d_info();
+    let a = batch.meta();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     with_retry(dev, pol, rec, || {
-        dev.launch(kname::<T>("vbatch_scrub_finite"), cfg, move |ctx| {
+        dev.launch(kname!(T, "vbatch_scrub_finite"), cfg, move |ctx| {
             let i = ctx.linear_block_id();
-            let m = rows.get(i).max(0) as usize;
-            let n = cols.get(i).max(0) as usize;
-            let live = m > 0 && n > 0 && infos.get(i) == 0;
+            let (m, n, ld) = a.dims(i);
+            let live = m > 0 && n > 0 && a.info.get(i) == 0;
             if !EtmPolicy::Classic.apply(ctx, if live { n } else { 0 }) {
                 return;
             }
-            let ld = (lds.get(i).max(1)) as usize;
-            let p = ptrs.get(i);
+            let p = a.ptrs.get(i);
             'scan: for j in 0..n {
                 for r in 0..m {
                     if !p.get(j * ld + r).is_finite() {
-                        infos.set(i, -((j + 1) as i32));
+                        a.info.set(i, -((j + 1) as i32));
                         break 'scan;
                     }
                 }
@@ -300,7 +294,7 @@ mod tests {
         let mut rec = RecoveryReport::default();
         let t0 = d.now();
         with_retry(&d, &pol, &mut rec, || {
-            d.launch(kname::<f64>("flaky"), LaunchConfig::grid_1d(1, 32), |_b| {})
+            d.launch(kname!(f64, "flaky"), LaunchConfig::grid_1d(1, 32), |_b| {})
                 .map(|_| ())
                 .map_err(VbatchError::from)
         })

@@ -14,9 +14,7 @@ use vbatch_dense::{Scalar, Trans};
 use vbatch_gpu_sim::{Device, DevicePtr, Dim3, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref,
-};
+use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
 use crate::sep::VView;
 
@@ -80,7 +78,7 @@ pub fn gemm_vbatched<T: Scalar>(
     );
     let smem = (TILE_M + TILE_N) * TILE_K * T::BYTES;
     let cfg = LaunchConfig::new(grid, Dim3::x(THREADS), smem);
-    let stats = dev.launch(kname::<T>("gemm_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "gemm_vbatched"), cfg, move |ctx| {
         let bi = ctx.block_idx().x as usize;
         let bj = ctx.block_idx().y as usize;
         let i = ctx.block_idx().z as usize;

@@ -12,7 +12,7 @@ use vbatch_dense::{Scalar, Uplo};
 use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{kname, mat_mut, panel_smem_bytes, round_to_warp};
+use crate::kernels::{mat_mut, panel_smem_bytes, round_to_warp};
 use crate::report::VbatchError;
 use crate::sep::{LiveGrid, VView};
 
@@ -46,7 +46,7 @@ pub(crate) fn potf2_panel_vbatched<T: Scalar>(
     let blocks = grid.launch_blocks("potf2_panel_vbatched: no live matrix")?;
     let cfg = LaunchConfig::grid_1d(blocks, threads)
         .with_shared_mem(panel_smem_bytes::<T>(nb_panel, nb_inner));
-    let stats = dev.launch(kname::<T>("potf2_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "potf2_vbatched"), cfg, move |ctx| {
         let (i, _) = grid.locate(ctx);
         let jb = (d_rem.get(i).max(0) as usize).min(nb_panel);
         if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {

@@ -21,9 +21,7 @@ use vbatch_dense::{Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref,
-};
+use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
 use crate::sep::{LiveGrid, VView, SYRK_TILE};
 
@@ -124,7 +122,7 @@ pub fn syrk_vbatched<T: Scalar>(
     let blocks = grid.launch_blocks("syrk_vbatched: no trailing rows")?;
     let smem = 2 * SYRK_TILE * 8 * T::BYTES;
     let cfg = LaunchConfig::grid_1d(blocks, 128).with_shared_mem(smem);
-    let stats = dev.launch(kname::<T>("syrk_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "syrk_vbatched"), cfg, move |ctx| {
         let (i, t) = grid.locate(ctx);
         if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
             return;

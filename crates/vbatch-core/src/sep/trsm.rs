@@ -16,9 +16,7 @@ use vbatch_dense::{Diag, Scalar, Side, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{
-    charge_flops, charge_read, charge_smem, charge_write, kname, mat_mut, mat_ref,
-};
+use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
 use crate::sep::{LiveGrid, VView, GEMM_TILE_M};
@@ -56,7 +54,7 @@ pub fn trsm_panel_vbatched<T: Scalar>(
     let cfg = LaunchConfig::grid_1d(blocks, 128).with_shared_mem(smem);
     let w_ptrs = work.d_ptrs();
     let w_nb = work.nb();
-    let stats = dev.launch(kname::<T>("trsm_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "trsm_vbatched"), cfg, move |ctx| {
         let (i, bi) = grid.locate(ctx);
         if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
             return;
@@ -122,7 +120,7 @@ pub fn trsm_left_vbatched<T: Scalar>(
         ));
     }
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
-    let stats = dev.launch(kname::<T>("trsm_left_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "trsm_left_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
         let n = d_n.get(i).max(0) as usize;
         let nrhs = d_nrhs.get(i).max(0) as usize;

@@ -10,9 +10,7 @@ use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
 use crate::batch::PerMatrixArray;
 use crate::etm::EtmPolicy;
-use crate::kernels::{
-    charge_flops, charge_read, charge_write, kname, mat_mut, mat_ref, round_to_warp,
-};
+use crate::kernels::{charge_flops, charge_read, charge_write, mat_mut, mat_ref, round_to_warp};
 use crate::report::VbatchError;
 use crate::sep::{LiveGrid, VView};
 
@@ -94,7 +92,7 @@ pub fn trtri_diag_vbatched<T: Scalar>(
     let blocks = grid.launch_blocks("trtri_diag_vbatched: no trailing rows")?;
     let cfg = LaunchConfig::grid_1d(blocks, threads).with_shared_mem(2 * stage * stage * T::BYTES);
     let w_ptrs = work.d_ptrs();
-    let stats = dev.launch(kname::<T>("trtri_vbatched"), cfg, move |ctx| {
+    let stats = dev.launch(kname!(T, "trtri_vbatched"), cfg, move |ctx| {
         let (i, _) = grid.locate(ctx);
         let jb = (d_rem.get(i).max(0) as usize).min(nb);
         if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {

@@ -4,10 +4,10 @@
 //! detection) consume right after the factorization.
 
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
-use vbatch_gpu_sim::{Device, DevicePtr, LaunchConfig};
+use vbatch_gpu_sim::{Device, LaunchConfig};
 
 use crate::etm::EtmPolicy;
-use crate::kernels::{charge_read, charge_write, kname, mat_mut};
+use crate::kernels::{charge_read, charge_write, mat_mut};
 use crate::lu::PivotArray;
 use crate::report::VbatchError;
 use crate::sep::trsm::trsm_left_vbatched;
@@ -163,25 +163,20 @@ pub fn potri_vbatched<T: Scalar>(
     if count == 0 {
         return Ok(());
     }
-    let ptrs = factors.d_ptrs();
-    let lds = factors.d_ld();
-    let d_n = factors.d_cols();
-    let d_info = factors.d_info();
+    let a = factors.meta();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
-    dev.launch(kname::<T>("potri_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "potri_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let n = d_n.get(i).max(0) as usize;
-        let live = n > 0 && d_info.get(i) == 0;
+        let (_, n, ld) = a.dims(i);
+        let live = n > 0 && a.info.get(i) == 0;
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }
-        let ld = lds.get(i).max(1) as usize;
-        let a = mat_mut(ptrs.get(i), n, n, ld);
-        if vbatch_dense::potri(uplo, a).is_err() {
+        if vbatch_dense::potri(uplo, mat_mut(a.ptrs.get(i), n, n, ld)).is_err() {
             // A zero diagonal would have been caught by potf2; record
             // defensively.
-            if d_info.get(i) == 0 {
-                d_info.set(i, -1);
+            if a.info.get(i) == 0 {
+                a.info.set(i, -1);
             }
             return;
         }
@@ -208,23 +203,18 @@ fn laswp_rhs<T: Scalar>(
     rhs: &VBatch<T>,
 ) -> Result<(), VbatchError> {
     let count = factors.count();
-    let d_n = factors.d_cols();
-    let d_info = factors.d_info();
-    let d_nrhs = rhs.d_cols();
-    let b_ptrs = rhs.d_ptrs();
-    let b_ld = rhs.d_ld();
-    let piv: DevicePtr<DevicePtr<i32>> = pivots.d_ptrs();
+    let (a, rhs) = (factors.meta(), rhs.meta());
+    let piv = pivots.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
-    dev.launch(kname::<T>("laswp_rhs_vbatched"), cfg, move |ctx| {
+    dev.launch(kname!(T, "laswp_rhs_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let n = d_n.get(i).max(0) as usize;
-        let nrhs = d_nrhs.get(i).max(0) as usize;
-        let live = n > 0 && nrhs > 0 && d_info.get(i) == 0;
+        let (_, n, _) = a.dims(i);
+        let (_, nrhs, ld) = rhs.dims(i);
+        let live = n > 0 && nrhs > 0 && a.info.get(i) == 0;
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }
-        let ld = b_ld.get(i).max(1) as usize;
-        let mut b = mat_mut(b_ptrs.get(i), n, nrhs, ld);
+        let mut b = mat_mut(rhs.ptrs.get(i), n, nrhs, ld);
         let p = piv.get(i);
         for t in 0..n {
             let pr = p.get(t) as usize;

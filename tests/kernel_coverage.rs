@@ -1,11 +1,12 @@
 //! Launched-kernel coverage: every driver family launches once, and
-//! every kernel any driven device profiled must
+//! every kernel any driven device profiled must have charged work
+//! (`flops_useful + gmem_bytes > 0`) unless every block it ran exited
+//! early, so no kernel runs for free on the simulated clock and energy.
 //!
-//! * carry an interned name (`intern::known_names()`), so the kernel
-//!   vocabulary stays enumerable and the launch path allocation-free;
-//! * have charged work (`flops_useful + gmem_bytes > 0`) unless every
-//!   block it ran exited early, so no kernel runs for free on the
-//!   simulated clock and energy.
+//! Kernel names are compile-time constants (`vbatch_core::kname!`), one
+//! per precision: run on separate devices, the `f64` and `f32` families
+//! must launch the same kernels, every typed name being `d` or `s`
+//! followed by a base name both precisions share.
 //!
 //! Under a counting `#[global_allocator]`, the same families also show
 //! that no kernel body heap-allocates: a kernel closure runs once per
@@ -13,12 +14,9 @@
 //! the batch must leave each warm driver call's host allocations nearly
 //! flat. A panicking kernel already fails whichever test drives it (the
 //! executor re-raises the panic in the launching thread).
-//!
-//! The intern registry is process-global and append-only, and this file
-//! is its own process, so what `known_names()` returns at the end is
-//! exactly what ran here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -200,8 +198,18 @@ fn rhs_batch<T: Scalar>(dev: &Device, rows: &[usize], rng: &mut impl rand::Rng) 
     rhs
 }
 
+/// Every kernel name `d` profiled, in name order.
+fn profiled_names(d: &Device) -> BTreeSet<String> {
+    d.with_profiler(|p| {
+        p.sorted_by_time()
+            .into_iter()
+            .map(|(name, _)| name.to_owned())
+            .collect()
+    })
+}
+
 #[test]
-fn every_launched_kernel_is_interned_and_charges_work() {
+fn every_launched_kernel_charges_work() {
     let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let dev = Device::new(DeviceConfig::k40c());
     drive_single_device_families::<f64>(&dev, 1, &mut Tally::new());
@@ -242,21 +250,19 @@ fn every_launched_kernel_is_interned_and_charges_work() {
         .iter()
         .all(|r| r.status == ResponseStatus::Factored));
 
-    let launched = vbatch_gpu_sim::intern::known_names();
+    let devices: Vec<&Device> = std::iter::once(&dev)
+        .chain(group.devices())
+        .chain([svc.device()])
+        .collect();
+    let launched: BTreeSet<String> = devices.iter().flat_map(|d| profiled_names(d)).collect();
+    eprintln!("{} kernels launched: {launched:?}", launched.len());
     assert!(
         launched.len() >= 30,
         "the families above should reach most of the kernel vocabulary, got {launched:?}"
     );
-    for d in std::iter::once(&dev)
-        .chain(group.devices())
-        .chain([svc.device()])
-    {
+    for d in devices {
         d.with_profiler(|p| {
             for (name, e) in p.sorted_by_time() {
-                assert!(
-                    launched.contains(&name),
-                    "kernel `{name}` launched under a name the intern registry never saw"
-                );
                 // A block the early-termination mechanism retired
                 // does no work; every other block must charge some.
                 assert!(
@@ -267,6 +273,40 @@ fn every_launched_kernel_is_interned_and_charges_work() {
             }
         });
     }
+}
+
+/// Run on separate devices, the two precisions launch the same kernels:
+/// a name both devices profiled is precision-free (an auxiliary integer
+/// kernel), and every other name is `d`+base on the `f64` device exactly
+/// when `s`+base is on the `f32` one.
+#[test]
+fn typed_kernel_names_pair_across_precisions() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (dev_d, dev_s) = (
+        Device::new(DeviceConfig::k40c()),
+        Device::new(DeviceConfig::k40c()),
+    );
+    drive_single_device_families::<f64>(&dev_d, 1, &mut Tally::new());
+    drive_single_device_families::<f32>(&dev_s, 1, &mut Tally::new());
+    let (names_d, names_s) = (profiled_names(&dev_d), profiled_names(&dev_s));
+    let shared: BTreeSet<String> = names_d.intersection(&names_s).cloned().collect();
+    assert!(
+        shared.iter().all(|name| name.starts_with("vbatch_aux_")),
+        "only the auxiliary integer kernels are precision-free, got {shared:?}"
+    );
+    let bases = |names: &BTreeSet<String>, prefix: char| -> BTreeSet<String> {
+        names
+            .difference(&shared)
+            .map(|name| match name.strip_prefix(prefix) {
+                Some(base) => base.to_owned(),
+                None => panic!("typed kernel `{name}` lacks the `{prefix}` prefix"),
+            })
+            .collect()
+    };
+    let (bases_d, bases_s) = (bases(&names_d, 'd'), bases(&names_s, 's'));
+    eprintln!("{} typed kernels per precision: {bases_d:?}", bases_d.len());
+    assert_eq!(bases_d, bases_s, "f64 and f32 launch different kernels");
+    assert!(bases_d.len() >= 15, "too few typed kernels: {bases_d:?}");
 }
 
 /// Doubling every family's batch from `n` (≥ 64) to `2n` matrices adds
