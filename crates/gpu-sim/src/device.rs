@@ -7,7 +7,7 @@ use crate::fault::{FaultPlan, FaultState, InjectionEvent};
 use crate::grid::LaunchConfig;
 use crate::mem::{DeviceBuffer, DevicePtr, MemoryTracker, OomError};
 use crate::occupancy::{occupancy, OccupancyError};
-use crate::sched::{block_service_cycles, schedule_blocks_uniform, KernelTiming};
+use crate::sched::{block_service_cycles, schedule_blocks, KernelTiming};
 use crate::stats::{KernelStats, Profiler};
 use crate::workers::{executor, lock, try_lock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -254,7 +254,7 @@ impl Device {
             Some(mut scratch) => {
                 let LaunchScratch { costs, sm_free } = &mut *scratch;
                 self.run_blocks_into(&cfg, &kernel, costs);
-                schedule_blocks_uniform(&self.cfg, costs, &occ, launch_s, sm_free)
+                schedule_blocks(&self.cfg, costs, &occ, launch_s, sm_free)
             }
             // Another thread is mid-launch: fall back to fresh buffers
             // rather than serializing block *execution* on the pool.
@@ -262,7 +262,7 @@ impl Device {
                 let mut costs = Vec::new();
                 let mut sm_free = Vec::new();
                 self.run_blocks_into(&cfg, &kernel, &mut costs);
-                schedule_blocks_uniform(&self.cfg, &costs, &occ, launch_s, &mut sm_free)
+                schedule_blocks(&self.cfg, &costs, &occ, launch_s, &mut sm_free)
             }
         };
         self.commit(name, &timing);

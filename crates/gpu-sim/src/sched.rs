@@ -61,74 +61,16 @@ pub fn block_service_cycles(dev: &DeviceConfig, occ: &Occupancy, cost: &BlockCos
     base / eff + barriers + dev.block_dispatch_cycles
 }
 
-/// Schedules `blocks` (with per-block occupancy context) over the
-/// device's SMs. `release_s[i]` is the earliest simulated time block `i`
-/// may start. This general form is the reference the launch path's
-/// crate-private `schedule_blocks_uniform` (one occupancy, every
-/// release 0) is checked against.
+/// Schedules one kernel's blocks, all of occupancy `occ` and released
+/// at time zero, over the device's SMs: each block, in grid order, on
+/// the earliest-available SM. `sm_free` is a caller-pooled scratch
+/// vector (cleared and resized here), letting the steady-state launch
+/// path run without heap allocation.
 ///
 /// `launch_s` is added to the critical path *before* the first block may
 /// run (host-side issue cost).
 #[must_use]
 pub fn schedule_blocks(
-    dev: &DeviceConfig,
-    per_block: &[(BlockCost, Occupancy, f64)],
-    launch_s: f64,
-) -> KernelTiming {
-    let num_sms = dev.num_sms as usize;
-    let mut sm_free = vec![0.0f64; num_sms];
-    let cycle = dev.cycle_s();
-
-    let mut busy_total = 0.0;
-    let mut timing = KernelTiming {
-        launch_s,
-        blocks: per_block.len() as u64,
-        ..KernelTiming::default()
-    };
-
-    for (cost, occ, release) in per_block {
-        // Earliest-available SM (greedy, grid order).
-        let (sm_idx, _) = sm_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("times are finite"))
-            .expect("at least one SM");
-        let service = block_service_cycles(dev, occ, cost) * cycle;
-        let start = sm_free[sm_idx].max(*release);
-        sm_free[sm_idx] = start + service;
-        busy_total += service;
-
-        timing.flops_useful += cost.flops_useful();
-        timing.flops_exec += cost.flops_exec();
-        timing.gmem_bytes += cost.gmem_bytes();
-        if cost.early_exit {
-            timing.early_exit_blocks += 1;
-        }
-    }
-
-    let makespan = sm_free.iter().cloned().fold(0.0, f64::max);
-    timing.exec_s = makespan;
-    timing.total_s = launch_s + makespan;
-    timing.busy_fraction = if makespan > 0.0 {
-        (busy_total / (num_sms as f64 * makespan)).min(1.0)
-    } else {
-        0.0
-    };
-    timing
-}
-
-/// Single-kernel fast path of [`schedule_blocks`]: every block shares
-/// one occupancy and releases at time zero, so the scheduler iterates
-/// the bare [`BlockCost`] slice directly instead of a materialized
-/// `(cost, occupancy, release)` triple per block. `sm_free` is a
-/// caller-pooled scratch vector (cleared and resized here), letting the
-/// steady-state launch path run without heap allocation.
-///
-/// Numerically this must stay *bit-identical* to `schedule_blocks` with
-/// uniform occupancy and zero releases: same iteration order, same
-/// first-minimum SM pick, same accumulation order.
-#[must_use]
-pub(crate) fn schedule_blocks_uniform(
     dev: &DeviceConfig,
     costs: &[BlockCost],
     occ: &Occupancy,
@@ -154,10 +96,7 @@ pub(crate) fn schedule_blocks_uniform(
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("times are finite"))
             .expect("at least one SM");
         let service = block_service_cycles(dev, occ, cost) * cycle;
-        // `.max(0.0)` mirrors the general path's `.max(*release)` with a
-        // zero release (SM-free times are never negative).
-        let start = sm_free[sm_idx].max(0.0);
-        sm_free[sm_idx] = start + service;
+        sm_free[sm_idx] += service;
         busy_total += service;
 
         timing.flops_useful += cost.flops_useful();
@@ -258,19 +197,13 @@ mod tests {
         let d = dev(); // 2 SMs
         let occ = occ_for(32, 0);
         // One huge block + three tiny ones.
-        let blocks: Vec<_> = [1e8, 10.0, 10.0, 10.0]
-            .iter()
-            .map(|&f| (work_block(f), occ, 0.0))
-            .collect();
-        let t = schedule_blocks(&d, &blocks, 0.0);
+        let blocks = [1e8, 10.0, 10.0, 10.0].map(work_block);
+        let t = schedule_blocks(&d, &blocks, &occ, 0.0, &mut Vec::new());
         assert!(t.busy_fraction < 0.6, "busy {}", t.busy_fraction);
 
         // Balanced work: high busy fraction.
-        let blocks: Vec<_> = [1e8, 1e8, 1e8, 1e8]
-            .iter()
-            .map(|&f| (work_block(f), occ, 0.0))
-            .collect();
-        let t = schedule_blocks(&d, &blocks, 0.0);
+        let blocks = [work_block(1e8); 4];
+        let t = schedule_blocks(&d, &blocks, &occ, 0.0, &mut Vec::new());
         assert!(t.busy_fraction > 0.9, "busy {}", t.busy_fraction);
     }
 
@@ -278,49 +211,8 @@ mod tests {
     fn launch_overhead_added_to_total() {
         let d = dev();
         let occ = occ_for(32, 0);
-        let blocks = vec![(work_block(100.0), occ, 0.0)];
-        let t = schedule_blocks(&d, &blocks, 1e-3);
+        let t = schedule_blocks(&d, &[work_block(100.0)], &occ, 1e-3, &mut Vec::new());
         assert!((t.total_s - t.exec_s - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn release_times_delay_start() {
-        let d = dev();
-        let occ = occ_for(32, 0);
-        let blocks = vec![(work_block(100.0), occ, 5e-3)];
-        let t = schedule_blocks(&d, &blocks, 0.0);
-        assert!(t.exec_s >= 5e-3);
-    }
-
-    #[test]
-    fn uniform_path_is_bit_identical_to_general() {
-        let d = dev();
-        let occ = occ_for(32, 0);
-        let costs: Vec<BlockCost> = [1e8, 10.0, 5e4, 10.0, 3e6, 0.0]
-            .iter()
-            .map(|&f| {
-                let mut b = work_block(f);
-                b.gmem_read_bytes = f / 2.0;
-                b.syncs = 3;
-                b
-            })
-            .collect();
-        let per_block: Vec<_> = costs.iter().map(|&c| (c, occ, 0.0)).collect();
-        let general = schedule_blocks(&d, &per_block, 1e-3);
-        let mut sm_free = Vec::new();
-        let uniform = schedule_blocks_uniform(&d, &costs, &occ, 1e-3, &mut sm_free);
-        assert_eq!(general.total_s.to_bits(), uniform.total_s.to_bits());
-        assert_eq!(general.exec_s.to_bits(), uniform.exec_s.to_bits());
-        assert_eq!(
-            general.busy_fraction.to_bits(),
-            uniform.busy_fraction.to_bits()
-        );
-        assert_eq!(
-            general.flops_useful.to_bits(),
-            uniform.flops_useful.to_bits()
-        );
-        assert_eq!(general.gmem_bytes.to_bits(), uniform.gmem_bytes.to_bits());
-        assert_eq!(general.blocks, uniform.blocks);
     }
 
     #[test]
@@ -329,8 +221,7 @@ mod tests {
         let occ = occ_for(32, 0);
         let mut b = work_block(50.0);
         b.gmem_read_bytes = 100.0;
-        let blocks = vec![(b, occ, 0.0), (b, occ, 0.0)];
-        let t = schedule_blocks(&d, &blocks, 0.0);
+        let t = schedule_blocks(&d, &[b, b], &occ, 0.0, &mut Vec::new());
         assert_eq!(t.flops_useful, 100.0);
         assert_eq!(t.gmem_bytes, 200.0);
         assert_eq!(t.blocks, 2);

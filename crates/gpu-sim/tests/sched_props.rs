@@ -31,8 +31,8 @@ proptest! {
     ) {
         let d = dev();
         let occ = occupancy(&d, &LaunchConfig::grid_1d(1, 128)).unwrap();
-        let per: Vec<_> = works.iter().map(|&w| (block(w, 4), occ, 0.0)).collect();
-        let t = schedule_blocks(&d, &per, 0.0);
+        let per: Vec<_> = works.iter().map(|&w| block(w, 4)).collect();
+        let t = schedule_blocks(&d, &per, &occ, 0.0, &mut Vec::new());
 
         let services: Vec<f64> = works
             .iter()
@@ -111,14 +111,12 @@ fn balanced_load_beats_imbalanced() {
     let occ = occupancy(&d, &LaunchConfig::grid_1d(1, 128)).unwrap();
     let total = 1.5e8;
     let n = 30usize;
-    let balanced: Vec<_> = (0..n)
-        .map(|_| (block(total / n as f64, 4), occ, 0.0))
-        .collect();
+    let balanced = vec![block(total / n as f64, 4); n];
     let mut works = vec![total / (2.0 * (n - 1) as f64); n];
     works[0] = total / 2.0;
-    let skewed: Vec<_> = works.iter().map(|&w| (block(w, 4), occ, 0.0)).collect();
-    let tb = schedule_blocks(&d, &balanced, 0.0);
-    let ts = schedule_blocks(&d, &skewed, 0.0);
+    let skewed: Vec<_> = works.iter().map(|&w| block(w, 4)).collect();
+    let tb = schedule_blocks(&d, &balanced, &occ, 0.0, &mut Vec::new());
+    let ts = schedule_blocks(&d, &skewed, &occ, 0.0, &mut Vec::new());
     assert!(
         tb.exec_s <= ts.exec_s * 1.001,
         "{} vs {}",

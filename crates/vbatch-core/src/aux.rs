@@ -12,6 +12,7 @@
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
+use crate::batch::BatchView;
 use crate::report::VbatchError;
 use crate::workspace::grow_slot;
 
@@ -87,9 +88,9 @@ pub(crate) fn compute_imax_pooled(
 /// remaining (trailing) size.
 pub struct StepState<T> {
     /// `ptrs[i]` displaced by `j·(ld+1)` — the `A(j,j)` pointer.
-    pub d_ptrs: DeviceBuffer<DevicePtr<T>>,
+    pub(crate) d_ptrs: DeviceBuffer<DevicePtr<T>>,
     /// `max(0, n[i] − j)` — rows/cols remaining at this step.
-    pub d_rem: DeviceBuffer<i32>,
+    pub(crate) d_rem: DeviceBuffer<i32>,
 }
 
 impl<T: Scalar> StepState<T> {
@@ -104,24 +105,18 @@ impl<T: Scalar> StepState<T> {
         })
     }
 
-    /// Launches the per-step update kernel: recomputes displaced
-    /// pointers and remaining sizes for offset `j` (paper §III-F: the
-    /// driver "uses auxiliary kernels to pass the necessary information
-    /// ... to ignore the factorized matrices onward").
+    /// Launches the per-step update kernel: recomputes the displaced
+    /// pointers and remaining sizes of `a`'s matrices for offset `j`
+    /// (paper §III-F: the driver "uses auxiliary kernels to pass the
+    /// necessary information ... to ignore the factorized matrices
+    /// onward").
     ///
     /// # Errors
     /// [`VbatchError::Launch`] if the kernel launch is rejected.
-    pub fn update(
-        &self,
-        dev: &Device,
-        base_ptrs: DevicePtr<DevicePtr<T>>,
-        sizes: DevicePtr<i32>,
-        lds: DevicePtr<i32>,
-        count: usize,
-        j: usize,
-    ) -> Result<(), VbatchError> {
+    pub fn update(&self, dev: &Device, a: BatchView<T>, j: usize) -> Result<(), VbatchError> {
         let out_ptrs = self.d_ptrs.ptr();
         let out_rem = self.d_rem.ptr();
+        let count = a.count;
         let blocks = count.div_ceil(AUX_THREADS as usize).max(1) as u32;
         dev.launch(
             "vbatch_aux_step",
@@ -131,13 +126,11 @@ impl<T: Scalar> StepState<T> {
                 let lo = b * AUX_THREADS as usize;
                 let hi = (lo + AUX_THREADS as usize).min(count);
                 for i in lo..hi {
-                    let n = sizes.get(i) as usize;
-                    let ld = lds.get(i) as usize;
+                    let (_, n, ld) = a.dims(i);
                     let rem = n.saturating_sub(j);
                     out_rem.set(i, rem as i32);
-                    let base = base_ptrs.get(i);
                     let displaced = if rem > 0 {
-                        base.offset(j * (ld + 1))
+                        a.ptrs.get(i).offset(j * (ld + 1))
                     } else {
                         DevicePtr::null()
                     };
@@ -149,6 +142,15 @@ impl<T: Scalar> StepState<T> {
             },
         )?;
         Ok(())
+    }
+
+    /// The trailing matrices of the last [`StepState::update`] over `a`:
+    /// each pointer at `A(j,j)`, `rem × rem`, at `a`'s leading
+    /// dimensions and `info` codes.
+    #[must_use]
+    pub fn view(&self, a: BatchView<T>) -> BatchView<T> {
+        let rem = self.d_rem.ptr();
+        a.blocks(self.d_ptrs.ptr(), rem, rem, a.info)
     }
 }
 
@@ -230,8 +232,7 @@ mod tests {
         b.upload_matrix(1, &(0..4).map(|x| x as f64).collect::<Vec<_>>())
             .unwrap();
         let st = StepState::<f64>::alloc(&d, 2).unwrap();
-        st.update(&d, b.d_ptrs(), b.d_cols(), b.d_ld(), 2, 2)
-            .unwrap();
+        st.update(&d, b.view(), 2).unwrap();
         let rem = st.d_rem.read_to_host();
         assert_eq!(rem, vec![2, 0]);
         let p0 = st.d_ptrs.ptr().get(0);
@@ -245,8 +246,7 @@ mod tests {
         let d = dev();
         let b = VBatch::<f64>::alloc_square(&d, &[3]).unwrap();
         let st = StepState::<f64>::alloc(&d, 1).unwrap();
-        st.update(&d, b.d_ptrs(), b.d_cols(), b.d_ld(), 1, 0)
-            .unwrap();
+        st.update(&d, b.view(), 0).unwrap();
         assert_eq!(st.d_rem.read_to_host(), vec![3]);
         assert_eq!(st.d_ptrs.ptr().get(0).raw(), b.d_ptrs().get(0).raw());
     }

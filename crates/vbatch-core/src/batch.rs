@@ -309,22 +309,10 @@ impl<T: Scalar> VBatch<T> {
     // size-class rounded, and the logical batch ends at `count` no
     // matter how much capacity backs it.
 
-    /// Device array of row counts.
-    #[must_use]
-    pub fn d_rows(&self) -> DevicePtr<i32> {
-        self.d_rows.ptr().truncate(self.count)
-    }
-
-    /// Device array of column counts.
-    #[must_use]
-    pub fn d_cols(&self) -> DevicePtr<i32> {
+    /// Device array of column counts (the LAPACK-style interface's
+    /// max reduction reads it).
+    pub(crate) fn d_cols(&self) -> DevicePtr<i32> {
         self.d_cols.ptr().truncate(self.count)
-    }
-
-    /// Device array of leading dimensions.
-    #[must_use]
-    pub fn d_ld(&self) -> DevicePtr<i32> {
-        self.d_ld.ptr().truncate(self.count)
     }
 
     /// Device array of matrix base pointers.
@@ -339,13 +327,15 @@ impl<T: Scalar> VBatch<T> {
         self.d_info.ptr().truncate(self.count)
     }
 
-    /// The five device metadata arrays as one view a kernel captures.
-    pub(crate) fn meta(&self) -> BatchMeta<T> {
-        BatchMeta {
+    /// The batch as the operand view every vbatched kernel reads.
+    #[must_use]
+    pub fn view(&self) -> BatchView<T> {
+        BatchView {
+            count: self.count,
             ptrs: self.d_ptrs(),
-            rows: self.d_rows(),
+            rows: self.d_rows.ptr().truncate(self.count),
             cols: self.d_cols(),
-            ld: self.d_ld(),
+            ld: self.d_ld.ptr().truncate(self.count),
             info: self.d_info(),
         }
     }
@@ -426,11 +416,19 @@ impl<T: Scalar> VBatch<T> {
     }
 }
 
-/// What a per-matrix kernel reads of a [`VBatch`]: its device arrays of
-/// base pointers, sizes, leading dimensions and `info` codes (paper
-/// §III-A), `Copy` so a launch closure captures it whole. Reads are
-/// uncharged; each kernel charges the metadata traffic it models.
-pub(crate) struct BatchMeta<T> {
+/// How a vbatched kernel sees one operand (paper §III-A): `count`
+/// matrices, each described by device arrays of base pointers, rows,
+/// columns, leading dimensions and `info` codes. `Copy`, so a launch
+/// closure captures it whole. Reads are uncharged; each kernel charges
+/// the metadata traffic it models.
+///
+/// [`VBatch::view`] views a batch's own matrices. A driver's per-step
+/// state hands out views of the same matrices over its own pointer and
+/// size arrays ([`crate::aux::StepState::view`] and the LU step's
+/// blocks), keeping the batch's leading dimensions.
+pub struct BatchView<T> {
+    /// Matrices in the view.
+    pub(crate) count: usize,
     /// Per-matrix base pointers.
     pub(crate) ptrs: DevicePtr<DevicePtr<T>>,
     rows: DevicePtr<i32>,
@@ -440,14 +438,14 @@ pub(crate) struct BatchMeta<T> {
     pub(crate) info: DevicePtr<i32>,
 }
 
-impl<T> Clone for BatchMeta<T> {
+impl<T> Clone for BatchView<T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<T> Copy for BatchMeta<T> {}
+impl<T> Copy for BatchView<T> {}
 
-impl<T> BatchMeta<T> {
+impl<T> BatchView<T> {
     /// `(m, n, ld)` of matrix `i`, clamped to `m, n ≥ 0` and `ld ≥ 1`.
     pub(crate) fn dims(self, i: usize) -> (usize, usize, usize) {
         (
@@ -455,6 +453,25 @@ impl<T> BatchMeta<T> {
             self.cols.get(i).max(0) as usize,
             self.ld.get(i).max(1) as usize,
         )
+    }
+
+    /// A view of blocks of the same matrices: pointers `ptrs` to
+    /// `rows × cols` blocks, at this view's leading dimensions, with
+    /// `info` codes in `info`.
+    pub(crate) fn blocks(
+        self,
+        ptrs: DevicePtr<DevicePtr<T>>,
+        rows: DevicePtr<i32>,
+        cols: DevicePtr<i32>,
+        info: DevicePtr<i32>,
+    ) -> Self {
+        Self {
+            ptrs,
+            rows,
+            cols,
+            info,
+            ..self
+        }
     }
 }
 
@@ -528,6 +545,12 @@ impl<T: Copy + Default> PerMatrixArray<T> {
         Ok(())
     }
 
+    /// Whether the pointer table covers `count` matrices of at least
+    /// `k` slots each.
+    pub(crate) fn covers(&self, count: usize, k: usize) -> bool {
+        self.covered >= count && self.per >= k
+    }
+
     /// Device bytes held by the arena alone.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.arena.bytes()
@@ -594,9 +617,8 @@ mod tests {
     fn metadata_lands_on_device() {
         let d = dev();
         let b = VBatch::<f32>::alloc(&d, &[(4, 2), (7, 7)]).unwrap();
-        assert_eq!(b.d_rows().get(0), 4);
-        assert_eq!(b.d_cols().get(0), 2);
-        assert_eq!(b.d_ld().get(1), 7);
+        let v = b.view();
+        assert_eq!((v.count, v.dims(0), v.dims(1)), (2, (4, 2, 4), (7, 7, 7)));
         // Pointer array points into the right storage.
         let p = b.d_ptrs().get(0);
         p.set(0, 9.0);

@@ -23,7 +23,7 @@ use crate::sep::potf2::potf2_panel_vbatched;
 use crate::sep::syrk::syrk_vbatched;
 use crate::sep::trsm::trsm_panel_vbatched;
 use crate::sep::trtri::trtri_diag_vbatched;
-use crate::sep::{LiveGrid, SepKernel, VView, DEFAULT_NB_PANEL};
+use crate::sep::{LiveGrid, SepKernel, DEFAULT_NB_PANEL};
 use crate::sorting::{build_windows, charge_sort_transfers, single_window, upload_indices_pooled};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
@@ -233,8 +233,8 @@ fn potrf_run<T: Scalar>(
     let nb = opts.fused.nb.unwrap_or_else(|| tuned_nb::<T>(dev, max_n));
     let strategy = resolve_strategy::<T>(dev, opts, max_n, nb);
     match strategy {
-        Strategy::Fused => run_fused(dev, batch, opts.uplo, max_n, nb, opts, ws, &mut rec)?,
-        Strategy::Separated => run_separated(dev, batch, opts.uplo, opts, ws, &mut rec)?,
+        Strategy::Fused => run_fused(dev, batch, max_n, nb, opts, ws, &mut rec)?,
+        Strategy::Separated => run_separated(dev, batch, opts, ws, &mut rec)?,
         Strategy::Auto => unreachable!("resolved above"),
     }
 
@@ -298,11 +298,9 @@ pub(crate) fn resolve_strategy<T: Scalar>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_fused<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    uplo: Uplo,
     max_n: usize,
     nb: usize,
     opts: &PotrfOptions,
@@ -336,7 +334,7 @@ fn run_fused<T: Scalar>(
         single_window(sizes)
     };
     for w in &windows {
-        process_fused_window(dev, batch, uplo, &w.indices, w.max_size, nb, opts, ws, rec)?;
+        process_fused_window(dev, batch, &w.indices, w.max_size, nb, opts, ws, rec)?;
         scrub_batch(dev, batch, &opts.recovery, rec)?;
     }
     Ok(())
@@ -353,7 +351,6 @@ fn run_fused<T: Scalar>(
 fn process_fused_window<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    uplo: Uplo,
     indices: &[usize],
     wmax: usize,
     nb: usize,
@@ -361,14 +358,14 @@ fn process_fused_window<T: Scalar>(
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
-    match fused_window_once(dev, batch, uplo, indices, wmax, nb, opts, ws, rec) {
+    match fused_window_once(dev, batch, indices, wmax, nb, opts, ws, rec) {
         Err(VbatchError::Oom(e)) => {
             if indices.len() > 1 {
                 rec.window_splits += 1;
                 let (lo, hi) = indices.split_at(indices.len() / 2);
                 for half in [lo, hi] {
                     let half_max = half.iter().map(|&i| batch.cols()[i]).max().unwrap_or(0);
-                    process_fused_window(dev, batch, uplo, half, half_max, nb, opts, ws, rec)?;
+                    process_fused_window(dev, batch, half, half_max, nb, opts, ws, rec)?;
                 }
                 Ok(())
             } else {
@@ -376,7 +373,7 @@ fn process_fused_window<T: Scalar>(
                 // pooled buffer and make a final attempt.
                 rec.workspace_releases += 1;
                 ws.release();
-                fused_window_once(dev, batch, uplo, indices, wmax, nb, opts, ws, rec)
+                fused_window_once(dev, batch, indices, wmax, nb, opts, ws, rec)
                     .map_err(|_| VbatchError::Oom(e))
             }
         }
@@ -391,7 +388,6 @@ fn process_fused_window<T: Scalar>(
 fn fused_window_once<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    uplo: Uplo,
     indices: &[usize],
     wmax: usize,
     nb: usize,
@@ -408,7 +404,7 @@ fn fused_window_once<T: Scalar>(
             .map_err(VbatchError::from)
     })?;
     if opts.fused.batched_small
-        && uplo == Uplo::Lower
+        && opts.uplo == Uplo::Lower
         && wmax <= opts.fused.resolved_interleave_cutoff::<T>()
     {
         // Batched-small path: the window factorizes in cross-matrix
@@ -453,7 +449,7 @@ fn fused_window_once<T: Scalar>(
             potrf_fused_step(
                 dev,
                 batch,
-                uplo,
+                opts.uplo,
                 live_idx,
                 live,
                 wmax,
@@ -476,14 +472,13 @@ fn fused_window_once<T: Scalar>(
 fn run_separated<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    uplo: Uplo,
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
     let sizes = batch.cols();
-    let pol = opts.recovery;
+    let (pol, uplo) = (opts.recovery, opts.uplo);
     let nb_panel = opts.sep.nb_panel.max(1);
     let nb_inner = opts.sep.nb_inner.max(1).min(nb_panel);
     // OOM ladder for the separated scratch. Shrinking `nb_panel` would
@@ -506,14 +501,13 @@ fn run_separated<T: Scalar>(
     dev.copy_htod_bytes(starts.len() * 4);
     d_starts.fill_from_host(starts);
 
+    // Each step's kernels read the trailing matrices its update wrote.
+    let whole = batch.view();
+    let a = st.view(whole);
     let top = sizes.iter().copied().max().unwrap_or(0);
     for s in 0..top.div_ceil(nb_panel) {
         let j = s * nb_panel;
-        with_retry(dev, &pol, rec, || {
-            st.update(dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), count, j)
-        })?;
-        let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
-        let (rem, info) = (st.d_rem.ptr(), batch.d_info());
+        with_retry(dev, &pol, rec, || st.update(dev, whole, j))?;
         for kernel in SepKernel::STEP {
             let grid = LiveGrid::of_plan(d_starts.ptr(), starts, count, s, kernel);
             if grid.blocks() == 0 {
@@ -521,16 +515,12 @@ fn run_separated<T: Scalar>(
             }
             with_retry(dev, &pol, rec, || {
                 match kernel {
-                    SepKernel::Potf2 => potf2_panel_vbatched(
-                        dev, grid, uplo, view, rem, info, nb_panel, nb_inner, j,
-                    ),
-                    SepKernel::Trtri => {
-                        trtri_diag_vbatched(dev, grid, uplo, view, rem, info, work, nb_panel)
+                    SepKernel::Potf2 => {
+                        potf2_panel_vbatched(dev, grid, uplo, a, nb_panel, nb_inner, j)
                     }
-                    SepKernel::Trsm => {
-                        trsm_panel_vbatched(dev, grid, uplo, view, rem, info, work, nb_panel)
-                    }
-                    SepKernel::Syrk => syrk_vbatched(dev, grid, uplo, view, rem, info, nb_panel),
+                    SepKernel::Trtri => trtri_diag_vbatched(dev, grid, uplo, a, work, nb_panel),
+                    SepKernel::Trsm => trsm_panel_vbatched(dev, grid, uplo, a, work, nb_panel),
+                    SepKernel::Syrk => syrk_vbatched(dev, grid, uplo, a, nb_panel),
                 }
                 .map(|_| ())
             })?;

@@ -257,7 +257,7 @@ pub fn potrf_fused_fixed<T: Scalar>(
     let threads = round_to_warp(n, warp);
     let cfg = LaunchConfig::grid_1d(batch.count() as u32, threads)
         .with_shared_mem(panel_smem_bytes::<T>(n, nb));
-    let a = batch.meta();
+    let a = batch.view();
     let stats = dev.launch(kname!(T, "potrf_fused_fixed"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
         let (_, _, ld) = a.dims(i);
@@ -302,7 +302,7 @@ pub fn potrf_fused_step<T: Scalar>(
     let threads = round_to_warp(max_rem, warp).min(dev.config().max_threads_per_block);
     let cfg = LaunchConfig::grid_1d(group_count as u32, threads)
         .with_shared_mem(panel_smem_bytes::<T>(max_rem, nb));
-    let a = batch.meta();
+    let a = batch.view();
     let stats = dev.launch(kname!(T, "potrf_fused_step"), cfg, move |ctx| {
         let b = ctx.linear_block_id();
         let i = if d_indices.is_empty() {
@@ -390,7 +390,7 @@ pub(crate) fn potrf_interleaved_window<T: Scalar>(
     let lanes = interleave::lane_count::<T>();
     let m = group_max;
     let cfg = ilv_launch_config::<T>(dev, group_count.div_ceil(lanes), m);
-    let a = batch.meta();
+    let a = batch.view();
     let stats = dev.launch(kname!(T, "potrf_ilv_batch"), cfg, move |ctx| {
         let g = ctx.linear_block_id();
         let first = g * lanes;

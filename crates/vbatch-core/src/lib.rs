@@ -81,7 +81,7 @@ pub mod solve;
 pub mod sorting;
 pub mod workspace;
 
-pub use batch::{BatchPools, VBatch};
+pub use batch::{BatchPools, BatchView, VBatch};
 pub use driver::{
     potrf_vbatched, potrf_vbatched_max, potrf_vbatched_max_ws, potrf_vbatched_ws, FusedOpts,
     PotrfOptions, SepOpts, Strategy,

@@ -17,7 +17,7 @@
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
-use crate::batch::PerMatrixArray;
+use crate::batch::{BatchView, PerMatrixArray};
 use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_write, mat_mut, panel_width, round_to_warp,
@@ -26,9 +26,8 @@ use crate::recover::{
     fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
 };
 use crate::report::{BatchReport, VbatchError};
-use crate::sep::gemm::{gemm_vbatched, GemmDims};
+use crate::sep::gemm::gemm_vbatched;
 use crate::sep::trsm::trsm_left_vbatched;
-use crate::sep::VView;
 use crate::VBatch;
 
 /// Device-resident pivot storage: `max_k` slots per matrix.
@@ -117,15 +116,28 @@ impl<T: Scalar> LuStep<T> {
             + self.d_tcols.bytes()
     }
 
+    /// The step's `L11`, `A12`, `A21` and `A22` blocks of `a`'s
+    /// matrices as views, filled by [`LuStep::update`]. Every view
+    /// carries `info` (the always-clean vector), since the trailing
+    /// kernels must keep running past a singular matrix.
+    fn views(&self, a: BatchView<T>, info: DevicePtr<i32>) -> [BatchView<T>; 4] {
+        let (jb, trows, tcols) = (self.d_jb.ptr(), self.d_trows.ptr(), self.d_tcols.ptr());
+        [
+            a.blocks(self.d_l11.ptr(), jb, jb, info),
+            a.blocks(self.d_a12.ptr(), jb, tcols, info),
+            a.blocks(self.d_a21.ptr(), trows, jb, info),
+            a.blocks(self.d_a22.ptr(), trows, tcols, info),
+        ]
+    }
+
     fn update(
         &self,
         dev: &Device,
-        batch: &VBatch<T>,
+        a: BatchView<T>,
         j: usize,
         nb: usize,
     ) -> Result<(), VbatchError> {
-        let count = batch.count();
-        let a = batch.meta();
+        let count = a.count;
         let (l11, a12, a21, a22) = (
             self.d_l11.ptr(),
             self.d_a12.ptr(),
@@ -288,6 +300,8 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
         ws.lu_scratch(dev, count).map(|_| ())
     })
     .and(ws.lu_scratch(dev, count))?;
+    let a = batch.view();
+    let [l11, a12, a21, a22] = step.views(a, clean_info);
 
     let mut j = 0;
     while j < k_max {
@@ -314,21 +328,10 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
             })?;
         }
         if max_tcols > 0 {
-            with_retry(dev, &pol, &mut rec, || step.update(dev, batch, j, nb))?;
+            with_retry(dev, &pol, &mut rec, || step.update(dev, a, j, nb))?;
             // U12 ← L11⁻¹ · A12 (unit lower).
             with_retry(dev, &pol, &mut rec, || {
-                trsm_left_vbatched(
-                    dev,
-                    count,
-                    Uplo::Lower,
-                    Trans::NoTrans,
-                    Diag::Unit,
-                    VView::new(step.d_l11.ptr(), batch.d_ld()),
-                    VView::new(step.d_a12.ptr(), batch.d_ld()),
-                    step.d_jb.ptr(),
-                    step.d_tcols.ptr(),
-                    clean_info,
-                )
+                trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::Unit, l11, a12)
             })?;
         }
         if max_trows > 0 && max_tcols > 0 {
@@ -336,19 +339,13 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
             with_retry(dev, &pol, &mut rec, || {
                 gemm_vbatched(
                     dev,
-                    count,
                     Trans::NoTrans,
                     Trans::NoTrans,
                     -T::ONE,
-                    VView::new(step.d_a21.ptr(), batch.d_ld()),
-                    VView::new(step.d_a12.ptr(), batch.d_ld()),
+                    a21,
+                    a12,
                     T::ONE,
-                    VView::new(step.d_a22.ptr(), batch.d_ld()),
-                    GemmDims {
-                        d_m: step.d_trows.ptr(),
-                        d_n: step.d_tcols.ptr(),
-                        d_k: step.d_jb.ptr(),
-                    },
+                    a22,
                     max_trows,
                     max_tcols,
                 )
@@ -379,7 +376,7 @@ fn getf2_panel<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let a = batch.meta();
+    let a = batch.view();
     let piv = pivots.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
@@ -428,7 +425,7 @@ fn laswp_outside<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let meta = batch.meta();
+    let meta = batch.view();
     let piv = pivots.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     dev.launch(kname!(T, "laswp_vbatched"), cfg, move |ctx| {

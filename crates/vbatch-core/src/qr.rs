@@ -155,7 +155,7 @@ fn geqr2_larft_panel<T: Scalar>(
     nb: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let a = batch.meta();
+    let a = batch.view();
     let tau_ptrs = tau.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
@@ -205,7 +205,7 @@ fn larfb_cols<T: Scalar>(
     max_n: usize,
 ) -> Result<(), VbatchError> {
     let count = batch.count();
-    let a = batch.meta();
+    let a = batch.view();
     let max_tcols = max_n.saturating_sub(j);
     let grid = Dim3::xy(max_tcols.div_ceil(tile_cols).max(1) as u32, count as u32);
     let smem = (nb * nb + nb * tile_cols) * T::BYTES;
@@ -242,26 +242,20 @@ fn larfb_cols<T: Scalar>(
 /// Applies `Qᵀ` from the left to each right-hand-side block, where `Q`
 /// is held as Householder reflectors in a batch factored by
 /// [`geqrf_vbatched`] (LAPACK `xORMQR`, left, transpose). One thread
-/// block per matrix, reflectors applied in forward order.
+/// block per matrix, reflectors applied in forward order. The caller
+/// has checked the shapes (`crate::solve::check_rhs`) and that the
+/// batch is not empty.
 ///
 /// # Errors
-/// [`VbatchError`] on launch failures or count mismatch.
-pub(crate) fn ormqr_left_trans_vbatched<T: Scalar>(
+/// [`VbatchError`] on launch failures.
+fn ormqr_left_trans_vbatched<T: Scalar>(
     dev: &Device,
     factors: &VBatch<T>,
     tau: &TauArray<T>,
     rhs: &VBatch<T>,
 ) -> Result<(), VbatchError> {
-    if factors.count() != rhs.count() {
-        return Err(VbatchError::InvalidArgument(
-            "ormqr_vbatched: factor and rhs batch counts differ",
-        ));
-    }
     let count = factors.count();
-    if count == 0 {
-        return Ok(());
-    }
-    let (a, b) = (factors.meta(), rhs.meta());
+    let (a, b) = (factors.view(), rhs.view());
     let tau_ptrs = tau.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     dev.launch(kname!(T, "ormqr_vbatched"), cfg, move |ctx| {
@@ -305,8 +299,10 @@ pub(crate) fn ormqr_left_trans_vbatched<T: Scalar>(
 /// rows of each right-hand-side block.
 ///
 /// # Errors
-/// [`VbatchError`] on launch failures, count mismatch, or an
-/// underdetermined matrix in the batch.
+/// [`VbatchError::InvalidArgument`], with the batch and the right-hand
+/// sides untouched, on an underdetermined matrix, a count mismatch or
+/// a right-hand side with fewer than `m_i` rows; otherwise
+/// [`VbatchError`] on launch failures.
 pub fn gels_vbatched<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
@@ -318,6 +314,7 @@ pub fn gels_vbatched<T: Scalar>(
             "gels_vbatched: every matrix must have m >= n",
         ));
     }
+    crate::solve::check_rhs(batch, rhs, false)?;
     let ev_start = fault_events_start(dev);
     let (report, tau) = geqrf_vbatched(dev, batch, opts)?;
     if batch.count() == 0 {
@@ -332,15 +329,11 @@ pub fn gels_vbatched<T: Scalar>(
     with_retry(dev, &pol, &mut rec, || {
         crate::sep::trsm::trsm_left_vbatched(
             dev,
-            batch.count(),
             vbatch_dense::Uplo::Upper,
             vbatch_dense::Trans::NoTrans,
             vbatch_dense::Diag::NonUnit,
-            crate::sep::VView::new(batch.d_ptrs(), batch.d_ld()),
-            crate::sep::VView::new(rhs.d_ptrs(), rhs.d_ld()),
-            batch.d_cols(),
-            rhs.d_cols(),
-            batch.d_info(),
+            batch.view(),
+            rhs.view(),
         )
     })?;
     // Re-capture from the gels entry point so injections during the
@@ -523,6 +516,10 @@ mod tests {
         }
     }
 
+    /// Shapes `gels` cannot solve are rejected before the factorization,
+    /// so neither batch is touched: an underdetermined matrix, and a
+    /// right-hand side with fewer rows than its matrix (which `ormqr`
+    /// would write past).
     #[test]
     fn gels_rejects_underdetermined() {
         let dev = Device::new(DeviceConfig::k40c());
@@ -532,6 +529,28 @@ mod tests {
             gels_vbatched(&dev, &mut batch, &rhs, &GeqrfOptions::default()),
             Err(VbatchError::InvalidArgument(_))
         ));
+        let mut rng = seeded_rng(92);
+        let dims = [(9usize, 4usize), (6, 6)];
+        let mut batch = VBatch::<f64>::alloc(&dev, &dims).unwrap();
+        let origs: Vec<Vec<f64>> = dims
+            .iter()
+            .map(|&(m, n)| rand_mat(&mut rng, m * n))
+            .collect();
+        for (i, a) in origs.iter().enumerate() {
+            batch.upload_matrix(i, a).unwrap();
+        }
+        // Matrix 0 has 9 rows; its right-hand side only 4.
+        let mut rhs = VBatch::<f64>::alloc(&dev, &[(4, 2), (6, 1)]).unwrap();
+        rhs.upload_matrix(0, &[2.5; 8]).unwrap();
+        assert!(matches!(
+            gels_vbatched(&dev, &mut batch, &rhs, &GeqrfOptions::default()),
+            Err(VbatchError::InvalidArgument(_))
+        ));
+        for (i, a) in origs.iter().enumerate() {
+            assert_eq!(&batch.download_matrix(i), a, "matrix {i} was written");
+        }
+        assert_eq!(rhs.download_matrix(0), vec![2.5; 8]);
+        assert_eq!(dev.launch_count(), 0);
         // An empty batch has nothing to reject, as in every other driver.
         let mut empty = VBatch::<f64>::alloc(&dev, &[]).unwrap();
         let rhs = VBatch::<f64>::alloc(&dev, &[]).unwrap();

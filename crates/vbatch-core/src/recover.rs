@@ -179,7 +179,7 @@ pub(crate) fn scrub_batch<T: Scalar>(
         return Ok(());
     }
     let count = batch.count();
-    let a = batch.meta();
+    let a = batch.view();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     with_retry(dev, pol, rec, || {
         dev.launch(kname!(T, "vbatch_scrub_finite"), cfg, move |ctx| {

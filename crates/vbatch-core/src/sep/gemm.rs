@@ -7,16 +7,18 @@
 //! outside their matrix terminate immediately (ETM-classic — these
 //! kernels keep all threads of live blocks in sync).
 //!
-//! This kernel is the workhorse of the separated approach and of the LU
-//! and QR extensions.
+//! The LU extension's trailing update (`A22 ← A22 − L21·U12`) is its
+//! one caller in the drivers: the separated Cholesky path updates with
+//! [`crate::sep::syrk`] and applies its panel with `trmm`, and QR
+//! updates with its own `larfb` kernel.
 
 use vbatch_dense::{Scalar, Trans};
-use vbatch_gpu_sim::{Device, DevicePtr, Dim3, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, Dim3, KernelStats, LaunchConfig};
 
+use crate::batch::BatchView;
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
-use crate::sep::VView;
 
 /// Row-tile height.
 pub(crate) const TILE_M: usize = 64;
@@ -27,24 +29,9 @@ pub(crate) const TILE_K: usize = 8;
 /// Threads per gemm block.
 pub(crate) const THREADS: u32 = 128;
 
-/// Per-matrix problem dimensions for the generic vbatched `gemm`.
-pub struct GemmDims {
-    /// Per-matrix `m` (rows of `C` / `op(A)`).
-    pub d_m: DevicePtr<i32>,
-    /// Per-matrix `n` (cols of `C` / `op(B)`).
-    pub d_n: DevicePtr<i32>,
-    /// Per-matrix `k` (inner dimension).
-    pub d_k: DevicePtr<i32>,
-}
-
-impl Clone for GemmDims {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for GemmDims {}
-
-/// `C_i ← α·op(A_i)·op(B_i) + β·C_i` for every matrix in the batch.
+/// `C_i ← α·op(A_i)·op(B_i) + β·C_i` for each of `c`'s matrices. `m`
+/// and `n` are `C_i`'s rows and columns, and `k` is `op(A_i)`'s
+/// columns.
 ///
 /// `max_m`/`max_n` size the grid (the expert interface of §III-A —
 /// callers without them run the aux max kernels first). Matrices whose
@@ -52,22 +39,22 @@ impl Copy for GemmDims {}
 /// cost one early-terminated block dispatch.
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] on an empty view or grid;
 /// [`VbatchError::Launch`] on launch rejection.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
     transa: Trans,
     transb: Trans,
     alpha: T,
-    a: VView<T>,
-    b: VView<T>,
+    a: BatchView<T>,
+    b: BatchView<T>,
     beta: T,
-    c: VView<T>,
-    dims: GemmDims,
+    c: BatchView<T>,
     max_m: usize,
     max_n: usize,
 ) -> Result<KernelStats, VbatchError> {
+    let count = c.count;
     if count == 0 || max_m == 0 || max_n == 0 {
         return Err(VbatchError::InvalidArgument("gemm_vbatched: empty launch"));
     }
@@ -82,9 +69,12 @@ pub fn gemm_vbatched<T: Scalar>(
         let bi = ctx.block_idx().x as usize;
         let bj = ctx.block_idx().y as usize;
         let i = ctx.block_idx().z as usize;
-        let m = dims.d_m.get(i).max(0) as usize;
-        let n = dims.d_n.get(i).max(0) as usize;
-        let k = dims.d_k.get(i).max(0) as usize;
+        let (m, n, ldc) = c.dims(i);
+        let (a_rows, a_cols, lda) = a.dims(i);
+        let k = match transa {
+            Trans::NoTrans => a_cols,
+            Trans::Trans => a_rows,
+        };
         let r0 = bi * TILE_M;
         let c0 = bj * TILE_N;
         // Decision layer: tiles outside this matrix's extent die.
@@ -95,9 +85,7 @@ pub fn gemm_vbatched<T: Scalar>(
         let mt = TILE_M.min(m - r0);
         let nt = TILE_N.min(n - c0);
 
-        let lda = a.lds.get(i) as usize;
-        let ldb = b.lds.get(i) as usize;
-        let ldc = c.lds.get(i) as usize;
+        let (_, _, ldb) = b.dims(i);
         let a_view = match transa {
             Trans::NoTrans => mat_ref(a.ptrs.get(i), m, k, lda).sub(r0, 0, mt, k),
             Trans::Trans => mat_ref(a.ptrs.get(i), k, m, lda).sub(0, r0, k, mt),
@@ -124,32 +112,6 @@ pub fn gemm_vbatched<T: Scalar>(
         }
     })?;
     Ok(stats)
-}
-
-/// Uploads three equal-length host dimension arrays as a [`GemmDims`]
-/// bundle (helper for tests and standalone use; drivers derive their
-/// dimension arrays with aux kernels instead).
-///
-/// # Errors
-/// [`VbatchError::Oom`] when device memory is exhausted.
-pub fn upload_dims(
-    dev: &Device,
-    m: &[i32],
-    n: &[i32],
-    k: &[i32],
-) -> Result<(GemmDims, [vbatch_gpu_sim::DeviceBuffer<i32>; 3]), VbatchError> {
-    let bm = dev.alloc::<i32>(m.len())?;
-    let bn = dev.alloc::<i32>(n.len())?;
-    let bk = dev.alloc::<i32>(k.len())?;
-    bm.fill_from_host(m);
-    bn.fill_from_host(n);
-    bk.fill_from_host(k);
-    let dims = GemmDims {
-        d_m: bm.ptr(),
-        d_n: bn.ptr(),
-        d_k: bk.ptr(),
-    };
-    Ok((dims, [bm, bn, bk]))
 }
 
 #[cfg(test)]
@@ -205,24 +167,15 @@ mod tests {
                 cb.upload_matrix(i, &cv).unwrap();
                 hosts.push((av, bv, cv));
             }
-            let (dims, _keep) = upload_dims(
-                &d,
-                &problems.iter().map(|p| p.0 as i32).collect::<Vec<_>>(),
-                &problems.iter().map(|p| p.1 as i32).collect::<Vec<_>>(),
-                &problems.iter().map(|p| p.2 as i32).collect::<Vec<_>>(),
-            )
-            .unwrap();
             gemm_vbatched(
                 &d,
-                problems.len(),
                 ta,
                 tb,
                 1.5,
-                VView::new(ab.d_ptrs(), ab.d_ld()),
-                VView::new(bb.d_ptrs(), bb.d_ld()),
+                ab.view(),
+                bb.view(),
                 -0.5,
-                VView::new(cb.d_ptrs(), cb.d_ld()),
-                dims,
+                cb.view(),
                 130,
                 64,
             )
@@ -271,18 +224,15 @@ mod tests {
             cb.upload_matrix(i, &rand_mat::<f64>(&mut rng, m * n))
                 .unwrap();
         }
-        let (dims, _keep) = upload_dims(&d, &[200, 5], &[200, 5], &[200, 5]).unwrap();
         let stats = gemm_vbatched(
             &d,
-            2,
             Trans::NoTrans,
             Trans::NoTrans,
             1.0,
-            VView::new(ab.d_ptrs(), ab.d_ld()),
-            VView::new(bb.d_ptrs(), bb.d_ld()),
+            ab.view(),
+            bb.view(),
             0.0,
-            VView::new(cb.d_ptrs(), cb.d_ld()),
-            dims,
+            cb.view(),
             200,
             200,
         )
@@ -295,23 +245,9 @@ mod tests {
     #[test]
     fn empty_launch_rejected() {
         let d = dev();
-        let (dims, _k) = upload_dims(&d, &[1], &[1], &[1]).unwrap();
-        let v = VView::<f64>::new(DevicePtr::null(), DevicePtr::null());
+        let v = VBatch::<f64>::alloc(&d, &[]).unwrap().view();
         assert!(matches!(
-            gemm_vbatched(
-                &d,
-                0,
-                Trans::NoTrans,
-                Trans::NoTrans,
-                1.0,
-                v,
-                v,
-                0.0,
-                v,
-                dims,
-                1,
-                1
-            ),
+            gemm_vbatched(&d, Trans::NoTrans, Trans::NoTrans, 1.0, v, v, 0.0, v, 1, 1),
             Err(VbatchError::InvalidArgument(_))
         ));
     }

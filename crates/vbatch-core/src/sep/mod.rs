@@ -9,8 +9,8 @@
 //! * [`trsm::trsm_panel_vbatched`] — the paper's `trsm` design, one
 //!   launcher for either triangle: invert diagonal blocks with a
 //!   vbatched `trtri`, then apply them with `gemm`-shaped multiplies;
-//! * [`gemm::gemm_vbatched`] — tiled general multiply, the workhorse
-//!   every other kernel leans on;
+//! * [`gemm::gemm_vbatched`] — tiled general multiply, the LU
+//!   extension's trailing update;
 //! * [`syrk::syrk_vbatched`] — the trailing update, "realized as a gemm
 //!   with an additional decision layer" that identifies the tiles of the
 //!   stored triangle, one launch over the whole batch;
@@ -29,9 +29,17 @@
 //! ETM check is left with the runtime case, a matrix whose `info` is
 //! set.
 //!
+//! Every kernel reads where matrix `i` lives, its shape and its `info`
+//! from one [`crate::batch::BatchView`] per operand and nothing else:
+//! the four Cholesky kernels from the step state's view of the trailing
+//! matrices ([`crate::aux::StepState::view`]), `gemm` and `trsm_left`
+//! from whatever views their caller hands them.
+//!
 //! These kernels are a foundation for other variable-size batched
-//! factorizations — the [`crate::lu`] and [`crate::qr`] extensions reuse
-//! them out of the box, as the paper's conclusion anticipates.
+//! factorizations, as the paper's conclusion anticipates: the
+//! [`crate::lu`] extension reuses `trsm_left` and `gemm` for its
+//! trailing update, and the batched solves and least squares reuse
+//! `trsm_left`.
 
 pub mod gemm;
 pub mod potf2;
@@ -51,31 +59,6 @@ pub(crate) const GEMM_TILE_M: usize = 64;
 
 /// Tile size of the `syrk` trailing-update kernel.
 pub(crate) const SYRK_TILE: usize = 32;
-
-/// A `Copy` bundle describing one per-matrix operand array: device
-/// pointer array plus device leading-dimension array.
-pub struct VView<T> {
-    /// Per-matrix base pointers (possibly pre-displaced by the driver's
-    /// auxiliary step kernel).
-    pub ptrs: DevicePtr<DevicePtr<T>>,
-    /// Per-matrix leading dimensions.
-    pub lds: DevicePtr<i32>,
-}
-
-impl<T> Clone for VView<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for VView<T> {}
-
-impl<T> VView<T> {
-    /// Bundles a pointer array and a leading-dimension array.
-    #[must_use]
-    pub fn new(ptrs: DevicePtr<DevicePtr<T>>, lds: DevicePtr<i32>) -> Self {
-        Self { ptrs, lds }
-    }
-}
 
 /// One of the four kernels of a separated Cholesky step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -9,34 +9,31 @@
 //! rows left; a broken matrix's block early-terminates (ETM-classic).
 
 use vbatch_dense::{Scalar, Uplo};
-use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, KernelStats, LaunchConfig};
 
+use crate::batch::BatchView;
 use crate::etm::EtmPolicy;
 use crate::kernels::{mat_mut, panel_smem_bytes, round_to_warp};
 use crate::report::VbatchError;
-use crate::sep::{LiveGrid, VView};
+use crate::sep::LiveGrid;
 
-/// Factorizes the `jb_i × jb_i` leading tile of each per-matrix operand
-/// (pointers pre-displaced to `A(j,j)`), where
-/// `jb_i = min(nb_panel, rem_i)`.
+/// Factorizes the `jb_i × jb_i` leading tile of each matrix of `a`
+/// (the step state's view: pointers at `A(j,j)`, `rem_i` rows left),
+/// where `jb_i = min(nb_panel, rem_i)`.
 ///
 /// `grid` holds one block per matrix with `rem_i > 0`
-/// ([`crate::sep::SepKernel::Potf2`]); `d_rem` holds the per-matrix
-/// trailing size at this step; `d_info` receives `j + col + 1` on
-/// breakdown (`j` = global column offset of this step); broken matrices
-/// are skipped.
+/// ([`crate::sep::SepKernel::Potf2`]); `a`'s `info` receives
+/// `j + col + 1` on breakdown (`j` = global column offset of this
+/// step); broken matrices are skipped.
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn potf2_panel_vbatched<T: Scalar>(
     dev: &Device,
     grid: LiveGrid,
     uplo: Uplo,
-    a: VView<T>,
-    d_rem: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
+    a: BatchView<T>,
     nb_panel: usize,
     nb_inner: usize,
     j: usize,
@@ -48,11 +45,11 @@ pub(crate) fn potf2_panel_vbatched<T: Scalar>(
         .with_shared_mem(panel_smem_bytes::<T>(nb_panel, nb_inner));
     let stats = dev.launch(kname!(T, "potf2_vbatched"), cfg, move |ctx| {
         let (i, _) = grid.locate(ctx);
-        let jb = (d_rem.get(i).max(0) as usize).min(nb_panel);
-        if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {
+        let (rem, _, ld) = a.dims(i);
+        let jb = rem.min(nb_panel);
+        if !EtmPolicy::Classic.apply(ctx, if a.info.get(i) == 0 { jb } else { 0 }) {
             return;
         }
-        let ld = a.lds.get(i) as usize;
         // Internally blocked left-looking factorization of the tile,
         // reusing the fused step logic.
         let mut jj = 0;
@@ -61,7 +58,7 @@ pub(crate) fn potf2_panel_vbatched<T: Scalar>(
             if let Err(col) =
                 crate::fused::fused_step_math::<T>(Some(ctx), uplo, tile, jb, jj, nb_inner)
             {
-                d_info.set(i, (j + col + 1) as i32);
+                a.info.set(i, (j + col + 1) as i32);
                 return;
             }
             jj += nb_inner;
@@ -99,15 +96,7 @@ mod tests {
             })
             .collect();
         let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
-        st.update(
-            &dev,
-            batch.d_ptrs(),
-            batch.d_cols(),
-            batch.d_ld(),
-            sizes.len(),
-            0,
-        )
-        .unwrap();
+        st.update(&dev, batch.view(), 0).unwrap();
         let nb_panel = 16;
         let (grid, _starts) =
             LiveGrid::upload(&dev, SepKernel::Potf2, &sizes, 0, nb_panel).unwrap();
@@ -115,9 +104,7 @@ mod tests {
             &dev,
             grid,
             Uplo::Lower,
-            VView::new(st.d_ptrs.ptr(), batch.d_ld()),
-            st.d_rem.ptr(),
-            batch.d_info(),
+            st.view(batch.view()),
             nb_panel,
             8,
             0,
@@ -163,16 +150,13 @@ mod tests {
         bad[2 + 2 * n] = -50.0;
         batch.upload_matrix(0, &bad).unwrap();
         let st = StepState::<f64>::alloc(&dev, 1).unwrap();
-        st.update(&dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), 1, 0)
-            .unwrap();
+        st.update(&dev, batch.view(), 0).unwrap();
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Potf2, &[n], 0, 16).unwrap();
         potf2_panel_vbatched(
             &dev,
             grid,
             Uplo::Lower,
-            VView::new(st.d_ptrs.ptr(), batch.d_ld()),
-            st.d_rem.ptr(),
-            batch.d_info(),
+            st.view(batch.view()),
             16,
             4,
             100, // pretend this panel starts at global column 100

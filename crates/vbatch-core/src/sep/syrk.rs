@@ -18,82 +18,13 @@
 //! modelled.
 
 use vbatch_dense::{Scalar, Trans, Uplo};
-use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, KernelStats, LaunchConfig};
 
+use crate::batch::BatchView;
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
-use crate::sep::{LiveGrid, VView, SYRK_TILE};
-
-/// Tile body of [`syrk_vbatched`]: update the `(bi, bj)` lower tile
-/// of `C_i ← C_i − A21_i · A21_iᵀ` for a matrix with `trail` trailing
-/// rows and panel width `k`. `a` points at the displaced `A(j,j)`.
-#[allow(clippy::too_many_arguments)]
-fn syrk_tile_math<T: Scalar>(
-    ctx: &mut BlockCtx,
-    uplo: Uplo,
-    a_ptr: DevicePtr<T>,
-    ld: usize,
-    rem: usize,
-    trail: usize,
-    k: usize,
-    bi: usize,
-    bj: usize,
-) {
-    let r0 = bi * SYRK_TILE;
-    let c0 = bj * SYRK_TILE;
-    let mt = SYRK_TILE.min(trail - r0);
-    let nt = SYRK_TILE.min(trail - c0);
-    // Panel operand blocks in the displaced frame: row blocks of A21
-    // (Lower) or column blocks of A12 (Upper).
-    let (a_bi, a_bj, op) = match uplo {
-        Uplo::Lower => (
-            mat_ref(a_ptr, rem, k, ld).sub(k + r0, 0, mt, k),
-            mat_ref(a_ptr, rem, k, ld).sub(k + c0, 0, nt, k),
-            (Trans::NoTrans, Trans::Trans),
-        ),
-        Uplo::Upper => (
-            mat_ref(a_ptr, k, rem, ld).sub(0, k + r0, k, mt),
-            mat_ref(a_ptr, k, rem, ld).sub(0, k + c0, k, nt),
-            (Trans::Trans, Trans::NoTrans),
-        ),
-    };
-    // C tile lives in the trailing submatrix at (k + r0, k + c0) of the
-    // displaced frame.
-    let c_tile = mat_mut(a_ptr, rem, rem, ld).sub(k + r0, k + c0, mt, nt);
-    if bi == bj {
-        // Diagonal tile: compute fully (as the hardware kernel would)
-        // into a stack tile — the simulated analog of shared memory; a
-        // kernel body allocates nothing — and write only the stored
-        // triangle.
-        let mut tmp = [T::ZERO; SYRK_TILE * SYRK_TILE];
-        let tmp_view = vbatch_dense::MatMut::from_slice(&mut tmp[..mt * nt], mt, nt, mt);
-        vbatch_dense::gemm(op.0, op.1, -T::ONE, a_bi, a_bj, T::ZERO, tmp_view);
-        let mut c_tile = c_tile;
-        for jj in 0..nt {
-            // Contiguous triangle segment of this column (slice tier:
-            // one vectorizable add per column, no boxed iterator).
-            let (lo, hi) = match uplo {
-                Uplo::Lower => (jj, mt),
-                Uplo::Upper => (0, (jj + 1).min(mt)),
-            };
-            let col = &mut c_tile.col_as_mut_slice(jj)[lo..hi];
-            for (ci, ti) in col.iter_mut().zip(&tmp[jj * mt + lo..jj * mt + hi]) {
-                *ci += *ti;
-            }
-        }
-    } else {
-        vbatch_dense::gemm(op.0, op.1, -T::ONE, a_bi, a_bj, T::ONE, c_tile);
-    }
-    let active = 128.min(mt * nt / 8).max(32);
-    charge_read::<T>(ctx, (mt + nt) * k + mt * nt);
-    charge_write::<T>(ctx, mt * nt);
-    charge_smem::<T>(ctx, (mt + nt) * k);
-    charge_flops::<T>(ctx, active, 2.0 * mt as f64 * nt as f64 * k as f64);
-    for _ in 0..k.div_ceil(8) {
-        ctx.sync();
-    }
-}
+use crate::sep::{LiveGrid, SYRK_TILE};
 
 /// Row and column of the `t`-th tile of a lower triangle of tiles
 /// enumerated row by row: `t = r(r+1)/2 + c` with `c ≤ r`.
@@ -109,14 +40,11 @@ fn lower_tile(t: usize) -> (usize, usize) {
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
 pub fn syrk_vbatched<T: Scalar>(
     dev: &Device,
     grid: LiveGrid,
     uplo: Uplo,
-    a: VView<T>,
-    d_rem: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
+    a: BatchView<T>,
     nb_panel: usize,
 ) -> Result<KernelStats, VbatchError> {
     let blocks = grid.launch_blocks("syrk_vbatched: no trailing rows")?;
@@ -124,7 +52,7 @@ pub fn syrk_vbatched<T: Scalar>(
     let cfg = LaunchConfig::grid_1d(blocks, 128).with_shared_mem(smem);
     let stats = dev.launch(kname!(T, "syrk_vbatched"), cfg, move |ctx| {
         let (i, t) = grid.locate(ctx);
-        if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
+        if !EtmPolicy::Classic.apply(ctx, usize::from(a.info.get(i) == 0)) {
             return;
         }
         let (r, c) = lower_tile(t);
@@ -132,10 +60,64 @@ pub fn syrk_vbatched<T: Scalar>(
             Uplo::Lower => (r, c),
             Uplo::Upper => (c, r),
         };
-        let rem = d_rem.get(i).max(0) as usize;
-        let trail = rem.saturating_sub(nb_panel);
-        let ld = a.lds.get(i) as usize;
-        syrk_tile_math::<T>(ctx, uplo, a.ptrs.get(i), ld, rem, trail, nb_panel, bi, bj);
+        // Update tile `(bi, bj)` of the trailing `C_i` for panel width
+        // `k` in the displaced frame at `A(j,j)`.
+        let (rem, _, ld) = a.dims(i);
+        let (k, a_ptr) = (nb_panel, a.ptrs.get(i));
+        let trail = rem.saturating_sub(k);
+        let r0 = bi * SYRK_TILE;
+        let c0 = bj * SYRK_TILE;
+        let mt = SYRK_TILE.min(trail - r0);
+        let nt = SYRK_TILE.min(trail - c0);
+        // Panel operand blocks in the displaced frame: row blocks of A21
+        // (Lower) or column blocks of A12 (Upper).
+        let (a_bi, a_bj, op) = match uplo {
+            Uplo::Lower => (
+                mat_ref(a_ptr, rem, k, ld).sub(k + r0, 0, mt, k),
+                mat_ref(a_ptr, rem, k, ld).sub(k + c0, 0, nt, k),
+                (Trans::NoTrans, Trans::Trans),
+            ),
+            Uplo::Upper => (
+                mat_ref(a_ptr, k, rem, ld).sub(0, k + r0, k, mt),
+                mat_ref(a_ptr, k, rem, ld).sub(0, k + c0, k, nt),
+                (Trans::Trans, Trans::NoTrans),
+            ),
+        };
+        // C tile lives in the trailing submatrix at (k + r0, k + c0) of the
+        // displaced frame.
+        let c_tile = mat_mut(a_ptr, rem, rem, ld).sub(k + r0, k + c0, mt, nt);
+        if bi == bj {
+            // Diagonal tile: compute fully (as the hardware kernel would)
+            // into a stack tile — the simulated analog of shared memory; a
+            // kernel body allocates nothing — and write only the stored
+            // triangle.
+            let mut tmp = [T::ZERO; SYRK_TILE * SYRK_TILE];
+            let tmp_view = vbatch_dense::MatMut::from_slice(&mut tmp[..mt * nt], mt, nt, mt);
+            vbatch_dense::gemm(op.0, op.1, -T::ONE, a_bi, a_bj, T::ZERO, tmp_view);
+            let mut c_tile = c_tile;
+            for jj in 0..nt {
+                // Contiguous triangle segment of this column (slice tier:
+                // one vectorizable add per column, no boxed iterator).
+                let (lo, hi) = match uplo {
+                    Uplo::Lower => (jj, mt),
+                    Uplo::Upper => (0, (jj + 1).min(mt)),
+                };
+                let col = &mut c_tile.col_as_mut_slice(jj)[lo..hi];
+                for (ci, ti) in col.iter_mut().zip(&tmp[jj * mt + lo..jj * mt + hi]) {
+                    *ci += *ti;
+                }
+            }
+        } else {
+            vbatch_dense::gemm(op.0, op.1, -T::ONE, a_bi, a_bj, T::ONE, c_tile);
+        }
+        let active = 128.min(mt * nt / 8).max(32);
+        charge_read::<T>(ctx, (mt + nt) * k + mt * nt);
+        charge_write::<T>(ctx, mt * nt);
+        charge_smem::<T>(ctx, (mt + nt) * k);
+        charge_flops::<T>(ctx, active, 2.0 * mt as f64 * nt as f64 * k as f64);
+        for _ in 0..k.div_ceil(8) {
+            ctx.sync();
+        }
     })?;
     Ok(stats)
 }
@@ -178,27 +160,10 @@ mod tests {
             hosts.push(m);
         }
         let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
-        st.update(
-            &dev,
-            batch.d_ptrs(),
-            batch.d_cols(),
-            batch.d_ld(),
-            sizes.len(),
-            0,
-        )
-        .unwrap();
-        let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
+        st.update(&dev, batch.view(), 0).unwrap();
+        let view = st.view(batch.view());
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Syrk, &sizes, 0, nb).unwrap();
-        syrk_vbatched(
-            &dev,
-            grid,
-            Uplo::Lower,
-            view,
-            st.d_rem.ptr(),
-            batch.d_info(),
-            nb,
-        )
-        .unwrap();
+        syrk_vbatched(&dev, grid, Uplo::Lower, view, nb).unwrap();
         for (i, &n) in sizes.iter().enumerate() {
             let mut want = hosts[i].clone();
             if n > nb {
@@ -247,19 +212,9 @@ mod tests {
             .upload_matrix(0, &spd_vec::<f64>(&mut rng, n))
             .unwrap();
         let st = StepState::<f64>::alloc(&dev, 1).unwrap();
-        st.update(&dev, batch.d_ptrs(), batch.d_cols(), batch.d_ld(), 1, 0)
-            .unwrap();
+        st.update(&dev, batch.view(), 0).unwrap();
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Syrk, &[n], 0, nb).unwrap();
-        let stats = syrk_vbatched(
-            &dev,
-            grid,
-            Uplo::Lower,
-            VView::new(st.d_ptrs.ptr(), batch.d_ld()),
-            st.d_rem.ptr(),
-            batch.d_info(),
-            nb,
-        )
-        .unwrap();
+        let stats = syrk_vbatched(&dev, grid, Uplo::Lower, st.view(batch.view()), nb).unwrap();
         // trail = 122 → 4 tiles per dim → the 10 lower tiles, none dead.
         assert_eq!(stats.timing.blocks, 10);
         assert_eq!(stats.timing.early_exit_blocks, 0);

@@ -9,17 +9,19 @@
 //!   tile multiplies ("updates the solution matrix based on several
 //!   calls to a vbatched `gemm` kernel").
 //! * [`trsm_left_vbatched`] — a direct in-block substitution solve
-//!   (`op(L)·X = B`), used where the triangular matrix is small (LU/QR
-//!   panels, batched `potrs`); one thread block per matrix.
+//!   (`op(L)·X = B`), used where the triangular matrix is small (LU
+//!   panels, the batched solves and `gels`); one thread block per
+//!   matrix.
 
 use vbatch_dense::{Diag, Scalar, Side, Trans, Uplo};
-use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
+use vbatch_gpu_sim::{Device, KernelStats, LaunchConfig};
 
+use crate::batch::BatchView;
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref};
 use crate::report::VbatchError;
 use crate::sep::trtri::TileWorkspace;
-use crate::sep::{LiveGrid, VView, GEMM_TILE_M};
+use crate::sep::{LiveGrid, GEMM_TILE_M};
 
 /// The Cholesky panel solve by inverted diagonal blocks
 /// `W_i = T11_i⁻¹` in `work` (produced by
@@ -31,21 +33,19 @@ use crate::sep::{LiveGrid, VView, GEMM_TILE_M};
 /// * `Upper`: the columns right of the panel, `A12_i ← W_iᵀ · A12_i`
 ///   (so `A12 ← U11⁻ᵀ·A12`), tiled over columns.
 ///
-/// `a` points at the displaced `A(j,j)`; the panel is `nb_panel` wide;
+/// `a` is the step state's view (pointers at `A(j,j)`, `rem_i` rows
+/// left); the panel is `nb_panel` wide;
 /// `grid` holds one block per `GEMM_TILE_M` trailing rows (or columns)
 /// of each matrix ([`crate::sep::SepKernel::Trsm`]).
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] when there is nothing to solve;
 /// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
 pub fn trsm_panel_vbatched<T: Scalar>(
     dev: &Device,
     grid: LiveGrid,
     uplo: Uplo,
-    a: VView<T>,
-    d_rem: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
+    a: BatchView<T>,
     work: &TileWorkspace<T>,
     nb_panel: usize,
 ) -> Result<KernelStats, VbatchError> {
@@ -56,14 +56,13 @@ pub fn trsm_panel_vbatched<T: Scalar>(
     let w_nb = work.nb();
     let stats = dev.launch(kname!(T, "trsm_vbatched"), cfg, move |ctx| {
         let (i, bi) = grid.locate(ctx);
-        if !EtmPolicy::Classic.apply(ctx, usize::from(d_info.get(i) == 0)) {
+        if !EtmPolicy::Classic.apply(ctx, usize::from(a.info.get(i) == 0)) {
             return;
         }
-        let rem = d_rem.get(i).max(0) as usize;
+        let (rem, _, ld) = a.dims(i);
         let trail = rem.saturating_sub(nb_panel);
         let t0 = bi * GEMM_TILE_M;
         let len = GEMM_TILE_M.min(trail - t0);
-        let ld = a.lds.get(i) as usize;
         let p = a.ptrs.get(i);
         // The tile starts `nb_panel + t0` rows (Lower) or columns
         // (Upper) into the displaced frame.
@@ -93,27 +92,26 @@ pub fn trsm_panel_vbatched<T: Scalar>(
 }
 
 /// Direct vbatched left triangular solve: `op(A_i)·X_i = B_i`,
-/// overwriting `B_i`, one thread block per matrix (forward/backward
-/// substitution with the right-hand sides spread over threads).
+/// overwriting `B_i`, for each of `a`'s matrices, one thread block per
+/// matrix (forward/backward substitution with the right-hand sides
+/// spread over threads).
 ///
-/// Per-matrix orders come from `d_n` (triangle order) and `d_nrhs`
-/// (columns of `B`); zero-sized problems early-terminate.
+/// The triangle's order is `A_i`'s column count and the right-hand
+/// sides are `B_i`'s columns; a matrix whose `info` in `a` is set, or
+/// a zero-sized problem, early-terminates.
 ///
 /// # Errors
+/// [`VbatchError::InvalidArgument`] on an empty view;
 /// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
 pub fn trsm_left_vbatched<T: Scalar>(
     dev: &Device,
-    count: usize,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    a: VView<T>,
-    b: VView<T>,
-    d_n: DevicePtr<i32>,
-    d_nrhs: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
+    a: BatchView<T>,
+    b: BatchView<T>,
 ) -> Result<KernelStats, VbatchError> {
+    let count = a.count;
     if count == 0 {
         return Err(VbatchError::InvalidArgument(
             "trsm_left_vbatched: empty batch",
@@ -122,14 +120,12 @@ pub fn trsm_left_vbatched<T: Scalar>(
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     let stats = dev.launch(kname!(T, "trsm_left_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
-        let n = d_n.get(i).max(0) as usize;
-        let nrhs = d_nrhs.get(i).max(0) as usize;
-        let live = n > 0 && nrhs > 0 && d_info.get(i) == 0;
+        let (_, n, lda) = a.dims(i);
+        let (_, nrhs, ldb) = b.dims(i);
+        let live = n > 0 && nrhs > 0 && a.info.get(i) == 0;
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }
-        let lda = a.lds.get(i) as usize;
-        let ldb = b.lds.get(i) as usize;
         let a_view = mat_ref(a.ptrs.get(i), n, n, lda);
         let b_view = mat_mut(b.ptrs.get(i), n, nrhs, ldb);
         vbatch_dense::trsm(Side::Left, uplo, trans, diag, T::ONE, a_view, b_view);
@@ -178,41 +174,13 @@ mod tests {
             hosts.push(m);
         }
         let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
-        st.update(
-            &dev,
-            batch.d_ptrs(),
-            batch.d_cols(),
-            batch.d_ld(),
-            sizes.len(),
-            0,
-        )
-        .unwrap();
-        let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
+        st.update(&dev, batch.view(), 0).unwrap();
+        let view = st.view(batch.view());
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
         let (inv, _inv_starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
-        trtri_diag_vbatched(
-            &dev,
-            inv,
-            Uplo::Lower,
-            view,
-            st.d_rem.ptr(),
-            batch.d_info(),
-            &work,
-            nb,
-        )
-        .unwrap();
+        trtri_diag_vbatched(&dev, inv, Uplo::Lower, view, &work, nb).unwrap();
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trsm, &sizes, 0, nb).unwrap();
-        let stats = trsm_panel_vbatched(
-            &dev,
-            grid,
-            Uplo::Lower,
-            view,
-            st.d_rem.ptr(),
-            batch.d_info(),
-            &work,
-            nb,
-        )
-        .unwrap();
+        let stats = trsm_panel_vbatched(&dev, grid, Uplo::Lower, view, &work, nb).unwrap();
         // Trailing rows 92, 12, 0, 142: 2 + 1 + 0 + 3 tiles of 64.
         assert_eq!(stats.timing.blocks, 6);
         assert_eq!(stats.timing.early_exit_blocks, 0);
@@ -281,24 +249,13 @@ mod tests {
             bb.upload_matrix(i, &b).unwrap();
             expected.push(x);
         }
-        let (dims, _keep) = crate::sep::gemm::upload_dims(
-            &dev,
-            &dims_a.iter().map(|d| d.0 as i32).collect::<Vec<_>>(),
-            &rhs_cols.iter().map(|&r| r as i32).collect::<Vec<_>>(),
-            &[0, 0, 0],
-        )
-        .unwrap();
         trsm_left_vbatched(
             &dev,
-            3,
             Uplo::Lower,
             Trans::NoTrans,
             Diag::NonUnit,
-            VView::new(ab.d_ptrs(), ab.d_ld()),
-            VView::new(bb.d_ptrs(), bb.d_ld()),
-            dims.d_m,
-            dims.d_n,
-            ab.d_info(),
+            ab.view(),
+            bb.view(),
         )
         .unwrap();
         for (i, exp) in expected.iter().enumerate() {

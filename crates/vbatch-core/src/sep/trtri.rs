@@ -8,11 +8,11 @@
 use vbatch_dense::{Diag, Scalar, Uplo};
 use vbatch_gpu_sim::{Device, DevicePtr, KernelStats, LaunchConfig};
 
-use crate::batch::PerMatrixArray;
+use crate::batch::{BatchView, PerMatrixArray};
 use crate::etm::EtmPolicy;
 use crate::kernels::{charge_flops, charge_read, charge_write, mat_mut, mat_ref, round_to_warp};
 use crate::report::VbatchError;
-use crate::sep::{LiveGrid, VView};
+use crate::sep::LiveGrid;
 
 /// Per-matrix square workspace arena (e.g. for inverted diagonal
 /// blocks): a `PerMatrixArray` of `nb × nb` tiles, one per matrix.
@@ -64,22 +64,20 @@ impl<T: Scalar> TileWorkspace<T> {
 }
 
 /// Inverts the `jb_i × jb_i` triangular diagonal tile
-/// (`jb_i = min(nb, rem_i)`) of each matrix in `grid` into the
-/// workspace (`W_i ← T11_i⁻¹`). The grid holds one block per matrix
-/// with trailing rows ([`crate::sep::SepKernel::Trtri`]: `rem_i > nb`,
-/// so `trsm` has work); a broken matrix's block terminates early.
+/// (`jb_i = min(nb, rem_i)`) of each matrix of `a` (the step state's
+/// view) in `grid` into the workspace (`W_i ← T11_i⁻¹`). The grid
+/// holds one block per matrix with trailing rows
+/// ([`crate::sep::SepKernel::Trtri`]: `rem_i > nb`, so `trsm` has
+/// work); a broken matrix's block terminates early.
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on an empty grid;
 /// [`VbatchError::Launch`] on launch rejection.
-#[allow(clippy::too_many_arguments)]
 pub fn trtri_diag_vbatched<T: Scalar>(
     dev: &Device,
     grid: LiveGrid,
     uplo: Uplo,
-    a: VView<T>,
-    d_rem: DevicePtr<i32>,
-    d_info: DevicePtr<i32>,
+    a: BatchView<T>,
     work: &TileWorkspace<T>,
     nb: usize,
 ) -> Result<KernelStats, VbatchError> {
@@ -94,11 +92,11 @@ pub fn trtri_diag_vbatched<T: Scalar>(
     let w_ptrs = work.d_ptrs();
     let stats = dev.launch(kname!(T, "trtri_vbatched"), cfg, move |ctx| {
         let (i, _) = grid.locate(ctx);
-        let jb = (d_rem.get(i).max(0) as usize).min(nb);
-        if !EtmPolicy::Classic.apply(ctx, if d_info.get(i) == 0 { jb } else { 0 }) {
+        let (rem, _, ld) = a.dims(i);
+        let jb = rem.min(nb);
+        if !EtmPolicy::Classic.apply(ctx, if a.info.get(i) == 0 { jb } else { 0 }) {
             return;
         }
-        let ld = a.lds.get(i) as usize;
         let t11 = mat_ref(a.ptrs.get(i), jb, jb, ld);
         let mut w = mat_mut(w_ptrs.get(i), jb, jb, nb);
         // Copy the tile then invert in place (the factor must survive):
@@ -164,28 +162,11 @@ mod tests {
             tiles.push(m);
         }
         let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
-        st.update(
-            &dev,
-            batch.d_ptrs(),
-            batch.d_cols(),
-            batch.d_ld(),
-            sizes.len(),
-            0,
-        )
-        .unwrap();
+        st.update(&dev, batch.view(), 0).unwrap();
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
-        let stats = trtri_diag_vbatched(
-            &dev,
-            grid,
-            Uplo::Lower,
-            VView::new(st.d_ptrs.ptr(), batch.d_ld()),
-            st.d_rem.ptr(),
-            batch.d_info(),
-            &work,
-            nb,
-        )
-        .unwrap();
+        let stats =
+            trtri_diag_vbatched(&dev, grid, Uplo::Lower, st.view(batch.view()), &work, nb).unwrap();
         // Matrix 1 (6 ≤ nb) has no trailing rows and owns no block.
         assert_eq!(stats.timing.blocks, 2);
         assert_eq!(stats.timing.early_exit_blocks, 0);

@@ -11,7 +11,6 @@ use crate::kernels::{charge_read, charge_write, mat_mut};
 use crate::lu::PivotArray;
 use crate::report::VbatchError;
 use crate::sep::trsm::trsm_left_vbatched;
-use crate::sep::VView;
 use crate::VBatch;
 
 /// Solves `A_i·X_i = B_i` for every matrix, given the lower Cholesky
@@ -21,47 +20,23 @@ use crate::VBatch;
 /// skipped, leaving their right-hand sides untouched.
 ///
 /// # Errors
-/// [`VbatchError`] on launch failures or shape mismatch.
+/// [`VbatchError::InvalidArgument`], with nothing launched, unless
+/// `rhs` holds one block per factor with at least the factor's rows and
+/// every factor is square; otherwise [`VbatchError`] on launch
+/// failures.
 pub fn potrs_vbatched<T: Scalar>(
     dev: &Device,
     factors: &VBatch<T>,
     rhs: &VBatch<T>,
 ) -> Result<(), VbatchError> {
-    if factors.count() != rhs.count() {
-        return Err(VbatchError::InvalidArgument(
-            "potrs_vbatched: factor and rhs batch counts differ",
-        ));
-    }
+    check_rhs(factors, rhs, true)?;
     if factors.count() == 0 {
         return Ok(());
     }
-    let a = VView::new(factors.d_ptrs(), factors.d_ld());
-    let b = VView::new(rhs.d_ptrs(), rhs.d_ld());
+    let (a, b) = (factors.view(), rhs.view());
     // L·Y = B, then Lᵀ·X = Y.
-    trsm_left_vbatched(
-        dev,
-        factors.count(),
-        Uplo::Lower,
-        Trans::NoTrans,
-        Diag::NonUnit,
-        a,
-        b,
-        factors.d_cols(),
-        rhs.d_cols(),
-        factors.d_info(),
-    )?;
-    trsm_left_vbatched(
-        dev,
-        factors.count(),
-        Uplo::Lower,
-        Trans::Trans,
-        Diag::NonUnit,
-        a,
-        b,
-        factors.d_cols(),
-        rhs.d_cols(),
-        factors.d_info(),
-    )?;
+    trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, a, b)?;
+    trsm_left_vbatched(dev, Uplo::Lower, Trans::Trans, Diag::NonUnit, a, b)?;
     Ok(())
 }
 
@@ -71,24 +46,23 @@ pub fn potrs_vbatched<T: Scalar>(
 /// their right-hand sides are left untouched.
 ///
 /// # Errors
-/// [`VbatchError`] on launch failures or shape mismatch.
+/// [`VbatchError::InvalidArgument`] for [`Uplo::Upper`] (the solves take
+/// lower factors) or shapes [`potrs_vbatched`] rejects, with the batch
+/// and the right-hand sides untouched; otherwise [`VbatchError`] on
+/// launch failures.
 pub fn posv_vbatched<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
     rhs: &VBatch<T>,
     opts: &crate::PotrfOptions,
 ) -> Result<crate::BatchReport, VbatchError> {
-    if batch.count() != rhs.count() {
-        return Err(VbatchError::InvalidArgument(
-            "posv_vbatched: factor and rhs batch counts differ",
-        ));
-    }
-    let report = crate::potrf_vbatched(dev, batch, opts)?;
     if opts.uplo != Uplo::Lower {
         return Err(VbatchError::InvalidArgument(
             "posv_vbatched: solves are implemented for Uplo::Lower factors",
         ));
     }
+    check_rhs(batch, rhs, true)?;
+    let report = crate::potrf_vbatched(dev, batch, opts)?;
     potrs_vbatched(dev, batch, rhs)?;
     Ok(report)
 }
@@ -99,16 +73,20 @@ pub fn posv_vbatched<T: Scalar>(
 /// are skipped.
 ///
 /// # Errors
-/// [`VbatchError`] on launch failures or shape mismatch.
+/// [`VbatchError::InvalidArgument`], with nothing launched, on shapes
+/// [`potrs_vbatched`] rejects or when `pivots` covers fewer matrices or
+/// pivots than the factors' orders; otherwise [`VbatchError`] on launch
+/// failures.
 pub fn getrs_vbatched<T: Scalar>(
     dev: &Device,
     factors: &VBatch<T>,
     pivots: &PivotArray,
     rhs: &VBatch<T>,
 ) -> Result<(), VbatchError> {
-    if factors.count() != rhs.count() {
+    check_rhs(factors, rhs, true)?;
+    if !pivots.0.covers(factors.count(), factors.max_cols()) {
         return Err(VbatchError::InvalidArgument(
-            "getrs_vbatched: factor and rhs batch counts differ",
+            "getrs_vbatched: pivots cover fewer matrices or pivots than the factors",
         ));
     }
     let count = factors.count();
@@ -116,32 +94,36 @@ pub fn getrs_vbatched<T: Scalar>(
         return Ok(());
     }
     laswp_rhs(dev, factors, pivots, rhs)?;
-    let a = VView::new(factors.d_ptrs(), factors.d_ld());
-    let b = VView::new(rhs.d_ptrs(), rhs.d_ld());
-    trsm_left_vbatched(
-        dev,
-        count,
-        Uplo::Lower,
-        Trans::NoTrans,
-        Diag::Unit,
-        a,
-        b,
-        factors.d_cols(),
-        rhs.d_cols(),
-        factors.d_info(),
-    )?;
-    trsm_left_vbatched(
-        dev,
-        count,
-        Uplo::Upper,
-        Trans::NoTrans,
-        Diag::NonUnit,
-        a,
-        b,
-        factors.d_cols(),
-        rhs.d_cols(),
-        factors.d_info(),
-    )?;
+    let (a, b) = (factors.view(), rhs.view());
+    trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::Unit, a, b)?;
+    trsm_left_vbatched(dev, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, a, b)?;
+    Ok(())
+}
+
+/// The shape checks every batched solve makes on the host mirrors
+/// before launching anything: `rhs` holds one block per factor, each
+/// with at least as many rows as its factor, and each factor is square
+/// when `square` is set. The kernels' bounds checks are
+/// `debug_assert!`s, so these checks are what keep a release build
+/// inside every allocation.
+///
+/// # Errors
+/// [`VbatchError::InvalidArgument`] naming the first check that fails.
+pub(crate) fn check_rhs<T: Scalar>(
+    factors: &VBatch<T>,
+    rhs: &VBatch<T>,
+    square: bool,
+) -> Result<(), VbatchError> {
+    let fail = |msg| Err(VbatchError::InvalidArgument(msg));
+    if factors.count() != rhs.count() {
+        return fail("batched solve: factor and rhs batch counts differ");
+    }
+    if square && factors.rows() != factors.cols() {
+        return fail("batched solve: factors must be square");
+    }
+    if factors.rows().iter().zip(rhs.rows()).any(|(&m, &r)| r < m) {
+        return fail("batched solve: a right-hand side has fewer rows than its factor");
+    }
     Ok(())
 }
 
@@ -163,7 +145,7 @@ pub fn potri_vbatched<T: Scalar>(
     if count == 0 {
         return Ok(());
     }
-    let a = factors.meta();
+    let a = factors.view();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     dev.launch(kname!(T, "potri_vbatched"), cfg, move |ctx| {
         let i = ctx.linear_block_id();
@@ -203,7 +185,7 @@ fn laswp_rhs<T: Scalar>(
     rhs: &VBatch<T>,
 ) -> Result<(), VbatchError> {
     let count = factors.count();
-    let (a, rhs) = (factors.meta(), rhs.meta());
+    let (a, rhs) = (factors.view(), rhs.view());
     let piv = pivots.d_ptrs();
     let cfg = LaunchConfig::grid_1d(count as u32, 128);
     dev.launch(kname!(T, "laswp_rhs_vbatched"), cfg, move |ctx| {
@@ -417,15 +399,94 @@ mod tests {
         }
     }
 
+    /// Shapes the kernels would read or write past an allocation with
+    /// (their bounds checks are `debug_assert!`s) are rejected on the
+    /// host before any launch, leaving the right-hand side untouched.
     #[test]
     fn count_mismatch_rejected() {
         let dev = Device::new(DeviceConfig::k40c());
-        let f = VBatch::<f64>::alloc_square(&dev, &[3]).unwrap();
-        let b = VBatch::<f64>::alloc(&dev, &[(3, 1), (3, 1)]).unwrap();
+        let rhs = |dims: &[(usize, usize)]| {
+            let mut b = VBatch::<f64>::alloc(&dev, dims).unwrap();
+            for (i, &(m, n)) in dims.iter().enumerate() {
+                b.upload_matrix(i, &vec![1.5; m * n]).unwrap();
+            }
+            b
+        };
+        let untouched = |b: &VBatch<f64>| {
+            (0..b.count()).all(|i| b.download_matrix(i).iter().all(|&x| x == 1.5))
+        };
+        let square = VBatch::<f64>::alloc_square(&dev, &[3, 4]).unwrap();
+        let tall = VBatch::<f64>::alloc(&dev, &[(3, 3), (5, 4)]).unwrap();
+        let pivots = PivotArray::alloc(&dev, 2, 4).unwrap();
+        let (one_matrix, three_pivots) = (
+            PivotArray::alloc(&dev, 1, 4).unwrap(),
+            PivotArray::alloc(&dev, 2, 3).unwrap(),
+        );
+        let cases: [(&VBatch<f64>, VBatch<f64>, &PivotArray); 6] = [
+            // Batch counts differ.
+            (&square, rhs(&[(3, 1)]), &pivots),
+            // A right-hand side with fewer rows than its factor's order.
+            (&square, rhs(&[(3, 2), (3, 2)]), &pivots),
+            // A non-square factor.
+            (&tall, rhs(&[(3, 1), (5, 1)]), &pivots),
+            // A right-hand side block with no rows at all.
+            (&square, rhs(&[(3, 1), (0, 1)]), &pivots),
+            // Pivots for fewer matrices, or fewer pivots, than needed.
+            (&square, rhs(&[(3, 1), (4, 1)]), &one_matrix),
+            (&square, rhs(&[(3, 1), (4, 1)]), &three_pivots),
+        ];
+        for (k, (f, b, piv)) in cases.iter().enumerate() {
+            let pivots_only = k >= 4;
+            if !pivots_only {
+                assert!(
+                    matches!(
+                        potrs_vbatched(&dev, f, b),
+                        Err(VbatchError::InvalidArgument(_))
+                    ),
+                    "potrs case {k}"
+                );
+            }
+            assert!(
+                matches!(
+                    getrs_vbatched(&dev, f, piv, b),
+                    Err(VbatchError::InvalidArgument(_))
+                ),
+                "getrs case {k}"
+            );
+            assert!(untouched(b), "case {k}: rhs written");
+        }
+        assert_eq!(dev.launch_count(), 0, "a rejected solve launched");
+    }
+
+    /// `posv` takes lower factors only, and says so before it factors
+    /// anything: the batch comes back bit-identical.
+    #[test]
+    fn posv_rejects_upper_before_touching_the_batch() {
+        let dev = Device::new(DeviceConfig::k40c());
+        let mut rng = seeded_rng(94);
+        let sizes = [6usize, 11];
+        let mut batch = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+        let origs: Vec<Vec<f64>> = sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect();
+        for (i, a) in origs.iter().enumerate() {
+            batch.upload_matrix(i, a).unwrap();
+        }
+        let rhs = VBatch::<f64>::alloc(&dev, &[(6, 1), (11, 1)]).unwrap();
+        let opts = PotrfOptions {
+            uplo: Uplo::Upper,
+            ..PotrfOptions::default()
+        };
         assert!(matches!(
-            potrs_vbatched(&dev, &f, &b),
+            posv_vbatched(&dev, &mut batch, &rhs, &opts),
             Err(VbatchError::InvalidArgument(_))
         ));
+        for (i, a) in origs.iter().enumerate() {
+            let got = batch.download_matrix(i);
+            assert!(
+                got.iter().zip(a).all(|(g, w)| g.to_bits() == w.to_bits()),
+                "matrix {i} was written"
+            );
+        }
+        assert_eq!(dev.launch_count(), 0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 use rand::Rng;
 use vbatch_core::aux::StepState;
-use vbatch_core::sep::gemm::{gemm_vbatched, upload_dims};
+use vbatch_core::sep::gemm::gemm_vbatched;
 use vbatch_core::sep::trsm::{trsm_left_vbatched, trsm_panel_vbatched};
 use vbatch_core::sep::trtri::{trtri_diag_vbatched, TileWorkspace};
-use vbatch_core::sep::{LiveGrid, SepKernel, VView, DEFAULT_NB_PANEL};
+use vbatch_core::sep::{LiveGrid, SepKernel, DEFAULT_NB_PANEL};
 use vbatch_core::VBatch;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::naive;
@@ -60,22 +60,10 @@ proptest! {
             let cv = rand_mat::<f64>(&mut rng, c_dims[i].0 * c_dims[i].1);
             ab.upload_matrix(i, &av).unwrap();            bb.upload_matrix(i, &bv).unwrap();            cb.upload_matrix(i, &cv).unwrap();            hosts.push((av, bv, cv));
         }
-        let (dims, _keep) = upload_dims(
-            &dev,
-            &problems.iter().map(|p| p.0 as i32).collect::<Vec<_>>(),
-            &problems.iter().map(|p| p.1 as i32).collect::<Vec<_>>(),
-            &problems.iter().map(|p| p.2 as i32).collect::<Vec<_>>(),
-        )
-        .unwrap();
         let max_m = problems.iter().map(|p| p.0).max().unwrap();
         let max_n = problems.iter().map(|p| p.1).max().unwrap();
         gemm_vbatched(
-            &dev, count, ta, tb, 1.25,
-            VView::new(ab.d_ptrs(), ab.d_ld()),
-            VView::new(bb.d_ptrs(), bb.d_ld()),
-            -0.75,
-            VView::new(cb.d_ptrs(), cb.d_ld()),
-            dims, max_m, max_n,
+            &dev, ta, tb, 1.25, ab.view(), bb.view(), -0.75, cb.view(), max_m, max_n,
         )
         .unwrap();
         for (i, &(m, n, _)) in problems.iter().enumerate() {
@@ -122,20 +110,7 @@ proptest! {
             );
             ab.upload_matrix(i, &l).unwrap();            bb.upload_matrix(i, &b).unwrap();            expected.push(x);
         }
-        let (dims, _keep) = upload_dims(
-            &dev,
-            &orders.iter().map(|&n| n as i32).collect::<Vec<_>>(),
-            &nrhs.iter().map(|&r| r as i32).collect::<Vec<_>>(),
-            &vec![0i32; count],
-        )
-        .unwrap();
-        trsm_left_vbatched(
-            &dev, count, uplo, trans, diag,
-            VView::new(ab.d_ptrs(), ab.d_ld()),
-            VView::new(bb.d_ptrs(), bb.d_ld()),
-            dims.d_m, dims.d_n, ab.d_info(),
-        )
-        .unwrap();
+        trsm_left_vbatched(&dev, uplo, trans, diag, ab.view(), bb.view()).unwrap();
         for i in 0..count {
             let got = bb.download_matrix(i);
             prop_assert!(
@@ -160,19 +135,16 @@ fn gemm_vbatched_clock_and_blocks_accounted() {
         .unwrap();
     cb.upload_matrix(0, &rand_mat::<f64>(&mut rng, 10000))
         .unwrap();
-    let (dims, _keep) = upload_dims(&dev, &[100], &[100], &[100]).unwrap();
     dev.reset_metrics();
     let stats = gemm_vbatched(
         &dev,
-        1,
         Trans::NoTrans,
         Trans::NoTrans,
         1.0,
-        VView::new(ab.d_ptrs(), ab.d_ld()),
-        VView::new(bb.d_ptrs(), bb.d_ld()),
+        ab.view(),
+        bb.view(),
         0.0,
-        VView::new(cb.d_ptrs(), cb.d_ld()),
-        dims,
+        cb.view(),
         100,
         100,
     )
@@ -214,23 +186,14 @@ fn default_panel_trtri_trsm_match_dense_at_unchanged_sim_cost() {
             hosts.push(m);
         }
         let st = StepState::<f64>::alloc(&dev, sizes.len()).unwrap();
-        st.update(
-            &dev,
-            batch.d_ptrs(),
-            batch.d_cols(),
-            batch.d_ld(),
-            sizes.len(),
-            0,
-        )
-        .unwrap();
-        let view = VView::new(st.d_ptrs.ptr(), batch.d_ld());
+        st.update(&dev, batch.view(), 0).unwrap();
+        let view = st.view(batch.view());
         let work = TileWorkspace::<f64>::alloc(&dev, sizes.len(), nb).unwrap();
         let (inv, _inv_starts) = LiveGrid::upload(&dev, SepKernel::Trtri, &sizes, 0, nb).unwrap();
         let (grid, _starts) = LiveGrid::upload(&dev, SepKernel::Trsm, &sizes, 0, nb).unwrap();
         dev.reset_metrics();
-        let (rem, info) = (st.d_rem.ptr(), batch.d_info());
-        trtri_diag_vbatched(&dev, inv, uplo, view, rem, info, &work, nb).unwrap();
-        trsm_panel_vbatched(&dev, grid, uplo, view, rem, info, &work, nb).unwrap();
+        trtri_diag_vbatched(&dev, inv, uplo, view, &work, nb).unwrap();
+        trsm_panel_vbatched(&dev, grid, uplo, view, &work, nb).unwrap();
         assert_eq!(dev.launch_count(), 2);
         assert_eq!(dev.now(), want_now, "{uplo:?}: simulated clock moved");
         dev.with_profiler(|p| {
