@@ -65,20 +65,20 @@ struct Golden {
 const GOLDENS: [Golden; 6] = [
     Golden {
         leg: Leg::Potrf(Strategy::Fused),
-        now_bits: 0x3f26_8e2e_eb56_db3e, // 1.72084071591272218e-4 s
-        energy_j: 7.239_544_713_149_715e-3,
+        now_bits: 0x3f25_3e64_949c_fc22, // 1.62076738257938924e-4 s
+        energy_j: 6.989_361_379_816_382e-3,
         launches: 11,
     },
     Golden {
         leg: Leg::Potrf(Strategy::Separated),
-        now_bits: 0x3f2c_9ab2_2106_9956, // 2.18233341468374975e-4 s
-        energy_j: 9.193_151_500_101_69e-3,
+        now_bits: 0x3f2b_4aed_8450_b246, // 2.08226674801708321e-4 s
+        energy_j: 8.942_984_833_435_023e-3,
         launches: 23,
     },
     Golden {
         leg: Leg::PotrfTiny,
-        now_bits: 0x3f33_92b1_f5cc_7fc8, // 2.98660704901362612e-4 s
-        energy_j: 4.971_199_624_201_75e-2,
+        now_bits: 0x3f32_d48d_aa04_71ef, // 2.87327371568029310e-4 s
+        energy_j: 4.942_866_290_868_417e-2,
         launches: 7,
     },
     Golden {
@@ -282,8 +282,8 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             devices: 1,
             steal: true,
         },
-        makespan_bits: 0x3f4e_ec88_557f_afdf, // 9.43724221540428207e-4 s
-        energy_bits: 0x3fa4_807c_e56e_7adc,   // 4.00427846973252233e-2 J
+        makespan_bits: 0x3f4e_9895_bfd1_3818, // 9.33716888207094912e-4 s
+        energy_bits: 0x3fa4_5fb2_22f6_5412,   // 3.97926013639918891e-2 J
         steals: 0,
         peers: &[(3, 0, 48)],
     },
@@ -292,8 +292,8 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             devices: 2,
             steal: true,
         },
-        makespan_bits: 0x3f43_cf49_cc1c_c9d3, // 6.04544671864377220e-4 s
-        energy_bits: 0x3fa7_c785_5fac_3f0a,   // 4.64440993583804113e-2 J
+        makespan_bits: 0x3f43_470c_8642_8899, // 5.88303676085882789e-4 s
+        energy_bits: 0x3fa7_5d15_8119_bc14,   // 4.56320495694556849e-2 J
         steals: 0,
         peers: &[(3, 0, 26), (3, 0, 22)],
     },
@@ -302,8 +302,8 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             devices: 4,
             steal: true,
         },
-        makespan_bits: 0x3f3f_702e_9699_78e7, // 4.79709028331400144e-4 s
-        energy_bits: 0x3fb0_6ac9_8107_8cb0,   // 6.41294422162441702e-2 J
+        makespan_bits: 0x3f3c_d0e1_7e57_574e, // 4.39696361664733480e-4 s
+        energy_bits: 0x3fae_c91e_c71b_6f1f,   // 6.01281755495774936e-2 J
         steals: 2,
         peers: &[(1, 0, 3), (4, 1, 19), (4, 1, 14), (3, 0, 12)],
     },
@@ -312,15 +312,15 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
             devices: 4,
             steal: false,
         },
-        makespan_bits: 0x3f40_e752_419e_c172, // 5.15856899474127642e-4 s
-        energy_bits: 0x3fb1_57af_9177_a096,   // 6.77442293305169085e-2 J
+        makespan_bits: 0x3f3f_d731_2250_60bf, // 4.85848899474127600e-4 s
+        energy_bits: 0x3fb0_9306_7f9a_ff41,   // 6.47434293305169245e-2 J
         steals: 0,
         peers: &[(3, 0, 12), (3, 0, 14), (3, 0, 10), (3, 0, 12)],
     },
     ScheduleGolden {
         run: Schedule::Hybrid,
         makespan_bits: 0x3f47_cfd3_b308_0f20, // 7.26679200000000108e-4 s
-        energy_bits: 0x3fc9_2028_691c_2e44,   // 1.96293879817277639e-1 J
+        energy_bits: 0x3fc9_2028_691c_2e43,   // 1.96293879817277611e-1 J
         steals: 0,
         peers: &[(4, 0, 32), (2, 0, 16)],
     },

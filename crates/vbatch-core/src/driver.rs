@@ -10,7 +10,7 @@
 //! (§IV-C), keyed on the *maximum* size in the batch (§IV-E).
 
 use vbatch_dense::{Scalar, Uplo};
-use vbatch_gpu_sim::Device;
+use vbatch_gpu_sim::{Device, DevicePtr};
 
 use crate::aux::compute_imax_pooled;
 use crate::etm::EtmPolicy;
@@ -24,7 +24,7 @@ use crate::sep::syrk::syrk_vbatched;
 use crate::sep::trsm::trsm_panel_vbatched;
 use crate::sep::trtri::trtri_diag_vbatched;
 use crate::sep::{LiveGrid, SepKernel, DEFAULT_NB_PANEL};
-use crate::sorting::{build_windows, charge_sort_transfers, single_window, upload_indices_pooled};
+use crate::sorting::{build_windows, single_window, upload_resident, SizeWindow};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
 
@@ -314,9 +314,6 @@ fn run_fused<T: Scalar>(
     }
     let sizes = batch.cols();
     let windows = if opts.fused.sorting {
-        // The sort reads the device size array back once and pushes the
-        // index permutation down — both charged to the clock.
-        charge_sort_transfers(dev, batch.count());
         // Window width: at least `window_factor · nb` (the paper ties it
         // to nb), widened so the average group still fills the device —
         // narrow windows on small batches multiply launches faster than
@@ -333,11 +330,44 @@ fn run_fused<T: Scalar>(
     } else {
         single_window(sizes)
     };
+    let mut first = 0;
     for w in &windows {
-        process_fused_window(dev, batch, &w.indices, w.max_size, nb, opts, ws, rec)?;
+        let win = (windows.as_slice(), first, w.indices.as_slice());
+        process_fused_window(dev, batch, win, w.max_size, nb, opts, ws, rec)?;
         scrub_batch(dev, batch, &opts.recovery, rec)?;
+        first += w.indices.len();
     }
     Ok(())
+}
+
+/// A fused window or OOM half: the call's windows, the offset of its
+/// first index in their concatenation, and its indices.
+type WindowSlice<'a> = (&'a [SizeWindow], usize, &'a [usize]);
+
+/// The device indices of `win`: its slice of the call's permutation
+/// (every window's indices, back to back), made resident whole through
+/// [`upload_resident`] so a call uploads it at most once, and not at all
+/// when the workspace already holds it. When the whole permutation does
+/// not fit in memory, the slice alone is made resident, which is what
+/// lets the OOM ladder's halves fit where their window did not. Only a
+/// sorted call charges the upload: an unsorted launch maps blocks to
+/// matrices directly, and its index list stands in for that mapping.
+fn window_indices<T: Scalar>(
+    dev: &Device,
+    (windows, first, indices): WindowSlice<'_>,
+    charge: bool,
+    ws: &mut DriverWorkspace<T>,
+) -> Result<DevicePtr<i32>, VbatchError> {
+    let as_i32 = |&i: &usize| i as i32;
+    let whole = windows.iter().flat_map(|w| w.indices.iter().map(as_i32));
+    match upload_resident(dev, whole, &mut ws.idx_host, &mut ws.idx_dev, charge) {
+        Ok(perm) => Ok(perm.offset(first).truncate(indices.len())),
+        Err(_) if indices.len() < windows.iter().map(|w| w.indices.len()).sum() => {
+            let own = indices.iter().map(as_i32);
+            upload_resident(dev, own, &mut ws.idx_host, &mut ws.idx_dev, charge).map_err(Into::into)
+        }
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Factorizes one fused sorting window, degrading on persistent OOM by
@@ -345,26 +375,30 @@ fn run_fused<T: Scalar>(
 /// bitwise-equivalent to its share of the full window because the fused
 /// per-matrix arithmetic depends only on the matrix's own order and the
 /// globally fixed blocking `nb`, never on which neighbors share the
-/// launch. At a single-matrix window the pooled workspace is released
-/// back to the device as the last resort before giving up.
+/// launch. Each half keeps its offset into the call's permutation. At a
+/// single-matrix window the pooled workspace is released back to the
+/// device as the last resort before giving up.
 #[allow(clippy::too_many_arguments)]
 fn process_fused_window<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    indices: &[usize],
+    win: WindowSlice<'_>,
     wmax: usize,
     nb: usize,
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
-    match fused_window_once(dev, batch, indices, wmax, nb, opts, ws, rec) {
+    match fused_window_once(dev, batch, win, wmax, nb, opts, ws, rec) {
         Err(VbatchError::Oom(e)) => {
+            let (windows, first, indices) = win;
             if indices.len() > 1 {
                 rec.window_splits += 1;
-                let (lo, hi) = indices.split_at(indices.len() / 2);
-                for half in [lo, hi] {
+                let mid = indices.len() / 2;
+                let (lo, hi) = indices.split_at(mid);
+                for (off, half) in [(first, lo), (first + mid, hi)] {
                     let half_max = half.iter().map(|&i| batch.cols()[i]).max().unwrap_or(0);
+                    let half = (windows, off, half);
                     process_fused_window(dev, batch, half, half_max, nb, opts, ws, rec)?;
                 }
                 Ok(())
@@ -373,7 +407,7 @@ fn process_fused_window<T: Scalar>(
                 // pooled buffer and make a final attempt.
                 rec.workspace_releases += 1;
                 ws.release();
-                fused_window_once(dev, batch, indices, wmax, nb, opts, ws, rec)
+                fused_window_once(dev, batch, win, wmax, nb, opts, ws, rec)
                     .map_err(|_| VbatchError::Oom(e))
             }
         }
@@ -388,20 +422,20 @@ fn process_fused_window<T: Scalar>(
 fn fused_window_once<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    indices: &[usize],
+    win: WindowSlice<'_>,
     wmax: usize,
     nb: usize,
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
+    let indices = win.2;
     if indices.is_empty() || wmax == 0 {
         return Ok(());
     }
     let pol = &opts.recovery;
     let d_idx = with_retry(dev, pol, rec, || {
-        upload_indices_pooled(dev, indices, &mut ws.idx_dev, &mut ws.idx_host)
-            .map_err(VbatchError::from)
+        window_indices(dev, win, opts.fused.sorting, ws)
     })?;
     if opts.fused.batched_small
         && opts.uplo == Uplo::Lower
@@ -469,6 +503,11 @@ fn fused_window_once<T: Scalar>(
 /// are counted on the host size mirror, so the step loop ends at the
 /// batch's largest order whatever `max_n` the caller passed, and a
 /// kernel with no live block at a step is not launched.
+///
+/// Nothing is read back: the sizes come from the host mirror. Every
+/// step's block starts go down in one upload, charged to the clock,
+/// which a workspace that already holds the same plan skips
+/// ([`DriverWorkspace::sep_scratch`]).
 fn run_separated<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
@@ -494,12 +533,6 @@ fn run_separated<T: Scalar>(
     }
     grown?;
     let (st, work, d_starts, starts) = ws.sep_views();
-    // Counting live work reads the device size array back once; every
-    // step's block starts then go down in one upload. Both are charged
-    // as the fused sort's transfers are.
-    dev.copy_dtoh_bytes(count * 4);
-    dev.copy_htod_bytes(starts.len() * 4);
-    d_starts.fill_from_host(starts);
 
     // Each step's kernels read the trailing matrices its update wrote.
     let whole = batch.view();
@@ -509,7 +542,7 @@ fn run_separated<T: Scalar>(
         let j = s * nb_panel;
         with_retry(dev, &pol, rec, || st.update(dev, whole, j))?;
         for kernel in SepKernel::STEP {
-            let grid = LiveGrid::of_plan(d_starts.ptr(), starts, count, s, kernel);
+            let grid = LiveGrid::of_plan(d_starts, starts, count, s, kernel);
             if grid.blocks() == 0 {
                 continue;
             }

@@ -764,7 +764,7 @@ mod tests {
             .collect();
         // Factorize only matrices 2 and 0 (in that order) via indices.
         let mut idx_buf = None;
-        let idx = crate::sorting::upload_indices_pooled(&d, &[2, 0], &mut idx_buf, &mut Vec::new())
+        let idx = crate::sorting::upload_resident(&d, [2, 0], &mut Vec::new(), &mut idx_buf, false)
             .unwrap();
         let nb = 4;
         let max = 9;

@@ -322,6 +322,8 @@ pub fn gels_vbatched<T: Scalar>(
     }
     let pol = opts.recovery;
     let mut rec = report.recovery;
+    // The `trsm` below skips a matrix whose right-hand side `info` is set.
+    rhs.reset_info();
     with_retry(dev, &pol, &mut rec, || {
         ormqr_left_trans_vbatched(dev, batch, &tau, rhs)
     })?;

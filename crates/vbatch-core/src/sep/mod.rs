@@ -93,32 +93,29 @@ impl SepKernel {
         }
     }
 
-    /// Appends this kernel's block starts at the step `j` columns in
-    /// (the exclusive prefix sum of live blocks over `sizes`, its last
-    /// entry the grid size) and returns the grid size.
-    fn push_starts(self, host: &mut Vec<i32>, sizes: &[usize], j: usize, nb: usize) -> usize {
-        let mut total = 0;
-        host.push(0);
-        for &n in sizes {
-            total += self.live_blocks(n.saturating_sub(j), nb);
-            host.push(total as i32);
-        }
-        total
+    /// This kernel's block starts at the step `j` columns in: the
+    /// exclusive prefix sum of live blocks over `sizes`, `sizes.len() +
+    /// 1` entries, the last the grid size.
+    fn starts(self, sizes: &[usize], j: usize, nb: usize) -> impl Iterator<Item = i32> + '_ {
+        let sums = sizes.iter().scan(0, move |total, &n| {
+            *total += self.live_blocks(n.saturating_sub(j), nb);
+            Some(*total as i32)
+        });
+        std::iter::once(0).chain(sums)
     }
 }
 
-/// Fills `host` with the block starts of every step of a separated
-/// Cholesky call on matrices of orders `sizes`, four grids per step in
+/// The block starts of every step of a separated Cholesky call on
+/// matrices of orders `sizes`, four grids per step in
 /// [`SepKernel::STEP`] order ([`LiveGrid::of_plan`] reads them back).
 /// Steps run while a matrix has columns left.
-pub(crate) fn plan_live_grids(host: &mut Vec<i32>, sizes: &[usize], nb_panel: usize) {
-    host.clear();
+pub(crate) fn plan_live_grids(sizes: &[usize], nb_panel: usize) -> impl Iterator<Item = i32> + '_ {
     let top = sizes.iter().copied().max().unwrap_or(0);
-    for j in (0..top).step_by(nb_panel) {
-        for k in SepKernel::STEP {
-            k.push_starts(host, sizes, j, nb_panel);
-        }
-    }
+    (0..top).step_by(nb_panel).flat_map(move |j| {
+        SepKernel::STEP
+            .into_iter()
+            .flat_map(move |k| k.starts(sizes, j, nb_panel))
+    })
 }
 
 /// A compacted launch grid: one block per unit of live work, matrix by
@@ -143,7 +140,8 @@ impl LiveGrid {
     }
 
     /// The grid of `kernel` at step `s` of a [`plan_live_grids`] plan
-    /// for `count` matrices, held in `host` and uploaded to `d_starts`.
+    /// for `count` matrices, held at the front of `host` and of
+    /// `d_starts`.
     pub(crate) fn of_plan(
         d_starts: DevicePtr<i32>,
         host: &[i32],
@@ -168,10 +166,10 @@ impl LiveGrid {
         j: usize,
         nb_panel: usize,
     ) -> Result<(Self, DeviceBuffer<i32>), VbatchError> {
-        let mut host = Vec::with_capacity(sizes.len() + 1);
-        let blocks = kernel.push_starts(&mut host, sizes, j, nb_panel);
+        let host: Vec<i32> = kernel.starts(sizes, j, nb_panel).collect();
         let buf = dev.alloc::<i32>(host.len())?;
         buf.fill_from_host(&host);
+        let blocks = host[sizes.len()] as usize;
         Ok((Self::new(buf.ptr(), sizes.len(), blocks), buf))
     }
 

@@ -97,8 +97,8 @@ pub fn trsm_panel_vbatched<T: Scalar>(
 /// spread over threads).
 ///
 /// The triangle's order is `A_i`'s column count and the right-hand
-/// sides are `B_i`'s columns; a matrix whose `info` in `a` is set, or
-/// a zero-sized problem, early-terminates.
+/// sides are `B_i`'s columns; a matrix whose `info` in `a` or in `b` is
+/// set, or a zero-sized problem, early-terminates.
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`] on an empty view;
@@ -122,7 +122,7 @@ pub fn trsm_left_vbatched<T: Scalar>(
         let i = ctx.linear_block_id();
         let (_, n, lda) = a.dims(i);
         let (_, nrhs, ldb) = b.dims(i);
-        let live = n > 0 && nrhs > 0 && a.info.get(i) == 0;
+        let live = n > 0 && nrhs > 0 && a.info.get(i) == 0 && b.info.get(i) == 0;
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }

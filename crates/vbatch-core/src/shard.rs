@@ -653,6 +653,13 @@ fn potrf_peers<T: Scalar>(
     );
 
     let devices = state.ensure(n_dev);
+    // Shards land by simulated time, so a call's schedule must not hang
+    // on plans an earlier call left resident: every device starts with
+    // none, and a repeated call repeats its schedule (and with it every
+    // pooled buffer's high-water mark).
+    for dstate in devices.iter_mut() {
+        dstate.ws.forget_plans();
+    }
     let n_peers = n_dev + usize::from(host.is_some());
     let stats = drive_peers(n_peers, shards, shard_opts.steal, |p, shard| {
         if p < n_dev {

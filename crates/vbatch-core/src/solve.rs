@@ -33,6 +33,9 @@ pub fn potrs_vbatched<T: Scalar>(
     if factors.count() == 0 {
         return Ok(());
     }
+    // The solves skip a matrix whose right-hand side `info` is set; only
+    // `getrs` sets it.
+    rhs.reset_info();
     let (a, b) = (factors.view(), rhs.view());
     // L·Y = B, then Lᵀ·X = Y.
     trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, a, b)?;
@@ -70,7 +73,11 @@ pub fn posv_vbatched<T: Scalar>(
 /// Solves `A_i·X_i = B_i` given LU factors and pivots (from
 /// [`crate::lu::getrf_vbatched`]): applies the row interchanges to the
 /// right-hand sides, then unit-lower and upper solves. Broken matrices
-/// are skipped.
+/// are skipped. So is a matrix whose pivots do not fit its order (they
+/// came from another factorization): its right-hand side is left
+/// untouched and the right-hand side batch's `info` reports it as
+/// `-(k + 1)`, `k` the first out-of-range pivot; every other matrix's
+/// right-hand side `info` is reset to 0.
 ///
 /// # Errors
 /// [`VbatchError::InvalidArgument`], with nothing launched, on shapes
@@ -93,6 +100,7 @@ pub fn getrs_vbatched<T: Scalar>(
     if count == 0 {
         return Ok(());
     }
+    rhs.reset_info();
     laswp_rhs(dev, factors, pivots, rhs)?;
     let (a, b) = (factors.view(), rhs.view());
     trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::Unit, a, b)?;
@@ -177,7 +185,10 @@ pub fn potri_vbatched<T: Scalar>(
     Ok(())
 }
 
-/// Applies each matrix's pivots to its right-hand sides (forward order).
+/// Applies each matrix's pivots to its right-hand sides (forward order),
+/// once they are all checked against the factor's order: a matrix with a
+/// pivot at or past its order swaps nothing and is flagged in the
+/// right-hand side's `info`, which the solves that follow skip on.
 fn laswp_rhs<T: Scalar>(
     dev: &Device,
     factors: &VBatch<T>,
@@ -196,8 +207,13 @@ fn laswp_rhs<T: Scalar>(
         if !EtmPolicy::Classic.apply(ctx, if live { 1 } else { 0 }) {
             return;
         }
-        let mut b = mat_mut(rhs.ptrs.get(i), n, nrhs, ld);
         let p = piv.get(i);
+        // A negative pivot casts past every order too.
+        if let Some(k) = (0..n).find(|&t| p.get(t) as usize >= n) {
+            rhs.info.set(i, -(k as i32 + 1));
+            return;
+        }
+        let mut b = mat_mut(rhs.ptrs.get(i), n, nrhs, ld);
         for t in 0..n {
             let pr = p.get(t) as usize;
             if pr != t {
@@ -487,6 +503,55 @@ mod tests {
             );
         }
         assert_eq!(dev.launch_count(), 0);
+    }
+
+    /// Pivots from a larger factorization, passed with a smaller factor,
+    /// point past the right-hand side. The solve must leave it untouched
+    /// (no read or write outside its block) and flag it in its `info`.
+    #[test]
+    fn getrs_flags_pivots_past_the_factor_order() {
+        let dev = Device::new(DeviceConfig::k40c());
+        // A 6×6 matrix with P·A = L·U, |L| < 1 below the diagonal, so
+        // partial pivoting picks at each step the row `ipiv` names.
+        let n = 6;
+        let ipiv = [5usize, 2, 3, 5, 4, 5];
+        let l = |r: usize, k: usize| {
+            if r == k {
+                1.0
+            } else {
+                0.5 / (1 + r - k) as f64
+            }
+        };
+        let u = |k: usize, c: usize| if k == c { 4.0 + c as f64 } else { 0.3 };
+        let mut rows: Vec<usize> = (0..n).collect();
+        for (t, &p) in ipiv.iter().enumerate() {
+            rows.swap(t, p);
+        }
+        let mut a = vec![0.0f64; n * n];
+        for (k, &row) in rows.iter().enumerate() {
+            for c in 0..n {
+                a[row + c * n] = (0..=k.min(c)).map(|q| l(k, q) * u(q, c)).sum();
+            }
+        }
+        let mut big = VBatch::<f64>::alloc_square(&dev, &[n]).unwrap();
+        big.upload_matrix(0, &a).unwrap();
+        let (report, pivots) = getrf_vbatched(&dev, &mut big, &GetrfOptions::default()).unwrap();
+        assert!(report.all_ok());
+        assert_eq!(pivots.download(0, n), ipiv);
+
+        let mut rng = seeded_rng(93);
+        let mut small = VBatch::<f64>::alloc_square(&dev, &[3]).unwrap();
+        small
+            .upload_matrix(0, &diag_dominant_vec::<f64>(&mut rng, 3, 3))
+            .unwrap();
+        let (report, _) = getrf_vbatched(&dev, &mut small, &GetrfOptions::default()).unwrap();
+        assert!(report.all_ok());
+        let mut rhs = VBatch::<f64>::alloc(&dev, &[(3, 1)]).unwrap();
+        let b = vec![1.0, 2.0, 3.0];
+        rhs.upload_matrix(0, &b).unwrap();
+        getrs_vbatched(&dev, &small, &pivots, &rhs).unwrap();
+        assert_eq!(rhs.download_matrix(0), b);
+        assert_eq!(rhs.read_info(), vec![-1]);
     }
 
     #[test]

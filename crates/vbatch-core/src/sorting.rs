@@ -25,12 +25,20 @@
 //! where the simulator's own launch arithmetic predicts the smaller
 //! tiles outweigh the extra launch overheads (see
 //! `fused::potrf_interleaved_window`). The runs are slices of
-//! the window's ascending index list, so the window's one index upload
+//! the window's ascending index list, so the call's one index upload
 //! serves all of them.
 //!
-//! The index permutation is computed on the host from a one-off
-//! device→host copy of the size array (charged to the simulated clock),
-//! then uploaded as a device index array the kernels indirect through.
+//! The permutation is computed from `VBatch`'s host mirror of the
+//! sizes, so nothing is read back from the device. The call's windows,
+//! back to back, form one permutation that is uploaded once as a device
+//! index array the kernels indirect through; each window, and each half
+//! the OOM ladder cuts from one, launches on its slice of it (when the
+//! whole permutation does not fit in memory, the attempt uploads just
+//! its own indices). The upload goes through `upload_resident`, which keeps a host twin of
+//! what the device buffer holds and sends nothing when the new plan is a
+//! prefix of it: a repeated call of one shape, or a batch that arrives
+//! in size order (its permutation is the identity) after a larger one,
+//! finds its plan already on the device.
 
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, OomError};
 
@@ -88,35 +96,59 @@ pub(crate) fn single_window(sizes: &[usize]) -> Vec<SizeWindow> {
     vec![SizeWindow { indices, max_size }]
 }
 
-/// Uploads a window's index list as a device `i32` array (the kernels
-/// indirect block → matrix through it) into caller-pooled buffers: the
-/// device buffer is grown on demand (never shrunk) and `host` stages the
-/// `i32` conversion, so a warm pool uploads with zero allocations.
-/// Returns the device pointer truncated to this window's length. Reuse
-/// across windows is safe because simulated launches are synchronous.
+/// Makes `plan` resident at the front of `slot`'s device buffer and
+/// returns its device pointer. `twin` is the host copy of what the
+/// buffer holds: the plan is written over it in place, and when every
+/// value matched (the plan equals a prefix of what the device holds)
+/// nothing is uploaded or charged. Otherwise the buffer is grown on
+/// demand (never shrunk), `twin` becomes exactly the plan, and the plan
+/// is uploaded and, when `charge` is set, charged as one host→device
+/// transfer. An uncharged upload leaves `twin` empty, so no charged call
+/// finds resident a plan nobody paid for; a failed grow leaves both
+/// empty. Reuse is safe because simulated launches are synchronous.
 ///
 /// # Errors
 /// [`OomError`] when device memory is exhausted.
-pub(crate) fn upload_indices_pooled(
+pub(crate) fn upload_resident(
     dev: &Device,
-    indices: &[usize],
-    dev_buf: &mut Option<DeviceBuffer<i32>>,
-    host: &mut Vec<i32>,
+    plan: impl IntoIterator<Item = i32>,
+    twin: &mut Vec<i32>,
+    slot: &mut Option<DeviceBuffer<i32>>,
+    charge: bool,
 ) -> Result<DevicePtr<i32>, OomError> {
-    host.clear();
-    host.extend(indices.iter().map(|&i| i as i32));
-    let buf = grow_slot(dev_buf, DeviceBuffer::len, indices.len(), || {
-        dev.alloc::<i32>(indices.len())
-    })?;
-    buf.fill_from_host(host);
-    Ok(buf.ptr().truncate(indices.len()))
-}
-
-/// Charges the host↔device traffic the sorting pass needs (sizes down,
-/// indices up) to the simulated clock.
-pub(crate) fn charge_sort_transfers(dev: &Device, count: usize) {
-    dev.copy_dtoh_bytes(count * 4);
-    dev.copy_htod_bytes(count * 4);
+    let mut resident = slot.is_some();
+    let mut len = 0;
+    for v in plan {
+        match twin.get_mut(len) {
+            Some(t) if *t == v => {}
+            Some(t) => {
+                *t = v;
+                resident = false;
+            }
+            None => {
+                twin.push(v);
+                resident = false;
+            }
+        }
+        len += 1;
+    }
+    if !resident {
+        twin.truncate(len);
+        let buf = match grow_slot(slot, DeviceBuffer::len, len, || dev.alloc(len.max(1))) {
+            Ok(buf) => buf,
+            Err(e) => {
+                twin.clear();
+                return Err(e);
+            }
+        };
+        buf.fill_from_host(twin);
+        if !charge {
+            twin.clear();
+        } else if len > 0 {
+            dev.copy_htod_bytes(len * 4);
+        }
+    }
+    Ok(slot.as_ref().expect("resident above").ptr().truncate(len))
 }
 
 #[cfg(test)]
@@ -222,35 +254,68 @@ mod tests {
         assert_eq!(wins[0].indices.len(), 100);
     }
 
-    #[test]
-    fn pooled_upload_reuses_buffer() {
-        let dev = Device::new(DeviceConfig::k40c());
-        let mut buf = None;
-        let mut host = Vec::new();
-        let p = upload_indices_pooled(&dev, &[9, 2, 5, 1], &mut buf, &mut host).unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!((p.get(0), p.get(3)), (9, 1));
-        let allocs = dev.alloc_count();
-        // Smaller window: reuse, truncated view, fresh values.
-        let p = upload_indices_pooled(&dev, &[7, 8], &mut buf, &mut host).unwrap();
-        assert_eq!(dev.alloc_count(), allocs);
-        assert_eq!(p.len(), 2);
-        assert_eq!((p.get(0), p.get(1)), (7, 8));
-        // Larger window: grows.
-        let p = upload_indices_pooled(&dev, &[0, 1, 2, 3, 4, 5], &mut buf, &mut host).unwrap();
-        assert!(dev.alloc_count() > allocs);
-        assert_eq!(p.len(), 6);
-        assert_eq!(p.get(5), 5);
+    /// Uploads `plan` through [`upload_resident`] and checks the device
+    /// holds it.
+    fn resident(
+        dev: &Device,
+        plan: &[i32],
+        twin: &mut Vec<i32>,
+        buf: &mut Option<DeviceBuffer<i32>>,
+        charge: bool,
+    ) {
+        let p = upload_resident(dev, plan.iter().copied(), twin, buf, charge).unwrap();
+        assert_eq!(p.len(), plan.len());
+        assert_eq!((0..p.len()).map(|k| p.get(k)).collect::<Vec<_>>(), plan);
     }
 
     #[test]
+    fn pooled_upload_reuses_buffer() {
+        let dev = Device::new(DeviceConfig::k40c());
+        let (mut twin, mut buf) = (Vec::new(), None);
+        resident(&dev, &[9, 2, 5, 1], &mut twin, &mut buf, true);
+        let allocs = dev.alloc_count();
+        // A shorter, different plan: reuse, truncated view, fresh values.
+        resident(&dev, &[7, 8], &mut twin, &mut buf, true);
+        assert_eq!(dev.alloc_count(), allocs);
+        assert_eq!(twin, vec![7, 8]);
+        // A longer one grows the buffer.
+        resident(&dev, &[0, 1, 2, 3, 4, 5], &mut twin, &mut buf, true);
+        assert!(dev.alloc_count() > allocs);
+        // An uncharged upload moves no clock and leaves nothing resident.
+        let t0 = dev.now();
+        for _ in 0..2 {
+            resident(&dev, &[2, 1, 0], &mut twin, &mut buf, false);
+            assert!(twin.is_empty());
+        }
+        assert_eq!(dev.now(), t0);
+    }
+
+    /// The residency rule on the simulated clock, exactly: a plan costs
+    /// one host→device transfer of its bytes unless it equals a prefix
+    /// of what the device holds, and an emptied slot uploads again.
+    #[test]
     fn upload_and_charge() {
         let dev = Device::new(DeviceConfig::k40c());
-        let mut buf = None;
-        upload_indices_pooled(&dev, &[4, 7, 1], &mut buf, &mut Vec::new()).unwrap();
-        assert_eq!(buf.unwrap().read_to_host(), vec![4, 7, 1]);
+        let (mut twin, mut buf) = (Vec::new(), None);
+        let mut want = 0.0;
+        let mut step = |plan: &[i32], uploads: bool| {
+            resident(&dev, plan, &mut twin, &mut buf, true);
+            if uploads {
+                want += dev.transfer_seconds(4 * plan.len());
+            }
+            assert_eq!(dev.now(), want, "plan {plan:?}");
+        };
+        step(&[4, 7, 1], true); // cold
+        step(&[4, 7, 1], false); // the same plan
+        step(&[4, 7], false); // a prefix of it
+        step(&[4, 1], true); // a different permutation
+        step(&[4, 1, 0], true); // longer than what the device holds
+        step(&[4, 1, 0], false);
+        // An emptied slot (what `DriverWorkspace::release` leaves)
+        // uploads again.
+        let (mut twin, mut buf) = (Vec::new(), None);
         let t0 = dev.now();
-        charge_sort_transfers(&dev, 1000);
-        assert!(dev.now() > t0);
+        resident(&dev, &[4, 1, 0], &mut twin, &mut buf, true);
+        assert_eq!(dev.now(), t0 + dev.transfer_seconds(12));
     }
 }

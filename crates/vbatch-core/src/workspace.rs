@@ -15,11 +15,15 @@
 //!
 //! Reuse is safe because every pooled buffer is either fully rewritten
 //! by an auxiliary kernel before any consumer reads it (step state, tile
-//! arenas, reduction partials, index uploads) or is never written at all
-//! (the LU trailing updates' always-clean info vector). Simulated
-//! launches are synchronous, so a buffer may be reused across sorting
-//! windows within one call as well. Outputs that belong to the caller
-//! (pivot and tau arenas) are *not* pooled.
+//! arenas, reduction partials), never written at all (the LU trailing
+//! updates' always-clean info vector), or written only from the host
+//! with a host twin of its contents (the sorting permutation and the
+//! separated live-grid plan, see `sorting::upload_resident`): a
+//! plan the device already holds is not sent again, so a repeated call
+//! of one shape pays no plan upload. Simulated launches are synchronous,
+//! so a buffer may be reused across sorting windows within one call as
+//! well. Outputs that belong to the caller (pivot and tau arenas) are
+//! *not* pooled.
 
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr};
@@ -31,14 +35,15 @@ use crate::lu::LuStep;
 use crate::report::VbatchError;
 use crate::sep::plan_live_grids;
 use crate::sep::trtri::TileWorkspace;
+use crate::sorting::upload_resident;
 
 /// Borrows handed to the separated driver loop: step state, tile
 /// arena, and the call's live-grid block starts on the device and on
-/// the host.
+/// the host (a prefix of the host slice).
 pub(crate) type SepScratch<'a, T> = (
     &'a StepState<T>,
     &'a TileWorkspace<T>,
-    &'a DeviceBuffer<i32>,
+    DevicePtr<i32>,
     &'a [i32],
 );
 
@@ -73,8 +78,8 @@ pub struct DriverWorkspace<T> {
     pub(crate) step: Option<StepState<T>>,
     /// Separated-path diagonal-tile arena.
     pub(crate) tiles: Option<TileWorkspace<T>>,
-    /// Separated-path live-grid plan ([`plan_live_grids`]): host
-    /// block starts + device copy.
+    /// Separated-path live-grid plan ([`plan_live_grids`]): the device
+    /// copy and its resident twin, the host copy of what it holds.
     live_host: Vec<i32>,
     live_dev: Option<DeviceBuffer<i32>>,
     /// QR `T`-factor arena: one `nb × nb` tile per matrix, every tile
@@ -82,7 +87,8 @@ pub struct DriverWorkspace<T> {
     pub(crate) qr_t: Option<PerMatrixArray<T>>,
     /// `compute_imax_pooled` block-partial buffer.
     pub(crate) imax_partial: Option<DeviceBuffer<i32>>,
-    /// Sorting-window index upload: device buffer + host staging.
+    /// The fused call's sorting permutation: the device copy and its
+    /// resident twin, the host copy of what it holds.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
     /// Host scratch of the fused driver's batched-small window cut,
@@ -116,9 +122,18 @@ impl<T: Scalar> DriverWorkspace<T> {
     }
 
     /// Returns all pooled device memory to the device and clears the
-    /// host staging buffers.
+    /// host staging buffers; the resident twins go with their buffers,
+    /// so the next call uploads its plans again.
     pub fn release(&mut self) {
         *self = Self::new();
+    }
+
+    /// Forgets which plans the device holds but keeps their buffers, so
+    /// the next call uploads its plans as on a cold workspace, without
+    /// allocating.
+    pub(crate) fn forget_plans(&mut self) {
+        self.idx_host.clear();
+        self.live_host.clear();
     }
 
     /// Device bytes currently held by the pooled buffers.
@@ -153,8 +168,9 @@ impl<T: Scalar> DriverWorkspace<T> {
 
     /// Ensures the separated-path scratch covers matrices of orders
     /// `sizes` at panel width `nb`: step state, tile arena, and the
-    /// live-grid plan, built on the host and sized on the device (not
-    /// uploaded; see [`DriverWorkspace::sep_views`]).
+    /// live-grid plan, made resident on the device (uploaded and charged
+    /// unless the device already holds it; see
+    /// [`DriverWorkspace::sep_views`]).
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
@@ -172,11 +188,8 @@ impl<T: Scalar> DriverWorkspace<T> {
             || StepState::alloc(dev, count),
         )?;
         TileWorkspace::ensure(&mut self.tiles, dev, count, nb)?;
-        plan_live_grids(&mut self.live_host, sizes, nb);
-        let len = self.live_host.len();
-        grow_slot(&mut self.live_dev, DeviceBuffer::len, len, || {
-            dev.alloc(len.max(1))
-        })?;
+        let plan = plan_live_grids(sizes, nb);
+        upload_resident(dev, plan, &mut self.live_host, &mut self.live_dev, true)?;
         Ok(())
     }
 
@@ -186,7 +199,10 @@ impl<T: Scalar> DriverWorkspace<T> {
         (
             self.step.as_ref().expect("ensured by sep_scratch"),
             self.tiles.as_ref().expect("ensured by sep_scratch"),
-            self.live_dev.as_ref().expect("ensured by sep_scratch"),
+            self.live_dev
+                .as_ref()
+                .expect("ensured by sep_scratch")
+                .ptr(),
             &self.live_host,
         )
     }

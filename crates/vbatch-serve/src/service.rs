@@ -375,11 +375,22 @@ impl<T: Scalar> BatchService<T> {
         let Some((_, op)) = self.queues.oldest() else {
             return;
         };
-        let window = self
-            .queues
-            .collect_window(op, self.cfg.max_window, self.cfg.drr_quantum_s);
+        let mut window =
+            self.queues
+                .collect_window(op, self.cfg.max_window, self.cfg.drr_quantum_s);
         if window.is_empty() {
             return;
+        }
+        // Build a Cholesky batch in size order (stable, so equal orders
+        // keep their DRR order): the driver's sorting permutation is then
+        // the identity, which the workspace already holds after any
+        // larger window, so no window re-sends it. Members and their
+        // shared finish time are the DRR's; responses follow this order.
+        // LU launches one block per matrix in batch order and has no
+        // permutation to save, so its windows keep the DRR order, which
+        // does not queue the largest matrices last.
+        if op == Op::Potrf {
+            window.sort_by_key(|r| r.n);
         }
         self.stats.windows += 1;
         let mut attempt = 0u32;
@@ -422,8 +433,8 @@ impl<T: Scalar> BatchService<T> {
     }
 
     /// One attempt: pooled batch build, payload upload, driver run,
-    /// factor download, pool reclaim. Every outcome — success or error —
-    /// returns the batch buffers to the pools.
+    /// factor (and pivot) download, pool reclaim. Every outcome — success
+    /// or error — returns the batch buffers to the pools.
     #[allow(clippy::type_complexity)]
     fn run_window(
         &mut self,
@@ -462,7 +473,13 @@ impl<T: Scalar> BatchService<T> {
             let factors: Vec<Vec<T>> = (0..batch.count())
                 .map(|k| batch.download_matrix(k))
                 .collect();
-            self.dev.copy_dtoh_bytes(payload_bytes);
+            // Factors and an LU window's `i32` pivots come back in one
+            // transfer.
+            let pivot_bytes = match op {
+                Op::Potrf => 0,
+                Op::Getrf => window.iter().map(|r| r.n * 4).sum(),
+            };
+            self.dev.copy_dtoh_bytes(payload_bytes + pivot_bytes);
             let pivots: Vec<Vec<usize>> = match op {
                 Op::Potrf => vec![Vec::new(); window.len()],
                 Op::Getrf => {

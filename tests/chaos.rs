@@ -7,9 +7,10 @@
 //! that fired is enumerated in the report's [`RecoveryReport`].
 
 use proptest::prelude::*;
+use rand::Rng;
 use vbatch_core::{
-    potrf_vbatched, potrf_vbatched_max, FusedOpts, Outcome, PotrfOptions, Strategy, VBatch,
-    VbatchError,
+    potrf_vbatched, potrf_vbatched_max, potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, Outcome,
+    PotrfOptions, RecoveryReport, Strategy, VBatch, VbatchError,
 };
 use vbatch_dense::gen::{seeded_rng, spd_vec};
 use vbatch_dense::Scalar;
@@ -212,10 +213,10 @@ fn soft_ceiling_splits_window_and_stays_bitwise_identical() {
     let dev = Device::new(DeviceConfig::k40c());
     let mem0 = dev.mem_in_use();
     let mut batch = upload::<f64>(&dev, &sizes);
-    // The window's index array is the one per-window allocation on the
-    // fused path: 40 matrices · 4 B = 160 B on top of the 4 B max-reduction
-    // partial — over the ceiling. Each 20-matrix half needs 80 B — under
-    // it. Exactly one split suffices.
+    // The call's index array (one window here) is the one allocation on
+    // the fused path: 40 matrices · 4 B = 160 B on top of the 4 B
+    // max-reduction partial — over the ceiling. Each 20-matrix half
+    // uploads its own 80 B — under it. Exactly one split suffices.
     dev.install_fault_plan(FaultPlan::new().soft_ceiling(dev.mem_in_use() + 100));
     let report = potrf_vbatched(&dev, &mut batch, &opts).unwrap();
     assert!(
@@ -236,6 +237,114 @@ fn soft_ceiling_splits_window_and_stays_bitwise_identical() {
     dev.clear_fault_plan();
     drop(batch);
     assert_eq!(dev.mem_in_use(), mem0);
+}
+
+/// Factors matrices `order` of `mats` as one batch on `ws` and returns
+/// each matrix's factor bits and `info` by its index in `mats`, with the
+/// call's recovery record. With `ceiling`, every allocation past what the
+/// device holds once the batch is up fails while the call runs.
+fn factor_in_order(
+    dev: &Device,
+    mats: &[Vec<f64>],
+    order: &[usize],
+    opts: &PotrfOptions,
+    ws: &mut DriverWorkspace<f64>,
+    ceiling: bool,
+) -> (Vec<Vec<u64>>, Vec<i32>, RecoveryReport) {
+    let sizes: Vec<usize> = order.iter().map(|&i| mats[i].len().isqrt()).collect();
+    let mut batch = VBatch::<f64>::alloc_square(dev, &sizes).unwrap();
+    for (k, &i) in order.iter().enumerate() {
+        batch.upload_matrix(k, &mats[i]).unwrap();
+    }
+    if ceiling {
+        dev.install_fault_plan(FaultPlan::new().soft_ceiling(dev.mem_in_use()));
+    }
+    let max_n = batch.max_cols();
+    let report = potrf_vbatched_max_ws(dev, &mut batch, max_n, opts, ws).unwrap();
+    dev.clear_fault_plan();
+    let (mut bits, mut info) = (vec![Vec::new(); mats.len()], vec![0; mats.len()]);
+    for (k, &i) in order.iter().enumerate() {
+        bits[i] = batch
+            .download_matrix(k)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        info[i] = report.info[k];
+    }
+    (bits, info, report.recovery)
+}
+
+/// One batch factored four ways gives the same factor bits and `info`
+/// on both fused tiers (the interleaved batched-small launches and the
+/// step loop): in shuffled order, in ascending order, twice on one
+/// workspace (the second call finds its permutation resident), and
+/// through the OOM halving ladder after a smaller call left a shorter
+/// plan resident. Several windows share the call's one permutation
+/// upload, each launching on its slice; a half the ladder cuts uploads
+/// its own slice when the whole does not fit.
+#[test]
+fn permutation_slices_and_resident_plans_keep_factor_bits() {
+    let mut rng = seeded_rng(0x5EED);
+    let mut mats: Vec<Vec<f64>> = (0..40)
+        .map(|_| {
+            let n = rng.gen_range(1..=32);
+            spd_vec(&mut rng, n)
+        })
+        .collect();
+    let bad = mats
+        .iter()
+        .position(|m| m.len() >= 64)
+        .expect("an order ≥ 8");
+    let n = mats[bad].len().isqrt();
+    mats[bad][5 + 5 * n] = -3.0; // info 6
+    let shuffled: Vec<usize> = (0..40).map(|k| (k * 17 + 3) % 40).collect();
+    let mut ascending: Vec<usize> = (0..40).collect();
+    ascending.sort_by_key(|&i| mats[i].len());
+
+    for batched_small in [true, false] {
+        let opts = PotrfOptions {
+            strategy: Strategy::Fused,
+            fused: FusedOpts {
+                batched_small,
+                window_width: Some(8),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let dev = Device::new(DeviceConfig::k40c());
+        let tier = if batched_small {
+            "interleaved"
+        } else {
+            "step loop"
+        };
+        let (want_bits, want_info, _) = factor_in_order(
+            &dev,
+            &mats,
+            &ascending,
+            &opts,
+            &mut DriverWorkspace::new(),
+            false,
+        );
+        assert_eq!(want_info[bad], 6, "{tier}");
+        assert_eq!(want_info.iter().filter(|&&i| i != 0).count(), 1, "{tier}");
+
+        let mut ws = DriverWorkspace::new();
+        for way in ["shuffled", "shuffled, resident"] {
+            let (bits, info, _) = factor_in_order(&dev, &mats, &shuffled, &opts, &mut ws, false);
+            assert_eq!(info, want_info, "{tier}, {way}");
+            assert_eq!(bits, want_bits, "{tier}, {way}");
+        }
+
+        let mut ws = DriverWorkspace::new();
+        factor_in_order(&dev, &mats, &ascending[..4], &opts, &mut ws, false);
+        let (bits, info, rec) = factor_in_order(&dev, &mats, &shuffled, &opts, &mut ws, true);
+        assert!(
+            rec.window_splits > 0,
+            "{tier}: the ceiling must split: {rec:?}"
+        );
+        assert_eq!(info, want_info, "{tier}, halving ladder");
+        assert_eq!(bits, want_bits, "{tier}, halving ladder");
+    }
 }
 
 /// Per-device fault plans in a sharded 4-device run: launch and OOM
