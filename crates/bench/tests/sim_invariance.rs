@@ -83,8 +83,8 @@ const GOLDENS: [Golden; 6] = [
     },
     Golden {
         leg: Leg::Getrf,
-        now_bits: 0x3f3b_6bd0_8cfb_2efb, // 4.18413558673988168e-4 s
-        energy_j: 2.245_119_056_172_464e-2,
+        now_bits: 0x3f3b_8102_cb8b_4db1, // 4.19676954647142544e-4 s
+        energy_j: 1.985_131_058_735_002_3e-2,
         launches: 47,
     },
     Golden {
@@ -95,9 +95,9 @@ const GOLDENS: [Golden; 6] = [
     },
     Golden {
         leg: Leg::Geqrf,
-        now_bits: 0x3f3d_7634_36ec_3e90, // 4.49550388041488648e-4 s
-        energy_j: 3.150_255_578_645_516e-2,
-        launches: 38,
+        now_bits: 0x3f3d_c11a_f760_d8d6, // 4.54014857840146445e-4 s
+        energy_j: 2.902_651_652_471_020_8e-2,
+        launches: 37,
     },
 ];
 
@@ -326,8 +326,8 @@ const SCHEDULE_GOLDENS: [ScheduleGolden; 6] = [
     },
     ScheduleGolden {
         run: Schedule::GetrfSharded { devices: 2 },
-        makespan_bits: 0x3f42_54a6_a4c0_81cf, // 5.59407586028065856e-4 s
-        energy_bits: 0x3fb1_b76c_2d65_cdea,   // 6.92050562700427252e-2 J
+        makespan_bits: 0x3f42_a86a_c3b7_7fe8, // 5.69393282997762880e-4 s
+        energy_bits: 0x3fb1_c4da_3b05_51c0,   // 6.94099802106569186e-2 J
         steals: 0,
         peers: &[(3, 0, 26), (3, 0, 22)],
     },

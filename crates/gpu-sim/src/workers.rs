@@ -95,11 +95,13 @@ pub fn executor() -> &'static WorkerPool {
 /// Items the next claim takes off a slice with `remaining` left: guided
 /// self-scheduling, `⌈remaining / (2·lanes)⌉`. Equal chunks leave
 /// whichever lane draws the costliest one finishing alone — and the
-/// launch path's grids are size-sorted windows, whose block cost rises
-/// all the way to the end; shrinking claims keep the last ones small
-/// enough to even that out, in O(lanes · log n) claims. The claim
-/// sequence is a pure function of the item count and the lane count, so
-/// it does not depend on timing.
+/// launch path's grids are size-sorted: a Cholesky window's block cost
+/// rises all the way to the end, and shrinking claims keep the last
+/// ones small enough to even that out, in O(lanes · log n) claims. LU
+/// and QR grids run largest first, so their cost falls instead, and the
+/// first, largest claim holds the heaviest blocks. The claim sequence
+/// is a pure function of the item count and the lane count, so it does
+/// not depend on timing.
 fn claim_len(remaining: usize, lanes: usize) -> usize {
     remaining.div_ceil(2 * lanes).max(1)
 }

@@ -424,8 +424,9 @@ impl<T: Scalar> VBatch<T> {
 ///
 /// [`VBatch::view`] views a batch's own matrices. A driver's per-step
 /// state hands out views of the same matrices over its own pointer and
-/// size arrays ([`crate::aux::StepState::view`] and the LU step's
-/// blocks), keeping the batch's leading dimensions.
+/// size arrays: [`crate::aux::StepState::view`] keeps the batch's
+/// leading dimensions, and the LU step's blocks, whose slot `b` holds
+/// the matrix its launch order puts at `b`, carry their own.
 pub struct BatchView<T> {
     /// Matrices in the view.
     pub(crate) count: usize,
@@ -472,6 +473,17 @@ impl<T> BatchView<T> {
             info,
             ..self
         }
+    }
+
+    /// This view with its leading dimensions read from `ld`.
+    pub(crate) fn with_ld(self, ld: DevicePtr<i32>) -> Self {
+        Self { ld, ..self }
+    }
+
+    /// The view of this one's first `count` matrices.
+    pub(crate) fn first(self, count: usize) -> Self {
+        debug_assert!(count <= self.count);
+        Self { count, ..self }
     }
 }
 

@@ -13,6 +13,16 @@
 //!    **`gemm`** (`A22 ← A22 − L21·U12`) kernels from [`crate::sep`],
 //!    driven by an auxiliary step kernel that materializes the per-matrix
 //!    displaced pointers and trailing dimensions on the device.
+//!
+//! Every kernel runs in the call's launch order (the paper's implicit
+//! sorting, §III-D2, see [`crate::workspace::DriverWorkspace`]'s
+//! `launch_order`): largest matrix first, uploaded once, so the matrices
+//! still live at a step are a prefix of it and each launch covers just
+//! that prefix. A matrix that has finished gets no block, and the
+//! heaviest blocks are placed first. Only inside the prefix, where
+//! rectangular shapes can leave a matrix with no trailing work before
+//! one that has some, and in `gemm`'s column tiles, do blocks still
+//! terminate early (ETM-classic).
 
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
@@ -85,6 +95,7 @@ pub(crate) struct LuStep<T> {
     d_jb: DeviceBuffer<i32>,
     d_trows: DeviceBuffer<i32>,
     d_tcols: DeviceBuffer<i32>,
+    d_ld: DeviceBuffer<i32>,
 }
 
 impl<T: Scalar> LuStep<T> {
@@ -97,6 +108,7 @@ impl<T: Scalar> LuStep<T> {
             d_jb: dev.alloc(count)?,
             d_trows: dev.alloc(count)?,
             d_tcols: dev.alloc(count)?,
+            d_ld: dev.alloc(count)?,
         })
     }
 
@@ -114,14 +126,18 @@ impl<T: Scalar> LuStep<T> {
             + self.d_jb.bytes()
             + self.d_trows.bytes()
             + self.d_tcols.bytes()
+            + self.d_ld.bytes()
     }
 
     /// The step's `L11`, `A12`, `A21` and `A22` blocks of `a`'s
-    /// matrices as views, filled by [`LuStep::update`]. Every view
-    /// carries `info` (the always-clean vector), since the trailing
-    /// kernels must keep running past a singular matrix.
+    /// matrices as views, filled by [`LuStep::update`]: slot `b` holds
+    /// the matrix the launch order puts at `b`, with its own leading
+    /// dimension. Every view carries `info` (the always-clean vector),
+    /// since the trailing kernels must keep running past a singular
+    /// matrix.
     fn views(&self, a: BatchView<T>, info: DevicePtr<i32>) -> [BatchView<T>; 4] {
         let (jb, trows, tcols) = (self.d_jb.ptr(), self.d_trows.ptr(), self.d_tcols.ptr());
+        let a = a.with_ld(self.d_ld.ptr());
         [
             a.blocks(self.d_l11.ptr(), jb, jb, info),
             a.blocks(self.d_a12.ptr(), jb, tcols, info),
@@ -130,14 +146,18 @@ impl<T: Scalar> LuStep<T> {
         ]
     }
 
+    /// Fills view slot `b` for matrix `order[b]` at step `j`, for every
+    /// `b` below `order.len()`; each of those matrices has a panel at
+    /// this step.
     fn update(
         &self,
         dev: &Device,
         a: BatchView<T>,
+        order: DevicePtr<i32>,
         j: usize,
         nb: usize,
     ) -> Result<(), VbatchError> {
-        let count = a.count;
+        let count = order.len();
         let (l11, a12, a21, a22) = (
             self.d_l11.ptr(),
             self.d_a12.ptr(),
@@ -145,6 +165,7 @@ impl<T: Scalar> LuStep<T> {
             self.d_a22.ptr(),
         );
         let (djb, dtr, dtc) = (self.d_jb.ptr(), self.d_trows.ptr(), self.d_tcols.ptr());
+        let dld = self.d_ld.ptr();
         let blocks = count.div_ceil(256).max(1) as u32;
         dev.launch(
             "vbatch_aux_lu_step",
@@ -153,27 +174,20 @@ impl<T: Scalar> LuStep<T> {
                 let b = ctx.block_idx().x as usize;
                 let lo = b * 256;
                 let hi = (lo + 256).min(count);
-                for i in lo..hi {
+                for s in lo..hi {
+                    let i = order.get(s) as usize;
                     let (m, n, ld) = a.dims(i);
                     let jb = panel_width(m, n, j, nb);
-                    djb.set(i, jb as i32);
-                    if jb == 0 {
-                        l11.set(i, DevicePtr::null());
-                        a12.set(i, DevicePtr::null());
-                        a21.set(i, DevicePtr::null());
-                        a22.set(i, DevicePtr::null());
-                        dtr.set(i, 0);
-                        dtc.set(i, 0);
-                        continue;
-                    }
+                    djb.set(s, jb as i32);
+                    dld.set(s, ld as i32);
                     let base_p = a.ptrs.get(i);
-                    l11.set(i, base_p.offset(j * ld + j));
+                    l11.set(s, base_p.offset(j * ld + j));
                     let trows = m - j - jb;
                     let tcols = n - j - jb;
-                    dtr.set(i, trows as i32);
-                    dtc.set(i, tcols as i32);
+                    dtr.set(s, trows as i32);
+                    dtc.set(s, tcols as i32);
                     a12.set(
-                        i,
+                        s,
                         if tcols > 0 {
                             base_p.offset((j + jb) * ld + j)
                         } else {
@@ -181,7 +195,7 @@ impl<T: Scalar> LuStep<T> {
                         },
                     );
                     a21.set(
-                        i,
+                        s,
                         if trows > 0 {
                             base_p.offset(j * ld + j + jb)
                         } else {
@@ -189,7 +203,7 @@ impl<T: Scalar> LuStep<T> {
                         },
                     );
                     a22.set(
-                        i,
+                        s,
                         if trows > 0 && tcols > 0 {
                             base_p.offset((j + jb) * (ld + 1))
                         } else {
@@ -197,9 +211,11 @@ impl<T: Scalar> LuStep<T> {
                         },
                     );
                 }
+                // Per slot: the order entry and `m`/`n`/`ld` in; `jb`,
+                // the trailing extents, `ld` and four pointers out.
                 let span = hi - lo;
-                ctx.gmem_read(span * 12);
-                ctx.gmem_write(span * (12 + 4 * std::mem::size_of::<DevicePtr<T>>()));
+                ctx.gmem_read(span * 16);
+                ctx.gmem_write(span * (16 + 4 * std::mem::size_of::<DevicePtr<T>>()));
             },
         )?;
         Ok(())
@@ -294,47 +310,71 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
         return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
     }
     batch.register_fault_targets(dev);
+    let d_order = with_retry(dev, &pol, &mut rec, || {
+        ws.launch_order(dev, batch.rows(), batch.cols())
+    })?;
     // Trailing kernels must keep running for singular matrices (LAPACK
     // continues past a zero pivot), so they get an always-clean info.
-    let (step, clean_info) = with_retry(dev, &pol, &mut rec, || {
-        ws.lu_scratch(dev, count).map(|_| ())
-    })
-    .and(ws.lu_scratch(dev, count))?;
+    with_retry(dev, &pol, &mut rec, || ws.lu_scratch(dev, count))?;
+    let (step, clean_info) = ws.lu_views();
+    let order = ws.order();
     let a = batch.view();
     let [l11, a12, a21, a22] = step.views(a, clean_info);
+    let (rows, cols) = (batch.rows(), batch.cols());
 
     let mut j = 0;
     while j < k_max {
-        // Host-side bounds for this step's grids, from the size mirror:
-        // whether any `laswp` block is live (a panel with columns outside
-        // it), and the trailing extents. A kernel with no live block is
-        // not launched; the step views feed only `trsm` and `gemm`.
-        let (mut swaps, mut max_trows, mut max_tcols) = (false, 0, 0);
-        for (&m, &n) in batch.rows().iter().zip(batch.cols()) {
+        // The matrices with a panel at this step are a prefix of the
+        // launch order. Inside it, from the size mirror: how far the
+        // matrices with columns outside the panel (`laswp`), with
+        // trailing columns (the step views and `trsm`) and with both
+        // trailing rows and columns (`gemm`) reach, and `gemm`'s
+        // extents. A kernel with no live block is not launched.
+        let live = order.partition_point(|&i| rows[i].min(cols[i]) > j);
+        let (mut swaps, mut trail, mut update) = (0, 0, 0);
+        let (mut max_trows, mut max_tcols) = (0, 0);
+        for (b, &i) in order[..live].iter().enumerate() {
+            let (m, n) = (rows[i], cols[i]);
             let jb = panel_width(m, n, j, nb);
-            if jb > 0 {
-                swaps |= n > jb;
-                max_trows = max_trows.max(m - j - jb);
-                max_tcols = max_tcols.max(n - j - jb);
+            let (trows, tcols) = (m - j - jb, n - j - jb);
+            if n > jb {
+                swaps = b + 1;
+            }
+            if tcols > 0 {
+                trail = b + 1;
+            }
+            if trows > 0 && tcols > 0 {
+                update = b + 1;
+                max_trows = max_trows.max(trows);
+                max_tcols = max_tcols.max(tcols);
             }
         }
 
         with_retry(dev, &pol, &mut rec, || {
-            getf2_panel(dev, batch, pivots, j, nb)
+            getf2_panel(dev, batch, pivots, d_order.truncate(live), j, nb)
         })?;
-        if swaps {
+        if swaps > 0 {
             with_retry(dev, &pol, &mut rec, || {
-                laswp_outside(dev, batch, pivots, j, nb)
+                laswp_outside(dev, batch, pivots, d_order.truncate(swaps), j, nb)
             })?;
         }
-        if max_tcols > 0 {
-            with_retry(dev, &pol, &mut rec, || step.update(dev, a, j, nb))?;
+        if trail > 0 {
+            with_retry(dev, &pol, &mut rec, || {
+                step.update(dev, a, d_order.truncate(trail), j, nb)
+            })?;
             // U12 ← L11⁻¹ · A12 (unit lower).
             with_retry(dev, &pol, &mut rec, || {
-                trsm_left_vbatched(dev, Uplo::Lower, Trans::NoTrans, Diag::Unit, l11, a12)
+                trsm_left_vbatched(
+                    dev,
+                    Uplo::Lower,
+                    Trans::NoTrans,
+                    Diag::Unit,
+                    l11.first(trail),
+                    a12.first(trail),
+                )
             })?;
         }
-        if max_trows > 0 && max_tcols > 0 {
+        if update > 0 {
             // A22 ← A22 − L21 · U12.
             with_retry(dev, &pol, &mut rec, || {
                 gemm_vbatched(
@@ -342,10 +382,10 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
                     Trans::NoTrans,
                     Trans::NoTrans,
                     -T::ONE,
-                    a21,
-                    a12,
+                    a21.first(update),
+                    a12.first(update),
                     T::ONE,
-                    a22,
+                    a22.first(update),
                     max_trows,
                     max_tcols,
                 )
@@ -367,22 +407,24 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// One-block-per-matrix panel factorization with partial pivoting.
+/// Panel factorization with partial pivoting, block `b` on matrix
+/// `order[b]`.
 fn getf2_panel<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     pivots: &PivotArray,
+    order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
-    let count = batch.count();
     let a = batch.view();
     let piv = pivots.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
-    let cfg = LaunchConfig::grid_1d(count as u32, threads).with_shared_mem(nb * nb * T::BYTES);
+    let cfg =
+        LaunchConfig::grid_1d(order.len() as u32, threads).with_shared_mem(nb * nb * T::BYTES);
     dev.launch(kname!(T, "getf2_vbatched"), cfg, move |ctx| {
-        let i = ctx.linear_block_id();
+        let i = order.get(ctx.linear_block_id()) as usize;
         let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
@@ -416,20 +458,21 @@ fn getf2_panel<T: Scalar>(
     Ok(())
 }
 
-/// Applies the step's row interchanges to the columns outside the panel.
+/// Applies the step's row interchanges to the columns outside the
+/// panel, block `b` on matrix `order[b]`.
 fn laswp_outside<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     pivots: &PivotArray,
+    order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
-    let count = batch.count();
     let meta = batch.view();
     let piv = pivots.d_ptrs();
-    let cfg = LaunchConfig::grid_1d(count as u32, 128);
+    let cfg = LaunchConfig::grid_1d(order.len() as u32, 128);
     dev.launch(kname!(T, "laswp_vbatched"), cfg, move |ctx| {
-        let i = ctx.linear_block_id();
+        let i = order.get(ctx.linear_block_id()) as usize;
         let (m, n, ld) = meta.dims(i);
         let jb = panel_width(m, n, j, nb);
         let outside = n.saturating_sub(jb); // columns not in the panel

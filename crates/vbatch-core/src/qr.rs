@@ -8,7 +8,15 @@
 //! 2. a column-tiled **`larfb`** kernel applying
 //!    `C ← (I − V·Tᵀ·Vᵀ)·C` to the trailing columns — the `gemm`-shaped
 //!    update that dominates the flops, parallelized across column tiles
-//!    and the batch with ETM-classic on out-of-range tiles.
+//!    and the batch.
+//!
+//! Both kernels run in the LU driver's launch order ([`crate::lu`]):
+//! largest matrix first, so the matrices with a panel at a step are a
+//! prefix of it and each launch has one grid row per matrix of that
+//! prefix. `larfb`'s column extent is the widest trailing block among
+//! them, and the step launches no `larfb` when none has trailing
+//! columns. Column tiles past a narrower matrix's trailing block still
+//! terminate early (ETM-classic).
 
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DevicePtr, Dim3, LaunchConfig};
@@ -105,7 +113,6 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
 ) -> Result<(BatchReport, TauArray<T>), VbatchError> {
     let count = batch.count();
     let nb = opts.nb_panel.max(1);
-    let tc = opts.tile_cols.max(1);
     let ev_start = fault_events_start(dev);
     let mut rec = RecoveryReport::default();
     let pol = opts.recovery;
@@ -118,24 +125,46 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
         return Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau));
     }
     batch.register_fault_targets(dev);
+    let d_order = with_retry(dev, &pol, &mut rec, || {
+        ws.launch_order(dev, batch.rows(), batch.cols())
+    })?;
     // Per-matrix T-factor workspace (nb × nb each), pooled; every tile
     // is fully rewritten by the panel kernel before `larfb` reads it.
     with_retry(dev, &pol, &mut rec, || {
         PerMatrixArray::ensure(&mut ws.qr_t, dev, count, nb * nb)
     })?;
     let t_ptrs = ws.qr_t.as_ref().expect("ensured above").d_ptrs();
-
-    let max_n = batch.max_cols();
+    let order = ws.order();
+    let (rows, cols) = (batch.rows(), batch.cols());
 
     let mut j = 0;
     while j < k_max {
+        // The matrices with a panel at this step are a prefix of the
+        // launch order; `larfb` covers it as far as a matrix with
+        // trailing columns reaches, as wide as the widest of those.
+        let live = order.partition_point(|&i| rows[i].min(cols[i]) > j);
+        let (mut trail, mut max_tcols) = (0, 0);
+        for (b, &i) in order[..live].iter().enumerate() {
+            let tcols = cols[i] - j - panel_width(rows[i], cols[i], j, nb);
+            if tcols > 0 {
+                trail = b + 1;
+                max_tcols = max_tcols.max(tcols);
+            }
+        }
         with_retry(dev, &pol, &mut rec, || {
-            geqr2_larft_panel(dev, batch, &tau, t_ptrs, j, nb)
+            geqr2_larft_panel(dev, batch, &tau, t_ptrs, d_order.truncate(live), j, nb)
         })?;
-        let max_tcols = max_n.saturating_sub(j + 1);
-        if max_tcols > 0 {
+        if trail > 0 {
             with_retry(dev, &pol, &mut rec, || {
-                larfb_cols(dev, batch, t_ptrs, j, nb, tc, max_n)
+                larfb_cols(
+                    dev,
+                    batch,
+                    t_ptrs,
+                    d_order.truncate(trail),
+                    j,
+                    opts,
+                    max_tcols,
+                )
             })?;
         }
         scrub_batch(dev, batch, &pol, &mut rec)?;
@@ -145,23 +174,25 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
     Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau))
 }
 
-/// Panel factorization + `T` formation, one block per matrix.
+/// Panel factorization + `T` formation, block `b` on matrix
+/// `order[b]`.
 fn geqr2_larft_panel<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     tau: &TauArray<T>,
     t_ptrs: DevicePtr<DevicePtr<T>>,
+    order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
-    let count = batch.count();
     let a = batch.view();
     let tau_ptrs = tau.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
-    let cfg = LaunchConfig::grid_1d(count as u32, threads).with_shared_mem(2 * nb * nb * T::BYTES);
+    let cfg =
+        LaunchConfig::grid_1d(order.len() as u32, threads).with_shared_mem(2 * nb * nb * T::BYTES);
     dev.launch(kname!(T, "geqr2_vbatched"), cfg, move |ctx| {
-        let i = ctx.linear_block_id();
+        let i = order.get(ctx.linear_block_id()) as usize;
         let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         if !EtmPolicy::Classic.apply(ctx, jb) {
@@ -194,25 +225,25 @@ fn geqr2_larft_panel<T: Scalar>(
     Ok(())
 }
 
-/// Column-tiled trailing update `C ← (I − V·Tᵀ·Vᵀ)·C`.
+/// Column-tiled trailing update `C ← (I − V·Tᵀ·Vᵀ)·C`, grid row `b` on
+/// matrix `order[b]`, over `max_tcols` trailing columns.
 fn larfb_cols<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     t_ptrs: DevicePtr<DevicePtr<T>>,
+    order: DevicePtr<i32>,
     j: usize,
-    nb: usize,
-    tile_cols: usize,
-    max_n: usize,
+    opts: &GeqrfOptions,
+    max_tcols: usize,
 ) -> Result<(), VbatchError> {
-    let count = batch.count();
+    let (nb, tile_cols) = (opts.nb_panel.max(1), opts.tile_cols.max(1));
     let a = batch.view();
-    let max_tcols = max_n.saturating_sub(j);
-    let grid = Dim3::xy(max_tcols.div_ceil(tile_cols).max(1) as u32, count as u32);
+    let grid = Dim3::xy(max_tcols.div_ceil(tile_cols) as u32, order.len() as u32);
     let smem = (nb * nb + nb * tile_cols) * T::BYTES;
     let cfg = LaunchConfig::new(grid, Dim3::x(128), smem);
     dev.launch(kname!(T, "larfb_vbatched"), cfg, move |ctx| {
         let bx = ctx.block_idx().x as usize;
-        let i = ctx.block_idx().y as usize;
+        let i = order.get(ctx.block_idx().y as usize) as usize;
         let (m, n, ld) = a.dims(i);
         let jb = panel_width(m, n, j, nb);
         let tcols = n.saturating_sub(j + jb);

@@ -39,6 +39,13 @@
 //! prefix of it: a repeated call of one shape, or a batch that arrives
 //! in size order (its permutation is the identity) after a larger one,
 //! finds its plan already on the device.
+//!
+//! LU and QR sort too, without windows: one launch order per call, every
+//! matrix with a panel, largest first by `(min(m, n), m, n)`, made
+//! resident in the same slot through `upload_resident`. Their steps
+//! launch over a prefix of it (the matrices still live), and a batch
+//! that arrives largest first, as a serving LU window does, has the
+//! identity for its order. See `DriverWorkspace::launch_order`.
 
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, OomError};
 
@@ -116,6 +123,9 @@ pub(crate) fn upload_resident(
     slot: &mut Option<DeviceBuffer<i32>>,
     charge: bool,
 ) -> Result<DevicePtr<i32>, OomError> {
+    let plan = plan.into_iter();
+    // One grow to the plan's known length, not one per doubling.
+    twin.reserve(plan.size_hint().0.saturating_sub(twin.len()));
     let mut resident = slot.is_some();
     let mut len = 0;
     for v in plan {

@@ -87,10 +87,14 @@ pub struct DriverWorkspace<T> {
     pub(crate) qr_t: Option<PerMatrixArray<T>>,
     /// `compute_imax_pooled` block-partial buffer.
     pub(crate) imax_partial: Option<DeviceBuffer<i32>>,
-    /// The fused call's sorting permutation: the device copy and its
-    /// resident twin, the host copy of what it holds.
+    /// The fused call's sorting permutation, or the LU/QR launch order:
+    /// the device copy and its resident twin, the host copy of what it
+    /// holds.
     pub(crate) idx_dev: Option<DeviceBuffer<i32>>,
     pub(crate) idx_host: Vec<i32>,
+    /// Host scratch of the LU/QR launch order
+    /// ([`DriverWorkspace::launch_order`]), grow-only.
+    order: Vec<usize>,
     /// Host scratch of the fused driver's batched-small window cut,
     /// boxed on first use: a workspace that never cuts a window holds
     /// one empty pointer.
@@ -115,6 +119,7 @@ impl<T: Scalar> DriverWorkspace<T> {
             imax_partial: None,
             idx_dev: None,
             idx_host: Vec::new(),
+            order: Vec::new(),
             ilv_plan: None,
             lu_step: None,
             clean_info: None,
@@ -207,23 +212,74 @@ impl<T: Scalar> DriverWorkspace<T> {
         )
     }
 
-    /// Ensures the LU scratch covers `count` matrices, returning the
-    /// step views and the clean-info pointer.
+    /// Ensures the LU scratch covers `count` matrices (see
+    /// [`DriverWorkspace::lu_views`]).
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
-    pub(crate) fn lu_scratch(
-        &mut self,
-        dev: &Device,
-        count: usize,
-    ) -> Result<(&LuStep<T>, DevicePtr<i32>), VbatchError> {
-        let step = grow_slot(&mut self.lu_step, LuStep::count, count, || {
+    pub(crate) fn lu_scratch(&mut self, dev: &Device, count: usize) -> Result<(), VbatchError> {
+        grow_slot(&mut self.lu_step, LuStep::count, count, || {
             LuStep::alloc(dev, count)
         })?;
-        let clean_info = grow_slot(&mut self.clean_info, DeviceBuffer::len, count, || {
+        grow_slot(&mut self.clean_info, DeviceBuffer::len, count, || {
             dev.alloc(count)
         })?;
-        Ok((step, clean_info.ptr()))
+        Ok(())
+    }
+
+    /// The step views and clean-info pointer the last successful
+    /// [`DriverWorkspace::lu_scratch`] ensured.
+    pub(crate) fn lu_views(&self) -> (&LuStep<T>, DevicePtr<i32>) {
+        (
+            self.lu_step.as_ref().expect("ensured by lu_scratch"),
+            self.clean_info
+                .as_ref()
+                .expect("ensured by lu_scratch")
+                .ptr(),
+        )
+    }
+
+    /// The LU/QR launch order of matrices with `rows` and `cols`: every
+    /// matrix with a panel, largest first by `(min(m, n), m, n)`, ties
+    /// in batch order. So the matrices still live at step `j` (those
+    /// with `min(m, n) > j`) are a prefix of it, and a panel kernel's
+    /// block `b` reads matrix `order[b]`. The order is sorted on the
+    /// host size mirror into this workspace's scratch (read back by
+    /// [`DriverWorkspace::order`]) and made resident in the sorting
+    /// permutation's slot through [`upload_resident`]: one charged
+    /// upload when the device does not already hold it, none when it
+    /// does (a repeated call, or a batch already in this order after a
+    /// longer one). Returns its device copy.
+    ///
+    /// # Errors
+    /// [`VbatchError::Oom`] when device memory is exhausted.
+    pub(crate) fn launch_order(
+        &mut self,
+        dev: &Device,
+        rows: &[usize],
+        cols: &[usize],
+    ) -> Result<DevicePtr<i32>, VbatchError> {
+        let key = |i: usize| (rows[i].min(cols[i]), rows[i], cols[i]);
+        let order = &mut self.order;
+        order.clear();
+        order.extend(0..rows.len());
+        // Keys are unique with the index, so the in-place unstable sort
+        // gives the stable order without a merge buffer.
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(key(i)), i));
+        order.truncate(order.partition_point(|&i| key(i).0 > 0));
+        let plan = order.iter().map(|&i| i as i32);
+        Ok(upload_resident(
+            dev,
+            plan,
+            &mut self.idx_host,
+            &mut self.idx_dev,
+            true,
+        )?)
+    }
+
+    /// The host copy of the last [`DriverWorkspace::launch_order`].
+    pub(crate) fn order(&self) -> &[usize] {
+        &self.order
     }
 }
 

@@ -381,16 +381,15 @@ impl<T: Scalar> BatchService<T> {
         if window.is_empty() {
             return;
         }
-        // Build a Cholesky batch in size order (stable, so equal orders
-        // keep their DRR order): the driver's sorting permutation is then
-        // the identity, which the workspace already holds after any
+        // Build the batch in the driver's own order (stable, so equal
+        // orders keep their DRR order): ascending for Cholesky's sorting
+        // permutation, largest first for LU's launch order. Either is
+        // then the identity, which the workspace already holds after any
         // larger window, so no window re-sends it. Members and their
         // shared finish time are the DRR's; responses follow this order.
-        // LU launches one block per matrix in batch order and has no
-        // permutation to save, so its windows keep the DRR order, which
-        // does not queue the largest matrices last.
-        if op == Op::Potrf {
-            window.sort_by_key(|r| r.n);
+        match op {
+            Op::Potrf => window.sort_by_key(|r| r.n),
+            Op::Getrf => window.sort_by_key(|r| std::cmp::Reverse(r.n)),
         }
         self.stats.windows += 1;
         let mut attempt = 0u32;

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use vbatch_core::lu::{getrf_vbatched, GetrfOptions};
-use vbatch_core::qr::{geqrf_vbatched, GeqrfOptions};
+use vbatch_core::lu::{getrf_vbatched, getrf_vbatched_ws, GetrfOptions};
+use vbatch_core::qr::{geqrf_vbatched, geqrf_vbatched_ws, GeqrfOptions};
 use vbatch_core::solve::getrs_vbatched;
-use vbatch_core::VBatch;
+use vbatch_core::{DriverWorkspace, VBatch};
 use vbatch_dense::gen::{diag_dominant_vec, rand_mat, seeded_rng};
 use vbatch_dense::naive;
 use vbatch_dense::verify::{lu_residual, max_abs_diff_slices, qr_residual, residual_tol};
@@ -368,4 +368,204 @@ fn getrf_within_one_panel_launches_no_laswp_or_step_kernel() {
         h, 0x0e6f_e91e_f191_a6ac,
         "factor, pivot or info bits moved (hash {h:#018x})"
     );
+}
+
+/// Wide, tall and square shapes, two of order zero, and one singular
+/// matrix (an exactly-zero column 5): the shapes whose launch-order
+/// prefixes differ from step to step. A wide matrix keeps trailing
+/// columns after larger square ones have none, so the trailing kernels'
+/// prefix is not monotone in the order.
+const ARRANGED_DIMS: [(usize, usize); 13] = [
+    (40, 40),
+    (7, 7),
+    (90, 60),
+    (33, 70),
+    (1, 1),
+    (0, 5),
+    (5, 0),
+    (12, 45),
+    (64, 64),
+    (20, 9),
+    (30, 30),
+    (17, 17),
+    (9, 50),
+];
+
+/// Index of the singular matrix in [`ARRANGED_DIMS`].
+const SINGULAR: usize = 10;
+
+/// Per matrix, in [`ARRANGED_DIMS`] order: factor bits, then pivots
+/// (LU) or `tau` bits (QR), and `info`.
+type Bits = Vec<(Vec<u64>, Vec<u64>, i32)>;
+
+/// Factors the matrices `origs` (of shapes [`ARRANGED_DIMS`]) in one
+/// call on a batch that holds matrix `perm[p]` at position `p`, and
+/// returns what each matrix came back as.
+fn factor_arranged(
+    dev: &Device,
+    origs: &[Vec<f64>],
+    perm: &[usize],
+    qr: bool,
+    ws: &mut DriverWorkspace<f64>,
+) -> Bits {
+    let dims: Vec<(usize, usize)> = perm.iter().map(|&i| ARRANGED_DIMS[i]).collect();
+    let mut batch = VBatch::<f64>::alloc(dev, &dims).unwrap();
+    for (p, &i) in perm.iter().enumerate() {
+        batch.upload_matrix(p, &origs[i]).unwrap();
+    }
+    let k = |p: usize| dims[p].0.min(dims[p].1);
+    let (info, second): (Vec<i32>, Vec<Vec<u64>>) = if qr {
+        let (report, tau) = geqrf_vbatched_ws(
+            dev,
+            &mut batch,
+            &GeqrfOptions {
+                nb_panel: 8,
+                tile_cols: 16,
+                ..Default::default()
+            },
+            ws,
+        )
+        .unwrap();
+        let tau = (0..perm.len())
+            .map(|p| tau.download(p, k(p)).iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (report.info, tau)
+    } else {
+        let opts = GetrfOptions {
+            nb_panel: 8,
+            ..Default::default()
+        };
+        let (report, pivots) = getrf_vbatched_ws(dev, &mut batch, &opts, ws).unwrap();
+        let pivots = (0..perm.len())
+            .map(|p| pivots.download(p, k(p)).iter().map(|&v| v as u64).collect())
+            .collect();
+        (report.info, pivots)
+    };
+    let mut out: Bits = vec![Default::default(); perm.len()];
+    for (p, &i) in perm.iter().enumerate() {
+        let factor = batch
+            .download_matrix(p)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        out[i] = (factor, second[p].clone(), info[p]);
+    }
+    out
+}
+
+/// Every block's arithmetic depends only on its own matrix, so the
+/// batch's arrangement moves no bit: getrf's factors, pivots and `info`
+/// and geqrf's factors and `tau` are the same per matrix whether the
+/// batch arrives shuffled, ascending or descending, and whether the
+/// workspace is cold or already holds another or the same launch order.
+#[test]
+fn lu_and_qr_bits_do_not_depend_on_batch_order() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut rng = seeded_rng(49);
+    let mut origs: Vec<Vec<f64>> = ARRANGED_DIMS
+        .iter()
+        .map(|&(m, n)| rand_mat::<f64>(&mut rng, m * n))
+        .collect();
+    for r in 0..30 {
+        origs[SINGULAR][r + 5 * 30] = 0.0;
+    }
+    let by_size = |i: &usize| {
+        let (m, n) = ARRANGED_DIMS[*i];
+        (m.min(n), m, n)
+    };
+    let shuffled = [8usize, 3, 11, 0, 5, 12, 9, 1, 6, 10, 2, 4, 7];
+    let mut ascending: Vec<usize> = (0..ARRANGED_DIMS.len()).collect();
+    ascending.sort_by_key(by_size);
+    let mut descending = ascending.clone();
+    descending.reverse();
+    for qr in [false, true] {
+        let reference = factor_arranged(&dev, &origs, &shuffled, qr, &mut DriverWorkspace::new());
+        if !qr {
+            assert_eq!(reference[SINGULAR].2, 6, "zero pivot at column 5");
+            assert!(reference
+                .iter()
+                .enumerate()
+                .all(|(i, r)| i == SINGULAR || r.2 == 0));
+        }
+        for (i, r) in reference.iter().enumerate() {
+            let (m, n) = ARRANGED_DIMS[i];
+            assert_eq!((r.0.len(), r.1.len()), (m * n, m.min(n)), "matrix {i}");
+        }
+        let mut warm = DriverWorkspace::new();
+        let runs = [
+            (
+                "ascending",
+                factor_arranged(&dev, &origs, &ascending, qr, &mut DriverWorkspace::new()),
+            ),
+            (
+                "descending, cold",
+                factor_arranged(&dev, &origs, &descending, qr, &mut warm),
+            ),
+            (
+                "shuffled after descending",
+                factor_arranged(&dev, &origs, &shuffled, qr, &mut warm),
+            ),
+            (
+                "shuffled, repeated",
+                factor_arranged(&dev, &origs, &shuffled, qr, &mut warm),
+            ),
+        ];
+        for (name, got) in runs {
+            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert!(
+                    g == r,
+                    "qr {qr}, {name}: matrix {i} {:?} moved",
+                    ARRANGED_DIMS[i]
+                );
+            }
+        }
+    }
+}
+
+/// In launch order every step's panel, row-interchange, step-view and
+/// `trsm` launches cover exactly the matrices with work in them when
+/// the batch is square (LU) or tall (QR), so none of their blocks exits
+/// early, however the batch arrives. Only `gemm`'s and `larfb`'s column
+/// tiles past a narrower matrix still do.
+#[test]
+fn panel_launches_dispatch_no_early_exit_blocks() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let mut rng = seeded_rng(50);
+    let orders = [33usize, 100, 7, 0, 64, 77, 1, 40, 16, 90];
+    let square: Vec<(usize, usize)> = orders.iter().map(|&n| (n, n)).collect();
+    let mut lu = VBatch::<f64>::alloc(&dev, &square).unwrap();
+    for (i, &n) in orders.iter().enumerate() {
+        lu.upload_matrix(i, &rand_mat::<f64>(&mut rng, n * n))
+            .unwrap();
+    }
+    let opts = GetrfOptions {
+        nb_panel: 16,
+        ..Default::default()
+    };
+    let (report, _) = getrf_vbatched(&dev, &mut lu, &opts).unwrap();
+    assert!(report.all_ok());
+    let tall: Vec<(usize, usize)> = orders.iter().map(|&n| (2 * n, n)).collect();
+    let mut qr = VBatch::<f64>::alloc(&dev, &tall).unwrap();
+    for (i, &(m, n)) in tall.iter().enumerate() {
+        qr.upload_matrix(i, &rand_mat::<f64>(&mut rng, m * n))
+            .unwrap();
+    }
+    let qr_opts = GeqrfOptions {
+        nb_panel: 8,
+        ..Default::default()
+    };
+    assert!(geqrf_vbatched(&dev, &mut qr, &qr_opts).unwrap().0.all_ok());
+    dev.with_profiler(|p| {
+        for name in [
+            "dgetf2_vbatched",
+            "dlaswp_vbatched",
+            "vbatch_aux_lu_step",
+            "dtrsm_left_vbatched",
+            "dgeqr2_vbatched",
+        ] {
+            let e = p.get(name).unwrap_or_else(|| panic!("{name} launched"));
+            assert!(e.blocks > 0, "{name}");
+            assert_eq!(e.early_exit_blocks, 0, "{name}: dead blocks dispatched");
+        }
+    });
 }

@@ -159,7 +159,7 @@ fn response_stream_hash(cfg: &SoakConfig) -> u64 {
 /// shedding decision) and window composition all feed the hash.
 #[test]
 fn overload_response_stream_golden() {
-    assert_eq!(response_stream_hash(&overload_cfg()), 0xedbf_8fa2_2299_d439);
+    assert_eq!(response_stream_hash(&overload_cfg()), 0x0afa_23b4_de1c_6b5c);
 }
 
 /// Golden of a 400 kHz open-loop stream with 20 % of requests on a
@@ -186,7 +186,7 @@ fn open_loop_deadline_stream_golden() {
         deadline_share: 0.2,
         deadline_slack_s: 1e-3,
     };
-    assert_eq!(response_stream_hash(&cfg), 0x77c7_6026_09d8_bff0);
+    assert_eq!(response_stream_hash(&cfg), 0x2759_d77b_fcc2_86bb);
 }
 
 /// Satellite regression: interleaved (out-of-order, mixed-tenant)

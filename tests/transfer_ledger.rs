@@ -1,24 +1,27 @@
-//! The host↔device transfer ledger of the Cholesky drivers and of a
-//! serving window, checked exactly on the simulated clock.
+//! The host↔device transfer ledger of the Cholesky, LU and QR drivers
+//! and of serving windows, checked exactly on the simulated clock.
 //!
 //! A driver sends a launch plan (the fused call's sorting permutation,
-//! the separated call's live-grid block starts) only when its workspace
-//! does not already hold it, and reads nothing back that the host mirror
-//! of the sizes already knows. Each case resets the device's metrics,
+//! the separated call's live-grid block starts, the LU/QR launch order)
+//! only when its workspace does not already hold it, and reads nothing
+//! back that the host mirror of the sizes already knows. Each case resets the device's metrics,
 //! runs one call, and requires the clock to equal, bit for bit, the
 //! call's kernel timings plus `Device::transfer_seconds` of each
 //! transfer, summed in the order the call makes them. Every case
 //! launches each kernel once, so the profiler holds each launch's own
 //! time.
 
+use vbatch_core::qr::{geqrf_vbatched_ws, GeqrfOptions};
 use vbatch_core::{
-    potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, PotrfOptions, SepOpts, Strategy, VBatch,
+    getrf_vbatched_ws, potrf_vbatched_max_ws, DriverWorkspace, FusedOpts, GetrfOptions,
+    PotrfOptions, SepOpts, Strategy, VBatch,
 };
-use vbatch_dense::gen::{seeded_rng, spd_vec};
+use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_gpu_sim::{Device, DeviceConfig};
 use vbatch_serve::{BatchService, Op, ServeConfig};
 
 /// One clock event of a call.
+#[derive(Clone, Copy)]
 enum Ev {
     /// A launch of the named kernel.
     Kernel(&'static str),
@@ -141,10 +144,81 @@ fn separated_calls_upload_their_live_grids_only_when_they_change() {
     assert_eq!(dev.now(), ledger(&dev, &cold[1..]), "repeated call");
 }
 
+/// LU and QR calls below one panel (orders up to 30 at `nb` 64 and
+/// 32): one panel launch each, no trailing update. The launch order of
+/// orders `[20, 30, 24]` is `[1, 2, 0]` for the square LU batch and for
+/// the `2n × n` QR batch alike, so one upload serves both.
+#[test]
+fn lu_and_qr_upload_their_launch_order_only_when_it_changes() {
+    let dev = Device::new(DeviceConfig::k40c());
+    let sizes = [20usize, 30, 24];
+    let count = sizes.len();
+    let mut rng = seeded_rng(6);
+    let square: Vec<Vec<f64>> = sizes.iter().map(|&n| rand_mat(&mut rng, n * n)).collect();
+    let tall_dims: Vec<(usize, usize)> = sizes.iter().map(|&n| (2 * n, n)).collect();
+    let tall: Vec<Vec<f64>> = sizes
+        .iter()
+        .map(|&n| rand_mat(&mut rng, 2 * n * n))
+        .collect();
+    let mut lu = VBatch::<f64>::alloc_square(&dev, &sizes).unwrap();
+    let mut qr = VBatch::<f64>::alloc(&dev, &tall_dims).unwrap();
+    let mut ws = DriverWorkspace::new();
+    let mut getrf = |ws: &mut DriverWorkspace<f64>| {
+        for (i, m) in square.iter().enumerate() {
+            lu.upload_matrix(i, m).unwrap();
+        }
+        dev.reset_metrics();
+        let (report, _) = getrf_vbatched_ws(&dev, &mut lu, &GetrfOptions::default(), ws).unwrap();
+        assert!(report.all_ok());
+    };
+    let (order, info) = (Ev::Copy(4 * count), Ev::Copy(4 * count));
+    let getf2 = Ev::Kernel("dgetf2_vbatched");
+    // Cold: the order goes down once; `info` comes back.
+    getrf(&mut ws);
+    assert_eq!(dev.now(), ledger(&dev, &[order, getf2, info]), "cold getrf");
+    getrf(&mut ws);
+    assert_eq!(dev.now(), ledger(&dev, &[getf2, info]), "repeated getrf");
+    // QR of the same orders finds the order resident.
+    for (i, m) in tall.iter().enumerate() {
+        qr.upload_matrix(i, m).unwrap();
+    }
+    dev.reset_metrics();
+    let (report, _) = geqrf_vbatched_ws(&dev, &mut qr, &GeqrfOptions::default(), &mut ws).unwrap();
+    assert!(report.all_ok());
+    let geqr2 = Ev::Kernel("dgeqr2_vbatched");
+    assert_eq!(dev.now(), ledger(&dev, &[geqr2]), "geqrf after getrf");
+    // A released workspace holds nothing: the next call uploads again.
+    ws.release();
+    getrf(&mut ws);
+    assert_eq!(
+        dev.now(),
+        ledger(&dev, &[order, getf2, info]),
+        "after release"
+    );
+}
+
+/// Runs one full serving window of `op` requests of orders `sizes`,
+/// arriving in that order at `t_s`.
+fn serve_window(svc: &mut BatchService<f64>, t_s: f64, op: Op, sizes: &[usize], seed: u64) {
+    let mats = match op {
+        Op::Potrf => spd(sizes, seed),
+        Op::Getrf => {
+            let mut rng = seeded_rng(seed);
+            sizes.iter().map(|&n| rand_mat(&mut rng, n * n)).collect()
+        }
+    };
+    for (n, m) in sizes.iter().zip(mats) {
+        svc.submit(t_s, 0, op, *n, m, None).unwrap();
+    }
+    assert_eq!(svc.take_responses().len(), sizes.len(), "one full window");
+}
+
 /// A warm serving window pays its payload up, `info` down and the
-/// factors down, and nothing else: the service builds the batch in size
-/// order, so the driver's permutation is the identity the workspace
-/// holds from the window before.
+/// factors (with an LU window's pivots) down, and nothing else: the
+/// service builds the batch in the driver's own order (ascending for
+/// Cholesky, largest first for LU), so the driver's permutation or
+/// launch order is the identity the workspace holds from the window
+/// before.
 #[test]
 fn warm_serving_window_charges_three_transfers() {
     let cfg = ServeConfig {
@@ -152,24 +226,24 @@ fn warm_serving_window_charges_three_transfers() {
         ..Default::default()
     };
     let mut svc = BatchService::<f64>::new(Device::new(cfg.device.clone()), cfg);
-    let window = |svc: &mut BatchService<f64>, t_s: f64, sizes: &[usize], seed: u64| {
-        for (n, m) in sizes.iter().zip(spd(sizes, seed)) {
-            svc.submit(t_s, 0, Op::Potrf, *n, m, None).unwrap();
-        }
-        assert_eq!(svc.take_responses().len(), sizes.len(), "one full window");
-    };
-    window(&mut svc, 0.0, &[8, 6, 7], 4);
-    svc.device().reset_metrics();
     // Arrivals out of order; the service sorts them.
     let sizes = [7usize, 8, 6];
-    window(&mut svc, 1.0, &sizes, 5);
     let payload: usize = sizes.iter().map(|n| n * n * 8).sum();
-    let events = [
-        Ev::Copy(payload),
-        Ev::Kernel("dpotrf_ilv_batch"),
-        Ev::Copy(12),
-        Ev::Copy(payload),
-    ];
-    let dev = svc.device();
-    assert_eq!(dev.now(), ledger(dev, &events));
+    let pivots: usize = sizes.iter().map(|n| n * 4).sum();
+    for (t_s, op, kernel, down) in [
+        (0.0, Op::Potrf, "dpotrf_ilv_batch", payload),
+        (2.0, Op::Getrf, "dgetf2_vbatched", payload + pivots),
+    ] {
+        serve_window(&mut svc, t_s, op, &[8, 6, 7], 4);
+        svc.device().reset_metrics();
+        serve_window(&mut svc, t_s + 1.0, op, &sizes, 5);
+        let events = [
+            Ev::Copy(payload),
+            Ev::Kernel(kernel),
+            Ev::Copy(12),
+            Ev::Copy(down),
+        ];
+        let dev = svc.device();
+        assert_eq!(dev.now(), ledger(dev, &events), "{op:?}");
+    }
 }
