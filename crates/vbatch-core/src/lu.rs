@@ -23,6 +23,14 @@
 //! rectangular shapes can leave a matrix with no trailing work before
 //! one that has some, and in `gemm`'s column tiles, do blocks still
 //! terminate early (ETM-classic).
+//!
+//! LU and QR ([`crate::qr`]) share that host layer (§III-F): the pure
+//! planner `panel_steps` reads the host size mirror and the launch
+//! order and yields one `PanelStep` per panel step, how far into the
+//! order each kind of kernel has live work and the extents it spans,
+//! and the one driver body `run_panels` hands each step to the op's
+//! step function, then scrubs. LU keeps only that step function and
+//! its kernels.
 
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
@@ -38,6 +46,7 @@ use crate::recover::{
 use crate::report::{BatchReport, VbatchError};
 use crate::sep::gemm::gemm_vbatched;
 use crate::sep::trsm::trsm_left_vbatched;
+use crate::workspace::{grow_slot, DriverWorkspace};
 use crate::VBatch;
 
 /// Device-resident pivot storage: `max_k` slots per matrix.
@@ -51,23 +60,6 @@ impl PivotArray {
     /// [`VbatchError::Oom`] when device memory is exhausted.
     pub fn alloc(dev: &Device, count: usize, max_k: usize) -> Result<Self, VbatchError> {
         PerMatrixArray::alloc(dev, count, max_k).map(Self)
-    }
-
-    /// [`PerMatrixArray::ensure`] on a pivot slot.
-    ///
-    /// # Errors
-    /// [`VbatchError::Oom`] when a grow is needed and device memory is
-    /// exhausted.
-    pub(crate) fn ensure(
-        slot: &mut Option<PivotArray>,
-        dev: &Device,
-        count: usize,
-        max_k: usize,
-    ) -> Result<(), VbatchError> {
-        let mut inner = slot.take().map(|p| p.0);
-        let grown = PerMatrixArray::ensure(&mut inner, dev, count, max_k);
-        *slot = inner.map(Self);
-        grown
     }
 
     /// Device array of per-matrix pivot pointers.
@@ -85,8 +77,10 @@ impl PivotArray {
 
 /// Per-step device views for the trailing updates, produced by an
 /// auxiliary kernel (the §III-A device-side pointer arithmetic). Pooled
-/// in [`crate::workspace::DriverWorkspace`]: every buffer is fully
-/// rewritten by the step kernel before the trailing kernels read it.
+/// in [`DriverWorkspace`]: every buffer but `d_info` is fully rewritten
+/// by the step kernel before the trailing kernels read it, and
+/// `d_info`, the always-clean `info` every view carries, is never
+/// written.
 pub(crate) struct LuStep<T> {
     d_l11: DeviceBuffer<DevicePtr<T>>,
     d_a12: DeviceBuffer<DevicePtr<T>>,
@@ -96,6 +90,7 @@ pub(crate) struct LuStep<T> {
     d_trows: DeviceBuffer<i32>,
     d_tcols: DeviceBuffer<i32>,
     d_ld: DeviceBuffer<i32>,
+    d_info: DeviceBuffer<i32>,
 }
 
 impl<T: Scalar> LuStep<T> {
@@ -109,6 +104,7 @@ impl<T: Scalar> LuStep<T> {
             d_trows: dev.alloc(count)?,
             d_tcols: dev.alloc(count)?,
             d_ld: dev.alloc(count)?,
+            d_info: dev.alloc(count)?,
         })
     }
 
@@ -127,16 +123,18 @@ impl<T: Scalar> LuStep<T> {
             + self.d_trows.bytes()
             + self.d_tcols.bytes()
             + self.d_ld.bytes()
+            + self.d_info.bytes()
     }
 
     /// The step's `L11`, `A12`, `A21` and `A22` blocks of `a`'s
     /// matrices as views, filled by [`LuStep::update`]: slot `b` holds
     /// the matrix the launch order puts at `b`, with its own leading
-    /// dimension. Every view carries `info` (the always-clean vector),
-    /// since the trailing kernels must keep running past a singular
-    /// matrix.
-    fn views(&self, a: BatchView<T>, info: DevicePtr<i32>) -> [BatchView<T>; 4] {
+    /// dimension. Every view carries the always-clean `info`, since the
+    /// trailing kernels must keep running past a singular matrix (LAPACK
+    /// continues past a zero pivot).
+    fn views(&self, a: BatchView<T>) -> [BatchView<T>; 4] {
         let (jb, trows, tcols) = (self.d_jb.ptr(), self.d_trows.ptr(), self.d_tcols.ptr());
+        let info = self.d_info.ptr();
         let a = a.with_ld(self.d_ld.ptr());
         [
             a.blocks(self.d_l11.ptr(), jb, jb, info),
@@ -253,17 +251,11 @@ pub fn getrf_vbatched<T: Scalar>(
     batch: &mut VBatch<T>,
     opts: &GetrfOptions,
 ) -> Result<(BatchReport, PivotArray), VbatchError> {
-    getrf_vbatched_ws(
-        dev,
-        batch,
-        opts,
-        &mut crate::workspace::DriverWorkspace::new(),
-    )
+    getrf_vbatched_ws(dev, batch, opts, &mut DriverWorkspace::new())
 }
 
-/// [`getrf_vbatched`] with a caller-owned
-/// [`crate::workspace::DriverWorkspace`]: the per-step view buffers and
-/// the clean info vector are pooled, so warm calls only allocate the
+/// [`getrf_vbatched`] with a caller-owned [`DriverWorkspace`]: the
+/// per-step view buffers are pooled, so warm calls only allocate the
 /// returned pivot arena.
 ///
 /// # Errors
@@ -272,7 +264,7 @@ pub fn getrf_vbatched_ws<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
     opts: &GetrfOptions,
-    ws: &mut crate::workspace::DriverWorkspace<T>,
+    ws: &mut DriverWorkspace<T>,
 ) -> Result<(BatchReport, PivotArray), VbatchError> {
     let mut slot = None;
     let report = getrf_vbatched_pooled(dev, batch, opts, ws, &mut slot)?;
@@ -292,20 +284,170 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
     opts: &GetrfOptions,
-    ws: &mut crate::workspace::DriverWorkspace<T>,
+    ws: &mut DriverWorkspace<T>,
     pivots: &mut Option<PivotArray>,
+) -> Result<BatchReport, VbatchError> {
+    let (count, nb, pol) = (batch.count(), opts.nb_panel.max(1), opts.recovery);
+    let mut arena = pivots.take().map(|p| p.0);
+    let report = run_panels(
+        dev,
+        batch,
+        (nb, pol),
+        ws,
+        &mut arena,
+        |ws| {
+            grow_slot(&mut ws.lu_step, LuStep::count, count, || {
+                LuStep::alloc(dev, count)
+            })
+            .map(|_| ())
+        },
+        |rec, ws, piv, order, s| {
+            let st = ws.lu_step.as_ref().expect("grown by the scratch step");
+            let [l11, a12, a21, a22] = st.views(batch.view());
+            let j = s.j;
+            with_retry(dev, &pol, rec, || {
+                getf2_panel(dev, batch, piv, order.truncate(s.panel), j, nb)
+            })?;
+            if s.outside > 0 {
+                with_retry(dev, &pol, rec, || {
+                    laswp_outside(dev, batch, piv, order.truncate(s.outside), j, nb)
+                })?;
+            }
+            if s.trail > 0 {
+                with_retry(dev, &pol, rec, || {
+                    st.update(dev, batch.view(), order.truncate(s.trail), j, nb)
+                })?;
+                // U12 ← L11⁻¹ · A12 (unit lower).
+                with_retry(dev, &pol, rec, || {
+                    trsm_left_vbatched(
+                        dev,
+                        Uplo::Lower,
+                        Trans::NoTrans,
+                        Diag::Unit,
+                        l11.first(s.trail),
+                        a12.first(s.trail),
+                    )
+                })?;
+            }
+            if s.update > 0 {
+                // A22 ← A22 − L21 · U12.
+                with_retry(dev, &pol, rec, || {
+                    gemm_vbatched(
+                        dev,
+                        Trans::NoTrans,
+                        Trans::NoTrans,
+                        -T::ONE,
+                        a21.first(s.update),
+                        a12.first(s.update),
+                        T::ONE,
+                        a22.first(s.update),
+                        s.update_rows,
+                        s.update_cols,
+                    )
+                })?;
+            }
+            Ok(())
+        },
+    );
+    *pivots = arena.map(PivotArray);
+    report
+}
+
+/// One panel step of an LU or QR call, planned by [`panel_steps`] on
+/// the host size mirror: the panel column `j`, how far into the launch
+/// order each kind of kernel has live work, and the extents it spans.
+/// Each prefix ends at the last matrix with that work, so no launch
+/// carries a dead block past it.
+#[derive(Debug, Default)]
+pub(crate) struct PanelStep {
+    /// The panel's first column.
+    pub(crate) j: usize,
+    /// Matrices with a panel, `min(m, n) > j` (`getf2`, `geqr2`).
+    pub(crate) panel: usize,
+    /// Through the last matrix with columns outside the panel (`laswp`).
+    pub(crate) outside: usize,
+    /// Through the last matrix with trailing columns (the LU step
+    /// views, `trsm`, `larfb`), and the widest of those.
+    pub(crate) trail: usize,
+    pub(crate) trail_cols: usize,
+    /// Through the last matrix with trailing rows and columns (`gemm`),
+    /// and their largest row and column extents.
+    pub(crate) update: usize,
+    pub(crate) update_rows: usize,
+    pub(crate) update_cols: usize,
+}
+
+/// The panel steps of matrices with `rows` and `cols` in the launch
+/// `order` ([`DriverWorkspace::launch_order`]'s host copy: every matrix
+/// with a panel, largest `min(m, n)` first) at panel width `nb ≥ 1`: one
+/// [`PanelStep`] for each `j = 0, nb, …` below the largest `min(m, n)`,
+/// yielded lazily, so planning allocates nothing.
+pub(crate) fn panel_steps<'a>(
+    rows: &'a [usize],
+    cols: &'a [usize],
+    order: &'a [usize],
+    nb: usize,
+) -> impl Iterator<Item = PanelStep> + 'a {
+    let k = move |i: usize| rows[i].min(cols[i]);
+    let k_max = order.first().map_or(0, |&i| k(i));
+    (0..k_max).step_by(nb).map(move |j| {
+        let panel = order.partition_point(|&i| k(i) > j);
+        let mut s = PanelStep {
+            j,
+            panel,
+            ..PanelStep::default()
+        };
+        for (b, &i) in order[..panel].iter().enumerate() {
+            let (m, n) = (rows[i], cols[i]);
+            let jb = panel_width(m, n, j, nb);
+            let (trows, tcols) = (m - j - jb, n - j - jb);
+            if n > jb {
+                s.outside = b + 1;
+            }
+            if tcols > 0 {
+                s.trail = b + 1;
+                s.trail_cols = s.trail_cols.max(tcols);
+            }
+            if trows > 0 && tcols > 0 {
+                s.update = b + 1;
+                s.update_rows = s.update_rows.max(trows);
+                s.update_cols = s.update_cols.max(tcols);
+            }
+        }
+        s
+    })
+}
+
+/// The LU/QR driver body: resets `info`, grows the caller's per-matrix
+/// output arena `out` (pivots, `tau`) to `max_k` slots per matrix,
+/// makes the launch order resident and lets `scratch` grow the op's
+/// pooled scratch, each under [`with_retry`]. Then, for each
+/// [`PanelStep`] of [`panel_steps`] at panel width `nb`, it runs `step`
+/// (handed the workspace, `out`'s per-matrix pointers and the device
+/// launch order) and the scrubber, and reads `info` back, charging the
+/// D2H as every driver does: the kernels and the scrubber write it.
+pub(crate) fn run_panels<T: Scalar, E: Copy + Default>(
+    dev: &Device,
+    batch: &VBatch<T>,
+    (nb, pol): (usize, RecoveryPolicy),
+    ws: &mut DriverWorkspace<T>,
+    out: &mut Option<PerMatrixArray<E>>,
+    mut scratch: impl FnMut(&mut DriverWorkspace<T>) -> Result<(), VbatchError>,
+    mut step: impl FnMut(
+        &mut RecoveryReport,
+        &DriverWorkspace<T>,
+        DevicePtr<DevicePtr<E>>,
+        DevicePtr<i32>,
+        &PanelStep,
+    ) -> Result<(), VbatchError>,
 ) -> Result<BatchReport, VbatchError> {
     let ev_start = fault_events_start(dev);
     let mut rec = RecoveryReport::default();
-    let pol = opts.recovery;
-    let count = batch.count();
-    let nb = opts.nb_panel.max(1);
-    let k_max = batch.max_k();
+    let (count, k_max) = (batch.count(), batch.max_k());
     batch.reset_info();
     with_retry(dev, &pol, &mut rec, || {
-        PivotArray::ensure(pivots, dev, count.max(1), k_max)
+        PerMatrixArray::ensure(out, dev, count.max(1), k_max)
     })?;
-    let pivots = pivots.as_ref().expect("ensured above");
     if count == 0 || k_max == 0 {
         return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
     }
@@ -313,88 +455,12 @@ pub fn getrf_vbatched_pooled<T: Scalar>(
     let d_order = with_retry(dev, &pol, &mut rec, || {
         ws.launch_order(dev, batch.rows(), batch.cols())
     })?;
-    // Trailing kernels must keep running for singular matrices (LAPACK
-    // continues past a zero pivot), so they get an always-clean info.
-    with_retry(dev, &pol, &mut rec, || ws.lu_scratch(dev, count))?;
-    let (step, clean_info) = ws.lu_views();
-    let order = ws.order();
-    let a = batch.view();
-    let [l11, a12, a21, a22] = step.views(a, clean_info);
-    let (rows, cols) = (batch.rows(), batch.cols());
-
-    let mut j = 0;
-    while j < k_max {
-        // The matrices with a panel at this step are a prefix of the
-        // launch order. Inside it, from the size mirror: how far the
-        // matrices with columns outside the panel (`laswp`), with
-        // trailing columns (the step views and `trsm`) and with both
-        // trailing rows and columns (`gemm`) reach, and `gemm`'s
-        // extents. A kernel with no live block is not launched.
-        let live = order.partition_point(|&i| rows[i].min(cols[i]) > j);
-        let (mut swaps, mut trail, mut update) = (0, 0, 0);
-        let (mut max_trows, mut max_tcols) = (0, 0);
-        for (b, &i) in order[..live].iter().enumerate() {
-            let (m, n) = (rows[i], cols[i]);
-            let jb = panel_width(m, n, j, nb);
-            let (trows, tcols) = (m - j - jb, n - j - jb);
-            if n > jb {
-                swaps = b + 1;
-            }
-            if tcols > 0 {
-                trail = b + 1;
-            }
-            if trows > 0 && tcols > 0 {
-                update = b + 1;
-                max_trows = max_trows.max(trows);
-                max_tcols = max_tcols.max(tcols);
-            }
-        }
-
-        with_retry(dev, &pol, &mut rec, || {
-            getf2_panel(dev, batch, pivots, d_order.truncate(live), j, nb)
-        })?;
-        if swaps > 0 {
-            with_retry(dev, &pol, &mut rec, || {
-                laswp_outside(dev, batch, pivots, d_order.truncate(swaps), j, nb)
-            })?;
-        }
-        if trail > 0 {
-            with_retry(dev, &pol, &mut rec, || {
-                step.update(dev, a, d_order.truncate(trail), j, nb)
-            })?;
-            // U12 ← L11⁻¹ · A12 (unit lower).
-            with_retry(dev, &pol, &mut rec, || {
-                trsm_left_vbatched(
-                    dev,
-                    Uplo::Lower,
-                    Trans::NoTrans,
-                    Diag::Unit,
-                    l11.first(trail),
-                    a12.first(trail),
-                )
-            })?;
-        }
-        if update > 0 {
-            // A22 ← A22 − L21 · U12.
-            with_retry(dev, &pol, &mut rec, || {
-                gemm_vbatched(
-                    dev,
-                    Trans::NoTrans,
-                    Trans::NoTrans,
-                    -T::ONE,
-                    a21.first(update),
-                    a12.first(update),
-                    T::ONE,
-                    a22.first(update),
-                    max_trows,
-                    max_tcols,
-                )
-            })?;
-        }
+    with_retry(dev, &pol, &mut rec, || scratch(ws))?;
+    let out = out.as_ref().expect("ensured above").d_ptrs();
+    for s in panel_steps(batch.rows(), batch.cols(), ws.order(), nb) {
+        step(&mut rec, ws, out, d_order, &s)?;
         scrub_batch(dev, batch, &pol, &mut rec)?;
-        j += nb;
     }
-
     dev.copy_dtoh_bytes(count * 4);
     Ok(finish_recovery(dev, ev_start, rec, batch.read_info()))
 }
@@ -412,13 +478,12 @@ thread_local! {
 fn getf2_panel<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    pivots: &PivotArray,
+    piv: DevicePtr<DevicePtr<i32>>,
     order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
     let a = batch.view();
-    let piv = pivots.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
     let cfg =
@@ -463,13 +528,12 @@ fn getf2_panel<T: Scalar>(
 fn laswp_outside<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    pivots: &PivotArray,
+    piv: DevicePtr<DevicePtr<i32>>,
     order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
     let meta = batch.view();
-    let piv = pivots.d_ptrs();
     let cfg = LaunchConfig::grid_1d(order.len() as u32, 128);
     dev.launch(kname!(T, "laswp_vbatched"), cfg, move |ctx| {
         let i = order.get(ctx.linear_block_id()) as usize;
@@ -510,6 +574,122 @@ mod tests {
     use vbatch_dense::verify::{lu_residual, residual_tol};
     use vbatch_dense::MatRef;
     use vbatch_gpu_sim::DeviceConfig;
+
+    /// Calls `f` on every multiset of at most `max_len` of `vals`
+    /// (extending `cur`, picking from `vals[from..]`).
+    fn multisets(
+        vals: &[(usize, usize)],
+        max_len: usize,
+        cur: &mut Vec<(usize, usize)>,
+        from: usize,
+        f: &mut impl FnMut(&[(usize, usize)]),
+    ) {
+        f(cur);
+        if cur.len() < max_len {
+            for v in from..vals.len() {
+                cur.push(vals[v]);
+                multisets(vals, max_len, cur, v, f);
+                cur.pop();
+            }
+        }
+    }
+
+    /// Checks [`panel_steps`] on the batch `shapes` at width `nb`
+    /// against the definitions, in the order `launch_order` sorts it.
+    fn check_plan(shapes: &[(usize, usize)], nb: usize) {
+        let (rows, cols): (Vec<usize>, Vec<usize>) = shapes.iter().copied().unzip();
+        let k = |i: usize| rows[i].min(cols[i]);
+        // `DriverWorkspace::launch_order`'s key and tie-break.
+        let key = |i: usize| (k(i), rows[i], cols[i]);
+        let mut order: Vec<usize> = (0..shapes.len()).collect();
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(key(i)), i));
+        order.retain(|&i| k(i) > 0);
+        let k_max = (0..shapes.len()).map(k).max().unwrap_or(0);
+        let steps: Vec<PanelStep> = panel_steps(&rows, &cols, &order, nb).collect();
+        // (i) One step per panel column below the largest `min(m, n)`.
+        let js: Vec<usize> = steps.iter().map(|s| s.j).collect();
+        assert_eq!(js, (0..k_max).step_by(nb).collect::<Vec<_>>(), "{shapes:?}");
+        let mut panels = 0;
+        for s in &steps {
+            let j = s.j;
+            // Matrix `i`'s trailing rows and columns, if it has a panel.
+            let trail = |i: usize| {
+                let jb = nb.min(k(i).checked_sub(j).filter(|&r| r > 0)?);
+                Some((jb, rows[i] - j - jb, cols[i] - j - jb))
+            };
+            // (ii) The panel prefix is exactly the matrices with a panel.
+            assert!(s.panel > 0, "{shapes:?} {s:?}");
+            let mut live = order[..s.panel].to_vec();
+            live.sort_unstable();
+            let want: Vec<usize> = (0..shapes.len()).filter(|&i| k(i) > j).collect();
+            assert_eq!(live, want, "{shapes:?} {s:?}");
+            panels += s.panel;
+            // (iii) Each prefix holds every matrix with that work and
+            // ends at one.
+            let works: [(usize, &dyn Fn(usize) -> bool); 3] = [
+                (s.outside, &|i| {
+                    trail(i).is_some_and(|(jb, _, _)| cols[i] > jb)
+                }),
+                (s.trail, &|i| trail(i).is_some_and(|(_, _, tc)| tc > 0)),
+                (s.update, &|i| {
+                    trail(i).is_some_and(|(_, tr, tc)| tr > 0 && tc > 0)
+                }),
+            ];
+            for (prefix, has) in works {
+                assert!(prefix <= s.panel, "{shapes:?} {s:?}");
+                for (b, &i) in order.iter().enumerate() {
+                    assert!(!has(i) || b < prefix, "{shapes:?} {s:?}: {i} left out");
+                }
+                assert!(prefix == 0 || has(order[prefix - 1]), "{shapes:?} {s:?}");
+            }
+            // (iv) Each extent is the largest over the matrices with
+            // that work.
+            let ext = |f: &dyn Fn((usize, usize, usize)) -> Option<usize>| {
+                order
+                    .iter()
+                    .filter_map(|&i| trail(i).and_then(f))
+                    .max()
+                    .unwrap_or(0)
+            };
+            assert_eq!(
+                s.trail_cols,
+                ext(&|(_, _, tc)| Some(tc)),
+                "{shapes:?} {s:?}"
+            );
+            let update =
+                |(_, tr, tc): (usize, usize, usize)| (tr > 0 && tc > 0).then_some((tr, tc));
+            assert_eq!(
+                s.update_rows,
+                ext(&|t| update(t).map(|u| u.0)),
+                "{shapes:?} {s:?}"
+            );
+            assert_eq!(
+                s.update_cols,
+                ext(&|t| update(t).map(|u| u.1)),
+                "{shapes:?} {s:?}"
+            );
+        }
+        // Every live (matrix, step) is in exactly one panel launch.
+        let want: usize = (0..shapes.len()).map(|i| k(i).div_ceil(nb)).sum();
+        assert_eq!(panels, want, "{shapes:?}");
+    }
+
+    #[test]
+    fn panel_steps_bounded_exhaustive() {
+        for nb in 1..=3 {
+            let orders: Vec<(usize, usize)> = (0..=3 * nb).map(|n| (n, n)).collect();
+            let shapes: Vec<(usize, usize)> = (0..=3 * nb)
+                .flat_map(|m| (0..=3 * nb).map(move |n| (m, n)))
+                .collect();
+            for (vals, max_len) in [(&orders, 6), (&shapes, 3)] {
+                multisets(vals, max_len, &mut Vec::new(), 0, &mut |batch| {
+                    check_plan(batch, nb);
+                    let rev: Vec<(usize, usize)> = batch.iter().rev().copied().collect();
+                    check_plan(&rev, nb);
+                });
+            }
+        }
+    }
 
     #[test]
     fn variable_size_lu_residuals() {

@@ -10,13 +10,13 @@
 //!    update that dominates the flops, parallelized across column tiles
 //!    and the batch.
 //!
-//! Both kernels run in the LU driver's launch order ([`crate::lu`]):
-//! largest matrix first, so the matrices with a panel at a step are a
-//! prefix of it and each launch has one grid row per matrix of that
-//! prefix. `larfb`'s column extent is the widest trailing block among
-//! them, and the step launches no `larfb` when none has trailing
-//! columns. Column tiles past a narrower matrix's trailing block still
-//! terminate early (ETM-classic).
+//! Both run on the LU driver body ([`crate::lu`]): its planner gives
+//! each step's live prefix of the largest-first launch order, and one
+//! grid row per matrix of it. QR's step function launches the panel on
+//! the matrices with a panel and `larfb` on those through the last one
+//! with trailing columns, as wide as the widest of those, or no `larfb`
+//! when none has any. Column tiles past a narrower matrix's trailing
+//! block still terminate early (ETM-classic).
 
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DevicePtr, Dim3, LaunchConfig};
@@ -27,10 +27,10 @@ use crate::kernels::{
     charge_flops, charge_read, charge_smem, charge_write, mat_mut, mat_ref, panel_width,
     round_to_warp,
 };
-use crate::recover::{
-    fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
-};
+use crate::lu::run_panels;
+use crate::recover::{fault_events_start, finish_recovery, with_retry, RecoveryPolicy};
 use crate::report::{BatchReport, VbatchError};
+use crate::workspace::DriverWorkspace;
 use crate::VBatch;
 
 /// Device-resident Householder scalar storage (`max_k` per matrix).
@@ -91,17 +91,12 @@ pub fn geqrf_vbatched<T: Scalar>(
     batch: &mut VBatch<T>,
     opts: &GeqrfOptions,
 ) -> Result<(BatchReport, TauArray<T>), VbatchError> {
-    geqrf_vbatched_ws(
-        dev,
-        batch,
-        opts,
-        &mut crate::workspace::DriverWorkspace::new(),
-    )
+    geqrf_vbatched_ws(dev, batch, opts, &mut DriverWorkspace::new())
 }
 
-/// [`geqrf_vbatched`] with a caller-owned
-/// [`crate::workspace::DriverWorkspace`]: the `T`-factor arena is
-/// pooled, so warm calls only allocate the returned `tau` arena.
+/// [`geqrf_vbatched`] with a caller-owned [`DriverWorkspace`]: the
+/// `T`-factor arena is pooled, so warm calls only allocate the returned
+/// `tau` arena.
 ///
 /// # Errors
 /// As [`geqrf_vbatched`].
@@ -109,69 +104,39 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
     opts: &GeqrfOptions,
-    ws: &mut crate::workspace::DriverWorkspace<T>,
+    ws: &mut DriverWorkspace<T>,
 ) -> Result<(BatchReport, TauArray<T>), VbatchError> {
-    let count = batch.count();
-    let nb = opts.nb_panel.max(1);
-    let ev_start = fault_events_start(dev);
-    let mut rec = RecoveryReport::default();
-    let pol = opts.recovery;
-    let k_max = batch.max_k();
-    batch.reset_info();
-    let tau = with_retry(dev, &pol, &mut rec, || {
-        TauArray::<T>::alloc(dev, count.max(1), k_max)
-    })?;
-    if count == 0 || k_max == 0 {
-        return Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau));
-    }
-    batch.register_fault_targets(dev);
-    let d_order = with_retry(dev, &pol, &mut rec, || {
-        ws.launch_order(dev, batch.rows(), batch.cols())
-    })?;
-    // Per-matrix T-factor workspace (nb × nb each), pooled; every tile
-    // is fully rewritten by the panel kernel before `larfb` reads it.
-    with_retry(dev, &pol, &mut rec, || {
-        PerMatrixArray::ensure(&mut ws.qr_t, dev, count, nb * nb)
-    })?;
-    let t_ptrs = ws.qr_t.as_ref().expect("ensured above").d_ptrs();
-    let order = ws.order();
-    let (rows, cols) = (batch.rows(), batch.cols());
-
-    let mut j = 0;
-    while j < k_max {
-        // The matrices with a panel at this step are a prefix of the
-        // launch order; `larfb` covers it as far as a matrix with
-        // trailing columns reaches, as wide as the widest of those.
-        let live = order.partition_point(|&i| rows[i].min(cols[i]) > j);
-        let (mut trail, mut max_tcols) = (0, 0);
-        for (b, &i) in order[..live].iter().enumerate() {
-            let tcols = cols[i] - j - panel_width(rows[i], cols[i], j, nb);
-            if tcols > 0 {
-                trail = b + 1;
-                max_tcols = max_tcols.max(tcols);
-            }
-        }
-        with_retry(dev, &pol, &mut rec, || {
-            geqr2_larft_panel(dev, batch, &tau, t_ptrs, d_order.truncate(live), j, nb)
-        })?;
-        if trail > 0 {
-            with_retry(dev, &pol, &mut rec, || {
-                larfb_cols(
-                    dev,
-                    batch,
-                    t_ptrs,
-                    d_order.truncate(trail),
-                    j,
-                    opts,
-                    max_tcols,
-                )
+    let (count, nb, pol) = (batch.count(), opts.nb_panel.max(1), opts.recovery);
+    let mut tau = None;
+    let report = run_panels(
+        dev,
+        batch,
+        (nb, pol),
+        ws,
+        &mut tau,
+        // Per-matrix T-factor workspace (nb × nb each), pooled; every
+        // tile is fully rewritten by the panel kernel before `larfb`
+        // reads it.
+        |ws| PerMatrixArray::ensure(&mut ws.qr_t, dev, count, nb * nb),
+        |rec, ws, tau, order, s| {
+            let t_ptrs = ws
+                .qr_t
+                .as_ref()
+                .expect("ensured by the scratch step")
+                .d_ptrs();
+            with_retry(dev, &pol, rec, || {
+                geqr2_larft_panel(dev, batch, tau, t_ptrs, order.truncate(s.panel), s.j, nb)
             })?;
-        }
-        scrub_batch(dev, batch, &pol, &mut rec)?;
-        j += nb;
-    }
-
-    Ok((finish_recovery(dev, ev_start, rec, batch.read_info()), tau))
+            if s.trail > 0 {
+                with_retry(dev, &pol, rec, || {
+                    let order = order.truncate(s.trail);
+                    larfb_cols(dev, batch, t_ptrs, order, s.j, opts, s.trail_cols)
+                })?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok((report, TauArray(tau.expect("run_panels fills the arena"))))
 }
 
 /// Panel factorization + `T` formation, block `b` on matrix
@@ -179,14 +144,13 @@ pub fn geqrf_vbatched_ws<T: Scalar>(
 fn geqr2_larft_panel<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    tau: &TauArray<T>,
+    tau_ptrs: DevicePtr<DevicePtr<T>>,
     t_ptrs: DevicePtr<DevicePtr<T>>,
     order: DevicePtr<i32>,
     j: usize,
     nb: usize,
 ) -> Result<(), VbatchError> {
     let a = batch.view();
-    let tau_ptrs = tau.d_ptrs();
     let threads =
         round_to_warp(nb * 4, dev.config().warp_size).min(dev.config().max_threads_per_block);
     let cfg =

@@ -15,15 +15,17 @@
 //!
 //! Reuse is safe because every pooled buffer is either fully rewritten
 //! by an auxiliary kernel before any consumer reads it (step state, tile
-//! arenas, reduction partials), never written at all (the LU trailing
-//! updates' always-clean info vector), or written only from the host
+//! arenas, reduction partials), never written at all (the always-clean
+//! `info` the LU step views carry), or written only from the host
 //! with a host twin of its contents (the sorting permutation and the
 //! separated live-grid plan, see `sorting::upload_resident`): a
 //! plan the device already holds is not sent again, so a repeated call
 //! of one shape pays no plan upload. Simulated launches are synchronous,
 //! so a buffer may be reused across sorting windows within one call as
 //! well. Outputs that belong to the caller (pivot and tau arenas) are
-//! *not* pooled.
+//! *not* pooled. LU and QR share one driver body (`lu::run_panels`):
+//! it takes their launch order from `DriverWorkspace::launch_order`,
+//! and each op grows its own scratch slot here (`lu_step`, `qr_t`).
 
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr};
@@ -99,11 +101,8 @@ pub struct DriverWorkspace<T> {
     /// boxed on first use: a workspace that never cuts a window holds
     /// one empty pointer.
     pub(crate) ilv_plan: Option<Box<IlvPlan>>,
-    /// LU per-step views.
-    lu_step: Option<LuStep<T>>,
-    /// The always-clean `info` vector the LU trailing updates read
-    /// (zero forever: nothing writes it).
-    clean_info: Option<DeviceBuffer<i32>>,
+    /// LU per-step views, with their always-clean `info`.
+    pub(crate) lu_step: Option<LuStep<T>>,
 }
 
 impl<T: Scalar> DriverWorkspace<T> {
@@ -122,7 +121,6 @@ impl<T: Scalar> DriverWorkspace<T> {
             order: Vec::new(),
             ilv_plan: None,
             lu_step: None,
-            clean_info: None,
         }
     }
 
@@ -157,14 +155,9 @@ impl<T: Scalar> DriverWorkspace<T> {
         if let Some(s) = &self.lu_step {
             total += s.bytes();
         }
-        for b in [
-            &self.imax_partial,
-            &self.idx_dev,
-            &self.clean_info,
-            &self.live_dev,
-        ]
-        .into_iter()
-        .flatten()
+        for b in [&self.imax_partial, &self.idx_dev, &self.live_dev]
+            .into_iter()
+            .flatten()
         {
             total += b.bytes();
         }
@@ -209,33 +202,6 @@ impl<T: Scalar> DriverWorkspace<T> {
                 .expect("ensured by sep_scratch")
                 .ptr(),
             &self.live_host,
-        )
-    }
-
-    /// Ensures the LU scratch covers `count` matrices (see
-    /// [`DriverWorkspace::lu_views`]).
-    ///
-    /// # Errors
-    /// [`VbatchError::Oom`] when device memory is exhausted.
-    pub(crate) fn lu_scratch(&mut self, dev: &Device, count: usize) -> Result<(), VbatchError> {
-        grow_slot(&mut self.lu_step, LuStep::count, count, || {
-            LuStep::alloc(dev, count)
-        })?;
-        grow_slot(&mut self.clean_info, DeviceBuffer::len, count, || {
-            dev.alloc(count)
-        })?;
-        Ok(())
-    }
-
-    /// The step views and clean-info pointer the last successful
-    /// [`DriverWorkspace::lu_scratch`] ensured.
-    pub(crate) fn lu_views(&self) -> (&LuStep<T>, DevicePtr<i32>) {
-        (
-            self.lu_step.as_ref().expect("ensured by lu_scratch"),
-            self.clean_info
-                .as_ref()
-                .expect("ensured by lu_scratch")
-                .ptr(),
         )
     }
 
