@@ -294,7 +294,7 @@ impl<T: Scalar> VBatch<T> {
     }
 
     /// Largest `min(m, n)` in the batch: the column where the LU/QR
-    /// panel loop ends.
+    /// panel loop ends, and zero when a driver has nothing to factorize.
     #[must_use]
     pub(crate) fn max_k(&self) -> usize {
         self.rows

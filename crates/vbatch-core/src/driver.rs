@@ -8,13 +8,25 @@
 //! is designed to select the best out of the two approaches. It defines
 //! a crossover point after which separated BLAS kernels are used"
 //! (§IV-C), keyed on the *maximum* size in the batch (§IV-E).
+//!
+//! That top layer is written once, as `run_frame`, the frame every
+//! factorization runs in: Cholesky here, LU and QR through
+//! `lu::run_panels`. It resets `info`, returns uncharged when nothing
+//! is to be factorized, registers the fault targets, and then runs the
+//! op's steps, scrubbing after each, and reads `info` back. What a step
+//! launches is planned on the host size mirror by a pure planner: for
+//! fused Cholesky a step is one sorting window, whose launches
+//! `fused_launches` yields as `(first, len, extent, step)` records over
+//! the window's indices; for separated Cholesky it is one panel step,
+//! its column and four live grids read back from the call's plan by
+//! `sep::live_steps`; LU and QR plan theirs with `lu::panel_steps`.
 
 use vbatch_dense::{Scalar, Uplo};
 use vbatch_gpu_sim::{Device, DevicePtr};
 
 use crate::aux::compute_imax_pooled;
 use crate::etm::EtmPolicy;
-use crate::fused::{fused_feasible, potrf_fused_step, potrf_interleaved_window, tuned_nb};
+use crate::fused::{fused_feasible, potrf_fused_step, potrf_interleaved_window, tuned_nb, IlvPlan};
 use crate::recover::{
     fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
 };
@@ -23,7 +35,7 @@ use crate::sep::potf2::potf2_panel_vbatched;
 use crate::sep::syrk::syrk_vbatched;
 use crate::sep::trsm::trsm_panel_vbatched;
 use crate::sep::trtri::trtri_diag_vbatched;
-use crate::sep::{LiveGrid, SepKernel, DEFAULT_NB_PANEL};
+use crate::sep::{live_steps, LiveGrid, SepKernel, DEFAULT_NB_PANEL};
 use crate::sorting::{build_windows, single_window, upload_resident, SizeWindow};
 use crate::workspace::DriverWorkspace;
 use crate::VBatch;
@@ -193,51 +205,98 @@ pub fn potrf_vbatched_max_ws<T: Scalar>(
             "potrf_vbatched_max: max_n is smaller than the largest matrix",
         ));
     }
-    let ev_start = fault_events_start(dev);
-    potrf_run(
-        dev,
-        batch,
-        max_n,
-        opts,
-        ws,
-        RecoveryReport::default(),
-        ev_start,
-    )
+    let start = (fault_events_start(dev), RecoveryReport::default());
+    potrf_run(dev, batch, max_n, opts, ws, start)
 }
 
-/// Driver body shared by both public entry points: validates, runs the
-/// resolved strategy under the recovery policy, and finalizes the
-/// report. `rec`/`ev_start` carry recovery state accumulated by the
-/// caller (the LAPACK-style interface's max-reduction runs *before*
-/// this body and is itself retried).
+/// Driver body shared by both public entry points: validates, then runs
+/// the resolved strategy's plan in the driver frame under the recovery
+/// policy. `start` carries the fault-event start and the recovery state
+/// accumulated by the caller (the LAPACK-style interface's
+/// max-reduction runs *before* this body and is itself retried).
 fn potrf_run<T: Scalar>(
     dev: &Device,
     batch: &mut VBatch<T>,
     max_n: usize,
     opts: &PotrfOptions,
     ws: &mut DriverWorkspace<T>,
-    mut rec: RecoveryReport,
-    ev_start: usize,
+    start: (usize, RecoveryReport),
 ) -> Result<BatchReport, VbatchError> {
     if batch.rows() != batch.cols() {
         return Err(VbatchError::InvalidArgument(
             "potrf_vbatched: matrices must be square",
         ));
     }
+    let (batch, pol) = (&*batch, &opts.recovery);
+    let nb = opts.fused.nb.unwrap_or_else(|| tuned_nb::<T>(dev, max_n));
+    match resolve_strategy::<T>(dev, opts, max_n, nb) {
+        Strategy::Fused => run_frame(dev, batch, pol, start, |_| {
+            let windows = fused_windows::<T>(dev, batch.cols(), max_n, nb, opts)?;
+            // A step of the frame is one window: every window's indices
+            // back to back form the call's permutation, `first` is this
+            // one's offset into it.
+            let (steps, mut first) = (0..windows.len(), 0);
+            let step = move |rec: &mut RecoveryReport, w: usize| {
+                let indices = &windows[w].indices;
+                fused_window(dev, batch, &windows, (first, indices), (nb, opts), ws, rec)?;
+                first += indices.len();
+                Ok(())
+            };
+            Ok((steps, step))
+        }),
+        Strategy::Separated => run_frame(dev, batch, pol, start, |rec| {
+            let nb_panel = opts.sep.nb_panel.max(1);
+            let sizes = batch.cols();
+            // OOM ladder for the separated scratch. Shrinking `nb_panel`
+            // would reorder the blocked arithmetic and break bitwise
+            // reproducibility, so the only degradations are retry (under
+            // a fault plan) and a last-resort release of the pooled
+            // workspace; `sep_scratch` keeps partial progress (the step
+            // state survives a failed tile alloc).
+            let mut grown = with_retry(dev, pol, rec, || ws.sep_scratch(dev, sizes, nb_panel));
+            if matches!(grown, Err(VbatchError::Oom(_))) {
+                rec.workspace_releases += 1;
+                ws.release();
+                grown = ws.sep_scratch(dev, sizes, nb_panel);
+            }
+            let d_starts = grown?;
+            let ws = &*ws;
+            let steps = live_steps(d_starts, &ws.live_host, sizes.len(), nb_panel);
+            Ok((steps, separated_step(dev, batch, opts, ws)))
+        }),
+        Strategy::Auto => unreachable!("resolved above"),
+    }
+}
+
+/// The one driver frame (§III-F) every factorization runs in. It resets
+/// `info` and returns a batch with nothing to factorize (no matrix with
+/// `min(m, n) > 0`) uncharged. Otherwise it registers the fault
+/// targets, lets `plan` make the op's plan and scratch resident, each
+/// under [`with_retry`], and get back its steps and the step function,
+/// runs each step and then the scrubber, and reads `info` back, charging
+/// the D2H: the kernels and the scrubber write it. `start` is the
+/// fault-event start and the recovery state so far.
+pub(crate) fn run_frame<T: Scalar, S, I, F>(
+    dev: &Device,
+    batch: &VBatch<T>,
+    pol: &RecoveryPolicy,
+    (ev_start, mut rec): (usize, RecoveryReport),
+    plan: impl FnOnce(&mut RecoveryReport) -> Result<(I, F), VbatchError>,
+) -> Result<BatchReport, VbatchError>
+where
+    I: IntoIterator<Item = S>,
+    F: FnMut(&mut RecoveryReport, S) -> Result<(), VbatchError>,
+{
     batch.reset_info();
-    if batch.count() == 0 || max_n == 0 {
+    if batch.max_k() == 0 {
         return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
     }
     batch.register_fault_targets(dev);
-
-    let nb = opts.fused.nb.unwrap_or_else(|| tuned_nb::<T>(dev, max_n));
-    let strategy = resolve_strategy::<T>(dev, opts, max_n, nb);
-    match strategy {
-        Strategy::Fused => run_fused(dev, batch, max_n, nb, opts, ws, &mut rec)?,
-        Strategy::Separated => run_separated(dev, batch, opts, ws, &mut rec)?,
-        Strategy::Auto => unreachable!("resolved above"),
+    let (steps, mut step) = plan(&mut rec)?;
+    for s in steps {
+        step(&mut rec, s)?;
+        scrub_batch(dev, batch, pol, &mut rec)?;
     }
-
     dev.copy_dtoh_bytes(batch.count() * 4);
     Ok(finish_recovery(dev, ev_start, rec, batch.read_info()))
 }
@@ -275,7 +334,7 @@ pub fn potrf_vbatched_ws<T: Scalar>(
         compute_imax_pooled(dev, d_cols, count, &mut ws.imax_partial)
     })?
     .max(0) as usize;
-    potrf_run(dev, batch, max_n, opts, ws, rec, ev_start)
+    potrf_run(dev, batch, max_n, opts, ws, (ev_start, rec))
 }
 
 /// Resolves [`Strategy::Auto`] to a concrete approach for this batch.
@@ -298,63 +357,105 @@ pub(crate) fn resolve_strategy<T: Scalar>(
     }
 }
 
-fn run_fused<T: Scalar>(
+/// The sorting windows of a fused call on matrices of orders `sizes`,
+/// ascending (§III-D2), or one window of every matrix when implicit
+/// sorting is off.
+///
+/// # Errors
+/// [`VbatchError::InvalidArgument`] when the fused panel does not fit.
+fn fused_windows<T: Scalar>(
     dev: &Device,
-    batch: &VBatch<T>,
+    sizes: &[usize],
     max_n: usize,
     nb: usize,
     opts: &PotrfOptions,
-    ws: &mut DriverWorkspace<T>,
-    rec: &mut RecoveryReport,
-) -> Result<(), VbatchError> {
+) -> Result<Vec<SizeWindow>, VbatchError> {
     if !fused_feasible::<T>(dev, max_n, nb) {
         return Err(VbatchError::InvalidArgument(
             "fused approach infeasible for this max size; use Separated or Auto",
         ));
     }
-    let sizes = batch.cols();
-    let windows = if opts.fused.sorting {
-        // Window width: at least `window_factor · nb` (the paper ties it
-        // to nb), widened so the average group still fills the device —
-        // narrow windows on small batches multiply launches faster than
-        // they improve occupancy (measured by `figures -- ablation-window`). An
-        // explicit `window_width` bypasses the count-dependent heuristic
-        // entirely (the sharded path needs bucketing that is independent
-        // of how many matrices landed on this device).
-        let width = opts.fused.window_width.unwrap_or_else(|| {
-            let target_groups = (batch.count() / 48).max(1);
-            let min_window = max_n.div_ceil(target_groups);
-            (nb * opts.fused.window_factor.max(1)).max(min_window)
-        });
-        build_windows(sizes, width)
-    } else {
-        single_window(sizes)
-    };
-    let mut first = 0;
-    for w in &windows {
-        let win = (windows.as_slice(), first, w.indices.as_slice());
-        process_fused_window(dev, batch, win, w.max_size, nb, opts, ws, rec)?;
-        scrub_batch(dev, batch, &opts.recovery, rec)?;
-        first += w.indices.len();
+    if !opts.fused.sorting {
+        return Ok(single_window(sizes));
     }
-    Ok(())
+    // Window width: at least `window_factor · nb` (the paper ties it to
+    // nb), widened so the average group still fills the device — narrow
+    // windows on small batches multiply launches faster than they
+    // improve occupancy (measured by `figures -- ablation-window`). An
+    // explicit `window_width` bypasses the count-dependent heuristic
+    // entirely (the sharded path needs bucketing that is independent of
+    // how many matrices landed on this device).
+    let width = opts.fused.window_width.unwrap_or_else(|| {
+        let target_groups = (sizes.len() / 48).max(1);
+        let min_window = max_n.div_ceil(target_groups);
+        (nb * opts.fused.window_factor.max(1)).max(min_window)
+    });
+    Ok(build_windows(sizes, width))
 }
 
-/// A fused window or OOM half: the call's windows, the offset of its
-/// first index in their concatenation, and its indices.
-type WindowSlice<'a> = (&'a [SizeWindow], usize, &'a [usize]);
+/// The fused launches of one window `indices` (or a half the OOM ladder
+/// cut from one, never empty), planned on the host size mirror as
+/// `(first, len, extent, step)` records, each over `indices[first..][..len]`.
+///
+/// A `Lower` window whose largest order is at or below the interleave
+/// cutoff takes the batched-small path: its matrices factorize whole in
+/// `potrf_ilv_batch` launches (`step` is `None`), one per run of orders
+/// `ilv` cuts a sorted window into where the simulator's own launch
+/// arithmetic predicts the cut pays, and one for an unsorted window.
+/// Any other window runs the step loop: one `potrf_fused_step` launch
+/// per step `j = 0, nb, …` below its largest order (`Some(j)`), sized
+/// by that order. A sorted window's indices ascend by order (and so do
+/// the halves the OOM ladder cuts from it), so the matrices still live
+/// at step `j` are a suffix of the list, and each step launches that
+/// suffix alone. An unsorted window (the sorting ablation) keeps every
+/// matrix in every step, and a matrix that breaks mid-window retires
+/// through the ETM's `info` check either way.
+pub(crate) fn fused_launches<'a, T: Scalar>(
+    dev: &Device,
+    sizes: &'a [usize],
+    indices: &'a [usize],
+    nb: usize,
+    opts: &PotrfOptions,
+    ilv: &'a mut Option<Box<IlvPlan>>,
+) -> impl Iterator<Item = (usize, usize, usize, Option<usize>)> + 'a {
+    let sorted = opts.fused.sorting;
+    let wmax = indices.iter().map(|&i| sizes[i]).max().unwrap_or(0);
+    let batched_small = opts.fused.batched_small
+        && opts.uplo == Uplo::Lower
+        && wmax <= opts.fused.resolved_interleave_cutoff::<T>();
+    let runs: &[_] = if batched_small && sorted {
+        ilv.get_or_insert_with(Box::default)
+            .cut::<T>(dev, sizes, indices)
+    } else {
+        &[]
+    };
+    let whole = (batched_small && !sorted).then_some((0, indices.len(), wmax));
+    let steps = if batched_small { 0 } else { wmax };
+    let runs = runs.iter().copied().chain(whole);
+    runs.map(|(first, len, m)| (first, len, m, None))
+        .chain((0..steps).step_by(nb).map(move |j| {
+            let first = if sorted {
+                indices.partition_point(|&i| sizes[i] <= j)
+            } else {
+                0
+            };
+            (first, indices.len() - first, wmax, Some(j))
+        }))
+}
 
-/// The device indices of `win`: its slice of the call's permutation
-/// (every window's indices, back to back), made resident whole through
-/// [`upload_resident`] so a call uploads it at most once, and not at all
-/// when the workspace already holds it. When the whole permutation does
-/// not fit in memory, the slice alone is made resident, which is what
-/// lets the OOM ladder's halves fit where their window did not. Only a
-/// sorted call charges the upload: an unsorted launch maps blocks to
-/// matrices directly, and its index list stands in for that mapping.
+/// The device indices of the slice `first..first + indices.len()` of
+/// the call's permutation (every window's indices, back to back), made
+/// resident whole through [`upload_resident`] so a call uploads it at
+/// most once, and not at all when the workspace already holds it. When
+/// the whole permutation does not fit in memory, the slice alone is made
+/// resident, which is what lets the OOM ladder's halves fit where their
+/// window did not. Only a sorted call charges the upload: an unsorted
+/// launch maps blocks to matrices directly, and its index list stands in
+/// for that mapping.
 fn window_indices<T: Scalar>(
     dev: &Device,
-    (windows, first, indices): WindowSlice<'_>,
+    windows: &[SizeWindow],
+    (first, indices): (usize, &[usize]),
     charge: bool,
     ws: &mut DriverWorkspace<T>,
 ) -> Result<DevicePtr<i32>, VbatchError> {
@@ -370,179 +471,92 @@ fn window_indices<T: Scalar>(
     }
 }
 
-/// Factorizes one fused sorting window, degrading on persistent OOM by
-/// recursive halving (rung 2 of the recovery ladder): each sub-window is
-/// bitwise-equivalent to its share of the full window because the fused
-/// per-matrix arithmetic depends only on the matrix's own order and the
-/// globally fixed blocking `nb`, never on which neighbors share the
-/// launch. Each half keeps its offset into the call's permutation. At a
-/// single-matrix window the pooled workspace is released back to the
-/// device as the last resort before giving up.
-#[allow(clippy::too_many_arguments)]
-fn process_fused_window<T: Scalar>(
+/// Factorizes the slice `first..first + indices.len()` of the call's
+/// permutation: a fused window, or a half of one. An attempt makes its
+/// device indices resident ([`window_indices`]) and launches its
+/// [`fused_launches`] records, each under [`with_retry`] (launch
+/// rejections and, under a fault plan, alloc denials are retried in
+/// place). On persistent OOM (rung 2 of the recovery ladder) the slice
+/// is halved and each half planned afresh: each is bitwise-equivalent to
+/// its share of the whole because the fused per-matrix arithmetic
+/// depends only on the matrix's own order and the globally fixed
+/// blocking `nb`, never on which neighbors share the launch. At a single
+/// matrix the pooled workspace is released back to the device as the
+/// last resort before giving up.
+fn fused_window<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    win: WindowSlice<'_>,
-    wmax: usize,
-    nb: usize,
-    opts: &PotrfOptions,
+    windows: &[SizeWindow],
+    (first, indices): (usize, &[usize]),
+    (nb, opts): (usize, &PotrfOptions),
     ws: &mut DriverWorkspace<T>,
     rec: &mut RecoveryReport,
 ) -> Result<(), VbatchError> {
-    match fused_window_once(dev, batch, win, wmax, nb, opts, ws, rec) {
+    let pol = &opts.recovery;
+    let attempt = |ws: &mut DriverWorkspace<T>, rec: &mut RecoveryReport| {
+        let d_idx = with_retry(dev, pol, rec, || {
+            window_indices(dev, windows, (first, indices), opts.fused.sorting, ws)
+        })?;
+        let sizes = batch.cols();
+        for (at, len, extent, step) in
+            fused_launches::<T>(dev, sizes, indices, nb, opts, &mut ws.ilv_plan)
+        {
+            let idx = d_idx.offset(at).truncate(len);
+            with_retry(dev, pol, rec, || match step {
+                None => potrf_interleaved_window(dev, batch, idx, extent),
+                Some(j) => potrf_fused_step(dev, batch, opts, idx, extent, j, nb),
+            })?;
+        }
+        Ok::<_, VbatchError>(())
+    };
+    match attempt(ws, rec) {
+        Err(VbatchError::Oom(_)) if indices.len() > 1 => {
+            rec.window_splits += 1;
+            let mid = indices.len() / 2;
+            let (lo, hi) = indices.split_at(mid);
+            fused_window(dev, batch, windows, (first, lo), (nb, opts), ws, rec)?;
+            fused_window(dev, batch, windows, (first + mid, hi), (nb, opts), ws, rec)
+        }
         Err(VbatchError::Oom(e)) => {
-            let (windows, first, indices) = win;
-            if indices.len() > 1 {
-                rec.window_splits += 1;
-                let mid = indices.len() / 2;
-                let (lo, hi) = indices.split_at(mid);
-                for (off, half) in [(first, lo), (first + mid, hi)] {
-                    let half_max = half.iter().map(|&i| batch.cols()[i]).max().unwrap_or(0);
-                    let half = (windows, off, half);
-                    process_fused_window(dev, batch, half, half_max, nb, opts, ws, rec)?;
-                }
-                Ok(())
-            } else {
-                // One matrix left and still no memory: release every
-                // pooled buffer and make a final attempt.
-                rec.workspace_releases += 1;
-                ws.release();
-                fused_window_once(dev, batch, win, wmax, nb, opts, ws, rec)
-                    .map_err(|_| VbatchError::Oom(e))
-            }
+            // One matrix left and still no memory: release every pooled
+            // buffer and make a final attempt.
+            rec.workspace_releases += 1;
+            ws.release();
+            attempt(ws, rec).map_err(|_| VbatchError::Oom(e))
         }
         other => other,
     }
 }
 
-/// One attempt at a fused window (no OOM degradation — that is the
-/// caller's ladder). Launch rejections and (under a fault plan) alloc
-/// denials are retried in place.
-#[allow(clippy::too_many_arguments)]
-fn fused_window_once<T: Scalar>(
-    dev: &Device,
-    batch: &VBatch<T>,
-    win: WindowSlice<'_>,
-    wmax: usize,
-    nb: usize,
-    opts: &PotrfOptions,
-    ws: &mut DriverWorkspace<T>,
-    rec: &mut RecoveryReport,
-) -> Result<(), VbatchError> {
-    let indices = win.2;
-    if indices.is_empty() || wmax == 0 {
-        return Ok(());
-    }
-    let pol = &opts.recovery;
-    let d_idx = with_retry(dev, pol, rec, || {
-        window_indices(dev, win, opts.fused.sorting, ws)
-    })?;
-    if opts.fused.batched_small
-        && opts.uplo == Uplo::Lower
-        && wmax <= opts.fused.resolved_interleave_cutoff::<T>()
-    {
-        // Batched-small path: the window factorizes in cross-matrix
-        // interleaved launches instead of a per-step loop. A sorted
-        // window is cut into runs of orders where the simulator's own
-        // launch arithmetic predicts the cut pays; an unsorted one is a
-        // single launch.
-        let whole = [(0, indices.len(), wmax)];
-        let runs = if opts.fused.sorting {
-            ws.ilv_plan
-                .get_or_insert_with(Box::default)
-                .cut::<T>(dev, batch.cols(), indices)
-        } else {
-            &whole
-        };
-        for &(first, len, m) in runs {
-            let run_idx = d_idx.offset(first).truncate(len);
-            with_retry(dev, pol, rec, || {
-                potrf_interleaved_window(dev, batch, run_idx, len, m)
-            })?;
-        }
-        return Ok(());
-    }
-    // A sorted window's indices ascend by order (and so do the halves
-    // the OOM ladder cuts from it), so the matrices still live at step
-    // `j` are a suffix of the list: each step launches that suffix alone,
-    // counted on the host size mirror. The launch shape still follows
-    // `wmax - j`. An unsorted window (the sorting ablation) keeps every
-    // matrix in every step, and a matrix that breaks mid-window retires
-    // through the ETM's `info` check either way.
-    let sizes = batch.cols();
-    let mut j = 0;
-    while j < wmax {
-        let first = if opts.fused.sorting {
-            indices.partition_point(|&i| sizes[i] <= j)
-        } else {
-            0
-        };
-        let live = indices.len() - first;
-        let live_idx = d_idx.offset(first).truncate(live);
-        with_retry(dev, pol, rec, || {
-            potrf_fused_step(
-                dev,
-                batch,
-                opts.uplo,
-                live_idx,
-                live,
-                wmax,
-                j,
-                nb,
-                opts.fused.etm,
-            )
-        })?;
-        j += nb;
-    }
-    Ok(())
-}
-
-/// The separated approach (§III-E): per step, the panel `potf2`, the
+/// The step function of the separated approach (§III-E), on the
+/// scratch [`DriverWorkspace::sep_scratch`] made resident in `ws`: each
+/// step updates the step state, then launches the panel `potf2`, the
 /// diagonal-block `trtri`, the panel `trsm` and the trailing `syrk`,
-/// each launched on a [`LiveGrid`] of its live work alone. The grids
-/// are counted on the host size mirror, so the step loop ends at the
-/// batch's largest order whatever `max_n` the caller passed, and a
-/// kernel with no live block at a step is not launched.
+/// each on a [`LiveGrid`] of its live work alone. The grids
+/// ([`live_steps`]) are counted on the host size mirror, so the steps
+/// end at the batch's largest order whatever `max_n` the caller passed,
+/// and a kernel with no live block at a step is not launched.
 ///
 /// Nothing is read back: the sizes come from the host mirror. Every
 /// step's block starts go down in one upload, charged to the clock,
-/// which a workspace that already holds the same plan skips
-/// ([`DriverWorkspace::sep_scratch`]).
-fn run_separated<T: Scalar>(
-    dev: &Device,
-    batch: &VBatch<T>,
+/// which a workspace that already holds the same plan skips.
+fn separated_step<'a, T: Scalar>(
+    dev: &'a Device,
+    batch: &'a VBatch<T>,
     opts: &PotrfOptions,
-    ws: &mut DriverWorkspace<T>,
-    rec: &mut RecoveryReport,
-) -> Result<(), VbatchError> {
-    let count = batch.count();
-    let sizes = batch.cols();
+    ws: &'a DriverWorkspace<T>,
+) -> impl FnMut(&mut RecoveryReport, (usize, [LiveGrid; 4])) -> Result<(), VbatchError> + 'a {
     let (pol, uplo) = (opts.recovery, opts.uplo);
     let nb_panel = opts.sep.nb_panel.max(1);
     let nb_inner = opts.sep.nb_inner.max(1).min(nb_panel);
-    // OOM ladder for the separated scratch. Shrinking `nb_panel` would
-    // reorder the blocked arithmetic and break bitwise reproducibility,
-    // so the only degradations are retry (under a fault plan) and a
-    // last-resort release of the pooled workspace; `sep_scratch` keeps
-    // partial progress (the step state survives a failed tile alloc).
-    let mut grown = with_retry(dev, &pol, rec, || ws.sep_scratch(dev, sizes, nb_panel));
-    if matches!(grown, Err(VbatchError::Oom(_))) {
-        rec.workspace_releases += 1;
-        ws.release();
-        grown = ws.sep_scratch(dev, sizes, nb_panel);
-    }
-    grown?;
-    let (st, work, d_starts, starts) = ws.sep_views();
-
+    let st = ws.step.as_ref().expect("grown by sep_scratch");
+    let work = ws.tiles.as_ref().expect("grown by sep_scratch");
     // Each step's kernels read the trailing matrices its update wrote.
     let whole = batch.view();
     let a = st.view(whole);
-    let top = sizes.iter().copied().max().unwrap_or(0);
-    for s in 0..top.div_ceil(nb_panel) {
-        let j = s * nb_panel;
+    move |rec, (j, grids)| {
         with_retry(dev, &pol, rec, || st.update(dev, whole, j))?;
-        for kernel in SepKernel::STEP {
-            let grid = LiveGrid::of_plan(d_starts, starts, count, s, kernel);
+        for (kernel, grid) in SepKernel::STEP.into_iter().zip(grids) {
             if grid.blocks() == 0 {
                 continue;
             }
@@ -558,14 +572,14 @@ fn run_separated<T: Scalar>(
                 .map(|_| ())
             })?;
         }
-        scrub_batch(dev, batch, &pol, rec)?;
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sep::plan_live_grids;
     use vbatch_dense::gen::{seeded_rng, spd_vec};
     use vbatch_dense::verify::{chol_residual, residual_tol};
     use vbatch_dense::MatRef;
@@ -798,8 +812,7 @@ mod tests {
             let d_idx = d1.alloc::<i32>(idx.len()).unwrap();
             d_idx.fill_from_host(&idx);
             d1.reset_metrics();
-            potrf_interleaved_window(&d1, &single, d_idx.ptr(), idx.len(), windows[0].max_size)
-                .unwrap();
+            potrf_interleaved_window(&d1, &single, d_idx.ptr(), windows[0].max_size).unwrap();
             let (single_s, _) = ilv_s(&d1);
             assert_eq!(d1.now(), single_s);
 
@@ -925,6 +938,19 @@ mod tests {
         let mut batch = VBatch::<f64>::alloc_square(&d, &[]).unwrap();
         let report = potrf_vbatched(&d, &mut batch, &PotrfOptions::default()).unwrap();
         assert!(report.all_ok());
+        // Matrices of order 0 under an overstated `max_n`: nothing to
+        // factorize, so nothing is allocated, launched or charged.
+        let mut zeros = VBatch::<f64>::alloc_square(&d, &[0; 3]).unwrap();
+        for strategy in [Strategy::Fused, Strategy::Separated] {
+            let (t0, allocs) = (d.now(), d.alloc_count());
+            let opts = PotrfOptions {
+                strategy,
+                ..Default::default()
+            };
+            let report = potrf_vbatched_max(&d, &mut zeros, 64, &opts).unwrap();
+            assert_eq!(report.info, vec![0; 3]);
+            assert_eq!((d.now(), d.alloc_count()), (t0, allocs), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -957,5 +983,343 @@ mod tests {
             times[1],
             times[0]
         );
+    }
+
+    /// Checks the fused and separated Cholesky plans of the batch
+    /// `sizes` at width `nb` against their definitions. `d_plan` is any
+    /// device buffer long enough to stand for the live-grid plan's
+    /// upload; only its length is read.
+    fn check_plans(dev: &Device, sizes: &[usize], nb: usize, d_plan: DevicePtr<i32>) {
+        let c = FusedOpts::default().resolved_interleave_cutoff::<f64>();
+        let max_n = sizes.iter().copied().max().unwrap_or(0);
+        if max_n == 0 {
+            return; // The frame returns before planning.
+        }
+        let mut ilv = None;
+        let variants = [
+            (Uplo::Lower, false, None),
+            (Uplo::Lower, true, None),
+            (Uplo::Lower, true, Some(c)),
+            (Uplo::Upper, true, Some(c)),
+        ];
+        for (uplo, sorting, window_width) in variants {
+            let opts = PotrfOptions {
+                uplo,
+                fused: FusedOpts {
+                    sorting,
+                    window_width,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let case = format!("{sizes:?} nb {nb} {uplo:?} sorting {sorting} {window_width:?}");
+            let windows = fused_windows::<f64>(dev, sizes, max_n, nb, &opts).unwrap();
+            // Per matrix: interleaved runs holding it, and step records
+            // holding it at each of its live steps.
+            let mut runs = vec![0; sizes.len()];
+            let mut steps: Vec<Vec<usize>> =
+                sizes.iter().map(|n| vec![0; n.div_ceil(nb)]).collect();
+            for w in &windows {
+                let wmax = w.indices.iter().map(|&i| sizes[i]).max().unwrap();
+                for (first, len, extent, step) in
+                    fused_launches::<f64>(dev, sizes, &w.indices, nb, &opts, &mut ilv)
+                {
+                    assert!(len > 0, "{case}: empty record");
+                    let launch = &w.indices[first..first + len];
+                    let top = launch.iter().map(|&i| sizes[i]).max().unwrap();
+                    match step {
+                        None => {
+                            assert_eq!(extent, top, "{case}: run extent");
+                            assert!(extent <= c && uplo == Uplo::Lower, "{case}");
+                            launch.iter().for_each(|&i| runs[i] += 1);
+                        }
+                        Some(j) => {
+                            assert!(j < extent && extent == wmax, "{case}: step {j}");
+                            assert_eq!(j % nb, 0, "{case}");
+                            for &i in launch {
+                                // A sorted launch carries no matrix
+                                // already factorized.
+                                assert!(!sorting || sizes[i] > j, "{case}: {i} dead at {j}");
+                                if let Some(hits) = steps[i].get_mut(j / nb) {
+                                    *hits += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            for (i, &n) in sizes.iter().enumerate() {
+                // Each matrix factorizes in exactly one interleaved run or
+                // in exactly one step record per live step, never both.
+                let stepped = &steps[i];
+                match runs[i] {
+                    0 => assert!(stepped.iter().all(|&h| h == 1), "{case}: {i} {stepped:?}"),
+                    1 => assert!(stepped.iter().all(|&h| h == 0), "{case}: {i} {stepped:?}"),
+                    r => panic!("{case}: matrix {i} in {r} interleaved runs"),
+                }
+                // No record holds a matrix of order 0. Bucketed at the
+                // cutoff, every `Lower` matrix at or below it is
+                // interleaved, and no other.
+                if n == 0 || window_width == Some(c) {
+                    let want = usize::from(n > 0 && n <= c && uplo == Uplo::Lower);
+                    assert_eq!(runs[i], want, "{case}: matrix {i}");
+                }
+            }
+        }
+        // The separated plan, read back from a host copy longer than the
+        // plan (what a resident twin can be).
+        let mut host: Vec<i32> = plan_live_grids(sizes, nb).collect();
+        let len = host.len();
+        host.extend([-1; 7]);
+        let plan = live_steps(d_plan.truncate(len), &host, sizes.len(), nb);
+        let mut s = 0;
+        for (j, grids) in plan {
+            assert_eq!(j, s * nb, "{sizes:?} nb {nb}");
+            for (kernel, grid) in SepKernel::STEP.into_iter().zip(grids) {
+                let live = sizes
+                    .iter()
+                    .map(|&n| kernel.live_blocks(n.saturating_sub(j), nb));
+                assert_eq!(
+                    grid.blocks(),
+                    live.sum::<usize>(),
+                    "{sizes:?} nb {nb} {kernel:?} j {j}"
+                );
+            }
+            s += 1;
+        }
+        assert_eq!(s, max_n.div_ceil(nb), "{sizes:?} nb {nb}");
+    }
+
+    /// The Cholesky planners ([`fused_launches`] over the call's windows,
+    /// [`live_steps`] over [`plan_live_grids`]), bounded-exhaustively:
+    /// nb ∈ {1, 2, 3} and every multiset of ≤ 6 orders in `0..=3·nb`,
+    /// given ascending and descending, as they are and with the nonzero
+    /// orders shifted to straddle the interleave cutoff. Nothing is
+    /// launched and no clock moves: the device only prices the
+    /// interleaved cut and holds the stand-in plan buffer.
+    #[test]
+    fn cholesky_plans_bounded_exhaustive() {
+        let d = dev();
+        let c = FusedOpts::default().resolved_interleave_cutoff::<f64>();
+        let d_plan = d.alloc::<i32>(1 << 12).unwrap();
+        for nb in 1..=3 {
+            let orders: Vec<(usize, usize)> = (0..=3 * nb).map(|n| (n, n)).collect();
+            crate::lu::tests::multisets(&orders, 6, &mut Vec::new(), 0, &mut |batch| {
+                for shift in [0, c - 3 * nb / 2] {
+                    let up: Vec<usize> = batch
+                        .iter()
+                        .map(|&(n, _)| if n > 0 { n + shift } else { 0 })
+                        .collect();
+                    check_plans(&d, &up, nb, d_plan.ptr());
+                    let down: Vec<usize> = up.iter().rev().copied().collect();
+                    check_plans(&d, &down, nb, d_plan.ptr());
+                }
+            });
+        }
+        assert_eq!((d.now(), d.launch_count()), (0.0, 0));
+    }
+
+    /// Per kernel: launches and blocks.
+    type Counts = std::collections::BTreeMap<&'static str, (u64, u64)>;
+
+    /// Replays `potrf_vbatched` with `opts` on `batch` from the plan
+    /// records alone, launch by launch, checking each launch against its
+    /// own record, and returns the launches and blocks per kernel the
+    /// records count. Fused records launch here; separated steps go
+    /// through the driver's step function, whose kernels launch at most
+    /// once a step, so each step's profiler delta is its launches.
+    fn replay(d: &Device, batch: &mut VBatch<f64>, opts: &PotrfOptions) -> Counts {
+        let (sizes, count) = (batch.cols().to_vec(), batch.count());
+        let mut ws = DriverWorkspace::new();
+        let max_n = compute_imax_pooled(d, batch.d_cols(), count, &mut ws.imax_partial).unwrap();
+        let max_n = max_n as usize;
+        let of = |name| d.with_profiler(|p| p.get(name).map_or((0, 0), |e| (e.launches, e.blocks)));
+        let mut planned = Counts::new();
+        let mut launched = |name, blocks: usize, (n0, b0): (u64, u64)| {
+            assert_eq!(of(name), (n0 + 1, b0 + blocks as u64), "{name}");
+            let e = planned.entry(name).or_default();
+            *e = (e.0 + 1, e.1 + blocks as u64);
+        };
+        if opts.strategy == Strategy::Fused {
+            let nb = tuned_nb::<f64>(d, max_n);
+            let windows = fused_windows::<f64>(d, &sizes, max_n, nb, opts).unwrap();
+            let perm = windows
+                .iter()
+                .flat_map(|w| w.indices.iter().map(|&i| i as i32));
+            let sorting = opts.fused.sorting;
+            let perm =
+                upload_resident(d, perm, &mut ws.idx_host, &mut ws.idx_dev, sorting).unwrap();
+            let lanes = vbatch_dense::interleave::lane_count::<f64>();
+            let mut first = 0;
+            for w in &windows {
+                let plan = fused_launches::<f64>(d, &sizes, &w.indices, nb, opts, &mut ws.ilv_plan);
+                for (at, len, extent, step) in plan {
+                    let idx = perm.offset(first + at).truncate(len);
+                    let name = if step.is_some() {
+                        "dpotrf_fused_step"
+                    } else {
+                        "dpotrf_ilv_batch"
+                    };
+                    let before = of(name);
+                    let (blocks, stats) = match step {
+                        None => {
+                            let stats = potrf_interleaved_window(d, batch, idx, extent);
+                            (len.div_ceil(lanes), stats)
+                        }
+                        Some(j) => {
+                            let stats = potrf_fused_step(d, batch, opts, idx, extent, j, nb);
+                            (len, stats)
+                        }
+                    };
+                    assert_eq!(stats.unwrap().config.grid.x as usize, blocks);
+                    launched(name, blocks, before);
+                }
+                first += w.indices.len();
+            }
+        } else {
+            let nb_panel = opts.sep.nb_panel;
+            let d_starts = ws.sep_scratch(d, &sizes, nb_panel).unwrap();
+            let mut step = separated_step(d, batch, opts, &ws);
+            let names = [
+                "dpotf2_vbatched",
+                "dtrtri_vbatched",
+                "dtrsm_vbatched",
+                "dsyrk_vbatched",
+            ];
+            for (j, grids) in live_steps(d_starts, &ws.live_host, count, nb_panel) {
+                let (aux, before) = (of("vbatch_aux_step"), names.map(of));
+                step(&mut RecoveryReport::default(), (j, grids)).unwrap();
+                // The step-state update runs 256 matrices a block.
+                launched("vbatch_aux_step", count.div_ceil(256), aux);
+                for ((name, grid), before) in names.into_iter().zip(grids).zip(before) {
+                    if grid.blocks() > 0 {
+                        launched(name, grid.blocks(), before);
+                    } else {
+                        assert_eq!(of(name), before, "{name} launched with no live block");
+                    }
+                }
+            }
+        }
+        d.copy_dtoh_bytes(count * 4); // The frame's `info` read.
+        planned
+    }
+
+    /// Planned equals launched, on the three Cholesky batches of the
+    /// `sim_invariance` goldens (fused and separated on its ten orders,
+    /// fused on 2 000 Uniform{32} orders) and on [`edge_sizes`] both
+    /// ways: each call's profiler holds
+    /// exactly the launches and blocks its plan records count, and
+    /// nothing else but the max-reduction (the replay's own), and the
+    /// record-by-record replay ends on the call's clock and energy bit
+    /// for bit.
+    #[test]
+    fn planned_equals_launched() {
+        use rand::Rng;
+        let sizes = [33, 7, 150, 64, 1, 0, 90, 12, 128, 45];
+        let mut rng = seeded_rng(7);
+        let tiny: Vec<usize> = (0..2_000).map(|_| rng.gen_range(1..=32)).collect();
+        let separated = PotrfOptions {
+            strategy: Strategy::Separated,
+            sep: SepOpts {
+                nb_panel: 32,
+                nb_inner: 8,
+            },
+            ..Default::default()
+        };
+        let fused = PotrfOptions {
+            strategy: Strategy::Fused,
+            ..separated
+        };
+        // And the edge shape, whose fused call takes two windows.
+        let edge = edge_sizes();
+        let cases = [
+            (&sizes[..], fused),
+            (&sizes, separated),
+            (&tiny, fused),
+            (&edge, fused),
+            (&edge, separated),
+        ];
+        for (sizes, opts) in cases {
+            let d = dev();
+            let (mut batch, _) = make_batch::<f64>(&d, sizes, 7);
+            d.reset_metrics();
+            let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
+            assert!(report.all_ok());
+            let r = dev();
+            let (mut again, _) = make_batch::<f64>(&r, sizes, 7);
+            r.reset_metrics();
+            let mut planned = replay(&r, &mut again, &opts);
+            let imax =
+                r.with_profiler(|p| p.get("vbatch_aux_imax").map(|e| (e.launches, e.blocks)));
+            planned.insert("vbatch_aux_imax", imax.unwrap());
+            let case = format!("{:?} x{}", opts.strategy, sizes.len());
+            let ran: Counts = d.with_profiler(|p| {
+                planned
+                    .keys()
+                    .map(|&k| (k, p.get(k).map_or((0, 0), |e| (e.launches, e.blocks))))
+                    .collect()
+            });
+            assert_eq!(ran, planned, "{case}");
+            let launches: u64 = planned.values().map(|c| c.0).sum();
+            assert_eq!(d.launch_count(), launches, "{case}: an unplanned launch");
+            assert_eq!(d.now().to_bits(), r.now().to_bits(), "{case}");
+            assert_eq!(d.energy_j().to_bits(), r.energy_j().to_bits(), "{case}");
+        }
+    }
+
+    /// One order-200 matrix among 2 000 of orders 1-8: at the default
+    /// options the fused call cuts the small window into interleaved
+    /// runs and steps the large one alone over its live suffix, and the
+    /// separated call's live grids hold the one large matrix's tiles
+    /// beside 2 000 one-block panels.
+    fn edge_sizes() -> Vec<usize> {
+        let mut sizes: Vec<usize> = (0..2_000).map(|i| 1 + (i * 5) % 8).collect();
+        sizes.insert(1_234, 200);
+        sizes
+    }
+
+    /// Each factor and `info` of the [`edge_sizes`] batch, fused and
+    /// separated, is bit-equal to its matrix factorized alone. Two
+    /// matrices break down (the large one late, a small one early), so
+    /// the `info` codes are exercised too.
+    #[test]
+    fn edge_shape_matches_each_matrix_alone() {
+        let sizes = edge_sizes();
+        let bits = |b: &VBatch<f64>, i: usize| -> Vec<u64> {
+            b.download_matrix(i).iter().map(|v| v.to_bits()).collect()
+        };
+        for strategy in [Strategy::Fused, Strategy::Separated] {
+            let opts = PotrfOptions {
+                strategy,
+                ..Default::default()
+            };
+            let d = dev();
+            let (mut batch, mut origs) = make_batch::<f64>(&d, &sizes, 0xED);
+            for (i, col) in [(1_234, 170), (7, 2)] {
+                let n = sizes[i];
+                origs[i][col * (n + 1)] = -1.0;
+                batch.upload_matrix(i, &origs[i]).unwrap();
+            }
+            let report = potrf_vbatched(&d, &mut batch, &opts).unwrap();
+            assert_eq!(
+                report.failures(),
+                vec![(7, 3), (1_234, 171)],
+                "{strategy:?}"
+            );
+            if strategy == Strategy::Fused {
+                let launches = |k| d.with_profiler(|p| p.get(k).map_or(0, |e| e.launches));
+                assert!(launches("dpotrf_ilv_batch") > 0 && launches("dpotrf_fused_step") > 0);
+            }
+            let one = dev();
+            let mut ws = DriverWorkspace::new();
+            for (i, &n) in sizes.iter().enumerate() {
+                let mut alone = VBatch::<f64>::alloc_square(&one, &[n]).unwrap();
+                alone.upload_matrix(0, &origs[i]).unwrap();
+                let solo = potrf_vbatched_ws(&one, &mut alone, &opts, &mut ws).unwrap();
+                let case = format!("{strategy:?}: matrix {i} (n = {n})");
+                assert_eq!(solo.info[0], report.info[i], "{case}");
+                assert_eq!(bits(&alone, 0), bits(&batch, i), "{case}");
+            }
+        }
     }
 }

@@ -18,19 +18,18 @@
 //! * [`potrf_fused_fixed`] — the fixed-size kernel: one launch, one
 //!   thread block per matrix, looping over all panel steps internally
 //!   (the Fig. 4 kernel, also used by the padding baseline);
-//! * [`potrf_fused_step`] — the vbatched per-step kernel the
+//! * `potrf_fused_step` — the vbatched per-step kernel the
 //!   factorization driver launches once per panel step over a (window
 //!   of) live matrices, with ETM support (Figs. 5–7).
 
 use vbatch_dense::{Diag, MatMut, Scalar, Side, Trans, Uplo};
 use vbatch_gpu_sim::{BlockCtx, Device, DevicePtr, KernelStats, LaunchConfig};
 
-use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_smem, charge_write, mat_mut, panel_smem_bytes, round_to_warp,
 };
 use crate::report::VbatchError;
-use crate::VBatch;
+use crate::{PotrfOptions, VBatch};
 
 /// Default inner blocking size of the fused kernels (the paper's ETM
 /// example uses `nb = 8`; autotuning selects per-size values, see
@@ -276,40 +275,33 @@ pub fn potrf_fused_fixed<T: Scalar>(
 }
 
 /// Vbatched fused step kernel: one launch processes panel step `j` for
-/// the `group_count` matrices selected by the device index array
-/// `d_indices` (identity when empty). The launch is configured for the
-/// group's largest matrix (`group_max`); blocks whose matrix is finished
-/// or broken terminate per `etm`.
+/// the matrices the device index array `d_indices` selects, one block
+/// each. The launch is configured for the group's largest matrix
+/// (`group_max`); blocks whose matrix is finished or broken terminate
+/// per `opts.fused.etm`.
 ///
 /// # Errors
 /// [`VbatchError::Launch`] on launch rejection (e.g. panel exceeds
 /// shared memory — callers gate on [`fused_feasible`]).
-#[allow(clippy::too_many_arguments)]
-pub fn potrf_fused_step<T: Scalar>(
+pub(crate) fn potrf_fused_step<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
-    uplo: Uplo,
+    opts: &PotrfOptions,
     d_indices: DevicePtr<i32>,
-    group_count: usize,
     group_max: usize,
     j: usize,
     nb: usize,
-    etm: EtmPolicy,
 ) -> Result<KernelStats, VbatchError> {
     debug_assert!(j < group_max);
+    let (uplo, etm) = (opts.uplo, opts.fused.etm);
     let max_rem = group_max - j;
     let warp = dev.config().warp_size;
     let threads = round_to_warp(max_rem, warp).min(dev.config().max_threads_per_block);
-    let cfg = LaunchConfig::grid_1d(group_count as u32, threads)
+    let cfg = LaunchConfig::grid_1d(d_indices.len() as u32, threads)
         .with_shared_mem(panel_smem_bytes::<T>(max_rem, nb));
     let a = batch.view();
     let stats = dev.launch(kname!(T, "potrf_fused_step"), cfg, move |ctx| {
-        let b = ctx.linear_block_id();
-        let i = if d_indices.is_empty() {
-            b
-        } else {
-            d_indices.get(b) as usize
-        };
+        let i = d_indices.get(ctx.linear_block_id()) as usize;
         let (_, n, ld) = a.dims(i);
         let broken = a.info.get(i) != 0;
         let rem = if broken { 0 } else { n.saturating_sub(j) };
@@ -342,8 +334,8 @@ pub const INTERLEAVE_CUTOFF: usize = vbatch_dense::tune::TileScheme::DEFAULT.ilv
 
 /// Interleaved batched-small Cholesky over one sorting window: each
 /// thread block takes up to `L` = [`vbatch_dense::interleave::lane_count`]
-/// matrices of the window (selected via `d_indices`, identity when
-/// empty) and factorizes them in place as one lane group
+/// matrices of the window (selected via `d_indices`) and factorizes
+/// them in place as one lane group
 /// ([`vbatch_dense::interleave::potrf_lanes_in_place`]). `Lower` only —
 /// the driver falls back to the per-step loop for `Upper`.
 ///
@@ -377,11 +369,11 @@ pub(crate) fn potrf_interleaved_window<T: Scalar>(
     dev: &Device,
     batch: &VBatch<T>,
     d_indices: DevicePtr<i32>,
-    group_count: usize,
     group_max: usize,
 ) -> Result<KernelStats, VbatchError> {
     use vbatch_dense::interleave::{self, MAX_LANES};
 
+    let group_count = d_indices.len();
     if group_count == 0 || group_max == 0 {
         return Err(VbatchError::InvalidArgument(
             "potrf_interleaved_window: empty window",
@@ -404,11 +396,7 @@ pub(crate) fn potrf_interleaved_window<T: Scalar>(
             if l >= cnt {
                 return MatMut::from_slice(&mut [], 0, 0, 1);
             }
-            let i = if d_indices.is_empty() {
-                first + l
-            } else {
-                d_indices.get(first + l) as usize
-            };
+            let i = d_indices.get(first + l) as usize;
             idx[l] = i;
             let (_, n, ld) = a.dims(i);
             let n = if a.info.get(i) != 0 { 0 } else { n };
@@ -585,13 +573,40 @@ impl IlvPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::etm::EtmPolicy;
+    use crate::sorting::upload_resident;
+    use crate::FusedOpts;
     use vbatch_dense::gen::{seeded_rng, spd_vec};
     use vbatch_dense::verify::{chol_residual, residual_tol};
     use vbatch_dense::MatRef;
-    use vbatch_gpu_sim::DeviceConfig;
+    use vbatch_gpu_sim::{DeviceBuffer, DeviceConfig};
 
     fn dev() -> Device {
         Device::new(DeviceConfig::k40c())
+    }
+
+    /// `potrf_fused_step`'s options for triangle `uplo` under `etm`.
+    fn step_opts(uplo: Uplo, etm: EtmPolicy) -> PotrfOptions {
+        PotrfOptions {
+            uplo,
+            fused: FusedOpts {
+                etm,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Uploads `indices` as a device index list, uncharged; the returned
+    /// buffer must outlive the launches that read it.
+    fn index_list(
+        d: &Device,
+        indices: impl IntoIterator<Item = usize>,
+    ) -> (DevicePtr<i32>, Option<DeviceBuffer<i32>>) {
+        let mut buf = None;
+        let idx = indices.into_iter().map(|i| i as i32);
+        let ptr = upload_resident(d, idx, &mut Vec::new(), &mut buf, false).unwrap();
+        (ptr, buf)
     }
 
     /// `Device::now()` / `energy_j()` after the one launch of
@@ -722,23 +737,11 @@ mod tests {
                     m
                 })
                 .collect();
-            let nb = 8;
-            let max = 30;
-            let mut j = 0;
-            while j < max {
-                potrf_fused_step(
-                    &d,
-                    &batch,
-                    Uplo::Lower,
-                    DevicePtr::null(),
-                    sizes.len(),
-                    max,
-                    j,
-                    nb,
-                    etm,
-                )
-                .unwrap();
-                j += nb;
+            let (idx, _buf) = index_list(&d, 0..sizes.len());
+            let opts = step_opts(Uplo::Lower, etm);
+            let (nb, max) = (8, 30);
+            for j in (0..max).step_by(nb) {
+                potrf_fused_step(&d, &batch, &opts, idx, max, j, nb).unwrap();
             }
             for (i, &n) in sizes.iter().enumerate() {
                 check_factor(&batch.download_matrix(i), &origs[i], n);
@@ -763,26 +766,11 @@ mod tests {
             })
             .collect();
         // Factorize only matrices 2 and 0 (in that order) via indices.
-        let mut idx_buf = None;
-        let idx = crate::sorting::upload_resident(&d, [2, 0], &mut Vec::new(), &mut idx_buf, false)
-            .unwrap();
-        let nb = 4;
-        let max = 9;
-        let mut j = 0;
-        while j < max {
-            potrf_fused_step(
-                &d,
-                &batch,
-                Uplo::Lower,
-                idx,
-                2,
-                max,
-                j,
-                nb,
-                EtmPolicy::Aggressive,
-            )
-            .unwrap();
-            j += nb;
+        let (idx, _buf) = index_list(&d, [2, 0]);
+        let opts = step_opts(Uplo::Lower, EtmPolicy::Aggressive);
+        let (nb, max) = (4, 9);
+        for j in (0..max).step_by(nb) {
+            potrf_fused_step(&d, &batch, &opts, idx, max, j, nb).unwrap();
         }
         check_factor(&batch.download_matrix(0), &origs[0], sizes[0]);
         check_factor(&batch.download_matrix(2), &origs[2], sizes[2]);
@@ -804,23 +792,11 @@ mod tests {
                     .upload_matrix(i, &spd_vec::<f64>(&mut rng, n))
                     .unwrap();
             }
+            let (idx, _buf) = index_list(&d, 0..sizes.len());
+            let opts = step_opts(Uplo::Lower, etm);
             d.reset_metrics();
-            let nb = 8;
-            let mut j = 0;
-            while j < 256 {
-                potrf_fused_step(
-                    &d,
-                    &batch,
-                    Uplo::Lower,
-                    DevicePtr::null(),
-                    sizes.len(),
-                    256,
-                    j,
-                    nb,
-                    etm,
-                )
-                .unwrap();
-                j += nb;
+            for j in (0..256).step_by(8) {
+                potrf_fused_step(&d, &batch, &opts, idx, 256, j, 8).unwrap();
             }
             times.push(d.now());
         }
@@ -840,7 +816,7 @@ mod tests {
     /// functions of the window extent, not of how the host stages.
     #[test]
     fn interleaved_window_equals_scalar_tier_and_keeps_the_pinned_clock() {
-        use crate::{potrf_vbatched_max, FusedOpts, PotrfOptions, Strategy};
+        use crate::{potrf_vbatched_max, Strategy};
         let sizes: Vec<usize> = (0..37).map(|i| 1 + (i * 32) / 37).collect();
         assert!(sizes.windows(2).all(|w| w[0] <= w[1]) && sizes[36] == 32);
         let upload = |d: &Device| {
@@ -857,8 +833,9 @@ mod tests {
         };
         let d = dev();
         let batch = upload(&d);
+        let (idx, _buf) = index_list(&d, 0..sizes.len());
         d.reset_metrics();
-        potrf_interleaved_window(&d, &batch, DevicePtr::null(), sizes.len(), 32).unwrap();
+        potrf_interleaved_window(&d, &batch, idx, 32).unwrap();
         assert_eq!(
             d.now().to_bits(),
             PINNED_NOW,
@@ -905,7 +882,7 @@ mod tests {
     /// window's index array.
     #[test]
     fn interleaved_run_allocates_only_the_index_array() {
-        use crate::{potrf_vbatched_max, PotrfOptions};
+        use crate::potrf_vbatched_max;
         let d = dev();
         let sizes: Vec<usize> = (0..50).map(|i| 1 + (i * 7) % 32).collect();
         let mut rng = seeded_rng(13);

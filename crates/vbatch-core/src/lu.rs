@@ -28,21 +28,21 @@
 //! planner `panel_steps` reads the host size mirror and the launch
 //! order and yields one `PanelStep` per panel step, how far into the
 //! order each kind of kernel has live work and the extents it spans,
-//! and the one driver body `run_panels` hands each step to the op's
-//! step function, then scrubs. LU keeps only that step function and
-//! its kernels.
+//! and their one body `run_panels` hands each step to the op's step
+//! function in the driver frame every factorization shares
+//! (`driver::run_frame`), which scrubs after each. LU keeps only that
+//! step function and its kernels.
 
 use vbatch_dense::{Diag, Scalar, Trans, Uplo};
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr, LaunchConfig};
 
 use crate::batch::{BatchView, PerMatrixArray};
+use crate::driver::run_frame;
 use crate::etm::EtmPolicy;
 use crate::kernels::{
     charge_flops, charge_read, charge_write, mat_mut, panel_width, round_to_warp,
 };
-use crate::recover::{
-    fault_events_start, finish_recovery, scrub_batch, with_retry, RecoveryPolicy, RecoveryReport,
-};
+use crate::recover::{fault_events_start, with_retry, RecoveryPolicy, RecoveryReport};
 use crate::report::{BatchReport, VbatchError};
 use crate::sep::gemm::gemm_vbatched;
 use crate::sep::trsm::trsm_left_vbatched;
@@ -418,14 +418,13 @@ pub(crate) fn panel_steps<'a>(
     })
 }
 
-/// The LU/QR driver body: resets `info`, grows the caller's per-matrix
-/// output arena `out` (pivots, `tau`) to `max_k` slots per matrix,
-/// makes the launch order resident and lets `scratch` grow the op's
-/// pooled scratch, each under [`with_retry`]. Then, for each
-/// [`PanelStep`] of [`panel_steps`] at panel width `nb`, it runs `step`
-/// (handed the workspace, `out`'s per-matrix pointers and the device
-/// launch order) and the scrubber, and reads `info` back, charging the
-/// D2H as every driver does: the kernels and the scrubber write it.
+/// The LU/QR driver body: grows the caller's per-matrix output arena
+/// `out` (pivots, `tau`) to `max_k` slots per matrix, then runs in the
+/// driver frame ([`run_frame`]): makes the launch order resident and
+/// lets `scratch` grow the op's pooled scratch, each under
+/// [`with_retry`], and hands each [`PanelStep`] of [`panel_steps`] at
+/// panel width `nb` to `step` (with the workspace, `out`'s per-matrix
+/// pointers and the device launch order).
 pub(crate) fn run_panels<T: Scalar, E: Copy + Default>(
     dev: &Device,
     batch: &VBatch<T>,
@@ -444,25 +443,20 @@ pub(crate) fn run_panels<T: Scalar, E: Copy + Default>(
     let ev_start = fault_events_start(dev);
     let mut rec = RecoveryReport::default();
     let (count, k_max) = (batch.count(), batch.max_k());
-    batch.reset_info();
     with_retry(dev, &pol, &mut rec, || {
         PerMatrixArray::ensure(out, dev, count.max(1), k_max)
     })?;
-    if count == 0 || k_max == 0 {
-        return Ok(finish_recovery(dev, ev_start, rec, batch.read_info()));
-    }
-    batch.register_fault_targets(dev);
-    let d_order = with_retry(dev, &pol, &mut rec, || {
-        ws.launch_order(dev, batch.rows(), batch.cols())
-    })?;
-    with_retry(dev, &pol, &mut rec, || scratch(ws))?;
     let out = out.as_ref().expect("ensured above").d_ptrs();
-    for s in panel_steps(batch.rows(), batch.cols(), ws.order(), nb) {
-        step(&mut rec, ws, out, d_order, &s)?;
-        scrub_batch(dev, batch, &pol, &mut rec)?;
-    }
-    dev.copy_dtoh_bytes(count * 4);
-    Ok(finish_recovery(dev, ev_start, rec, batch.read_info()))
+    let (rows, cols) = (batch.rows(), batch.cols());
+    run_frame(dev, batch, &pol, (ev_start, rec), |rec| {
+        let d_order = with_retry(dev, &pol, rec, || ws.launch_order(dev, rows, cols))?;
+        with_retry(dev, &pol, rec, || scratch(ws))?;
+        let ws = &*ws;
+        let steps = panel_steps(rows, cols, ws.order(), nb);
+        Ok((steps, move |rec: &mut RecoveryReport, s| {
+            step(rec, ws, out, d_order, &s)
+        }))
+    })
 }
 
 thread_local! {
@@ -568,7 +562,7 @@ fn laswp_outside<T: Scalar>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vbatch_dense::gen::{rand_mat, seeded_rng};
     use vbatch_dense::verify::{lu_residual, residual_tol};
@@ -577,7 +571,7 @@ mod tests {
 
     /// Calls `f` on every multiset of at most `max_len` of `vals`
     /// (extending `cur`, picking from `vals[from..]`).
-    fn multisets(
+    pub(crate) fn multisets(
         vals: &[(usize, usize)],
         max_len: usize,
         cur: &mut Vec<(usize, usize)>,

@@ -25,9 +25,11 @@
 //! and lets ETM retire the blocks with no work. Each retired block still
 //! pays its dispatch, so the Cholesky driver launches `potf2`, `trtri`,
 //! `trsm` and `syrk` on a [`LiveGrid`] instead: one block per unit of
-//! live work, counted on the host from the size mirror. Their in-kernel
-//! ETM check is left with the runtime case, a matrix whose `info` is
-//! set.
+//! live work, counted on the host from the size mirror. The call's grids
+//! are planned once (`plan_live_grids`, one upload), and the planner
+//! `live_steps` reads them back as the driver frame's steps: each step's
+//! first column and its four grids. Their in-kernel ETM check is left
+//! with the runtime case, a matrix whose `info` is set.
 //!
 //! Every kernel reads where matrix `i` lives, its shape and its `info`
 //! from one [`crate::batch::BatchView`] per operand and nothing else:
@@ -82,7 +84,7 @@ impl SepKernel {
     /// block if `rem > nb_panel`, one `trsm` block per `GEMM_TILE_M`
     /// trailing rows, one `syrk` block per `SYRK_TILE` tile of the
     /// trailing triangle.
-    fn live_blocks(self, rem: usize, nb_panel: usize) -> usize {
+    pub(crate) fn live_blocks(self, rem: usize, nb_panel: usize) -> usize {
         let trail = rem.saturating_sub(nb_panel);
         let tiles = trail.div_ceil(SYRK_TILE);
         match self {
@@ -107,14 +109,34 @@ impl SepKernel {
 
 /// The block starts of every step of a separated Cholesky call on
 /// matrices of orders `sizes`, four grids per step in
-/// [`SepKernel::STEP`] order ([`LiveGrid::of_plan`] reads them back).
-/// Steps run while a matrix has columns left.
+/// [`SepKernel::STEP`] order ([`live_steps`] reads them back). Steps
+/// run while a matrix has columns left.
 pub(crate) fn plan_live_grids(sizes: &[usize], nb_panel: usize) -> impl Iterator<Item = i32> + '_ {
     let top = sizes.iter().copied().max().unwrap_or(0);
     (0..top).step_by(nb_panel).flat_map(move |j| {
         SepKernel::STEP
             .into_iter()
             .flat_map(move |k| k.starts(sizes, j, nb_panel))
+    })
+}
+
+/// The steps of a separated call on `count` matrices at panel width
+/// `nb_panel`, read back from its [`plan_live_grids`] plan, held whole
+/// at `d_starts` on the device and at the front of `host`: each step's
+/// first column `j` and its four grids in [`SepKernel::STEP`] order.
+pub(crate) fn live_steps(
+    d_starts: DevicePtr<i32>,
+    host: &[i32],
+    count: usize,
+    nb_panel: usize,
+) -> impl Iterator<Item = (usize, [LiveGrid; 4])> + '_ {
+    let per_step = SepKernel::STEP.len() * (count + 1);
+    (0..d_starts.len() / per_step).map(move |s| {
+        let grids = std::array::from_fn(|k| {
+            let first = s * per_step + k * (count + 1);
+            LiveGrid::new(d_starts.offset(first), count, host[first + count] as usize)
+        });
+        (s * nb_panel, grids)
     })
 }
 
@@ -137,20 +159,6 @@ impl LiveGrid {
             count,
             blocks,
         }
-    }
-
-    /// The grid of `kernel` at step `s` of a [`plan_live_grids`] plan
-    /// for `count` matrices, held at the front of `host` and of
-    /// `d_starts`.
-    pub(crate) fn of_plan(
-        d_starts: DevicePtr<i32>,
-        host: &[i32],
-        count: usize,
-        s: usize,
-        kernel: SepKernel,
-    ) -> Self {
-        let first = (SepKernel::STEP.len() * s + kernel as usize) * (count + 1);
-        Self::new(d_starts.offset(first), count, host[first + count] as usize)
     }
 
     /// Uploads the grid of `kernel` at the step `j` columns in for a

@@ -9,13 +9,15 @@
 //!
 //! The scheduler here produces exactly that: matrix indices grouped into
 //! size windows of width `window_factor · nb`. The driver then runs each
-//! window group to completion with launches sized to the *window*
-//! maximum — which both balances the wave (blocks of nearly-equal cost)
-//! and raises occupancy (smaller shared-memory panels for small
-//! windows). A window's indices ascend by order, so the matrices still
-//! live at a step are a suffix of them: each step launches that slice
-//! of the window's one index upload, and a factorized matrix gets no
-//! block (the paper's retire kernels).
+//! window group to completion, one step of its driver frame, with
+//! launches sized to the *window* maximum — which both balances the wave
+//! (blocks of nearly-equal cost) and raises occupancy (smaller
+//! shared-memory panels for small windows). A window's indices ascend by
+//! order, so the matrices still live at a step are a suffix of them: the
+//! driver's planner (`driver::fused_launches`) yields one record per
+//! launch, each step's being that suffix of the window's one index
+//! upload, and a factorized matrix gets no block (the paper's retire
+//! kernels).
 //!
 //! A bucket width suits the step loop, whose panels follow `nb`, but
 //! not the batched-small tier: one interleaved launch over the bucket
@@ -24,17 +26,19 @@
 //! below the interleave cutoff into contiguous runs of distinct orders
 //! where the simulator's own launch arithmetic predicts the smaller
 //! tiles outweigh the extra launch overheads (see
-//! `fused::potrf_interleaved_window`). The runs are slices of
-//! the window's ascending index list, so the call's one index upload
-//! serves all of them.
+//! `fused::potrf_interleaved_window`). The same planner yields the runs
+//! as records too; they are slices of the window's ascending index
+//! list, so the call's one index upload serves all of them.
 //!
 //! The permutation is computed from `VBatch`'s host mirror of the
 //! sizes, so nothing is read back from the device. The call's windows,
 //! back to back, form one permutation that is uploaded once as a device
 //! index array the kernels indirect through; each window, and each half
-//! the OOM ladder cuts from one, launches on its slice of it (when the
-//! whole permutation does not fit in memory, the attempt uploads just
-//! its own indices). The upload goes through `upload_resident`, which keeps a host twin of
+//! the OOM ladder cuts from one and plans afresh, launches on its slice
+//! of it (when the whole permutation does not fit in memory, the attempt
+//! uploads just its own indices). Every launch reads its blocks' matrices
+//! through such an index list, an unsorted call's included. The upload
+//! goes through `upload_resident`, which keeps a host twin of
 //! what the device buffer holds and sends nothing when the new plan is a
 //! prefix of it: a repeated call of one shape, or a batch that arrives
 //! in size order (its permutation is the identity) after a larger one,

@@ -23,9 +23,11 @@
 //! of one shape pays no plan upload. Simulated launches are synchronous,
 //! so a buffer may be reused across sorting windows within one call as
 //! well. Outputs that belong to the caller (pivot and tau arenas) are
-//! *not* pooled. LU and QR share one driver body (`lu::run_panels`):
-//! it takes their launch order from `DriverWorkspace::launch_order`,
-//! and each op grows its own scratch slot here (`lu_step`, `qr_t`).
+//! *not* pooled. Each driver makes its scratch resident here before the
+//! first step of the driver frame (`driver::run_frame`): the fused
+//! permutation, the separated scratch and live-grid plan
+//! (`sep_scratch`), or the LU/QR launch order (`launch_order`) and the
+//! op's own slot (`lu_step`, `qr_t`).
 
 use vbatch_dense::Scalar;
 use vbatch_gpu_sim::{Device, DeviceBuffer, DevicePtr};
@@ -38,16 +40,6 @@ use crate::report::VbatchError;
 use crate::sep::plan_live_grids;
 use crate::sep::trtri::TileWorkspace;
 use crate::sorting::upload_resident;
-
-/// Borrows handed to the separated driver loop: step state, tile
-/// arena, and the call's live-grid block starts on the device and on
-/// the host (a prefix of the host slice).
-pub(crate) type SepScratch<'a, T> = (
-    &'a StepState<T>,
-    &'a TileWorkspace<T>,
-    DevicePtr<i32>,
-    &'a [i32],
-);
 
 /// The grow-only scratch slot: keeps `slot`'s buffer while it holds at
 /// least `need` (by `len`), else drops it *before* calling `alloc` for
@@ -82,7 +74,7 @@ pub struct DriverWorkspace<T> {
     pub(crate) tiles: Option<TileWorkspace<T>>,
     /// Separated-path live-grid plan ([`plan_live_grids`]): the device
     /// copy and its resident twin, the host copy of what it holds.
-    live_host: Vec<i32>,
+    pub(crate) live_host: Vec<i32>,
     live_dev: Option<DeviceBuffer<i32>>,
     /// QR `T`-factor arena: one `nb × nb` tile per matrix, every tile
     /// fully rewritten by the panel kernel before `larfb` reads it.
@@ -167,8 +159,9 @@ impl<T: Scalar> DriverWorkspace<T> {
     /// Ensures the separated-path scratch covers matrices of orders
     /// `sizes` at panel width `nb`: step state, tile arena, and the
     /// live-grid plan, made resident on the device (uploaded and charged
-    /// unless the device already holds it; see
-    /// [`DriverWorkspace::sep_views`]).
+    /// unless the device already holds it). Returns the plan's device
+    /// copy; its host copy is the front of `live_host`, and
+    /// [`crate::sep::live_steps`] reads the steps back from the two.
     ///
     /// # Errors
     /// [`VbatchError::Oom`] when device memory is exhausted.
@@ -177,7 +170,7 @@ impl<T: Scalar> DriverWorkspace<T> {
         dev: &Device,
         sizes: &[usize],
         nb: usize,
-    ) -> Result<(), VbatchError> {
+    ) -> Result<DevicePtr<i32>, VbatchError> {
         let count = sizes.len();
         grow_slot(
             &mut self.step,
@@ -187,22 +180,13 @@ impl<T: Scalar> DriverWorkspace<T> {
         )?;
         TileWorkspace::ensure(&mut self.tiles, dev, count, nb)?;
         let plan = plan_live_grids(sizes, nb);
-        upload_resident(dev, plan, &mut self.live_host, &mut self.live_dev, true)?;
-        Ok(())
-    }
-
-    /// The scratch the last successful [`DriverWorkspace::sep_scratch`]
-    /// ensured.
-    pub(crate) fn sep_views(&self) -> SepScratch<'_, T> {
-        (
-            self.step.as_ref().expect("ensured by sep_scratch"),
-            self.tiles.as_ref().expect("ensured by sep_scratch"),
-            self.live_dev
-                .as_ref()
-                .expect("ensured by sep_scratch")
-                .ptr(),
-            &self.live_host,
-        )
+        Ok(upload_resident(
+            dev,
+            plan,
+            &mut self.live_host,
+            &mut self.live_dev,
+            true,
+        )?)
     }
 
     /// The LU/QR launch order of matrices with `rows` and `cols`: every
@@ -288,10 +272,10 @@ mod tests {
         let after_grow = dev.alloc_count();
         ws.sep_scratch(&dev, &sizes, 8).unwrap();
         assert_eq!(dev.alloc_count(), after_grow);
-        ws.sep_scratch(&dev, &sizes, 64).unwrap();
+        let plan = ws.sep_scratch(&dev, &sizes, 64).unwrap();
         assert!(dev.alloc_count() > after_grow);
         // Four grids of 17 starts each.
-        assert_eq!(ws.sep_views().3.len(), 4 * 17);
+        assert_eq!(plan.len(), 4 * 17);
         assert!(ws.device_bytes() > 0);
         let in_use = dev.mem_in_use();
         assert!(in_use > 0);
